@@ -23,7 +23,7 @@ from .graphs import (
     graph_to_dict,
     merge_corpus,
 )
-from .model import extract, load_model, save_model
+from .model import check_thresholds, extract, load_model, save_model
 from .reasoning import NodePattern, compute_valence, find_paths
 from .rectify import rectify
 from .schema import Schema, load_schema
@@ -125,6 +125,7 @@ def _cmd_extract(args) -> int:
         model.theta_r = args.threshold_relation
     if args.threshold_attribute is not None:
         model.theta_a = args.threshold_attribute
+    check_thresholds(model.theta_r, model.theta_a)
     sentences = json.loads(_read(args.input))
     graphs = []
     for i, sent in enumerate(sentences):

@@ -26,6 +26,7 @@ from .schema import Schema, load_schema, schema_to_dict
 
 __all__ = [
     "Model",
+    "check_thresholds",
     "enumerate_spans",
     "span_attention",
     "entity_rep",
@@ -54,6 +55,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def check_thresholds(theta_r: float, theta_a: float) -> None:
+    """Raise ValueError unless both decision thresholds lie in (0, 1)."""
+    if not (0.0 < theta_r < 1.0 and 0.0 < theta_a < 1.0):
+        raise ValueError(
+            f"thresholds must lie in (0, 1), got relation {theta_r} and attribute {theta_a}"
+        )
 
 
 @dataclass
@@ -109,8 +118,7 @@ class Model:
         """Seeded init: zero biases, uniform(+/- 1/sqrt(fan_in)) weights."""
         if max_span_len < 1:
             raise ValueError("max_span_len must be >= 1")
-        if not (0.0 < theta_r < 1.0 and 0.0 < theta_a < 1.0):
-            raise ValueError("thresholds must lie in (0, 1)")
+        check_thresholds(theta_r, theta_a)
         d = encoder.dimension
         rep = 2 * d + width_dim
         pair = 3 * d + 2 * width_dim

@@ -1,18 +1,29 @@
 """Confidence-greedy pruning of schema-inconsistent graph elements.
 
-While violations remain, the violation whose minimum-confidence participant
-is globally lowest is selected and that participant removed.  Removing an
-entity cascades to its attributes and incident relations in the same step.
-Ties break by (lower confidence, relation < attribute < entity, id).  Each
-iteration removes at least one element, so the loop terminates.
+Greedy rule: while violations remain, take the violation whose weakest
+participant is globally lowest and remove that participant.  Participants
+rank by (lower confidence, relation < attribute < entity, id); violations
+whose weakest participants tie keep check_constraints' (kind, element ids)
+order.  Removing an entity cascades to its attributes and incident
+relations in the same step.
+
+One constraint scan suffices.  Each constraint kind is violated by elements
+that are present, and which elements take part is fixed by their types and
+confidences, which never change.  A removal can therefore end violations but
+never create one: the violations left at any step are exactly the initial
+ones whose participants all survive.  So the initial violations are sorted
+once by the greedy rule and walked in that order, skipping any that has lost
+a participant; this makes the same choices as rescanning after every
+removal.  The walk visits each violation once, so it terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
-from .graphs import Entity, KnowledgeGraph, Relation
-from .schema import Schema, Violation, check_constraints
+from .graphs import KnowledgeGraph
+from .schema import ElementKey, Schema, Violation, check_constraints, element_id
 
 __all__ = ["RemovalRecord", "rectify"]
 
@@ -37,68 +48,12 @@ class RemovalRecord:
         }
 
 
-def _classify_element(element_id: str) -> str:
-    if "->" in element_id:
-        return "relation"
-    if "#" in element_id:
-        return "attribute"
-    return "entity"
-
-
-def _pick_participant(violation: Violation) -> tuple[float, int, str]:
-    """Sort key and id of the violation's weakest participant."""
-    best = None
-    for element_id, conf in zip(violation.element_ids, violation.confidences):
-        key = (conf, _KIND_ORDER[_classify_element(element_id)], element_id)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _remove(
-    graph: KnowledgeGraph, element_id: str, violation_kind: str, log: list[RemovalRecord]
-) -> KnowledgeGraph:
-    kind = _classify_element(element_id)
-    if kind == "relation":
-        keep = []
-        for r in graph.relations:
-            if r.id == element_id:
-                log.append(RemovalRecord(element_id, "relation", r.confidence, violation_kind))
-            else:
-                keep.append(r)
-        return replace(graph, relations=tuple(keep))
-
-    if kind == "attribute":
-        ent_id, attr = element_id.split("#", 1)
-        entities = []
-        for e in graph.entities:
-            if e.id == ent_id:
-                kept = tuple(p for p in e.attributes if p[0] != attr)
-                log.append(
-                    RemovalRecord(element_id, "attribute", e.attribute_confidence(attr), violation_kind)
-                )
-                e = replace(e, attributes=kept)
-            entities.append(e)
-        return replace(graph, entities=tuple(entities))
-
-    # entity: cascade attributes and incident relations
-    entities: list[Entity] = []
-    for e in graph.entities:
-        if e.id == element_id:
-            log.append(RemovalRecord(element_id, "entity", e.confidence, violation_kind))
-            for attr, conf in e.attributes:
-                log.append(
-                    RemovalRecord(f"{e.id}#{attr}", "attribute", conf, violation_kind, cascade=True)
-                )
-        else:
-            entities.append(e)
-    relations: list[Relation] = []
-    for r in graph.relations:
-        if r.head == element_id or r.tail == element_id:
-            log.append(RemovalRecord(r.id, "relation", r.confidence, violation_kind, cascade=True))
-        else:
-            relations.append(r)
-    return replace(graph, entities=tuple(entities), relations=tuple(relations))
+def _weakest(violation: Violation) -> tuple[tuple[float, int, str], ElementKey]:
+    """Greedy sort key and element key of the violation's weakest participant."""
+    return min(
+        ((conf, _KIND_ORDER[key[0]], eid), key)
+        for key, eid, conf in zip(violation.keys, violation.element_ids, violation.confidences)
+    )
 
 
 def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list[RemovalRecord]]:
@@ -107,12 +62,46 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
     Strictly removes elements: the output's entities, attributes, and
     relations are subsets of the input's, and rectify is idempotent.
     """
+    violations = check_constraints(graph, schema)
+    if not violations:
+        return graph, []
+    # sorted() is stable, so tied violations keep check_constraints' order
+    ranked = sorted(((*_weakest(v), v) for v in violations), key=itemgetter(0))
+
+    by_id = graph.entity_by_id()
+    relation_keys = [("relation", r.head, r.tail, r.relation_type) for r in graph.relations]
+    incident: dict[str, list[int]] = {}  # entity id -> relation indices, in graph order
+    for i, r in enumerate(graph.relations):
+        incident.setdefault(r.head, []).append(i)
+        incident.setdefault(r.tail, []).append(i)
+
+    removed: set[ElementKey] = set()
     log: list[RemovalRecord] = []
-    current = graph
-    while True:
-        violations = check_constraints(current, schema)
-        if not violations:
-            return current, log
-        chosen = min(violations, key=_pick_participant)
-        _, _, element_id = _pick_participant(chosen)
-        current = _remove(current, element_id, chosen.kind, log)
+    for (confidence, _, removed_id), key, violation in ranked:
+        if not removed.isdisjoint(violation.keys):
+            continue
+        cause = violation.kind
+        removed.add(key)
+        log.append(RemovalRecord(removed_id, key[0], confidence, cause))
+        if key[0] != "entity":
+            continue
+        entity = by_id[key[1]]
+        for attr, conf in entity.attributes:
+            attr_key = ("attribute", entity.id, attr)
+            if attr_key not in removed:
+                removed.add(attr_key)
+                log.append(RemovalRecord(element_id(attr_key), "attribute", conf, cause, cascade=True))
+        for i in incident.get(entity.id, ()):
+            if relation_keys[i] not in removed:
+                removed.add(relation_keys[i])
+                r = graph.relations[i]
+                log.append(RemovalRecord(r.id, "relation", r.confidence, cause, cascade=True))
+
+    entities = []
+    for e in graph.entities:
+        if ("entity", e.id) in removed:
+            continue
+        kept = tuple(p for p in e.attributes if ("attribute", e.id, p[0]) not in removed)
+        entities.append(e if len(kept) == len(e.attributes) else replace(e, attributes=kept))
+    relations = tuple(r for r, k in zip(graph.relations, relation_keys) if k not in removed)
+    return replace(graph, entities=tuple(entities), relations=relations), log

@@ -16,7 +16,20 @@ from typing import Iterable, Mapping
 from .errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
 from .graphs import KnowledgeGraph
 
-__all__ = ["Schema", "Violation", "load_schema", "check_constraints", "BUILTIN_SCHEMAS"]
+__all__ = [
+    "Schema",
+    "Violation",
+    "ElementKey",
+    "element_id",
+    "load_schema",
+    "check_constraints",
+    "BUILTIN_SCHEMAS",
+]
+
+# A typed graph-element key: ("entity", id), ("attribute", entity id, type)
+# or ("relation", head id, tail id, type).  Keys never need parsing, so ids
+# may contain any character.
+ElementKey = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -68,19 +81,33 @@ class Schema:
             raise UnknownTypeReferenceError("causal_relation_types not a subset of relation types")
 
 
+def element_id(key: ElementKey) -> str:
+    """Render an element key as its string id: the entity id,
+    "<entity>#<attr>" or "<head>-><tail>:<type>"."""
+    if key[0] == "entity":
+        return key[1]
+    if key[0] == "attribute":
+        return f"{key[1]}#{key[2]}"
+    return f"{key[1]}->{key[2]}:{key[3]}"
+
+
 @dataclass(frozen=True)
 class Violation:
     """One schema conflict found in a graph.
 
     kind is one of AttributeDomain, RelationSignature, ExclusiveAttributes,
-    ExclusiveRelations.  element_ids name the conflicting elements
-    (entity ids, "<entity>#<attr>" attribute ids, or relation ids) and
-    confidences align with them.
+    ExclusiveRelations.  keys name the conflicting elements as typed
+    ElementKeys and confidences align with them.  element_ids renders the
+    keys as string ids, for output and ordering only.
     """
 
     kind: str
-    element_ids: tuple[str, ...]
+    keys: tuple[ElementKey, ...]
     confidences: tuple[float, ...]
+    element_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "element_ids", tuple(map(element_id, self.keys)))
 
 
 def _sciclaim() -> Schema:
@@ -210,7 +237,11 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
             domain = schema.attribute_domains.get(attr)
             if domain is not None and e.entity_type not in domain:
                 out.append(
-                    Violation("AttributeDomain", (f"{e.id}#{attr}", e.id), (conf, e.confidence))
+                    Violation(
+                        "AttributeDomain",
+                        (("attribute", e.id, attr), ("entity", e.id)),
+                        (conf, e.confidence),
+                    )
                 )
         present = {t: c for t, c in e.attributes}
         for pair in schema.exclusive_attribute_pairs:
@@ -219,7 +250,7 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
                 out.append(
                     Violation(
                         "ExclusiveAttributes",
-                        (f"{e.id}#{a}", f"{e.id}#{b}"),
+                        (("attribute", e.id, a), ("attribute", e.id, b)),
                         (present[a], present[b]),
                     )
                 )
@@ -229,17 +260,17 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
         if sig is None:
             continue
         heads, tails = sig
-        ids: list[str] = [r.id]
+        keys: list[ElementKey] = [("relation", r.head, r.tail, r.relation_type)]
         confs: list[float] = [r.confidence]
         head_ent, tail_ent = by_id[r.head], by_id[r.tail]
         if head_ent.entity_type not in heads:
-            ids.append(head_ent.id)
+            keys.append(("entity", head_ent.id))
             confs.append(head_ent.confidence)
         if tail_ent.entity_type not in tails:
-            ids.append(tail_ent.id)
+            keys.append(("entity", tail_ent.id))
             confs.append(tail_ent.confidence)
-        if len(ids) > 1:
-            out.append(Violation("RelationSignature", tuple(ids), tuple(confs)))
+        if len(keys) > 1:
+            out.append(Violation("RelationSignature", tuple(keys), tuple(confs)))
 
     by_pair: dict[tuple[str, str], dict[str, float]] = {}
     for r in graph.relations:
@@ -251,7 +282,7 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
                 out.append(
                     Violation(
                         "ExclusiveRelations",
-                        (f"{head}->{tail}:{a}", f"{head}->{tail}:{b}"),
+                        (("relation", head, tail, a), ("relation", head, tail, b)),
                         (types[a], types[b]),
                     )
                 )

@@ -143,3 +143,27 @@ def random_ethno_corpus(rng: np.random.Generator, lemma_link=True):
             assemble_graph(tokens, None, entities, (), relations, provenance=f"s{gi}")
         )
     return merge_corpus(graphs, lemma_link=lemma_link)
+
+
+def separator_id_graphs():
+    """Sciclaim graphs whose entity ids contain the "#" and "->" separators
+    of the rendered attribute and relation ids, keyed by a test id."""
+    hash_id = assemble_graph(
+        ["x", "y"], None,
+        [("x#1", Span(0, 1), "factor", 0.8), ("y", Span(1, 2), "association", 0.9)],
+        attributes=[("x#1", "causation", 0.3)],  # causation belongs on associations
+        provenance="hash",
+    )
+    arrow_id = assemble_graph(
+        ["p", "q", "r"], None,
+        [("p->q", Span(0, 1), "factor", 0.2),
+         ("a", Span(1, 2), "association", 0.9),
+         ("f", Span(2, 3), "factor", 0.9)],
+        relations=[
+            ("p->q", "f", "arg0", 0.9),  # arg0 heads must be associations
+            ("a", "p->q", "arg1", 0.7),
+            ("a", "f", "arg0", 0.8),
+        ],
+        provenance="arrow",
+    )
+    return {"hash_in_id": hash_id, "arrow_in_id": arrow_id}

@@ -1,12 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import causalkg
 from causalkg.cli import main
-from causalkg.graphs import graph_from_dict
+from causalkg.graphs import graph_from_dict, graph_to_dict
+from causalkg.schema import check_constraints, load_schema
 
-from synth import build_corpus
+from synth import build_corpus, separator_id_graphs
 
 
 def example_to_dict(ex):
@@ -97,6 +101,46 @@ def test_rectify_eval_smoke(workdir):
     ]) == 0
     report = json.loads(report_path.read_text())
     assert set(report["sections"]) == {"entities", "attributes", "relations"}
+
+
+@pytest.mark.parametrize("name", sorted(separator_id_graphs()))
+def test_rectify_separator_ids_terminates(tmp_path, name):
+    # a child process, so that a rectify that never returns fails the test
+    # at the timeout instead of hanging the suite
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(json.dumps(graph_to_dict(separator_id_graphs()[name])))
+    out_path = tmp_path / "fixed.json"
+    src_dir = os.path.dirname(os.path.dirname(causalkg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "causalkg.cli", "rectify", "--schema", "sciclaim",
+         "--input", str(graph_path), "--out", str(out_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out_path.read_text())
+    assert doc["rectification"]
+    assert check_constraints(graph_from_dict(doc), load_schema("sciclaim")) == []
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    ("--threshold-relation", "0", 2),
+    ("--threshold-relation", "1.5", 2),
+    ("--threshold-attribute", "1", 2),
+    ("--threshold-attribute", "nan", 2),
+    ("--threshold-relation", "0.3", 0),
+])
+def test_extract_threshold_override_range(workdir, capsys, flag, value, code):
+    run_train(workdir)
+    assert main([
+        "extract", "--model", str(workdir / "model.json"),
+        "--input", str(workdir / "sentences.json"), "--out", str(workdir / "graphs"),
+        flag, value,
+    ]) == code
+    if code:
+        assert "thresholds must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_valence_query_senses_smoke(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from causalkg.evaluation import score
@@ -5,7 +8,7 @@ from causalkg.graphs import Span, assemble_graph
 from causalkg.rectify import rectify
 from causalkg.schema import check_constraints, load_schema
 
-from synth import random_sciclaim_graph
+from synth import random_sciclaim_graph, separator_id_graphs
 
 SCICLAIM = load_schema("sciclaim")
 
@@ -101,6 +104,56 @@ def test_kind_order_breaks_confidence_ties():
     fixed, log = rectify(g, SCICLAIM)
     assert [e.id for e in fixed.entities] == ["e0"]
     assert log[0].element_id == "e0#causation"
+
+
+def test_id_breaks_full_ties():
+    # q+ and q- tied at 0.5 on one pair: "e0->e1:q+" sorts first, so it goes
+    g = assemble_graph(
+        ["a", "b"], None,
+        [("e0", Span(0, 1), "factor", 0.9), ("e1", Span(1, 2), "factor", 0.9)],
+        relations=[("e0", "e1", "q-", 0.5), ("e0", "e1", "q+", 0.5)],
+    )
+    fixed, log = rectify(g, SCICLAIM)
+    assert [r.relation_type for r in fixed.relations] == ["q-"]
+    assert [rec.element_id for rec in log] == ["e0->e1:q+"]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block instead of hanging when it runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_separator_characters_in_entity_ids():
+    graphs = separator_id_graphs()
+    with deadline(10):
+        fixed, log = rectify(graphs["hash_in_id"], SCICLAIM)
+    assert check_constraints(fixed, SCICLAIM) == []
+    assert [e.attributes for e in fixed.entities] == [(), ()]
+    assert [(r.element_id, r.kind, r.cascade) for r in log] == [
+        ("x#1#causation", "attribute", False)
+    ]
+
+    with deadline(10):
+        fixed, log = rectify(graphs["arrow_in_id"], SCICLAIM)
+    assert check_constraints(fixed, SCICLAIM) == []
+    assert [e.id for e in fixed.entities] == ["a", "f"]
+    assert [r.id for r in fixed.relations] == ["a->f:arg0"]
+    assert [(r.element_id, r.kind, r.cascade) for r in log] == [
+        ("p->q", "entity", False),
+        ("p->q->f:arg0", "relation", True),
+        ("a->p->q:arg1", "relation", True),
+    ]
 
 
 def test_rectify_properties_random_graphs():

@@ -68,6 +68,7 @@ def test_attribute_domain_violation():
     assert len(violations) == 1
     v = violations[0]
     assert v.kind == "AttributeDomain"
+    assert v.keys == (("attribute", "e0", "sign+"), ("entity", "e0"))
     assert v.element_ids == ("e0#sign+", "e0")
     assert v.confidences == (0.7, 0.8)
 
@@ -106,6 +107,7 @@ def test_relation_signature_violation_names_offending_endpoints():
     violations = check_constraints(g, s)
     assert len(violations) == 1
     assert violations[0].kind == "RelationSignature"
+    assert violations[0].keys == (("relation", "e0", "e1", "q+"), ("entity", "e0"), ("entity", "e1"))
     assert set(violations[0].element_ids) == {"e0->e1:q+", "e0", "e1"}
 
 
