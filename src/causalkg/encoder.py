@@ -8,12 +8,17 @@ Produces a passage vector and one contextual vector per token.  Two kinds:
   center, 1/2^|offset| at each offset), and the passage vector the mean of
   the contextual vectors.
 * file       - reads precomputed per-token vectors from a text file, one
-  record per line: token followed by d whitespace-separated floats.
+  record per line: token followed by d whitespace-separated floats.  The
+  file is parsed once per (path, stat signature) into a read-only
+  vocabulary matrix and reused across calls; rewriting the file changes its
+  size or modification time, so the next call parses it again.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,14 +136,35 @@ def load_embedding_file(path: str, dimension: int | None = None) -> dict[str, np
     return table
 
 
+@functools.lru_cache(maxsize=4)
+def _load_vocabulary(
+    path: str, dimension: int, st_dev: int, st_ino: int, st_size: int, st_mtime_ns: int
+) -> tuple[dict[str, int], np.ndarray]:
+    """Token -> row index and the read-only (V, d) matrix of one file version.
+
+    The stat fields only key the cache, as in linecache: a rewritten file
+    misses it and is parsed (and checked) again.  A load that raises is not
+    cached.
+    """
+    table = load_embedding_file(path, dimension)
+    matrix = np.stack(list(table.values())) if table else np.empty((0, dimension))
+    matrix.setflags(write=False)
+    return {token: row for row, token in enumerate(table)}, matrix
+
+
 def _encode_file(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
-    table = load_embedding_file(config.embedding_path, config.dimension)
-    vectors = []
+    path = config.embedding_path
+    st = os.stat(path)
+    index, matrix = _load_vocabulary(
+        path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+    )
+    rows = []
     for t in tokens:
-        if t not in table:
-            raise OutOfVocabularyError(f"token {t!r} not in {config.embedding_path}")
-        vectors.append(table[t])
-    contextual = np.stack(vectors)
+        row = index.get(t)
+        if row is None:
+            raise OutOfVocabularyError(f"token {t!r} not in {path}")
+        rows.append(row)
+    contextual = matrix[rows]  # fancy indexing copies: callers never see the cache
     return TokenEncoding(passage_vector=contextual.mean(axis=0), token_vectors=contextual)
 
 

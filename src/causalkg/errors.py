@@ -69,6 +69,10 @@ class ZeroVectorError(CausalKgError):
     """A vector that must be normalized is identically zero."""
 
 
+class InventoryError(CausalKgError, ValueError):
+    """Sense inventory is malformed: bad line, vector, id or taxonomy."""
+
+
 class DisjointTreesError(CausalKgError):
     """Two senses share no common ancestor in the taxonomy."""
 

@@ -25,6 +25,7 @@ from .graphs import KnowledgeGraph, Span, assemble_graph
 from .schema import Schema, load_schema, schema_to_dict
 
 __all__ = [
+    "PARAM_GROUPS",
     "Model",
     "check_thresholds",
     "enumerate_spans",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+
+PARAM_GROUPS = ("attn_w", "attn_b", "width", "ent_w", "ent_b", "attr_w", "attr_b", "rel_w", "rel_b")
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -118,6 +121,8 @@ class Model:
         """Seeded init: zero biases, uniform(+/- 1/sqrt(fan_in)) weights."""
         if max_span_len < 1:
             raise ValueError("max_span_len must be >= 1")
+        if width_dim < 1:
+            raise ValueError("width_dim must be >= 1")
         check_thresholds(theta_r, theta_a)
         d = encoder.dimension
         rep = 2 * d + width_dim
@@ -352,26 +357,37 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Read a model saved by `save_model`.
+
+    Raises ValueError when the thresholds lie outside (0, 1), or when a
+    parameter group is non-finite or its shape differs from what
+    `Model.initialize` builds for the stored schema, encoder dimension,
+    width_dim and max_span_len.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    params = doc["parameters"]
+    params = {name: np.array(doc["parameters"][name], dtype=float) for name in PARAM_GROUPS}
     schema = load_schema(json.dumps(doc["schema"]))
+    encoder = EncoderConfig.from_dict(doc["encoder"])
+    max_span_len, width_dim = int(doc["max_span_len"]), int(doc["width_dim"])
+    theta_r, theta_a = float(doc["theta_r"]), float(doc["theta_a"])
+    # initialize checks the thresholds and sizes; its arrays give the shapes
+    template = Model.initialize(schema, encoder, max_span_len, width_dim, theta_r, theta_a)
+    for name, value in params.items():
+        want = np.shape(getattr(template, name))
+        if value.shape != want:
+            raise ValueError(f"model parameter {name!r} has shape {value.shape}, expected {want}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"model parameter {name!r} has non-finite values")
+    params["attn_b"] = float(params["attn_b"])
     return Model(
         schema=schema,
-        encoder=EncoderConfig.from_dict(doc["encoder"]),
-        max_span_len=int(doc["max_span_len"]),
-        width_dim=int(doc["width_dim"]),
-        theta_r=float(doc["theta_r"]),
-        theta_a=float(doc["theta_a"]),
-        attn_w=np.array(params["attn_w"]),
-        attn_b=float(params["attn_b"]),
-        width=np.array(params["width"]),
-        ent_w=np.array(params["ent_w"]),
-        ent_b=np.array(params["ent_b"]),
-        attr_w=np.array(params["attr_w"]),
-        attr_b=np.array(params["attr_b"]),
-        rel_w=np.array(params["rel_w"]),
-        rel_b=np.array(params["rel_b"]),
+        encoder=encoder,
+        max_span_len=max_span_len,
+        width_dim=width_dim,
+        theta_r=theta_r,
+        theta_a=theta_a,
+        **params,
     )

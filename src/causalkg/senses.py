@@ -18,6 +18,7 @@ from .encoder import TokenEncoding
 from .errors import (
     DimensionMismatchError,
     DisjointTreesError,
+    InventoryError,
     ZeroVectorError,
 )
 from .graphs import Entity, KnowledgeGraph
@@ -46,9 +47,18 @@ class SenseInventory:
 
     def __init__(self, records: Iterable[SenseRecord], skip_lemmas: Iterable[str] = ()):
         self.records: dict[str, SenseRecord] = {}
+        shape = None
         for rec in records:
             if rec.sense_id in self.records:
-                raise ValueError(f"duplicate sense id {rec.sense_id!r}")
+                raise InventoryError(f"duplicate sense id {rec.sense_id!r}")
+            if shape is not None and rec.vector.shape != shape:
+                raise InventoryError(
+                    f"sense {rec.sense_id!r} has vector shape {rec.vector.shape}, "
+                    f"expected {shape} like the senses before it"
+                )
+            shape = rec.vector.shape
+            if not np.all(np.isfinite(rec.vector)):
+                raise InventoryError(f"sense {rec.sense_id!r} has a non-finite vector component")
             norm = float(np.linalg.norm(rec.vector))
             if norm == 0.0:
                 raise ZeroVectorError(f"sense {rec.sense_id!r} has a zero vector")
@@ -67,16 +77,16 @@ class SenseInventory:
             cur = self.records[start].parent
             while cur is not None:
                 if cur not in self.records:
-                    raise ValueError(f"sense {start!r} has unknown ancestor {cur!r}")
+                    raise InventoryError(f"sense {start!r} has unknown ancestor {cur!r}")
                 if cur in seen:
-                    raise ValueError(f"cycle in sense taxonomy through {cur!r}")
+                    raise InventoryError(f"cycle in sense taxonomy through {cur!r}")
                 seen.add(cur)
                 cur = self.records[cur].parent
 
     @property
     def dimension(self) -> int:
         if self._matrix is None:
-            raise ValueError("empty inventory has no dimension")
+            raise InventoryError("empty inventory has no dimension")
         return self._matrix.shape[1]
 
     def ancestry(self, sense_id: str) -> list[str]:
@@ -93,8 +103,9 @@ class SenseInventory:
         """Root has depth 1."""
         return len(self.ancestry(sense_id))
 
-    def score_all(self, vector: np.ndarray) -> list[tuple[str, float]]:
-        """(sense_id, dot product) for every sense, unsorted."""
+    def senses_above(self, vector: np.ndarray, threshold: float) -> list[tuple[str, float]]:
+        """(sense_id, dot product) for each sense scoring strictly above the
+        threshold, sorted by descending score then sense id."""
         if self._matrix is None:
             return []
         if vector.shape[0] != self._matrix.shape[1]:
@@ -102,7 +113,9 @@ class SenseInventory:
                 f"node vector dim {vector.shape[0]} vs inventory dim {self._matrix.shape[1]}"
             )
         scores = self._matrix @ vector
-        return list(zip(self._ids, (float(s) for s in scores)))
+        kept = [(self._ids[i], float(scores[i])) for i in np.flatnonzero(scores > threshold)]
+        kept.sort(key=lambda sc: (-sc[1], sc[0]))
+        return kept
 
 
 def load_inventory(
@@ -122,12 +135,12 @@ def load_inventory(
             continue
         parts = line.rstrip("\n").split("\t")
         if len(parts) < 4:
-            raise ValueError(f"inventory line {line_no}: expected at least 4 fields")
+            raise InventoryError(f"inventory line {line_no}: expected at least 4 fields")
         sense_id, lemma, parent = parts[0], parts[1], parts[2]
         try:
             vector = np.array([float(x) for x in parts[3:]])
         except ValueError as exc:
-            raise ValueError(f"inventory line {line_no}: bad float: {exc}") from exc
+            raise InventoryError(f"inventory line {line_no}: bad float: {exc}") from exc
         records.append(
             SenseRecord(
                 sense_id=sense_id,
@@ -174,9 +187,7 @@ def link_senses(
             entities.append(replace(e, senses=()))
             continue
         vec = node_vector(e, encoding.token_vectors)
-        scored = [(s, c) for s, c in inventory.score_all(vec) if c > threshold]
-        scored.sort(key=lambda sc: (-sc[1], sc[0]))
-        entities.append(replace(e, senses=tuple(scored)))
+        entities.append(replace(e, senses=tuple(inventory.senses_above(vec, threshold))))
     return graph.with_entities(entities)
 
 

@@ -25,6 +25,7 @@ from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import AlignmentError, NonFiniteGradientError, SchemaMismatchError
 from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
+    PARAM_GROUPS,
     Model,
     between_context,
     enumerate_spans,
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 _CLAMP = 1e-12
-
-PARAM_GROUPS = ("attn_w", "attn_b", "width", "ent_w", "ent_b", "attr_w", "attr_b", "rel_w", "rel_b")
 
 
 @dataclass(frozen=True)

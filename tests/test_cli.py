@@ -3,12 +3,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import causalkg
 from causalkg.cli import main
+from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import graph_from_dict, graph_to_dict
+from causalkg.model import Model, save_model
 from causalkg.schema import check_constraints, load_schema
+from causalkg.senses import link_senses, load_inventory
 
 from synth import build_corpus, separator_id_graphs
 
@@ -141,6 +145,80 @@ def test_extract_threshold_override_range(workdir, capsys, flag, value, code):
     ]) == code
     if code:
         assert "thresholds must lie in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(theta_r=1.5), "thresholds must lie in (0, 1)"),
+    (
+        lambda doc: doc["parameters"].update(rel_w=[r[:-1] for r in doc["parameters"]["rel_w"]]),
+        "model parameter 'rel_w' has shape",
+    ),
+])
+def test_extract_rejects_invalid_model_file(workdir, capsys, edit, message):
+    run_train(workdir)
+    doc = json.loads((workdir / "model.json").read_text())
+    edit(doc)
+    (workdir / "model.json").write_text(json.dumps(doc))
+    assert main([
+        "extract", "--model", str(workdir / "model.json"),
+        "--input", str(workdir / "sentences.json"), "--out", str(workdir / "graphs"),
+    ]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_senses_file_encoder_over_a_graph_directory(tmp_path):
+    vocab = ["rain", "causes", "floods", "heat", "dries", "soil"]
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((len(vocab), 4))
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(
+        t + " " + " ".join(repr(float(x)) for x in v) + "\n" for t, v in zip(vocab, vectors)
+    ))
+    encoder = EncoderConfig(kind="file", dimension=4, embedding_path=str(emb))
+    save_model(Model.initialize(load_schema("sciclaim"), encoder), str(tmp_path / "model.json"))
+
+    inventory_text = "".join(
+        f"{t}.n.01\t{t}\t-\t" + "\t".join(repr(float(x)) for x in v) + "\n"
+        for t, v in zip(vocab, vectors + 0.3)
+    )
+    (tmp_path / "inventory.tsv").write_text(inventory_text)
+    sentences = [["rain", "causes", "floods"], ["heat", "dries", "soil"], ["floods", "dries", "rain"]]
+    graphs = [
+        graph_from_dict({
+            "tokens": tokens,
+            "entities": [
+                {"id": "a", "start": 0, "end": 1, "type": "factor", "confidence": 1.0},
+                {"id": "b", "start": 1, "end": 3, "type": "factor", "confidence": 1.0},
+            ],
+            "relations": [],
+            "provenance": f"s{i}",
+        })
+        for i, tokens in enumerate(sentences)
+    ]
+    in_dir = tmp_path / "graphs"
+    in_dir.mkdir()
+    names = []
+    for i, g in enumerate(graphs):
+        names.append(f"g{i}.json")
+        (in_dir / names[-1]).write_text(json.dumps(graph_to_dict(g)))
+    (in_dir / "manifest.json").write_text(json.dumps({"graphs": names}))
+
+    out_dir = tmp_path / "linked"
+    assert main([
+        "senses", "--input", str(in_dir), "--inventory", str(tmp_path / "inventory.tsv"),
+        "--model", str(tmp_path / "model.json"), "--threshold", "0.2", "--out", str(out_dir),
+    ]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    got = [json.loads((out_dir / name).read_text()) for name in manifest["graphs"]]
+    inventory = load_inventory(inventory_text)
+    expected = [
+        json.loads(json.dumps(graph_to_dict(
+            link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=0.2)
+        )))
+        for g in graphs
+    ]
+    assert got == expected
+    assert any(e["senses"] for doc in got for e in doc["entities"])
 
 
 def test_valence_query_senses_smoke(tmp_path, capsys):

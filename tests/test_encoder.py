@@ -1,8 +1,10 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from causalkg import encoder
 from causalkg.encoder import (
     EncoderConfig,
     base_vector,
@@ -116,3 +118,82 @@ def test_embedding_file_errors(tmp_path):
     path.write_text("cat 1.0 2.0\n")
     with pytest.raises(DimensionMismatchError):
         load_embedding_file(str(path), dimension=3)
+
+
+def file_config(path, dimension=2):
+    return EncoderConfig(kind="file", dimension=dimension, embedding_path=str(path))
+
+
+def test_file_encoder_rereads_a_file_rewritten_with_a_new_size(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 0.0\n")
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[1.0, 0.0]])
+    path.write_text("cat 1.5 0.25\n")
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[1.5, 0.25]])
+
+
+def test_file_encoder_rereads_a_same_size_file_with_a_new_mtime(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 0.0\n")
+    before = os.stat(path)
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[1.0, 0.0]])
+    path.write_text("cat 2.0 0.0\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+    after = os.stat(path)
+    assert (after.st_size, after.st_ino) == (before.st_size, before.st_ino)
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[2.0, 0.0]])
+
+
+def test_file_encoder_output_does_not_alias_the_cache(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
+    cfg = file_config(path)
+    first = encode_tokens(["cat", "dog"], cfg)
+    first.token_vectors[:] = 99.0
+    second = encode_tokens(["cat", "dog"], cfg)
+    assert np.array_equal(second.token_vectors, [[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(second.passage_vector, [0.5, 0.5])
+
+
+def test_file_encoder_does_not_cache_a_failed_load(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 nope\n")
+    broken = os.stat(path)
+    with pytest.raises(EncoderError):
+        encode_tokens(["cat"], file_config(path))
+    # fixed in place with the same size and mtime: the same cache key
+    path.write_text("cat 1.0 2.50\n")
+    os.utime(path, ns=(broken.st_atime_ns, broken.st_mtime_ns))
+    fixed = os.stat(path)
+    assert (fixed.st_size, fixed.st_mtime_ns) == (broken.st_size, broken.st_mtime_ns)
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[1.0, 2.5]])
+
+
+def test_file_encoder_checks_dimension_on_load(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 2.0\n")
+    assert np.array_equal(encode_tokens(["cat"], file_config(path)).token_vectors, [[1.0, 2.0]])
+    # the version parsed above is cached, but not for another dimension
+    with pytest.raises(DimensionMismatchError):
+        encode_tokens(["cat"], file_config(path, dimension=3))
+
+
+def test_file_encoder_parses_each_file_version_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(path, dimension=None):
+        calls.append(path)
+        return load_embedding_file(path, dimension)
+
+    monkeypatch.setattr(encoder, "load_embedding_file", counting)
+    path = tmp_path / "emb.txt"
+    path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
+    cfg = file_config(path)
+    for _ in range(50):
+        encode_tokens(["dog", "cat", "dog"], cfg)
+    with pytest.raises(OutOfVocabularyError):
+        encode_tokens(["bird"], cfg)
+    assert calls == [str(path)]
+    path.write_text("cat 1.0 0.0\ndog 0.0 1.0\nbird 1.0 1.0\n")
+    assert np.array_equal(encode_tokens(["bird"], cfg).token_vectors, [[1.0, 1.0]])
+    assert calls == [str(path)] * 2

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -245,9 +246,60 @@ def test_load_rejects_unknown_format(tmp_path):
         load_model(str(path))
 
 
+def saved_model_doc(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(small_model(seed=5), str(path))
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, value", [("theta_r", 1.5), ("theta_a", 0.0), ("theta_r", float("nan"))])
+def test_load_rejects_thresholds_outside_unit_interval(tmp_path, key, value):
+    path, doc = saved_model_doc(tmp_path)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"thresholds must lie in \(0, 1\)"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("group, edit", [
+    ("rel_w", lambda a: [row[:-1] for row in a]),  # truncated rows
+    ("rel_w", lambda a: a[:-1]),  # a relation type missing
+    ("ent_b", lambda a: a + [0.0]),
+    ("attn_w", lambda a: [a]),
+    ("width", lambda a: a[:2]),  # fewer rows than max_span_len
+    ("attn_b", lambda b: [b]),
+])
+def test_load_rejects_parameter_shape_mismatch(tmp_path, group, edit):
+    path, doc = saved_model_doc(tmp_path)
+    doc["parameters"][group] = edit(doc["parameters"][group])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model parameter '{group}' has shape"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("group", ["attn_b", "rel_w"])
+def test_load_rejects_non_finite_parameters(tmp_path, group):
+    path, doc = saved_model_doc(tmp_path)
+    value = doc["parameters"][group]
+    doc["parameters"][group] = float("nan") if group == "attn_b" else [[float("inf")] * len(r) for r in value]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model parameter '{group}' has non-finite values"):
+        load_model(str(path))
+
+
+def test_load_rejects_shapes_that_disagree_with_stored_dimensions(tmp_path):
+    path, doc = saved_model_doc(tmp_path)
+    doc["encoder"]["dimension"] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="model parameter 'attn_w' has shape"):
+        load_model(str(path))
+
+
 def test_initialize_validates():
     schema = load_schema("sciclaim")
     with pytest.raises(ValueError):
         Model.initialize(schema, EncoderConfig(dimension=8), max_span_len=0)
     with pytest.raises(ValueError):
         Model.initialize(schema, EncoderConfig(dimension=8), theta_r=1.5)
+    with pytest.raises(ValueError):
+        Model.initialize(schema, EncoderConfig(dimension=8), width_dim=0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkg.encoder import TokenEncoding
-from causalkg.errors import DisjointTreesError, ZeroVectorError
+from causalkg.errors import CausalKgError, DisjointTreesError, InventoryError, ZeroVectorError
 from causalkg.graphs import Span, assemble_graph
 from causalkg.senses import (
     SenseInventory,
@@ -75,6 +77,30 @@ def test_inventory_parsing_and_forest():
         load_inventory("a\tx\tmissing\t1.0\t0.0\n")
     with pytest.raises(ZeroVectorError):
         load_inventory("a\tx\t-\t0.0\t0.0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "a\tx\t-\t1.0\t0.0\na\ty\t-\t0.0\t1.0\n",  # duplicate id
+    "a\tx\tmissing\t1.0\t0.0\n",  # unknown ancestor
+    "a\tx\tb\t1.0\t0.0\nb\tx\ta\t1.0\t0.0\n",  # cycle
+    "a\tx\t-\n",  # short line
+    "a\tx\t-\t1.0\tnope\n",  # bad float
+    "a\tx\t-\tinf\t1.0\n",  # non-finite float
+    "a\tx\t-\tnan\t1.0\n",
+    "a\tx\t-\t1.0\t0.0\nb\ty\t-\t1.0\t0.0\t0.0\n",  # unequal vector lengths
+])
+def test_inventory_errors_are_causalkg_errors(text):
+    with pytest.raises(InventoryError) as exc:
+        load_inventory(text)
+    assert isinstance(exc.value, CausalKgError) and isinstance(exc.value, ValueError)
+
+
+def test_inventory_unequal_vector_lengths_named():
+    with pytest.raises(InventoryError, match="'b' has vector shape \\(3,\\)"):
+        SenseInventory([
+            SenseRecord("a", "x", None, unit([1.0, 0.0])),
+            SenseRecord("b", "y", None, unit([1.0, 0.0, 0.0])),
+        ])
 
 
 def test_link_senses_exact_match_scores_one():
@@ -165,3 +191,52 @@ def test_lca_similarity_fixture():
             assert (got == 1.0) == (x == y)
     with pytest.raises(DisjointTreesError):
         lca_similarity("lone", "root", inv)
+
+
+def reference_senses(inventory, vector, threshold):
+    # the selection link_senses made before filtering moved into numpy: one
+    # (id, float) tuple per sense, then a list-comprehension threshold
+    ids = sorted(inventory.records)
+    matrix = np.stack([inventory.records[s].vector for s in ids])
+    scored = [(s, c) for s, c in zip(ids, (float(x) for x in matrix @ vector)) if c > threshold]
+    scored.sort(key=lambda sc: (-sc[1], sc[0]))
+    return tuple(scored)
+
+
+# components in {-1, 0, 1} make ties and scores of exactly 0 or +/-1 common
+TRIT = st.sampled_from([-1.0, 0.0, 1.0])
+
+
+@st.composite
+def linking_cases(draw):
+    d = draw(st.integers(2, 3))
+    nonzero = st.lists(TRIT, min_size=d, max_size=d).filter(any)
+    n_tokens = draw(st.integers(1, 4))
+    token_vectors = np.array([draw(nonzero) for _ in range(n_tokens)])
+    lemmas = [draw(st.sampled_from("abc")) for _ in range(n_tokens)]
+    ids = draw(st.lists(st.sampled_from([f"s{i}" for i in range(8)]), min_size=1, max_size=6, unique=True))
+    records = [SenseRecord(s, "w", None, np.array(draw(nonzero))) for s in ids]
+    skip = draw(st.sets(st.sampled_from("abc")))
+    threshold = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-1.5, 1.5))
+    return token_vectors, lemmas, SenseInventory(records, skip_lemmas=skip), threshold
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linking_cases())
+def test_link_senses_matches_reference_selection(case):
+    token_vectors, lemmas, inventory, threshold = case
+    n = len(lemmas)
+    spans = [Span(i, i + 1) for i in range(n)]
+    if n > 1 and np.any(token_vectors.mean(axis=0)):
+        spans.append(Span(0, n))
+    graph = assemble_graph(
+        [f"t{i}" for i in range(n)], lemmas,
+        [(f"e{i}", span, "element", 1.0) for i, span in enumerate(spans)],
+    )
+    linked = link_senses(graph, encoding_for(token_vectors), inventory, threshold=threshold)
+    for entity in linked.entities:
+        if graph.entity_lemmas(entity) <= inventory.skip_lemmas:
+            assert entity.senses == ()
+        else:
+            vector = node_vector(entity, token_vectors)
+            assert entity.senses == reference_senses(inventory, vector, threshold)
