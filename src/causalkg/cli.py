@@ -15,7 +15,7 @@ import sys
 
 from .dot import emit_dot
 from .encoder import EncoderConfig, encode_tokens
-from .errors import CausalKgError
+from .errors import CausalKgError, QueryError
 from .evaluation import score
 from .graphs import (
     KnowledgeGraph,
@@ -206,15 +206,16 @@ def _cmd_valence(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    query = json.loads(_read(args.query))
+    if not (isinstance(query, dict) and "start" in query and "end" in query):
+        raise QueryError('a query document must be an object with "start" and "end" patterns')
+    start, end = NodePattern.from_dict(query["start"]), NodePattern.from_dict(query["end"])
+    max_len = query.get("max_len", args.max_len)
+    if isinstance(max_len, bool) or not isinstance(max_len, int):
+        raise QueryError(f"query max_len must be an integer, got {max_len!r}")
     graphs = _load_graphs(args.input)
     corpus = merge_corpus(graphs, lemma_link=not args.no_lemma_link)
-    query = json.loads(_read(args.query))
-    result = find_paths(
-        corpus,
-        NodePattern.from_dict(query["start"]),
-        NodePattern.from_dict(query["end"]),
-        max_len=int(query.get("max_len", args.max_len)),
-    )
+    result = find_paths(corpus, start, end, max_len=max_len)
     if args.out:
         _dump_json(args.out, result.to_dict())
     else:

@@ -73,6 +73,10 @@ class InventoryError(CausalKgError, ValueError):
     """Sense inventory is malformed: bad line, vector, id or taxonomy."""
 
 
+class QueryError(CausalKgError, ValueError):
+    """Path query document or node pattern is malformed."""
+
+
 class DisjointTreesError(CausalKgError):
     """Two senses share no common ancestor in the taxonomy."""
 

@@ -9,7 +9,7 @@ graphs can be shared freely across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -213,13 +213,18 @@ def assemble_graph(
 class CorpusGraph:
     """Disjoint union of sentence graphs with optional cross-sentence links.
 
-    Nodes are addressed globally as "<provenance>/<entity_id>".  lemma_links
+    Nodes are addressed globally as "<provenance>/<entity_id>".  Lemma links
     are undirected pseudo-edges between same-lemma entities of distinct
-    sentence graphs, stored as sorted global-id pairs.
+    sentence graphs.  They are stored as lemma_hubs: one (lemma, sorted
+    global ids) entry per lemma that entities of at least two distinct
+    graphs share, so storage grows with the members, not with the pairs.
+    Two nodes are linked iff some hub holds both and they belong to
+    different graphs; `find_paths` expands a node's hubs only when it
+    reaches the node.
     """
 
     graphs: tuple[KnowledgeGraph, ...]
-    lemma_links: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     @staticmethod
     def global_id(graph: KnowledgeGraph, entity: Entity) -> str:
@@ -232,12 +237,32 @@ class CorpusGraph:
                 out[self.global_id(g, e)] = (g, e)
         return out
 
+    @property
+    def lemma_links(self) -> frozenset[tuple[str, str]]:
+        """Every lemma link as a sorted global-id pair.
+
+        Expanded from the hubs on each access (quadratic in hub size) and
+        never stored; path queries do not use it.
+        """
+        provenance = {gid: g.provenance for gid, (g, _) in self.nodes().items()}
+        links: set[tuple[str, str]] = set()
+        for _, members in self.lemma_hubs:
+            for i, a in enumerate(members):
+                for b in members[i + 1 :]:
+                    if provenance[a] != provenance[b]:
+                        links.add((a, b))
+        return frozenset(links)
+
 
 def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> CorpusGraph:
     """Disjoint union of sentence graphs, optionally lemma-linked.
 
     A lemma link joins two entities of distinct graphs iff they share at
     least one lemma (exact string equality over each span's lemma set).
+    The links are stored as hubs (see `CorpusGraph`), built in one pass
+    over the entities.  Raises GraphError when two nodes would get the
+    same global id, e.g. entity "c" of graph "a/b" and entity "b/c" of
+    graph "a".
     """
     seen_prov: set[str] = set()
     for g in graphs:
@@ -245,22 +270,25 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
             raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
         seen_prov.add(g.provenance)
 
-    links: set[tuple[str, str]] = set()
-    if lemma_link:
-        # Index entities by lemma to avoid the full cross product.
-        by_lemma: dict[str, list[tuple[str, str]]] = {}
-        for g in graphs:
-            for e in g.entities:
-                gid = CorpusGraph.global_id(g, e)
-                for lemma in g.entity_lemmas(e):
-                    by_lemma.setdefault(lemma, []).append((g.provenance, gid))
-        for members in by_lemma.values():
-            for i, (prov_a, a) in enumerate(members):
-                for prov_b, b in members[i + 1 :]:
-                    if prov_a != prov_b:
-                        links.add((a, b) if a < b else (b, a))
+    seen_ids: set[str] = set()
+    members: dict[str, list[str]] = {}
+    first_graph: dict[str, int] = {}
+    shared: set[str] = set()
+    for gi, g in enumerate(graphs):
+        for e in g.entities:
+            gid = CorpusGraph.global_id(g, e)
+            if gid in seen_ids:
+                raise GraphError(f"two corpus nodes share the global id {gid!r}")
+            seen_ids.add(gid)
+            if not lemma_link:
+                continue
+            for lemma in g.entity_lemmas(e):
+                members.setdefault(lemma, []).append(gid)
+                if first_graph.setdefault(lemma, gi) != gi:
+                    shared.add(lemma)
 
-    return CorpusGraph(graphs=tuple(graphs), lemma_links=frozenset(links))
+    hubs = tuple((lemma, tuple(sorted(members[lemma]))) for lemma in sorted(shared))
+    return CorpusGraph(graphs=tuple(graphs), lemma_hubs=hubs)
 
 
 def graph_to_dict(graph: KnowledgeGraph) -> dict:

@@ -359,20 +359,24 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Read a model saved by `save_model`.
 
-    Raises ValueError when the thresholds lie outside (0, 1), or when a
-    parameter group is non-finite or its shape differs from what
-    `Model.initialize` builds for the stored schema, encoder dimension,
-    width_dim and max_span_len.
+    Raises ValueError when a number or parameter group has the wrong JSON
+    type, when the thresholds lie outside (0, 1), or when a parameter group
+    is non-finite or its shape differs from what `Model.initialize` builds
+    for the stored schema, encoder dimension, width_dim and max_span_len.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    params = {name: np.array(doc["parameters"][name], dtype=float) for name in PARAM_GROUPS}
+    try:
+        params = {name: np.array(doc["parameters"][name], dtype=float) for name in PARAM_GROUPS}
+        max_span_len, width_dim = int(doc["max_span_len"]), int(doc["width_dim"])
+        theta_r, theta_a = float(doc["theta_r"]), float(doc["theta_a"])
+    except TypeError as exc:
+        # a list where a number belongs, or an object as a parameter group
+        raise ValueError(f"malformed model file {path!r}: {exc}") from exc
     schema = load_schema(json.dumps(doc["schema"]))
     encoder = EncoderConfig.from_dict(doc["encoder"])
-    max_span_len, width_dim = int(doc["max_span_len"]), int(doc["width_dim"])
-    theta_r, theta_a = float(doc["theta_r"]), float(doc["theta_a"])
     # initialize checks the thresholds and sizes; its arrays give the shapes
     template = Model.initialize(schema, encoder, max_span_len, width_dim, theta_r, theta_a)
     for name, value in params.items():

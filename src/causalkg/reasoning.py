@@ -14,10 +14,10 @@ and cross-sentence lemma links.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
-from .errors import SchemaMismatchError
+from .errors import QueryError, SchemaMismatchError
 from .graphs import CorpusGraph, Entity, KnowledgeGraph
 from .schema import Schema
 
@@ -132,28 +132,21 @@ class NodePattern:
             and self.required_attributes is None
             and self.role_constraints is None
         ):
-            raise ValueError("NodePattern must constrain at least one field")
+            raise QueryError("NodePattern must constrain at least one field")
 
     @staticmethod
     def from_dict(data: Mapping) -> "NodePattern":
+        """Parse a pattern document; raises QueryError when it is malformed."""
+        if not isinstance(data, Mapping):
+            raise QueryError(f"a node pattern must be an object, got {data!r}")
+        entity_type = data.get("entity_type")
+        if "entity_type" in data and not isinstance(entity_type, str):
+            raise QueryError(f"pattern field 'entity_type' must be a string, got {entity_type!r}")
         return NodePattern(
-            lemma_any_of=(
-                frozenset(data["lemma_any_of"]) if "lemma_any_of" in data else None
-            ),
-            entity_type=data.get("entity_type"),
-            required_attributes=(
-                frozenset(data["required_attributes"])
-                if "required_attributes" in data
-                else None
-            ),
-            role_constraints=(
-                tuple(
-                    (rc["relation"], NodePattern.from_dict(rc["pattern"]))
-                    for rc in data["role_constraints"]
-                )
-                if "role_constraints" in data
-                else None
-            ),
+            lemma_any_of=_string_set(data, "lemma_any_of"),
+            entity_type=entity_type,
+            required_attributes=_string_set(data, "required_attributes"),
+            role_constraints=_role_constraints(data),
         )
 
     def matches(self, graph: KnowledgeGraph, entity: Entity) -> bool:
@@ -176,6 +169,31 @@ class NodePattern:
         return True
 
 
+def _string_set(data: Mapping, key: str) -> frozenset[str] | None:
+    if key not in data:
+        return None
+    value = data[key]
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise QueryError(f"pattern field {key!r} must be a list of strings, got {value!r}")
+    return frozenset(value)
+
+
+def _role_constraints(data: Mapping) -> tuple[tuple[str, NodePattern], ...] | None:
+    if "role_constraints" not in data:
+        return None
+    constraints = data["role_constraints"]
+    if not isinstance(constraints, list):
+        raise QueryError(f"pattern field 'role_constraints' must be a list, got {constraints!r}")
+    parsed = []
+    for rc in constraints:
+        if not (isinstance(rc, Mapping) and isinstance(rc.get("relation"), str) and "pattern" in rc):
+            raise QueryError(
+                f'a role constraint must be an object with a string "relation" and a "pattern", got {rc!r}'
+            )
+        parsed.append((rc["relation"], NodePattern.from_dict(rc["pattern"])))
+    return tuple(parsed)
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """Paths as alternating node/edge id sequences plus their union subgraph."""
@@ -194,32 +212,6 @@ class QueryResult:
         }
 
 
-def _traversal_edges(corpus: CorpusGraph) -> dict[str, list[tuple[str, str]]]:
-    """Adjacency of (edge_id, neighbor) per global node id.
-
-    Directed relations go forward only; "modifier" relations and lemma
-    links are traversable in both directions.
-    """
-    adjacency: dict[str, list[tuple[str, str]]] = {}
-    for g in corpus.graphs:
-        prov = g.provenance
-        for e in g.entities:
-            adjacency.setdefault(f"{prov}/{e.id}", [])
-        for r in g.relations:
-            head, tail = f"{prov}/{r.head}", f"{prov}/{r.tail}"
-            edge_id = f"{prov}/{r.id}"
-            adjacency[head].append((edge_id, tail))
-            if r.relation_type == "modifier":
-                adjacency[tail].append((edge_id, head))
-    for a, b in sorted(corpus.lemma_links):
-        edge_id = f"lemma:{a}~{b}"
-        adjacency[a].append((edge_id, b))
-        adjacency[b].append((edge_id, a))
-    for edges in adjacency.values():
-        edges.sort()
-    return adjacency
-
-
 def find_paths(
     corpus: CorpusGraph,
     start: NodePattern,
@@ -235,7 +227,37 @@ def find_paths(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     nodes = corpus.nodes()
-    adjacency = _traversal_edges(corpus)
+    # directed relations go forward only; "modifier" relations and lemma
+    # links are traversable in both directions
+    relation_edges: dict[str, list[tuple[str, str]]] = {gid: [] for gid in nodes}
+    for g in corpus.graphs:
+        prov = g.provenance
+        for r in g.relations:
+            head, tail = f"{prov}/{r.head}", f"{prov}/{r.tail}"
+            edge_id = f"{prov}/{r.id}"
+            relation_edges[head].append((edge_id, tail))
+            if r.relation_type == "modifier":
+                relation_edges[tail].append((edge_id, head))
+    hubs = dict(corpus.lemma_hubs)
+    adjacency: dict[str, list[tuple[str, str]]] = {}
+
+    def neighbours(node: str) -> list[tuple[str, str]]:
+        # lemma links are expanded from the node's hubs on first use; their
+        # order is moot because paths.sort() below fixes the output order
+        edges = adjacency.get(node)
+        if edges is None:
+            g, e = nodes[node]
+            linked = {
+                other
+                for lemma in g.entity_lemmas(e)
+                for other in hubs.get(lemma, ())
+                if nodes[other][0] is not g
+            }
+            edges = adjacency[node] = relation_edges[node] + [
+                (f"lemma:{min(node, other)}~{max(node, other)}", other) for other in linked
+            ]
+        return edges
+
     start_ids = sorted(gid for gid, (g, e) in nodes.items() if start.matches(g, e))
     end_ids = {gid for gid, (g, e) in nodes.items() if end.matches(g, e)}
 
@@ -247,7 +269,7 @@ def find_paths(
             paths.append(tuple(path))
         if edges_used == max_len:
             return
-        for edge_id, neighbor in adjacency.get(current, []):
+        for edge_id, neighbor in neighbours(current):
             if neighbor in on_path:
                 continue
             path.extend((edge_id, neighbor))

@@ -145,6 +145,26 @@ def random_ethno_corpus(rng: np.random.Generator, lemma_link=True):
     return merge_corpus(graphs, lemma_link=lemma_link)
 
 
+def random_hub_corpus(rng: np.random.Generator, n_graphs=4):
+    """Random lemma-linked ethno corpus over a 6-lemma pool, with spans
+    of 1-3 tokens: a hub often holds several nodes of one graph, and nodes
+    of different graphs often share two lemmas."""
+    graphs = []
+    for gi in range(n_graphs):
+        n_tok = int(rng.integers(3, 7))
+        tokens = [_LEMMA_POOL[rng.integers(6)] for _ in range(n_tok)]
+        spans = [Span(i, j) for i in range(n_tok) for j in range(i + 1, min(i + 3, n_tok) + 1)]
+        picked = rng.choice(len(spans), size=int(rng.integers(2, 6)), replace=False)
+        entities = [(f"e{k}", spans[i], "element", 1.0) for k, i in enumerate(sorted(picked))]
+        relations = {}  # a dict keeps the draw order and drops repeats
+        for _ in range(2 * len(entities)):
+            h, t = rng.choice(len(entities), size=2, replace=False)
+            rtype = ETHNO_REL_TYPES[rng.integers(len(ETHNO_REL_TYPES))]
+            relations[(f"e{h}", f"e{t}", rtype, 1.0)] = None
+        graphs.append(assemble_graph(tokens, None, entities, (), list(relations), provenance=f"h{gi}"))
+    return merge_corpus(graphs, lemma_link=True)
+
+
 def separator_id_graphs():
     """Sciclaim graphs whose entity ids contain the "#" and "->" separators
     of the rendered attribute and relation ids, keyed by a test id."""

@@ -166,6 +166,23 @@ def test_extract_rejects_invalid_model_file(workdir, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(theta_r=[0.4]),
+    lambda doc: doc.update(max_span_len={"value": 3}),
+    lambda doc: doc["parameters"].update(ent_b={"0": 0.0}),
+])
+def test_extract_rejects_mistyped_model_file(workdir, capsys, edit):
+    run_train(workdir)
+    doc = json.loads((workdir / "model.json").read_text())
+    edit(doc)
+    (workdir / "model.json").write_text(json.dumps(doc))
+    assert main([
+        "extract", "--model", str(workdir / "model.json"),
+        "--input", str(workdir / "sentences.json"), "--out", str(workdir / "graphs"),
+    ]) == 2
+    assert "malformed model file" in capsys.readouterr().err
+
+
 def test_senses_file_encoder_over_a_graph_directory(tmp_path):
     vocab = ["rain", "causes", "floods", "heat", "dries", "soil"]
     rng = np.random.default_rng(3)
@@ -266,6 +283,60 @@ def test_valence_query_senses_smoke(tmp_path, capsys):
     ]) == 0
     linked = json.loads(out_path.read_text())
     assert all("senses" in e for e in linked["entities"])
+
+
+def write_query_corpus(tmp_path, provenances_and_ids):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    names = []
+    for i, (prov, ent_id) in enumerate(provenances_and_ids):
+        names.append(f"g{i}.json")
+        (corpus / names[-1]).write_text(json.dumps({
+            "tokens": ["rain"],
+            "entities": [{"id": ent_id, "start": 0, "end": 1, "type": "element", "confidence": 1.0}],
+            "provenance": prov,
+        }))
+    (corpus / "manifest.json").write_text(json.dumps({"graphs": names}))
+    return corpus
+
+
+def test_query_rejects_colliding_global_ids(tmp_path, capsys):
+    corpus = write_query_corpus(tmp_path, [("a/b", "c"), ("a", "b/c")])
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
+    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 2
+    assert "'a/b/c'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"start": {"lemma_any_of": 5}, "end": {"lemma_any_of": ["rain"]}},
+    [{"lemma_any_of": ["rain"]}],
+    {"start": {"lemma_any_of": ["rain"]}},
+    {"start": {"lemma_any_of": ["rain"]}, "end": "rain"},
+    {"start": {"lemma_any_of": ["rain"]}, "end": {"entity_type": 7}},
+    {"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}, "max_len": "2"},
+    {"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}, "max_len": 2.5},
+    {"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}, "max_len": True},
+])
+def test_query_rejects_malformed_query_documents(tmp_path, capsys, doc):
+    corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0")])
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(doc))
+    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 2
+    assert "causalkg: error:" in capsys.readouterr().err
+
+
+def test_query_follows_lemma_links_across_graphs(tmp_path, capsys):
+    corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0")])
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}, "max_len": 1}))
+    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 0
+    assert json.loads(capsys.readouterr().out)["paths"] == [
+        ["s0/e0"], ["s0/e0", "lemma:s0/e0~s1/e0", "s1/e0"],
+        ["s1/e0"], ["s1/e0", "lemma:s0/e0~s1/e0", "s0/e0"],
+    ]
+    assert main(["query", "--input", str(corpus), "--query", str(query), "--no-lemma-link"]) == 0
+    assert json.loads(capsys.readouterr().out)["paths"] == [["s0/e0"], ["s1/e0"]]
 
 
 def make_encoder_config(tmp_path, dim):

@@ -19,7 +19,7 @@ from causalkg.graphs import (
     merge_corpus,
 )
 
-from synth import random_sciclaim_graph
+from synth import random_hub_corpus, random_sciclaim_graph
 
 
 def test_empty_inputs_give_empty_graph():
@@ -163,10 +163,37 @@ def test_merge_links_match_brute_force():
         assert corpus.lemma_links == frozenset(expected)
 
 
+def test_hubs_store_each_node_lemma_once():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        if trial % 2:
+            graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(3)]
+            corpus = merge_corpus(graphs, lemma_link=True)
+        else:
+            corpus = random_hub_corpus(rng)
+        occurrences = sum(len(g.entity_lemmas(e)) for g in corpus.graphs for e in g.entities)
+        assert sum(len(members) for _, members in corpus.lemma_hubs) <= occurrences
+        nodes = corpus.nodes()
+        for lemma, members in corpus.lemma_hubs:
+            assert list(members) == sorted(set(members))
+            assert len({nodes[m][0].provenance for m in members}) >= 2
+            assert all(lemma in nodes[m][0].entity_lemmas(nodes[m][1]) for m in members)
+
+
+@pytest.mark.parametrize("lemma_link", [False, True])
+def test_merge_rejects_colliding_global_ids(lemma_link):
+    # "a/b" + "/" + "c" and "a" + "/" + "b/c" both render as "a/b/c"
+    g1 = assemble_graph(["x"], None, [("c", Span(0, 1), "element", 1.0)], provenance="a/b")
+    g2 = assemble_graph(["x"], None, [("b/c", Span(0, 1), "element", 1.0)], provenance="a")
+    with pytest.raises(GraphError, match="'a/b/c'"):
+        merge_corpus([g1, g2], lemma_link=lemma_link)
+
+
 def test_merge_without_links_is_plain_union():
     rng = np.random.default_rng(5)
     graphs = [random_sciclaim_graph(rng, provenance=f"u{i}") for i in range(4)]
     corpus = merge_corpus(graphs, lemma_link=False)
+    assert corpus.lemma_hubs == ()
     assert corpus.lemma_links == frozenset()
     assert len(corpus.nodes()) == sum(len(g.entities) for g in graphs)
 

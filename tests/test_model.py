@@ -295,6 +295,20 @@ def test_load_rejects_shapes_that_disagree_with_stored_dimensions(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(theta_r=[0.4]),
+    lambda doc: doc.update(width_dim=[2]),
+    lambda doc: doc["parameters"].update(ent_b={"0": 0.0}),
+    lambda doc: doc["parameters"].update(rel_w=[{"row": 1.0}]),
+])
+def test_load_rejects_mistyped_fields(tmp_path, edit):
+    path, doc = saved_model_doc(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed model file"):
+        load_model(str(path))
+
+
 def test_initialize_validates():
     schema = load_schema("sciclaim")
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalkg.errors import SchemaMismatchError
+from causalkg.errors import QueryError, SchemaMismatchError
 from causalkg.graphs import Span, assemble_graph, merge_corpus
 from causalkg.reasoning import (
     NORM,
@@ -11,7 +14,7 @@ from causalkg.reasoning import (
 )
 from causalkg.schema import load_schema
 
-from synth import random_ethno_corpus
+from synth import random_ethno_corpus, random_hub_corpus
 
 ETHNO = load_schema("ethno")
 
@@ -310,3 +313,112 @@ def test_find_paths_matches_oracle_on_random_corpora():
         for p in result.paths:
             assert len(p[0::2]) == len(set(p[0::2]))  # simple
             assert (len(p) - 1) // 2 <= max_len
+
+
+def networkx_paths(corpus, start, end, max_len):
+    """Second oracle: networkx all_simple_edge_paths over a MultiDiGraph
+    whose lemma links come from comparing every node pair's lemma sets."""
+    nodes = corpus.nodes()
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(nodes)
+    for g in corpus.graphs:
+        for r in g.relations:
+            h, t = f"{g.provenance}/{r.head}", f"{g.provenance}/{r.tail}"
+            graph.add_edge(h, t, key=f"{g.provenance}/{r.id}")
+            if r.relation_type == "modifier":
+                graph.add_edge(t, h, key=f"{g.provenance}/{r.id}")
+    ids = sorted(nodes)
+    for i, a in enumerate(ids):
+        ga, ea = nodes[a]
+        for b in ids[i + 1 :]:
+            gb, eb = nodes[b]
+            if ga is not gb and ga.entity_lemmas(ea) & gb.entity_lemmas(eb):
+                graph.add_edge(a, b, key=f"lemma:{a}~{b}")
+                graph.add_edge(b, a, key=f"lemma:{a}~{b}")
+    starts = sorted(gid for gid, (g, e) in nodes.items() if start.matches(g, e))
+    ends = {gid for gid, (g, e) in nodes.items() if end.matches(g, e)}
+    found = []
+    for s in starts:
+        # a start that is also an end yields the empty edge path
+        for edge_path in nx.all_simple_edge_paths(graph, s, ends, cutoff=max_len):
+            found.append((s,) + tuple(x for _, v, key in edge_path for x in (key, v)))
+    return sorted(found)
+
+
+def test_find_paths_matches_networkx_on_hub_corpora():
+    rng = np.random.default_rng(4321)
+    multi_member_hubs = two_lemma_links = lemma_steps = 0
+    for _ in range(60):
+        corpus = random_hub_corpus(rng, n_graphs=int(rng.integers(3, 7)))
+        nodes = corpus.nodes()
+        for _, members in corpus.lemma_hubs:
+            provs = [nodes[m][0].provenance for m in members]
+            multi_member_hubs += len(provs) > len(set(provs))
+        for a, b in corpus.lemma_links:
+            (ga, ea), (gb, eb) = nodes[a], nodes[b]
+            two_lemma_links += len(ga.entity_lemmas(ea) & gb.entity_lemmas(eb)) >= 2
+        lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
+        start = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
+        end = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
+        max_len = int(rng.integers(1, 5))
+        result = find_paths(corpus, start, end, max_len=max_len)
+        assert list(result.paths) == networkx_paths(corpus, start, end, max_len)
+        lemma_steps += sum(eid.startswith("lemma:") for p in result.paths for eid in p[1::2])
+    # the corpora exercise what the hub expansion must get right
+    assert multi_member_hubs and two_lemma_links and lemma_steps
+
+
+def test_networkx_oracle_agrees_with_exhaustive_oracle():
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        corpus = random_ethno_corpus(rng)
+        start = NodePattern(lemma_any_of=frozenset({corpus.graphs[0].lemmas[0]}))
+        end = NodePattern(lemma_any_of=frozenset({corpus.graphs[-1].lemmas[-1]}))
+        max_len = int(rng.integers(1, 5))
+        assert networkx_paths(corpus, start, end, max_len) == oracle_paths(corpus, start, end, max_len)
+
+
+@pytest.mark.parametrize("doc", [
+    5,
+    ["lemma_any_of"],
+    {},
+    {"lemma_any_of": 5},
+    {"lemma_any_of": "eat"},
+    {"lemma_any_of": ["eat", 3]},
+    {"required_attributes": [None]},
+    {"entity_type": ["element"]},
+    {"entity_type": None},
+    {"role_constraints": {"relation": "agent"}},
+    {"role_constraints": [{"relation": "agent"}]},
+    {"role_constraints": [{"relation": 1, "pattern": {"entity_type": "element"}}]},
+    {"role_constraints": [{"relation": "agent", "pattern": {"lemma_any_of": 5}}]},
+    {"role_constraints": ["agent"]},
+])
+def test_pattern_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(QueryError):
+        NodePattern.from_dict(doc)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["lemma_any_of", "entity_type", "required_attributes",
+                         "role_constraints", "relation", "pattern"]) | st.text(max_size=5),
+        children,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON)
+def test_pattern_from_dict_returns_a_pattern_or_raises_query_error(doc):
+    try:
+        pattern = NodePattern.from_dict(doc)
+    except QueryError:
+        return
+    assert pattern.entity_type == doc.get("entity_type")
+    for key in ("lemma_any_of", "required_attributes"):
+        assert getattr(pattern, key) == (frozenset(doc[key]) if key in doc else None)
