@@ -14,7 +14,7 @@ The model is a set of numpy parameter arrays over a frozen token encoder:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ __all__ = [
     "check_thresholds",
     "enumerate_spans",
     "span_attention",
-    "entity_rep",
+    "span_representations",
     "pair_rep",
     "classify_entities",
     "classify_attributes",
@@ -73,7 +73,8 @@ class Model:
     """Parameter set for one schema + encoder configuration.
 
     Entity classes are [null] + schema.entity_types, in that order.
-    Parameter arrays are float64 and treated as immutable during inference.
+    The PARAM_GROUPS fields are float64 arrays (attn_b is 0-d), treated as
+    immutable during inference.
     """
 
     schema: Schema
@@ -83,7 +84,7 @@ class Model:
     theta_r: float = 0.4
     theta_a: float = 0.5
     attn_w: np.ndarray = field(default=None)  # (d,)
-    attn_b: float = 0.0
+    attn_b: np.ndarray = field(default=None)  # ()
     width: np.ndarray = field(default=None)  # (max_span_len, width_dim)
     ent_w: np.ndarray = field(default=None)  # (|Te|+1, 2d + dw)
     ent_b: np.ndarray = field(default=None)
@@ -141,7 +142,7 @@ class Model:
             theta_r=theta_r,
             theta_a=theta_a,
             attn_w=uniform(d, d),
-            attn_b=0.0,
+            attn_b=np.zeros(()),
             width=uniform((max_span_len, width_dim), width_dim),
             ent_w=uniform((len(schema.entity_types) + 1, rep), rep),
             ent_b=np.zeros(len(schema.entity_types) + 1),
@@ -152,23 +153,7 @@ class Model:
         )
 
     def copy(self) -> "Model":
-        return Model(
-            schema=self.schema,
-            encoder=self.encoder,
-            max_span_len=self.max_span_len,
-            width_dim=self.width_dim,
-            theta_r=self.theta_r,
-            theta_a=self.theta_a,
-            attn_w=self.attn_w.copy(),
-            attn_b=float(self.attn_b),
-            width=self.width.copy(),
-            ent_w=self.ent_w.copy(),
-            ent_b=self.ent_b.copy(),
-            attr_w=self.attr_w.copy(),
-            attr_b=self.attr_b.copy(),
-            rel_w=self.rel_w.copy(),
-            rel_b=self.rel_b.copy(),
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name in PARAM_GROUPS})
 
 
 def enumerate_spans(n: int, max_len: int) -> list[Span]:
@@ -193,13 +178,6 @@ def span_attention(
     h = token_vectors[span.start : span.end]
     alpha = softmax(h @ w + b)
     return alpha, alpha @ h
-
-
-def entity_rep(
-    span: Span, pooled: np.ndarray, passage: np.ndarray, width_table: np.ndarray
-) -> np.ndarray:
-    """Concatenate [pooled span ; passage vector ; width embedding]."""
-    return np.concatenate([pooled, passage, width_table[len(span) - 1]])
 
 
 def between_context(token_vectors: np.ndarray, a: Span, b: Span) -> np.ndarray:
@@ -256,15 +234,20 @@ def classify_relations(model: Model, reps: np.ndarray) -> np.ndarray:
 
 def span_representations(
     model: Model, encoding: TokenEncoding, spans: Sequence[Span]
-) -> tuple[dict[Span, np.ndarray], np.ndarray]:
-    """Pooled vector per span plus the stacked entity reps (same order)."""
-    pooled: dict[Span, np.ndarray] = {}
-    reps = np.empty((len(spans), model.rep_dim))
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Attention weights per span plus the stacked entity reps (same order).
+
+    Row i of reps is [pooled ; passage ; width], so reps[:, :d] holds the
+    pooled span vectors.
+    """
+    alphas = []
+    pooled = np.empty((len(spans), model.dimension))
     for i, span in enumerate(spans):
-        _, hhat = span_attention(encoding.token_vectors, span, model.attn_w, model.attn_b)
-        pooled[span] = hhat
-        reps[i] = entity_rep(span, hhat, encoding.passage_vector, model.width)
-    return pooled, reps
+        alpha, pooled[i] = span_attention(encoding.token_vectors, span, model.attn_w, model.attn_b)
+        alphas.append(alpha)
+    passage = np.broadcast_to(encoding.passage_vector, pooled.shape)
+    widths = model.width[[len(span) - 1 for span in spans]]
+    return alphas, np.concatenate([pooled, passage, widths], axis=1)
 
 
 def extract(
@@ -283,7 +266,8 @@ def extract(
         return assemble_graph(tokens, lemmas, [], [], [], provenance=provenance)
     encoding = encode_tokens(tokens, model.encoder)
     spans = enumerate_spans(len(tokens), model.max_span_len)
-    pooled, reps = span_representations(model, encoding, spans)
+    _, reps = span_representations(model, encoding, spans)
+    pooled = reps[:, : model.dimension]
     probs = classify_entities(model, reps)
     classes = probs.argmax(axis=1)
 
@@ -307,16 +291,17 @@ def extract(
                 if scores[j] >= model.theta_a:
                     attributes.append((ent_id, attr, float(scores[j])))
 
-        for hi, (head_span, _) in enumerate(kept):
-            for ti, (tail_span, _) in enumerate(kept):
+        # one gemv per pair: one gemm over all pairs changes the extract-trained seed-7 digest
+        for hi, (head_span, h_row) in enumerate(kept):
+            for ti, (tail_span, t_row) in enumerate(kept):
                 if hi == ti:
                     continue
                 rep = pair_rep(
                     encoding.token_vectors,
                     head_span,
-                    pooled[head_span],
+                    pooled[h_row],
                     tail_span,
-                    pooled[tail_span],
+                    pooled[t_row],
                     model.width,
                 )
                 scores = classify_relations(model, rep)
@@ -339,17 +324,8 @@ def save_model(model: Model, path: str) -> None:
         "width_dim": model.width_dim,
         "theta_r": model.theta_r,
         "theta_a": model.theta_a,
-        "parameters": {
-            "attn_w": model.attn_w.tolist(),
-            "attn_b": float(model.attn_b),
-            "width": model.width.tolist(),
-            "ent_w": model.ent_w.tolist(),
-            "ent_b": model.ent_b.tolist(),
-            "attr_w": model.attr_w.tolist(),
-            "attr_b": model.attr_b.tolist(),
-            "rel_w": model.rel_w.tolist(),
-            "rel_b": model.rel_b.tolist(),
-        },
+        # a 0-d group (attn_b) is written as a plain number
+        "parameters": {name: getattr(model, name).tolist() for name in PARAM_GROUPS},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -385,7 +361,6 @@ def load_model(path: str) -> Model:
             raise ValueError(f"model parameter {name!r} has shape {value.shape}, expected {want}")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"model parameter {name!r} has non-finite values")
-    params["attn_b"] = float(params["attn_b"])
     return Model(
         schema=schema,
         encoder=encoder,

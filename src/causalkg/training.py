@@ -16,21 +16,25 @@ embeddings, and the three classifier heads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import math
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
-from .errors import AlignmentError, NonFiniteGradientError, SchemaMismatchError
+from .errors import AlignmentError, GraphError, NonFiniteGradientError, SchemaMismatchError
 from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
     PARAM_GROUPS,
     Model,
-    between_context,
+    classify_attributes,
+    classify_entities,
+    classify_relations,
     enumerate_spans,
-    sigmoid,
-    softmax,
+    pair_rep,
+    span_representations,
 )
 from .schema import Schema
 
@@ -67,17 +71,27 @@ class TrainConfig:
     theta_a: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, noun = (numbers.Integral, "an integer") if f.type == "int" else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"train config {f.name!r} must be {noun}, got {value!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.neg_entity_count < 0 or self.neg_relation_count < 0:
             raise ValueError("negative sample counts must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be > 0 and finite")
 
     @staticmethod
-    def from_dict(data: dict) -> "TrainConfig":
-        known = {f for f in TrainConfig.__dataclass_fields__}
-        return TrainConfig(**{k: v for k, v in data.items() if k in known})
+    def from_dict(data: Mapping) -> "TrainConfig":
+        """Build from a JSON object; raises ValueError on unknown or mistyped fields."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"train config must be an object, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(TrainConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown train config field(s): {', '.join(unknown)}")
+        return TrainConfig(**data)
 
 
 @dataclass(frozen=True)
@@ -148,15 +162,25 @@ def gold_graph(example: Example) -> KnowledgeGraph:
     )
 
 
-def check_dataset(dataset: Sequence[Example], schema: Schema) -> None:
+def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int) -> None:
+    """Raise a CausalKgError for the first example that cannot be trained on.
+
+    gold_graph rejects spans past the sentence end, entity indices out of
+    range, self-loops and duplicate spans, attributes or relations.
+    """
     ents, attrs, rels = (
         set(schema.entity_types), set(schema.attribute_types), set(schema.relation_types)
     )
     for ex in dataset:
-        for _, etype in ex.entities:
+        for span, etype in ex.entities:
             if etype not in ents:
                 raise SchemaMismatchError(
                     f"{ex.provenance}: entity type {etype!r} not in schema {schema.name!r}"
+                )
+            if len(span) > max_span_len:
+                raise GraphError(
+                    f"{ex.provenance}: span [{span.start}, {span.end}) is longer than "
+                    f"max_span_len {max_span_len}"
                 )
         for _, atype in ex.attributes:
             if atype not in attrs:
@@ -168,6 +192,10 @@ def check_dataset(dataset: Sequence[Example], schema: Schema) -> None:
                 raise SchemaMismatchError(
                     f"{ex.provenance}: relation type {rtype!r} not in schema {schema.name!r}"
                 )
+        try:
+            gold_graph(ex)
+        except GraphError as exc:
+            raise type(exc)(f"{ex.provenance}: {exc}") from exc
 
 
 def sample_negatives(
@@ -285,25 +313,6 @@ def _prepare(model: Model, example: Example, negatives: Negatives):
     return ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
 
 
-def _forward(model: Model, encoding: TokenEncoding, unique_spans: list[Span]):
-    """Attention pooling and entity reps for each unique span."""
-    H = encoding.token_vectors
-    d = model.dimension
-    alphas = []
-    pooled = np.empty((len(unique_spans), d))
-    for i, span in enumerate(unique_spans):
-        h = H[span.start : span.end]
-        alpha = softmax(h @ model.attn_w + model.attn_b)
-        alphas.append(alpha)
-        pooled[i] = alpha @ h
-    reps = np.empty((len(unique_spans), model.rep_dim))
-    for i, span in enumerate(unique_spans):
-        reps[i, :d] = pooled[i]
-        reps[i, d : 2 * d] = encoding.passage_vector
-        reps[i, 2 * d :] = model.width[len(span) - 1]
-    return alphas, pooled, reps
-
-
 def example_loss(
     model: Model,
     example: Example,
@@ -333,41 +342,29 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
     d, dw = model.dimension, model.width_dim
     H = encoding.token_vectors
 
-    alphas, pooled, reps = _forward(model, encoding, unique_spans)
+    alphas, reps = span_representations(model, encoding, unique_spans)
+    pooled = reps[:, :d]
 
     ent_rows = np.array([span_index[s] for s in ent_spans], dtype=int)
-    ent_reps = reps[ent_rows] if len(ent_rows) else np.zeros((0, model.rep_dim))
-    ent_probs = softmax(ent_reps @ model.ent_w.T + model.ent_b, axis=-1)
+    ent_reps = reps[ent_rows]
+    ent_probs = classify_entities(model, ent_reps)
 
     attr_rows = np.array([span_index[s] for s in gold_spans], dtype=int)
-    attr_reps = reps[attr_rows] if len(attr_rows) else np.zeros((0, model.rep_dim))
-    attr_scores = sigmoid(attr_reps @ model.attr_w.T + model.attr_b)
+    attr_reps = reps[attr_rows]
+    attr_scores = classify_attributes(model, attr_reps)
 
+    pair_spans = [(gold_spans[h], gold_spans[t]) for h, t in pair_order]
+    pair_rows = [(span_index[hs], span_index[ts]) for hs, ts in pair_spans]
     pair_reps = np.empty((len(pair_order), model.pair_dim))
-    for i, (h, t) in enumerate(pair_order):
-        hs, ts = gold_spans[h], gold_spans[t]
-        pair_reps[i, :d] = pooled[span_index[hs]]
-        pair_reps[i, d : d + dw] = model.width[len(hs) - 1]
-        pair_reps[i, d + dw : 2 * d + dw] = between_context(H, hs, ts)
-        pair_reps[i, 2 * d + dw : 3 * d + dw] = pooled[span_index[ts]]
-        pair_reps[i, 3 * d + dw :] = model.width[len(ts) - 1]
-    rel_scores = sigmoid(pair_reps @ model.rel_w.T + model.rel_b)
+    for i, ((hs, ts), (hr, tr)) in enumerate(zip(pair_spans, pair_rows)):
+        pair_reps[i] = pair_rep(H, hs, pooled[hr], ts, pooled[tr], model.width)
+    rel_scores = classify_relations(model, pair_reps)
 
     loss = joint_loss(ent_probs, ent_targets, rel_scores, pair_labels, attr_scores, attr_labels)
     if not with_grads:
         return loss, None
 
-    grads = {
-        "attn_w": np.zeros_like(model.attn_w),
-        "attn_b": 0.0,
-        "width": np.zeros_like(model.width),
-        "ent_w": np.zeros_like(model.ent_w),
-        "ent_b": np.zeros_like(model.ent_b),
-        "attr_w": np.zeros_like(model.attr_w),
-        "attr_b": np.zeros_like(model.attr_b),
-        "rel_w": np.zeros_like(model.rel_w),
-        "rel_b": np.zeros_like(model.rel_b),
-    }
+    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_GROUPS}
     d_reps = np.zeros_like(reps)
 
     if len(ent_rows):
@@ -386,46 +383,37 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
         dx = g @ model.attr_w
         np.add.at(d_reps, attr_rows, dx)
 
+    # np.add.at adds rows in index order: pairs in pair_order, each head
+    # before its tail, then spans in unique_spans order.  Changing that order
+    # changes the rounding of the trained parameters.
     d_pooled = np.zeros_like(pooled)
     if rel_scores.size:
         g = (rel_scores - pair_labels) / rel_scores.size
         grads["rel_w"] += g.T @ pair_reps
         grads["rel_b"] += g.sum(axis=0)
         dr = g @ model.rel_w
-        for i, (h, t) in enumerate(pair_order):
-            hs, ts = gold_spans[h], gold_spans[t]
-            d_pooled[span_index[hs]] += dr[i, :d]
-            grads["width"][len(hs) - 1] += dr[i, d : d + dw]
-            d_pooled[span_index[ts]] += dr[i, 2 * d + dw : 3 * d + dw]
-            grads["width"][len(ts) - 1] += dr[i, 3 * d + dw :]
+        pair_widths = np.array([[len(hs) - 1, len(ts) - 1] for hs, ts in pair_spans], dtype=int)
+        np.add.at(d_pooled, np.array(pair_rows), np.stack([dr[:, :d], dr[:, 2 * d + dw : 3 * d + dw]], axis=1))
+        np.add.at(grads["width"], pair_widths, np.stack([dr[:, d : d + dw], dr[:, 3 * d + dw :]], axis=1))
 
     # entity-rep gradient: pooled segment and width segment (passage frozen)
-    for i, span in enumerate(unique_spans):
-        d_pooled[i] += d_reps[i, :d]
-        grads["width"][len(span) - 1] += d_reps[i, 2 * d :]
+    d_pooled += d_reps[:, :d]
+    span_widths = np.array([len(span) - 1 for span in unique_spans], dtype=int)
+    np.add.at(grads["width"], span_widths, d_reps[:, 2 * d :])
 
-    # attention backward per span
+    # attention backward per span; attn_b's gradient is summed in a float,
+    # which costs less per span than adding into the 0-d array
+    d_attn_b = 0.0
     for i, span in enumerate(unique_spans):
         h = H[span.start : span.end]
         alpha = alphas[i]
         d_alpha = h @ d_pooled[i]
         dz = alpha * (d_alpha - float(alpha @ d_alpha))
         grads["attn_w"] += h.T @ dz
-        grads["attn_b"] += float(dz.sum())
+        d_attn_b += float(dz.sum())
+    grads["attn_b"] += d_attn_b
 
     return loss, grads
-
-
-def _get_group(model: Model, name: str) -> np.ndarray:
-    value = getattr(model, name)
-    return np.atleast_1d(np.asarray(value, dtype=float))
-
-
-def _set_group(model: Model, name: str, value: np.ndarray) -> None:
-    if name == "attn_b":
-        model.attn_b = float(value.reshape(-1)[0])
-    else:
-        setattr(model, name, value.reshape(getattr(model, name).shape))
 
 
 def grad_check(
@@ -450,23 +438,19 @@ def grad_check(
     errors: dict[str, float] = {}
     probe = model.copy()
     for name in PARAM_GROUPS:
-        analytic = np.atleast_1d(np.asarray(grads[name], dtype=float)).ravel()
+        analytic = np.ravel(grads[name])
         if not np.all(np.isfinite(analytic)):
             raise NonFiniteGradientError(f"non-finite analytic gradient in {name}")
-        flat = _get_group(model, name).ravel().copy()
+        flat = getattr(probe, name).reshape(-1)  # a view: bumps edit the probe in place
         numeric = np.empty_like(flat)
         for i in range(flat.size):
-            for sign, slot in ((+1.0, 0), (-1.0, 1)):
-                bumped = flat.copy()
-                bumped[i] += sign * epsilon
-                _set_group(probe, name, bumped)
-                value = example_loss(probe, example, negatives, encoding).total
-                if slot == 0:
-                    hi = value
-                else:
-                    lo = value
+            value = flat[i]
+            flat[i] = value + epsilon
+            hi = example_loss(probe, example, negatives, encoding).total
+            flat[i] = value - epsilon
+            lo = example_loss(probe, example, negatives, encoding).total
+            flat[i] = value
             numeric[i] = (hi - lo) / (2.0 * epsilon)
-        _set_group(probe, name, flat)
         # attn_b is softmax-shift-invariant, so both gradients can be ~0;
         # fall back to absolute error when the norms vanish
         denom = np.linalg.norm(analytic) + np.linalg.norm(numeric)
@@ -492,7 +476,7 @@ def train(
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    check_dataset(dataset, schema)
+    check_dataset(dataset, schema, config.max_span_len)
     if encoder_config is None:
         encoder_config = EncoderConfig()
     model = Model.initialize(
@@ -530,15 +514,9 @@ def train(
                     for k in grads:
                         batch_grads[k] = batch_grads[k] + grads[k]
             scale = config.learning_rate / len(batch)
-            model.attn_w -= scale * batch_grads["attn_w"]
-            model.attn_b -= scale * batch_grads["attn_b"]
-            model.width -= scale * batch_grads["width"]
-            model.ent_w -= scale * batch_grads["ent_w"]
-            model.ent_b -= scale * batch_grads["ent_b"]
-            model.attr_w -= scale * batch_grads["attr_w"]
-            model.attr_b -= scale * batch_grads["attr_b"]
-            model.rel_w -= scale * batch_grads["rel_w"]
-            model.rel_b -= scale * batch_grads["rel_b"]
+            for name in PARAM_GROUPS:
+                param = getattr(model, name)
+                param -= scale * batch_grads[name]
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / len(dataset))
     return model

@@ -366,6 +366,48 @@ def test_bad_dataset_type_exits_2(workdir, capsys):
     assert "martian" in capsys.readouterr().err
 
 
+def rewrite(path, *changes):
+    """Apply (key path, value) changes to a JSON file."""
+    doc = json.loads(path.read_text())
+    for keys, value in changes:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change, message", [
+    (((0, "entities", 2, "end"), 4), "beyond 3 tokens"),
+    (((0, "attributes", 0, "entity"), -1), "'e-1'"),
+    (((0, "relations", 0, "tail"), -1), "'e-1'"),
+    (((0, "relations", 0, "tail"), 5), "'e5'"),
+    (((0, "relations", 0, "tail"), 1), "self-loop"),
+])
+def test_train_invalid_gold_data_exits_2(workdir, capsys, change, message):
+    rewrite(workdir / "data.json", change)
+    assert run_train(workdir) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_train_span_longer_than_max_span_len_exits_2(workdir, capsys):
+    rewrite(workdir / "data.json", ((0, "entities", 0, "end"), 2))
+    rewrite(workdir / "config.json", (("train", "max_span_len"), 1))
+    assert run_train(workdir) == 2
+    assert "longer than max_span_len 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ((("train", "epochs"), "2"), "'epochs' must be an integer"),
+    ((("train", "batch_size"), 1.5), "'batch_size' must be an integer"),
+    ((("train", "learning_rat"), 5), "unknown train config field(s): learning_rat"),
+])
+def test_train_invalid_config_exits_2(workdir, capsys, change, message):
+    rewrite(workdir / "config.json", change)
+    assert run_train(workdir) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main([
         "train", "--data", str(tmp_path / "nope.json"),

@@ -8,20 +8,21 @@ from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import DimensionMismatchError
 from causalkg.graphs import Span
 from causalkg.model import (
+    PARAM_GROUPS,
     Model,
     between_context,
     classify_attributes,
     classify_entities,
     classify_relations,
-    entity_rep,
     enumerate_spans,
     extract,
     load_model,
     pair_rep,
     save_model,
     span_attention,
+    span_representations,
 )
-from causalkg.schema import load_schema
+from causalkg.schema import load_schema, schema_to_dict
 
 
 def small_model(seed=0, d=8, width_dim=2, max_span_len=3, schema="sciclaim"):
@@ -92,15 +93,21 @@ def test_attention_normalized_over_random_spans():
         assert abs(alpha.sum() - 1.0) < 1e-9
 
 
-def test_entity_rep_concatenation():
-    pooled = np.array([1.0, 2.0])
-    passage = np.array([3.0, 4.0])
-    widths = np.array([[10.0], [20.0]])
-    rep = entity_rep(Span(0, 2), pooled, passage, widths)
-    assert rep.shape == (5,)  # d=2, d_w=1 -> 2d + d_w
-    assert np.array_equal(rep, [1.0, 2.0, 3.0, 4.0, 20.0])
-    other = entity_rep(Span(3, 5), pooled * 0, passage, widths)
-    assert np.array_equal(rep[-1:], other[-1:])  # equal lengths share width segment
+def test_span_representations_layout():
+    m = small_model(seed=4)
+    encoding = encode_tokens(["a", "b", "c", "d"], m.encoder)
+    spans = enumerate_spans(4, m.max_span_len)
+    alphas, reps = span_representations(m, encoding, spans)
+    d = m.dimension
+    assert reps.shape == (len(spans), 2 * d + m.width_dim)
+    for i, span in enumerate(spans):
+        alpha, pooled = span_attention(encoding.token_vectors, span, m.attn_w, m.attn_b)
+        assert np.array_equal(alphas[i], alpha)
+        assert np.array_equal(reps[i, :d], pooled)
+        assert np.array_equal(reps[i, d : 2 * d], encoding.passage_vector)
+        assert np.array_equal(reps[i, 2 * d :], m.width[len(span) - 1])
+    alphas, reps = span_representations(m, encoding, [])
+    assert alphas == [] and reps.shape == (0, m.rep_dim)
 
 
 def test_between_context():
@@ -237,6 +244,50 @@ def test_save_load_round_trip(tmp_path):
     assert back.schema.name == m.schema.name
     assert back.encoder == m.encoder
     assert (back.max_span_len, back.width_dim) == (m.max_span_len, m.width_dim)
+
+
+def test_copy_owns_every_parameter_group():
+    m = small_model(seed=5)
+    before = {name: getattr(m, name).copy() for name in PARAM_GROUPS}
+    c = m.copy()
+    for name in PARAM_GROUPS:
+        getattr(c, name)[...] += 1.0
+    for name in PARAM_GROUPS:
+        assert np.array_equal(getattr(m, name), before[name]), name
+        assert np.array_equal(getattr(c, name), before[name] + 1.0), name
+    assert np.shape(c.attn_b) == ()
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(small_model(seed=5), str(first))
+    back = load_model(str(first))
+    assert np.shape(back.attn_b) == ()
+    save_model(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_loads_the_float_attn_b_format(tmp_path):
+    # the file as it was written while attn_b was a Python float
+    m = small_model(seed=5)
+    params = {name: getattr(m, name).tolist() for name in PARAM_GROUPS}
+    params["attn_b"] = float(m.attn_b) + 0.25
+    doc = {
+        "format_version": 1,
+        "schema": schema_to_dict(m.schema),
+        "encoder": m.encoder.to_dict(),
+        "max_span_len": m.max_span_len,
+        "width_dim": m.width_dim,
+        "theta_r": m.theta_r,
+        "theta_a": m.theta_a,
+        "parameters": params,
+    }
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(doc) + "\n")
+    back = load_model(str(old))
+    assert back.attn_b == 0.25 and np.shape(back.attn_b) == ()
+    save_model(back, str(new))
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_load_rejects_unknown_format(tmp_path):

@@ -1,11 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from causalkg.encoder import EncoderConfig
-from causalkg.errors import AlignmentError, SchemaMismatchError
+from causalkg.errors import (
+    AlignmentError,
+    DanglingReferenceError,
+    GraphError,
+    SchemaMismatchError,
+    SelfLoopError,
+)
 from causalkg.graphs import Span
 from causalkg.model import Model
 from causalkg.schema import load_schema
@@ -178,8 +185,33 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    cfg = TrainConfig.from_dict({"epochs": 3, "unknown_key": 1})
-    assert cfg.epochs == 3
+    with pytest.raises(ValueError, match="unknown_key"):
+        TrainConfig.from_dict({"epochs": 3, "unknown_key": 1})
+    assert TrainConfig.from_dict({"epochs": 3}).epochs == 3
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"epochs": "2"}, "epochs"),
+    ({"batch_size": 1.5}, "batch_size"),
+    ({"seed": True}, "seed"),
+    ({"max_span_len": None}, "max_span_len"),
+    ({"learning_rate": "fast"}, "learning_rate"),
+    ({"learning_rate": False}, "learning_rate"),
+    ({"theta_a": [0.5]}, "theta_a"),
+    ({"learning_rat": 5}, "learning_rat"),
+])
+def test_train_config_rejects_mistyped_and_unknown_fields(data, field):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig.from_dict(data)
+
+
+def test_train_config_value_checks():
+    assert TrainConfig.from_dict({"learning_rate": 5}).learning_rate == 5
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="object"):
+        TrainConfig.from_dict([["epochs", 2]])
 
 
 def test_train_zero_epochs_is_initialization():
@@ -232,6 +264,28 @@ def test_train_rejects_schema_mismatch():
         train([bad], SCICLAIM, TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train([], SCICLAIM, TrainConfig(epochs=1))
+
+
+def corpus_example(**changes):
+    """build_corpus()[0] (3 tokens, spans [0,1) [1,2) [2,3)) with fields replaced."""
+    return replace(build_corpus()[0], **changes)
+
+
+@pytest.mark.parametrize("example, error, message", [
+    # each of these used to train on clipped or wrapped-around rows, or to
+    # fail with a bare IndexError
+    (corpus_example(entities=((Span(0, 1), "factor"), (Span(2, 4), "factor"))), GraphError, "beyond 3 tokens"),
+    (corpus_example(attributes=((-1, "causation"),)), DanglingReferenceError, "'e-1'"),
+    (corpus_example(relations=((1, -1, "arg0"),)), DanglingReferenceError, "'e-1'"),
+    (corpus_example(relations=((1, 5, "arg0"),)), DanglingReferenceError, "'e5'"),
+    (corpus_example(relations=((0, 0, "q+"),)), SelfLoopError, "self-loop"),
+    (corpus_example(entities=((Span(0, 3), "factor"),), attributes=(), relations=()), GraphError, "max_span_len 2"),
+])
+def test_train_rejects_invalid_gold_data(example, error, message):
+    config = TrainConfig(epochs=1, max_span_len=2)
+    with pytest.raises(error, match=f"^up0: .*{message}"):
+        train([build_corpus()[1], example], SCICLAIM, config,
+              encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1))
 
 
 def test_example_loss_finite_and_positive():
