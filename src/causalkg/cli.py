@@ -20,7 +20,7 @@ from .evaluation import score
 from .graphs import (
     KnowledgeGraph,
     graph_from_dict,
-    graph_to_dict,
+    graph_to_json,
     merge_corpus,
 )
 from .model import check_thresholds, extract, load_model, save_model
@@ -83,10 +83,7 @@ def _write_graphs(out_dir: str, graphs: list[KnowledgeGraph], extras: dict[str, 
     names = []
     for i, g in enumerate(graphs):
         name = f"graph_{i:04d}.json"
-        doc = graph_to_dict(g)
-        if extras and g.provenance in extras:
-            doc.update(extras[g.provenance])
-        _dump_json(os.path.join(out_dir, name), doc)
+        _write(os.path.join(out_dir, name), graph_to_json(g, (extras or {}).get(g.provenance)))
         names.append(name)
     _dump_json(
         os.path.join(out_dir, "manifest.json"),
@@ -108,12 +105,15 @@ def _cmd_train(args) -> int:
         train_cfg = TrainConfig.from_dict({**train_cfg.__dict__, "seed": args.seed})
     schema = _load_schema_arg(args.schema)
     dataset = load_dataset(_read(args.data))
+    width_dim = config.get("width_dim", 8)
+    if isinstance(width_dim, bool) or not isinstance(width_dim, int):
+        raise ValueError(f"config 'width_dim' must be an integer, got {width_dim!r}")
     model = train(
         dataset,
         schema,
         train_cfg,
         encoder_config=_encoder_from_args(args, config),
-        width_dim=int(config.get("width_dim", 8)),
+        width_dim=width_dim,
     )
     save_model(model, args.out)
     return 0
@@ -150,9 +150,7 @@ def _cmd_rectify(args) -> int:
         rectified.append(fixed)
         extras[fixed.provenance] = {"rectification": [rec.to_dict() for rec in log]}
     if len(rectified) == 1 and not args.out_dir:
-        doc = graph_to_dict(rectified[0])
-        doc.update(extras[rectified[0].provenance])
-        _dump_json(args.out, doc)
+        _write(args.out, graph_to_json(rectified[0], extras[rectified[0].provenance]))
     else:
         _write_graphs(args.out, rectified, extras)
     return 0
@@ -186,7 +184,7 @@ def _cmd_senses(args) -> int:
         for g in graphs
     ]
     if len(linked) == 1:
-        _dump_json(args.out, graph_to_dict(linked[0]))
+        _write(args.out, graph_to_json(linked[0]))
     else:
         _write_graphs(args.out, linked)
     return 0

@@ -20,7 +20,7 @@ import functools
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,14 +62,22 @@ class EncoderConfig:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "EncoderConfig":
-        return EncoderConfig(
-            kind=data.get("kind", "synthetic"),
-            dimension=int(data.get("dimension", 64)),
-            seed=int(data.get("seed", 0)),
-            context_window=int(data.get("context_window", 2)),
-            embedding_path=data.get("embedding_path"),
-        )
+    def from_dict(data: Mapping) -> "EncoderConfig":
+        """Build from a JSON object; raises ValueError on unknown or mistyped fields."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"encoder config must be an object, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(EncoderConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown encoder config field(s): {', '.join(unknown)}")
+        for name in ("dimension", "seed", "context_window"):
+            value = data.get(name, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"encoder config {name!r} must be an integer, got {value!r}")
+        for name in ("kind", "embedding_path"):
+            value = data.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"encoder config {name!r} must be a string, got {value!r}")
+        return EncoderConfig(**data)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ graphs can be shared freely across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -112,14 +115,30 @@ class KnowledgeGraph:
     def entity_by_id(self) -> dict[str, Entity]:
         return {e.id: e for e in self.entities}
 
+    @cached_property
+    def _entity_index(self) -> dict[str, Entity]:
+        return self.entity_by_id()
+
+    @cached_property
+    def _outgoing_index(self) -> dict[str, tuple[Relation, ...]]:
+        out: dict[str, list[Relation]] = {}
+        for r in self.relations:
+            out.setdefault(r.head, []).append(r)
+        return {head: tuple(rels) for head, rels in out.items()}
+
+    def entity(self, entity_id: str) -> Entity:
+        """The entity with this id, from an index built once per graph."""
+        return self._entity_index[entity_id]
+
     def span_text(self, span: Span) -> str:
         return " ".join(self.tokens[span.start : span.end])
 
     def entity_lemmas(self, entity: Entity) -> frozenset[str]:
         return frozenset(self.lemmas[i] for i in entity.span.indices())
 
-    def outgoing(self, entity_id: str) -> list[Relation]:
-        return [r for r in self.relations if r.head == entity_id]
+    def outgoing(self, entity_id: str) -> tuple[Relation, ...]:
+        """Relations headed at the entity in graph order, from an index built once per graph."""
+        return self._outgoing_index.get(entity_id, ())
 
     def with_entities(self, entities: Iterable[Entity]) -> "KnowledgeGraph":
         return replace(self, entities=tuple(entities))
@@ -132,12 +151,15 @@ def assemble_graph(
     attributes: Iterable[tuple[str, str, float]] = (),
     relations: Iterable[tuple[str, str, str, float]] = (),
     provenance: str = "",
+    senses: Iterable[tuple[str, str, float]] = (),
 ) -> KnowledgeGraph:
     """Build a validated KnowledgeGraph.
 
     entities: (id, span, entity_type, confidence) tuples.
     attributes: (entity_id, attribute_type, confidence) tuples.
     relations: (head_id, tail_id, relation_type, confidence) tuples.
+    senses: (entity_id, sense_id, confidence) tuples, each entity's in rank
+    order; a sense confidence is any finite number.
 
     Lemmas default to lowercased tokens when absent.
     """
@@ -152,11 +174,11 @@ def assemble_graph(
         )
     n = len(tokens)
 
-    by_id: dict[str, Entity] = {}
+    nodes: dict[str, tuple[Span, str, float]] = {}
     seen_spans: dict[Span, str] = {}
     for ent_id, span, ent_type, conf in entities:
         ent_id = str(ent_id)
-        if ent_id in by_id:
+        if ent_id in nodes:
             raise GraphError(f"duplicate entity id {ent_id!r}")
         if span.end > n:
             raise GraphError(f"span [{span.start}, {span.end}) beyond {n} tokens")
@@ -166,23 +188,35 @@ def assemble_graph(
                 f"[{span.start}, {span.end})"
             )
         seen_spans[span] = ent_id
-        by_id[ent_id] = Entity(
-            id=ent_id,
-            span=span,
-            entity_type=str(ent_type),
-            confidence=_check_confidence(conf, f"entity {ent_id!r}"),
-        )
+        nodes[ent_id] = (span, str(ent_type), _check_confidence(conf, f"entity {ent_id!r}"))
 
     attr_map: dict[str, list[tuple[str, float]]] = {}
     for ent_id, attr_type, conf in attributes:
-        if ent_id not in by_id:
+        if ent_id not in nodes:
             raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
         pairs = attr_map.setdefault(ent_id, [])
         if any(t == attr_type for t, _ in pairs):
             raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
         pairs.append((str(attr_type), _check_confidence(conf, f"attribute {attr_type!r}")))
-    for ent_id, pairs in attr_map.items():
-        by_id[ent_id] = replace(by_id[ent_id], attributes=tuple(pairs))
+
+    sense_map: dict[str, list[tuple[str, float]]] = {}
+    for ent_id, sense, conf in senses:
+        if ent_id not in nodes:
+            raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
+        if not isinstance(sense, str):
+            raise GraphError(f"sense id {sense!r} on {ent_id!r} is not a string")
+        conf = float(conf)
+        if not math.isfinite(conf):
+            raise GraphError(f"sense {sense!r} on {ent_id!r} has confidence {conf}")
+        sense_map.setdefault(ent_id, []).append((sense, conf))
+
+    by_id = {
+        ent_id: Entity(
+            ent_id, span, ent_type, conf,
+            tuple(attr_map.get(ent_id, ())), tuple(sense_map.get(ent_id, ())),
+        )
+        for ent_id, (span, ent_type, conf) in nodes.items()
+    }
 
     rel_list: list[Relation] = []
     seen_rel: set[tuple[str, str, str]] = set()
@@ -327,43 +361,131 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
 
 def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     """Inverse of graph_to_dict, revalidating all invariants."""
+    if not isinstance(data, Mapping):
+        raise GraphError(f"a graph document must be an object, got {type(data).__name__}")
+    entities, attributes, senses = [], [], []
     try:
-        entities = [
-            (e["id"], Span(int(e["start"]), int(e["end"])), e["type"], e["confidence"])
-            for e in data.get("entities", [])
-        ]
-        attributes = [
-            (e["id"], a["type"], a["confidence"])
-            for e in data.get("entities", [])
-            for a in e.get("attributes", [])
-        ]
+        for e in data.get("entities", []):
+            ent_id = e["id"]
+            entities.append((ent_id, Span(int(e["start"]), int(e["end"])), e["type"], e["confidence"]))
+            attributes.extend((ent_id, a["type"], a["confidence"]) for a in e.get("attributes", []))
+            senses.extend((ent_id, s["sense"], s["confidence"]) for s in e.get("senses", []))
         relations = [
             (r["head"], r["tail"], r["type"], r["confidence"])
             for r in data.get("relations", [])
         ]
-        senses = {
-            e["id"]: tuple((s["sense"], float(s["confidence"])) for s in e.get("senses", []))
-            for e in data.get("entities", [])
-        }
-        graph = assemble_graph(
+        return assemble_graph(
             data["tokens"],
             data.get("lemmas"),
             entities,
             attributes,
             relations,
             provenance=data.get("provenance", ""),
+            senses=senses,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
-    if any(senses.values()):
-        graph = graph.with_entities(
-            replace(e, senses=senses.get(e.id, ())) for e in graph.entities
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as `json.dumps(..., ensure_ascii=False)` writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _numbers(values: list) -> Iterable[str]:
+    """`_scalar` of each value; a list of finite floats is formatted by C alone."""
+    # a sum of floats is finite only if every term is
+    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    return map(_scalar, values)
+
+
+def _array(items: list[str], pad: str) -> str:
+    """A JSON list of rendered items whose brackets sit at indent `pad`."""
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+# Entity, attribute and sense records at their fixed depths.  Relations,
+# which outnumber them by far, are written by an f-string in graph_to_json:
+# it formats about a fifth faster than %.
+_ENTITY = (
+    '{\n      "id": %s,\n      "start": %s,\n      "end": %s,\n      "type": %s,'
+    '\n      "confidence": %s,\n      "attributes": %s,\n      "senses": %s\n    }'
+)
+_ATTRIBUTE = '{\n          "type": %s,\n          "confidence": %s\n        }'
+_SENSE = '{\n          "sense": %s,\n          "confidence": %s\n        }'
+
+
+def _record(record: Mapping) -> str:
+    """A flat object of JSON scalars as an item of a top-level list."""
+    if not record:
+        return "{}"
+    fields = ",\n".join(f"      {encode_basestring(k)}: {_scalar(v)}" for k, v in record.items())
+    return "{\n" + fields + "\n    }"
+
+
+def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]] | None = None) -> str:
+    """The interchange text of `graph_to_dict(graph)`, built in one pass.
+
+    The layout is fixed: the key order of `graph_to_dict`, a 2-space
+    indent, strings as unescaped UTF-8, `[]` for an empty list and a
+    trailing newline.  The text equals `json.dumps(graph_to_dict(graph),
+    indent=2, ensure_ascii=False) + "\n"` byte for byte.  `extras` appends
+    new top-level keys after "provenance", each a list of flat records of
+    JSON scalars.  A string field that holds no str, or a number field that
+    holds no JSON scalar (a numpy integer span bound, say), raises
+    TypeError.
+    """
+    string = encode_basestring
+    entities = [
+        _ENTITY % (
+            string(e.id),
+            _scalar(e.span.start),
+            _scalar(e.span.end),
+            string(e.entity_type),
+            _scalar(e.confidence),
+            _array([_ATTRIBUTE % (string(t), _scalar(c)) for t, c in e.attributes], "      "),
+            _array([_SENSE % (string(s), _scalar(c)) for s, c in e.senses], "      "),
         )
-    return graph
-
-
-def graph_to_json(graph: KnowledgeGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, ensure_ascii=False) + "\n"
+        for e in graph.entities
+    ]
+    rels = graph.relations
+    relations = [
+        f'{{\n      "head": {string(r.head)},\n      "tail": {string(r.tail)},'
+        f'\n      "type": {string(r.relation_type)},\n      "confidence": {conf}\n    }}'
+        for r, conf in zip(rels, _numbers([r.confidence for r in rels]))
+    ]
+    parts = [
+        '{\n  "tokens": ' + _array([string(t) for t in graph.tokens], "  "),
+        '"lemmas": ' + _array([string(t) for t in graph.lemmas], "  "),
+        '"entities": ' + _array(entities, "  "),
+        '"relations": ' + _array(relations, "  "),
+        '"provenance": ' + string(graph.provenance),
+    ]
+    for key, records in (extras or {}).items():
+        parts.append(string(key) + ": " + _array([_record(rec) for rec in records], "  "))
+    return ",\n  ".join(parts) + "\n}\n"
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:

@@ -159,10 +159,9 @@ class NodePattern:
             if not (self.required_attributes <= entity.attribute_types()):
                 return False
         if self.role_constraints is not None:
-            by_id = graph.entity_by_id()
             for rel_type, sub in self.role_constraints:
                 if not any(
-                    r.relation_type == rel_type and sub.matches(graph, by_id[r.tail])
+                    r.relation_type == rel_type and sub.matches(graph, graph.entity(r.tail))
                     for r in graph.outgoing(entity.id)
                 ):
                     return False

@@ -123,25 +123,64 @@ class LossBreakdown:
         object.__setattr__(self, "total", self.entity + self.relation + self.attribute)
 
 
+def _strings(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise GraphError(f"{where} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def load_dataset(text: str) -> list[Example]:
-    """Parse the dataset JSON format into Examples."""
+    """Parse the dataset JSON format into Examples.
+
+    Raises GraphError naming the example and the field when the document is
+    not a list of objects, tokens or lemmas are not a list of strings, or an
+    offset or entity index is not a JSON integer.
+    """
     data = json.loads(text)
+    if not isinstance(data, list):
+        raise GraphError(f"a dataset must be a list of examples, got {type(data).__name__}")
     out = []
     for i, ex in enumerate(data):
-        tokens = tuple(ex["tokens"])
-        lemmas = tuple(ex.get("lemmas") or (t.lower() for t in tokens))
+        where = f"dataset example {i}"
+        if not isinstance(ex, dict):
+            raise GraphError(f"{where} must be an object, got {type(ex).__name__}")
+        tokens = _strings(ex["tokens"], f"{where}: field 'tokens'")
+        lemmas = (
+            _strings(ex["lemmas"], f"{where}: field 'lemmas'")
+            if ex.get("lemmas")
+            else tuple(t.lower() for t in tokens)
+        )
         out.append(
             Example(
                 tokens=tokens,
                 lemmas=lemmas,
                 entities=tuple(
-                    (Span(int(e["start"]), int(e["end"])), e["type"]) for e in ex["entities"]
+                    (
+                        Span(
+                            _integer(e["start"], f"{where}: field 'entities[{j}].start'"),
+                            _integer(e["end"], f"{where}: field 'entities[{j}].end'"),
+                        ),
+                        e["type"],
+                    )
+                    for j, e in enumerate(ex["entities"])
                 ),
                 attributes=tuple(
-                    (int(a["entity"]), a["type"]) for a in ex.get("attributes", [])
+                    (_integer(a["entity"], f"{where}: field 'attributes[{j}].entity'"), a["type"])
+                    for j, a in enumerate(ex.get("attributes", []))
                 ),
                 relations=tuple(
-                    (int(r["head"]), int(r["tail"]), r["type"]) for r in ex.get("relations", [])
+                    (
+                        _integer(r["head"], f"{where}: field 'relations[{j}].head'"),
+                        _integer(r["tail"], f"{where}: field 'relations[{j}].tail'"),
+                        r["type"],
+                    )
+                    for j, r in enumerate(ex.get("relations", []))
                 ),
                 provenance=ex.get("provenance", f"ex{i}"),
             )

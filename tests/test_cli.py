@@ -9,7 +9,7 @@ import pytest
 import causalkg
 from causalkg.cli import main
 from causalkg.encoder import EncoderConfig, encode_tokens
-from causalkg.graphs import graph_from_dict, graph_to_dict
+from causalkg.graphs import graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.model import Model, save_model
 from causalkg.schema import check_constraints, load_schema
 from causalkg.senses import link_senses, load_inventory
@@ -420,3 +420,97 @@ def test_train_is_deterministic(workdir):
     run_train(workdir, out="m1.json")
     run_train(workdir, out="m2.json")
     assert (workdir / "m1.json").read_bytes() == (workdir / "m2.json").read_bytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    ((("encoder", "dimensoin"), 16), "unknown encoder config field(s): dimensoin"),
+    ((("encoder", "dimension"), 16.9), "'dimension' must be an integer, got 16.9"),
+    ((("encoder", "context_window"), True), "'context_window' must be an integer, got True"),
+    ((("encoder", "seed"), "0"), "'seed' must be an integer"),
+    ((("width_dim",), 4.0), "'width_dim' must be an integer, got 4.0"),
+    ((("width_dim",), True), "'width_dim' must be an integer, got True"),
+])
+def test_train_mistyped_encoder_config_exits_2(workdir, capsys, change, message):
+    rewrite(workdir / "config.json", change)
+    assert run_train(workdir) == 2
+    assert message in capsys.readouterr().err
+    assert not (workdir / "model.json").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (((1, "tokens"), "abc"), "dataset example 1: field 'tokens' must be a list of strings"),
+    (((0, "entities", 0, "start"), 0.9), "dataset example 0: field 'entities[0].start' must be an integer"),
+    (((0, "entities", 0, "end"), 1.5), "dataset example 0: field 'entities[0].end' must be an integer"),
+    (((0, "relations", 0, "head"), True), "dataset example 0: field 'relations[0].head' must be an integer"),
+])
+def test_train_and_eval_reject_mistyped_gold_data_with_exit_2(workdir, capsys, change, message):
+    assert run_train(workdir) == 0
+    out_dir = workdir / "graphs"
+    assert main([
+        "extract", "--model", str(workdir / "model.json"),
+        "--input", str(workdir / "sentences.json"), "--out", str(out_dir),
+    ]) == 0
+    rewrite(workdir / "data.json", change)
+    assert run_train(workdir, out="again.json") == 2
+    assert message in capsys.readouterr().err
+    assert main(["eval", "--pred", str(out_dir), "--gold", str(workdir / "data.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def graph_files(out):
+    """The graph files a graph-writing command left at `out`: the one file,
+    or every file its manifest names."""
+    if out.is_file():
+        return [out]
+    return [out / name for name in json.loads((out / "manifest.json").read_text())["graphs"]]
+
+
+def assert_interchange_layout(path, extra_keys=()):
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    extras = {key: doc.pop(key) for key in extra_keys}
+    assert text == graph_to_json(graph_from_dict(doc), extras or None)
+    return doc
+
+
+def test_graph_writing_commands_keep_the_interchange_layout(workdir):
+    assert run_train(workdir) == 0
+    # a token the writer must escape and one it must leave unescaped
+    sentences = json.loads((workdir / "sentences.json").read_text())
+    sentences[0]["tokens"][0] = 'qu"o\\te\u00e9\u2028'
+    (workdir / "sentences.json").write_text(json.dumps(sentences))
+    extracted = workdir / "graphs"
+    assert main([
+        "extract", "--model", str(workdir / "model.json"), "--threshold-relation", "0.05",
+        "--input", str(workdir / "sentences.json"), "--out", str(extracted),
+    ]) == 0
+    docs = [assert_interchange_layout(p) for p in graph_files(extracted)]
+    assert len(docs) == 4 and sum(len(d["relations"]) for d in docs)
+
+    fixed_dir = workdir / "fixed"
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(extracted),
+                 "--out", str(fixed_dir), "--out-dir"]) == 0
+    single = workdir / "fixed_one.json"
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(graph_files(extracted)[0]),
+                 "--out", str(single)]) == 0
+    removed = 0
+    for path in graph_files(fixed_dir) + graph_files(single):
+        assert list(json.loads(path.read_text()))[-1] == "rectification"
+        assert_interchange_layout(path, ["rectification"])
+        removed += len(json.loads(path.read_text())["rectification"])
+    assert removed
+
+    inventory = workdir / "inventory.tsv"
+    inventory.write_text("".join(
+        f"w{i}.n.01\tw{i}\t-\t" + "\t".join(["0.25"] * 16) + "\n" for i in range(3)
+    ))
+    linked = [workdir / "linked", workdir / "linked_one.json"]
+    for source, out in ((fixed_dir, linked[0]), (single, linked[1])):
+        assert main(["senses", "--input", str(source), "--inventory", str(inventory),
+                     "--model", str(workdir / "model.json"), "--threshold", "-1.0",
+                     "--out", str(out)]) == 0
+    senses = 0
+    for path in graph_files(linked[0]) + graph_files(linked[1]):
+        senses += sum(len(e["senses"]) for e in assert_interchange_layout(path)["entities"])
+    assert senses

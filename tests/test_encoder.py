@@ -49,6 +49,31 @@ def test_config_validation():
     assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_from_dict_loads_every_key_to_dict_writes():
+    for cfg in (EncoderConfig(), EncoderConfig(kind="file", dimension=3, seed=-2, embedding_path="v.txt")):
+        assert set(cfg.to_dict()) == set(EncoderConfig.__dataclass_fields__)
+        assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+    assert EncoderConfig.from_dict({}) == EncoderConfig()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dimensoin": 16}, "unknown encoder config field(s): dimensoin"),
+    ({"dimension": 16.9}, "'dimension' must be an integer"),
+    ({"dimension": 16.0}, "'dimension' must be an integer"),
+    ({"dimension": "16"}, "'dimension' must be an integer"),
+    ({"context_window": True}, "'context_window' must be an integer"),
+    ({"seed": False}, "'seed' must be an integer"),
+    ({"seed": None}, "'seed' must be an integer"),
+    ({"kind": 5}, "'kind' must be a string"),
+    ({"kind": "file", "embedding_path": 5}, "'embedding_path' must be a string"),
+    ([("dimension", 16)], "must be an object"),
+])
+def test_from_dict_rejects_unknown_and_mistyped_fields(data, message):
+    with pytest.raises(ValueError) as exc:
+        EncoderConfig.from_dict(data)
+    assert message in str(exc.value)
+
+
 def test_determinism_bitwise():
     cfg = EncoderConfig(dimension=32, seed=9)
     a = encode_tokens(["the", "baby", "cries"], cfg)

@@ -1,0 +1,204 @@
+"""graph_to_json against the stdlib indenting encoder kept as the oracle:
+the text must be identical byte for byte, and wherever the stdlib raises
+TypeError graph_to_json must raise it too."""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synth
+from causalkg.encoder import EncoderConfig, encode_tokens
+from causalkg.graphs import (
+    Entity,
+    KnowledgeGraph,
+    Relation,
+    Span,
+    assemble_graph,
+    graph_from_json,
+    graph_to_dict,
+    graph_to_json,
+)
+from causalkg.model import Model, extract
+from causalkg.rectify import rectify
+from causalkg.schema import load_schema
+from causalkg.senses import link_senses, load_inventory
+from causalkg.training import TrainConfig, train
+
+SCICLAIM = load_schema("sciclaim")
+
+
+def oracle(graph, extras=None):
+    doc = graph_to_dict(graph)
+    doc.update(extras or {})
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def assert_identical(graph, extras=None):
+    assert graph_to_json(graph, extras) == oracle(graph, extras)
+
+
+def inventory_for(encoder, vocabulary, rng):
+    lines = []
+    for i, token in enumerate(vocabulary):
+        vector = rng.standard_normal(encoder.dimension) * 0.3
+        lines.append(f"{token}.n.0{i % 3}\t{token}\t-\t" + "\t".join(repr(float(x)) for x in vector))
+    return load_inventory("\n".join(lines) + "\n")
+
+
+def test_dense_extraction_raw_and_rectified_linked():
+    model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    inventory = inventory_for(model.encoder, synth.FACTORS[:30], np.random.default_rng(8))
+    senses = relations = 0
+    for length in (4, 5, 6):
+        tokens = tuple(synth.FACTORS[length * k] for k in range(length))
+        encoding = encode_tokens(tokens, model.encoder)
+        raw = extract(tokens, tokens, model, provenance=f"d{length}")
+        fixed, log = rectify(raw, SCICLAIM)
+        linked = link_senses(fixed, encoding, inventory, threshold=0.0)
+        assert_identical(raw)
+        assert_identical(linked)
+        assert_identical(linked, {"rectification": [rec.to_dict() for rec in log]})
+        # rectify leaves these graphs nearly empty, so senses are linked on the raw graph too
+        linked_raw = link_senses(raw, encoding, inventory, threshold=0.0)
+        assert_identical(linked_raw)
+        relations += len(raw.relations)
+        senses += sum(len(e.senses) for e in linked_raw.entities)
+    assert relations > 300 and senses
+
+
+def test_trained_extraction():
+    dataset = synth.build_corpus()
+    encoder = EncoderConfig(dimension=64, seed=0, context_window=1)
+    model = train(dataset, SCICLAIM, TrainConfig(epochs=10, learning_rate=2.5, seed=0,
+                                                 neg_entity_count=50, neg_relation_count=20),
+                  encoder_config=encoder)
+    elements = 0
+    for ex in dataset:
+        graph = extract(ex.tokens, ex.lemmas, model, provenance=ex.provenance)
+        assert_identical(graph)
+        elements += len(graph.relations) + sum(len(e.attributes) for e in graph.entities)
+    assert elements
+
+
+def test_criterion_4_graphs():
+    # the graphs and rectified graphs of criterion 4 (same seed and count)
+    rng = np.random.default_rng(404)
+    for i in range(500):
+        g = synth.random_sciclaim_graph(rng, provenance=f"a{i}")
+        fixed, log = rectify(g, SCICLAIM)
+        assert_identical(g)
+        assert_identical(fixed, {"rectification": [rec.to_dict() for rec in log]})
+
+
+def test_empty_graph_and_empty_extras():
+    empty = assemble_graph([], None, [])
+    assert graph_to_json(empty) == oracle(empty)
+    assert '"tokens": []' in graph_to_json(empty)
+    assert_identical(empty, {"rectification": []})
+    assert_identical(empty, {"notes": [{}], "more": [{"a": None, "b": True, "c": 3, "\u00e9": "\u2028\ud800"}]})
+
+
+def test_numbers_outside_the_library_value_range():
+    # hand-built graphs reach the number formats no assembled graph holds
+    e = Entity("e", Span(False, True), "t", math.nan,
+               attributes=(("a", math.inf),), senses=(("s", -math.inf), ("r", 1)))
+    g = KnowledgeGraph(
+        tokens=("x",), lemmas=("x",), entities=(e,),
+        relations=(Relation("e", "e", "q", np.float64(0.25)), Relation("e", "e", "q", 1),
+                   Relation("e", "e", "q", math.nan), Relation("e", "e", "q", -0.0),
+                   Relation("e", "e", "q", None)),
+    )
+    text = graph_to_json(g)
+    assert text == oracle(g)
+    assert '"start": false' in text and '"confidence": NaN' in text and "-Infinity" in text
+    for bad in (math.inf, -math.inf, math.nan):
+        # plain floats only, so that a non-finite one is the sole odd value
+        floats = replace(g, relations=(Relation("e", "e", "q", 0.5), Relation("e", "e", "r", bad)))
+        assert graph_to_json(floats) == oracle(floats)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_graph(["a", "b"], None, [("e", Span(np.int64(0), np.int64(1)), "t", 1.0)]),
+    lambda: assemble_graph(["a", "b"], None, [("e", Span(0, np.int64(2)), "t", 1.0)]),
+    lambda: KnowledgeGraph(("a",), ("a",), (Entity("e", Span(0, 1), "t", 0.5, senses=(("s", np.int32(1)),)),), ()),
+    lambda: KnowledgeGraph(("a",), ("a",), (), (Relation("e", "f", "q", 0.5), Relation("e", "f", "q", np.int64(1)))),
+    lambda: KnowledgeGraph(("a",), ("a",), (Entity(frozenset(), Span(0, 1), "t", 0.5),), ()),
+])
+def test_type_error_wherever_the_stdlib_raises_it(make):
+    graph = make()
+    with pytest.raises(TypeError):
+        oracle(graph)
+    with pytest.raises(TypeError):
+        graph_to_json(graph)
+
+
+@pytest.mark.parametrize("graph", [
+    KnowledgeGraph(("a",), ("a",), (Entity(5, Span(0, 1), "t", 0.5),), ()),
+    KnowledgeGraph((None,), ("a",), (), ()),
+    KnowledgeGraph(("a",), ("a",), (), (Relation("e", "f", "q", [0.5]),)),
+])
+def test_type_error_on_fields_no_assembled_graph_holds(graph):
+    # the stdlib would write these; the fixed layout takes only a str where
+    # graph_to_dict puts a string and only a scalar where it puts a number
+    oracle(graph)
+    with pytest.raises(TypeError):
+        graph_to_json(graph)
+
+
+TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
+          "\ud800", "\udfff", "\U0001f600", "\U00010348", "\u00e9", "/", "-", ">", "#"]
+TEXT = st.text(st.sampled_from(TRICKY) | st.characters(blacklist_categories=()), max_size=5)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-07, 0.1, 1 / 3, 1.0]
+CONFIDENCE = st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0)
+SENSE_CONFIDENCE = (
+    st.sampled_from(EDGE_FLOATS + [1e16, -1e16, 1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 5))
+    tokens = draw(st.lists(TEXT, min_size=n, max_size=n))
+    lemmas = draw(st.none() | st.lists(TEXT, min_size=n, max_size=n))
+    all_spans = [Span(s, e) for s in range(n) for e in range(s + 1, n + 1)]
+    spans = draw(st.lists(st.sampled_from(all_spans), unique=True, max_size=5)) if all_spans else []
+    ids = draw(st.lists(TEXT, min_size=len(spans), max_size=len(spans), unique=True))
+    entities = [(i, span, draw(TEXT), draw(CONFIDENCE)) for i, span in zip(ids, spans)]
+    attributes = [(i, t, draw(CONFIDENCE)) for i in ids for t in draw(st.lists(TEXT, unique=True, max_size=2))]
+    senses = [(i, s, draw(SENSE_CONFIDENCE)) for i in ids for s in draw(st.lists(TEXT, max_size=2))]
+    pairs = [(h, t) for h in ids for t in ids if h != t]
+    triples = draw(st.lists(st.tuples(st.sampled_from(pairs), TEXT), unique=True, max_size=8)) if pairs else []
+    relations = [(h, t, rel_type, draw(CONFIDENCE)) for (h, t), rel_type in triples]
+    return assemble_graph(tokens, lemmas, entities, attributes, relations,
+                          provenance=draw(TEXT), senses=senses)
+
+
+def test_random_graphs_match_the_stdlib_and_round_trip():
+    chars, numbers, parts = set(), set(), set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(graphs())
+    def check(graph):
+        text = graph_to_json(graph)
+        assert text == oracle(graph)
+        assert graph_from_json(text) == graph
+        # what the drawn graphs hold, to check below that they reach the hard cases
+        strings = [*graph.tokens, *graph.lemmas, graph.provenance]
+        for e in graph.entities:
+            strings += [e.id, e.entity_type, *(t for t, _ in e.attributes), *(s for s, _ in e.senses)]
+        strings += [r.relation_type for r in graph.relations]
+        chars.update(c for c in TRICKY if any(c in s for s in strings))
+        numbers.update(x for x in ("-0.0", "5e-324", "1e-07", "1e+16") if x in text)
+        parts.update(["relation"] if graph.relations else [])
+        parts.update(["sense"] if any(e.senses for e in graph.entities) else [])
+
+    check()
+    assert {'"', "\\", "\x00", "\x1f", "\u2028", "\ud800", "\U0001f600"} <= chars
+    assert numbers == {"-0.0", "5e-324", "1e-07", "1e+16"}
+    assert parts == {"relation", "sense"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,69 @@ def test_relation_endpoints_always_resolve():
         ids = set(g.entity_by_id())
         for r in g.relations:
             assert r.head in ids and r.tail in ids
+
+
+def test_assemble_graph_attaches_senses_in_rank_order():
+    g = assemble_graph(
+        ["cat", "dog"], None,
+        [("e0", Span(0, 1), "element", 0.9), ("e1", Span(1, 2), "element", 0.8)],
+        attributes=[("e1", "negated", 0.7)],
+        senses=[("e0", "cat.n.01", 0.8), ("e0", "cat.n.02", 1.5), ("e1", "dog.n.01", -0.25)],
+    )
+    assert g.entities[0].senses == (("cat.n.01", 0.8), ("cat.n.02", 1.5))
+    assert g.entities[1].senses == (("dog.n.01", -0.25),)
+    assert g.entities[1].attributes == (("negated", 0.7),)
+    with pytest.raises(DanglingReferenceError):
+        assemble_graph(["a"], None, [("e0", Span(0, 1), "element", 1.0)], senses=[("e9", "s", 0.5)])
+
+
+@pytest.mark.parametrize("sense, confidence", [
+    (5, 0.5),
+    (None, 0.5),
+    ("cat.n.01", float("nan")),
+    ("cat.n.01", float("inf")),
+    ("cat.n.01", float("-inf")),
+])
+def test_graph_from_dict_rejects_bad_senses(sense, confidence):
+    doc = graph_to_dict(assemble_graph(["cat"], None, [("e0", Span(0, 1), "element", 0.9)]))
+    doc["entities"][0]["senses"] = [{"sense": sense, "confidence": confidence}]
+    with pytest.raises(GraphError):
+        graph_from_dict(doc)
+    with pytest.raises(GraphError):
+        graph_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc", [[], "graph", 5, None])
+def test_graph_from_dict_rejects_a_non_object(doc):
+    with pytest.raises(GraphError, match="must be an object"):
+        graph_from_dict(doc)
+
+
+def test_graph_from_dict_keeps_existing_checks():
+    doc = graph_to_dict(assemble_graph(
+        ["a", "b"], None,
+        [("e0", Span(0, 1), "element", 0.9), ("e1", Span(1, 2), "element", 0.8)],
+        relations=[("e0", "e1", "q+", 0.5)],
+    ))
+    for edit, error in [
+        (lambda d: d["entities"][0].update(confidence=1.5), BadConfidenceError),
+        (lambda d: d["entities"][1].update(start=0, end=1), DuplicateSpanTypeError),
+        (lambda d: d["relations"][0].update(tail="e0"), SelfLoopError),
+        (lambda d: d["relations"][0].update(tail="e9"), DanglingReferenceError),
+        (lambda d: d["entities"][0].update(attributes=[{"type": "x"}]), GraphError),
+        (lambda d: d.pop("tokens"), GraphError),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        with pytest.raises(error):
+            graph_from_dict(bad)
+
+
+def test_outgoing_index_matches_a_relation_scan():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        g = random_sciclaim_graph(rng)
+        for e in g.entities:
+            assert g.outgoing(e.id) == tuple(r for r in g.relations if r.head == e.id)
+            assert g.entity(e.id) is e
+        assert g.outgoing("no such id") == ()

@@ -422,3 +422,58 @@ def test_pattern_from_dict_returns_a_pattern_or_raises_query_error(doc):
     assert pattern.entity_type == doc.get("entity_type")
     for key in ("lemma_any_of", "required_attributes"):
         assert getattr(pattern, key) == (frozenset(doc[key]) if key in doc else None)
+
+
+def scan_matches(pattern, graph, entity):
+    """NodePattern.matches without the per-graph index: every tested node
+    rebuilds entity_by_id and scans all relations for its outgoing edges."""
+    if pattern.lemma_any_of is not None and not (pattern.lemma_any_of & graph.entity_lemmas(entity)):
+        return False
+    if pattern.entity_type is not None and entity.entity_type != pattern.entity_type:
+        return False
+    if pattern.required_attributes is not None and not (pattern.required_attributes <= entity.attribute_types()):
+        return False
+    if pattern.role_constraints is not None:
+        by_id = graph.entity_by_id()
+        for rel_type, sub in pattern.role_constraints:
+            if not any(
+                r.relation_type == rel_type and scan_matches(sub, graph, by_id[r.tail])
+                for r in graph.relations
+                if r.head == entity.id
+            ):
+                return False
+    return True
+
+
+@st.composite
+def role_patterns(draw, lemmas, relation_types, depth=2):
+    lemma_any_of = draw(st.none() | st.frozensets(st.sampled_from(lemmas), max_size=3))
+    entity_type = draw(st.none() | st.sampled_from(["element", "qualifier"]))
+    attributes = draw(st.none() | st.just(frozenset()) | st.just(frozenset({"negated"})))
+    roles = None
+    if depth and draw(st.booleans()):
+        sub = role_patterns(lemmas, relation_types, depth - 1)
+        roles = tuple(draw(st.lists(st.tuples(st.sampled_from(relation_types), sub), min_size=1, max_size=2)))
+    if lemma_any_of is None and entity_type is None and attributes is None and roles is None:
+        entity_type = "element"
+    return NodePattern(lemma_any_of, entity_type, attributes, roles)
+
+
+def test_role_matches_agree_with_a_relation_scan():
+    role_hits = [0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def check(seed, hubs, data):
+        rng = np.random.default_rng(seed)
+        corpus = random_hub_corpus(rng) if hubs else random_ethno_corpus(rng)
+        lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
+        relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
+        pattern = data.draw(role_patterns(lemmas, relation_types))
+        for g, e in corpus.nodes().values():
+            got = pattern.matches(g, e)
+            assert got == scan_matches(pattern, g, e)
+            role_hits[0] += got and pattern.role_constraints is not None
+
+    check()
+    assert role_hits[0] > 10

@@ -78,6 +78,44 @@ def test_load_dataset():
     assert ex.provenance == "ex0"
 
 
+def dataset_text(**changes):
+    example = {
+        "tokens": ["A", "causes", "B"],
+        "entities": [{"start": 0, "end": 1, "type": "factor"}, {"start": 2, "end": 3, "type": "factor"}],
+        "attributes": [{"entity": 1, "type": "causation"}],
+        "relations": [{"head": 1, "tail": 0, "type": "arg0"}],
+    }
+    for path, value in changes.items():
+        *keys, last = path.split(".")
+        target = example
+        for key in keys:
+            target = target[int(key)] if key.isdigit() else target[key]
+        target[last] = value
+    return json.dumps([{"tokens": ["ok"], "entities": []}, example])
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"tokens": "abc"}, "'tokens' must be a list of strings"),
+    ({"tokens": ["A", 5, "B"]}, "'tokens' must be a list of strings"),
+    ({"lemmas": "abc"}, "'lemmas' must be a list of strings"),
+    ({"entities.0.start": 0.9, "entities.0.end": 1.5}, "'entities[0].start' must be an integer, got 0.9"),
+    ({"entities.1.end": 3.0}, "'entities[1].end' must be an integer"),
+    ({"relations.0.head": True}, "'relations[0].head' must be an integer, got True"),
+    ({"relations.0.tail": "0"}, "'relations[0].tail' must be an integer"),
+    ({"attributes.0.entity": 1.0}, "'attributes[0].entity' must be an integer"),
+])
+def test_load_dataset_rejects_mistyped_fields(changes, field):
+    with pytest.raises(GraphError) as exc:
+        load_dataset(dataset_text(**changes))
+    assert f"dataset example 1: field {field}" in str(exc.value)
+
+
+@pytest.mark.parametrize("text", ['{"tokens": []}', "[5]", '["abc"]'])
+def test_load_dataset_rejects_a_non_list_of_objects(text):
+    with pytest.raises(GraphError):
+        load_dataset(text)
+
+
 def test_gold_graph():
     g = gold_graph(tiny_example())
     assert {e.id for e in g.entities} == {"e0", "e1", "e2"}
