@@ -58,10 +58,22 @@ def _load_schema_arg(value: str) -> Schema:
     return load_schema(value)
 
 
+# Top-level config keys.  train and senses accept the same ones, so that
+# one config file serves both; senses reads only "encoder".
+_CONFIG_KEYS = frozenset({"train", "encoder", "width_dim"})
+
+
 def _load_config(path: str | None) -> dict:
+    """A config file's JSON object; ValueError unless its keys are all known."""
     if path is None:
         return {}
-    return json.loads(_read(path))
+    config = json.loads(_read(path))
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path!r} must be a JSON object, got {type(config).__name__}")
+    unknown = sorted(config.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config field(s) in {path!r}: {', '.join(unknown)}")
+    return config
 
 
 def _load_graphs(path: str) -> list[KnowledgeGraph]:

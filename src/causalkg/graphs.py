@@ -359,21 +359,52 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field_error(field: str, expected: str, value) -> GraphError:
+    return GraphError(f"malformed graph document: {field} must be {expected}, got {value!r}")
+
+
 def graph_from_dict(data: Mapping) -> KnowledgeGraph:
-    """Inverse of graph_to_dict, revalidating all invariants."""
+    """Inverse of graph_to_dict, revalidating all invariants.
+
+    Offsets must be JSON integers and confidences JSON numbers (booleans
+    and numeric strings are rejected, not coerced); a GraphError names the
+    offending field, e.g. `entities[0].start`.
+    """
     if not isinstance(data, Mapping):
         raise GraphError(f"a graph document must be an object, got {type(data).__name__}")
-    entities, attributes, senses = [], [], []
+    entities, attributes, senses, relations = [], [], [], []
     try:
-        for e in data.get("entities", []):
-            ent_id = e["id"]
-            entities.append((ent_id, Span(int(e["start"]), int(e["end"])), e["type"], e["confidence"]))
-            attributes.extend((ent_id, a["type"], a["confidence"]) for a in e.get("attributes", []))
-            senses.extend((ent_id, s["sense"], s["confidence"]) for s in e.get("senses", []))
-        relations = [
-            (r["head"], r["tail"], r["type"], r["confidence"])
-            for r in data.get("relations", [])
-        ]
+        for i, e in enumerate(data.get("entities", [])):
+            ent_id, start, end, conf = e["id"], e["start"], e["end"], e["confidence"]
+            if not _is_int(start):
+                raise _field_error(f"entities[{i}].start", "an integer", start)
+            if not _is_int(end):
+                raise _field_error(f"entities[{i}].end", "an integer", end)
+            if not _is_number(conf):
+                raise _field_error(f"entities[{i}].confidence", "a number", conf)
+            entities.append((ent_id, Span(start, end), e["type"], conf))
+            for j, a in enumerate(e.get("attributes", [])):
+                if not _is_number(conf := a["confidence"]):
+                    raise _field_error(f"entities[{i}].attributes[{j}].confidence", "a number", conf)
+                attributes.append((ent_id, a["type"], conf))
+            for j, s in enumerate(e.get("senses", [])):
+                if not _is_number(conf := s["confidence"]):
+                    raise _field_error(f"entities[{i}].senses[{j}].confidence", "a number", conf)
+                senses.append((ent_id, s["sense"], conf))
+        for i, r in enumerate(data.get("relations", [])):
+            if not _is_number(conf := r["confidence"]):
+                raise _field_error(f"relations[{i}].confidence", "a number", conf)
+            relations.append((r["head"], r["tail"], r["type"], conf))
         return assemble_graph(
             data["tokens"],
             data.get("lemmas"),

@@ -291,12 +291,20 @@ def extract(
                 if scores[j] >= model.theta_a:
                     attributes.append((ent_id, attr, float(scores[j])))
 
-        # one gemv per pair: one gemm over all pairs changes the extract-trained seed-7 digest
-        for hi, (head_span, h_row) in enumerate(kept):
-            for ti, (tail_span, t_row) in enumerate(kept):
-                if hi == ti:
-                    continue
-                rep = pair_rep(
+        # Each head scores its k-1 tails as a (k-1, 1, pair_dim) stack.  matmul
+        # runs one gemv per stacked row, the call a single 1-D pair row makes,
+        # so the scores are bit-identical to scoring pair by pair; one 2-D gemm
+        # over all pairs sums in another order and changes the extract-trained
+        # seed-7 digest.  A lone entity has no pairs and makes no call.
+        ids = [ent_id for ent_id, _, _, _ in entities]
+        relation_types = model.schema.relation_types
+        block_shape = (len(kept) - 1, 1, model.pair_dim)
+        for hi, (head_span, h_row) in enumerate(kept if len(kept) > 1 else ()):
+            tails = kept[:hi] + kept[hi + 1 :]
+            tail_ids = ids[:hi] + ids[hi + 1 :]
+            block = np.empty(block_shape)
+            for row, (tail_span, t_row) in enumerate(tails):
+                block[row, 0] = pair_rep(
                     encoding.token_vectors,
                     head_span,
                     pooled[h_row],
@@ -304,12 +312,12 @@ def extract(
                     pooled[t_row],
                     model.width,
                 )
-                scores = classify_relations(model, rep)
-                for j, rel in enumerate(model.schema.relation_types):
-                    if scores[j] >= model.theta_r:
-                        relations.append(
-                            (entities[hi][0], entities[ti][0], rel, float(scores[j]))
-                        )
+            scores = classify_relations(model, block)[:, 0]
+            # row-major order: by tail, then by relation type
+            rows, cols = np.nonzero(scores >= model.theta_r)
+            head_id = ids[hi]
+            for row, j, score in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
+                relations.append((head_id, tail_ids[row], relation_types[j], score))
 
     return assemble_graph(tokens, lemmas, entities, attributes, relations, provenance=provenance)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .graphs import KnowledgeGraph
+from .graphs import KnowledgeGraph, Relation
 from .schema import ElementKey, Schema, Violation, check_constraints, element_id
 
 __all__ = ["RemovalRecord", "rectify"]
@@ -50,10 +50,13 @@ class RemovalRecord:
 
 def _weakest(violation: Violation) -> tuple[tuple[float, int, str], ElementKey]:
     """Greedy sort key and element key of the violation's weakest participant."""
-    return min(
-        ((conf, _KIND_ORDER[key[0]], eid), key)
-        for key, eid, conf in zip(violation.keys, violation.element_ids, violation.confidences)
-    )
+    # the participants of one violation differ in kind or id, so ranks never tie
+    best = best_key = None
+    for key, eid, conf in zip(violation.keys, violation.element_ids, violation.confidences):
+        rank = (conf, _KIND_ORDER[key[0]], eid)
+        if best is None or rank < best:
+            best, best_key = rank, key
+    return best, best_key
 
 
 def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list[RemovalRecord]]:
@@ -69,39 +72,61 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
     ranked = sorted(((*_weakest(v), v) for v in violations), key=itemgetter(0))
 
     by_id = graph.entity_by_id()
-    relation_keys = [("relation", r.head, r.tail, r.relation_type) for r in graph.relations]
-    incident: dict[str, list[int]] = {}  # entity id -> relation indices, in graph order
-    for i, r in enumerate(graph.relations):
-        incident.setdefault(r.head, []).append(i)
-        incident.setdefault(r.tail, []).append(i)
+    incident: dict[str, list[Relation]] = {}  # entity id -> relations, in graph order
+    for r in graph.relations:
+        incident.setdefault(r.head, []).append(r)
+        incident.setdefault(r.tail, []).append(r)
 
-    removed: set[ElementKey] = set()
+    # An attribute is gone iff its entity or the attribute itself was removed,
+    # a relation iff an endpoint or the relation itself was.  So a cascade
+    # only logs; it adds nothing to these sets.
+    gone_entities: set[str] = set()
+    gone_attributes: set[tuple[str, str]] = set()  # (entity id, attribute type)
+    gone_relations: set[tuple[str, str, str]] = set()  # (head, tail, relation type)
     log: list[RemovalRecord] = []
     for (confidence, _, removed_id), key, violation in ranked:
-        if not removed.isdisjoint(violation.keys):
+        lost = False  # has a participant gone?
+        for k in violation.keys:
+            if k[1] in gone_entities:
+                lost = True
+            elif k[0] == "attribute":
+                lost = k[1:] in gone_attributes
+            elif k[0] == "relation":
+                lost = k[2] in gone_entities or k[1:] in gone_relations
+            if lost:
+                break
+        if lost:
             continue
         cause = violation.kind
-        removed.add(key)
         log.append(RemovalRecord(removed_id, key[0], confidence, cause))
-        if key[0] != "entity":
+        if key[0] == "attribute":
+            gone_attributes.add(key[1:])
             continue
-        entity = by_id[key[1]]
-        for attr, conf in entity.attributes:
-            attr_key = ("attribute", entity.id, attr)
-            if attr_key not in removed:
-                removed.add(attr_key)
-                log.append(RemovalRecord(element_id(attr_key), "attribute", conf, cause, cascade=True))
-        for i in incident.get(entity.id, ()):
-            if relation_keys[i] not in removed:
-                removed.add(relation_keys[i])
-                r = graph.relations[i]
+        if key[0] == "relation":
+            gone_relations.add(key[1:])
+            continue
+        ent_id = key[1]
+        gone_entities.add(ent_id)
+        for attr, conf in by_id[ent_id].attributes:
+            if (ent_id, attr) not in gone_attributes:
+                attr_id = element_id(("attribute", ent_id, attr))
+                log.append(RemovalRecord(attr_id, "attribute", conf, cause, cascade=True))
+        for r in incident.get(ent_id, ()):
+            other = r.tail if r.head == ent_id else r.head
+            if other not in gone_entities and (r.head, r.tail, r.relation_type) not in gone_relations:
                 log.append(RemovalRecord(r.id, "relation", r.confidence, cause, cascade=True))
 
     entities = []
     for e in graph.entities:
-        if ("entity", e.id) in removed:
+        if e.id in gone_entities:
             continue
-        kept = tuple(p for p in e.attributes if ("attribute", e.id, p[0]) not in removed)
+        kept = tuple(p for p in e.attributes if (e.id, p[0]) not in gone_attributes)
         entities.append(e if len(kept) == len(e.attributes) else replace(e, attributes=kept))
-    relations = tuple(r for r, k in zip(graph.relations, relation_keys) if k not in removed)
+    relations = tuple(
+        r
+        for r in graph.relations
+        if r.head not in gone_entities
+        and r.tail not in gone_entities
+        and (r.head, r.tail, r.relation_type) not in gone_relations
+    )
     return replace(graph, entities=tuple(entities), relations=relations), log

@@ -229,7 +229,7 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
     Pure and order-independent: the result is sorted by (kind, element ids).
     """
     _check_known_types(graph, schema)
-    by_id = graph.entity_by_id()
+    endpoint = {e.id: (e.entity_type, e.confidence) for e in graph.entities}
     out: list[Violation] = []
 
     for e in graph.entities:
@@ -262,13 +262,14 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
         heads, tails = sig
         keys: list[ElementKey] = [("relation", r.head, r.tail, r.relation_type)]
         confs: list[float] = [r.confidence]
-        head_ent, tail_ent = by_id[r.head], by_id[r.tail]
-        if head_ent.entity_type not in heads:
-            keys.append(("entity", head_ent.id))
-            confs.append(head_ent.confidence)
-        if tail_ent.entity_type not in tails:
-            keys.append(("entity", tail_ent.id))
-            confs.append(tail_ent.confidence)
+        head_type, head_conf = endpoint[r.head]
+        tail_type, tail_conf = endpoint[r.tail]
+        if head_type not in heads:
+            keys.append(("entity", r.head))
+            confs.append(head_conf)
+        if tail_type not in tails:
+            keys.append(("entity", r.tail))
+            confs.append(tail_conf)
         if len(keys) > 1:
             out.append(Violation("RelationSignature", tuple(keys), tuple(confs)))
 

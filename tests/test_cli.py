@@ -437,6 +437,46 @@ def test_train_mistyped_encoder_config_exits_2(workdir, capsys, change, message)
     assert not (workdir / "model.json").exists()
 
 
+def run_senses(workdir, config):
+    """senses over one extracted-style graph with a one-line inventory."""
+    (workdir / "graph.json").write_text(json.dumps({
+        "tokens": ["rain", "falls"],
+        "entities": [{"id": "a", "start": 0, "end": 1, "type": "factor", "confidence": 1.0}],
+        "relations": [],
+    }))
+    (workdir / "inventory.tsv").write_text("rain.n.01\train\t-\t" + "\t".join(["0.25"] * 16) + "\n")
+    return main([
+        "senses", "--input", str(workdir / "graph.json"),
+        "--inventory", str(workdir / "inventory.tsv"), "--threshold", "-1.0",
+        "--config", str(config), "--out", str(workdir / "linked.json"),
+    ])
+
+
+@pytest.mark.parametrize("command", ["train", "senses"])
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "must be a JSON object, got list"),
+    ("config", "must be a JSON object, got str"),
+    ({"widthdim": 4, "encoder": {"dimension": 16}}, "unknown config field(s)"),
+    ({"train": {}, "trian": {}, "encodr": {}}, "encodr, trian"),
+])
+def test_config_must_be_an_object_of_known_keys(workdir, capsys, command, doc, message):
+    config = workdir / "config.json"
+    config.write_text(json.dumps(doc))
+    code = run_train(workdir) if command == "train" else run_senses(workdir, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (workdir / "model.json").exists() and not (workdir / "linked.json").exists()
+
+
+def test_train_and_senses_share_one_config_file(workdir):
+    # the workdir config holds train, encoder and width_dim
+    assert run_train(workdir) == 0
+    assert run_senses(workdir, workdir / "config.json") == 0
+    linked = json.loads((workdir / "linked.json").read_text())
+    assert linked["entities"][0]["senses"]
+
+
 @pytest.mark.parametrize("change, message", [
     (((1, "tokens"), "abc"), "dataset example 1: field 'tokens' must be a list of strings"),
     (((0, "entities", 0, "start"), 0.9), "dataset example 0: field 'entities[0].start' must be an integer"),

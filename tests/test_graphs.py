@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,57 @@ def test_graph_from_dict_keeps_existing_checks():
         edit(bad)
         with pytest.raises(error):
             graph_from_dict(bad)
+
+
+def typed_field_doc():
+    return graph_to_dict(assemble_graph(
+        ["a", "b"], None,
+        [("e0", Span(0, 1), "element", 0.9), ("e1", Span(1, 2), "element", 0.8)],
+        attributes=[("e1", "negated", 0.7)],
+        relations=[("e0", "e1", "q+", 0.5)],
+        senses=[("e0", "a.n.01", 0.25)],
+    ))
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("entities", 0, "start"), 0.9, "entities[0].start"),
+    (("entities", 0, "start"), False, "entities[0].start"),
+    (("entities", 1, "end"), True, "entities[1].end"),
+    (("entities", 1, "end"), "2", "entities[1].end"),
+    (("entities", 1, "end"), 2.0, "entities[1].end"),
+    (("entities", 0, "confidence"), "0.5", "entities[0].confidence"),
+    (("entities", 1, "confidence"), True, "entities[1].confidence"),
+    (("entities", 1, "attributes", 0, "confidence"), False, "entities[1].attributes[0].confidence"),
+    (("entities", 1, "attributes", 0, "confidence"), "0.7", "entities[1].attributes[0].confidence"),
+    (("entities", 0, "senses", 0, "confidence"), "0.25", "entities[0].senses[0].confidence"),
+    (("relations", 0, "confidence"), "0.5", "relations[0].confidence"),
+    (("relations", 0, "confidence"), True, "relations[0].confidence"),
+    (("relations", 0, "confidence"), None, "relations[0].confidence"),
+])
+def test_graph_from_dict_rejects_mistyped_offsets_and_confidences(path, value, field):
+    doc = typed_field_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(GraphError, match=re.escape(field)):
+        graph_from_dict(doc)
+
+
+def test_graph_from_dict_does_not_coerce_a_span_or_confidence():
+    doc = typed_field_doc()
+    doc["entities"][0].update({"start": 0.9, "end": True, "confidence": "0.5"})
+    with pytest.raises(GraphError, match=re.escape("entities[0].start must be an integer, got 0.9")):
+        graph_from_dict(doc)
+
+
+def test_graph_from_dict_accepts_integer_confidences():
+    doc = typed_field_doc()
+    doc["entities"][0]["confidence"] = 1
+    doc["relations"][0]["confidence"] = 0
+    g = graph_from_dict(doc)
+    assert g.entities[0].confidence == 1.0 and g.relations[0].confidence == 0.0
+    assert graph_from_dict(graph_to_dict(g)) == g
 
 
 def test_outgoing_index_matches_a_relation_scan():

@@ -19,6 +19,7 @@ from causalkg.model import (
     load_model,
     pair_rep,
     save_model,
+    sigmoid,
     span_attention,
     span_representations,
 )
@@ -368,3 +369,37 @@ def test_initialize_validates():
         Model.initialize(schema, EncoderConfig(dimension=8), theta_r=1.5)
     with pytest.raises(ValueError):
         Model.initialize(schema, EncoderConfig(dimension=8), width_dim=0)
+
+
+STACKED_GEMV_BROKEN = (
+    "numpy's matmul dispatch changed: a (n, 1, k) stack no longer scores each row "
+    "bit for bit like a 1-D row, so extract's stacked pair scoring is no longer "
+    "byte-identical to scoring pair by pair"
+)
+
+
+def test_stacked_rows_score_like_single_rows():
+    # extract scores each head's pairs as one (k-1, 1, pair_dim) stack; its
+    # graphs and the bench digests stay byte-identical only while matmul runs
+    # one gemv per stacked row, exactly as for a single 1-D row
+    default = Model.initialize(load_schema("sciclaim"), EncoderConfig())
+    rng = np.random.default_rng(2024)
+    shapes = [(1, default.pair_dim, 7), (2, default.pair_dim, 7), (300, default.pair_dim, 7)]
+    shapes += [tuple(int(x) for x in rng.integers(1, [400, 300, 12])) for _ in range(30)]
+    for n, k, t in shapes:
+        B = rng.standard_normal((n, k))
+        W = rng.standard_normal((t, k))
+        stacked = (np.ascontiguousarray(B[:, None, :]) @ W.T)[:, 0]
+        single = np.array([B[i] @ W.T for i in range(n)])
+        assert np.array_equal(stacked, single), f"{STACKED_GEMV_BROKEN} (shape {(n, k, t)})"
+        z = 4 * rng.standard_normal((n, t))
+        assert np.array_equal(
+            sigmoid(z), np.array([sigmoid(row) for row in z])
+        ), f"{STACKED_GEMV_BROKEN}: sigmoid of a batch differs from sigmoid of its rows"
+
+    m = small_model(seed=3, d=16, width_dim=4)
+    block = rng.standard_normal((9, 1, m.pair_dim))
+    scores = classify_relations(m, block)
+    assert scores.shape == (9, 1, len(m.schema.relation_types))
+    for i in range(9):
+        assert np.array_equal(scores[i, 0], classify_relations(m, block[i, 0])), STACKED_GEMV_BROKEN

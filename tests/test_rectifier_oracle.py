@@ -1,6 +1,9 @@
 """The one-scan rectifier against the original re-scanning loop: both must
 return the same graph and the same removal log, record for record."""
 
+import importlib
+import re
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,7 @@ from causalkg.encoder import EncoderConfig
 from causalkg.graphs import Span, assemble_graph
 from causalkg.model import Model, extract
 from causalkg.rectify import rectify
-from causalkg.schema import load_schema
+from causalkg.schema import check_constraints, load_schema
 from rectify_reference import reference_rectify
 
 SCICLAIM = load_schema("sciclaim")
@@ -42,6 +45,80 @@ def test_untrained_extractions_match_reference():
             graph = extract(tokens, tokens, model, provenance=f"d{length}_{offset}")
             assert len(graph.relations) > 100
             assert_matches_reference(graph)
+
+
+def relations_scaled(graph, factor):
+    """The graph with every relation confidence multiplied by factor."""
+    return assemble_graph(
+        graph.tokens, graph.lemmas,
+        [(e.id, e.span, e.entity_type, e.confidence) for e in graph.entities],
+        [(e.id, attr, conf) for e in graph.entities for attr, conf in e.attributes],
+        [(r.head, r.tail, r.relation_type, r.confidence * factor) for r in graph.relations],
+        provenance=graph.provenance,
+    )
+
+
+def relations_removed_before_an_endpoint(log):
+    """Relations removed on their own, then cascaded past when an endpoint entity goes."""
+    removed_entities = {rec.element_id: i for i, rec in enumerate(log) if rec.kind == "entity"}
+    return [
+        rec.element_id
+        for i, rec in enumerate(log)
+        if rec.kind == "relation" and not rec.cascade
+        and any(removed_entities.get(end, -1) > i for end in re.split("->|:", rec.element_id)[:2])
+    ]
+
+
+def test_longer_untrained_extractions_match_reference():
+    # 7-8 tokens keep 28-36 spans: 5-9k relations, nearly all removed by cascade.
+    # With relation confidences scaled below the entities', some relations are
+    # removed on their own before an endpoint entity is.
+    model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    explicit_first = []
+    for length in (7, 8):
+        tokens = tuple(synth.FACTORS[(17 + length * k) % len(synth.FACTORS)] for k in range(length))
+        graph = extract(tokens, tokens, model, provenance=f"d{length}")
+        assert len(graph.relations) > 5000
+        assert_matches_reference(graph)
+        scaled = relations_scaled(graph, 0.35)
+        assert_matches_reference(scaled)
+        explicit_first += relations_removed_before_an_endpoint(rectify(scaled, SCICLAIM)[1])
+    assert len(explicit_first) >= 10
+
+
+def test_a_relation_removed_before_its_entity_is_not_cascaded_again():
+    graph = assemble_graph(
+        ["a", "b"], None,
+        [("e0", Span(0, 1), "factor", 0.2), ("e1", Span(1, 2), "factor", 0.95)],
+        attributes=[("e0", "causation", 0.9)],  # causation only decorates associations
+        relations=[("e0", "e1", "q+", 0.1), ("e0", "e1", "q-", 0.15)],  # exclusive pair
+    )
+    fixed, log = rectify(graph, SCICLAIM)
+    assert [(rec.element_id, rec.violation_kind, rec.cascade) for rec in log] == [
+        ("e0->e1:q+", "ExclusiveRelations", False),
+        ("e0", "AttributeDomain", False),
+        ("e0#causation", "AttributeDomain", True),
+        ("e0->e1:q-", "AttributeDomain", True),
+    ]
+    assert [e.id for e in fixed.entities] == ["e1"] and fixed.relations == ()
+    assert_matches_reference(graph)
+
+
+def test_rectify_scans_the_constraints_once(monkeypatch):
+    rectify_module = importlib.import_module("causalkg.rectify")
+    calls = []
+
+    def counting_check_constraints(graph, schema):
+        calls.append(graph)
+        return check_constraints(graph, schema)
+
+    monkeypatch.setattr(rectify_module, "check_constraints", counting_check_constraints)
+    model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    tokens = tuple(synth.FACTORS[:6])
+    graph = extract(tokens, tokens, model)
+    _, log = rectify(graph, SCICLAIM)
+    assert len(log) > 1000
+    assert calls == [graph]
 
 
 # Confidences from a small set make ties between participants common, so the

@@ -1,14 +1,16 @@
 """Training and extraction against the per-pair reference loops: losses,
 gradients, trained parameters and extracted graphs must be bit-identical."""
 
+import importlib
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
 from causalkg.encoder import EncoderConfig
-from causalkg.graphs import Span
-from causalkg.model import PARAM_GROUPS, Model, enumerate_spans, extract
+from causalkg.graphs import Span, graph_to_json
+from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract
 from causalkg.schema import load_schema
 from causalkg.training import (
     Example,
@@ -147,3 +149,71 @@ def test_trained_extraction_matches_reference():
         relations += len(graph.relations)
         assert graph == reference_extract(tokens, None, model, provenance="t")
     assert relations > 0
+
+
+def assert_extract_matches_reference(tokens, model):
+    graph = extract(tokens, None, model, provenance="o")
+    ref = reference_extract(tokens, None, model, provenance="o")
+    assert graph == ref
+    assert graph_to_json(graph) == graph_to_json(ref)  # every float bit for bit
+    return graph
+
+
+def test_dense_extraction_matches_reference_across_sentence_lengths():
+    # untrained models keep most spans; seed 0 keeps 0, 1 and 2 of them at
+    # lengths 8, 9 and 10, which covers the empty and one-row stacks
+    kept = set()
+    for seed in (0, 3):
+        model = Model.initialize(SCICLAIM, EncoderConfig(), seed=seed)
+        for n in range(1, 13):
+            tokens = tuple(synth.FACTORS[(7 * seed + 3 * n + j) % len(synth.FACTORS)] for j in range(n))
+            kept.add(len(assert_extract_matches_reference(tokens, model).entities))
+    assert {0, 1, 2} <= kept and max(kept) >= 70
+
+
+def test_relation_threshold_on_an_observed_score_keeps_the_tie():
+    model = Model.initialize(SCICLAIM, EncoderConfig(), seed=3)
+    tokens = tuple(synth.FACTORS[:5])
+    scores = sorted({r.confidence for r in extract(tokens, None, model).relations})
+    model.theta_r = scores[len(scores) // 2]
+    graph = assert_extract_matches_reference(tokens, model)
+    assert any(r.confidence == model.theta_r for r in graph.relations)
+    assert all(r.confidence >= model.theta_r for r in graph.relations)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    dimension=st.sampled_from((4, 16, 64)),
+    words=st.lists(st.integers(0, len(synth.FACTORS) - 1), max_size=7),
+    theta_r=st.floats(0.05, 0.95),
+)
+def test_random_dense_extractions_match_reference(seed, dimension, words, theta_r):
+    model = Model.initialize(
+        SCICLAIM, EncoderConfig(dimension=dimension, seed=seed), theta_r=theta_r, seed=seed
+    )
+    assert_extract_matches_reference(tuple(synth.FACTORS[w] for w in words), model)
+
+
+def test_extract_scores_each_pair_once(monkeypatch):
+    model_module = importlib.import_module("causalkg.model")
+    pair_rep = model_module.pair_rep
+    pair_calls, cells = [], []
+
+    def counting_pair_rep(*args):
+        pair_calls.append(1)
+        return pair_rep(*args)
+
+    def counting_classify_relations(model, reps):
+        scores = classify_relations(model, reps)
+        cells.append(scores.size)
+        return scores
+
+    monkeypatch.setattr(model_module, "pair_rep", counting_pair_rep)
+    monkeypatch.setattr(model_module, "classify_relations", counting_classify_relations)
+    model = Model.initialize(SCICLAIM, EncoderConfig(), seed=3)
+    graph = extract(tuple(synth.FACTORS[:6]), None, model)
+    k = len(graph.entities)
+    assert k == 21
+    assert len(pair_calls) == k * (k - 1)
+    assert sum(cells) == k * (k - 1) * len(SCICLAIM.relation_types)
