@@ -15,7 +15,7 @@ import sys
 
 from .dot import emit_dot
 from .encoder import EncoderConfig, encode_tokens
-from .errors import CausalKgError, QueryError
+from .errors import CausalKgError, GraphError, QueryError
 from .evaluation import score
 from .graphs import (
     KnowledgeGraph,
@@ -82,11 +82,11 @@ def _load_graphs(path: str) -> list[KnowledgeGraph]:
         path = os.path.join(path, "manifest.json")
     data = json.loads(_read(path))
     if isinstance(data, dict) and "graphs" in data:
+        names = data["graphs"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise GraphError(f'manifest {path!r}: "graphs" must be a list of file names, got {names!r}')
         base = os.path.dirname(path)
-        return [
-            graph_from_dict(json.loads(_read(os.path.join(base, name))))
-            for name in data["graphs"]
-        ]
+        return [graph_from_dict(json.loads(_read(os.path.join(base, name)))) for name in names]
     return [graph_from_dict(data)]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +30,7 @@ __all__ = [
     "Relation",
     "KnowledgeGraph",
     "CorpusGraph",
+    "CorpusIndex",
     "assemble_graph",
     "merge_corpus",
     "graph_to_dict",
@@ -95,10 +96,15 @@ class Relation:
         return f"{self.head}->{self.tail}:{self.relation_type}"
 
 
-def _check_confidence(value: float, what: str) -> float:
+def _confidence(value, kind: str, name) -> float:
+    """The confidence as a float in [0, 1]; the error names the element.
+
+    The message is formatted only on failure, so the caller passes the
+    element's kind and name, not a rendered label.
+    """
     value = float(value)
     if not (0.0 <= value <= 1.0):
-        raise BadConfidenceError(f"{what} confidence {value} outside [0, 1]")
+        raise BadConfidenceError(f"{kind} {name!r} confidence {value} outside [0, 1]")
     return value
 
 
@@ -121,10 +127,11 @@ class KnowledgeGraph:
 
     @cached_property
     def _outgoing_index(self) -> dict[str, tuple[Relation, ...]]:
-        out: dict[str, list[Relation]] = {}
-        for r in self.relations:
-            out.setdefault(r.head, []).append(r)
-        return {head: tuple(rels) for head, rels in out.items()}
+        return _relations_by(self.relations, "head")
+
+    @cached_property
+    def _incoming_index(self) -> dict[str, tuple[Relation, ...]]:
+        return _relations_by(self.relations, "tail")
 
     def entity(self, entity_id: str) -> Entity:
         """The entity with this id, from an index built once per graph."""
@@ -134,14 +141,112 @@ class KnowledgeGraph:
         return " ".join(self.tokens[span.start : span.end])
 
     def entity_lemmas(self, entity: Entity) -> frozenset[str]:
-        return frozenset(self.lemmas[i] for i in entity.span.indices())
+        return frozenset(self.lemmas[entity.span.start : entity.span.end])
 
     def outgoing(self, entity_id: str) -> tuple[Relation, ...]:
         """Relations headed at the entity in graph order, from an index built once per graph."""
         return self._outgoing_index.get(entity_id, ())
 
+    def incoming(self, entity_id: str) -> tuple[Relation, ...]:
+        """Relations ending at the entity in graph order, from an index built once per graph."""
+        return self._incoming_index.get(entity_id, ())
+
     def with_entities(self, entities: Iterable[Entity]) -> "KnowledgeGraph":
         return replace(self, entities=tuple(entities))
+
+
+def _relations_by(relations: Iterable[Relation], end: str) -> dict[str, tuple[Relation, ...]]:
+    out: dict[str, list[Relation]] = {}
+    for r in relations:
+        out.setdefault(getattr(r, end), []).append(r)
+    return {key: tuple(rels) for key, rels in out.items()}
+
+
+class _GraphBuilder:
+    """Checks a graph's invariants as its elements are added, and builds each
+    element once.  `assemble_graph` and `graph_from_dict` both go through it.
+
+    The invariants: lemmas match the tokens one to one; entity ids are
+    unique; a span lies inside the sentence, and no two entities share one;
+    an entity holds each attribute type at most once; a sense id is a string
+    with a finite confidence; every other confidence lies in [0, 1]; a
+    relation joins two distinct known entities, at most once per type.
+    """
+
+    def __init__(self, tokens: tuple[str, ...], lemmas: tuple[str, ...] | None) -> None:
+        if lemmas is None:
+            lemmas = tuple(t.lower() for t in tokens)
+        if len(lemmas) != len(tokens):
+            raise GraphError(f"{len(lemmas)} lemmas for {len(tokens)} tokens")
+        self.tokens = tokens
+        self.lemmas = lemmas
+        self.entities: dict[str, Entity] = {}
+        self.spans: dict[tuple[int, int], str] = {}
+        self.relations: list[Relation] = []
+        self.relation_keys: set[tuple[str, str, str]] = set()
+
+    @staticmethod
+    def attribute(pairs: list[tuple[str, float]], ent_id: str, attr_type: str, conf) -> None:
+        """Append (attr_type, confidence) to the entity's attribute pairs."""
+        for t, _ in pairs:
+            if t == attr_type:
+                raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
+        pairs.append((attr_type, _confidence(conf, "attribute", attr_type)))
+
+    @staticmethod
+    def sense(pairs: list[tuple[str, float]], ent_id: str, sense, conf) -> None:
+        """Append (sense, confidence) to the entity's ranked sense pairs."""
+        if not isinstance(sense, str):
+            raise GraphError(f"sense id {sense!r} on {ent_id!r} is not a string")
+        conf = float(conf)
+        if not math.isfinite(conf):
+            raise GraphError(f"sense {sense!r} on {ent_id!r} has confidence {conf}")
+        pairs.append((sense, conf))
+
+    def entity(
+        self,
+        ent_id: str,
+        span: Span,
+        ent_type: str,
+        conf,
+        attributes: tuple[tuple[str, float], ...],
+        senses: tuple[tuple[str, float], ...],
+    ) -> None:
+        if ent_id in self.entities:
+            raise GraphError(f"duplicate entity id {ent_id!r}")
+        start, end = span.start, span.end
+        if end > len(self.tokens):
+            raise GraphError(f"span [{start}, {end}) beyond {len(self.tokens)} tokens")
+        key = (start, end)
+        if key in self.spans:
+            raise DuplicateSpanTypeError(
+                f"entities {self.spans[key]!r} and {ent_id!r} share span [{start}, {end})"
+            )
+        self.spans[key] = ent_id
+        self.entities[ent_id] = Entity(
+            ent_id, span, ent_type, _confidence(conf, "entity", ent_id), attributes, senses
+        )
+
+    def relation(self, head: str, tail: str, rel_type: str, conf) -> None:
+        if head == tail:
+            raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
+        if head not in self.entities or tail not in self.entities:
+            missing = head if head not in self.entities else tail
+            raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
+        key = (head, tail, rel_type)
+        if key in self.relation_keys:
+            raise GraphError(f"duplicate relation {key}")
+        self.relation_keys.add(key)
+        self.relations.append(Relation(head, tail, rel_type, _confidence(conf, "relation", rel_type)))
+
+    def graph(self, provenance: str) -> KnowledgeGraph:
+        return KnowledgeGraph(
+            tokens=self.tokens,
+            lemmas=self.lemmas,
+            entities=tuple(self.entities.values()),
+            relations=tuple(self.relations),
+            provenance=provenance,
+        )
 
 
 def assemble_graph(
@@ -161,86 +266,67 @@ def assemble_graph(
     senses: (entity_id, sense_id, confidence) tuples, each entity's in rank
     order; a sense confidence is any finite number.
 
-    Lemmas default to lowercased tokens when absent.
+    Lemmas default to lowercased tokens when absent.  Entity ids, all
+    types, tokens, lemmas and the provenance are converted with str();
+    `graph_from_dict` accepts only strings there.
     """
-    tokens = tuple(str(t) for t in tokens)
-    if lemmas is None:
-        lemmas = tuple(t.lower() for t in tokens)
-    else:
-        lemmas = tuple(str(l) for l in lemmas)
-    if len(lemmas) != len(tokens):
-        raise GraphError(
-            f"{len(lemmas)} lemmas for {len(tokens)} tokens"
-        )
-    n = len(tokens)
-
-    nodes: dict[str, tuple[Span, str, float]] = {}
-    seen_spans: dict[Span, str] = {}
-    for ent_id, span, ent_type, conf in entities:
-        ent_id = str(ent_id)
-        if ent_id in nodes:
-            raise GraphError(f"duplicate entity id {ent_id!r}")
-        if span.end > n:
-            raise GraphError(f"span [{span.start}, {span.end}) beyond {n} tokens")
-        if span in seen_spans:
-            raise DuplicateSpanTypeError(
-                f"entities {seen_spans[span]!r} and {ent_id!r} share span "
-                f"[{span.start}, {span.end})"
-            )
-        seen_spans[span] = ent_id
-        nodes[ent_id] = (span, str(ent_type), _check_confidence(conf, f"entity {ent_id!r}"))
-
+    builder = _GraphBuilder(
+        tuple(str(t) for t in tokens), None if lemmas is None else tuple(str(l) for l in lemmas)
+    )
+    # attributes and senses are grouped first, so each entity is built once
     attr_map: dict[str, list[tuple[str, float]]] = {}
     for ent_id, attr_type, conf in attributes:
-        if ent_id not in nodes:
-            raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
-        pairs = attr_map.setdefault(ent_id, [])
-        if any(t == attr_type for t, _ in pairs):
-            raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
-        pairs.append((str(attr_type), _check_confidence(conf, f"attribute {attr_type!r}")))
-
+        builder.attribute(attr_map.setdefault(ent_id, []), ent_id, str(attr_type), conf)
     sense_map: dict[str, list[tuple[str, float]]] = {}
     for ent_id, sense, conf in senses:
-        if ent_id not in nodes:
-            raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
-        if not isinstance(sense, str):
-            raise GraphError(f"sense id {sense!r} on {ent_id!r} is not a string")
-        conf = float(conf)
-        if not math.isfinite(conf):
-            raise GraphError(f"sense {sense!r} on {ent_id!r} has confidence {conf}")
-        sense_map.setdefault(ent_id, []).append((sense, conf))
-
-    by_id = {
-        ent_id: Entity(
-            ent_id, span, ent_type, conf,
-            tuple(attr_map.get(ent_id, ())), tuple(sense_map.get(ent_id, ())),
+        builder.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
+    for ent_id, span, ent_type, conf in entities:
+        ent_id = str(ent_id)
+        builder.entity(
+            ent_id, span, str(ent_type), conf,
+            tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
         )
-        for ent_id, (span, ent_type, conf) in nodes.items()
-    }
-
-    rel_list: list[Relation] = []
-    seen_rel: set[tuple[str, str, str]] = set()
+    for ent_id in attr_map:
+        raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
+    for ent_id in sense_map:
+        raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
+    add_relation = builder.relation
     for head, tail, rel_type, conf in relations:
-        if head == tail:
-            raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
-        if head not in by_id or tail not in by_id:
-            missing = head if head not in by_id else tail
-            raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
-        key = (head, tail, rel_type)
-        if key in seen_rel:
-            raise GraphError(f"duplicate relation {key}")
-        seen_rel.add(key)
-        rel_list.append(
-            Relation(head, tail, str(rel_type), _check_confidence(conf, f"relation {rel_type!r}"))
-        )
+        add_relation(head, tail, str(rel_type), conf)
+    return builder.graph(str(provenance))
 
-    return KnowledgeGraph(
-        tokens=tokens,
-        lemmas=lemmas,
-        entities=tuple(by_id.values()),
-        relations=tuple(rel_list),
-        provenance=str(provenance),
-    )
+
+class CorpusIndex:
+    """Lookups over a corpus's nodes, built in one pass over its entities.
+
+    nodes: global id -> (graph, entity), in corpus order.
+    lemmas: global id -> the entity's lemma set.
+    by_lemma: lemma -> the global ids of the nodes whose lemma set holds
+    it, in corpus order.
+
+    Raises GraphError when two nodes get the same global id.
+    """
+
+    __slots__ = ("nodes", "lemmas", "by_lemma")
+
+    def __init__(self, graphs: Iterable[KnowledgeGraph]) -> None:
+        nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
+        lemmas: dict[str, frozenset[str]] = {}
+        by_lemma: dict[str, list[str]] = {}
+        global_id = CorpusGraph.global_id
+        for g in graphs:
+            entity_lemmas = g.entity_lemmas
+            for e in g.entities:
+                gid = global_id(g, e)
+                if gid in nodes:
+                    raise GraphError(f"two corpus nodes share the global id {gid!r}")
+                nodes[gid] = (g, e)
+                lemmas[gid] = node_lemmas = entity_lemmas(e)
+                for lemma in node_lemmas:
+                    by_lemma.setdefault(lemma, []).append(gid)
+        self.nodes = nodes
+        self.lemmas = lemmas
+        self.by_lemma = by_lemma
 
 
 @dataclass(frozen=True)
@@ -255,21 +341,28 @@ class CorpusGraph:
     Two nodes are linked iff some hub holds both and they belong to
     different graphs; `find_paths` expands a node's hubs only when it
     reaches the node.
+
+    `index` is the corpus's `CorpusIndex`.  `merge_corpus` keeps the one
+    its pass over the entities builds; a CorpusGraph built directly builds
+    it on first use.  It takes no part in `==`, hashing or `repr`.
     """
 
     graphs: tuple[KnowledgeGraph, ...]
     lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    _index: CorpusIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def global_id(graph: KnowledgeGraph, entity: Entity) -> str:
         return f"{graph.provenance}/{entity.id}"
 
+    @property
+    def index(self) -> CorpusIndex:
+        if self._index is None:
+            object.__setattr__(self, "_index", CorpusIndex(self.graphs))
+        return self._index
+
     def nodes(self) -> dict[str, tuple[KnowledgeGraph, Entity]]:
-        out: dict[str, tuple[KnowledgeGraph, Entity]] = {}
-        for g in self.graphs:
-            for e in g.entities:
-                out[self.global_id(g, e)] = (g, e)
-        return out
+        return dict(self.index.nodes)
 
     @property
     def lemma_links(self) -> frozenset[tuple[str, str]]:
@@ -278,12 +371,12 @@ class CorpusGraph:
         Expanded from the hubs on each access (quadratic in hub size) and
         never stored; path queries do not use it.
         """
-        provenance = {gid: g.provenance for gid, (g, _) in self.nodes().items()}
+        nodes = self.index.nodes
         links: set[tuple[str, str]] = set()
         for _, members in self.lemma_hubs:
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
-                    if provenance[a] != provenance[b]:
+                    if nodes[a][0] is not nodes[b][0]:
                         links.add((a, b))
         return frozenset(links)
 
@@ -293,10 +386,10 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
 
     A lemma link joins two entities of distinct graphs iff they share at
     least one lemma (exact string equality over each span's lemma set).
-    The links are stored as hubs (see `CorpusGraph`), built in one pass
-    over the entities.  Raises GraphError when two nodes would get the
-    same global id, e.g. entity "c" of graph "a/b" and entity "b/c" of
-    graph "a".
+    The links are stored as hubs (see `CorpusGraph`), read off the corpus
+    index that one pass over the entities builds.  Raises GraphError when
+    two nodes would get the same global id, e.g. entity "c" of graph "a/b"
+    and entity "b/c" of graph "a".
     """
     seen_prov: set[str] = set()
     for g in graphs:
@@ -304,25 +397,20 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
             raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
         seen_prov.add(g.provenance)
 
-    seen_ids: set[str] = set()
-    members: dict[str, list[str]] = {}
-    first_graph: dict[str, int] = {}
-    shared: set[str] = set()
-    for gi, g in enumerate(graphs):
-        for e in g.entities:
-            gid = CorpusGraph.global_id(g, e)
-            if gid in seen_ids:
-                raise GraphError(f"two corpus nodes share the global id {gid!r}")
-            seen_ids.add(gid)
-            if not lemma_link:
-                continue
-            for lemma in g.entity_lemmas(e):
-                members.setdefault(lemma, []).append(gid)
-                if first_graph.setdefault(lemma, gi) != gi:
-                    shared.add(lemma)
-
-    hubs = tuple((lemma, tuple(sorted(members[lemma]))) for lemma in sorted(shared))
-    return CorpusGraph(graphs=tuple(graphs), lemma_hubs=hubs)
+    index = CorpusIndex(graphs)
+    hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    if lemma_link:
+        nodes = index.nodes
+        # members are in corpus order, so a lemma spans two graphs iff its
+        # first and last members lie in different graphs
+        hubs = tuple(
+            (lemma, tuple(sorted(members)))
+            for lemma, members in sorted(index.by_lemma.items())
+            if nodes[members[0]][0] is not nodes[members[-1]][0]
+        )
+    corpus = CorpusGraph(graphs=tuple(graphs), lemma_hubs=hubs)
+    object.__setattr__(corpus, "_index", index)
+    return corpus
 
 
 def graph_to_dict(graph: KnowledgeGraph) -> dict:
@@ -373,48 +461,108 @@ def _field_error(field: str, expected: str, value) -> GraphError:
     return GraphError(f"malformed graph document: {field} must be {expected}, got {value!r}")
 
 
+_STRING, _INTEGER, _NUMBER, _LIST = "a string", "an integer", "a number", "a list"
+_FIELD_TESTS = {
+    _STRING: lambda value: isinstance(value, str),
+    _INTEGER: _is_int,
+    _NUMBER: _is_number,
+    _LIST: lambda value: isinstance(value, list),
+}
+
+
+def _check_fields(record: str, fields: Iterable[tuple[str, str, object]]) -> None:
+    """Raise the field error of the first (name, expected, value) that fails.
+
+    The loader calls this only when a cheaper test of the whole record
+    fails, so no field name is formatted for a well-typed record.
+    """
+    for name, expected, value in fields:
+        if not _FIELD_TESTS[expected](value):
+            raise _field_error(f"{record}.{name}", expected, value)
+
+
+def _strings(value, field: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; the error names the first bad item."""
+    if not isinstance(value, list):
+        raise _field_error(field, "a list of strings", value)
+    for i, s in enumerate(value):
+        if not isinstance(s, str):
+            raise _field_error(f"{field}[{i}]", _STRING, s)
+    return tuple(value)
+
+
 def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     """Inverse of graph_to_dict, revalidating all invariants.
 
-    Offsets must be JSON integers and confidences JSON numbers (booleans
-    and numeric strings are rejected, not coerced); a GraphError names the
-    offending field, e.g. `entities[0].start`.
+    Each record is read once and each element built once, through the
+    checks `assemble_graph` runs.  Nothing is coerced: `tokens` and
+    `lemmas` must be lists of strings; ids, types, `head`, `tail` and
+    `provenance` strings; offsets JSON integers and confidences JSON
+    numbers (booleans and numeric strings are rejected).  A GraphError
+    names the offending field, e.g. `entities[0].start` or `tokens[2]`.
+    A missing or null `lemmas` defaults to the lowercased tokens.
     """
     if not isinstance(data, Mapping):
         raise GraphError(f"a graph document must be an object, got {type(data).__name__}")
-    entities, attributes, senses, relations = [], [], [], []
     try:
-        for i, e in enumerate(data.get("entities", [])):
-            ent_id, start, end, conf = e["id"], e["start"], e["end"], e["confidence"]
-            if not _is_int(start):
-                raise _field_error(f"entities[{i}].start", "an integer", start)
-            if not _is_int(end):
-                raise _field_error(f"entities[{i}].end", "an integer", end)
-            if not _is_number(conf):
-                raise _field_error(f"entities[{i}].confidence", "a number", conf)
-            entities.append((ent_id, Span(start, end), e["type"], conf))
-            for j, a in enumerate(e.get("attributes", [])):
-                if not _is_number(conf := a["confidence"]):
-                    raise _field_error(f"entities[{i}].attributes[{j}].confidence", "a number", conf)
-                attributes.append((ent_id, a["type"], conf))
-            for j, s in enumerate(e.get("senses", [])):
-                if not _is_number(conf := s["confidence"]):
-                    raise _field_error(f"entities[{i}].senses[{j}].confidence", "a number", conf)
-                senses.append((ent_id, s["sense"], conf))
-        for i, r in enumerate(data.get("relations", [])):
-            if not _is_number(conf := r["confidence"]):
-                raise _field_error(f"relations[{i}].confidence", "a number", conf)
-            relations.append((r["head"], r["tail"], r["type"], conf))
-        return assemble_graph(
-            data["tokens"],
-            data.get("lemmas"),
-            entities,
-            attributes,
-            relations,
-            provenance=data.get("provenance", ""),
-            senses=senses,
+        lemmas = data.get("lemmas")
+        builder = _GraphBuilder(
+            _strings(data["tokens"], "tokens"), None if lemmas is None else _strings(lemmas, "lemmas")
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
+        entities = data.get("entities", [])
+        if not isinstance(entities, list):
+            raise _field_error("entities", _LIST, entities)
+        for i, e in enumerate(entities):
+            ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
+            attrs, senses = e.get("attributes", []), e.get("senses", [])
+            # exact int and float are the common case; _check_fields runs
+            # the full tests (an int confidence, say, passes them)
+            if not (
+                isinstance(ent_id, str) and type(start) is int and type(end) is int
+                and isinstance(ent_type, str) and isinstance(conf, float)
+                and isinstance(attrs, list) and isinstance(senses, list)
+            ):
+                _check_fields(f"entities[{i}]", (
+                    ("id", _STRING, ent_id), ("start", _INTEGER, start), ("end", _INTEGER, end),
+                    ("type", _STRING, ent_type), ("confidence", _NUMBER, conf),
+                    ("attributes", _LIST, attrs), ("senses", _LIST, senses),
+                ))
+            attr_pairs: list[tuple[str, float]] = []
+            for j, a in enumerate(attrs):
+                attr_type, attr_conf = a["type"], a["confidence"]
+                if not (isinstance(attr_type, str) and isinstance(attr_conf, float)):
+                    _check_fields(f"entities[{i}].attributes[{j}]", (
+                        ("type", _STRING, attr_type), ("confidence", _NUMBER, attr_conf),
+                    ))
+                add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
+            sense_pairs: list[tuple[str, float]] = []
+            for j, s in enumerate(senses):
+                sense, sense_conf = s["sense"], s["confidence"]
+                if not isinstance(sense_conf, float):
+                    _check_fields(f"entities[{i}].senses[{j}]", (("confidence", _NUMBER, sense_conf),))
+                add_sense(sense_pairs, ent_id, sense, sense_conf)
+            add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
+        relations = data.get("relations", [])
+        if not isinstance(relations, list):
+            raise _field_error("relations", _LIST, relations)
+        add_relation = builder.relation
+        for i, r in enumerate(relations):
+            head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
+            if not (
+                isinstance(head, str) and isinstance(tail, str)
+                and isinstance(rel_type, str) and isinstance(conf, float)
+            ):
+                _check_fields(f"relations[{i}]", (
+                    ("head", _STRING, head), ("tail", _STRING, tail),
+                    ("type", _STRING, rel_type), ("confidence", _NUMBER, conf),
+                ))
+            add_relation(head, tail, rel_type, conf)
+        provenance = data.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise _field_error("provenance", _STRING, provenance)
+        return builder.graph(provenance)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
 
 

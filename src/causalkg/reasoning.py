@@ -28,6 +28,7 @@ __all__ = [
     "QueryResult",
     "compute_valence",
     "find_paths",
+    "matching_nodes",
 ]
 
 NORM = "NORM"
@@ -211,6 +212,23 @@ class QueryResult:
         }
 
 
+def matching_nodes(corpus: CorpusGraph, pattern: NodePattern) -> list[str]:
+    """The global ids of the corpus nodes the pattern matches, sorted.
+
+    A pattern with `lemma_any_of` is tested only against the nodes the
+    corpus index files under one of its lemmas; any other pattern against
+    every node.
+    """
+    index = corpus.index
+    nodes = index.nodes
+    if pattern.lemma_any_of is None:
+        candidates = nodes
+    else:
+        by_lemma = index.by_lemma
+        candidates = {gid for lemma in pattern.lemma_any_of for gid in by_lemma.get(lemma, ())}
+    return sorted(gid for gid in candidates if pattern.matches(*nodes[gid]))
+
+
 def find_paths(
     corpus: CorpusGraph,
     start: NodePattern,
@@ -225,40 +243,38 @@ def find_paths(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    nodes = corpus.nodes()
-    # directed relations go forward only; "modifier" relations and lemma
-    # links are traversable in both directions
-    relation_edges: dict[str, list[tuple[str, str]]] = {gid: [] for gid in nodes}
-    for g in corpus.graphs:
-        prov = g.provenance
-        for r in g.relations:
-            head, tail = f"{prov}/{r.head}", f"{prov}/{r.tail}"
-            edge_id = f"{prov}/{r.id}"
-            relation_edges[head].append((edge_id, tail))
-            if r.relation_type == "modifier":
-                relation_edges[tail].append((edge_id, head))
+    index = corpus.index
+    nodes, node_lemmas = index.nodes, index.lemmas
     hubs = dict(corpus.lemma_hubs)
     adjacency: dict[str, list[tuple[str, str]]] = {}
 
     def neighbours(node: str) -> list[tuple[str, str]]:
-        # lemma links are expanded from the node's hubs on first use; their
-        # order is moot because paths.sort() below fixes the output order
+        # a node's edges are built when the search first reaches it: its
+        # outgoing relations, its incoming "modifier" relations (traversable
+        # both ways) and the lemma links of its hubs; their order is moot
+        # because paths.sort() below fixes the output order
         edges = adjacency.get(node)
         if edges is None:
             g, e = nodes[node]
+            prov = g.provenance
+            edges = [(f"{prov}/{r.id}", f"{prov}/{r.tail}") for r in g.outgoing(e.id)]
+            edges += [
+                (f"{prov}/{r.id}", f"{prov}/{r.head}")
+                for r in g.incoming(e.id)
+                if r.relation_type == "modifier"
+            ]
             linked = {
                 other
-                for lemma in g.entity_lemmas(e)
+                for lemma in node_lemmas[node]
                 for other in hubs.get(lemma, ())
                 if nodes[other][0] is not g
             }
-            edges = adjacency[node] = relation_edges[node] + [
-                (f"lemma:{min(node, other)}~{max(node, other)}", other) for other in linked
-            ]
+            edges += [(f"lemma:{min(node, other)}~{max(node, other)}", other) for other in linked]
+            adjacency[node] = edges
         return edges
 
-    start_ids = sorted(gid for gid, (g, e) in nodes.items() if start.matches(g, e))
-    end_ids = {gid for gid, (g, e) in nodes.items() if end.matches(g, e)}
+    start_ids = matching_nodes(corpus, start)
+    end_ids = set(matching_nodes(corpus, end))
 
     paths: list[tuple[str, ...]] = []
 

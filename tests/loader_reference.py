@@ -1,0 +1,165 @@
+"""The two-pass graph loader kept as the test oracle.
+
+`graph_from_dict` collects entity, attribute, sense and relation tuples from
+the document, then `assemble_graph` walks them again into the graph.  The
+library loader builds each element once through one shared builder;
+`tests/test_loader_oracle.py` requires it to load every document this
+loader loads to the same graph, or to raise GraphError where this loader
+coerces a mistyped string field.
+"""
+
+import math
+from typing import Iterable, Mapping, Sequence
+
+from causalkg.errors import (
+    BadConfidenceError,
+    DanglingReferenceError,
+    DuplicateSpanTypeError,
+    GraphError,
+    SelfLoopError,
+)
+from causalkg.graphs import Entity, KnowledgeGraph, Relation, Span
+
+
+def _check_confidence(value: float, what: str) -> float:
+    value = float(value)
+    if not (0.0 <= value <= 1.0):
+        raise BadConfidenceError(f"{what} confidence {value} outside [0, 1]")
+    return value
+
+
+def assemble_graph(
+    tokens: Sequence[str],
+    lemmas: Sequence[str] | None,
+    entities: Iterable[tuple[str, Span, str, float]],
+    attributes: Iterable[tuple[str, str, float]] = (),
+    relations: Iterable[tuple[str, str, str, float]] = (),
+    provenance: str = "",
+    senses: Iterable[tuple[str, str, float]] = (),
+) -> KnowledgeGraph:
+    tokens = tuple(str(t) for t in tokens)
+    if lemmas is None:
+        lemmas = tuple(t.lower() for t in tokens)
+    else:
+        lemmas = tuple(str(l) for l in lemmas)
+    if len(lemmas) != len(tokens):
+        raise GraphError(f"{len(lemmas)} lemmas for {len(tokens)} tokens")
+    n = len(tokens)
+
+    nodes: dict[str, tuple[Span, str, float]] = {}
+    seen_spans: dict[Span, str] = {}
+    for ent_id, span, ent_type, conf in entities:
+        ent_id = str(ent_id)
+        if ent_id in nodes:
+            raise GraphError(f"duplicate entity id {ent_id!r}")
+        if span.end > n:
+            raise GraphError(f"span [{span.start}, {span.end}) beyond {n} tokens")
+        if span in seen_spans:
+            raise DuplicateSpanTypeError(
+                f"entities {seen_spans[span]!r} and {ent_id!r} share span [{span.start}, {span.end})"
+            )
+        seen_spans[span] = ent_id
+        nodes[ent_id] = (span, str(ent_type), _check_confidence(conf, f"entity {ent_id!r}"))
+
+    attr_map: dict[str, list[tuple[str, float]]] = {}
+    for ent_id, attr_type, conf in attributes:
+        if ent_id not in nodes:
+            raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
+        pairs = attr_map.setdefault(ent_id, [])
+        if any(t == attr_type for t, _ in pairs):
+            raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
+        pairs.append((str(attr_type), _check_confidence(conf, f"attribute {attr_type!r}")))
+
+    sense_map: dict[str, list[tuple[str, float]]] = {}
+    for ent_id, sense, conf in senses:
+        if ent_id not in nodes:
+            raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
+        if not isinstance(sense, str):
+            raise GraphError(f"sense id {sense!r} on {ent_id!r} is not a string")
+        conf = float(conf)
+        if not math.isfinite(conf):
+            raise GraphError(f"sense {sense!r} on {ent_id!r} has confidence {conf}")
+        sense_map.setdefault(ent_id, []).append((sense, conf))
+
+    by_id = {
+        ent_id: Entity(
+            ent_id, span, ent_type, conf,
+            tuple(attr_map.get(ent_id, ())), tuple(sense_map.get(ent_id, ())),
+        )
+        for ent_id, (span, ent_type, conf) in nodes.items()
+    }
+
+    rel_list: list[Relation] = []
+    seen_rel: set[tuple[str, str, str]] = set()
+    for head, tail, rel_type, conf in relations:
+        if head == tail:
+            raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
+        if head not in by_id or tail not in by_id:
+            missing = head if head not in by_id else tail
+            raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
+        key = (head, tail, rel_type)
+        if key in seen_rel:
+            raise GraphError(f"duplicate relation {key}")
+        seen_rel.add(key)
+        rel_list.append(
+            Relation(head, tail, str(rel_type), _check_confidence(conf, f"relation {rel_type!r}"))
+        )
+
+    return KnowledgeGraph(
+        tokens=tokens,
+        lemmas=lemmas,
+        entities=tuple(by_id.values()),
+        relations=tuple(rel_list),
+        provenance=str(provenance),
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field_error(field: str, expected: str, value) -> GraphError:
+    return GraphError(f"malformed graph document: {field} must be {expected}, got {value!r}")
+
+
+def graph_from_dict(data: Mapping) -> KnowledgeGraph:
+    if not isinstance(data, Mapping):
+        raise GraphError(f"a graph document must be an object, got {type(data).__name__}")
+    entities, attributes, senses, relations = [], [], [], []
+    try:
+        for i, e in enumerate(data.get("entities", [])):
+            ent_id, start, end, conf = e["id"], e["start"], e["end"], e["confidence"]
+            if not _is_int(start):
+                raise _field_error(f"entities[{i}].start", "an integer", start)
+            if not _is_int(end):
+                raise _field_error(f"entities[{i}].end", "an integer", end)
+            if not _is_number(conf):
+                raise _field_error(f"entities[{i}].confidence", "a number", conf)
+            entities.append((ent_id, Span(start, end), e["type"], conf))
+            for j, a in enumerate(e.get("attributes", [])):
+                if not _is_number(conf := a["confidence"]):
+                    raise _field_error(f"entities[{i}].attributes[{j}].confidence", "a number", conf)
+                attributes.append((ent_id, a["type"], conf))
+            for j, s in enumerate(e.get("senses", [])):
+                if not _is_number(conf := s["confidence"]):
+                    raise _field_error(f"entities[{i}].senses[{j}].confidence", "a number", conf)
+                senses.append((ent_id, s["sense"], conf))
+        for i, r in enumerate(data.get("relations", [])):
+            if not _is_number(conf := r["confidence"]):
+                raise _field_error(f"relations[{i}].confidence", "a number", conf)
+            relations.append((r["head"], r["tail"], r["type"], conf))
+        return assemble_graph(
+            data["tokens"],
+            data.get("lemmas"),
+            entities,
+            attributes,
+            relations,
+            provenance=data.get("provenance", ""),
+            senses=senses,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph document: {exc}") from exc

@@ -339,6 +339,22 @@ def test_query_follows_lemma_links_across_graphs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["paths"] == [["s0/e0"], ["s1/e0"]]
 
 
+@pytest.mark.parametrize("command", ["query", "valence"])
+@pytest.mark.parametrize("graphs", [5, [3], "ab"])
+def test_manifest_graphs_must_be_a_list_of_file_names(tmp_path, capsys, command, graphs):
+    corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0")])
+    for name in ("a", "b"):  # a string manifest used to open these one letter at a time
+        (corpus / name).write_text((corpus / "g0.json").read_text())
+    manifest = corpus / "manifest.json"
+    manifest.write_text(json.dumps({"graphs": graphs}))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
+    args = ["--query", str(query)] if command == "query" else []
+    assert main([command, "--input", str(corpus), *args]) == 2
+    err = capsys.readouterr().err
+    assert "causalkg: error:" in err and str(manifest) in err and "list of file names" in err
+
+
 def make_encoder_config(tmp_path, dim):
     path = tmp_path / "enc.json"
     path.write_text(json.dumps({"encoder": {"dimension": dim, "seed": 0}}))

@@ -50,21 +50,29 @@ def inventory_for(encoder, vocabulary, rng):
     return load_inventory("\n".join(lines) + "\n")
 
 
-def test_dense_extraction_raw_and_rectified_linked():
+def dense_linked_graphs():
+    """For sentences of 4-6 tokens: the dense untrained extraction, its
+    rectified graph with senses linked, the rectifier's log, and the raw
+    extraction with senses linked."""
     model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
     inventory = inventory_for(model.encoder, synth.FACTORS[:30], np.random.default_rng(8))
-    senses = relations = 0
     for length in (4, 5, 6):
         tokens = tuple(synth.FACTORS[length * k] for k in range(length))
         encoding = encode_tokens(tokens, model.encoder)
         raw = extract(tokens, tokens, model, provenance=f"d{length}")
         fixed, log = rectify(raw, SCICLAIM)
         linked = link_senses(fixed, encoding, inventory, threshold=0.0)
+        # rectify leaves these graphs nearly empty, so senses are linked on the raw graph too
+        linked_raw = link_senses(raw, encoding, inventory, threshold=0.0)
+        yield raw, linked, log, linked_raw
+
+
+def test_dense_extraction_raw_and_rectified_linked():
+    senses = relations = 0
+    for raw, linked, log, linked_raw in dense_linked_graphs():
         assert_identical(raw)
         assert_identical(linked)
         assert_identical(linked, {"rectification": [rec.to_dict() for rec in log]})
-        # rectify leaves these graphs nearly empty, so senses are linked on the raw graph too
-        linked_raw = link_senses(raw, encoding, inventory, threshold=0.0)
         assert_identical(linked_raw)
         relations += len(raw.relations)
         senses += sum(len(e.senses) for e in linked_raw.entities)

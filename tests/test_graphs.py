@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from causalkg.errors import (
     SelfLoopError,
 )
 from causalkg.graphs import (
+    CorpusGraph,
     Span,
     assemble_graph,
     graph_from_dict,
@@ -331,3 +333,80 @@ def test_outgoing_index_matches_a_relation_scan():
             assert g.outgoing(e.id) == tuple(r for r in g.relations if r.head == e.id)
             assert g.entity(e.id) is e
         assert g.outgoing("no such id") == ()
+
+
+# a loader that coerced with str() would take "ab" as two tokens, null as
+# the provenance "None" and 7 as the entity id "7"
+@pytest.mark.parametrize("path, value, field", [
+    (("tokens",), "ab", "tokens"),
+    (("tokens",), [1, 2], "tokens[0]"),
+    (("tokens", 1), None, "tokens[1]"),
+    (("lemmas",), "ab", "lemmas"),
+    (("lemmas", 1), 5, "lemmas[1]"),
+    (("provenance",), None, "provenance"),
+    (("provenance",), 3, "provenance"),
+    (("entities",), {"e0": {}}, "entities"),
+    (("entities", 0, "id"), 7, "entities[0].id"),
+    (("entities", 1, "type"), None, "entities[1].type"),
+    (("entities", 1, "attributes"), "negated", "entities[1].attributes"),
+    (("entities", 1, "attributes", 0, "type"), ["negated"], "entities[1].attributes[0].type"),
+    (("entities", 0, "senses"), {}, "entities[0].senses"),
+    (("relations",), "e0->e1", "relations"),
+    (("relations", 0, "head"), 0, "relations[0].head"),
+    (("relations", 0, "tail"), ["e1"], "relations[0].tail"),
+    (("relations", 0, "type"), None, "relations[0].type"),
+])
+def test_graph_from_dict_rejects_mistyped_string_and_list_fields(path, value, field):
+    doc = typed_field_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(GraphError, match=re.escape(f"{field} must be")):
+        graph_from_dict(doc)
+
+
+def test_graph_from_dict_defaults_absent_or_null_lemmas():
+    doc = typed_field_doc()
+    doc.update(tokens=["A", "B"], lemmas=None)
+    assert graph_from_dict(doc).lemmas == ("a", "b")
+    del doc["lemmas"]
+    assert graph_from_dict(doc).lemmas == ("a", "b")
+
+
+def test_corpus_index_matches_a_scan():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        corpus = random_hub_corpus(rng)
+        index = corpus.index
+        expected_nodes = {f"{g.provenance}/{e.id}": (g, e) for g in corpus.graphs for e in g.entities}
+        assert index.nodes == expected_nodes and list(index.nodes) == list(expected_nodes)
+        by_lemma = {}
+        for gid, (g, e) in expected_nodes.items():
+            assert index.lemmas[gid] == g.entity_lemmas(e)
+            for lemma in g.entity_lemmas(e):
+                by_lemma.setdefault(lemma, []).append(gid)
+        assert index.by_lemma == by_lemma
+
+
+def test_corpus_index_stays_out_of_equality_and_repr():
+    rng = np.random.default_rng(43)
+    corpus = random_hub_corpus(rng)
+    direct = CorpusGraph(corpus.graphs, corpus.lemma_hubs)
+    assert direct._index is None  # built on first use
+    assert direct == corpus and hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
+    assert "index" not in repr(corpus)
+    assert direct.index.nodes == corpus.index.nodes
+    assert direct.index is direct.index
+    # a copy with other graphs builds its own index
+    fewer = replace(corpus, graphs=corpus.graphs[:1])
+    assert set(fewer.nodes()) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
+
+
+def test_incoming_index_matches_a_relation_scan():
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        g = random_sciclaim_graph(rng)
+        for e in g.entities:
+            assert g.incoming(e.id) == tuple(r for r in g.relations if r.tail == e.id)
+        assert g.incoming("no such id") == ()

@@ -1,0 +1,197 @@
+"""The one-pass graph loader against the two-pass loader kept in
+loader_reference.py: every document the oracle loads must load to the same
+graph, written to the same bytes, unless it holds a mistyped string field
+that the oracle coerced; then, and wherever the oracle fails, the loader
+must raise GraphError and nothing else."""
+
+import copy
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loader_reference as reference
+import synth
+from causalkg.errors import GraphError
+from causalkg.graphs import assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
+from causalkg.rectify import rectify
+from causalkg.schema import load_schema
+
+from test_graph_json import dense_linked_graphs
+
+SCICLAIM = load_schema("sciclaim")
+
+
+def assert_loads_like_the_oracle(graph):
+    doc = json.loads(graph_to_json(graph))
+    got, want = graph_from_dict(doc), reference.graph_from_dict(doc)
+    assert got == want == graph
+    assert graph_to_json(got) == graph_to_json(want)
+
+
+def reassembled(graph):
+    """The graph's elements as assemble_graph tuples, through both assemblers."""
+    args = (
+        graph.tokens, graph.lemmas,
+        [(e.id, e.span, e.entity_type, e.confidence) for e in graph.entities],
+        [(e.id, t, c) for e in graph.entities for t, c in e.attributes],
+        [(r.head, r.tail, r.relation_type, r.confidence) for r in graph.relations],
+    )
+    senses = [(e.id, s, c) for e in graph.entities for s, c in e.senses]
+    return (assemble_graph(*args, provenance=graph.provenance, senses=senses),
+            reference.assemble_graph(*args, provenance=graph.provenance, senses=senses))
+
+
+def test_criterion_4_graphs():
+    # the graphs and rectified graphs of criterion 4 (same seed and count)
+    rng = np.random.default_rng(404)
+    for i in range(500):
+        g = synth.random_sciclaim_graph(rng, provenance=f"a{i}")
+        fixed, _ = rectify(g, SCICLAIM)
+        assert_loads_like_the_oracle(g)
+        assert_loads_like_the_oracle(fixed)
+        new, old = reassembled(g)
+        assert new == old == g
+
+
+def test_sense_linked_dense_graphs():
+    senses = 0
+    for raw, linked, _, linked_raw in dense_linked_graphs():
+        for graph in (raw, linked, linked_raw):
+            assert_loads_like_the_oracle(graph)
+            new, old = reassembled(graph)
+            assert new == old == graph
+        senses += sum(len(e.senses) for e in linked_raw.entities)
+    assert senses
+
+
+def test_hub_corpus_graphs():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        for graph in synth.random_hub_corpus(rng, n_graphs=int(rng.integers(2, 7))).graphs:
+            assert_loads_like_the_oracle(graph)
+
+
+def base_documents():
+    """Small sciclaim graph documents, some with ranked senses."""
+    rng = np.random.default_rng(5)
+    docs = []
+    for i in range(12):
+        doc = graph_to_dict(synth.random_sciclaim_graph(rng, provenance=f"b{i}"))
+        for k, entity in enumerate(doc["entities"][: i % 3]):
+            entity["senses"] = [{"sense": f"s.n.0{k}", "confidence": 0.5 - k}, {"sense": "t.n.01", "confidence": 2}]
+        docs.append(doc)
+    return docs
+
+
+BASES = base_documents()
+# values that hit every check: ids that collide or dangle, offsets that
+# repeat or overrun a span, out-of-range and non-finite confidences,
+# and every mistyped JSON value a string, number or list field can hold
+VALUES = [
+    None, True, False, 0, 1, 2, 3, 9, -1, 0.0, 0.25, 0.5, 1.5, 1.0, float("nan"), float("inf"), 10**400,
+    "", "e0", "e1", "e2", "arg0", "q+", "causation", "0.5", "t1", "abc",
+    [], ["t0"], [1], ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"], {}, {"type": "x"},
+]
+
+
+def containers(value):
+    """Every object and list nested in a document, the document first."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from containers(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        action = draw(st.sampled_from(["set", "set", "set", "retype", "delete", "twin", "twin"]))
+        records = [c for c in containers(doc) if isinstance(c, list) and any(isinstance(r, dict) and r for r in c)]
+        if action == "twin" and records:
+            # a copy of a record with one field redrawn: a repeated span,
+            # relation, attribute or id, a self-loop or a dangling end
+            parent = draw(st.sampled_from(records))
+            twin = copy.deepcopy(draw(st.sampled_from([r for r in parent if isinstance(r, dict) and r])))
+            own = draw(st.sampled_from(list(twin)))
+            twin[own] = copy.deepcopy(draw(st.sampled_from([v for v in VALUES if type(v) is type(twin[own])] or VALUES)))
+            parent.append(twin)
+            continue
+        # a container first, then one of its keys, so that small records
+        # such as senses are edited as often as the token list
+        nonempty = [c for c in containers(doc) if c]
+        if not nonempty:
+            break
+        parent = draw(st.sampled_from(nonempty))
+        key = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+        if action == "delete":
+            del parent[key]
+        elif action == "retype":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        else:
+            # a value of the same JSON type, so that most edits reach the
+            # invariant checks rather than the type checks
+            same = [v for v in VALUES if type(v) is type(parent[key])]
+            parent[key] = copy.deepcopy(draw(st.sampled_from(same or VALUES)))
+    return doc
+
+
+def mistyped(doc) -> bool:
+    """Whether a field that must hold a string, or a list, holds something else."""
+    if not isinstance(doc, dict):
+        return False
+
+    def strings(value):
+        return not isinstance(value, list) or not all(isinstance(s, str) for s in value)
+
+    if strings(doc.get("tokens", [])) or (doc.get("lemmas") is not None and strings(doc["lemmas"])):
+        return True
+    if not isinstance(doc.get("provenance", ""), str):
+        return True
+    entities, relations = doc.get("entities", []), doc.get("relations", [])
+    if not isinstance(entities, list) or not isinstance(relations, list):
+        return True
+    for e in entities:
+        if not isinstance(e, dict):
+            continue
+        if any(not isinstance(e.get(k, ""), str) for k in ("id", "type")):
+            return True
+        attributes, senses = e.get("attributes", []), e.get("senses", [])
+        if not isinstance(attributes, list) or not isinstance(senses, list):
+            return True
+        if any(isinstance(a, dict) and not isinstance(a.get("type", ""), str) for a in attributes):
+            return True
+    return any(
+        isinstance(r, dict) and any(not isinstance(r.get(k, ""), str) for k in ("head", "tail", "type"))
+        for r in relations
+    )
+
+
+def test_mutated_documents_load_like_the_oracle_or_raise_graph_error():
+    outcomes = {"equal": 0, "both reject": 0, "coercion rejected": 0}
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(mutated_documents())
+    def check(doc):
+        try:
+            want = reference.graph_from_dict(doc)
+        except Exception:  # the oracle lets OverflowError through
+            want = None
+        try:
+            got = graph_from_dict(doc)
+        except GraphError:
+            got = None
+        if got is not None:
+            assert want is not None and got == want
+            assert graph_to_json(got) == graph_to_json(want)
+            outcomes["equal"] += 1
+        elif want is None:
+            outcomes["both reject"] += 1
+        else:
+            assert mistyped(doc), "the loader rejects a document the oracle loads as written"
+            outcomes["coercion rejected"] += 1
+
+    check()
+    assert min(outcomes.values()) >= 10, outcomes

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalkg.errors import QueryError, SchemaMismatchError
-from causalkg.graphs import Span, assemble_graph, merge_corpus
+from causalkg.graphs import CorpusGraph, Span, assemble_graph, merge_corpus
 from causalkg.reasoning import (
     NORM,
     NodePattern,
     compute_valence,
     find_paths,
+    matching_nodes,
 )
 from causalkg.schema import load_schema
 
@@ -477,3 +478,40 @@ def test_role_matches_agree_with_a_relation_scan():
 
     check()
     assert role_hits[0] > 10
+
+
+def test_find_paths_on_a_corpus_built_without_merge_corpus():
+    # a CorpusGraph built directly builds its index on first use
+    rng = np.random.default_rng(2718)
+    paths = 0
+    for trial in range(40):
+        corpus = random_hub_corpus(rng, n_graphs=int(rng.integers(3, 7))) if trial % 2 else random_ethno_corpus(rng)
+        direct = CorpusGraph(corpus.graphs, corpus.lemma_hubs)
+        lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
+        start = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
+        end = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
+        max_len = int(rng.integers(1, 5))
+        result = find_paths(direct, start, end, max_len=max_len)
+        assert result == find_paths(corpus, start, end, max_len=max_len)
+        paths += len(result.paths)
+    assert paths
+
+
+def test_index_selected_candidates_agree_with_a_scan():
+    lemma_patterns = [0]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def check(seed, hubs, data):
+        rng = np.random.default_rng(seed)
+        corpus = random_hub_corpus(rng) if hubs else random_ethno_corpus(rng)
+        # lemmas no node holds too, which select no candidate
+        lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas} | {"unheld"})
+        relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
+        pattern = data.draw(role_patterns(lemmas, relation_types))
+        expected = sorted(gid for gid, (g, e) in corpus.nodes().items() if scan_matches(pattern, g, e))
+        assert matching_nodes(corpus, pattern) == expected
+        lemma_patterns[0] += pattern.lemma_any_of is not None and bool(expected)
+
+    check()
+    assert lemma_patterns[0] > 20
