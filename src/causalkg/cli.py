@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, eval, extract, rectify, senses, valence, query, dot.
-Exit status: 0 on success, 1 on usage errors, 2 on data or schema errors.
+Exit status: 0 on success, 2 on data, schema or file errors (any
+CausalKgError, whose message names the file and the field), 1 on usage
+errors and on internal bugs, which print a traceback.
 All randomness flows from the seed, so identical invocations produce
 byte-identical output files.
 """
@@ -12,10 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .dot import emit_dot
 from .encoder import EncoderConfig, encode_tokens
-from .errors import CausalKgError, GraphError, QueryError
+from .errors import CausalKgError, GraphError, InputError, QueryError
 from .evaluation import score
 from .graphs import (
     KnowledgeGraph,
@@ -24,10 +27,23 @@ from .graphs import (
     merge_corpus,
 )
 from .model import check_thresholds, extract, load_model, save_model
+from .readers import (
+    array,
+    cannot,
+    integer,
+    load_json,
+    obj,
+    read_text,
+    required,
+    string,
+    strings,
+    within,
+    write_text,
+)
 from .reasoning import NodePattern, compute_valence, find_paths
 from .rectify import rectify
 from .schema import Schema, load_schema
-from .senses import link_senses, load_inventory
+from .senses import link_senses, load_glosses, load_inventory
 from .training import TrainConfig, gold_graph, load_dataset, train
 
 
@@ -38,122 +54,113 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _makedirs(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise cannot("create directory", path, exc) from exc
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _dump_json(path: str, data) -> None:
-    _write(path, json.dumps(data, indent=2, ensure_ascii=False) + "\n")
+def _dump_json(path: str | None, data) -> None:
+    """Write the data as indented JSON to the file, or to stdout without one."""
+    text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    if path:
+        write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_schema_arg(value: str) -> Schema:
     if os.path.exists(value):
-        return load_schema(_read(value))
+        return within(value, load_schema, read_text(value))
     return load_schema(value)
 
 
 # Top-level config keys.  train and senses accept the same ones, so that
-# one config file serves both; senses reads only "encoder".
-_CONFIG_KEYS = frozenset({"train", "encoder", "width_dim"})
+# one config file serves both; senses uses only "encoder".
+_CONFIG_KEYS = ("train", "encoder", "width_dim")
 
 
-def _load_config(path: str | None) -> dict:
-    """A config file's JSON object; ValueError unless its keys are all known."""
-    if path is None:
-        return {}
-    config = json.loads(_read(path))
-    if not isinstance(config, dict):
-        raise ValueError(f"config {path!r} must be a JSON object, got {type(config).__name__}")
-    unknown = sorted(config.keys() - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config field(s) in {path!r}: {', '.join(unknown)}")
-    return config
+def _config(doc, seed: int | None) -> tuple[TrainConfig, EncoderConfig, int]:
+    """A config document's train and encoder configs, both seeded with `seed` if given, and width_dim."""
+    obj(doc, "config", InputError, _CONFIG_KEYS, expected="a JSON object")
+    train_cfg = TrainConfig.from_dict(doc.get("train", {}))
+    encoder = EncoderConfig.from_dict(doc.get("encoder", {}))
+    if seed is not None:
+        train_cfg, encoder = replace(train_cfg, seed=seed), replace(encoder, seed=seed)
+    return train_cfg, encoder, integer(doc.get("width_dim", 8), "config 'width_dim'", InputError)
+
+
+def _load_config(args) -> tuple[TrainConfig, EncoderConfig, int]:
+    return within(args.config, _config, load_json(args.config) if args.config else {}, args.seed)
 
 
 def _load_graphs(path: str) -> list[KnowledgeGraph]:
     """A graph file, a manifest file, or a directory with manifest.json."""
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
-    data = json.loads(_read(path))
-    if isinstance(data, dict) and "graphs" in data:
-        names = data["graphs"]
-        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-            raise GraphError(f'manifest {path!r}: "graphs" must be a list of file names, got {names!r}')
-        base = os.path.dirname(path)
-        return [graph_from_dict(json.loads(_read(os.path.join(base, name)))) for name in names]
-    return [graph_from_dict(data)]
+    data = load_json(path)
+    if not (isinstance(data, dict) and "graphs" in data):
+        return [within(path, graph_from_dict, data)]
+    # a manifest; the "provenance" list the writers add beside "graphs" is not read
+    names = within(path, strings, data["graphs"], '"graphs"', GraphError, "a list of file names")
+    base = os.path.dirname(path)
+    paths = [os.path.join(base, name) for name in names]
+    return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths]
 
 
-def _write_graphs(out_dir: str, graphs: list[KnowledgeGraph], extras: dict[str, dict] | None = None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    names = []
-    for i, g in enumerate(graphs):
-        name = f"graph_{i:04d}.json"
-        _write(os.path.join(out_dir, name), graph_to_json(g, (extras or {}).get(g.provenance)))
-        names.append(name)
-    _dump_json(
-        os.path.join(out_dir, "manifest.json"),
-        {"graphs": names, "provenance": [g.provenance for g in graphs]},
-    )
+def _write_graphs(out: str, graphs: list[KnowledgeGraph], extras: dict | None = None, one_file=False):
+    """The graphs as files of directory `out` with a manifest, or a lone graph as file `out` if `one_file`."""
+    extras = extras or {}
+    if one_file and len(graphs) == 1:
+        write_text(out, graph_to_json(graphs[0], extras.get(graphs[0].provenance)))
+        return
+    _makedirs(out)
+    names = [f"graph_{i:04d}.json" for i in range(len(graphs))]
+    for name, g in zip(names, graphs):
+        write_text(os.path.join(out, name), graph_to_json(g, extras.get(g.provenance)))
+    manifest = {"graphs": names, "provenance": [g.provenance for g in graphs]}
+    _dump_json(os.path.join(out, "manifest.json"), manifest)
 
 
-def _encoder_from_args(args, config: dict) -> EncoderConfig:
-    enc = EncoderConfig.from_dict(config.get("encoder", {}))
-    if getattr(args, "seed", None) is not None:
-        enc = EncoderConfig.from_dict({**enc.to_dict(), "seed": args.seed})
-    return enc
-
-
-def _cmd_train(args) -> int:
-    config = _load_config(args.config)
-    train_cfg = TrainConfig.from_dict(config.get("train", {}))
-    if args.seed is not None:
-        train_cfg = TrainConfig.from_dict({**train_cfg.__dict__, "seed": args.seed})
+def _cmd_train(args) -> None:
+    train_cfg, encoder, width_dim = _load_config(args)
     schema = _load_schema_arg(args.schema)
-    dataset = load_dataset(_read(args.data))
-    width_dim = config.get("width_dim", 8)
-    if isinstance(width_dim, bool) or not isinstance(width_dim, int):
-        raise ValueError(f"config 'width_dim' must be an integer, got {width_dim!r}")
-    model = train(
-        dataset,
-        schema,
-        train_cfg,
-        encoder_config=_encoder_from_args(args, config),
-        width_dim=width_dim,
-    )
+    dataset = within(args.data, load_dataset, read_text(args.data))
+    model = train(dataset, schema, train_cfg, encoder_config=encoder, width_dim=width_dim)
     save_model(model, args.out)
-    return 0
 
 
-def _cmd_extract(args) -> int:
+def _sentences(doc) -> list[tuple[tuple[str, ...], tuple[str, ...] | None, str]]:
+    """(tokens, lemmas or None, provenance) per sentence of a sentence file."""
+    sentences = []
+    for i, sent in enumerate(array(doc, "a sentence file", InputError)):
+        label = f"sentence {i}"
+        obj(sent, label, InputError, ("tokens", "lemmas", "provenance"))
+        lemmas = sent.get("lemmas")
+        sentences.append((
+            required(sent, "tokens", f"{label} 'tokens'", InputError, strings),
+            None if lemmas is None else strings(lemmas, f"{label} 'lemmas'", InputError),
+            string(sent.get("provenance", f"s{i}"), f"{label} 'provenance'", InputError),
+        ))
+    return sentences
+
+
+def _cmd_extract(args) -> None:
     model = load_model(args.model)
     if args.threshold_relation is not None:
         model.theta_r = args.threshold_relation
     if args.threshold_attribute is not None:
         model.theta_a = args.threshold_attribute
     check_thresholds(model.theta_r, model.theta_a)
-    sentences = json.loads(_read(args.input))
-    graphs = []
-    for i, sent in enumerate(sentences):
-        graphs.append(
-            extract(
-                sent["tokens"],
-                sent.get("lemmas"),
-                model,
-                provenance=sent.get("provenance", f"s{i}"),
-            )
-        )
+    sentences = within(args.input, _sentences, load_json(args.input))
+    graphs = [
+        extract(tokens, lemmas, model, provenance=provenance) for tokens, lemmas, provenance in sentences
+    ]
     _write_graphs(args.out, graphs)
-    return 0
 
 
-def _cmd_rectify(args) -> int:
+def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs = _load_graphs(args.input)
     rectified, extras = [], {}
@@ -161,164 +168,113 @@ def _cmd_rectify(args) -> int:
         fixed, log = rectify(g, schema)
         rectified.append(fixed)
         extras[fixed.provenance] = {"rectification": [rec.to_dict() for rec in log]}
-    if len(rectified) == 1 and not args.out_dir:
-        _write(args.out, graph_to_json(rectified[0], extras[rectified[0].provenance]))
-    else:
-        _write_graphs(args.out, rectified, extras)
-    return 0
+    _write_graphs(args.out, rectified, extras, one_file=not args.out_dir)
 
 
-def _cmd_senses(args) -> int:
-    inventory = load_inventory(
-        _read(args.inventory),
-        glosses=(
-            dict(
-                line.split("\t", 1)
-                for line in _read(args.gloss).splitlines()
-                if line.strip()
-            )
-            if args.gloss
-            else None
-        ),
-        skip_lemmas=(
-            [l.strip() for l in _read(args.skip).splitlines() if l.strip()]
-            if args.skip
-            else ()
-        ),
-    )
-    if args.model:
-        encoder = load_model(args.model).encoder
-    else:
-        encoder = _encoder_from_args(args, _load_config(args.config))
+def _cmd_senses(args) -> None:
+    glosses = within(args.gloss, load_glosses, read_text(args.gloss)) if args.gloss else None
+    skip = [l.strip() for l in read_text(args.skip).splitlines() if l.strip()] if args.skip else ()
+    inventory = within(args.inventory, load_inventory, read_text(args.inventory), glosses, skip)
+    encoder = load_model(args.model).encoder if args.model else _load_config(args)[1]
     graphs = _load_graphs(args.input)
     linked = [
         link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=args.threshold)
         for g in graphs
     ]
-    if len(linked) == 1:
-        _write(args.out, graph_to_json(linked[0]))
-    else:
-        _write_graphs(args.out, linked)
-    return 0
+    _write_graphs(args.out, linked, one_file=True)
 
 
-def _cmd_valence(args) -> int:
+def _cmd_valence(args) -> None:
     schema = _load_schema_arg(args.schema) if args.schema else None
     graphs = _load_graphs(args.input)
-    out = {
-        g.provenance: [a.to_dict() for a in compute_valence(g, schema)] for g in graphs
-    }
-    if args.out:
-        _dump_json(args.out, out)
-    else:
-        print(json.dumps(out, indent=2, ensure_ascii=False))
-    return 0
+    _dump_json(args.out, {g.provenance: [a.to_dict() for a in compute_valence(g, schema)] for g in graphs})
 
 
-def _cmd_query(args) -> int:
-    query = json.loads(_read(args.query))
-    if not (isinstance(query, dict) and "start" in query and "end" in query):
-        raise QueryError('a query document must be an object with "start" and "end" patterns')
-    start, end = NodePattern.from_dict(query["start"]), NodePattern.from_dict(query["end"])
-    max_len = query.get("max_len", args.max_len)
-    if isinstance(max_len, bool) or not isinstance(max_len, int):
-        raise QueryError(f"query max_len must be an integer, got {max_len!r}")
+def _query(doc, max_len: int) -> tuple[NodePattern, NodePattern, int]:
+    """A query document's start and end patterns and its max_len (by default `max_len`)."""
+    obj(doc, "query", QueryError, ("start", "end", "max_len"))
+    return (
+        NodePattern.from_dict(required(doc, "start", "query 'start'", QueryError)),
+        NodePattern.from_dict(required(doc, "end", "query 'end'", QueryError)),
+        integer(doc.get("max_len", max_len), "query 'max_len'", QueryError),
+    )
+
+
+def _cmd_query(args) -> None:
+    start, end, max_len = within(args.query, _query, load_json(args.query), args.max_len)
     graphs = _load_graphs(args.input)
     corpus = merge_corpus(graphs, lemma_link=not args.no_lemma_link)
     result = find_paths(corpus, start, end, max_len=max_len)
-    if args.out:
-        _dump_json(args.out, result.to_dict())
-    else:
-        print(json.dumps(result.to_dict(), indent=2, ensure_ascii=False))
-    return 0
+    _dump_json(args.out, result.to_dict())
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     predicted = _load_graphs(args.pred)
-    gold = [gold_graph(ex) for ex in load_dataset(_read(args.gold))]
+    gold = [gold_graph(ex) for ex in within(args.gold, load_dataset, read_text(args.gold))]
     report = score(predicted, gold)
     sys.stdout.write(report.render_text())
     if args.out:
         _dump_json(args.out, report.to_dict())
-    return 0
 
 
-def _cmd_dot(args) -> int:
+def _cmd_dot(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs = _load_graphs(args.input)
     if len(graphs) == 1:
-        _write(args.out, emit_dot(graphs[0], schema))
+        write_text(args.out, emit_dot(graphs[0], schema))
     else:
-        os.makedirs(args.out, exist_ok=True)
+        _makedirs(args.out)
         for i, g in enumerate(graphs):
-            _write(os.path.join(args.out, f"graph_{i:04d}.dot"), emit_dot(g, schema))
-    return 0
+            write_text(os.path.join(args.out, f"graph_{i:04d}.dot"), emit_dot(g, schema))
+
+
+_REQUIRED, _OPTIONAL = {"required": True}, {"default": None}
+_SEED = {"type": int, "default": None}
+
+# name, handler, help, then (flag, argparse options) per option
+_COMMANDS = (
+    ("train", _cmd_train, "train a model on a gold dataset", (
+        ("--data", _REQUIRED), ("--schema", _REQUIRED), ("--config", _OPTIONAL), ("--seed", _SEED),
+        ("--out", _REQUIRED),
+    )),
+    ("extract", _cmd_extract, "extract graphs from sentences", (
+        ("--model", _REQUIRED), ("--input", _REQUIRED), ("--out", _REQUIRED),
+        ("--threshold-relation", {"type": float, "default": None}),
+        ("--threshold-attribute", {"type": float, "default": None}),
+    )),
+    ("rectify", _cmd_rectify, "prune schema violations from graphs", (
+        ("--schema", _REQUIRED), ("--input", _REQUIRED), ("--out", _REQUIRED),
+        ("--out-dir", {"action": "store_true", "help": "treat --out as a directory"}),
+    )),
+    ("senses", _cmd_senses, "link graph nodes to word senses", (
+        ("--input", _REQUIRED), ("--inventory", _REQUIRED), ("--gloss", _OPTIONAL), ("--skip", _OPTIONAL),
+        ("--model", _OPTIONAL), ("--config", _OPTIONAL), ("--seed", _SEED),
+        ("--threshold", {"type": float, "default": 0.5}), ("--out", _REQUIRED),
+    )),
+    ("valence", _cmd_valence, "compute valence assertions", (
+        ("--input", _REQUIRED), ("--schema", _OPTIONAL), ("--out", _OPTIONAL),
+    )),
+    ("query", _cmd_query, "run a start/end pattern path query", (
+        ("--input", _REQUIRED), ("--query", _REQUIRED), ("--max-len", {"type": int, "default": 6}),
+        ("--no-lemma-link", {"action": "store_true"}), ("--out", _OPTIONAL),
+    )),
+    ("eval", _cmd_eval, "score predictions against a gold dataset", (
+        ("--pred", _REQUIRED), ("--gold", _REQUIRED), ("--out", _OPTIONAL),
+    )),
+    ("dot", _cmd_dot, "emit Graphviz DOT for graphs", (
+        ("--input", _REQUIRED), ("--schema", _REQUIRED), ("--out", _REQUIRED),
+    )),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="causalkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("train", help="train a model on a gold dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("extract", help="extract graphs from sentences")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--threshold-relation", type=float, default=None)
-    p.add_argument("--threshold-attribute", type=float, default=None)
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("rectify", help="prune schema violations from graphs")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-dir", action="store_true", help="treat --out as a directory")
-    p.set_defaults(func=_cmd_rectify)
-
-    p = sub.add_parser("senses", help="link graph nodes to word senses")
-    p.add_argument("--input", required=True)
-    p.add_argument("--inventory", required=True)
-    p.add_argument("--gloss", default=None)
-    p.add_argument("--skip", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_senses)
-
-    p = sub.add_parser("valence", help="compute valence assertions")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_valence)
-
-    p = sub.add_parser("query", help="run a start/end pattern path query")
-    p.add_argument("--input", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--max-len", type=int, default=6)
-    p.add_argument("--no-lemma-link", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("eval", help="score predictions against a gold dataset")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("dot", help="emit Graphviz DOT for graphs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dot)
+    for name, func, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -326,8 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CausalKgError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        args.func(args)
+        return 0
+    except CausalKgError as exc:
         print(f"causalkg: error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,8 +28,10 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     EncoderError,
+    InputError,
     OutOfVocabularyError,
 )
+from .readers import cannot, integer, obj, string
 
 __all__ = ["EncoderConfig", "TokenEncoding", "encode_tokens", "load_embedding_file"]
 
@@ -43,6 +45,11 @@ class EncoderConfig:
     embedding_path: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("dimension", "seed", "context_window"):
+            integer(getattr(self, name), f"encoder config {name!r}", InputError)
+        string(self.kind, "encoder config 'kind'", InputError)
+        if self.embedding_path is not None:
+            string(self.embedding_path, "encoder config 'embedding_path'", InputError)
         if self.kind not in ("synthetic", "file"):
             raise EncoderError(f"unknown encoder kind {self.kind!r}")
         if self.dimension < 2:
@@ -63,21 +70,8 @@ class EncoderConfig:
 
     @staticmethod
     def from_dict(data: Mapping) -> "EncoderConfig":
-        """Build from a JSON object; raises ValueError on unknown or mistyped fields."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"encoder config must be an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(EncoderConfig.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown encoder config field(s): {', '.join(unknown)}")
-        for name in ("dimension", "seed", "context_window"):
-            value = data.get(name, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"encoder config {name!r} must be an integer, got {value!r}")
-        for name in ("kind", "embedding_path"):
-            value = data.get(name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"encoder config {name!r} must be a string, got {value!r}")
-        return EncoderConfig(**data)
+        """Build from a JSON object; raises InputError on unknown or mistyped fields."""
+        return EncoderConfig(**obj(data, "encoder config", InputError, EncoderConfig.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -162,10 +156,13 @@ def _load_vocabulary(
 
 def _encode_file(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
     path = config.embedding_path
-    st = os.stat(path)
-    index, matrix = _load_vocabulary(
-        path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-    )
+    try:
+        st = os.stat(path)
+        index, matrix = _load_vocabulary(
+            path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+        )
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cannot("read embedding file", path, exc, EncoderError) from exc
     rows = []
     for t in tokens:
         row = index.get(t)

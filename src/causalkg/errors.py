@@ -5,6 +5,10 @@ class CausalKgError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(CausalKgError, ValueError):
+    """An input value is out of range or mistyped, or a file cannot be read or written."""
+
+
 class GraphError(CausalKgError):
     """Structural problem while assembling or manipulating a graph."""
 

@@ -12,6 +12,7 @@ section, excluding classes with zero gold support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import AlignmentError
@@ -59,15 +60,8 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         def row(cs: ClassScore) -> dict:
-            return {
-                "precision": cs.precision,
-                "recall": cs.recall,
-                "f1": cs.f1,
-                "support": cs.support,
-                "tp": cs.tp,
-                "fp": cs.fp,
-                "fn": cs.fn,
-            }
+            names = ("precision", "recall", "f1", "support", "tp", "fp", "fn")
+            return {name: getattr(cs, name) for name in names}
 
         return {
             "sections": {
@@ -111,10 +105,9 @@ def _attribute_keys(graph: KnowledgeGraph) -> set[tuple[tuple[int, int, str], st
 
 
 def _relation_keys(graph: KnowledgeGraph):
-    by_id = graph.entity_by_id()
     out = set()
     for r in graph.relations:
-        h, t = by_id[r.head], by_id[r.tail]
+        h, t = graph.entity(r.head), graph.entity(r.tail)
         out.add(
             (
                 (h.span.start, h.span.end, h.entity_type),
@@ -147,21 +140,13 @@ def score(
         for key in gold_keys - pred_keys:
             counters[section].setdefault(class_of(key), [0, 0, 0])[2] += 1
 
+    # each section's element keys, and the index of the class in a key
+    keys = {
+        "entities": (_entity_keys, 2), "attributes": (_attribute_keys, 1), "relations": (_relation_keys, 2)
+    }
     for prov, gold_graph in gold_by_prov.items():
-        pred_graph = pred_by_prov[prov]
-        tally("entities", _entity_keys(pred_graph), _entity_keys(gold_graph), lambda k: k[2])
-        tally(
-            "attributes",
-            _attribute_keys(pred_graph),
-            _attribute_keys(gold_graph),
-            lambda k: k[1],
-        )
-        tally(
-            "relations",
-            _relation_keys(pred_graph),
-            _relation_keys(gold_graph),
-            lambda k: k[2],
-        )
+        for section, (keys_of, class_index) in keys.items():
+            tally(section, keys_of(pred_by_prov[prov]), keys_of(gold_graph), itemgetter(class_index))
 
     sections: dict[str, dict[str, ClassScore]] = {}
     micro: dict[str, ClassScore] = {}

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BadConfidenceError,
@@ -23,6 +23,7 @@ from .errors import (
     GraphError,
     SelfLoopError,
 )
+from .readers import array, integer, obj, real, required, string, strings
 
 __all__ = [
     "Span",
@@ -447,123 +448,94 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _malformed(message: str) -> GraphError:
+    return GraphError("malformed graph document: " + message)
 
 
-def _is_number(value) -> bool:
-    """A JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# (reader, key) per required field of a record
+_ENTITY_FIELDS = ((string, "id"), (integer, "start"), (integer, "end"), (string, "type"), (real, "confidence"))
+_ATTRIBUTE_FIELDS = ((string, "type"), (real, "confidence"))
+_SENSE_FIELDS = ((string, "sense"), (real, "confidence"))
+_RELATION_FIELDS = ((string, "head"), (string, "tail"), (string, "type"), (real, "confidence"))
 
 
-def _field_error(field: str, expected: str, value) -> GraphError:
-    return GraphError(f"malformed graph document: {field} must be {expected}, got {value!r}")
-
-
-_STRING, _INTEGER, _NUMBER, _LIST = "a string", "an integer", "a number", "a list"
-_FIELD_TESTS = {
-    _STRING: lambda value: isinstance(value, str),
-    _INTEGER: _is_int,
-    _NUMBER: _is_number,
-    _LIST: lambda value: isinstance(value, list),
-}
-
-
-def _check_fields(record: str, fields: Iterable[tuple[str, str, object]]) -> None:
-    """Raise the field error of the first (name, expected, value) that fails.
-
-    The loader calls this only when a cheaper test of the whole record
-    fails, so no field name is formatted for a well-typed record.
-    """
-    for name, expected, value in fields:
-        if not _FIELD_TESTS[expected](value):
-            raise _field_error(f"{record}.{name}", expected, value)
-
-
-def _strings(value, field: str) -> tuple[str, ...]:
-    """A JSON list of strings as a tuple; the error names the first bad item."""
-    if not isinstance(value, list):
-        raise _field_error(field, "a list of strings", value)
-    for i, s in enumerate(value):
-        if not isinstance(s, str):
-            raise _field_error(f"{field}[{i}]", _STRING, s)
-    return tuple(value)
+def _check_record(record, label: str, fields: tuple[tuple[Callable, str], ...]) -> None:
+    """Read the record's fields; the error names the first one missing or mistyped."""
+    obj(record, label, _malformed)
+    for read, key in fields:
+        required(record, key, f"{label}.{key}", _malformed, read)
 
 
 def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     """Inverse of graph_to_dict, revalidating all invariants.
 
     Each record is read once and each element built once, through the
-    checks `assemble_graph` runs.  Nothing is coerced: `tokens` and
-    `lemmas` must be lists of strings; ids, types, `head`, `tail` and
-    `provenance` strings; offsets JSON integers and confidences JSON
-    numbers (booleans and numeric strings are rejected).  A GraphError
-    names the offending field, e.g. `entities[0].start` or `tokens[2]`.
-    A missing or null `lemmas` defaults to the lowercased tokens.
+    checks `assemble_graph` runs.  Fields are read by `readers`' rules; a
+    GraphError names the offending field, e.g. `entities[0].start` or
+    `tokens[2]`.  A missing or null `lemmas` defaults to the lowercased
+    tokens; other keys are ignored (`rectify` writes its log there).
     """
-    if not isinstance(data, Mapping):
-        raise GraphError(f"a graph document must be an object, got {type(data).__name__}")
-    try:
-        lemmas = data.get("lemmas")
-        builder = _GraphBuilder(
-            _strings(data["tokens"], "tokens"), None if lemmas is None else _strings(lemmas, "lemmas")
-        )
-        add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
-        entities = data.get("entities", [])
-        if not isinstance(entities, list):
-            raise _field_error("entities", _LIST, entities)
-        for i, e in enumerate(entities):
+    obj(data, "a graph document", GraphError)
+    lemmas = data.get("lemmas")
+    builder = _GraphBuilder(
+        required(data, "tokens", "tokens", _malformed, strings),
+        None if lemmas is None else strings(lemmas, "lemmas", _malformed),
+    )
+    add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
+    # Each record is read and type-tested in one expression.  Only a record
+    # that fails the test (an int confidence, say) or lacks a field goes
+    # through _check_record, which raises if a field is at fault, so no
+    # label is formatted for a well-typed record.
+    for i, e in enumerate(array(data.get("entities", []), "entities", _malformed)):
+        try:
             ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
             attrs, senses = e.get("attributes", []), e.get("senses", [])
-            # exact int and float are the common case; _check_fields runs
-            # the full tests (an int confidence, say, passes them)
-            if not (
+            ok = (
                 isinstance(ent_id, str) and type(start) is int and type(end) is int
                 and isinstance(ent_type, str) and isinstance(conf, float)
                 and isinstance(attrs, list) and isinstance(senses, list)
-            ):
-                _check_fields(f"entities[{i}]", (
-                    ("id", _STRING, ent_id), ("start", _INTEGER, start), ("end", _INTEGER, end),
-                    ("type", _STRING, ent_type), ("confidence", _NUMBER, conf),
-                    ("attributes", _LIST, attrs), ("senses", _LIST, senses),
-                ))
-            attr_pairs: list[tuple[str, float]] = []
-            for j, a in enumerate(attrs):
+            )
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            _check_record(e, f"entities[{i}]", _ENTITY_FIELDS)
+            array(attrs, f"entities[{i}].attributes", _malformed)
+            array(senses, f"entities[{i}].senses", _malformed)
+        attr_pairs: list[tuple[str, float]] = []
+        for j, a in enumerate(attrs):
+            try:
                 attr_type, attr_conf = a["type"], a["confidence"]
-                if not (isinstance(attr_type, str) and isinstance(attr_conf, float)):
-                    _check_fields(f"entities[{i}].attributes[{j}]", (
-                        ("type", _STRING, attr_type), ("confidence", _NUMBER, attr_conf),
-                    ))
-                add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
-            sense_pairs: list[tuple[str, float]] = []
-            for j, s in enumerate(senses):
+                ok = isinstance(attr_type, str) and isinstance(attr_conf, float)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
+            add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
+        sense_pairs: list[tuple[str, float]] = []
+        for j, s in enumerate(senses):
+            try:
                 sense, sense_conf = s["sense"], s["confidence"]
-                if not isinstance(sense_conf, float):
-                    _check_fields(f"entities[{i}].senses[{j}]", (("confidence", _NUMBER, sense_conf),))
-                add_sense(sense_pairs, ent_id, sense, sense_conf)
-            add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
-        relations = data.get("relations", [])
-        if not isinstance(relations, list):
-            raise _field_error("relations", _LIST, relations)
-        add_relation = builder.relation
-        for i, r in enumerate(relations):
+                ok = isinstance(sense, str) and isinstance(sense_conf, float)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
+            add_sense(sense_pairs, ent_id, sense, sense_conf)
+        add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
+    add_relation = builder.relation
+    for i, r in enumerate(array(data.get("relations", []), "relations", _malformed)):
+        try:
             head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
-            if not (
+            ok = (
                 isinstance(head, str) and isinstance(tail, str)
                 and isinstance(rel_type, str) and isinstance(conf, float)
-            ):
-                _check_fields(f"relations[{i}]", (
-                    ("head", _STRING, head), ("tail", _STRING, tail),
-                    ("type", _STRING, rel_type), ("confidence", _NUMBER, conf),
-                ))
-            add_relation(head, tail, rel_type, conf)
-        provenance = data.get("provenance", "")
-        if not isinstance(provenance, str):
-            raise _field_error("provenance", _STRING, provenance)
-        return builder.graph(provenance)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise GraphError(f"malformed graph document: {exc}") from exc
+            )
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
+        add_relation(head, tail, rel_type, conf)
+    return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))
 
 
 def _scalar(value) -> str:
@@ -636,34 +608,34 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     holds no JSON scalar (a numpy integer span bound, say), raises
     TypeError.
     """
-    string = encode_basestring
+    quote = encode_basestring
     entities = [
         _ENTITY % (
-            string(e.id),
+            quote(e.id),
             _scalar(e.span.start),
             _scalar(e.span.end),
-            string(e.entity_type),
+            quote(e.entity_type),
             _scalar(e.confidence),
-            _array([_ATTRIBUTE % (string(t), _scalar(c)) for t, c in e.attributes], "      "),
-            _array([_SENSE % (string(s), _scalar(c)) for s, c in e.senses], "      "),
+            _array([_ATTRIBUTE % (quote(t), _scalar(c)) for t, c in e.attributes], "      "),
+            _array([_SENSE % (quote(s), _scalar(c)) for s, c in e.senses], "      "),
         )
         for e in graph.entities
     ]
     rels = graph.relations
     relations = [
-        f'{{\n      "head": {string(r.head)},\n      "tail": {string(r.tail)},'
-        f'\n      "type": {string(r.relation_type)},\n      "confidence": {conf}\n    }}'
+        f'{{\n      "head": {quote(r.head)},\n      "tail": {quote(r.tail)},'
+        f'\n      "type": {quote(r.relation_type)},\n      "confidence": {conf}\n    }}'
         for r, conf in zip(rels, _numbers([r.confidence for r in rels]))
     ]
     parts = [
-        '{\n  "tokens": ' + _array([string(t) for t in graph.tokens], "  "),
-        '"lemmas": ' + _array([string(t) for t in graph.lemmas], "  "),
+        '{\n  "tokens": ' + _array([quote(t) for t in graph.tokens], "  "),
+        '"lemmas": ' + _array([quote(t) for t in graph.lemmas], "  "),
         '"entities": ' + _array(entities, "  "),
         '"relations": ' + _array(relations, "  "),
-        '"provenance": ' + string(graph.provenance),
+        '"provenance": ' + quote(graph.provenance),
     ]
     for key, records in (extras or {}).items():
-        parts.append(string(key) + ": " + _array([_record(rec) for rec in records], "  "))
+        parts.append(quote(key) + ": " + _array([_record(rec) for rec in records], "  "))
     return ",\n  ".join(parts) + "\n}\n"
 
 

@@ -20,9 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InputError
 from .graphs import KnowledgeGraph, Span, assemble_graph
-from .schema import Schema, load_schema, schema_to_dict
+from .readers import integer, load_json, obj, real, required, within, write_text
+from .schema import Schema, schema_from_dict, schema_to_dict
 
 __all__ = [
     "PARAM_GROUPS",
@@ -61,9 +62,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def check_thresholds(theta_r: float, theta_a: float) -> None:
-    """Raise ValueError unless both decision thresholds lie in (0, 1)."""
+    """Raise InputError unless both decision thresholds lie in (0, 1)."""
     if not (0.0 < theta_r < 1.0 and 0.0 < theta_a < 1.0):
-        raise ValueError(
+        raise InputError(
             f"thresholds must lie in (0, 1), got relation {theta_r} and attribute {theta_a}"
         )
 
@@ -119,47 +120,39 @@ class Model:
         theta_a: float = 0.5,
         seed: int = 0,
     ) -> "Model":
-        """Seeded init: zero biases, uniform(+/- 1/sqrt(fan_in)) weights."""
-        if max_span_len < 1:
-            raise ValueError("max_span_len must be >= 1")
-        if width_dim < 1:
-            raise ValueError("width_dim must be >= 1")
+        """Seeded init: zero biases, uniform(+/- 1/sqrt(fan_in)) weights,
+        whose fan_in is the length of a weight's last axis."""
+        shapes = _shapes(schema, encoder.dimension, max_span_len, width_dim)
         check_thresholds(theta_r, theta_a)
-        d = encoder.dimension
-        rep = 2 * d + width_dim
-        pair = 3 * d + 2 * width_dim
         rng = np.random.default_rng(seed)
 
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
+        def uniform(shape):
+            bound = 1.0 / np.sqrt(shape[-1])
             return rng.uniform(-bound, bound, size=shape)
 
-        return Model(
-            schema=schema,
-            encoder=encoder,
-            max_span_len=max_span_len,
-            width_dim=width_dim,
-            theta_r=theta_r,
-            theta_a=theta_a,
-            attn_w=uniform(d, d),
-            attn_b=np.zeros(()),
-            width=uniform((max_span_len, width_dim), width_dim),
-            ent_w=uniform((len(schema.entity_types) + 1, rep), rep),
-            ent_b=np.zeros(len(schema.entity_types) + 1),
-            attr_w=uniform((len(schema.attribute_types), rep), rep),
-            attr_b=np.zeros(len(schema.attribute_types)),
-            rel_w=uniform((len(schema.relation_types), pair), pair),
-            rel_b=np.zeros(len(schema.relation_types)),
-        )
+        # the weights are drawn in PARAM_GROUPS order
+        params = {name: np.zeros(s) if name.endswith("_b") else uniform(s) for name, s in shapes.items()}
+        return Model(schema, encoder, max_span_len, width_dim, theta_r, theta_a, **params)
 
     def copy(self) -> "Model":
         return replace(self, **{name: getattr(self, name).copy() for name in PARAM_GROUPS})
 
 
+def _shapes(schema: Schema, d: int, max_span_len: int, width_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter group's shape, in PARAM_GROUPS order, without building it."""
+    if max_span_len < 1 or width_dim < 1:
+        raise InputError(f"max_span_len and width_dim must be >= 1, got {max_span_len} and {width_dim}")
+    rep, pair = 2 * d + width_dim, 3 * d + 2 * width_dim
+    ents, attrs = len(schema.entity_types) + 1, len(schema.attribute_types)
+    rels = len(schema.relation_types)
+    shapes = [(d,), (), (max_span_len, width_dim), (ents, rep), (ents,), (attrs, rep), (attrs,)]
+    return dict(zip(PARAM_GROUPS, shapes + [(rels, pair), (rels,)]))
+
+
 def enumerate_spans(n: int, max_len: int) -> list[Span]:
     """All spans of length 1..max_len over n tokens, in (start, length) order."""
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise InputError("max_len must be >= 1")
     return [
         Span(start, start + length)
         for start in range(n)
@@ -335,46 +328,51 @@ def save_model(model: Model, path: str) -> None:
         # a 0-d group (attn_b) is written as a plain number
         "parameters": {name: getattr(model, name).tolist() for name in PARAM_GROUPS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(path, json.dumps(doc) + "\n")
+
+
+_MODEL_KEYS = (
+    "format_version", "schema", "encoder", "max_span_len", "width_dim", "theta_r", "theta_a", "parameters"
+)
 
 
 def load_model(path: str) -> Model:
-    """Read a model saved by `save_model`.
+    """Read a model saved by `save_model`, its fields by `readers`' rules.
 
-    Raises ValueError when a number or parameter group has the wrong JSON
-    type, when the thresholds lie outside (0, 1), or when a parameter group
-    is non-finite or its shape differs from what `Model.initialize` builds
-    for the stored schema, encoder dimension, width_dim and max_span_len.
+    Raises InputError (SchemaError for the stored schema) naming the file
+    when a field is missing, unknown or mistyped, a threshold lies outside
+    (0, 1), or a parameter group is non-finite or not of the shape
+    `Model.initialize` builds for the stored schema and sizes.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    try:
-        params = {name: np.array(doc["parameters"][name], dtype=float) for name in PARAM_GROUPS}
-        max_span_len, width_dim = int(doc["max_span_len"]), int(doc["width_dim"])
-        theta_r, theta_a = float(doc["theta_r"]), float(doc["theta_a"])
-    except TypeError as exc:
-        # a list where a number belongs, or an object as a parameter group
-        raise ValueError(f"malformed model file {path!r}: {exc}") from exc
-    schema = load_schema(json.dumps(doc["schema"]))
-    encoder = EncoderConfig.from_dict(doc["encoder"])
-    # initialize checks the thresholds and sizes; its arrays give the shapes
-    template = Model.initialize(schema, encoder, max_span_len, width_dim, theta_r, theta_a)
-    for name, value in params.items():
-        want = np.shape(getattr(template, name))
-        if value.shape != want:
-            raise ValueError(f"model parameter {name!r} has shape {value.shape}, expected {want}")
+    return within(f"malformed model file {path!r}", _model_from_dict, load_json(path))
+
+
+def _model_from_dict(doc) -> Model:
+    obj(doc, "document", InputError, _MODEL_KEYS, expected="a JSON object")
+
+    def field(key: str, read=None):
+        return required(doc, key, repr(key), InputError, read)
+
+    if field("format_version", integer) != MODEL_FORMAT_VERSION:
+        raise InputError(f"unsupported model format {doc['format_version']!r}")
+    groups = obj(field("parameters"), "'parameters'", InputError, PARAM_GROUPS)
+    schema, encoder = schema_from_dict(field("schema")), EncoderConfig.from_dict(field("encoder"))
+    max_span_len, width_dim = field("max_span_len", integer), field("width_dim", integer)
+    theta_r, theta_a = field("theta_r", real), field("theta_a", real)
+    check_thresholds(theta_r, theta_a)
+    params = {}
+    for name, shape in _shapes(schema, encoder.dimension, max_span_len, width_dim).items():
+        # one np.array call per group; dtype=object keeps each JSON value as
+        # it is, so a bool, a string or a ragged row shows in the types
+        value = np.array(required(groups, name, f"model parameter {name!r}", InputError), dtype=object)
+        if not set(map(type, value.ravel())) <= {int, float}:
+            raise InputError(f"model parameter {name!r} must hold JSON numbers only")
+        if value.shape != shape:
+            raise InputError(f"model parameter {name!r} has shape {value.shape}, expected {shape}")
+        try:
+            params[name] = value = value.astype(float)
+        except OverflowError:
+            raise InputError(f"model parameter {name!r} holds a number a float cannot hold") from None
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"model parameter {name!r} has non-finite values")
-    return Model(
-        schema=schema,
-        encoder=encoder,
-        max_span_len=max_span_len,
-        width_dim=width_dim,
-        theta_r=theta_r,
-        theta_a=theta_a,
-        **params,
-    )
+            raise InputError(f"model parameter {name!r} has non-finite values")
+    return Model(schema, encoder, max_span_len, width_dim, theta_r, theta_a, **params)

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import QueryError, SchemaMismatchError
+from .errors import InputError, QueryError, SchemaMismatchError
 from .graphs import CorpusGraph, Entity, KnowledgeGraph
+from .readers import array, obj, required, string, strings
 from .schema import Schema
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 NORM = "NORM"
+_PATTERN_KEYS = ("lemma_any_of", "entity_type", "required_attributes", "role_constraints")
 
 # edge types followed during valence propagation; "agent" resolves the
 # holder and is deliberately excluded from propagation
@@ -65,25 +67,22 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
                     f"relation type {r.relation_type!r} not in schema {schema.name!r}"
                 )
 
-    by_id = graph.entity_by_id()
-    outgoing: dict[str, list] = {e.id: [] for e in graph.entities}
-    for r in graph.relations:
-        outgoing[r.head].append(r)
-    for edges in outgoing.values():
-        edges.sort(key=lambda r: (r.relation_type, r.tail))
+    def outgoing(node_id: str) -> list:
+        return sorted(graph.outgoing(node_id), key=lambda r: (r.relation_type, r.tail))
 
-    sources = []
-    for e in graph.entities:
-        if e.has_attribute("prescribed") or any(
-            r.relation_type in ("intent+", "function+") for r in outgoing[e.id]
-        ):
-            sources.append(e)
-    sources.sort(key=lambda e: e.id)
+    sources = sorted(
+        (
+            e for e in graph.entities
+            if e.has_attribute("prescribed")
+            or any(r.relation_type in ("intent+", "function+") for r in graph.outgoing(e.id))
+        ),
+        key=lambda e: e.id,
+    )
 
     assertions: list[ValenceAssertion] = []
     seen: set[tuple[str, str, int]] = set()
     for source in sources:
-        agent_edges = [r for r in outgoing[source.id] if r.relation_type == "agent"]
+        agent_edges = [r for r in outgoing(source.id) if r.relation_type == "agent"]
         holder = agent_edges[0].tail if agent_edges else NORM
 
         start_sign = -1 if source.has_attribute("negated") else 1
@@ -99,13 +98,13 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
                 seen.add(key)
                 assertions.append(ValenceAssertion(holder, node_id, sign))
             # reversed so the lexicographically first edge is expanded first
-            for r in reversed(outgoing[node_id]):
+            for r in reversed(outgoing(node_id)):
                 if r.relation_type not in VALENCE_EDGES:
                     continue
                 next_sign = sign
                 if r.relation_type == "q-":
                     next_sign = -next_sign
-                if by_id[r.tail].has_attribute("negated"):
+                if graph.entity(r.tail).has_attribute("negated"):
                     next_sign = -next_sign
                 stack.append((r.tail, next_sign))
     return assertions
@@ -138,16 +137,33 @@ class NodePattern:
     @staticmethod
     def from_dict(data: Mapping) -> "NodePattern":
         """Parse a pattern document; raises QueryError when it is malformed."""
-        if not isinstance(data, Mapping):
-            raise QueryError(f"a node pattern must be an object, got {data!r}")
-        entity_type = data.get("entity_type")
-        if "entity_type" in data and not isinstance(entity_type, str):
-            raise QueryError(f"pattern field 'entity_type' must be a string, got {entity_type!r}")
+        obj(data, "node pattern", QueryError, _PATTERN_KEYS)
+
+        def string_set(key: str) -> frozenset[str] | None:
+            if key in data:
+                return frozenset(strings(data[key], f"pattern field {key!r}", QueryError))
+            return None
+
+        constraints = None
+        if "role_constraints" in data:
+            constraints = []
+            roles = array(data["role_constraints"], "pattern field 'role_constraints'", QueryError)
+            for i, rc in enumerate(roles):
+                label = f"role constraint {i}"
+                obj(rc, label, QueryError, ("relation", "pattern"))
+                constraints.append((
+                    required(rc, "relation", f"{label} 'relation'", QueryError, string),
+                    NodePattern.from_dict(required(rc, "pattern", f"{label} 'pattern'", QueryError)),
+                ))
+            constraints = tuple(constraints)
         return NodePattern(
-            lemma_any_of=_string_set(data, "lemma_any_of"),
-            entity_type=entity_type,
-            required_attributes=_string_set(data, "required_attributes"),
-            role_constraints=_role_constraints(data),
+            lemma_any_of=string_set("lemma_any_of"),
+            entity_type=(
+                string(data["entity_type"], "pattern field 'entity_type'", QueryError)
+                if "entity_type" in data else None
+            ),
+            required_attributes=string_set("required_attributes"),
+            role_constraints=constraints,
         )
 
     def matches(self, graph: KnowledgeGraph, entity: Entity) -> bool:
@@ -167,31 +183,6 @@ class NodePattern:
                 ):
                     return False
         return True
-
-
-def _string_set(data: Mapping, key: str) -> frozenset[str] | None:
-    if key not in data:
-        return None
-    value = data[key]
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise QueryError(f"pattern field {key!r} must be a list of strings, got {value!r}")
-    return frozenset(value)
-
-
-def _role_constraints(data: Mapping) -> tuple[tuple[str, NodePattern], ...] | None:
-    if "role_constraints" not in data:
-        return None
-    constraints = data["role_constraints"]
-    if not isinstance(constraints, list):
-        raise QueryError(f"pattern field 'role_constraints' must be a list, got {constraints!r}")
-    parsed = []
-    for rc in constraints:
-        if not (isinstance(rc, Mapping) and isinstance(rc.get("relation"), str) and "pattern" in rc):
-            raise QueryError(
-                f'a role constraint must be an object with a string "relation" and a "pattern", got {rc!r}'
-            )
-        parsed.append((rc["relation"], NodePattern.from_dict(rc["pattern"])))
-    return tuple(parsed)
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,7 @@ def find_paths(
     lexicographically by their id sequences.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
+        raise InputError("max_len must be >= 1")
     index = corpus.index
     nodes, node_lemmas = index.nodes, index.lemmas
     hubs = dict(corpus.lemma_hubs)

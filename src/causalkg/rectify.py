@@ -71,7 +71,6 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
     # sorted() is stable, so tied violations keep check_constraints' order
     ranked = sorted(((*_weakest(v), v) for v in violations), key=itemgetter(0))
 
-    by_id = graph.entity_by_id()
     incident: dict[str, list[Relation]] = {}  # entity id -> relations, in graph order
     for r in graph.relations:
         incident.setdefault(r.head, []).append(r)
@@ -107,7 +106,7 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
             continue
         ent_id = key[1]
         gone_entities.add(ent_id)
-        for attr, conf in by_id[ent_id].attributes:
+        for attr, conf in graph.entity(ent_id).attributes:
             if (ent_id, attr) not in gone_attributes:
                 attr_id = element_id(("attribute", ent_id, attr))
                 log.append(RemovalRecord(attr_id, "attribute", conf, cause, cascade=True))

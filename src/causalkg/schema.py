@@ -9,12 +9,12 @@ scientific claims and "ethno" for ethnographic mental models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
 from .graphs import KnowledgeGraph
+from .readers import array, obj, parse_json, required, string, strings
 
 __all__ = [
     "Schema",
@@ -22,6 +22,7 @@ __all__ = [
     "ElementKey",
     "element_id",
     "load_schema",
+    "schema_from_dict",
     "check_constraints",
     "BUILTIN_SCHEMAS",
 ]
@@ -52,33 +53,24 @@ class Schema:
     causal_relation_types: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        ents = set(self.entity_types)
-        attrs = set(self.attribute_types)
-        rels = set(self.relation_types)
+        ents, attrs, rels = set(self.entity_types), set(self.attribute_types), set(self.relation_types)
+
+        def check(names: Iterable[str], declared: set[str], where: str) -> None:
+            for name in sorted(names):
+                if name not in declared:
+                    raise UnknownTypeReferenceError(f"{where} names undeclared type {name!r}")
+
         for attr, domain in self.attribute_domains.items():
-            if attr not in attrs:
-                raise UnknownTypeReferenceError(f"attribute domain for undeclared {attr!r}")
-            for t in domain:
-                if t not in ents:
-                    raise UnknownTypeReferenceError(
-                        f"attribute domain of {attr!r} names undeclared entity type {t!r}"
-                    )
+            check([attr], attrs, "an attribute domain")
+            check(domain, ents, f"the attribute domain of {attr!r}")
         for rel, (heads, tails) in self.relation_signatures.items():
-            if rel not in rels:
-                raise UnknownTypeReferenceError(f"signature for undeclared relation {rel!r}")
-            for t in heads | tails:
-                if t not in ents:
-                    raise UnknownTypeReferenceError(
-                        f"signature of {rel!r} names undeclared entity type {t!r}"
-                    )
+            check([rel], rels, "a relation signature")
+            check(heads | tails, ents, f"the signature of {rel!r}")
         for pair in self.exclusive_attribute_pairs:
-            if not pair <= attrs:
-                raise UnknownTypeReferenceError(f"exclusive attribute pair {set(pair)} undeclared")
+            check(pair, attrs, "an exclusive attribute pair")
         for pair in self.exclusive_relation_pairs:
-            if not pair <= rels:
-                raise UnknownTypeReferenceError(f"exclusive relation pair {set(pair)} undeclared")
-        if not self.causal_relation_types <= rels:
-            raise UnknownTypeReferenceError("causal_relation_types not a subset of relation types")
+            check(pair, rels, "an exclusive relation pair")
+        check(self.causal_relation_types, rels, "causal_relation_types")
 
 
 def element_id(key: ElementKey) -> str:
@@ -158,37 +150,41 @@ def load_schema(document: str) -> Schema:
     name = document.strip()
     if name in BUILTIN_SCHEMAS:
         return BUILTIN_SCHEMAS[name]()
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SchemaParseError(f"not a built-in schema name and not valid JSON: {exc}") from exc
-    return schema_from_dict(data)
+    return schema_from_dict(parse_json(document, "a schema that is not a built-in name", SchemaParseError))
 
 
 def schema_from_dict(data: Mapping) -> Schema:
-    try:
-        return Schema(
-            name=str(data["name"]),
-            entity_types=tuple(data["entity_types"]),
-            attribute_types=tuple(data["attribute_types"]),
-            relation_types=tuple(data["relation_types"]),
-            attribute_domains={
-                k: frozenset(v) for k, v in data.get("attribute_domains", {}).items()
-            },
-            relation_signatures={
-                k: (frozenset(v["head"]), frozenset(v["tail"]))
-                for k, v in data.get("relation_signatures", {}).items()
-            },
-            exclusive_attribute_pairs=frozenset(
-                frozenset(p) for p in data.get("exclusive_attribute_pairs", [])
-            ),
-            exclusive_relation_pairs=frozenset(
-                frozenset(p) for p in data.get("exclusive_relation_pairs", [])
-            ),
-            causal_relation_types=frozenset(data.get("causal_relation_types", [])),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaParseError(f"malformed schema document: {exc}") from exc
+    """Build a schema from the object `schema_to_dict` writes, whose
+    constraint fields may be absent; SchemaParseError names a bad field."""
+    error = SchemaParseError
+    obj(data, "schema", error, Schema.__dataclass_fields__)  # the JSON keys are the field names
+
+    def names(value, label: str, error=error) -> frozenset[str]:
+        return frozenset(strings(value, label, error))
+
+    def pairs(key: str) -> frozenset[frozenset[str]]:
+        value = array(data.get(key, []), f"schema {key!r}", error)
+        return frozenset(names(pair, f"schema {key!r}[{i}]") for i, pair in enumerate(value))
+
+    domains = obj(data.get("attribute_domains", {}), "schema 'attribute_domains'", error)
+    signatures = {}
+    for rel, sig in obj(data.get("relation_signatures", {}), "schema 'relation_signatures'", error).items():
+        label = f"schema 'relation_signatures'[{rel!r}]"
+        obj(sig, label, error, ("head", "tail"))
+        signatures[rel] = tuple(required(sig, e, f"{label}[{e!r}]", error, names) for e in ("head", "tail"))
+    return Schema(
+        name=required(data, "name", "schema 'name'", error, string),
+        entity_types=required(data, "entity_types", "schema 'entity_types'", error, strings),
+        attribute_types=required(data, "attribute_types", "schema 'attribute_types'", error, strings),
+        relation_types=required(data, "relation_types", "schema 'relation_types'", error, strings),
+        attribute_domains={a: names(d, f"schema 'attribute_domains'[{a!r}]") for a, d in domains.items()},
+        relation_signatures=signatures,
+        exclusive_attribute_pairs=pairs("exclusive_attribute_pairs"),
+        exclusive_relation_pairs=pairs("exclusive_relation_pairs"),
+        causal_relation_types=names(
+            data.get("causal_relation_types", []), "schema 'causal_relation_types'"
+        ),
+    )
 
 
 def schema_to_dict(schema: Schema) -> dict:

@@ -27,6 +27,7 @@ __all__ = [
     "SenseRecord",
     "SenseInventory",
     "load_inventory",
+    "load_glosses",
     "node_vector",
     "link_senses",
     "lca_similarity",
@@ -151,6 +152,15 @@ def load_inventory(
             )
         )
     return SenseInventory(records, skip_lemmas=skip_lemmas)
+
+
+def load_glosses(text: str) -> dict[str, str]:
+    """Parse a gloss file: per line a sense id, a tab, then the gloss."""
+    lines = [(n, line.partition("\t")) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+    for line_no, (_, tab, _) in lines:
+        if not tab:
+            raise InventoryError(f"gloss line {line_no}: expected a sense id, a tab and a gloss")
+    return {sense_id: gloss for _, (sense_id, _, gloss) in lines}
 
 
 def node_vector(entity: Entity, token_vectors: np.ndarray) -> np.ndarray:

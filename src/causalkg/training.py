@@ -15,16 +15,14 @@ embeddings, and the three classifier heads.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
-from .errors import AlignmentError, GraphError, NonFiniteGradientError, SchemaMismatchError
+from .errors import AlignmentError, GraphError, InputError, NonFiniteGradientError, SchemaMismatchError
 from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
     PARAM_GROUPS,
@@ -36,6 +34,7 @@ from .model import (
     pair_rep,
     span_representations,
 )
+from .readers import array, integer, obj, parse_json, real, required, string, strings, within
 from .schema import Schema
 
 __all__ = [
@@ -72,26 +71,19 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind, noun = (numbers.Integral, "an integer") if f.type == "int" else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"train config {f.name!r} must be {noun}, got {value!r}")
+            read = integer if f.type == "int" else real
+            read(getattr(self, f.name), f"train config {f.name!r}", InputError)
         if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+            raise InputError("epochs must be >= 0 and batch_size >= 1")
         if self.neg_entity_count < 0 or self.neg_relation_count < 0:
-            raise ValueError("negative sample counts must be >= 0")
+            raise InputError("negative sample counts must be >= 0")
         if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be > 0 and finite")
+            raise InputError("learning rate must be > 0 and finite")
 
     @staticmethod
     def from_dict(data: Mapping) -> "TrainConfig":
-        """Build from a JSON object; raises ValueError on unknown or mistyped fields."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"train config must be an object, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(TrainConfig.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown train config field(s): {', '.join(unknown)}")
-        return TrainConfig(**data)
+        """Build from a JSON object; raises InputError on unknown or mistyped fields."""
+        return TrainConfig(**obj(data, "train config", InputError, TrainConfig.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -123,69 +115,56 @@ class LossBreakdown:
         object.__setattr__(self, "total", self.entity + self.relation + self.attribute)
 
 
-def _strings(value, where: str) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise GraphError(f"{where} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphError(f"{where} must be an integer, got {value!r}")
-    return value
+# each record list of an example, with its fields and their readers
+_RECORDS = {
+    "entities": (("start", integer), ("end", integer), ("type", string)),
+    "attributes": (("entity", integer), ("type", string)),
+    "relations": (("head", integer), ("tail", integer), ("type", string)),
+}
 
 
 def load_dataset(text: str) -> list[Example]:
     """Parse the dataset JSON format into Examples.
 
-    Raises GraphError naming the example and the field when the document is
-    not a list of objects, tokens or lemmas are not a list of strings, or an
-    offset or entity index is not a JSON integer.
+    Fields are read by `readers`' rules and keys the format does not define
+    are rejected; a GraphError names the example and the field.  Absent or
+    null lemmas default to the lowercased tokens.
     """
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise GraphError(f"a dataset must be a list of examples, got {type(data).__name__}")
     out = []
-    for i, ex in enumerate(data):
+    for i, ex in enumerate(array(parse_json(text, "a dataset", GraphError), "a dataset", GraphError)):
         where = f"dataset example {i}"
-        if not isinstance(ex, dict):
-            raise GraphError(f"{where} must be an object, got {type(ex).__name__}")
-        tokens = _strings(ex["tokens"], f"{where}: field 'tokens'")
-        lemmas = (
-            _strings(ex["lemmas"], f"{where}: field 'lemmas'")
-            if ex.get("lemmas")
-            else tuple(t.lower() for t in tokens)
-        )
-        out.append(
-            Example(
-                tokens=tokens,
-                lemmas=lemmas,
-                entities=tuple(
-                    (
-                        Span(
-                            _integer(e["start"], f"{where}: field 'entities[{j}].start'"),
-                            _integer(e["end"], f"{where}: field 'entities[{j}].end'"),
-                        ),
-                        e["type"],
-                    )
-                    for j, e in enumerate(ex["entities"])
-                ),
-                attributes=tuple(
-                    (_integer(a["entity"], f"{where}: field 'attributes[{j}].entity'"), a["type"])
-                    for j, a in enumerate(ex.get("attributes", []))
-                ),
-                relations=tuple(
-                    (
-                        _integer(r["head"], f"{where}: field 'relations[{j}].head'"),
-                        _integer(r["tail"], f"{where}: field 'relations[{j}].tail'"),
-                        r["type"],
-                    )
-                    for j, r in enumerate(ex.get("relations", []))
-                ),
-                provenance=ex.get("provenance", f"ex{i}"),
-            )
-        )
+        obj(ex, where, GraphError, Example.__dataclass_fields__)
+        out.append(within(where, _example, ex, f"ex{i}"))
     return out
+
+
+def _field(message: str) -> GraphError:
+    return GraphError("field " + message)
+
+
+def _example(ex: Mapping, provenance: str) -> Example:
+    """One example of a dataset; `load_dataset` names it in an error."""
+    tokens = required(ex, "tokens", "'tokens'", _field, strings)
+    lemmas = ex.get("lemmas")
+    rows: dict[str, list[tuple]] = {}
+    for key, readers in _RECORDS.items():
+        records = required(ex, key, f"{key!r}", _field) if key == "entities" else ex.get(key, [])
+        rows[key] = []
+        for j, rec in enumerate(array(records, f"{key!r}", _field)):
+            obj(rec, f"'{key}[{j}]'", _field, [name for name, _ in readers])
+            rows[key].append(tuple(
+                required(rec, name, f"'{key}[{j}].{name}'", _field, read) for name, read in readers
+            ))
+    return Example(
+        tokens=tokens,
+        lemmas=tuple(map(str.lower, tokens)) if lemmas is None else strings(lemmas, "'lemmas'", _field),
+        entities=tuple(
+            (within(f"entity {j}", Span, s, e), t) for j, (s, e, t) in enumerate(rows["entities"])
+        ),
+        attributes=tuple(rows["attributes"]),
+        relations=tuple(rows["relations"]),
+        provenance=string(ex.get("provenance", provenance), "'provenance'", _field),
+    )
 
 
 def gold_graph(example: Example) -> KnowledgeGraph:
@@ -207,34 +186,25 @@ def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int)
     gold_graph rejects spans past the sentence end, entity indices out of
     range, self-loops and duplicate spans, attributes or relations.
     """
-    ents, attrs, rels = (
-        set(schema.entity_types), set(schema.attribute_types), set(schema.relation_types)
-    )
+    declared = {
+        "entity": set(schema.entity_types),
+        "attribute": set(schema.attribute_types),
+        "relation": set(schema.relation_types),
+    }
     for ex in dataset:
-        for span, etype in ex.entities:
-            if etype not in ents:
+        typed = [("entity", t) for _, t in ex.entities] + [("attribute", t) for _, t in ex.attributes]
+        for kind, name in typed + [("relation", t) for _, _, t in ex.relations]:
+            if name not in declared[kind]:
                 raise SchemaMismatchError(
-                    f"{ex.provenance}: entity type {etype!r} not in schema {schema.name!r}"
+                    f"{ex.provenance}: {kind} type {name!r} not in schema {schema.name!r}"
                 )
+        for span, _ in ex.entities:
             if len(span) > max_span_len:
                 raise GraphError(
                     f"{ex.provenance}: span [{span.start}, {span.end}) is longer than "
                     f"max_span_len {max_span_len}"
                 )
-        for _, atype in ex.attributes:
-            if atype not in attrs:
-                raise SchemaMismatchError(
-                    f"{ex.provenance}: attribute type {atype!r} not in schema {schema.name!r}"
-                )
-        for _, _, rtype in ex.relations:
-            if rtype not in rels:
-                raise SchemaMismatchError(
-                    f"{ex.provenance}: relation type {rtype!r} not in schema {schema.name!r}"
-                )
-        try:
-            gold_graph(ex)
-        except GraphError as exc:
-            raise type(exc)(f"{ex.provenance}: {exc}") from exc
+        within(ex.provenance, gold_graph, ex)
 
 
 def sample_negatives(
@@ -514,7 +484,7 @@ def train(
     epoch from the same master seed.
     """
     if not dataset:
-        raise ValueError("dataset is empty")
+        raise InputError("dataset is empty")
     check_dataset(dataset, schema, config.max_span_len)
     if encoder_config is None:
         encoder_config = EncoderConfig()

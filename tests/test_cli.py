@@ -11,7 +11,7 @@ from causalkg.cli import main
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.model import Model, save_model
-from causalkg.schema import check_constraints, load_schema
+from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
 
 from synth import build_corpus, separator_id_graphs
@@ -570,3 +570,134 @@ def test_graph_writing_commands_keep_the_interchange_layout(workdir):
     for path in graph_files(linked[0]) + graph_files(linked[1]):
         senses += sum(len(e["senses"]) for e in assert_interchange_layout(path)["entities"])
     assert senses
+
+
+def edited_json(path, edit):
+    """Apply `edit` to the JSON file's document; a non-None result replaces it."""
+    doc = json.loads(path.read_text())
+    edited = edit(doc)
+    path.write_text(json.dumps(doc if edited is None else edited))
+    return path
+
+
+def small_model_file(tmp_path, edit=lambda doc: None, encoder=None):
+    path = tmp_path / "model.json"
+    model = Model.initialize(load_schema("sciclaim"), encoder or EncoderConfig(dimension=8), max_span_len=3)
+    save_model(model, str(path))
+    return edited_json(path, edit)
+
+
+def schema_file(tmp_path, **changes):
+    doc = {**schema_to_dict(load_schema("sciclaim")), **changes}
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def train_args(workdir, schema="sciclaim", data=None):
+    return ["train", "--data", str(data or workdir / "data.json"), "--schema", str(schema),
+            "--config", str(workdir / "config.json"), "--out", str(workdir / "model.json")]
+
+
+def extract_args(workdir, sentences=None, model=None):
+    sentences_path = workdir / "sentences.json"
+    if sentences is not None:
+        sentences_path.write_text(json.dumps(sentences))
+    return ["extract", "--model", str(model or small_model_file(workdir)),
+            "--input", str(sentences_path), "--out", str(workdir / "graphs")]
+
+
+def dataset_edit(workdir, edit):
+    edited_json(workdir / "data.json", edit)
+    return train_args(workdir)
+
+
+def config_change(workdir, change):
+    rewrite(workdir / "config.json", change)
+    return train_args(workdir)
+
+
+def senses_with_gloss(workdir):
+    (workdir / "graph.json").write_text(json.dumps({"tokens": ["rain"], "entities": []}))
+    (workdir / "inventory.tsv").write_text("rain.n.01\train\t-\t" + "\t".join(["0.25"] * 8) + "\n")
+    (workdir / "gloss.tsv").write_text("rain.n.01\twater falling\nsnow.n.01 frozen\n")
+    return ["senses", "--input", str(workdir / "graph.json"), "--inventory", str(workdir / "inventory.tsv"),
+            "--gloss", str(workdir / "gloss.tsv"), "--model", str(small_model_file(workdir)),
+            "--out", str(workdir / "linked.json")]
+
+
+# Each case: the arguments built in a workdir, and what stderr must hold
+# besides the file it names.
+MALFORMED_INPUTS = {
+    "schema attribute_domains a list": (
+        lambda w: train_args(w, schema_file(w, attribute_domains=[])), "schema.json", "'attribute_domains'"),
+    "schema entity_types a string": (
+        lambda w: train_args(w, schema_file(w, entity_types="abc")), "schema.json", "'entity_types'"),
+    "train data a directory": (lambda w: train_args(w, data=w), str(os.sep), "cannot read"),
+    "sentence file an object": (lambda w: extract_args(w, {"tokens": ["a"]}), "sentences.json", "a list"),
+    "sentence a list": (lambda w: extract_args(w, [["a", "b"]]), "sentences.json", "sentence 0"),
+    "sentence tokens a string": (lambda w: extract_args(w, [{"tokens": "ab"}]), "sentences.json", "'tokens'"),
+    "sentence integer token": (lambda w: extract_args(w, [{"tokens": ["a", 5]}]), "sentences.json", "'tokens'"),
+    "sentence integer provenance": (
+        lambda w: extract_args(w, [{"tokens": ["a"], "provenance": 7}]), "sentences.json", "'provenance'"),
+    "model theta_r a string": (
+        lambda w: extract_args(w, model=small_model_file(w, lambda d: d.update(theta_r="0.4"))),
+        "model.json", "'theta_r'"),
+    "model max_span_len a float": (
+        lambda w: extract_args(w, model=small_model_file(w, lambda d: d.update(max_span_len=2.7))),
+        "model.json", "'max_span_len'"),
+    "model theta_r beyond float range": (
+        lambda w: extract_args(w, model=small_model_file(w, lambda d: d.update(theta_r=10**400))),
+        "model.json", "'theta_r'"),
+    "model file a list": (
+        lambda w: extract_args(w, model=small_model_file(w, lambda d: [d])), "model.json", "JSON object"),
+    "train learning_rate beyond float range": (
+        lambda w: config_change(w, (("train", "learning_rate"), 10**400)), "config.json", "'learning_rate'"),
+    "dataset entity a number": (
+        lambda w: dataset_edit(w, lambda d: d[0].update(entities=[3])), "data.json", "'entities[0]'"),
+    "dataset entities an object": (
+        lambda w: dataset_edit(w, lambda d: d[0].update(entities={"a": 1})), "data.json", "'entities'"),
+    "dataset span reversed": (
+        lambda w: dataset_edit(w, lambda d: d[0]["entities"][1].update(start=5)), "data.json",
+        "dataset example 0: entity 1: invalid span"),
+    "dataset tokens missing": (
+        lambda w: dataset_edit(w, lambda d: d[0].pop("tokens") and None), "data.json", "'tokens' is missing"),
+    "gloss line without a tab": (senses_with_gloss, "gloss.tsv", "gloss line 2"),
+    "missing embedding file": (
+        lambda w: extract_args(w, model=small_model_file(
+            w, encoder=EncoderConfig(kind="file", dimension=8, embedding_path=str(w / "no-such.txt")))),
+        "no-such.txt", "cannot read embedding file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_2_naming_the_file_and_field(workdir, capsys, case):
+    build, file_name, fragment = MALFORMED_INPUTS[case]
+    assert main(build(workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causalkg: error: ") and "Traceback" not in err
+    assert file_name in err and fragment in err, err
+
+
+def test_malformed_model_file_exits_2_from_the_command_line(workdir):
+    src_dir = os.path.dirname(os.path.dirname(causalkg.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)}
+    args = extract_args(workdir, model=small_model_file(workdir, lambda d: d.update(theta_r=10**400)))
+    proc = subprocess.run([sys.executable, "-m", "causalkg.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "model.json" in proc.stderr and "'theta_r'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_an_internal_error_is_not_reported_as_bad_input(workdir, monkeypatch):
+    # only a CausalKgError means bad input; anything else is a bug and
+    # keeps its traceback
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("causalkg.cli.merge_corpus", broken)
+    corpus = write_query_corpus(workdir, [("s0", "e0")])
+    query = workdir / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
+    with pytest.raises(KeyError):
+        main(["query", "--input", str(corpus), "--query", str(query)])

@@ -1,0 +1,268 @@
+"""The shared strict readers, the loaders built on them, and the rule that
+library code raises only CausalKgError subclasses on bad input."""
+
+import ast
+import builtins
+import copy
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import causalkg
+from causalkg.encoder import EncoderConfig
+from causalkg.errors import CausalKgError, GraphError, InputError, InventoryError, QueryError
+from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict
+from causalkg.model import Model, load_model, save_model
+from causalkg.readers import array, integer, obj, parse_json, real, required, string, strings, within
+from causalkg.reasoning import NodePattern
+from causalkg.schema import load_schema, schema_from_dict, schema_to_dict
+from causalkg.senses import load_glosses
+from causalkg.training import TrainConfig, load_dataset
+
+SRC = Path(causalkg.__file__).parent
+
+
+@pytest.mark.parametrize("read, value, message", [
+    (integer, True, "x must be an integer, got True"),
+    (integer, 2.0, "x must be an integer, got 2.0"),
+    (integer, "2", "x must be an integer, got '2'"),
+    (real, False, "x must be a number, got False"),
+    (real, "0.5", "x must be a number, got '0.5'"),
+    (real, None, "x must be a number, got None"),
+    (real, 10**400, "x must be a number a float can hold"),
+    (string, 5, "x must be a string, got 5"),
+    (array, {"a": 1}, "x must be a list, got dict"),
+    (strings, "ab", "x must be a list of strings, got 'ab'"),
+    (strings, ["a", 5], "x must be a list of strings: x[1] must be a string, got 5"),
+    (obj, [1, 2], "x must be an object, got list"),
+])
+def test_readers_reject_with_the_field_named(read, value, message):
+    with pytest.raises(QueryError) as exc:
+        read(value, "x", QueryError)
+    assert str(exc.value).startswith(message)
+
+
+def test_readers_return_the_value_uncoerced():
+    assert integer(7, "x", QueryError) == 7
+    assert real(3, "x", QueryError) == 3.0 and type(real(3, "x", QueryError)) is float
+    assert strings(["a", "b"], "x", QueryError) == ("a", "b")
+    assert obj({"a": 1}, "x", QueryError, ("a", "b")) == {"a": 1}
+    assert required({"a": 1}, "a", "x", QueryError, integer) == 1
+
+
+def test_obj_rejects_unknown_keys_and_required_names_a_missing_field():
+    with pytest.raises(QueryError, match=r"^unknown x field\(s\): c, d$"):
+        obj({"a": 1, "d": 2, "c": 3}, "x", QueryError, ("a",))
+    with pytest.raises(QueryError, match="^x 'b' is missing$"):
+        required({"a": 1}, "b", "x 'b'", QueryError)
+
+
+def test_within_names_where_and_keeps_the_class():
+    def fail():
+        raise InventoryError("line 3: bad")
+
+    with pytest.raises(InventoryError, match="^gloss.tsv: line 3: bad$"):
+        within("gloss.tsv", fail)
+    with pytest.raises(KeyError):  # anything but a CausalKgError passes through
+        within("f", {}.__getitem__, "k")
+
+
+@pytest.mark.parametrize("text", ["{", "[1,]", "1" * 5000, "[" * 100_000])
+def test_parse_json_turns_every_failure_into_the_loader_error(text):
+    # an over-long integer literal raises ValueError, deep nesting RecursionError
+    with pytest.raises(GraphError, match="^doc is not valid JSON"):
+        parse_json(text, "doc", GraphError)
+
+
+def test_load_glosses_names_the_line_without_a_tab():
+    assert load_glosses("a.n.01\tan a\n\nb.n.01\ta b\tand more\n") == {"a.n.01": "an a", "b.n.01": "a b\tand more"}
+    with pytest.raises(InventoryError, match="^gloss line 2: "):
+        load_glosses("a.n.01\tan a\nb.n.01 a b\n")
+
+
+# -- no builtin exception escapes a loader -----------------------------------
+
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+    | st.sampled_from([10**400, -(10**400), 1e308, "", "a", 0, 1, 2, 0.5])
+)
+JSON = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def graph_doc():
+    return graph_to_dict(assemble_graph(
+        ["a", "b"], None,
+        [("e0", Span(0, 1), "element", 0.9), ("e1", Span(1, 2), "element", 0.8)],
+        attributes=[("e1", "negated", 0.7)],
+        relations=[("e0", "e1", "q+", 0.5)],
+        senses=[("e0", "a.n.01", 0.25)],
+    ))
+
+
+def model_doc():
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        save_model(Model.initialize(load_schema("ethno"), EncoderConfig(dimension=2), 2, 1), path)
+        return json.loads(Path(path).read_text())
+
+
+BASES = {
+    "graph": graph_doc(),
+    "dataset": [{
+        "tokens": ["A", "causes", "B"], "lemmas": ["a", "cause", "b"],
+        "entities": [{"start": 0, "end": 1, "type": "factor"}, {"start": 2, "end": 3, "type": "factor"}],
+        "attributes": [{"entity": 1, "type": "causation"}],
+        "relations": [{"head": 1, "tail": 0, "type": "arg0"}], "provenance": "p",
+    }],
+    "train config": dict(TrainConfig().__dict__),
+    "encoder config": EncoderConfig(kind="file", dimension=3, embedding_path="v.txt").to_dict(),
+    "schema": schema_to_dict(load_schema("sciclaim")),
+    "node pattern": {
+        "lemma_any_of": ["a"], "entity_type": "element", "required_attributes": ["negated"],
+        "role_constraints": [{"relation": "agent", "pattern": {"entity_type": "element"}}],
+    },
+    "model": model_doc(),
+}
+
+
+def load_model_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.json")
+        Path(path).write_text(text)
+        return load_model(path)
+
+
+LOADERS = {
+    "graph": graph_from_dict,
+    "dataset": lambda doc: load_dataset(json.dumps(doc)),
+    "train config": TrainConfig.from_dict,
+    "encoder config": EncoderConfig.from_dict,
+    "schema": schema_from_dict,
+    "node pattern": NodePattern.from_dict,
+    "model": lambda doc: load_model_text(json.dumps(doc)),
+}
+
+
+def slots(value):
+    """Every (container, key) of a document, nested ones included."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield value, key
+            yield from slots(child)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield value, i
+            yield from slots(child)
+
+
+@st.composite
+def documents(draw):
+    """A loader name and either an arbitrary JSON value or its valid base
+    document with one field, at any depth, replaced by one."""
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    if draw(st.booleans()):
+        return name, draw(JSON)
+    doc = copy.deepcopy(BASES[name])
+    # single numbers inside the model's parameter rows are left out, or they
+    # would be most of the draws; test_model_parameter_items_are_json_numbers
+    # covers them
+    places = [(c, k) for c, k in slots(doc) if not (isinstance(c, list) and c and isinstance(c[0], float))]
+    container, key = draw(st.sampled_from(places))
+    # half the time a value of the field's own JSON type from the same
+    # document, so that many edited documents still load
+    same_type = [c[k] for c, k in slots(BASES[name]) if type(c[k]) is type(container[key])]
+    container[key] = copy.deepcopy(draw(st.sampled_from(same_type) if draw(st.booleans()) else JSON))
+    return name, doc
+
+
+@pytest.mark.parametrize("item", [True, "0.5", None, [0.5], {"a": 0.5}, 10**400, float("nan")])
+def test_model_parameter_items_are_json_numbers(item):
+    doc = copy.deepcopy(BASES["model"])
+    doc["parameters"]["rel_w"][1][2] = item
+    with pytest.raises(InputError, match="malformed model file .*model parameter 'rel_w'"):
+        load_model_text(json.dumps(doc))
+
+
+def test_every_base_document_loads():
+    for name, load in LOADERS.items():
+        load(copy.deepcopy(BASES[name]))
+
+
+def test_loaders_raise_nothing_but_causalkg_errors():
+    outcomes = {"loaded": 0, "rejected": 0}
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(documents())
+    def check(case):
+        name, doc = case
+        try:
+            LOADERS[name](doc)
+        except CausalKgError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["loaded"] += 1
+
+    check()
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+# -- builtin exceptions are raised only at programmer-error sites -------------
+
+# (module, function, exception): misuse of the library, not bad input
+ALLOWED_BUILTIN_RAISES = {
+    ("graphs.py", "attribute_confidence", "KeyError"),
+    ("graphs.py", "_scalar", "TypeError"),
+    ("training.py", "grad_check", "ValueError"),
+}
+
+
+def builtin_raises(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, exception name) per `raise` of a builtin exception class."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.functions = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.functions.append(node.name)
+            self.generic_visit(node)
+            self.functions.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.append((self.functions[-1], exc.id))
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+def test_the_scan_sees_builtin_raises():
+    source = "def f(x):\n    if x:\n        raise ValueError(x)\n    raise KeyError\n\ndef g():\n    raise error('m')\n"
+    assert builtin_raises(source) == [("f", "ValueError"), ("f", "KeyError")]
+
+
+def test_library_raises_builtin_exceptions_only_at_programmer_error_sites():
+    found = {
+        (path.name, function, name)
+        for path in sorted(SRC.glob("*.py"))
+        for function, name in builtin_raises(path.read_text(encoding="utf-8"))
+    }
+    assert found - ALLOWED_BUILTIN_RAISES == set(), (
+        "a loader or check raises a builtin exception, which causalkg.cli.main does not catch; "
+        "raise a CausalKgError subclass (InputError for a bad value) instead"
+    )
+    assert found == ALLOWED_BUILTIN_RAISES  # a stale allowlist entry hides nothing but should go
