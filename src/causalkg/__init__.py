@@ -14,7 +14,6 @@ from .graphs import (
 )
 from .model import Model, enumerate_spans, extract, load_model, save_model
 from .reasoning import NodePattern, QueryResult, ValenceAssertion, compute_valence, find_paths
-from .rectify import rectify
 from .schema import Schema, Violation, check_constraints, load_schema
 from .senses import SenseInventory, lca_similarity, link_senses, load_inventory, node_vector
 from .training import Example, LossBreakdown, TrainConfig, grad_check, load_dataset, train

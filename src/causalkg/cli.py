@@ -191,13 +191,15 @@ def _cmd_valence(args) -> None:
 
 
 def _query(doc, max_len: int) -> tuple[NodePattern, NodePattern, int]:
-    """A query document's start and end patterns and its max_len (by default `max_len`)."""
+    """A query document's start and end patterns and its max_len (by default `max_len`, from --max-len)."""
     obj(doc, "query", QueryError, ("start", "end", "max_len"))
-    return (
-        NodePattern.from_dict(required(doc, "start", "query 'start'", QueryError)),
-        NodePattern.from_dict(required(doc, "end", "query 'end'", QueryError)),
-        integer(doc.get("max_len", max_len), "query 'max_len'", QueryError),
-    )
+    start = NodePattern.from_dict(required(doc, "start", "query 'start'", QueryError))
+    end = NodePattern.from_dict(required(doc, "end", "query 'end'", QueryError))
+    label = "query 'max_len'" if "max_len" in doc else "--max-len"
+    max_len = integer(doc.get("max_len", max_len), label, QueryError)
+    if max_len < 1:
+        raise QueryError(f"{label} must be >= 1, got {max_len}")
+    return start, end, max_len
 
 
 def _cmd_query(args) -> None:

@@ -32,11 +32,92 @@ __all__ = [
     "KnowledgeGraph",
     "CorpusGraph",
     "CorpusIndex",
+    "ElementKey",
+    "element_id",
+    "relation_id",
+    "node_prefix",
+    "node_id",
+    "edge_id",
+    "lemma_link_id",
     "assemble_graph",
     "merge_corpus",
     "graph_to_dict",
     "graph_from_dict",
 ]
+
+
+# -- string ids ---------------------------------------------------------------
+#
+# Every string id is rendered here, from parts (entity ids, types and
+# provenances) joined by separators:
+#
+#   entity        <entity>
+#   attribute     <entity>#<attr>
+#   relation      <head>-><tail>:<type>
+#   corpus node   <provenance>/<entity>
+#   corpus edge   <provenance>/<relation id>
+#   lemma link    lemma:<node id>~<node id>
+#
+# Inside a part, each of \ > : # / ~ is escaped with a backslash, so a
+# separator never occurs inside a part and distinct keys render to distinct
+# ids.  A part that holds none of them is written as it is.
+
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\>:#/~"})
+
+
+class _Escaped(dict):
+    """`_escaped[part]` is the part with each of \\ > : # / ~ escaped.  It
+    keeps the first 2**16 distinct parts it escapes, so rendering a graph's
+    ids mostly looks its parts up instead of translating them."""
+
+    def __missing__(self, part: str) -> str:
+        escaped = part.translate(_ESCAPES)
+        if len(self) < 1 << 16:
+            self[part] = escaped
+        return escaped
+
+
+_escaped = _Escaped()
+
+# A typed graph-element key: ("entity", id), ("attribute", entity id, type)
+# or ("relation", head id, tail id, type).  Keys never need parsing, so ids
+# may contain any character.
+ElementKey = tuple[str, ...]
+
+
+def relation_id(head: str, tail: str, relation_type: str) -> str:
+    """The id "<head>-><tail>:<type>" of a relation."""
+    return f"{_escaped[head]}->{_escaped[tail]}:{_escaped[relation_type]}"
+
+
+def element_id(key: ElementKey) -> str:
+    """The id of an element key: "<entity>", "<entity>#<attr>" or
+    "<head>-><tail>:<type>"."""
+    if key[0] == "entity":
+        return _escaped[key[1]]
+    if key[0] == "attribute":
+        return f"{_escaped[key[1]]}#{_escaped[key[2]]}"
+    return relation_id(key[1], key[2], key[3])
+
+
+def node_prefix(provenance: str) -> str:
+    """The "<provenance>/" that starts the corpus ids of a graph's nodes and edges."""
+    return _escaped[provenance] + "/"
+
+
+def node_id(prefix: str, entity_id: str) -> str:
+    """The corpus id of an entity; `prefix` is its graph's `node_prefix`."""
+    return prefix + _escaped[entity_id]
+
+
+def edge_id(prefix: str, relation: "Relation") -> str:
+    """The corpus id of a relation; `prefix` is its graph's `node_prefix`."""
+    return prefix + relation.id
+
+
+def lemma_link_id(a: str, b: str) -> str:
+    """The id of the lemma link between corpus nodes `a` and `b`, the lesser id first."""
+    return f"lemma:{a}~{b}" if a < b else f"lemma:{b}~{a}"
 
 
 @dataclass(frozen=True, order=True)
@@ -94,7 +175,7 @@ class Relation:
 
     @property
     def id(self) -> str:
-        return f"{self.head}->{self.tail}:{self.relation_type}"
+        return relation_id(self.head, self.tail, self.relation_type)
 
 
 def _confidence(value, kind: str, name) -> float:
@@ -305,7 +386,9 @@ class CorpusIndex:
     by_lemma: lemma -> the global ids of the nodes whose lemma set holds
     it, in corpus order.
 
-    Raises GraphError when two nodes get the same global id.
+    Raises DuplicateProvenanceError when two graphs share a provenance.
+    Global ids are then unique: entity ids are unique within a graph, and
+    distinct (provenance, entity id) pairs render to distinct ids.
     """
 
     __slots__ = ("nodes", "lemmas", "by_lemma")
@@ -314,13 +397,15 @@ class CorpusIndex:
         nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
         lemmas: dict[str, frozenset[str]] = {}
         by_lemma: dict[str, list[str]] = {}
-        global_id = CorpusGraph.global_id
+        provenances: set[str] = set()
         for g in graphs:
+            if g.provenance in provenances:
+                raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
+            provenances.add(g.provenance)
+            prefix = node_prefix(g.provenance)
             entity_lemmas = g.entity_lemmas
             for e in g.entities:
-                gid = global_id(g, e)
-                if gid in nodes:
-                    raise GraphError(f"two corpus nodes share the global id {gid!r}")
+                gid = node_id(prefix, e.id)
                 nodes[gid] = (g, e)
                 lemmas[gid] = node_lemmas = entity_lemmas(e)
                 for lemma in node_lemmas:
@@ -334,7 +419,8 @@ class CorpusIndex:
 class CorpusGraph:
     """Disjoint union of sentence graphs with optional cross-sentence links.
 
-    Nodes are addressed globally as "<provenance>/<entity_id>".  Lemma links
+    Nodes are addressed by global ids, "<provenance>/<entity_id>" with each
+    part escaped (see `node_id`); provenances must be unique.  Lemma links
     are undirected pseudo-edges between same-lemma entities of distinct
     sentence graphs.  They are stored as lemma_hubs: one (lemma, sorted
     global ids) entry per lemma that entities of at least two distinct
@@ -345,16 +431,13 @@ class CorpusGraph:
 
     `index` is the corpus's `CorpusIndex`.  `merge_corpus` keeps the one
     its pass over the entities builds; a CorpusGraph built directly builds
-    it on first use.  It takes no part in `==`, hashing or `repr`.
+    it on first use, and a duplicate provenance raises there.  It takes no
+    part in `==`, hashing or `repr`.
     """
 
     graphs: tuple[KnowledgeGraph, ...]
     lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
     _index: CorpusIndex | None = field(default=None, init=False, compare=False, repr=False)
-
-    @staticmethod
-    def global_id(graph: KnowledgeGraph, entity: Entity) -> str:
-        return f"{graph.provenance}/{entity.id}"
 
     @property
     def index(self) -> CorpusIndex:
@@ -388,16 +471,11 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
     A lemma link joins two entities of distinct graphs iff they share at
     least one lemma (exact string equality over each span's lemma set).
     The links are stored as hubs (see `CorpusGraph`), read off the corpus
-    index that one pass over the entities builds.  Raises GraphError when
-    two nodes would get the same global id, e.g. entity "c" of graph "a/b"
-    and entity "b/c" of graph "a".
+    index that one pass over the entities builds.  Raises
+    DuplicateProvenanceError when two graphs share a provenance.  Entity
+    "c" of graph "a/b" and entity "b/c" of graph "a" are distinct nodes,
+    "a\\/b/c" and "a/b\\/c".
     """
-    seen_prov: set[str] = set()
-    for g in graphs:
-        if g.provenance in seen_prov:
-            raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
-        seen_prov.add(g.provenance)
-
     index = CorpusIndex(graphs)
     hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
     if lemma_link:

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InputError, QueryError, SchemaMismatchError
-from .graphs import CorpusGraph, Entity, KnowledgeGraph
+from .graphs import CorpusGraph, Entity, KnowledgeGraph, edge_id, lemma_link_id, node_id, node_prefix
 from .readers import array, obj, required, string, strings
 from .schema import Schema
 
@@ -247,10 +247,10 @@ def find_paths(
         edges = adjacency.get(node)
         if edges is None:
             g, e = nodes[node]
-            prov = g.provenance
-            edges = [(f"{prov}/{r.id}", f"{prov}/{r.tail}") for r in g.outgoing(e.id)]
+            prefix = node_prefix(g.provenance)
+            edges = [(edge_id(prefix, r), node_id(prefix, r.tail)) for r in g.outgoing(e.id)]
             edges += [
-                (f"{prov}/{r.id}", f"{prov}/{r.head}")
+                (edge_id(prefix, r), node_id(prefix, r.head))
                 for r in g.incoming(e.id)
                 if r.relation_type == "modifier"
             ]
@@ -260,7 +260,7 @@ def find_paths(
                 for other in hubs.get(lemma, ())
                 if nodes[other][0] is not g
             }
-            edges += [(f"lemma:{min(node, other)}~{max(node, other)}", other) for other in linked]
+            edges += [(lemma_link_id(node, other), other) for other in linked]
             adjacency[node] = edges
         return edges
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .graphs import KnowledgeGraph, Relation
-from .schema import ElementKey, Schema, Violation, check_constraints, element_id
+from .graphs import ElementKey, KnowledgeGraph, Relation, element_id
+from .schema import Schema, Violation, check_constraints
 
 __all__ = ["RemovalRecord", "rectify"]
 

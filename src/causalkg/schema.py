@@ -13,24 +13,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
-from .graphs import KnowledgeGraph
+from .graphs import ElementKey, KnowledgeGraph, element_id
 from .readers import array, obj, parse_json, required, string, strings
 
 __all__ = [
     "Schema",
     "Violation",
     "ElementKey",
-    "element_id",
     "load_schema",
     "schema_from_dict",
     "check_constraints",
     "BUILTIN_SCHEMAS",
 ]
-
-# A typed graph-element key: ("entity", id), ("attribute", entity id, type)
-# or ("relation", head id, tail id, type).  Keys never need parsing, so ids
-# may contain any character.
-ElementKey = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -73,16 +67,6 @@ class Schema:
         check(self.causal_relation_types, rels, "causal_relation_types")
 
 
-def element_id(key: ElementKey) -> str:
-    """Render an element key as its string id: the entity id,
-    "<entity>#<attr>" or "<head>-><tail>:<type>"."""
-    if key[0] == "entity":
-        return key[1]
-    if key[0] == "attribute":
-        return f"{key[1]}#{key[2]}"
-    return f"{key[1]}->{key[2]}:{key[3]}"
-
-
 @dataclass(frozen=True)
 class Violation:
     """One schema conflict found in a graph.
@@ -90,7 +74,8 @@ class Violation:
     kind is one of AttributeDomain, RelationSignature, ExclusiveAttributes,
     ExclusiveRelations.  keys name the conflicting elements as typed
     ElementKeys and confidences align with them.  element_ids renders the
-    keys as string ids, for output and ordering only.
+    keys through `graphs.element_id`, whose ids are distinct for distinct
+    keys, for output and ordering only.
     """
 
     kind: str

@@ -9,7 +9,7 @@ import pytest
 import causalkg
 from causalkg.cli import main
 from causalkg.encoder import EncoderConfig, encode_tokens
-from causalkg.graphs import graph_from_dict, graph_to_dict, graph_to_json
+from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.model import Model, save_model
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
@@ -300,12 +300,31 @@ def write_query_corpus(tmp_path, provenances_and_ids):
     return corpus
 
 
-def test_query_rejects_colliding_global_ids(tmp_path, capsys):
+def test_query_keeps_slashed_global_ids_apart(tmp_path, capsys):
+    # unescaped, provenance "a/b" with entity "c" and "a" with "b/c" would both be "a/b/c"
     corpus = write_query_corpus(tmp_path, [("a/b", "c"), ("a", "b/c")])
     query = tmp_path / "query.json"
     query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
-    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 2
-    assert "'a/b/c'" in capsys.readouterr().err
+    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["subgraph"]["nodes"] == ["a/b\\/c", "a\\/b/c"]
+    assert result["subgraph"]["edges"] == ["lemma:a/b\\/c~a\\/b/c"]
+
+
+def test_rectify_logs_arrow_ids_apart(tmp_path):
+    # unescaped, a -> "b->c" and "a->b" -> c would both be logged as "a->b->c:q+"
+    graph = assemble_graph(
+        ["a", "b", "c", "d"], None,
+        [("a", Span(0, 1), "factor", 0.9), ("b->c", Span(1, 2), "association", 0.9),
+         ("a->b", Span(2, 3), "factor", 0.9), ("c", Span(3, 4), "association", 0.9)],
+        relations=[("a", "b->c", "q+", 0.3), ("a->b", "c", "q+", 0.4)],  # q+ tails must be factors
+    )
+    graph_path, out_path = tmp_path / "graph.json", tmp_path / "fixed.json"
+    graph_path.write_text(graph_to_json(graph))
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(graph_path), "--out", str(out_path)]) == 0
+    assert [rec["element"] for rec in json.loads(out_path.read_text())["rectification"]] == [
+        "a->b-\\>c:q+", "a-\\>b->c:q+",
+    ]
 
 
 @pytest.mark.parametrize("doc", [
@@ -626,6 +645,13 @@ def senses_with_gloss(workdir):
             "--out", str(workdir / "linked.json")]
 
 
+def query_args(workdir, change, *flags):
+    corpus = write_query_corpus(workdir, [("s0", "e0")])
+    query = workdir / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}, **change}))
+    return ["query", "--input", str(corpus), "--query", str(query), *flags]
+
+
 # Each case: the arguments built in a workdir, and what stderr must hold
 # besides the file it names.
 MALFORMED_INPUTS = {
@@ -663,6 +689,8 @@ MALFORMED_INPUTS = {
     "dataset tokens missing": (
         lambda w: dataset_edit(w, lambda d: d[0].pop("tokens") and None), "data.json", "'tokens' is missing"),
     "gloss line without a tab": (senses_with_gloss, "gloss.tsv", "gloss line 2"),
+    "query max_len 0": (lambda w: query_args(w, {"max_len": 0}), "query.json", "query 'max_len' must be >= 1"),
+    "query --max-len 0": (lambda w: query_args(w, {}, "--max-len", "0"), "query.json", "--max-len must be >= 1"),
     "missing embedding file": (
         lambda w: extract_args(w, model=small_model_file(
             w, encoder=EncoderConfig(kind="file", dimension=8, embedding_path=str(w / "no-such.txt")))),

@@ -186,12 +186,14 @@ def test_hubs_store_each_node_lemma_once():
 
 
 @pytest.mark.parametrize("lemma_link", [False, True])
-def test_merge_rejects_colliding_global_ids(lemma_link):
-    # "a/b" + "/" + "c" and "a" + "/" + "b/c" both render as "a/b/c"
+def test_merge_keeps_slashed_global_ids_apart(lemma_link):
+    # unescaped, "a/b" + "/" + "c" and "a" + "/" + "b/c" would both be "a/b/c"
     g1 = assemble_graph(["x"], None, [("c", Span(0, 1), "element", 1.0)], provenance="a/b")
     g2 = assemble_graph(["x"], None, [("b/c", Span(0, 1), "element", 1.0)], provenance="a")
-    with pytest.raises(GraphError, match="'a/b/c'"):
-        merge_corpus([g1, g2], lemma_link=lemma_link)
+    corpus = merge_corpus([g1, g2], lemma_link=lemma_link)
+    assert corpus.nodes() == {"a\\/b/c": (g1, g1.entities[0]), "a/b\\/c": (g2, g2.entities[0])}
+    if lemma_link:
+        assert corpus.lemma_hubs == (("x", ("a/b\\/c", "a\\/b/c")),)
 
 
 def test_merge_without_links_is_plain_union():
@@ -207,6 +209,12 @@ def test_merge_duplicate_provenance_rejected():
     g = assemble_graph(["a"], None, [], provenance="x")
     with pytest.raises(DuplicateProvenanceError):
         merge_corpus([g, g])
+
+
+def test_corpus_graph_built_directly_rejects_duplicate_provenance():
+    g = assemble_graph(["a"], None, [], provenance="x")
+    with pytest.raises(DuplicateProvenanceError):
+        CorpusGraph((g, g)).index
 
 
 def test_relation_endpoints_always_resolve():

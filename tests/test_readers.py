@@ -266,3 +266,47 @@ def test_library_raises_builtin_exceptions_only_at_programmer_error_sites():
         "raise a CausalKgError subclass (InputError for a bad value) instead"
     )
     assert found == ALLOWED_BUILTIN_RAISES  # a stale allowlist entry hides nothing but should go
+
+
+# -- string ids are formatted only by the codec in graphs.py -----------------
+
+ID_SEPARATORS = {"->", "#", "/", "~"}
+
+
+def id_fstrings(source: str) -> list[str]:
+    """The f-strings that join two formatted values with an id separator, or
+    that start with "lemma:", as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.JoinedStr):
+            continue
+        values = node.values
+        joins = any(
+            isinstance(sep, ast.Constant) and sep.value in ID_SEPARATORS
+            and isinstance(left, ast.FormattedValue) and isinstance(right, ast.FormattedValue)
+            for left, sep, right in zip(values, values[1:], values[2:])
+        )
+        lemma = bool(values) and isinstance(values[0], ast.Constant) and values[0].value.startswith("lemma:")
+        if joins or lemma:
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_scan_sees_id_fstrings():
+    source = (
+        'a = f"{h}->{t}:{r}"\nb = f"{e}#{x}"\nc = f"{p}/{e.id}"\nd = f"{a}~{b}"\ne = f"lemma:{a}"\n'
+        # DOT's quoted edges, a file position and plain messages are no ids
+        'f = f\'"{h}" -> "{t}"\'\ng = f"{path}:{line_no}"\nh = f"{label}[{i}]"\ni = f"x/{e}"\n'
+    )
+    assert id_fstrings(source) == [
+        'f"{h}->{t}:{r}"', 'f"{e}#{x}"', 'f"{p}/{e.id}"', 'f"{a}~{b}"', 'f"lemma:{a}"',
+    ]
+
+
+def test_ids_are_formatted_only_in_graphs_py():
+    found = {
+        path.name: segments
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "graphs.py" and (segments := id_fstrings(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, "format string ids through the codec in graphs.py"

@@ -141,7 +141,7 @@ def test_separator_characters_in_entity_ids():
     assert check_constraints(fixed, SCICLAIM) == []
     assert [e.attributes for e in fixed.entities] == [(), ()]
     assert [(r.element_id, r.kind, r.cascade) for r in log] == [
-        ("x#1#causation", "attribute", False)
+        ("x\\#1#causation", "attribute", False)
     ]
 
     with deadline(10):
@@ -150,9 +150,9 @@ def test_separator_characters_in_entity_ids():
     assert [e.id for e in fixed.entities] == ["a", "f"]
     assert [r.id for r in fixed.relations] == ["a->f:arg0"]
     assert [(r.element_id, r.kind, r.cascade) for r in log] == [
-        ("p->q", "entity", False),
-        ("p->q->f:arg0", "relation", True),
-        ("a->p->q:arg1", "relation", True),
+        ("p-\\>q", "entity", False),
+        ("p-\\>q->f:arg0", "relation", True),
+        ("a->p-\\>q:arg1", "relation", True),
     ]
 
 
