@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Mapping, Sequence
@@ -232,9 +232,6 @@ class KnowledgeGraph:
     def incoming(self, entity_id: str) -> tuple[Relation, ...]:
         """Relations ending at the entity in graph order, from an index built once per graph."""
         return self._incoming_index.get(entity_id, ())
-
-    def with_entities(self, entities: Iterable[Entity]) -> "KnowledgeGraph":
-        return replace(self, entities=tuple(entities))
 
 
 def _relations_by(relations: Iterable[Relation], end: str) -> dict[str, tuple[Relation, ...]]:

@@ -11,27 +11,40 @@ One constraint scan suffices.  Each constraint kind is violated by elements
 that are present, and which elements take part is fixed by their types and
 confidences, which never change.  A removal can therefore end violations but
 never create one: the violations left at any step are exactly the initial
-ones whose participants all survive.  So the initial violations are sorted
-once by the greedy rule and walked in that order, skipping any that has lost
-a participant; this makes the same choices as rescanning after every
-removal.  The walk visits each violation once, so it terminates.
+ones whose participants all survive.  So walking the initial violations once
+in the greedy order, skipping any that has lost a participant, makes the
+same choices as rescanning after every removal.  The walk visits each
+violation once, so it terminates.
+
+The walk needs only each violation's weakest participant and kind.
+Violations that share a weakest element are contiguous in the greedy order.
+The first live one removes that element, and every later one has then lost
+it.  So the log depends only on the smallest kind among the group's live
+violations; the order inside a (weakest element, kind) group never matters.
+Hence every element gets one integer rank in participant order, the scan's
+integer rows are sorted once by (weakest rank, kind), and the walk keeps a
+flag per element.  Ids are rendered only to break exact confidence ties and
+for the records logged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from operator import itemgetter
+from dataclasses import replace
+from itertools import compress, groupby
+from typing import NamedTuple
 
-from .graphs import ElementKey, KnowledgeGraph, Relation, element_id
-from .schema import Schema, Violation, check_constraints
+from .graphs import ElementKey, KnowledgeGraph, element_id
+from .schema import VIOLATION_KINDS, Schema, element_table
+from .schema import scan_constraints as check_constraints  # the name bench/tracing.py wraps
 
 __all__ = ["RemovalRecord", "rectify"]
 
-_KIND_ORDER = {"relation": 0, "attribute": 1, "entity": 2}
 
+class RemovalRecord(NamedTuple):
+    """One logged removal.  A named tuple, because a dense graph logs
+    thousands of them and a tuple is built in a third of a frozen
+    dataclass's time."""
 
-@dataclass(frozen=True)
-class RemovalRecord:
     element_id: str
     kind: str  # entity | attribute | relation
     confidence: float
@@ -48,15 +61,16 @@ class RemovalRecord:
         }
 
 
-def _weakest(violation: Violation) -> tuple[tuple[float, int, str], ElementKey]:
-    """Greedy sort key and element key of the violation's weakest participant."""
-    # the participants of one violation differ in kind or id, so ranks never tie
-    best = best_key = None
-    for key, eid, conf in zip(violation.keys, violation.element_ids, violation.confidences):
-        rank = (conf, _KIND_ORDER[key[0]], eid)
-        if best is None or rank < best:
-            best, best_key = rank, key
-    return best, best_key
+def _participant_order(keys: list[ElementKey], confidences: list[float]) -> list[int]:
+    """Element indexes sorted by (confidence, relation < attribute < entity, id)."""
+    # sorted() is stable and element indexes follow the kind order, so only
+    # elements of one kind whose confidences are exactly equal (0.0 and -0.0
+    # too) are left to order by id
+    order = sorted(range(len(confidences)), key=confidences.__getitem__)
+    if len(set(confidences)) == len(confidences):
+        return order
+    runs = groupby(order, key=lambda i: (confidences[i], keys[i][0]))
+    return [i for _, run in runs for i in sorted(run, key=lambda i: element_id(keys[i]))]
 
 
 def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list[RemovalRecord]]:
@@ -65,67 +79,62 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
     Strictly removes elements: the output's entities, attributes, and
     relations are subsets of the input's, and rectify is idempotent.
     """
-    violations = check_constraints(graph, schema)
-    if not violations:
+    rows = check_constraints(graph, schema)
+    if not rows:
         return graph, []
-    # sorted() is stable, so tied violations keep check_constraints' order
-    ranked = sorted(((*_weakest(v), v) for v in violations), key=itemgetter(0))
+    keys, confidences = element_table(graph)
+    by_rank = _participant_order(keys, confidences)
+    rank = [0] * len(by_rank)
+    for r, i in enumerate(by_rank):
+        rank[i] = r
+    # the weakest participant's rank and the kind code (two bits), packed in one int
+    weakest = [min([rank[p] for p in row[1:]]) << 2 | row[0] for row in rows]
 
-    incident: dict[str, list[Relation]] = {}  # entity id -> relations, in graph order
-    for r in graph.relations:
-        incident.setdefault(r.head, []).append(r)
-        incident.setdefault(r.tail, []).append(r)
+    first_entity = len(keys) - len(graph.entities)
+    owned: list[range] = []  # the attribute indexes of each entity
+    start = len(graph.relations)
+    for e in graph.entities:
+        owned.append(range(start, start + len(e.attributes)))
+        start += len(e.attributes)
+    relations = graph.relations
+    incident: dict[str, list[int]] = {e.id: [] for e in graph.entities}  # relation indexes, in graph order
+    for j, r in enumerate(relations):
+        incident[r.head].append(j)
+        incident[r.tail].append(j)
 
     # An attribute is gone iff its entity or the attribute itself was removed,
-    # a relation iff an endpoint or the relation itself was.  So a cascade
-    # only logs; it adds nothing to these sets.
-    gone_entities: set[str] = set()
-    gone_attributes: set[tuple[str, str]] = set()  # (entity id, attribute type)
-    gone_relations: set[tuple[str, str, str]] = set()  # (head, tail, relation type)
+    # a relation iff an endpoint or the relation itself was.  Removing an
+    # entity clears its attributes' and relations' flags as it logs them.
+    live = bytearray(b"\x01") * len(keys)
     log: list[RemovalRecord] = []
-    for (confidence, _, removed_id), key, violation in ranked:
-        lost = False  # has a participant gone?
-        for k in violation.keys:
-            if k[1] in gone_entities:
-                lost = True
-            elif k[0] == "attribute":
-                lost = k[1:] in gone_attributes
-            elif k[0] == "relation":
-                lost = k[2] in gone_entities or k[1:] in gone_relations
-            if lost:
-                break
-        if lost:
+    for v in sorted(range(len(rows)), key=weakest.__getitem__):
+        code = weakest[v]
+        removed = by_rank[code >> 2]
+        # the weakest participant is the one most often gone already
+        if not live[removed] or not all([live[p] for p in rows[v][1:]]):
             continue
-        cause = violation.kind
-        log.append(RemovalRecord(removed_id, key[0], confidence, cause))
-        if key[0] == "attribute":
-            gone_attributes.add(key[1:])
+        cause = VIOLATION_KINDS[code & 3]
+        key = keys[removed]
+        live[removed] = 0
+        log.append(RemovalRecord(element_id(key), key[0], confidences[removed], cause))
+        if key[0] != "entity":
             continue
-        if key[0] == "relation":
-            gone_relations.add(key[1:])
-            continue
-        ent_id = key[1]
-        gone_entities.add(ent_id)
-        for attr, conf in graph.entity(ent_id).attributes:
-            if (ent_id, attr) not in gone_attributes:
-                attr_id = element_id(("attribute", ent_id, attr))
-                log.append(RemovalRecord(attr_id, "attribute", conf, cause, cascade=True))
-        for r in incident.get(ent_id, ()):
-            other = r.tail if r.head == ent_id else r.head
-            if other not in gone_entities and (r.head, r.tail, r.relation_type) not in gone_relations:
+        for k in owned[removed - first_entity]:
+            if live[k]:
+                live[k] = 0
+                log.append(RemovalRecord(element_id(keys[k]), "attribute", confidences[k], cause, cascade=True))
+        for j in incident[key[1]]:
+            if live[j]:
+                live[j] = 0
+                r = relations[j]
                 log.append(RemovalRecord(r.id, "relation", r.confidence, cause, cascade=True))
 
     entities = []
-    for e in graph.entities:
-        if e.id in gone_entities:
+    for e, flag, attrs in zip(graph.entities, live[first_entity:], owned):
+        if not flag:
             continue
-        kept = tuple(p for p in e.attributes if (e.id, p[0]) not in gone_attributes)
-        entities.append(e if len(kept) == len(e.attributes) else replace(e, attributes=kept))
-    relations = tuple(
-        r
-        for r in graph.relations
-        if r.head not in gone_entities
-        and r.tail not in gone_entities
-        and (r.head, r.tail, r.relation_type) not in gone_relations
-    )
-    return replace(graph, entities=tuple(entities), relations=relations), log
+        if not all(live[attrs.start : attrs.stop]):
+            e = replace(e, attributes=tuple(compress(e.attributes, live[attrs.start : attrs.stop])))
+        entities.append(e)
+    kept = tuple(compress(relations, live[: len(relations)]))
+    return replace(graph, entities=tuple(entities), relations=kept), log

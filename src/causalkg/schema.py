@@ -23,6 +23,9 @@ __all__ = [
     "load_schema",
     "schema_from_dict",
     "check_constraints",
+    "scan_constraints",
+    "element_table",
+    "VIOLATION_KINDS",
     "BUILTIN_SCHEMAS",
 ]
 
@@ -60,10 +63,14 @@ class Schema:
         for rel, (heads, tails) in self.relation_signatures.items():
             check([rel], rels, "a relation signature")
             check(heads | tails, ents, f"the signature of {rel!r}")
-        for pair in self.exclusive_attribute_pairs:
-            check(pair, attrs, "an exclusive attribute pair")
-        for pair in self.exclusive_relation_pairs:
-            check(pair, rels, "an exclusive relation pair")
+        for kind, pairs, declared in (
+            ("attribute", self.exclusive_attribute_pairs, attrs),
+            ("relation", self.exclusive_relation_pairs, rels),
+        ):
+            for pair in pairs:
+                if len(pair) != 2:
+                    raise SchemaParseError(f"an exclusive {kind} pair names {len(pair)} distinct types, not 2")
+                check(pair, declared, f"an exclusive {kind} pair")
         check(self.causal_relation_types, rels, "causal_relation_types")
 
 
@@ -204,70 +211,105 @@ def _check_known_types(graph: KnowledgeGraph, schema: Schema) -> None:
             raise UnknownTypeError(f"relation type {r.relation_type!r} not in schema {schema.name!r}")
 
 
+# Violation kinds, coded by their place in this tuple: the order of their
+# names, which is check_constraints' order.
+VIOLATION_KINDS = ("AttributeDomain", "ExclusiveAttributes", "ExclusiveRelations", "RelationSignature")
+_ATTRIBUTE_DOMAIN, _EXCLUSIVE_ATTRIBUTES, _EXCLUSIVE_RELATIONS, _RELATION_SIGNATURE = range(4)
+
+
+def element_table(graph: KnowledgeGraph) -> tuple[list[ElementKey], list[float]]:
+    """The key and the confidence of every graph element, by element index.
+
+    Elements are numbered in the kind order relation < attribute < entity:
+    relations in graph order, then attributes in entity and then attribute
+    order, then entities in graph order.
+    """
+    entities = graph.entities
+    keys: list[ElementKey] = [("relation", r.head, r.tail, r.relation_type) for r in graph.relations]
+    keys += [("attribute", e.id, t) for e in entities for t, _ in e.attributes]
+    keys += [("entity", e.id) for e in entities]
+    confidences = [r.confidence for r in graph.relations]
+    confidences += [c for e in entities for _, c in e.attributes]
+    confidences += [e.confidence for e in entities]
+    return keys, confidences
+
+
+def scan_constraints(graph: KnowledgeGraph, schema: Schema) -> list[tuple[int, ...]]:
+    """Every schema violation in the graph, integer coded and in no set order.
+
+    A row is (kind, participant, participant[, participant]): the kind's
+    index in VIOLATION_KINDS, then the conflicting elements' `element_table`
+    indexes in `Violation.keys` order.
+    """
+    _check_known_types(graph, schema)
+    attribute = len(graph.relations)  # the next attribute's index
+    first_entity = attribute + sum(len(e.attributes) for e in graph.entities)
+    domains = schema.attribute_domains
+    exclusive_attributes = [sorted(pair) for pair in schema.exclusive_attribute_pairs]
+    endpoint: dict[str, tuple[str, int]] = {}
+    rows: list[tuple[int, ...]] = []
+
+    for i, e in enumerate(graph.entities, first_entity):
+        endpoint[e.id] = (e.entity_type, i)
+        if not e.attributes:
+            continue
+        present: dict[str, int] = {}
+        for attr, _ in e.attributes:
+            domain = domains.get(attr)
+            if domain is not None and e.entity_type not in domain:
+                rows.append((_ATTRIBUTE_DOMAIN, attribute, i))
+            present[attr] = attribute
+            attribute += 1
+        for a, b in exclusive_attributes:
+            if a in present and b in present:
+                rows.append((_EXCLUSIVE_ATTRIBUTES, present[a], present[b]))
+
+    signatures = schema.relation_signatures
+    exclusive_relations = [sorted(pair) for pair in schema.exclusive_relation_pairs]
+    # relation type -> (head, tail) -> index, for the types of exclusive pairs
+    by_type: dict[str, dict[tuple[str, str], int]] = {t: {} for pair in exclusive_relations for t in pair}
+    for j, r in enumerate(graph.relations):
+        if r.relation_type in by_type:
+            by_type[r.relation_type][r.head, r.tail] = j
+        sig = signatures.get(r.relation_type)
+        if sig is None:
+            continue
+        heads, tails = sig
+        head_type, head = endpoint[r.head]
+        tail_type, tail = endpoint[r.tail]
+        if head_type not in heads:
+            if tail_type not in tails:
+                rows.append((_RELATION_SIGNATURE, j, head, tail))
+            else:
+                rows.append((_RELATION_SIGNATURE, j, head))
+        elif tail_type not in tails:
+            rows.append((_RELATION_SIGNATURE, j, tail))
+
+    for a, b in exclusive_relations:
+        others = by_type[b]
+        for ends, j in by_type[a].items():
+            k = others.get(ends)
+            if k is not None:
+                rows.append((_EXCLUSIVE_RELATIONS, j, k))
+    return rows
+
+
 def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
     """Return every schema violation in the graph; empty iff it conforms.
 
     Pure and order-independent: the result is sorted by (kind, element ids).
     """
-    _check_known_types(graph, schema)
-    endpoint = {e.id: (e.entity_type, e.confidence) for e in graph.entities}
-    out: list[Violation] = []
-
-    for e in graph.entities:
-        for attr, conf in e.attributes:
-            domain = schema.attribute_domains.get(attr)
-            if domain is not None and e.entity_type not in domain:
-                out.append(
-                    Violation(
-                        "AttributeDomain",
-                        (("attribute", e.id, attr), ("entity", e.id)),
-                        (conf, e.confidence),
-                    )
-                )
-        present = {t: c for t, c in e.attributes}
-        for pair in schema.exclusive_attribute_pairs:
-            if pair <= present.keys():
-                a, b = sorted(pair)
-                out.append(
-                    Violation(
-                        "ExclusiveAttributes",
-                        (("attribute", e.id, a), ("attribute", e.id, b)),
-                        (present[a], present[b]),
-                    )
-                )
-
-    for r in graph.relations:
-        sig = schema.relation_signatures.get(r.relation_type)
-        if sig is None:
-            continue
-        heads, tails = sig
-        keys: list[ElementKey] = [("relation", r.head, r.tail, r.relation_type)]
-        confs: list[float] = [r.confidence]
-        head_type, head_conf = endpoint[r.head]
-        tail_type, tail_conf = endpoint[r.tail]
-        if head_type not in heads:
-            keys.append(("entity", r.head))
-            confs.append(head_conf)
-        if tail_type not in tails:
-            keys.append(("entity", r.tail))
-            confs.append(tail_conf)
-        if len(keys) > 1:
-            out.append(Violation("RelationSignature", tuple(keys), tuple(confs)))
-
-    by_pair: dict[tuple[str, str], dict[str, float]] = {}
-    for r in graph.relations:
-        by_pair.setdefault((r.head, r.tail), {})[r.relation_type] = r.confidence
-    for (head, tail), types in sorted(by_pair.items()):
-        for pair in schema.exclusive_relation_pairs:
-            if pair <= types.keys():
-                a, b = sorted(pair)
-                out.append(
-                    Violation(
-                        "ExclusiveRelations",
-                        (("relation", head, tail, a), ("relation", head, tail, b)),
-                        (types[a], types[b]),
-                    )
-                )
-
+    rows = scan_constraints(graph, schema)
+    if not rows:
+        return []
+    keys, confidences = element_table(graph)
+    out = [
+        Violation(
+            VIOLATION_KINDS[row[0]],
+            tuple(keys[p] for p in row[1:]),
+            tuple(confidences[p] for p in row[1:]),
+        )
+        for row in rows
+    ]
     out.sort(key=lambda v: (v.kind, v.element_ids))
     return out

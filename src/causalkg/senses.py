@@ -198,7 +198,7 @@ def link_senses(
             continue
         vec = node_vector(e, encoding.token_vectors)
         entities.append(replace(e, senses=tuple(inventory.senses_above(vec, threshold))))
-    return graph.with_entities(entities)
+    return replace(graph, entities=tuple(entities))
 
 
 def lca_similarity(a: str, b: str, inventory: SenseInventory) -> float:

@@ -187,3 +187,24 @@ def separator_id_graphs():
         provenance="arrow",
     )
     return {"hash_in_id": hash_id, "arrow_in_id": arrow_id}
+
+
+def unknown_type_graphs():
+    """Sciclaim graphs that hold an exclusive q+/q- pair to remove and one
+    entity, attribute or relation type that sciclaim does not declare, named
+    "martian" and keyed by the element kind that carries it."""
+
+    def graph(entity_type="factor", attribute_type="sign+", relation_type="q+"):
+        return assemble_graph(
+            ["a", "b"], None,
+            [("e0", Span(0, 1), "factor", 0.9), ("e1", Span(1, 2), entity_type, 0.9)],
+            attributes=[("e1", attribute_type, 0.9)],
+            relations=[("e0", "e1", "q+", 0.5), ("e0", "e1", "q-", 0.4), ("e1", "e0", relation_type, 0.9)],
+            provenance="unknown",
+        )
+
+    return {
+        "entity": graph(entity_type="martian"),
+        "attribute": graph(attribute_type="martian"),
+        "relation": graph(relation_type="martian"),
+    }

@@ -6,6 +6,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import synth
+from causalkg.encoder import EncoderConfig
+from causalkg.model import Model, extract
+from causalkg.schema import check_constraints, load_schema
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -31,3 +36,21 @@ def test_every_wrapped_attribute_exists():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"bench/tracing.py wraps attributes that no longer exist: {missing}"
+
+
+def test_traced_rectify_counts_one_constraint_scan():
+    # bench/test_bench.py, which asserts the schema.* metrics of a whole run,
+    # is not collected here; without this, a rectify that stopped calling the
+    # wrapped name would leave them at 0 unnoticed
+    sciclaim = load_schema("sciclaim")
+    model = Model.initialize(sciclaim, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    tokens = tuple(synth.FACTORS[:5])
+    graph = extract(tokens, tokens, model)
+    rectify_module = importlib.import_module("causalkg.rectify")
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        rectify_module.rectify(graph, sciclaim)
+    metrics = tracer.layer_metrics(0.0)
+    assert metrics["schema.check_calls"] == 1
+    assert metrics["schema.violations_scanned"] == len(check_constraints(graph, sciclaim)) > 0
+    assert metrics["rectify.removals"] > 0

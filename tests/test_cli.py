@@ -14,7 +14,7 @@ from causalkg.model import Model, save_model
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
 
-from synth import build_corpus, separator_id_graphs
+from synth import build_corpus, separator_id_graphs, unknown_type_graphs
 
 
 def example_to_dict(ex):
@@ -325,6 +325,16 @@ def test_rectify_logs_arrow_ids_apart(tmp_path):
     assert [rec["element"] for rec in json.loads(out_path.read_text())["rectification"]] == [
         "a->b-\\>c:q+", "a-\\>b->c:q+",
     ]
+
+
+@pytest.mark.parametrize("kind", sorted(unknown_type_graphs()))
+def test_rectify_unknown_type_exits_2(tmp_path, capsys, kind):
+    graph_path, out_path = tmp_path / "graph.json", tmp_path / "fixed.json"
+    graph_path.write_text(graph_to_json(unknown_type_graphs()[kind]))
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(graph_path), "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"causalkg: error: {kind} type 'martian' not in schema 'sciclaim'\n"
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("doc", [

@@ -2,13 +2,15 @@ import signal
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+from causalkg.errors import UnknownTypeError
 from causalkg.evaluation import score
 from causalkg.graphs import Span, assemble_graph
 from causalkg.rectify import rectify
 from causalkg.schema import check_constraints, load_schema
 
-from synth import random_sciclaim_graph, separator_id_graphs
+from synth import random_sciclaim_graph, separator_id_graphs, unknown_type_graphs
 
 SCICLAIM = load_schema("sciclaim")
 
@@ -189,3 +191,12 @@ def test_rectified_recall_never_exceeds_raw():
                 assert new_r is None
             else:
                 assert new_r <= raw_r + 1e-9
+
+
+@pytest.mark.parametrize("kind", sorted(unknown_type_graphs()))
+def test_unknown_types_raise_before_any_removal(kind):
+    # the graph also holds violations that rectify would remove, but it
+    # rejects the whole graph rather than return a partly rectified one
+    graph = unknown_type_graphs()[kind]
+    with pytest.raises(UnknownTypeError, match=f"{kind} type 'martian' not in schema 'sciclaim'"):
+        rectify(graph, SCICLAIM)

@@ -1,5 +1,7 @@
-"""The one-scan rectifier against the original re-scanning loop: both must
-return the same graph and the same removal log, record for record."""
+"""The rank-based rectifier against the reference rectifiers: the original
+re-scanning loop and the sorted-violation walk must return the same graph
+and the same removal log, record for record, and check_constraints the same
+violations as the reference checker."""
 
 import re
 
@@ -13,13 +15,23 @@ from causalkg.encoder import EncoderConfig
 from causalkg.graphs import Span, assemble_graph
 from causalkg.model import Model, extract
 from causalkg.rectify import rectify
-from causalkg.schema import check_constraints, load_schema
-from rectify_reference import reference_rectify
+from causalkg.schema import Schema, check_constraints, load_schema
+from rectify_reference import reference_check_constraints, reference_rectify, sorted_violation_rectify
 
 SCICLAIM = load_schema("sciclaim")
 
 
+def assert_matches_sorted_violations(graph, schema=SCICLAIM):
+    assert check_constraints(graph, schema) == reference_check_constraints(graph, schema)
+    fixed, log = rectify(graph, schema)
+    ref_fixed, ref_log = sorted_violation_rectify(graph, schema)
+    assert fixed == ref_fixed
+    assert log == ref_log
+    assert repr(log) == repr(ref_log)
+
+
 def assert_matches_reference(graph):
+    assert_matches_sorted_violations(graph)
     fixed, log = rectify(graph, SCICLAIM)
     ref_fixed, ref_log = reference_rectify(graph, SCICLAIM)
     assert fixed == ref_fixed
@@ -106,10 +118,11 @@ def test_a_relation_removed_before_its_entity_is_not_cascaded_again():
 
 def test_rectify_scans_the_constraints_once(monkeypatch):
     calls = []
+    scan = rectify_module.check_constraints
 
     def counting_check_constraints(graph, schema):
         calls.append(graph)
-        return check_constraints(graph, schema)
+        return scan(graph, schema)
 
     monkeypatch.setattr(rectify_module, "check_constraints", counting_check_constraints)
     model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
@@ -124,7 +137,8 @@ def test_the_rectify_module_is_patchable_by_dotted_path(monkeypatch):
     # the package does not re-export the function under its module's name
     graph = synth.separator_id_graphs()["hash_in_id"]
     assert rectify(graph, SCICLAIM)[1]
-    monkeypatch.setattr("causalkg.rectify.check_constraints", lambda graph, schema: [])
+    scan = rectify_module.check_constraints
+    monkeypatch.setattr("causalkg.rectify.check_constraints", lambda graph, schema: scan(graph, schema)[:0])
     assert rectify(graph, SCICLAIM) == (graph, [])
 
 
@@ -157,3 +171,46 @@ def tied_sciclaim_graphs(draw):
 @given(tied_sciclaim_graphs())
 def test_tied_confidence_graphs_match_reference(graph):
     assert_matches_reference(graph)
+
+
+# Parts that hold every character the id codec escapes, so rendered ids can
+# sort apart from raw ones: "a" < "~" raw, but "\~" < "a" rendered.
+ESCAPED_PARTS = st.text(alphabet="a\\>:#/~", min_size=1, max_size=3)
+# Exact ties everywhere, 0.0 against -0.0 among them.
+TIED_CONFIDENCES = st.sampled_from((0.0, -0.0, 0.5, 1.0))
+ESCAPED_SCHEMA = Schema(
+    name="escaped",
+    entity_types=("a", "b"),
+    attribute_types=("x#", "y/", "z:", "~w"),
+    relation_types=("r>", "s\\", "t"),
+    attribute_domains={"x#": frozenset({"a"}), "y/": frozenset({"b"})},
+    relation_signatures={"r>": (frozenset({"a"}), frozenset({"b"})), "s\\": (frozenset({"b"}), frozenset({"b"}))},
+    exclusive_attribute_pairs=frozenset({frozenset({"z:", "~w"}), frozenset({"x#", "y/"})}),
+    exclusive_relation_pairs=frozenset({frozenset({"r>", "t"})}),
+)
+
+
+@st.composite
+def escaped_id_graphs(draw):
+    ids = draw(st.lists(ESCAPED_PARTS, min_size=2, max_size=6, unique=True))
+    entities = [
+        (eid, Span(i, i + 1), draw(st.sampled_from(ESCAPED_SCHEMA.entity_types)), draw(TIED_CONFIDENCES))
+        for i, eid in enumerate(ids)
+    ]
+    attributes = [
+        (eid, attr, draw(TIED_CONFIDENCES))
+        for eid in ids
+        for attr in draw(st.lists(st.sampled_from(ESCAPED_SCHEMA.attribute_types), max_size=3, unique=True))
+    ]
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(ESCAPED_SCHEMA.relation_types)),
+        max_size=14, unique=True,
+    ))
+    relations = [(h, t, rel, draw(TIED_CONFIDENCES)) for h, t, rel in triples if h != t]
+    return assemble_graph([f"t{i}" for i in range(len(ids))], None, entities, attributes, relations)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(escaped_id_graphs())
+def test_tied_escaped_id_graphs_match_sorted_violations(graph):
+    assert_matches_sorted_violations(graph, ESCAPED_SCHEMA)

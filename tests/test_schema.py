@@ -52,6 +52,17 @@ def test_bad_schema_documents():
         load_schema(json.dumps({"name": "x"}))
 
 
+@pytest.mark.parametrize("key", ["exclusive_attribute_pairs", "exclusive_relation_pairs"])
+@pytest.mark.parametrize("pair", [[], ["q+", "q+"], ["sign+", "sign+"], ["q+", "q-", "sign+"]])
+def test_exclusive_pairs_name_two_types(key, pair):
+    # a one-type "pair" used to load and then fail every constraint check
+    # with a bare ValueError
+    doc = schema_to_dict(load_schema("sciclaim"))
+    doc[key] = [pair]
+    with pytest.raises(SchemaParseError, match=f"names {len(set(pair))} distinct types, not 2"):
+        load_schema(json.dumps(doc))
+
+
 def test_empty_graph_no_violations():
     s = load_schema("sciclaim")
     assert check_constraints(assemble_graph([], None, []), s) == []
