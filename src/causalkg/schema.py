@@ -69,7 +69,7 @@ class Schema:
         ):
             for pair in pairs:
                 if len(pair) != 2:
-                    raise SchemaParseError(f"an exclusive {kind} pair names {len(pair)} distinct types, not 2")
+                    raise SchemaParseError(f"an exclusive {kind} pair must name 2 distinct types, not {len(pair)}")
                 check(pair, declared, f"an exclusive {kind} pair")
         check(self.causal_relation_types, rels, "causal_relation_types")
 

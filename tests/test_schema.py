@@ -59,7 +59,7 @@ def test_exclusive_pairs_name_two_types(key, pair):
     # with a bare ValueError
     doc = schema_to_dict(load_schema("sciclaim"))
     doc[key] = [pair]
-    with pytest.raises(SchemaParseError, match=f"names {len(set(pair))} distinct types, not 2"):
+    with pytest.raises(SchemaParseError, match=f"must name 2 distinct types, not {len(set(pair))}$"):
         load_schema(json.dumps(doc))
 
 
