@@ -11,6 +11,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -269,7 +270,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(prog="causalkg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, func, help_text, options in _COMMANDS:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     BadConfidenceError,
@@ -29,17 +31,20 @@ __all__ = [
     "Span",
     "Entity",
     "Relation",
+    "Relations",
     "KnowledgeGraph",
     "CorpusGraph",
     "CorpusIndex",
     "ElementKey",
     "element_id",
     "relation_id",
+    "relation_ids",
     "node_prefix",
     "node_id",
     "edge_id",
     "lemma_link_id",
     "assemble_graph",
+    "assemble_columns",
     "merge_corpus",
     "graph_to_dict",
     "graph_from_dict",
@@ -88,6 +93,15 @@ ElementKey = tuple[str, ...]
 def relation_id(head: str, tail: str, relation_type: str) -> str:
     """The id "<head>-><tail>:<type>" of a relation."""
     return f"{_escaped[head]}->{_escaped[tail]}:{_escaped[relation_type]}"
+
+
+def relation_ids(relations: "Relations", rows: Iterable[int]) -> list[str]:
+    """The `relation_id` of each given row of the columns, joined from each
+    entity's and type's part, escaped once."""
+    ids = [_escaped[i] for i in relations.ids]
+    types = [_escaped[t] for t in relations.types]
+    head, tail, code = relations.head, relations.tail, relations.code
+    return [f"{ids[head[j]]}->{ids[tail[j]]}:{types[code[j]]}" for j in rows]
 
 
 def element_id(key: ElementKey) -> str:
@@ -151,8 +165,13 @@ class Entity:
     # Ranked (sense_id, confidence) pairs, highest confidence first.
     senses: tuple[tuple[str, float], ...] = ()
 
-    def attribute_types(self) -> frozenset[str]:
+    @cached_property
+    def _attribute_types(self) -> frozenset[str]:
         return frozenset(t for t, _ in self.attributes)
+
+    def attribute_types(self) -> frozenset[str]:
+        """The entity's attribute types, a set built once per entity."""
+        return self._attribute_types
 
     def has_attribute(self, attr_type: str) -> bool:
         return any(t == attr_type for t, _ in self.attributes)
@@ -178,6 +197,109 @@ class Relation:
         return relation_id(self.head, self.tail, self.relation_type)
 
 
+class Relations(Sequence):
+    """A graph's relations, held as columns and read as a tuple of `Relation`s.
+
+    Row j joins entity ids[head[j]] to entity ids[tail[j]] with type
+    types[code[j]] and confidence confidence[j].  `ids` holds the graph's
+    entity ids in graph order, so head and tail are entity indexes; only a
+    `KnowledgeGraph` built by hand from relations that name unknown
+    entities appends those ids after them.  head, tail, code and
+    confidence are lists.
+
+    The `Relation`s are built on first iteration, indexing, hashing or
+    repr, which behave as on their tuple; `len` never builds them, and ==
+    between two column sets compares columns.
+    """
+
+    __slots__ = ("ids", "types", "head", "tail", "code", "confidence", "_rows")
+
+    def __init__(
+        self,
+        ids: tuple[str, ...],
+        types: tuple[str, ...],
+        head: list[int],
+        tail: list[int],
+        code: list[int],
+        confidence: list[float],
+    ) -> None:
+        self.ids, self.types = ids, types
+        self.head, self.tail, self.code, self.confidence = head, tail, code, confidence
+        self._rows: tuple[Relation, ...] | None = None
+
+    @staticmethod
+    def of(ids: tuple[str, ...], relations: Iterable[Relation]) -> "Relations":
+        """The columns of `relations` over the entity ids `ids`."""
+        table = list(ids)
+        index: dict[str, int] = {}
+        for i, ent_id in enumerate(ids):
+            index.setdefault(ent_id, i)
+        types: dict[str, int] = {}
+        head, tail, code, confidence = [], [], [], []
+        for r in relations:
+            for end, column in ((r.head, head), (r.tail, tail)):
+                if end not in index:
+                    index[end] = len(table)
+                    table.append(end)
+                column.append(index[end])
+            code.append(types.setdefault(r.relation_type, len(types)))
+            confidence.append(r.confidence)
+        return Relations(tuple(table), tuple(types), head, tail, code, confidence)
+
+    @property
+    def rows(self) -> tuple[Relation, ...]:
+        if self._rows is None:
+            ids, types = self.ids, self.types
+            self._rows = tuple(map(
+                Relation,
+                map(ids.__getitem__, self.head),
+                map(ids.__getitem__, self.tail),
+                map(types.__getitem__, self.code),
+                self.confidence,
+            ))
+        return self._rows
+
+    def _values(self) -> tuple[list, list, list, list]:
+        ids, types = self.ids, self.types
+        return (
+            list(map(ids.__getitem__, self.head)),
+            list(map(ids.__getitem__, self.tail)),
+            list(map(types.__getitem__, self.code)),
+            self.confidence,
+        )
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Relations):
+            if self.ids == other.ids and self.types == other.types:
+                return (self.head, self.tail, self.code, self.confidence) == (
+                    other.head, other.tail, other.code, other.confidence
+                )
+            return self._values() == other._values()
+        if isinstance(other, tuple):
+            return self.rows == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+
+# Up to this many relations, code that reads relation columns may test them
+# one by one: that costs less than the fixed cost of array calls.
+FEW_RELATIONS = 64
+
+
 def _confidence(value, kind: str, name) -> float:
     """The confidence as a float in [0, 1]; the error names the element.
 
@@ -192,13 +314,24 @@ def _confidence(value, kind: str, name) -> float:
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
-    """One sentence's graph: tokens, lemmas, entities, relations."""
+    """One sentence's graph: tokens, lemmas, entities, relations.
+
+    `relations` may be given as any iterable of `Relation`s; the graph
+    keeps them as `Relations` columns over its entity ids.  Columns over
+    the same entity ids are kept as they are.
+    """
 
     tokens: tuple[str, ...]
     lemmas: tuple[str, ...]
     entities: tuple[Entity, ...]
-    relations: tuple[Relation, ...]
+    relations: Relations
     provenance: str = ""
+
+    def __post_init__(self) -> None:
+        ids = tuple(e.id for e in self.entities)
+        relations = self.relations
+        if not (isinstance(relations, Relations) and relations.ids[: len(ids)] == ids):
+            object.__setattr__(self, "relations", Relations.of(ids, relations))
 
     def entity_by_id(self) -> dict[str, Entity]:
         return {e.id: e for e in self.entities}
@@ -243,7 +376,8 @@ def _relations_by(relations: Iterable[Relation], end: str) -> dict[str, tuple[Re
 
 class _GraphBuilder:
     """Checks a graph's invariants as its elements are added, and builds each
-    element once.  `assemble_graph` and `graph_from_dict` both go through it.
+    entity once and the relation columns.  `assemble_graph`,
+    `assemble_columns` and `graph_from_dict` all go through it.
 
     The invariants: lemmas match the tokens one to one; entity ids are
     unique; a span lies inside the sentence, and no two entities share one;
@@ -259,10 +393,15 @@ class _GraphBuilder:
             raise GraphError(f"{len(lemmas)} lemmas for {len(tokens)} tokens")
         self.tokens = tokens
         self.lemmas = lemmas
-        self.entities: dict[str, Entity] = {}
+        self.entities: list[Entity] = []
+        self.index: dict[str, int] = {}  # entity id -> entity index
         self.spans: dict[tuple[int, int], str] = {}
-        self.relations: list[Relation] = []
-        self.relation_keys: set[tuple[str, str, str]] = set()
+        self.types: dict[str, int] = {}  # relation type -> code
+        self.head: list[int] = []
+        self.tail: list[int] = []
+        self.code: list[int] = []
+        self.confidence: list[float] = []
+        self.relation_keys: set[tuple[int, int, int]] = set()
 
     @staticmethod
     def attribute(pairs: list[tuple[str, float]], ent_id: str, attr_type: str, conf) -> None:
@@ -291,7 +430,7 @@ class _GraphBuilder:
         attributes: tuple[tuple[str, float], ...],
         senses: tuple[tuple[str, float], ...],
     ) -> None:
-        if ent_id in self.entities:
+        if ent_id in self.index:
             raise GraphError(f"duplicate entity id {ent_id!r}")
         start, end = span.start, span.end
         if end > len(self.tokens):
@@ -302,30 +441,109 @@ class _GraphBuilder:
                 f"entities {self.spans[key]!r} and {ent_id!r} share span [{start}, {end})"
             )
         self.spans[key] = ent_id
-        self.entities[ent_id] = Entity(
-            ent_id, span, ent_type, _confidence(conf, "entity", ent_id), attributes, senses
+        self.index[ent_id] = len(self.entities)
+        self.entities.append(
+            Entity(ent_id, span, ent_type, _confidence(conf, "entity", ent_id), attributes, senses)
         )
+
+    def entities_of(
+        self,
+        entities: Iterable[tuple[str, Span, str, float]],
+        attributes: Iterable[tuple[str, str, float]],
+        senses: Iterable[tuple[str, str, float]],
+    ) -> None:
+        """Add `assemble_graph`'s entity, attribute and sense tuples."""
+        # attributes and senses are grouped first, so each entity is built once
+        attr_map: dict[str, list[tuple[str, float]]] = {}
+        for ent_id, attr_type, conf in attributes:
+            self.attribute(attr_map.setdefault(ent_id, []), ent_id, str(attr_type), conf)
+        sense_map: dict[str, list[tuple[str, float]]] = {}
+        for ent_id, sense, conf in senses:
+            self.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
+        for ent_id, span, ent_type, conf in entities:
+            ent_id = str(ent_id)
+            self.entity(
+                ent_id, span, str(ent_type), conf,
+                tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
+            )
+        for ent_id in attr_map:
+            raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
+        for ent_id in sense_map:
+            raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
 
     def relation(self, head: str, tail: str, rel_type: str, conf) -> None:
         if head == tail:
             raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
-        if head not in self.entities or tail not in self.entities:
-            missing = head if head not in self.entities else tail
+        h, t = self.index.get(head), self.index.get(tail)
+        if h is None or t is None:
+            missing = head if h is None else tail
             raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
-        key = (head, tail, rel_type)
+        c = self.types.setdefault(rel_type, len(self.types))
+        key = (h, t, c)
         if key in self.relation_keys:
-            raise GraphError(f"duplicate relation {key}")
+            raise GraphError(f"duplicate relation {(head, tail, rel_type)}")
         self.relation_keys.add(key)
-        self.relations.append(Relation(head, tail, rel_type, _confidence(conf, "relation", rel_type)))
+        self.head.append(h)
+        self.tail.append(t)
+        self.code.append(c)
+        self.confidence.append(_confidence(conf, "relation", rel_type))
+
+    def relation_columns(self, types: tuple[str, ...], head, tail, code, confidence) -> None:
+        """Set the relations from integer arrays head, tail (entity indexes)
+        and code (indexes into `types`) and a float array confidence.
+
+        Many rows are checked as arrays, and row by row only if the arrays
+        show a fault, to raise the first faulty row's error; a few rows
+        are checked row by row, which costs less than the array calls.
+        """
+        k, m = len(self.entities), len(code)
+        self.types = dict(zip(types, range(len(types))))
+        lists = head.tolist(), tail.tolist(), code.tolist(), confidence.tolist()
+        if m <= FEW_RELATIONS or not _valid_columns(head, tail, code, confidence, k, len(types)):
+            ids, seen = tuple(self.index), set()
+            for h, t, c, conf in zip(*lists):
+                for end in (h, t):
+                    if not 0 <= end < k:
+                        raise DanglingReferenceError(f"relation references unknown entity index {end}")
+                if not 0 <= c < len(types):
+                    raise GraphError(f"relation type code {c} outside the {len(types)} relation types")
+                if h == t:
+                    raise SelfLoopError(f"self-loop on {ids[h]!r} via {types[c]!r}")
+                if (h, t, c) in seen:
+                    raise GraphError(f"duplicate relation {(ids[h], ids[t], types[c])}")
+                seen.add((h, t, c))
+                if not 0.0 <= conf <= 1.0:
+                    _confidence(conf, "relation", types[c])
+        self.head, self.tail, self.code, self.confidence = lists
 
     def graph(self, provenance: str) -> KnowledgeGraph:
-        return KnowledgeGraph(
-            tokens=self.tokens,
-            lemmas=self.lemmas,
-            entities=tuple(self.entities.values()),
-            relations=tuple(self.relations),
-            provenance=provenance,
+        relations = Relations(
+            tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence
         )
+        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance)
+
+
+def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
+    """Whether relation columns hold known, distinct endpoints, known type
+    codes, no (head, tail, code) twice and confidences in [0, 1]."""
+    keys = (head * k + tail) * types + code
+    return bool(
+        min(head.min(), tail.min(), code.min()) >= 0
+        and max(head.max(), tail.max()) < k
+        and code.max() < types
+        and not (head == tail).any()
+        # a model emits its rows in key order; others are sorted to compare
+        and ((keys[1:] > keys[:-1]).all() or len(np.unique(keys)) == len(keys))
+        # min and max are NaN if any confidence is
+        and confidence.min() >= 0.0
+        and confidence.max() <= 1.0
+    )
+
+
+def _builder(tokens: Sequence[str], lemmas: Sequence[str] | None) -> _GraphBuilder:
+    return _GraphBuilder(
+        tuple(str(t) for t in tokens), None if lemmas is None else tuple(str(l) for l in lemmas)
+    )
 
 
 def assemble_graph(
@@ -349,29 +567,39 @@ def assemble_graph(
     types, tokens, lemmas and the provenance are converted with str();
     `graph_from_dict` accepts only strings there.
     """
-    builder = _GraphBuilder(
-        tuple(str(t) for t in tokens), None if lemmas is None else tuple(str(l) for l in lemmas)
-    )
-    # attributes and senses are grouped first, so each entity is built once
-    attr_map: dict[str, list[tuple[str, float]]] = {}
-    for ent_id, attr_type, conf in attributes:
-        builder.attribute(attr_map.setdefault(ent_id, []), ent_id, str(attr_type), conf)
-    sense_map: dict[str, list[tuple[str, float]]] = {}
-    for ent_id, sense, conf in senses:
-        builder.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
-    for ent_id, span, ent_type, conf in entities:
-        ent_id = str(ent_id)
-        builder.entity(
-            ent_id, span, str(ent_type), conf,
-            tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
-        )
-    for ent_id in attr_map:
-        raise DanglingReferenceError(f"attribute on unknown entity {ent_id!r}")
-    for ent_id in sense_map:
-        raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
+    builder = _builder(tokens, lemmas)
+    builder.entities_of(entities, attributes, senses)
     add_relation = builder.relation
     for head, tail, rel_type, conf in relations:
         add_relation(head, tail, str(rel_type), conf)
+    return builder.graph(str(provenance))
+
+
+def assemble_columns(
+    tokens: Sequence[str],
+    lemmas: Sequence[str] | None,
+    entities: Iterable[tuple[str, Span, str, float]],
+    attributes: Iterable[tuple[str, str, float]],
+    relation_types: Sequence[str],
+    head: np.ndarray,
+    tail: np.ndarray,
+    code: np.ndarray,
+    confidence: np.ndarray,
+    provenance: str = "",
+) -> KnowledgeGraph:
+    """`assemble_graph` for relations given as columns, as a model decodes them.
+
+    Entities and attributes are `assemble_graph`'s tuples and pass its
+    checks.  Relation j joins entities[head[j]] to entities[tail[j]] with
+    type relation_types[code[j]] and confidence confidence[j]; head, tail
+    and code are integer arrays and confidence a float array.  Many rows
+    are checked as arrays, not relation by relation: endpoints known and
+    distinct, codes in range, no (head, tail, type) twice, confidences in
+    [0, 1].  A failure raises the error `assemble_graph` would.
+    """
+    builder = _builder(tokens, lemmas)
+    builder.entities_of(entities, attributes, ())
+    builder.relation_columns(tuple(map(str, relation_types)), head, tail, code, confidence)
     return builder.graph(str(provenance))
 
 
@@ -442,9 +670,6 @@ class CorpusGraph:
             object.__setattr__(self, "_index", CorpusIndex(self.graphs))
         return self._index
 
-    def nodes(self) -> dict[str, tuple[KnowledgeGraph, Entity]]:
-        return dict(self.index.nodes)
-
     @property
     def lemma_links(self) -> frozenset[tuple[str, str]]:
         """Every lemma link as a sorted global-id pair.
@@ -511,13 +736,8 @@ def graph_to_dict(graph: KnowledgeGraph) -> dict:
             for e in graph.entities
         ],
         "relations": [
-            {
-                "head": r.head,
-                "tail": r.tail,
-                "type": r.relation_type,
-                "confidence": r.confidence,
-            }
-            for r in graph.relations
+            {"head": head, "tail": tail, "type": rel_type, "confidence": conf}
+            for head, tail, rel_type, conf in zip(*graph.relations._values())
         ],
         "provenance": graph.provenance,
     }
@@ -697,10 +917,12 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
         for e in graph.entities
     ]
     rels = graph.relations
+    ids = [quote(i) for i in rels.ids]
+    types = [quote(t) for t in rels.types]
     relations = [
-        f'{{\n      "head": {quote(r.head)},\n      "tail": {quote(r.tail)},'
-        f'\n      "type": {quote(r.relation_type)},\n      "confidence": {conf}\n    }}'
-        for r, conf in zip(rels, _numbers([r.confidence for r in rels]))
+        f'{{\n      "head": {ids[h]},\n      "tail": {ids[t]},'
+        f'\n      "type": {types[c]},\n      "confidence": {conf}\n    }}'
+        for h, t, c, conf in zip(rels.head, rels.tail, rels.code, _numbers(rels.confidence))
     ]
     parts = [
         '{\n  "tokens": ' + _array([quote(t) for t in graph.tokens], "  "),

@@ -21,7 +21,8 @@ import numpy as np
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import DimensionMismatchError, InputError
-from .graphs import KnowledgeGraph, Span, assemble_graph
+from .graphs import KnowledgeGraph, Span
+from .graphs import assemble_columns as assemble_graph  # the name bench/tracing.py wraps
 from .readers import integer, load_json, obj, real, required, within, write_text
 from .schema import Schema, schema_from_dict, schema_to_dict
 
@@ -32,7 +33,8 @@ __all__ = [
     "enumerate_spans",
     "span_attention",
     "span_representations",
-    "pair_rep",
+    "between_contexts",
+    "pair_block",
     "classify_entities",
     "classify_attributes",
     "classify_relations",
@@ -173,35 +175,61 @@ def span_attention(
     return alpha, alpha @ h
 
 
-def between_context(token_vectors: np.ndarray, a: Span, b: Span) -> np.ndarray:
-    """Maxpool of the token vectors strictly between two spans.
+def between_contexts(token_vectors: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row i is the maxpool of token_vectors[lo[i]:hi[i]], or a zero vector
+    where hi[i] <= lo[i] (spans that are adjacent or overlap).
 
-    Zero vector when the spans are adjacent or overlap.
+    Maxima come from a sparse table: level j holds the maxima of the
+    windows of 2**j tokens, and a range is covered by two windows of its
+    level.  A maximum is one of its inputs however they are grouped, so
+    each row equals `token_vectors[lo:hi].max(axis=0)` bit for bit.
     """
-    lo, hi = min(a.end, b.end), max(a.start, b.start)
-    if hi <= lo:
-        return np.zeros(token_vectors.shape[1])
-    return token_vectors[lo:hi].max(axis=0)
+    n, d = token_vectors.shape
+    length = hi - lo
+    out = np.zeros((len(lo), d))
+    rows = np.flatnonzero(length > 0)
+    if len(rows):
+        lo, length = lo[rows], length[rows]
+        level = np.frexp(length)[1] - 1  # floor(log2(length))
+        table = np.empty((int(level.max()) + 1, n, d))
+        table[0] = token_vectors
+        for j in range(1, len(table)):
+            half, windows = 1 << (j - 1), n - (1 << j) + 1
+            np.maximum(table[j - 1, :windows], table[j - 1, half : half + windows], out=table[j, :windows])
+        out[rows] = np.maximum(table[level, lo], table[level, lo + length - (1 << level)])
+    return out
 
 
-def pair_rep(
+def pair_block(
     token_vectors: np.ndarray,
-    head: Span,
-    head_pooled: np.ndarray,
-    tail: Span,
-    tail_pooled: np.ndarray,
+    spans: Sequence[Span],
+    pooled: np.ndarray,
     width_table: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
 ) -> np.ndarray:
-    """Relation-head input: [head ; head width ; between maxpool ; tail ; tail width]."""
-    return np.concatenate(
-        [
-            head_pooled,
-            width_table[len(head) - 1],
-            between_context(token_vectors, head, tail),
-            tail_pooled,
-            width_table[len(tail) - 1],
-        ]
+    """Relation-head inputs of the pairs (spans[heads[i]], spans[tails[i]]),
+    as an (m, 1, pair_dim) block; pooled holds one row per span.
+
+    Row i is [head ; head width ; between maxpool ; tail ; tail width], each
+    part copied from its source, so it equals the pair's row built alone.
+    """
+    starts, ends = np.array([(s.start, s.end) for s in spans], dtype=np.intp).reshape(-1, 2).T
+    span_rows = np.concatenate([pooled, width_table[ends - starts - 1]], axis=1)  # [pooled ; width]
+    span_dim = span_rows.shape[1]  # d + d_w
+    block = np.empty((len(heads), 1, 2 * span_dim + pooled.shape[1]))
+    rows = block[:, 0]
+    rows[:, :span_dim] = span_rows[heads]
+    rows[:, span_dim:-span_dim] = between_contexts(
+        token_vectors,
+        np.minimum(ends[heads], ends[tails]),
+        np.maximum(starts[heads], starts[tails]),
     )
+    rows[:, -span_dim:] = span_rows[tails]
+    return block
+
+
+pair_rep = pair_block  # the name bench/tracing.py wraps; extract calls it by this name
 
 
 def classify_entities(model: Model, reps: np.ndarray) -> np.ndarray:
@@ -255,64 +283,55 @@ def extract(
     argmax probability); attributes with score >= theta_a attach to them;
     ordered entity pairs receive every relation scoring >= theta_r.
     """
+    relation_types = model.schema.relation_types
     if len(tokens) == 0:
-        return assemble_graph(tokens, lemmas, [], [], [], provenance=provenance)
+        no_rows = np.zeros(0, dtype=np.intp)
+        return assemble_graph(
+            tokens, lemmas, [], [], relation_types, no_rows, no_rows, no_rows, np.zeros(0), provenance
+        )
     encoding = encode_tokens(tokens, model.encoder)
     spans = enumerate_spans(len(tokens), model.max_span_len)
     _, reps = span_representations(model, encoding, spans)
-    pooled = reps[:, : model.dimension]
     probs = classify_entities(model, reps)
     classes = probs.argmax(axis=1)
 
     entities = []
-    kept: list[tuple[Span, int]] = []  # (span, row in reps)
-    for i, span in enumerate(spans):
-        cls = int(classes[i])
-        if cls == 0:
-            continue
-        ent_id = f"e{len(entities)}"
-        entities.append((ent_id, span, model.entity_classes[cls], float(probs[i, cls])))
-        kept.append((span, i))
+    kept: list[int] = []  # the rows of the spans kept as entities
+    for row, cls in enumerate(classes.tolist()):
+        if cls:
+            ent_type, conf = model.entity_classes[cls], float(probs[row, cls])
+            entities.append((f"e{len(kept)}", spans[row], ent_type, conf))
+            kept.append(row)
 
     attributes = []
-    relations = []
     if kept:
-        kept_reps = reps[[i for _, i in kept]]
-        attr_scores = classify_attributes(model, kept_reps)
-        for (ent_id, _, _, _), scores in zip(entities, attr_scores):
-            for j, attr in enumerate(model.schema.attribute_types):
-                if scores[j] >= model.theta_a:
-                    attributes.append((ent_id, attr, float(scores[j])))
+        attribute_types = model.schema.attribute_types
+        for (ent_id, _, _, _), scores in zip(entities, classify_attributes(model, reps[kept]).tolist()):
+            for attr, score in zip(attribute_types, scores):
+                if score >= model.theta_a:
+                    attributes.append((ent_id, attr, score))
 
-        # Each head scores its k-1 tails as a (k-1, 1, pair_dim) stack.  matmul
-        # runs one gemv per stacked row, the call a single 1-D pair row makes,
-        # so the scores are bit-identical to scoring pair by pair; one 2-D gemm
-        # over all pairs sums in another order and changes the extract-trained
-        # seed-7 digest.  A lone entity has no pairs and makes no call.
-        ids = [ent_id for ent_id, _, _, _ in entities]
-        relation_types = model.schema.relation_types
-        block_shape = (len(kept) - 1, 1, model.pair_dim)
-        for hi, (head_span, h_row) in enumerate(kept if len(kept) > 1 else ()):
-            tails = kept[:hi] + kept[hi + 1 :]
-            tail_ids = ids[:hi] + ids[hi + 1 :]
-            block = np.empty(block_shape)
-            for row, (tail_span, t_row) in enumerate(tails):
-                block[row, 0] = pair_rep(
-                    encoding.token_vectors,
-                    head_span,
-                    pooled[h_row],
-                    tail_span,
-                    pooled[t_row],
-                    model.width,
-                )
-            scores = classify_relations(model, block)[:, 0]
-            # row-major order: by tail, then by relation type
-            rows, cols = np.nonzero(scores >= model.theta_r)
-            head_id = ids[hi]
-            for row, j, score in zip(rows.tolist(), cols.tolist(), scores[rows, cols].tolist()):
-                relations.append((head_id, tail_ids[row], relation_types[j], score))
-
-    return assemble_graph(tokens, lemmas, entities, attributes, relations, provenance=provenance)
+    # All k(k-1) ordered pairs, by head and then by tail, as one (m, 1,
+    # pair_dim) stack.  matmul runs one gemv per stacked row, the call a
+    # single 1-D pair row makes, so the scores are bit-identical to scoring
+    # pair by pair; one 2-D gemm over all pairs sums in another order and
+    # changes the extract-trained seed-7 digest.  A lone entity has no pairs
+    # and makes no call.
+    k = len(kept)
+    head = tail = np.zeros(0, dtype=np.intp)
+    scores = np.zeros((0, len(relation_types)))
+    if k > 1:
+        head, tail = np.divmod(np.arange(k * (k - 1)), k - 1)
+        tail += tail >= head
+        pooled = reps[kept, : model.dimension]
+        block = pair_rep(encoding.token_vectors, [spans[i] for i in kept], pooled, model.width, head, tail)
+        scores = classify_relations(model, block)[:, 0]
+    # row-major order: by pair, then by relation type
+    rows, code = np.nonzero(scores >= model.theta_r)
+    return assemble_graph(
+        tokens, lemmas, entities, attributes, relation_types,
+        head[rows], tail[rows], code, scores[rows, code], provenance,
+    )
 
 
 def save_model(model: Model, path: str) -> None:

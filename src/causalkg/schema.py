@@ -10,10 +10,13 @@ scientific claims and "ethno" for ethnographic mental models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
-from .graphs import ElementKey, KnowledgeGraph, element_id
+from .graphs import FEW_RELATIONS, ElementKey, KnowledgeGraph, element_id
 from .readers import array, obj, parse_json, required, string, strings
 
 __all__ = [
@@ -24,7 +27,7 @@ __all__ = [
     "schema_from_dict",
     "check_constraints",
     "scan_constraints",
-    "element_table",
+    "ElementTable",
     "VIOLATION_KINDS",
     "BUILTIN_SCHEMAS",
 ]
@@ -72,6 +75,39 @@ class Schema:
                     raise SchemaParseError(f"an exclusive {kind} pair must name 2 distinct types, not {len(pair)}")
                 check(pair, declared, f"an exclusive {kind} pair")
         check(self.causal_relation_types, rels, "causal_relation_types")
+
+    # Lookups the constraint scan reads, built on first use; a schema is
+    # not changed after it is built.
+
+    @cached_property
+    def _entity_codes(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.entity_types)}
+
+    @cached_property
+    def _attribute_codes(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.attribute_types)}
+
+    @cached_property
+    def _relation_codes(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.relation_types)}
+
+    @cached_property
+    def _admits(self) -> np.ndarray:
+        """admits[end, r, e]: relation type r admits entity type e at its
+        head (end 0) or its tail (end 1)."""
+        signatures = [self.relation_signatures.get(r) for r in self.relation_types]
+        admits = [
+            [[sig is None or t in sig[end] for t in self.entity_types] for sig in signatures] for end in (0, 1)
+        ]
+        return np.array(admits, dtype=bool).reshape(2, len(self.relation_types), len(self.entity_types))
+
+    @cached_property
+    def _exclusive_relation_codes(self) -> list[tuple[int, int]]:
+        """The exclusive relation pairs as (lesser, greater) type codes, the types in name order."""
+        return [
+            (self._relation_codes[a], self._relation_codes[b])
+            for a, b in (sorted(pair) for pair in self.exclusive_relation_pairs)
+        ]
 
 
 @dataclass(frozen=True)
@@ -197,18 +233,19 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def _check_known_types(graph: KnowledgeGraph, schema: Schema) -> None:
-    ents = set(schema.entity_types)
-    attrs = set(schema.attribute_types)
-    rels = set(schema.relation_types)
+    ents, attrs, rels = schema._entity_codes, schema._attribute_codes, schema._relation_codes
     for e in graph.entities:
         if e.entity_type not in ents:
             raise UnknownTypeError(f"entity type {e.entity_type!r} not in schema {schema.name!r}")
         for t, _ in e.attributes:
             if t not in attrs:
                 raise UnknownTypeError(f"attribute type {t!r} not in schema {schema.name!r}")
-    for r in graph.relations:
-        if r.relation_type not in rels:
-            raise UnknownTypeError(f"relation type {r.relation_type!r} not in schema {schema.name!r}")
+    relations = graph.relations
+    unknown = {c for c, t in enumerate(relations.types) if t not in rels}
+    if unknown:
+        for c in relations.code:
+            if c in unknown:
+                raise UnknownTypeError(f"relation type {relations.types[c]!r} not in schema {schema.name!r}")
 
 
 # Violation kinds, coded by their place in this tuple: the order of their
@@ -217,81 +254,145 @@ VIOLATION_KINDS = ("AttributeDomain", "ExclusiveAttributes", "ExclusiveRelations
 _ATTRIBUTE_DOMAIN, _EXCLUSIVE_ATTRIBUTES, _EXCLUSIVE_RELATIONS, _RELATION_SIGNATURE = range(4)
 
 
-def element_table(graph: KnowledgeGraph) -> tuple[list[ElementKey], list[float]]:
-    """The key and the confidence of every graph element, by element index.
+class ElementTable:
+    """Every element of a graph by element index, in the kind order
+    relation < attribute < entity: relations in graph order, then
+    attributes in entity and then attribute order, then entities in graph
+    order.
 
-    Elements are numbered in the kind order relation < attribute < entity:
-    relations in graph order, then attributes in entity and then attribute
-    order, then entities in graph order.
+    relations: the graph's `Relations` columns; attributes: (entity index,
+    attribute type) per attribute; first_entity: the first entity's
+    element index; confidences: every element's confidence.
     """
-    entities = graph.entities
-    keys: list[ElementKey] = [("relation", r.head, r.tail, r.relation_type) for r in graph.relations]
-    keys += [("attribute", e.id, t) for e in entities for t, _ in e.attributes]
-    keys += [("entity", e.id) for e in entities]
-    confidences = [r.confidence for r in graph.relations]
-    confidences += [c for e in entities for _, c in e.attributes]
-    confidences += [e.confidence for e in entities]
-    return keys, confidences
+
+    __slots__ = ("relations", "entities", "attributes", "first_entity", "confidences")
+
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        self.relations = relations = graph.relations
+        self.entities = entities = graph.entities
+        self.attributes = [(i, t) for i, e in enumerate(entities) for t, _ in e.attributes]
+        self.first_entity = len(relations) + len(self.attributes)
+        self.confidences = relations.confidence + [c for e in entities for _, c in e.attributes]
+        self.confidences += [e.confidence for e in entities]
+
+    def kind(self, i: int) -> str:
+        if i < len(self.relations):
+            return "relation"
+        return "attribute" if i < self.first_entity else "entity"
+
+    def key(self, i: int) -> ElementKey:
+        relations = self.relations
+        if i < len(relations):
+            ids, rel_type = relations.ids, relations.types[relations.code[i]]
+            return ("relation", ids[relations.head[i]], ids[relations.tail[i]], rel_type)
+        if i < self.first_entity:
+            owner, attr = self.attributes[i - len(relations)]
+            return ("attribute", self.entities[owner].id, attr)
+        return ("entity", self.entities[i - self.first_entity].id)
 
 
-def scan_constraints(graph: KnowledgeGraph, schema: Schema) -> list[tuple[int, ...]]:
+def _relation_rows(entities, relations, schema: Schema, first_entity: int) -> list[tuple[int, ...]]:
+    """scan_constraints' relation rows, found relation by relation."""
+    signatures = schema.relation_signatures
+    exclusive = [sorted(pair) for pair in schema.exclusive_relation_pairs]
+    # relation type -> (head, tail) -> index, for the types of exclusive pairs
+    by_type: dict[str, dict[tuple[int, int], int]] = {t: {} for pair in exclusive for t in pair}
+    rows: list[tuple[int, ...]] = []
+    for j, (h, t, c) in enumerate(zip(relations.head, relations.tail, relations.code)):
+        rel_type = relations.types[c]
+        if rel_type in by_type:
+            by_type[rel_type][h, t] = j
+        sig = signatures.get(rel_type)
+        if sig is None:
+            continue
+        bad_head, bad_tail = entities[h].entity_type not in sig[0], entities[t].entity_type not in sig[1]
+        if bad_head and bad_tail:
+            rows.append((_RELATION_SIGNATURE, j, first_entity + h, first_entity + t))
+        elif bad_head or bad_tail:
+            rows.append((_RELATION_SIGNATURE, j, first_entity + (h if bad_head else t), -1))
+    for a, b in exclusive:
+        others = by_type[b]
+        rows += [
+            (_EXCLUSIVE_RELATIONS, j, others[ends], -1) for ends, j in by_type[a].items() if ends in others
+        ]
+    return rows
+
+
+def scan_constraints(graph: KnowledgeGraph, schema: Schema) -> np.ndarray:
     """Every schema violation in the graph, integer coded and in no set order.
 
-    A row is (kind, participant, participant[, participant]): the kind's
-    index in VIOLATION_KINDS, then the conflicting elements' `element_table`
-    indexes in `Violation.keys` order.
+    One row per violation of an (N, 4) integer array: the kind's index in
+    VIOLATION_KINDS, then the conflicting elements' `ElementTable` indexes
+    in `Violation.keys` order, padded with -1 (a violation has two or three
+    participants).  Relations are scanned as columns: as arrays, or one
+    by one when there are few.
     """
     _check_known_types(graph, schema)
-    attribute = len(graph.relations)  # the next attribute's index
-    first_entity = attribute + sum(len(e.attributes) for e in graph.entities)
+    entities, relations = graph.entities, graph.relations
+    attribute = len(relations)  # the next attribute's index
+    first_entity = attribute + sum(len(e.attributes) for e in entities)
     domains = schema.attribute_domains
     exclusive_attributes = [sorted(pair) for pair in schema.exclusive_attribute_pairs]
-    endpoint: dict[str, tuple[str, int]] = {}
     rows: list[tuple[int, ...]] = []
 
-    for i, e in enumerate(graph.entities, first_entity):
-        endpoint[e.id] = (e.entity_type, i)
+    for i, e in enumerate(entities, first_entity):
         if not e.attributes:
             continue
         present: dict[str, int] = {}
         for attr, _ in e.attributes:
             domain = domains.get(attr)
             if domain is not None and e.entity_type not in domain:
-                rows.append((_ATTRIBUTE_DOMAIN, attribute, i))
+                rows.append((_ATTRIBUTE_DOMAIN, attribute, i, -1))
             present[attr] = attribute
             attribute += 1
         for a, b in exclusive_attributes:
             if a in present and b in present:
-                rows.append((_EXCLUSIVE_ATTRIBUTES, present[a], present[b]))
+                rows.append((_EXCLUSIVE_ATTRIBUTES, present[a], present[b], -1))
 
-    signatures = schema.relation_signatures
-    exclusive_relations = [sorted(pair) for pair in schema.exclusive_relation_pairs]
-    # relation type -> (head, tail) -> index, for the types of exclusive pairs
-    by_type: dict[str, dict[tuple[str, str], int]] = {t: {} for pair in exclusive_relations for t in pair}
-    for j, r in enumerate(graph.relations):
-        if r.relation_type in by_type:
-            by_type[r.relation_type][r.head, r.tail] = j
-        sig = signatures.get(r.relation_type)
-        if sig is None:
-            continue
-        heads, tails = sig
-        head_type, head = endpoint[r.head]
-        tail_type, tail = endpoint[r.tail]
-        if head_type not in heads:
-            if tail_type not in tails:
-                rows.append((_RELATION_SIGNATURE, j, head, tail))
-            else:
-                rows.append((_RELATION_SIGNATURE, j, head))
-        elif tail_type not in tails:
-            rows.append((_RELATION_SIGNATURE, j, tail))
+    if len(relations) <= FEW_RELATIONS:
+        rows += _relation_rows(entities, relations, schema, first_entity)
+        return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
-    for a, b in exclusive_relations:
-        others = by_type[b]
-        for ends, j in by_type[a].items():
-            k = others.get(ends)
-            if k is not None:
-                rows.append((_EXCLUSIVE_RELATIONS, j, k))
-    return rows
+    parts = [np.array(rows, dtype=np.intp).reshape(-1, 4)]
+    head = np.array(relations.head, dtype=np.intp)
+    tail = np.array(relations.tail, dtype=np.intp)
+    code = np.array(relations.code, dtype=np.intp)
+    if relations.types != schema.relation_types:
+        # each relation's type by its schema code; _check_known_types has
+        # passed, so a type outside the schema is one no relation has
+        codes = schema._relation_codes
+        code = np.array([codes.get(t, 0) for t in relations.types], dtype=np.intp)[code]
+    if schema.relation_signatures:
+        codes = schema._entity_codes
+        entity_type = np.array([codes[e.entity_type] for e in entities], dtype=np.intp)
+        bad_head = ~schema._admits[0, code, entity_type[head]]
+        bad_tail = ~schema._admits[1, code, entity_type[tail]]
+        j = np.flatnonzero(bad_head | bad_tail)
+        if len(j):
+            bad_head, bad_tail = bad_head[j], bad_tail[j]
+            head_at, tail_at = head[j] + first_entity, tail[j] + first_entity
+            block = np.full((len(j), 4), -1, dtype=np.intp)
+            block[:, 0] = _RELATION_SIGNATURE
+            block[:, 1] = j
+            block[:, 2] = np.where(bad_head, head_at, tail_at)
+            both = bad_head & bad_tail
+            block[both, 3] = tail_at[both]
+            parts.append(block)
+    k = len(entities)
+    ends = head * k + tail
+    for a, b in schema._exclusive_relation_codes:
+        of_a, of_b = np.flatnonzero(code == a), np.flatnonzero(code == b)
+        if len(of_a) and len(of_b):
+            partner = np.full(k * k, -1, dtype=np.intp)  # the type-b relation on each (head, tail)
+            partner[ends[of_b]] = of_b
+            match = partner[ends[of_a]]
+            hit = match >= 0
+            block = np.full((int(hit.sum()), 4), -1, dtype=np.intp)
+            block[:, 0] = _EXCLUSIVE_RELATIONS
+            block[:, 1] = of_a[hit]
+            block[:, 2] = match[hit]
+            parts.append(block)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
@@ -300,16 +401,16 @@ def check_constraints(graph: KnowledgeGraph, schema: Schema) -> list[Violation]:
     Pure and order-independent: the result is sorted by (kind, element ids).
     """
     rows = scan_constraints(graph, schema)
-    if not rows:
+    if not len(rows):
         return []
-    keys, confidences = element_table(graph)
-    out = [
-        Violation(
-            VIOLATION_KINDS[row[0]],
-            tuple(keys[p] for p in row[1:]),
-            tuple(confidences[p] for p in row[1:]),
-        )
-        for row in rows
-    ]
+    table = ElementTable(graph)
+    out = []
+    for kind, *participants in rows.tolist():
+        participants = [p for p in participants if p >= 0]
+        out.append(Violation(
+            VIOLATION_KINDS[kind],
+            tuple(map(table.key, participants)),
+            tuple(table.confidences[p] for p in participants),
+        ))
     out.sort(key=lambda v: (v.kind, v.element_ids))
     return out

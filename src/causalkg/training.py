@@ -31,7 +31,7 @@ from .model import (
     classify_entities,
     classify_relations,
     enumerate_spans,
-    pair_rep,
+    pair_block,
     span_representations,
 )
 from .readers import array, integer, obj, parse_json, real, required, string, strings, within
@@ -362,11 +362,10 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
     attr_reps = reps[attr_rows]
     attr_scores = classify_attributes(model, attr_reps)
 
-    pair_spans = [(gold_spans[h], gold_spans[t]) for h, t in pair_order]
-    pair_rows = [(span_index[hs], span_index[ts]) for hs, ts in pair_spans]
-    pair_reps = np.empty((len(pair_order), model.pair_dim))
-    for i, ((hs, ts), (hr, tr)) in enumerate(zip(pair_spans, pair_rows)):
-        pair_reps[i] = pair_rep(H, hs, pooled[hr], ts, pooled[tr], model.width)
+    # each pair's (head, tail) as gold entity indexes, and as unique-span rows
+    pair_ends = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
+    pair_rows = attr_rows[pair_ends]
+    pair_reps = pair_block(H, gold_spans, pooled[attr_rows], model.width, pair_ends[:, 0], pair_ends[:, 1])[:, 0]
     rel_scores = classify_relations(model, pair_reps)
 
     loss = joint_loss(ent_probs, ent_targets, rel_scores, pair_labels, attr_scores, attr_labels)
@@ -401,8 +400,8 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
         grads["rel_w"] += g.T @ pair_reps
         grads["rel_b"] += g.sum(axis=0)
         dr = g @ model.rel_w
-        pair_widths = np.array([[len(hs) - 1, len(ts) - 1] for hs, ts in pair_spans], dtype=int)
-        np.add.at(d_pooled, np.array(pair_rows), np.stack([dr[:, :d], dr[:, 2 * d + dw : 3 * d + dw]], axis=1))
+        pair_widths = np.array([len(span) - 1 for span in gold_spans], dtype=int)[pair_ends]
+        np.add.at(d_pooled, pair_rows, np.stack([dr[:, :d], dr[:, 2 * d + dw : 3 * d + dw]], axis=1))
         np.add.at(grads["width"], pair_widths, np.stack([dr[:, d : d + dw], dr[:, 3 * d + dw :]], axis=1))
 
     # entity-rep gradient: pooled segment and width segment (passage frozen)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import causalkg
-from causalkg.cli import main
+from causalkg.cli import build_parser, main
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.model import Model, save_model
@@ -388,6 +388,28 @@ def make_encoder_config(tmp_path, dim):
     path = tmp_path / "enc.json"
     path.write_text(json.dumps({"encoder": {"dimension": dim, "seed": 0}}))
     return path
+
+
+def test_successive_calls_in_one_process_share_one_parser(workdir, capsys):
+    # the parser is built once; each call parses only its own arguments, so
+    # an option given to one call does not reach the next
+    assert build_parser() is build_parser()
+    assert run_train(workdir) == 0
+
+    def extract(out, *options):
+        args = ["extract", "--model", str(workdir / "model.json"), "--input", str(workdir / "sentences.json")]
+        assert main(args + ["--out", str(workdir / out), *options]) == 0
+        manifest = json.loads((workdir / out / "manifest.json").read_text())
+        return [(workdir / out / name).read_text() for name in manifest["graphs"]]
+
+    plain = extract("plain")
+    loose = extract("loose", "--threshold-relation", "0.01")
+    assert loose != plain
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(workdir / "nope"), "--out", "x.json"]) == 2
+    assert "nope" in capsys.readouterr().err
+    assert extract("again") == plain
+    assert main(["dot", "--input", str(workdir / "plain"), "--schema", "sciclaim", "--out", str(workdir / "dot")]) == 0
+    assert len(os.listdir(workdir / "dot")) == len(plain)
 
 
 def test_unknown_subcommand_exits_1(capsys):

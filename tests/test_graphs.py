@@ -135,7 +135,7 @@ def test_merge_single_graph_no_links():
     g = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="a")
     corpus = merge_corpus([g], lemma_link=True)
     assert corpus.lemma_links == frozenset()
-    assert set(corpus.nodes()) == {"a/e0"}
+    assert set(corpus.index.nodes) == {"a/e0"}
 
 
 def test_merge_links_shared_lemma():
@@ -178,7 +178,7 @@ def test_hubs_store_each_node_lemma_once():
             corpus = random_hub_corpus(rng)
         occurrences = sum(len(g.entity_lemmas(e)) for g in corpus.graphs for e in g.entities)
         assert sum(len(members) for _, members in corpus.lemma_hubs) <= occurrences
-        nodes = corpus.nodes()
+        nodes = corpus.index.nodes
         for lemma, members in corpus.lemma_hubs:
             assert list(members) == sorted(set(members))
             assert len({nodes[m][0].provenance for m in members}) >= 2
@@ -191,7 +191,7 @@ def test_merge_keeps_slashed_global_ids_apart(lemma_link):
     g1 = assemble_graph(["x"], None, [("c", Span(0, 1), "element", 1.0)], provenance="a/b")
     g2 = assemble_graph(["x"], None, [("b/c", Span(0, 1), "element", 1.0)], provenance="a")
     corpus = merge_corpus([g1, g2], lemma_link=lemma_link)
-    assert corpus.nodes() == {"a\\/b/c": (g1, g1.entities[0]), "a/b\\/c": (g2, g2.entities[0])}
+    assert corpus.index.nodes == {"a\\/b/c": (g1, g1.entities[0]), "a/b\\/c": (g2, g2.entities[0])}
     if lemma_link:
         assert corpus.lemma_hubs == (("x", ("a/b\\/c", "a\\/b/c")),)
 
@@ -202,7 +202,7 @@ def test_merge_without_links_is_plain_union():
     corpus = merge_corpus(graphs, lemma_link=False)
     assert corpus.lemma_hubs == ()
     assert corpus.lemma_links == frozenset()
-    assert len(corpus.nodes()) == sum(len(g.entities) for g in graphs)
+    assert len(corpus.index.nodes) == sum(len(g.entities) for g in graphs)
 
 
 def test_merge_duplicate_provenance_rejected():
@@ -408,7 +408,7 @@ def test_corpus_index_stays_out_of_equality_and_repr():
     assert direct.index is direct.index
     # a copy with other graphs builds its own index
     fewer = replace(corpus, graphs=corpus.graphs[:1])
-    assert set(fewer.nodes()) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
+    assert set(fewer.index.nodes) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
 
 
 def test_incoming_index_matches_a_relation_scan():

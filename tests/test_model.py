@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import DimensionMismatchError
@@ -10,20 +12,21 @@ from causalkg.graphs import Span
 from causalkg.model import (
     PARAM_GROUPS,
     Model,
-    between_context,
+    between_contexts,
     classify_attributes,
     classify_entities,
     classify_relations,
     enumerate_spans,
     extract,
     load_model,
-    pair_rep,
+    pair_block,
     save_model,
     sigmoid,
     span_attention,
     span_representations,
 )
 from causalkg.schema import load_schema, schema_to_dict
+from training_reference import pair_rep
 
 
 def small_model(seed=0, d=8, width_dim=2, max_span_len=3, schema="sciclaim"):
@@ -113,24 +116,61 @@ def test_span_representations_layout():
 
 def test_between_context():
     H = np.array([[1.0, -1.0], [5.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    # adjacent spans -> zero vector
-    assert np.array_equal(between_context(H, Span(0, 1), Span(1, 2)), [0.0, 0.0])
-    # strictly-between maxpool, order independent
-    mid = between_context(H, Span(0, 1), Span(3, 4))
-    assert np.array_equal(mid, [5.0, 4.0])
-    assert np.array_equal(between_context(H, Span(3, 4), Span(0, 1)), mid)
+    # (lo, hi) is (min of the ends, max of the starts) of a span pair:
+    # adjacent spans [0, 1) and [1, 2), then [0, 1) and [3, 4) either way
+    # round, then overlapping spans
+    lo, hi = np.array([1, 1, 1, 2]), np.array([1, 3, 3, 1])
+    out = between_contexts(H, lo, hi)
+    assert np.array_equal(out, [[0.0, 0.0], [5.0, 4.0], [5.0, 4.0], [0.0, 0.0]])
+    assert between_contexts(H, np.zeros(0, dtype=int), np.zeros(0, dtype=int)).shape == (0, 2)
+    # every range of a 9-token sentence, as a sparse table covers it
+    H = np.random.default_rng(5).standard_normal((9, 3))
+    lo, hi = np.divmod(np.arange(100), 10)
+    out = between_contexts(H, lo, hi)
+    for row, a, b in zip(out, lo, hi):
+        assert np.array_equal(row, H[a:b].max(axis=0) if b > a else np.zeros(3))
 
 
 def test_pair_rep_layout():
     H = np.arange(8.0).reshape(4, 2)
     widths = np.array([[7.0], [8.0]])
-    rep = pair_rep(H, Span(0, 1), H[0], Span(3, 4), H[3], widths)
-    assert rep.shape == (8,)  # 3d + 2 d_w
+    spans = [Span(0, 1), Span(3, 4), Span(1, 3)]
+    block = pair_block(H, spans, H[[0, 3, 1]], widths, np.array([0, 2]), np.array([1, 0]))
+    assert block.shape == (2, 1, 8)  # (pairs, 1, 3d + 2 d_w)
+    rep = block[0, 0]
     assert np.array_equal(rep[:2], H[0])
     assert rep[2] == 7.0
     assert np.array_equal(rep[3:5], np.maximum(H[1], H[2]))
     assert np.array_equal(rep[5:7], H[3])
     assert rep[7] == 7.0
+    # [1, 3) after [0, 1): adjacent, so a zero between-context, width 2
+    assert np.array_equal(block[1, 0], [2.0, 3.0, 8.0, 0.0, 0.0, 0.0, 1.0, 7.0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    max_span_len=st.integers(1, 10),
+    d=st.sampled_from((4, 16, 64)),
+    seed=st.integers(0, 2**16),
+)
+def test_pair_block_rows_are_the_per_pair_rows(data, n, max_span_len, d, seed):
+    # spans drawn freely over the sentence are nested, adjacent, overlapping,
+    # repeated or apart; every ordered pair of them is one block row
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    spans = [Span(s, min(n, s + data.draw(st.integers(1, max_span_len)))) for s in starts]
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, d))
+    pooled = rng.standard_normal((len(spans), d))
+    widths = rng.standard_normal((max_span_len, 3))
+    pairs = [(h, t) for h in range(len(spans)) for t in range(len(spans)) if h != t]
+    heads = np.array([h for h, _ in pairs], dtype=np.intp)
+    tails = np.array([t for _, t in pairs], dtype=np.intp)
+    block = pair_block(H, spans, pooled, widths, heads, tails)
+    assert block.shape == (len(pairs), 1, 3 * d + 6)
+    expected = [pair_rep(H, spans[h], pooled[h], spans[t], pooled[t], widths) for h, t in pairs]
+    assert block.tobytes() == np.array(expected).reshape(block.shape).tobytes()
 
 
 def test_zero_weights_give_uniform_and_half():

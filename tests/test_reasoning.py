@@ -270,7 +270,7 @@ def test_single_node_path_when_both_patterns_match():
 
 def oracle_paths(corpus, start, end, max_len):
     """Exhaustive breadth-first enumeration of all simple paths."""
-    nodes = corpus.nodes()
+    nodes = corpus.index.nodes
     edges = []  # (edge_id, src, dst)
     for g in corpus.graphs:
         for r in g.relations:
@@ -319,7 +319,7 @@ def test_find_paths_matches_oracle_on_random_corpora():
 def networkx_paths(corpus, start, end, max_len):
     """Second oracle: networkx all_simple_edge_paths over a MultiDiGraph
     whose lemma links come from comparing every node pair's lemma sets."""
-    nodes = corpus.nodes()
+    nodes = corpus.index.nodes
     graph = nx.MultiDiGraph()
     graph.add_nodes_from(nodes)
     for g in corpus.graphs:
@@ -351,7 +351,7 @@ def test_find_paths_matches_networkx_on_hub_corpora():
     multi_member_hubs = two_lemma_links = lemma_steps = 0
     for _ in range(60):
         corpus = random_hub_corpus(rng, n_graphs=int(rng.integers(3, 7)))
-        nodes = corpus.nodes()
+        nodes = corpus.index.nodes
         for _, members in corpus.lemma_hubs:
             provs = [nodes[m][0].provenance for m in members]
             multi_member_hubs += len(provs) > len(set(provs))
@@ -463,7 +463,7 @@ def role_patterns(draw, lemmas, relation_types, depth=2):
 def test_role_matches_agree_with_a_relation_scan():
     role_hits = [0]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
     def check(seed, hubs, data):
         rng = np.random.default_rng(seed)
@@ -471,7 +471,7 @@ def test_role_matches_agree_with_a_relation_scan():
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
         relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
         pattern = data.draw(role_patterns(lemmas, relation_types))
-        for g, e in corpus.nodes().values():
+        for g, e in corpus.index.nodes.values():
             got = pattern.matches(g, e)
             assert got == scan_matches(pattern, g, e)
             role_hits[0] += got and pattern.role_constraints is not None
@@ -500,7 +500,7 @@ def test_find_paths_on_a_corpus_built_without_merge_corpus():
 def test_index_selected_candidates_agree_with_a_scan():
     lemma_patterns = [0]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
     def check(seed, hubs, data):
         rng = np.random.default_rng(seed)
@@ -509,7 +509,7 @@ def test_index_selected_candidates_agree_with_a_scan():
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas} | {"unheld"})
         relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
         pattern = data.draw(role_patterns(lemmas, relation_types))
-        expected = sorted(gid for gid, (g, e) in corpus.nodes().items() if scan_matches(pattern, g, e))
+        expected = sorted(gid for gid, (g, e) in corpus.index.nodes.items() if scan_matches(pattern, g, e))
         assert matching_nodes(corpus, pattern) == expected
         lemma_patterns[0] += pattern.lemma_any_of is not None and bool(expected)
 

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import synth
+from causalkg import schema as schema_module
+from causalkg.encoder import EncoderConfig
 from causalkg.errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
 from causalkg.graphs import Span, assemble_graph
-from causalkg.schema import check_constraints, load_schema, schema_to_dict
+from causalkg.model import Model, extract
+from causalkg.schema import check_constraints, load_schema, scan_constraints, schema_to_dict
 
 from synth import random_sciclaim_graph
 
@@ -166,3 +170,21 @@ def test_bare_entities_never_violate():
             [(e.id, e.span, e.entity_type, e.confidence) for e in g.entities],
         )
         assert check_constraints(bare, s) == []
+
+
+def test_row_by_row_and_array_scans_agree(monkeypatch):
+    # scan_constraints tests few relations one by one and many as arrays
+    sciclaim = load_schema("sciclaim")
+    rng = np.random.default_rng(77)
+    graphs = [random_sciclaim_graph(rng, provenance=f"r{i}") for i in range(60)]
+    model = Model.initialize(sciclaim, EncoderConfig(dimension=16, seed=2), seed=16)
+    graphs += [extract(tuple(synth.FACTORS[i : i + 4]), None, model) for i in range(0, 40, 8)]
+    kinds = set()
+    for graph in graphs:
+        scans = []
+        for few in (0, 10**9):
+            monkeypatch.setattr(schema_module, "FEW_RELATIONS", few)
+            scans.append(sorted(map(tuple, scan_constraints(graph, sciclaim).tolist())))
+        assert scans[0] == scans[1]
+        kinds.update(row[0] for row in scans[0])
+    assert kinds == {0, 1, 2, 3}

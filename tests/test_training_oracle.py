@@ -196,24 +196,17 @@ def test_random_dense_extractions_match_reference(seed, dimension, words, theta_
 
 
 def test_extract_scores_each_pair_once(monkeypatch):
+    # one classify_relations call scores a block of all k(k-1) ordered pairs
     model_module = importlib.import_module("causalkg.model")
-    pair_rep = model_module.pair_rep
-    pair_calls, cells = [], []
+    blocks = []
 
-    def counting_pair_rep(*args):
-        pair_calls.append(1)
-        return pair_rep(*args)
+    def recording_classify_relations(model, reps):
+        blocks.append(reps.shape)
+        return classify_relations(model, reps)
 
-    def counting_classify_relations(model, reps):
-        scores = classify_relations(model, reps)
-        cells.append(scores.size)
-        return scores
-
-    monkeypatch.setattr(model_module, "pair_rep", counting_pair_rep)
-    monkeypatch.setattr(model_module, "classify_relations", counting_classify_relations)
+    monkeypatch.setattr(model_module, "classify_relations", recording_classify_relations)
     model = Model.initialize(SCICLAIM, EncoderConfig(), seed=3)
     graph = extract(tuple(synth.FACTORS[:6]), None, model)
     k = len(graph.entities)
     assert k == 21
-    assert len(pair_calls) == k * (k - 1)
-    assert sum(cells) == k * (k - 1) * len(SCICLAIM.relation_types)
+    assert blocks == [(k * (k - 1), 1, model.pair_dim)]

@@ -1,6 +1,8 @@
 """Reference forward, backward, update and extraction for the tests: the
 original per-span and per-pair loops that assembled span, entity and pair
-representations by hand, and the gradient step written out group by group.
+representations by hand, the per-pair `pair_rep` and `between_context`
+that built one relation-head row at a time, and the gradient step written
+out group by group.
 
 causalkg.training and causalkg.model must reproduce these bit for bit: the
 same losses, gradients, trained parameters and extracted graphs.
@@ -9,20 +11,49 @@ same losses, gradients, trained parameters and extracted graphs.
 import numpy as np
 
 from causalkg.encoder import encode_tokens
-from causalkg.graphs import assemble_graph
+from causalkg.graphs import Span, assemble_graph
 from causalkg.model import (
     Model,
-    between_context,
     classify_attributes,
     classify_entities,
     classify_relations,
     enumerate_spans,
-    pair_rep,
     sigmoid,
     softmax,
     span_attention,
 )
 from causalkg.training import _prepare, joint_loss, sample_negatives
+
+
+def between_context(token_vectors: np.ndarray, a: Span, b: Span) -> np.ndarray:
+    """Maxpool of the token vectors strictly between two spans.
+
+    Zero vector when the spans are adjacent or overlap.
+    """
+    lo, hi = min(a.end, b.end), max(a.start, b.start)
+    if hi <= lo:
+        return np.zeros(token_vectors.shape[1])
+    return token_vectors[lo:hi].max(axis=0)
+
+
+def pair_rep(
+    token_vectors: np.ndarray,
+    head: Span,
+    head_pooled: np.ndarray,
+    tail: Span,
+    tail_pooled: np.ndarray,
+    width_table: np.ndarray,
+) -> np.ndarray:
+    """Relation-head input: [head ; head width ; between maxpool ; tail ; tail width]."""
+    return np.concatenate(
+        [
+            head_pooled,
+            width_table[len(head) - 1],
+            between_context(token_vectors, head, tail),
+            tail_pooled,
+            width_table[len(tail) - 1],
+        ]
+    )
 
 
 def _forward(model, encoding, unique_spans):
