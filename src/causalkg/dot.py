@@ -6,7 +6,7 @@ edges carry the relation type, with causal relation types rendered bold.
 
 from __future__ import annotations
 
-from .graphs import KnowledgeGraph
+from .graphs import KnowledgeGraph, relation_ids
 from .schema import Schema
 
 __all__ = ["emit_dot"]
@@ -25,11 +25,15 @@ def emit_dot(graph: KnowledgeGraph, schema: Schema) -> str:
             # \n is the DOT line-break escape, applied after content escaping
             label += "\\n(" + _escape(", ".join(t for t, _ in e.attributes)) + ")"
         lines.append(f'  "{_escape(e.id)}" [label="{label}"];')
-    for r in sorted(graph.relations, key=lambda r: r.id):
-        style = "bold" if r.relation_type in schema.causal_relation_types else "solid"
+    relations = graph.relations
+    ids, types = relations.ids, relations.types
+    rel_ids = relation_ids(relations, range(len(relations)))
+    for j in sorted(range(len(relations)), key=rel_ids.__getitem__):
+        rel_type = types[relations.code[j]]
+        style = "bold" if rel_type in schema.causal_relation_types else "solid"
         lines.append(
-            f'  "{_escape(r.head)}" -> "{_escape(r.tail)}" '
-            f'[label="{_escape(r.relation_type)}", style={style}];'
+            f'  "{_escape(ids[relations.head[j]])}" -> "{_escape(ids[relations.tail[j]])}" '
+            f'[label="{_escape(rel_type)}", style={style}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -490,31 +490,30 @@ class _GraphBuilder:
 
     def relation_columns(self, types: tuple[str, ...], head, tail, code, confidence) -> None:
         """Set the relations from integer arrays head, tail (entity indexes)
-        and code (indexes into `types`) and a float array confidence.
+        and code (indexes into `types`, which names each type once) and a
+        float array confidence.
 
-        Many rows are checked as arrays, and row by row only if the arrays
-        show a fault, to raise the first faulty row's error; a few rows
-        are checked row by row, which costs less than the array calls.
+        Many rows are checked as arrays.  A few rows, which cost less so,
+        or many that the arrays show a fault in, go row by row through
+        `relation`, which raises the first faulty row's error.
         """
         k, m = len(self.entities), len(code)
         self.types = dict(zip(types, range(len(types))))
+        if len(self.types) < len(types):
+            twice = next(t for i, t in enumerate(types) if t in types[:i])
+            raise GraphError(f"relation type {twice!r} is named more than once")
         lists = head.tolist(), tail.tolist(), code.tolist(), confidence.tolist()
-        if m <= FEW_RELATIONS or not _valid_columns(head, tail, code, confidence, k, len(types)):
-            ids, seen = tuple(self.index), set()
-            for h, t, c, conf in zip(*lists):
-                for end in (h, t):
-                    if not 0 <= end < k:
-                        raise DanglingReferenceError(f"relation references unknown entity index {end}")
-                if not 0 <= c < len(types):
-                    raise GraphError(f"relation type code {c} outside the {len(types)} relation types")
-                if h == t:
-                    raise SelfLoopError(f"self-loop on {ids[h]!r} via {types[c]!r}")
-                if (h, t, c) in seen:
-                    raise GraphError(f"duplicate relation {(ids[h], ids[t], types[c])}")
-                seen.add((h, t, c))
-                if not 0.0 <= conf <= 1.0:
-                    _confidence(conf, "relation", types[c])
-        self.head, self.tail, self.code, self.confidence = lists
+        if m > FEW_RELATIONS and _valid_columns(head, tail, code, confidence, k, len(types)):
+            self.head, self.tail, self.code, self.confidence = lists
+            return
+        ids = tuple(self.index)
+        for h, t, c, conf in zip(*lists):
+            for end in (h, t):
+                if not 0 <= end < k:
+                    raise DanglingReferenceError(f"relation references unknown entity index {end}")
+            if not 0 <= c < len(types):
+                raise GraphError(f"relation type code {c} outside the {len(types)} relation types")
+            self.relation(ids[h], ids[t], types[c], conf)
 
     def graph(self, provenance: str) -> KnowledgeGraph:
         relations = Relations(
@@ -595,7 +594,8 @@ def assemble_columns(
     and code are integer arrays and confidence a float array.  Many rows
     are checked as arrays, not relation by relation: endpoints known and
     distinct, codes in range, no (head, tail, type) twice, confidences in
-    [0, 1].  A failure raises the error `assemble_graph` would.
+    [0, 1].  A failure raises the error `assemble_graph` would; a type
+    named twice in relation_types raises GraphError.
     """
     builder = _builder(tokens, lemmas)
     builder.entities_of(entities, attributes, ())

@@ -60,7 +60,7 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
     visited at most once per source, so cyclic graphs terminate.
     """
     if schema is not None:
-        known = set(schema.relation_types)
+        known = schema.relation_codes
         for r in graph.relations:
             if r.relation_type not in known:
                 raise SchemaMismatchError(

@@ -53,9 +53,14 @@ class Schema:
     causal_relation_types: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        ents, attrs, rels = set(self.entity_types), set(self.attribute_types), set(self.relation_types)
+        for kind in ("entity", "attribute", "relation"):
+            names, codes = getattr(self, f"{kind}_types"), getattr(self, f"{kind}_codes")
+            if len(codes) < len(names):
+                twice = next(t for i, t in enumerate(names) if t in names[:i])
+                raise SchemaParseError(f"schema '{kind}_types' names {twice!r} more than once")
+        ents, attrs, rels = self.entity_codes, self.attribute_codes, self.relation_codes
 
-        def check(names: Iterable[str], declared: set[str], where: str) -> None:
+        def check(names: Iterable[str], declared: Mapping[str, int], where: str) -> None:
             for name in sorted(names):
                 if name not in declared:
                     raise UnknownTypeReferenceError(f"{where} names undeclared type {name!r}")
@@ -76,19 +81,20 @@ class Schema:
                 check(pair, declared, f"an exclusive {kind} pair")
         check(self.causal_relation_types, rels, "causal_relation_types")
 
-    # Lookups the constraint scan reads, built on first use; a schema is
-    # not changed after it is built.
+    # Each type's code, its place in its list: the one numbering of the
+    # types that every module reads.  Built on first use; a schema is not
+    # changed after it is built, and its type names are unique.
 
     @cached_property
-    def _entity_codes(self) -> dict[str, int]:
+    def entity_codes(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.entity_types)}
 
     @cached_property
-    def _attribute_codes(self) -> dict[str, int]:
+    def attribute_codes(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.attribute_types)}
 
     @cached_property
-    def _relation_codes(self) -> dict[str, int]:
+    def relation_codes(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.relation_types)}
 
     @cached_property
@@ -105,7 +111,7 @@ class Schema:
     def _exclusive_relation_codes(self) -> list[tuple[int, int]]:
         """The exclusive relation pairs as (lesser, greater) type codes, the types in name order."""
         return [
-            (self._relation_codes[a], self._relation_codes[b])
+            (self.relation_codes[a], self.relation_codes[b])
             for a, b in (sorted(pair) for pair in self.exclusive_relation_pairs)
         ]
 
@@ -233,7 +239,7 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def _check_known_types(graph: KnowledgeGraph, schema: Schema) -> None:
-    ents, attrs, rels = schema._entity_codes, schema._attribute_codes, schema._relation_codes
+    ents, attrs, rels = schema.entity_codes, schema.attribute_codes, schema.relation_codes
     for e in graph.entities:
         if e.entity_type not in ents:
             raise UnknownTypeError(f"entity type {e.entity_type!r} not in schema {schema.name!r}")
@@ -360,10 +366,10 @@ def scan_constraints(graph: KnowledgeGraph, schema: Schema) -> np.ndarray:
     if relations.types != schema.relation_types:
         # each relation's type by its schema code; _check_known_types has
         # passed, so a type outside the schema is one no relation has
-        codes = schema._relation_codes
+        codes = schema.relation_codes
         code = np.array([codes.get(t, 0) for t in relations.types], dtype=np.intp)[code]
     if schema.relation_signatures:
-        codes = schema._entity_codes
+        codes = schema.entity_codes
         entity_type = np.array([codes[e.entity_type] for e in entities], dtype=np.intp)
         bad_head = ~schema._admits[0, code, entity_type[head]]
         bad_tail = ~schema._admits[1, code, entity_type[tail]]

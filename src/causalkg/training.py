@@ -187,9 +187,9 @@ def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int)
     range, self-loops and duplicate spans, attributes or relations.
     """
     declared = {
-        "entity": set(schema.entity_types),
-        "attribute": set(schema.attribute_types),
-        "relation": set(schema.relation_types),
+        "entity": schema.entity_codes,
+        "attribute": schema.attribute_codes,
+        "relation": schema.relation_codes,
     }
     for ex in dataset:
         typed = [("entity", t) for _, t in ex.entities] + [("attribute", t) for _, t in ex.attributes]
@@ -277,49 +277,33 @@ def joint_loss(
 
 
 def _prepare(model: Model, example: Example, negatives: Negatives):
-    """Index spans, targets, labels, and pair structure for one example."""
-    schema = model.schema
-    class_of = {t: i + 1 for i, t in enumerate(schema.entity_types)}
-    attr_of = {t: i for i, t in enumerate(schema.attribute_types)}
-    rel_of = {t: i for i, t in enumerate(schema.relation_types)}
+    """Index spans, targets, labels, and pair structure for one example.
 
+    Pairs are the gold pairs and then the negative pairs, spans the gold
+    and then the negative spans, each kept at its first place.  A pair's
+    head and tail are gold spans, so every span a pair needs is listed.
+    """
+    schema = model.schema
     gold_spans = [span for span, _ in example.entities]
     ent_spans = gold_spans + list(negatives.spans)
+    # class 0 is null, so an entity type's class is its code + 1
     ent_targets = np.array(
-        [class_of[etype] for _, etype in example.entities] + [0] * len(negatives.spans),
+        [schema.entity_codes[etype] + 1 for _, etype in example.entities] + [0] * len(negatives.spans),
         dtype=int,
     )
 
     attr_labels = np.zeros((len(gold_spans), len(schema.attribute_types)))
     for idx, atype in example.attributes:
-        attr_labels[idx, attr_of[atype]] = 1.0
+        attr_labels[idx, schema.attribute_codes[atype]] = 1.0
 
-    pair_labels_map: dict[tuple[int, int], np.ndarray] = {}
-    pair_order: list[tuple[int, int]] = []
+    pairs = dict.fromkeys([(h, t) for h, t, _ in example.relations] + list(negatives.pairs))
+    pair_row = {pair: row for row, pair in enumerate(pairs)}
+    pair_labels = np.zeros((len(pair_row), len(schema.relation_types)))
     for h, t, rtype in example.relations:
-        key = (h, t)
-        if key not in pair_labels_map:
-            pair_labels_map[key] = np.zeros(len(schema.relation_types))
-            pair_order.append(key)
-        pair_labels_map[key][rel_of[rtype]] = 1.0
-    for key in negatives.pairs:
-        if key not in pair_labels_map:
-            pair_labels_map[key] = np.zeros(len(schema.relation_types))
-            pair_order.append(key)
-    pair_labels = (
-        np.stack([pair_labels_map[k] for k in pair_order])
-        if pair_order
-        else np.zeros((0, len(schema.relation_types)))
-    )
+        pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
 
-    unique_spans: list[Span] = []
-    span_index: dict[Span, int] = {}
-    for span in ent_spans + [gold_spans[h] for h, _ in pair_order] + [gold_spans[t] for _, t in pair_order]:
-        if span not in span_index:
-            span_index[span] = len(unique_spans)
-            unique_spans.append(span)
-
-    return ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
+    span_index = {span: i for i, span in enumerate(dict.fromkeys(ent_spans))}
+    return ent_spans, ent_targets, attr_labels, list(pair_row), pair_labels, list(span_index), span_index
 
 
 def example_loss(

@@ -749,6 +749,15 @@ def test_malformed_model_file_exits_2_from_the_command_line(workdir):
     assert "model.json" in proc.stderr and "'theta_r'" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key, name", [
+    ("entity_types", "factor"), ("attribute_types", "sign+"), ("relation_types", "arg0"),
+])
+def test_extract_rejects_a_model_whose_schema_repeats_a_type(workdir, capsys, key, name):
+    model = small_model_file(workdir, lambda doc: doc["schema"][key].append(name))
+    assert main(extract_args(workdir, model=model)) == 2
+    assert f"schema {key!r} names {name!r} more than once" in capsys.readouterr().err
+
+
 def test_an_internal_error_is_not_reported_as_bad_input(workdir, monkeypatch):
     # only a CausalKgError means bad input; anything else is a bug and
     # keeps its traceback

@@ -310,3 +310,60 @@ def test_ids_are_formatted_only_in_graphs_py():
         if path.name != "graphs.py" and (segments := id_fstrings(path.read_text(encoding="utf-8")))
     }
     assert found == {}, "format string ids through the codec in graphs.py"
+
+
+# -- type codes are numbered only by the schema -------------------------------
+
+TYPE_LISTS = {"entity_types", "attribute_types", "relation_types"}
+
+
+def type_code_tables(source: str) -> list[str]:
+    """The expressions that number a schema's type list, as source text:
+    enumerate(x.<kind>_types), x.<kind>_types.index(...), and a zip of
+    x.<kind>_types with a range."""
+    def type_list(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in TYPE_LISTS
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.id if isinstance(func, ast.Name) else None
+        numbers = (
+            (name == "enumerate" and args and type_list(args[0]))
+            or (isinstance(func, ast.Attribute) and func.attr == "index" and type_list(func.value))
+            or (
+                name == "zip"
+                and any(map(type_list, args))
+                and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "range" for a in args)
+            )
+        )
+        if numbers:
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_scan_sees_type_code_tables():
+    source = (
+        "a = {t: i for i, t in enumerate(schema.entity_types)}\n"
+        "b = model.schema.relation_types.index(name)\n"
+        "c = dict(zip(s.attribute_types, range(n)))\n"
+        # reading the names in order numbers nothing
+        "d = zip(schema.attribute_types, scores)\ne = enumerate(graph.relations.types)\n"
+        "f = len(schema.relation_types)\n"
+    )
+    assert sorted(type_code_tables(source)) == [
+        "enumerate(schema.entity_types)",
+        "model.schema.relation_types.index(name)",
+        "zip(s.attribute_types, range(n))",
+    ]
+
+
+def test_type_codes_are_numbered_only_in_schema_py():
+    found = {
+        path.name: tables
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "schema.py" and (tables := type_code_tables(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, "read Schema.entity_codes, attribute_codes and relation_codes instead"

@@ -471,10 +471,19 @@ def test_role_matches_agree_with_a_relation_scan():
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
         relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
         pattern = data.draw(role_patterns(lemmas, relation_types))
+        patterns = [pattern]
+        # and one the head of a relation the corpus holds is sure to match,
+        # so the count below does not hang on the patterns drawn
+        relations = [(g, r) for g in corpus.graphs for r in g.relations]
+        if relations:
+            g, r = data.draw(st.sampled_from(relations))
+            tail = NodePattern(lemma_any_of=g.entity_lemmas(g.entity(r.tail)))
+            patterns.append(NodePattern(role_constraints=((r.relation_type, tail),)))
         for g, e in corpus.index.nodes.values():
-            got = pattern.matches(g, e)
-            assert got == scan_matches(pattern, g, e)
-            role_hits[0] += got and pattern.role_constraints is not None
+            for p in patterns:
+                got = p.matches(g, e)
+                assert got == scan_matches(p, g, e)
+                role_hits[0] += got and p.role_constraints is not None
 
     check()
     assert role_hits[0] > 10
@@ -509,9 +518,14 @@ def test_index_selected_candidates_agree_with_a_scan():
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas} | {"unheld"})
         relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
         pattern = data.draw(role_patterns(lemmas, relation_types))
-        expected = sorted(gid for gid, (g, e) in corpus.index.nodes.items() if scan_matches(pattern, g, e))
-        assert matching_nodes(corpus, pattern) == expected
-        lemma_patterns[0] += pattern.lemma_any_of is not None and bool(expected)
+        # and one a lemma of some node is sure to select, so the count
+        # below does not hang on the patterns drawn
+        held = sorted({lemma for node_lemmas in corpus.index.lemmas.values() for lemma in node_lemmas})
+        sure = NodePattern(lemma_any_of=frozenset({data.draw(st.sampled_from(held))}))
+        for p in (pattern, sure):
+            expected = sorted(gid for gid, (g, e) in corpus.index.nodes.items() if scan_matches(p, g, e))
+            assert matching_nodes(corpus, p) == expected
+            lemma_patterns[0] += p.lemma_any_of is not None and bool(expected)
 
     check()
     assert lemma_patterns[0] > 20

@@ -20,6 +20,7 @@ from causalkg.graphs import (
     graph_to_dict,
     graph_to_json,
 )
+from causalkg.dot import emit_dot
 from causalkg.model import Model, extract
 from causalkg.rectify import rectify
 from causalkg.schema import load_schema
@@ -103,6 +104,15 @@ def test_many_rows_are_checked_as_arrays(bad, error, message):
         assemble_columns(["x"] * 10, None, entities, [], TYPES, *columns(*rows, bad))
 
 
+@pytest.mark.parametrize("types", [("q+", "q+", "arg0"), ("q+", "arg0", "q+")])
+def test_bulk_path_rejects_a_repeated_type_name(types):
+    # a repeated name used to collapse the table: code 1 of ("q+", "q+",
+    # "arg0") was written as "arg0"
+    entities = [("a", Span(0, 1), "factor", 0.9), ("b", Span(1, 2), "factor", 0.8)]
+    with pytest.raises(GraphError, match=re.escape("relation type 'q+' is named more than once")):
+        assemble_columns(["x", "y"], None, entities, [], types, *columns((0, 1, 1, 0.5)))
+
+
 def test_bulk_path_checks_the_lemma_count():
     with pytest.raises(GraphError, match="2 lemmas for 3 tokens"):
         bulk((0, 1, 0, 0.5), lemmas=["x", "y"])
@@ -142,7 +152,15 @@ def test_dense_extraction_json_and_rectify_build_no_relation(monkeypatch):
     raw = extract(tokens, tokens, model, provenance="d")
     text = graph_to_json(raw)
     fixed, log = rectify(raw, SCICLAIM)
+    dot = emit_dot(raw, SCICLAIM)
     assert len(raw.relations) > 2000 and raw.relations._rows is None
     assert len(log) > len(raw.relations) // 2 and fixed.relations._rows is None
     monkeypatch.undo()
     assert json.loads(text)["relations"] == graph_to_dict(raw)["relations"]
+    edges = [line for line in dot.splitlines() if " -> " in line]
+    assert len(edges) == len(raw.relations)
+    assert edges == [
+        f'  "{r.head}" -> "{r.tail}" [label="{r.relation_type}", '
+        f'style={"bold" if r.relation_type in SCICLAIM.causal_relation_types else "solid"}];'
+        for r in sorted(raw.relations, key=lambda r: r.id)
+    ]

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from causalkg import schema as schema_module
 from causalkg.encoder import EncoderConfig
 from causalkg.errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
 from causalkg.graphs import Span, assemble_graph
-from causalkg.model import Model, extract
+from causalkg.model import Model, extract, load_model, save_model
 from causalkg.schema import check_constraints, load_schema, scan_constraints, schema_to_dict
 
 from synth import random_sciclaim_graph
@@ -65,6 +67,41 @@ def test_exclusive_pairs_name_two_types(key, pair):
     doc[key] = [pair]
     with pytest.raises(SchemaParseError, match=f"must name 2 distinct types, not {len(set(pair))}$"):
         load_schema(json.dumps(doc))
+
+
+# a second copy of one declared name per type list
+REPEATS = {"entity_types": "factor", "attribute_types": "sign+", "relation_types": "arg0"}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATS))
+def test_a_type_list_names_each_type_once(key, tmp_path):
+    # a repeated name used to load and give two codes one name: extraction
+    # then built relations with codes past the collapsed type table
+    s = load_schema("sciclaim")
+    message = re.escape(f"schema {key!r} names {REPEATS[key]!r} more than once")
+    with pytest.raises(SchemaParseError, match=message):
+        dataclasses.replace(s, **{key: getattr(s, key) + (REPEATS[key],)})
+    doc = schema_to_dict(s)
+    doc[key].append(REPEATS[key])
+    with pytest.raises(SchemaParseError, match=message):
+        load_schema(json.dumps(doc))
+    path = tmp_path / "model.json"
+    save_model(Model.initialize(s, EncoderConfig(dimension=4)), str(path))
+    model_doc = json.loads(path.read_text())
+    model_doc["schema"] = doc
+    path.write_text(json.dumps(model_doc))
+    with pytest.raises(SchemaParseError, match=message):
+        load_model(str(path))
+
+
+def test_codes_number_the_types_in_order():
+    s = load_schema("ethno")
+    for names, codes in (
+        (s.entity_types, s.entity_codes),
+        (s.attribute_types, s.attribute_codes),
+        (s.relation_types, s.relation_codes),
+    ):
+        assert list(codes) == list(names) and list(codes.values()) == list(range(len(names)))
 
 
 def test_empty_graph_no_violations():

@@ -16,6 +16,7 @@ from causalkg.training import (
     Example,
     Negatives,
     TrainConfig,
+    _prepare,
     example_loss,
     example_loss_and_grads,
     sample_negatives,
@@ -24,6 +25,7 @@ from causalkg.training import (
 from training_reference import (
     reference_extract,
     reference_loss_and_grads,
+    reference_prepare,
     reference_train,
 )
 
@@ -111,6 +113,44 @@ def test_random_examples_match_reference(case):
         max_span_len=3, width_dim=2, seed=seed,
     )
     assert_matches_reference(model, ex, negatives)
+
+
+def assert_prepared_like_reference(model, ex, negatives):
+    """_prepare's seven values equal the reference's: arrays by dtype, shape
+    and bytes, the rest by value and, for the span index, by order."""
+    got, want = _prepare(model, ex, negatives), reference_prepare(model, ex, negatives)
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        elif isinstance(b, dict):
+            assert list(a.items()) == list(b.items())
+        else:
+            assert a == b
+
+
+PREPARE_MODEL = Model.initialize(SCICLAIM, EncoderConfig(dimension=4), max_span_len=3, width_dim=2)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(examples_and_negatives())
+@example(NO_ENTITIES)
+@example(NO_PAIRS)
+@example(DUPLICATE_SPANS)
+def test_random_examples_prepare_like_reference(case):
+    ex, negatives, _ = case
+    assert_prepared_like_reference(PREPARE_MODEL, ex, negatives)
+
+
+def test_criterion_3_corpus_prepares_like_reference():
+    # the negatives criterion 3's training draws in its first epochs
+    model = Model.initialize(SCICLAIM, CRITERION_3_ENCODER, seed=0)
+    for epoch in range(3):
+        for i, ex in enumerate(synth.build_corpus()):
+            negatives = sample_negatives(ex, 50, 20, model.max_span_len, seed=np.random.SeedSequence([0, epoch, i]))
+            assert negatives.spans and negatives.pairs
+            assert_prepared_like_reference(model, ex, negatives)
 
 
 def test_train_parameters_match_reference_update():

@@ -1,11 +1,14 @@
-"""Reference forward, backward, update and extraction for the tests: the
-original per-span and per-pair loops that assembled span, entity and pair
+"""Reference example preparation, forward, backward, update and extraction
+for the tests: `reference_prepare`, which builds its own type tables per
+example and lists each pair's head and tail spans again; the original
+per-span and per-pair loops that assembled span, entity and pair
 representations by hand, the per-pair `pair_rep` and `between_context`
 that built one relation-head row at a time, and the gradient step written
 out group by group.
 
 causalkg.training and causalkg.model must reproduce these bit for bit: the
-same losses, gradients, trained parameters and extracted graphs.
+same prepared examples, losses, gradients, trained parameters and
+extracted graphs.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from causalkg.model import (
     softmax,
     span_attention,
 )
-from causalkg.training import _prepare, joint_loss, sample_negatives
+from causalkg.training import Example, Negatives, joint_loss, sample_negatives
 
 
 def between_context(token_vectors: np.ndarray, a: Span, b: Span) -> np.ndarray:
@@ -56,6 +59,52 @@ def pair_rep(
     )
 
 
+def reference_prepare(model: Model, example: Example, negatives: Negatives):
+    """Index spans, targets, labels, and pair structure for one example."""
+    schema = model.schema
+    class_of = {t: i + 1 for i, t in enumerate(schema.entity_types)}
+    attr_of = {t: i for i, t in enumerate(schema.attribute_types)}
+    rel_of = {t: i for i, t in enumerate(schema.relation_types)}
+
+    gold_spans = [span for span, _ in example.entities]
+    ent_spans = gold_spans + list(negatives.spans)
+    ent_targets = np.array(
+        [class_of[etype] for _, etype in example.entities] + [0] * len(negatives.spans),
+        dtype=int,
+    )
+
+    attr_labels = np.zeros((len(gold_spans), len(schema.attribute_types)))
+    for idx, atype in example.attributes:
+        attr_labels[idx, attr_of[atype]] = 1.0
+
+    pair_labels_map: dict[tuple[int, int], np.ndarray] = {}
+    pair_order: list[tuple[int, int]] = []
+    for h, t, rtype in example.relations:
+        key = (h, t)
+        if key not in pair_labels_map:
+            pair_labels_map[key] = np.zeros(len(schema.relation_types))
+            pair_order.append(key)
+        pair_labels_map[key][rel_of[rtype]] = 1.0
+    for key in negatives.pairs:
+        if key not in pair_labels_map:
+            pair_labels_map[key] = np.zeros(len(schema.relation_types))
+            pair_order.append(key)
+    pair_labels = (
+        np.stack([pair_labels_map[k] for k in pair_order])
+        if pair_order
+        else np.zeros((0, len(schema.relation_types)))
+    )
+
+    unique_spans: list[Span] = []
+    span_index: dict[Span, int] = {}
+    for span in ent_spans + [gold_spans[h] for h, _ in pair_order] + [gold_spans[t] for _, t in pair_order]:
+        if span not in span_index:
+            span_index[span] = len(unique_spans)
+            unique_spans.append(span)
+
+    return ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
+
+
 def _forward(model, encoding, unique_spans):
     """Attention pooling and entity reps for each unique span."""
     H = encoding.token_vectors
@@ -81,7 +130,7 @@ def reference_loss_and_grads(model, example, negatives, encoding=None):
         encoding = encode_tokens(example.tokens, model.encoder)
     (
         ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
-    ) = _prepare(model, example, negatives)
+    ) = reference_prepare(model, example, negatives)
     gold_spans = [span for span, _ in example.entities]
     d, dw = model.dimension, model.width_dim
     H = encoding.token_vectors
