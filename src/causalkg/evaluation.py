@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import AlignmentError
-from .graphs import KnowledgeGraph
+from .graphs import Entity, KnowledgeGraph
 
 __all__ = ["ClassScore", "ScoreReport", "score"]
 
@@ -92,30 +92,22 @@ class ScoreReport:
         return "\n".join(lines) + "\n"
 
 
+def _key(entity: Entity) -> tuple[int, int, str]:
+    return (entity.span.start, entity.span.end, entity.entity_type)
+
+
 def _entity_keys(graph: KnowledgeGraph) -> set[tuple[int, int, str]]:
-    return {(e.span.start, e.span.end, e.entity_type) for e in graph.entities}
+    return set(map(_key, graph.entities))
 
 
 def _attribute_keys(graph: KnowledgeGraph) -> set[tuple[tuple[int, int, str], str]]:
-    return {
-        ((e.span.start, e.span.end, e.entity_type), attr)
-        for e in graph.entities
-        for attr, _ in e.attributes
-    }
+    return {(_key(e), attr) for e in graph.entities for attr, _ in e.attributes}
 
 
-def _relation_keys(graph: KnowledgeGraph):
-    out = set()
-    for r in graph.relations:
-        h, t = graph.entity(r.head), graph.entity(r.tail)
-        out.add(
-            (
-                (h.span.start, h.span.end, h.entity_type),
-                (t.span.start, t.span.end, t.entity_type),
-                r.relation_type,
-            )
-        )
-    return out
+def _relation_keys(graph: KnowledgeGraph) -> set[tuple[tuple[int, int, str], tuple[int, int, str], str]]:
+    rels = graph.relations
+    keys = [_key(graph.entity(ent_id)) for ent_id in rels.ids]
+    return {(keys[h], keys[t], rels.types[c]) for h, t, c in zip(rels.head, rels.tail, rels.code)}
 
 
 def score(

@@ -41,7 +41,7 @@ __all__ = [
     "relation_ids",
     "node_prefix",
     "node_id",
-    "edge_id",
+    "edge_ids",
     "lemma_link_id",
     "assemble_graph",
     "assemble_columns",
@@ -124,9 +124,9 @@ def node_id(prefix: str, entity_id: str) -> str:
     return prefix + _escaped[entity_id]
 
 
-def edge_id(prefix: str, relation: "Relation") -> str:
-    """The corpus id of a relation; `prefix` is its graph's `node_prefix`."""
-    return prefix + relation.id
+def edge_ids(prefix: str, relations: "Relations", rows: Iterable[int]) -> list[str]:
+    """The corpus id of each given row; `prefix` is the graph's `node_prefix`."""
+    return [prefix + rel_id for rel_id in relation_ids(relations, rows)]
 
 
 def lemma_link_id(a: str, b: str) -> str:
@@ -341,12 +341,13 @@ class KnowledgeGraph:
         return self.entity_by_id()
 
     @cached_property
-    def _outgoing_index(self) -> dict[str, tuple[Relation, ...]]:
-        return _relations_by(self.relations, "head")
-
-    @cached_property
-    def _incoming_index(self) -> dict[str, tuple[Relation, ...]]:
-        return _relations_by(self.relations, "tail")
+    def _adjacency(self) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
+        """Each entity id's outgoing and incoming relation rows, in graph order."""
+        rels, outgoing, incoming = self.relations, {}, {}
+        for j, (h, t) in enumerate(zip(rels.head, rels.tail)):
+            outgoing.setdefault(rels.ids[h], []).append(j)
+            incoming.setdefault(rels.ids[t], []).append(j)
+        return tuple({ent_id: tuple(rows) for ent_id, rows in index.items()} for index in (outgoing, incoming))
 
     def entity(self, entity_id: str) -> Entity:
         """The entity with this id, from an index built once per graph."""
@@ -358,20 +359,13 @@ class KnowledgeGraph:
     def entity_lemmas(self, entity: Entity) -> frozenset[str]:
         return frozenset(self.lemmas[entity.span.start : entity.span.end])
 
-    def outgoing(self, entity_id: str) -> tuple[Relation, ...]:
-        """Relations headed at the entity in graph order, from an index built once per graph."""
-        return self._outgoing_index.get(entity_id, ())
+    def outgoing(self, entity_id: str) -> tuple[int, ...]:
+        """The rows of the relations headed at the entity, in graph order."""
+        return self._adjacency[0].get(entity_id, ())
 
-    def incoming(self, entity_id: str) -> tuple[Relation, ...]:
-        """Relations ending at the entity in graph order, from an index built once per graph."""
-        return self._incoming_index.get(entity_id, ())
-
-
-def _relations_by(relations: Iterable[Relation], end: str) -> dict[str, tuple[Relation, ...]]:
-    out: dict[str, list[Relation]] = {}
-    for r in relations:
-        out.setdefault(getattr(r, end), []).append(r)
-    return {key: tuple(rels) for key, rels in out.items()}
+    def incoming(self, entity_id: str) -> tuple[int, ...]:
+        """The rows of the relations ending at the entity, in graph order."""
+        return self._adjacency[1].get(entity_id, ())
 
 
 class _GraphBuilder:

@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import InputError, QueryError, SchemaMismatchError
-from .graphs import CorpusGraph, Entity, KnowledgeGraph, edge_id, lemma_link_id, node_id, node_prefix
+from .graphs import CorpusGraph, Entity, KnowledgeGraph, edge_ids, lemma_link_id, node_id, node_prefix
 from .readers import array, obj, required, string, strings
 from .schema import Schema
 
@@ -52,6 +52,12 @@ class ValenceAssertion:
         return {"holder": self.holder, "target": self.target, "sign": "+" if self.sign > 0 else "-"}
 
 
+def _out_edges(graph: KnowledgeGraph, entity_id: str) -> list[tuple[str, str]]:
+    """The (type, tail id) of each relation headed at the entity, in graph order."""
+    rels = graph.relations
+    return [(rels.types[rels.code[j]], rels.ids[rels.tail[j]]) for j in graph.outgoing(entity_id)]
+
+
 def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list[ValenceAssertion]:
     """Valence assertions from intentional/functional/prescribed structure.
 
@@ -60,21 +66,16 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
     visited at most once per source, so cyclic graphs terminate.
     """
     if schema is not None:
-        known = schema.relation_codes
-        for r in graph.relations:
-            if r.relation_type not in known:
-                raise SchemaMismatchError(
-                    f"relation type {r.relation_type!r} not in schema {schema.name!r}"
-                )
-
-    def outgoing(node_id: str) -> list:
-        return sorted(graph.outgoing(node_id), key=lambda r: (r.relation_type, r.tail))
+        types, known = graph.relations.types, schema.relation_codes
+        for c in graph.relations.code:
+            if types[c] not in known:
+                raise SchemaMismatchError(f"relation type {types[c]!r} not in schema {schema.name!r}")
 
     sources = sorted(
         (
             e for e in graph.entities
             if e.has_attribute("prescribed")
-            or any(r.relation_type in ("intent+", "function+") for r in graph.outgoing(e.id))
+            or any(rel_type in ("intent+", "function+") for rel_type, _ in _out_edges(graph, e.id))
         ),
         key=lambda e: e.id,
     )
@@ -82,8 +83,7 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
     assertions: list[ValenceAssertion] = []
     seen: set[tuple[str, str, int]] = set()
     for source in sources:
-        agent_edges = [r for r in outgoing(source.id) if r.relation_type == "agent"]
-        holder = agent_edges[0].tail if agent_edges else NORM
+        holder = min((t for rel_type, t in _out_edges(graph, source.id) if rel_type == "agent"), default=NORM)
 
         start_sign = -1 if source.has_attribute("negated") else 1
         stack: list[tuple[str, int]] = [(source.id, start_sign)]
@@ -97,16 +97,16 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
             if key not in seen:
                 seen.add(key)
                 assertions.append(ValenceAssertion(holder, node_id, sign))
-            # reversed so the lexicographically first edge is expanded first
-            for r in reversed(outgoing(node_id)):
-                if r.relation_type not in VALENCE_EDGES:
+            # in reverse order, so the lexicographically first edge is popped first
+            for rel_type, tail_id in sorted(_out_edges(graph, node_id), reverse=True):
+                if rel_type not in VALENCE_EDGES:
                     continue
                 next_sign = sign
-                if r.relation_type == "q-":
+                if rel_type == "q-":
                     next_sign = -next_sign
-                if graph.entity(r.tail).has_attribute("negated"):
+                if graph.entity(tail_id).has_attribute("negated"):
                     next_sign = -next_sign
-                stack.append((r.tail, next_sign))
+                stack.append((tail_id, next_sign))
     return assertions
 
 
@@ -176,11 +176,9 @@ class NodePattern:
             if not (self.required_attributes <= entity.attribute_types()):
                 return False
         if self.role_constraints is not None:
+            edges = _out_edges(graph, entity.id)
             for rel_type, sub in self.role_constraints:
-                if not any(
-                    r.relation_type == rel_type and sub.matches(graph, graph.entity(r.tail))
-                    for r in graph.outgoing(entity.id)
-                ):
+                if not any(t == rel_type and sub.matches(graph, graph.entity(tail)) for t, tail in edges):
                     return False
         return True
 
@@ -248,12 +246,10 @@ def find_paths(
         if edges is None:
             g, e = nodes[node]
             prefix = node_prefix(g.provenance)
-            edges = [(edge_id(prefix, r), node_id(prefix, r.tail)) for r in g.outgoing(e.id)]
-            edges += [
-                (edge_id(prefix, r), node_id(prefix, r.head))
-                for r in g.incoming(e.id)
-                if r.relation_type == "modifier"
-            ]
+            rels, out = g.relations, g.outgoing(e.id)
+            back = tuple(j for j in g.incoming(e.id) if rels.types[rels.code[j]] == "modifier")
+            ends = [rels.tail[j] for j in out] + [rels.head[j] for j in back]
+            edges = list(zip(edge_ids(prefix, rels, out + back), [node_id(prefix, rels.ids[i]) for i in ends]))
             linked = {
                 other
                 for lemma in node_lemmas[node]

@@ -18,6 +18,7 @@ from .encoder import TokenEncoding
 from .errors import (
     DimensionMismatchError,
     DisjointTreesError,
+    InputError,
     InventoryError,
     ZeroVectorError,
 )
@@ -188,8 +189,10 @@ def link_senses(
     A node is skipped (empty assignment) when all of its lemmas appear in
     the inventory's skip list.  Reported senses are those with dot-product
     confidence strictly above the threshold, sorted by descending
-    confidence then sense id.
+    confidence then sense id.  A NaN threshold raises InputError.
     """
+    if threshold != threshold:
+        raise InputError(f"sense threshold must be a number, got {threshold!r}")
     entities = []
     for e in graph.entities:
         node_lemmas = graph.entity_lemmas(e)

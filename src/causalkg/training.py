@@ -22,7 +22,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
-from .errors import AlignmentError, GraphError, InputError, NonFiniteGradientError, SchemaMismatchError
+from .errors import (
+    AlignmentError,
+    DanglingReferenceError,
+    GraphError,
+    InputError,
+    NonFiniteGradientError,
+    SchemaMismatchError,
+)
 from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
     PARAM_GROUPS,
@@ -184,27 +191,12 @@ def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int)
     """Raise a CausalKgError for the first example that cannot be trained on.
 
     gold_graph rejects spans past the sentence end, entity indices out of
-    range, self-loops and duplicate spans, attributes or relations.
+    range, self-loops and duplicate spans, attributes or relations;
+    `_prepare` then rejects unknown types and spans longer than max_span_len.
     """
-    declared = {
-        "entity": schema.entity_codes,
-        "attribute": schema.attribute_codes,
-        "relation": schema.relation_codes,
-    }
     for ex in dataset:
-        typed = [("entity", t) for _, t in ex.entities] + [("attribute", t) for _, t in ex.attributes]
-        for kind, name in typed + [("relation", t) for _, _, t in ex.relations]:
-            if name not in declared[kind]:
-                raise SchemaMismatchError(
-                    f"{ex.provenance}: {kind} type {name!r} not in schema {schema.name!r}"
-                )
-        for span, _ in ex.entities:
-            if len(span) > max_span_len:
-                raise GraphError(
-                    f"{ex.provenance}: span [{span.start}, {span.end}) is longer than "
-                    f"max_span_len {max_span_len}"
-                )
         within(ex.provenance, gold_graph, ex)
+        _prepare(schema, max_span_len, ex, Negatives((), ()))
 
 
 def sample_negatives(
@@ -276,33 +268,54 @@ def joint_loss(
     )
 
 
-def _prepare(model: Model, example: Example, negatives: Negatives):
+def _prepare(schema: Schema, max_span_len: int, example: Example, negatives: Negatives):
     """Index spans, targets, labels, and pair structure for one example.
 
     Pairs are the gold pairs and then the negative pairs, spans the gold
     and then the negative spans, each kept at its first place.  A pair's
     head and tail are gold spans, so every span a pair needs is listed.
+    An element it cannot index raises `check_dataset`'s error.
     """
-    schema = model.schema
+    where = example.provenance
     gold_spans = [span for span, _ in example.entities]
     ent_spans = gold_spans + list(negatives.spans)
-    # class 0 is null, so an entity type's class is its code + 1
-    ent_targets = np.array(
-        [schema.entity_codes[etype] + 1 for _, etype in example.entities] + [0] * len(negatives.spans),
-        dtype=int,
-    )
-
-    attr_labels = np.zeros((len(gold_spans), len(schema.attribute_types)))
-    for idx, atype in example.attributes:
-        attr_labels[idx, schema.attribute_codes[atype]] = 1.0
-
+    k, n = len(gold_spans), len(example.tokens)
+    for i, _ in example.attributes:
+        if not 0 <= i < k:
+            raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
     pairs = dict.fromkeys([(h, t) for h, t, _ in example.relations] + list(negatives.pairs))
-    pair_row = {pair: row for row, pair in enumerate(pairs)}
-    pair_labels = np.zeros((len(pair_row), len(schema.relation_types)))
-    for h, t, rtype in example.relations:
-        pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
-
+    for h, t in pairs:
+        if not (0 <= h < k and 0 <= t < k):
+            raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
     span_index = {span: i for i, span in enumerate(dict.fromkeys(ent_spans))}
+    for span in span_index:
+        if span.end > n:
+            raise GraphError(f"{where}: span [{span.start}, {span.end}) beyond {n} tokens")
+        if span.end - span.start > max_span_len:
+            raise GraphError(f"{where}: span [{span.start}, {span.end}) longer than max_span_len {max_span_len}")
+    try:
+        # class 0 is null, so an entity type's class is its code + 1
+        ent_targets = np.array(
+            [schema.entity_codes[etype] + 1 for _, etype in example.entities] + [0] * len(negatives.spans),
+            dtype=int,
+        )
+
+        attr_labels = np.zeros((k, len(schema.attribute_types)))
+        for idx, atype in example.attributes:
+            attr_labels[idx, schema.attribute_codes[atype]] = 1.0
+
+        pair_row = {pair: row for row, pair in enumerate(pairs)}
+        pair_labels = np.zeros((len(pair_row), len(schema.relation_types)))
+        for h, t, rtype in example.relations:
+            pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
+    except KeyError as key:
+        # the types are read kind by kind, so the first kind that names an unknown one raised
+        kind = next(kind for kind, codes, records in (
+            ("entity", schema.entity_codes, example.entities),
+            ("attribute", schema.attribute_codes, example.attributes),
+            ("relation", schema.relation_codes, example.relations),
+        ) if any(record[-1] not in codes for record in records))
+        raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
     return ent_spans, ent_targets, attr_labels, list(pair_row), pair_labels, list(span_index), span_index
 
 
@@ -330,7 +343,7 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
         encoding = encode_tokens(example.tokens, model.encoder)
     (
         ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
-    ) = _prepare(model, example, negatives)
+    ) = _prepare(model.schema, model.max_span_len, example, negatives)
     gold_spans = [span for span, _ in example.entities]
     d, dw = model.dimension, model.width_dim
     H = encoding.token_vectors

@@ -504,7 +504,7 @@ def test_train_mistyped_encoder_config_exits_2(workdir, capsys, change, message)
     assert not (workdir / "model.json").exists()
 
 
-def run_senses(workdir, config):
+def run_senses(workdir, config, threshold="-1.0"):
     """senses over one extracted-style graph with a one-line inventory."""
     (workdir / "graph.json").write_text(json.dumps({
         "tokens": ["rain", "falls"],
@@ -514,7 +514,7 @@ def run_senses(workdir, config):
     (workdir / "inventory.tsv").write_text("rain.n.01\train\t-\t" + "\t".join(["0.25"] * 16) + "\n")
     return main([
         "senses", "--input", str(workdir / "graph.json"),
-        "--inventory", str(workdir / "inventory.tsv"), "--threshold", "-1.0",
+        "--inventory", str(workdir / "inventory.tsv"), "--threshold", threshold,
         "--config", str(config), "--out", str(workdir / "linked.json"),
     ])
 
@@ -542,6 +542,14 @@ def test_train_and_senses_share_one_config_file(workdir):
     assert run_senses(workdir, workdir / "config.json") == 0
     linked = json.loads((workdir / "linked.json").read_text())
     assert linked["entities"][0]["senses"]
+
+
+def test_senses_rejects_a_nan_threshold_with_exit_2(workdir, capsys):
+    # a NaN threshold used to exit 0 with no sense attached to any node
+    assert run_senses(workdir, workdir / "config.json", threshold="nan") == 2
+    err = capsys.readouterr().err
+    assert "sense threshold must be a number, got nan" in err and "Traceback" not in err
+    assert not (workdir / "linked.json").exists()
 
 
 @pytest.mark.parametrize("change, message", [

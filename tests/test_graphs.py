@@ -337,8 +337,12 @@ def test_outgoing_index_matches_a_relation_scan():
     rng = np.random.default_rng(19)
     for _ in range(30):
         g = random_sciclaim_graph(rng)
+        rels = g.relations
         for e in g.entities:
-            assert g.outgoing(e.id) == tuple(r for r in g.relations if r.head == e.id)
+            # rows, in graph order, as a scan of the head column finds them
+            rows = g.outgoing(e.id)
+            assert rows == tuple(j for j, h in enumerate(rels.head) if rels.ids[h] == e.id)
+            assert tuple(rels[j] for j in rows) == tuple(r for r in rels if r.head == e.id)
             assert g.entity(e.id) is e
         assert g.outgoing("no such id") == ()
 
@@ -415,6 +419,9 @@ def test_incoming_index_matches_a_relation_scan():
     rng = np.random.default_rng(47)
     for _ in range(30):
         g = random_sciclaim_graph(rng)
+        rels = g.relations
         for e in g.entities:
-            assert g.incoming(e.id) == tuple(r for r in g.relations if r.tail == e.id)
+            rows = g.incoming(e.id)
+            assert rows == tuple(j for j, t in enumerate(rels.tail) if rels.ids[t] == e.id)
+            assert tuple(rels[j] for j in rows) == tuple(r for r in rels if r.tail == e.id)
         assert g.incoming("no such id") == ()

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from causalkg.graphs import (
     Relation,
-    edge_id,
+    Relations,
+    edge_ids,
     element_id,
     lemma_link_id,
     node_id,
@@ -64,7 +65,10 @@ def render(kind: str, parts: tuple[str, ...]) -> str:
     if kind == "node":
         return node_id(node_prefix(parts[0]), parts[1])
     if kind == "edge":
-        return edge_id(node_prefix(parts[0]), Relation(*parts[1:], 0.5))
+        # the second of two rows, so the row asked for, not row 0, is rendered
+        head, tail, rel_type = parts[1:]
+        relations = Relations(("x", head, tail), ("y", rel_type), [1, 1], [0, 2], [0, 1], [0.5, 0.5])
+        return edge_ids(node_prefix(parts[0]), relations, [1])[0]
     a, b = node_id(node_prefix(parts[0]), parts[1]), node_id(node_prefix(parts[2]), parts[3])
     return lemma_link_id(a, b)
 
@@ -99,7 +103,8 @@ def test_ids_without_special_characters_render_as_before():
     assert Relation("e0", "e1", "q+", 0.5).id == "e0->e1:q+"
     prefix = node_prefix("s0")
     assert node_id(prefix, "e0") == "s0/e0"
-    assert edge_id(prefix, Relation("e0", "e1", "q+", 0.5)) == "s0/e0->e1:q+"
+    relations = Relations(("e0", "e1"), ("q+", "q-"), [0, 1], [1, 0], [0, 1], [0.5, 0.5])
+    assert edge_ids(prefix, relations, [1, 0]) == ["s0/e1->e0:q-", "s0/e0->e1:q+"]
     assert lemma_link_id("s1/e0", "s0/e0") == "lemma:s0/e0~s1/e0"
 
 

@@ -312,6 +312,36 @@ def test_ids_are_formatted_only_in_graphs_py():
     assert found == {}, "format string ids through the codec in graphs.py"
 
 
+# -- relations are read as columns outside graphs.py -------------------------
+
+
+def relation_type_reads(source: str) -> list[str]:
+    """The reads of an attribute named `relation_type`, as source text."""
+    return [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "relation_type" and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_the_scan_sees_relation_type_reads():
+    source = (
+        "a = r.relation_type\nb = [x.relation_type for x in g.relations]\n"
+        # a name, another attribute and a keyword are no reads of a Relation
+        "c = relation_type\nd = schema.relation_types\ne = f(relation_type=c)\n"
+    )
+    assert sorted(relation_type_reads(source)) == ["r.relation_type", "x.relation_type"]
+
+
+def test_relation_types_are_read_as_attributes_only_in_graphs_py():
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "graphs.py" and (reads := relation_type_reads(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, "read a relation's type from the Relations columns: types[code[j]]"
+
+
 # -- type codes are numbered only by the schema -------------------------------
 
 TYPE_LISTS = {"entity_types", "attribute_types", "relation_types"}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import synth
-from causalkg.encoder import EncoderConfig
+from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import BadConfidenceError, DanglingReferenceError, GraphError, SelfLoopError
 from causalkg.graphs import (
     Entity,
@@ -19,11 +19,15 @@ from causalkg.graphs import (
     graph_from_dict,
     graph_to_dict,
     graph_to_json,
+    merge_corpus,
 )
 from causalkg.dot import emit_dot
+from causalkg.evaluation import score
 from causalkg.model import Model, extract
+from causalkg.reasoning import NodePattern, compute_valence, find_paths
 from causalkg.rectify import rectify
 from causalkg.schema import load_schema
+from causalkg.senses import link_senses, load_inventory
 
 SCICLAIM = load_schema("sciclaim")
 TYPES = ("q+", "q-", "arg0")
@@ -164,3 +168,64 @@ def test_dense_extraction_json_and_rectify_build_no_relation(monkeypatch):
         f'style={"bold" if r.relation_type in SCICLAIM.causal_relation_types else "solid"}];'
         for r in sorted(raw.relations, key=lambda r: r.id)
     ]
+
+
+def ethno_document(provenance, tokens, relations, negated=()):
+    """A graph document over the ethno schema with one element per token."""
+    return {
+        "tokens": tokens,
+        "entities": [
+            {"id": f"e{i}", "start": i, "end": i + 1, "type": "element", "confidence": 0.9,
+             "attributes": [{"type": "negated", "confidence": 0.8}] if i in negated else []}
+            for i in range(len(tokens))
+        ],
+        "relations": [
+            {"head": f"e{h}", "tail": f"e{t}", "type": rel_type, "confidence": 0.7}
+            for h, t, rel_type in relations
+        ],
+        "provenance": provenance,
+    }
+
+
+def test_every_library_stage_builds_no_relation(monkeypatch):
+    ethno = load_schema("ethno")
+    encoder = EncoderConfig(dimension=8, seed=0, context_window=1)
+    inventory = load_inventory("rain.n.01\train\t-\t" + "\t".join(["1.0"] * 8) + "\n")
+    docs = [
+        ethno_document(
+            "s1", ["woman", "pray", "rain", "farm", "baby"],
+            [(1, 0, "agent"), (1, 2, "intent+"), (2, 3, "q-"), (3, 4, "recipient"), (4, 3, "modifier")],
+            negated={3},
+        ),
+        ethno_document("s2", ["mother", "pray", "rain"], [(1, 0, "agent"), (1, 2, "function+")]),
+    ]
+    pray = NodePattern(
+        lemma_any_of=frozenset({"pray"}),
+        role_constraints=(("agent", NodePattern(lemma_any_of=frozenset({"woman", "mother"}))),),
+    )
+
+    def no_relation(self, *args):
+        raise AssertionError("a Relation was built")
+
+    monkeypatch.setattr(Relation, "__init__", no_relation)
+    graphs = [graph_from_dict(doc) for doc in docs]
+    texts = [graph_to_json(g) for g in graphs]
+    fixed = [rectify(g, ethno)[0] for g in graphs]
+    linked = [link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=-1.0) for g in graphs]
+    dots = [emit_dot(g, ethno) for g in graphs]
+    valence = [compute_valence(g, ethno) for g in graphs]
+    result = find_paths(merge_corpus(graphs, lemma_link=True), pray, NodePattern(lemma_any_of=frozenset({"rain"})))
+    report = score(linked, fixed)
+    assert all(g.relations._rows is None for g in graphs + fixed + linked)
+    monkeypatch.undo()
+
+    assert [json.loads(text) for text in texts] == [graph_to_dict(g) for g in graphs]
+    assert all(e.senses for g in linked for e in g.entities)
+    assert all(dot.count(" -> ") == len(g.relations) for dot, g in zip(dots, graphs))
+    # pray's agent holds pray and what it reaches; q- and the negated farm cancel
+    assert [a.to_dict() for a in valence[0]] == [
+        {"holder": "e0", "target": target, "sign": "+"} for target in ("e1", "e2", "e3", "e4")
+    ]
+    assert ("s1/e1", "s1/e1->e2:intent+", "s1/e2") in result.paths
+    assert ("s2/e1", "s2/e1->e2:function+", "s2/e2") in result.paths
+    assert report.micro["relations"].tp == 7 and report.micro["relations"].fp == 0

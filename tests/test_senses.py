@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalkg.encoder import TokenEncoding
-from causalkg.errors import CausalKgError, DisjointTreesError, InventoryError, ZeroVectorError
+from causalkg.errors import CausalKgError, DisjointTreesError, InputError, InventoryError, ZeroVectorError
 from causalkg.graphs import Span, assemble_graph
 from causalkg.senses import (
     SenseInventory,
@@ -124,6 +124,12 @@ def test_link_senses_threshold_is_strict():
     # all scores at or below threshold -> empty assignment
     ortho = link_senses(g, encoding_for([[0.0, -1.0]]), inv, threshold=0.5)
     assert ortho.entities[0].senses == ()
+
+
+def test_link_senses_rejects_a_nan_threshold():
+    inv = SenseInventory([SenseRecord("s0", "t0", None, unit([1.0, 0.0]))])
+    with pytest.raises(InputError, match="sense threshold must be a number, got nan"):
+        link_senses(one_node_graph(1), encoding_for([[1.0, 0.0]]), inv, threshold=float("nan"))
 
 
 def test_link_senses_ranking_matches_argsort():

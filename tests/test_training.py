@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from causalkg.errors import (
     SchemaMismatchError,
     SelfLoopError,
 )
+from causalkg import training
 from causalkg.graphs import Span
 from causalkg.model import Model
 from causalkg.schema import load_schema
@@ -324,6 +326,42 @@ def test_train_rejects_invalid_gold_data(example, error, message):
     with pytest.raises(error, match=f"^up0: .*{message}"):
         train([build_corpus()[1], example], SCICLAIM, config,
               encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1))
+
+
+NO_NEGATIVES = Negatives((), ())
+
+
+@pytest.mark.parametrize("changes, negatives, error, message", [
+    # each of these used to return a finite loss on a wrapped-around or
+    # clipped row, or to fail with a bare IndexError or KeyError
+    ({"relations": ((0, -1, "arg0"),)}, NO_NEGATIVES, DanglingReferenceError,
+     "pair (0, -1) names an entity index outside 3 entities"),
+    ({"relations": ((0, 5, "arg0"),)}, NO_NEGATIVES, DanglingReferenceError, "pair (0, 5)"),
+    ({"attributes": ((-1, "causation"),)}, NO_NEGATIVES, DanglingReferenceError,
+     "attribute on entity index -1, outside 3 entities"),
+    ({"attributes": ((3, "causation"),)}, NO_NEGATIVES, DanglingReferenceError, "entity index 3,"),
+    ({}, Negatives((), ((0, 1), (-1, 2))), DanglingReferenceError, "pair (-1, 2)"),
+    ({}, Negatives((), ((2, 3),)), DanglingReferenceError, "pair (2, 3)"),
+    ({"entities": ((Span(0, 1), "factor"), (Span(2, 9), "factor")), "attributes": (), "relations": ()},
+     NO_NEGATIVES, GraphError, "span [2, 9) beyond 5 tokens"),
+    ({"entities": ((Span(0, 4), "factor"),), "attributes": (), "relations": ()},
+     NO_NEGATIVES, GraphError, "span [0, 4) longer than max_span_len 3"),
+    ({}, Negatives((Span(3, 6),), ()), GraphError, "span [3, 6) beyond 5 tokens"),
+    ({}, Negatives((Span(1, 5),), ()), GraphError, "span [1, 5) longer than max_span_len 3"),
+    ({"entities": ((Span(0, 1), "martian"), (Span(1, 2), "association"), (Span(2, 3), "factor"))},
+     NO_NEGATIVES, SchemaMismatchError, "entity type 'martian' not in schema 'sciclaim'"),
+    # "factor" is an entity type, not an attribute or a relation type
+    ({"attributes": ((1, "factor"),)}, NO_NEGATIVES, SchemaMismatchError, "attribute type 'factor'"),
+    ({"relations": ((1, 0, "factor"),)}, NO_NEGATIVES, SchemaMismatchError, "relation type 'factor'"),
+])
+@pytest.mark.parametrize("entry", ["example_loss", "example_loss_and_grads", "grad_check"])
+def test_loss_entry_points_reject_what_check_dataset_rejects(entry, changes, negatives, error, message):
+    example = replace(tiny_example(), **changes)
+    with pytest.raises(error, match="^tiny: .*" + re.escape(message)):
+        if entry == "grad_check":
+            grad_check(tiny_model(), example, negatives=negatives)
+        else:
+            getattr(training, entry)(tiny_model(), example, negatives)
 
 
 def test_example_loss_finite_and_positive():

@@ -118,7 +118,8 @@ def test_random_examples_match_reference(case):
 def assert_prepared_like_reference(model, ex, negatives):
     """_prepare's seven values equal the reference's: arrays by dtype, shape
     and bytes, the rest by value and, for the span index, by order."""
-    got, want = _prepare(model, ex, negatives), reference_prepare(model, ex, negatives)
+    got = _prepare(model.schema, model.max_span_len, ex, negatives)
+    want = reference_prepare(model, ex, negatives)
     assert len(got) == len(want) == 7
     for a, b in zip(got, want):
         assert type(a) is type(b)
