@@ -105,8 +105,8 @@ def _attribute_keys(graph: KnowledgeGraph) -> set[tuple[tuple[int, int, str], st
 
 
 def _relation_keys(graph: KnowledgeGraph) -> set[tuple[tuple[int, int, str], tuple[int, int, str], str]]:
-    rels = graph.relations
-    keys = [_key(graph.entity(ent_id)) for ent_id in rels.ids]
+    # the columns' ids are the entities' ids, in order
+    rels, keys = graph.relations, list(map(_key, graph.entities))
     return {(keys[h], keys[t], rels.types[c]) for h, t, c in zip(rels.head, rels.tail, rels.code)}
 
 

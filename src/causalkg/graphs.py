@@ -202,10 +202,8 @@ class Relations(Sequence):
 
     Row j joins entity ids[head[j]] to entity ids[tail[j]] with type
     types[code[j]] and confidence confidence[j].  `ids` holds the graph's
-    entity ids in graph order, so head and tail are entity indexes; only a
-    `KnowledgeGraph` built by hand from relations that name unknown
-    entities appends those ids after them.  head, tail, code and
-    confidence are lists.
+    entity ids in graph order, so head and tail are entity indexes.  head,
+    tail, code and confidence are lists.
 
     The `Relation`s are built on first iteration, indexing, hashing or
     repr, which behave as on their tuple; `len` never builds them, and ==
@@ -226,25 +224,6 @@ class Relations(Sequence):
         self.ids, self.types = ids, types
         self.head, self.tail, self.code, self.confidence = head, tail, code, confidence
         self._rows: tuple[Relation, ...] | None = None
-
-    @staticmethod
-    def of(ids: tuple[str, ...], relations: Iterable[Relation]) -> "Relations":
-        """The columns of `relations` over the entity ids `ids`."""
-        table = list(ids)
-        index: dict[str, int] = {}
-        for i, ent_id in enumerate(ids):
-            index.setdefault(ent_id, i)
-        types: dict[str, int] = {}
-        head, tail, code, confidence = [], [], [], []
-        for r in relations:
-            for end, column in ((r.head, head), (r.tail, tail)):
-                if end not in index:
-                    index[end] = len(table)
-                    table.append(end)
-                column.append(index[end])
-            code.append(types.setdefault(r.relation_type, len(types)))
-            confidence.append(r.confidence)
-        return Relations(tuple(table), tuple(types), head, tail, code, confidence)
 
     @property
     def rows(self) -> tuple[Relation, ...]:
@@ -316,9 +295,12 @@ def _confidence(value, kind: str, name) -> float:
 class KnowledgeGraph:
     """One sentence's graph: tokens, lemmas, entities, relations.
 
-    `relations` may be given as any iterable of `Relation`s; the graph
-    keeps them as `Relations` columns over its entity ids.  Columns over
-    the same entity ids are kept as they are.
+    `Relations` columns over exactly the graph's entity ids, in order, are
+    kept as they are.  Any other relations, an iterable of `Relation`s or
+    columns over other ids, pass `assemble_graph`'s relation check into
+    new columns, and a fault raises its error: a self-loop, an unknown
+    endpoint, a repeated (head, tail, type), a confidence outside [0, 1],
+    a repeated entity id or a lemma count unlike the token count.
     """
 
     tokens: tuple[str, ...]
@@ -329,9 +311,16 @@ class KnowledgeGraph:
 
     def __post_init__(self) -> None:
         ids = tuple(e.id for e in self.entities)
-        relations = self.relations
-        if not (isinstance(relations, Relations) and relations.ids[: len(ids)] == ids):
-            object.__setattr__(self, "relations", Relations.of(ids, relations))
+        if isinstance(self.relations, Relations) and self.relations.ids == ids:
+            return
+        builder = _GraphBuilder(self.tokens, self.lemmas)
+        for i, ent_id in enumerate(ids):
+            if ent_id in builder.index:
+                raise GraphError(f"duplicate entity id {ent_id!r}")
+            builder.index[ent_id] = i
+        for r in self.relations:
+            builder.relation(r.head, r.tail, r.relation_type, r.confidence)
+        object.__setattr__(self, "relations", builder.columns())
 
     def entity_by_id(self) -> dict[str, Entity]:
         return {e.id: e for e in self.entities}
@@ -509,11 +498,12 @@ class _GraphBuilder:
                 raise GraphError(f"relation type code {c} outside the {len(types)} relation types")
             self.relation(ids[h], ids[t], types[c], conf)
 
+    def columns(self) -> Relations:
+        """The relations added so far, as columns over the entity ids."""
+        return Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
+
     def graph(self, provenance: str) -> KnowledgeGraph:
-        relations = Relations(
-            tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence
-        )
-        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance)
+        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), self.columns(), provenance)
 
 
 def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
@@ -600,6 +590,7 @@ def assemble_columns(
 class CorpusIndex:
     """Lookups over a corpus's nodes, built in one pass over its entities.
 
+    graphs: the graphs it indexes, as given.
     nodes: global id -> (graph, entity), in corpus order.
     lemmas: global id -> the entity's lemma set.
     by_lemma: lemma -> the global ids of the nodes whose lemma set holds
@@ -610,9 +601,9 @@ class CorpusIndex:
     distinct (provenance, entity id) pairs render to distinct ids.
     """
 
-    __slots__ = ("nodes", "lemmas", "by_lemma")
+    __slots__ = ("graphs", "nodes", "lemmas", "by_lemma")
 
-    def __init__(self, graphs: Iterable[KnowledgeGraph]) -> None:
+    def __init__(self, graphs: Sequence[KnowledgeGraph]) -> None:
         nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
         lemmas: dict[str, frozenset[str]] = {}
         by_lemma: dict[str, list[str]] = {}
@@ -629,6 +620,7 @@ class CorpusIndex:
                 lemmas[gid] = node_lemmas = entity_lemmas(e)
                 for lemma in node_lemmas:
                     by_lemma.setdefault(lemma, []).append(gid)
+        self.graphs = graphs
         self.nodes = nodes
         self.lemmas = lemmas
         self.by_lemma = by_lemma
@@ -648,21 +640,20 @@ class CorpusGraph:
     different graphs; `find_paths` expands a node's hubs only when it
     reaches the node.
 
-    `index` is the corpus's `CorpusIndex`.  `merge_corpus` keeps the one
-    its pass over the entities builds; a CorpusGraph built directly builds
-    it on first use, and a duplicate provenance raises there.  It takes no
-    part in `==`, hashing or `repr`.
+    `index` is the corpus's `CorpusIndex`, built with the corpus, so a
+    duplicate provenance raises here; `merge_corpus` passes the one its
+    pass over the entities builds.  An index over other graphs, which
+    `replace` with new graphs hands over, is rebuilt.  It takes no part in
+    `==`, hashing or `repr`.
     """
 
     graphs: tuple[KnowledgeGraph, ...]
     lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    _index: CorpusIndex | None = field(default=None, init=False, compare=False, repr=False)
+    index: CorpusIndex | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def index(self) -> CorpusIndex:
-        if self._index is None:
-            object.__setattr__(self, "_index", CorpusIndex(self.graphs))
-        return self._index
+    def __post_init__(self) -> None:
+        if self.index is None or self.index.graphs is not self.graphs:
+            object.__setattr__(self, "index", CorpusIndex(self.graphs))
 
     @property
     def lemma_links(self) -> frozenset[tuple[str, str]]:
@@ -692,6 +683,7 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
     "c" of graph "a/b" and entity "b/c" of graph "a" are distinct nodes,
     "a\\/b/c" and "a/b\\/c".
     """
+    graphs = tuple(graphs)
     index = CorpusIndex(graphs)
     hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
     if lemma_link:
@@ -703,9 +695,7 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
             for lemma, members in sorted(index.by_lemma.items())
             if nodes[members[0]][0] is not nodes[members[-1]][0]
         )
-    corpus = CorpusGraph(graphs=tuple(graphs), lemma_hubs=hubs)
-    object.__setattr__(corpus, "_index", index)
-    return corpus
+    return CorpusGraph(graphs, hubs, index)
 
 
 def graph_to_dict(graph: KnowledgeGraph) -> dict:

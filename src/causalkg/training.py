@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     NonFiniteGradientError,
     SchemaMismatchError,
+    SelfLoopError,
 )
 from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
@@ -274,7 +275,8 @@ def _prepare(schema: Schema, max_span_len: int, example: Example, negatives: Neg
     Pairs are the gold pairs and then the negative pairs, spans the gold
     and then the negative spans, each kept at its first place.  A pair's
     head and tail are gold spans, so every span a pair needs is listed.
-    An element it cannot index raises `check_dataset`'s error.
+    An element it cannot index, or a pair that joins an entity to itself,
+    raises `check_dataset`'s error.
     """
     where = example.provenance
     gold_spans = [span for span, _ in example.entities]
@@ -285,7 +287,9 @@ def _prepare(schema: Schema, max_span_len: int, example: Example, negatives: Neg
             raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
     pairs = dict.fromkeys([(h, t) for h, t, _ in example.relations] + list(negatives.pairs))
     for h, t in pairs:
-        if not (0 <= h < k and 0 <= t < k):
+        if not (0 <= h < k and 0 <= t < k and h != t):
+            if h == t:
+                raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
             raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
     span_index = {span: i for i, span in enumerate(dict.fromkeys(ent_spans))}
     for span in span_index:

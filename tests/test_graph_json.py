@@ -16,7 +16,7 @@ from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import (
     Entity,
     KnowledgeGraph,
-    Relation,
+    Relations,
     Span,
     assemble_graph,
     graph_from_json,
@@ -111,22 +111,31 @@ def test_empty_graph_and_empty_extras():
     assert_identical(empty, {"notes": [{}], "more": [{"a": None, "b": True, "c": 3, "\u00e9": "\u2028\ud800"}]})
 
 
+# Two entities under relation columns built by hand: a graph keeps columns
+# over its own entity ids as they are, so their values reach the writer
+# unchecked.
+E_F = (Entity("e", Span(0, 1), "t", 0.5), Entity("f", Span(1, 2), "t", 0.5))
+
+
+def e_to_f(types, code, confidence):
+    """Raw columns of rows e->f, row j of type types[code[j]] and confidence confidence[j]."""
+    return Relations(("e", "f"), types, [0] * len(code), [1] * len(code), code, confidence)
+
+
 def test_numbers_outside_the_library_value_range():
     # hand-built graphs reach the number formats no assembled graph holds
     e = Entity("e", Span(False, True), "t", math.nan,
                attributes=(("a", math.inf),), senses=(("s", -math.inf), ("r", 1)))
     g = KnowledgeGraph(
-        tokens=("x",), lemmas=("x",), entities=(e,),
-        relations=(Relation("e", "e", "q", np.float64(0.25)), Relation("e", "e", "q", 1),
-                   Relation("e", "e", "q", math.nan), Relation("e", "e", "q", -0.0),
-                   Relation("e", "e", "q", None)),
+        tokens=("x", "y"), lemmas=("x", "y"), entities=(e, E_F[1]),
+        relations=e_to_f(("q",), [0] * 5, [np.float64(0.25), 1, math.nan, -0.0, None]),
     )
     text = graph_to_json(g)
     assert text == oracle(g)
     assert '"start": false' in text and '"confidence": NaN' in text and "-Infinity" in text
     for bad in (math.inf, -math.inf, math.nan):
         # plain floats only, so that a non-finite one is the sole odd value
-        floats = replace(g, relations=(Relation("e", "e", "q", 0.5), Relation("e", "e", "r", bad)))
+        floats = replace(g, relations=e_to_f(("q", "r"), [0, 1], [0.5, bad]))
         assert graph_to_json(floats) == oracle(floats)
 
 
@@ -134,7 +143,7 @@ def test_numbers_outside_the_library_value_range():
     lambda: assemble_graph(["a", "b"], None, [("e", Span(np.int64(0), np.int64(1)), "t", 1.0)]),
     lambda: assemble_graph(["a", "b"], None, [("e", Span(0, np.int64(2)), "t", 1.0)]),
     lambda: KnowledgeGraph(("a",), ("a",), (Entity("e", Span(0, 1), "t", 0.5, senses=(("s", np.int32(1)),)),), ()),
-    lambda: KnowledgeGraph(("a",), ("a",), (), (Relation("e", "f", "q", 0.5), Relation("e", "f", "q", np.int64(1)))),
+    lambda: KnowledgeGraph(("a", "b"), ("a", "b"), E_F, e_to_f(("q",), [0, 0], [0.5, np.int64(1)])),
     lambda: KnowledgeGraph(("a",), ("a",), (Entity(frozenset(), Span(0, 1), "t", 0.5),), ()),
 ])
 def test_type_error_wherever_the_stdlib_raises_it(make):
@@ -148,7 +157,7 @@ def test_type_error_wherever_the_stdlib_raises_it(make):
 @pytest.mark.parametrize("graph", [
     KnowledgeGraph(("a",), ("a",), (Entity(5, Span(0, 1), "t", 0.5),), ()),
     KnowledgeGraph((None,), ("a",), (), ()),
-    KnowledgeGraph(("a",), ("a",), (), (Relation("e", "f", "q", [0.5]),)),
+    KnowledgeGraph(("a", "b"), ("a", "b"), E_F, e_to_f(("q",), [0], [[0.5]])),
 ])
 def test_type_error_on_fields_no_assembled_graph_holds(graph):
     # the stdlib would write these; the fixed layout takes only a str where

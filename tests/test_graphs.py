@@ -212,9 +212,12 @@ def test_merge_duplicate_provenance_rejected():
 
 
 def test_corpus_graph_built_directly_rejects_duplicate_provenance():
+    # when it is built, not when its index is first read
     g = assemble_graph(["a"], None, [], provenance="x")
     with pytest.raises(DuplicateProvenanceError):
-        CorpusGraph((g, g)).index
+        CorpusGraph((g, g))
+    with pytest.raises(DuplicateProvenanceError):
+        replace(merge_corpus([g]), graphs=(g, g))
 
 
 def test_relation_endpoints_always_resolve():
@@ -405,14 +408,15 @@ def test_corpus_index_stays_out_of_equality_and_repr():
     rng = np.random.default_rng(43)
     corpus = random_hub_corpus(rng)
     direct = CorpusGraph(corpus.graphs, corpus.lemma_hubs)
-    assert direct._index is None  # built on first use
+    assert direct.index is not corpus.index  # built with the corpus
     assert direct == corpus and hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
     assert "index" not in repr(corpus)
     assert direct.index.nodes == corpus.index.nodes
     assert direct.index is direct.index
-    # a copy with other graphs builds its own index
+    # a copy with other graphs builds its own index; one with the same keeps it
     fewer = replace(corpus, graphs=corpus.graphs[:1])
     assert set(fewer.index.nodes) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
+    assert replace(corpus, lemma_hubs=()).index is corpus.index
 
 
 def test_incoming_index_matches_a_relation_scan():

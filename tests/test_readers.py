@@ -397,3 +397,58 @@ def test_type_codes_are_numbered_only_in_schema_py():
         if path.name != "schema.py" and (tables := type_code_tables(path.read_text(encoding="utf-8")))
     }
     assert found == {}, "read Schema.entity_codes, attribute_codes and relation_codes instead"
+
+
+# -- graphs and relation columns are built where they are checked -------------
+
+# each constructor and the files that may call it: graphs.py checks what it
+# builds, and rectify.py keeps a subset of a checked graph's columns
+CONSTRUCTORS = {
+    "KnowledgeGraph": {"graphs.py"},
+    "CorpusGraph": {"graphs.py"},
+    "Relations": {"graphs.py", "rectify.py"},
+}
+
+
+def construction_faults(source: str, filename: str) -> list[str]:
+    """The calls in a file of that name, as source text, that set a field
+    of an object other than `self` through object.__setattr__, or that call
+    a constructor of CONSTRUCTORS outside its files."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        sets_another = (
+            name == "__setattr__" and getattr(func.value, "id", None) == "object"
+            and not (args and getattr(args[0], "id", None) == "self")
+        )
+        if sets_another or filename not in CONSTRUCTORS.get(name, {filename}):
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_scan_sees_constructions():
+    source = (
+        "object.__setattr__(corpus, '_index', index)\ng = KnowledgeGraph(t, l, e, r)\n"
+        "c = graphs.CorpusGraph(gs)\nr = Relations(ids, types, h, t, c, f)\n"
+        # setting a field of self, a copy and a read of the class build nothing
+        "object.__setattr__(self, 'index', index)\ng = replace(graph, relations=r)\nn = KnowledgeGraph.__name__\n"
+    )
+    setattr_call, graph, corpus, columns = (
+        "object.__setattr__(corpus, '_index', index)", "KnowledgeGraph(t, l, e, r)",
+        "graphs.CorpusGraph(gs)", "Relations(ids, types, h, t, c, f)",
+    )
+    assert sorted(construction_faults(source, "cli.py")) == sorted([setattr_call, graph, corpus, columns])
+    assert sorted(construction_faults(source, "rectify.py")) == sorted([setattr_call, graph, corpus])
+    assert construction_faults(source, "graphs.py") == [setattr_call]
+
+
+def test_graphs_are_built_only_in_graphs_py():
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := construction_faults(path.read_text(encoding="utf-8"), path.name))
+    }
+    assert found == {}, "build graphs and columns in graphs.py, and set only self's fields"

@@ -490,7 +490,7 @@ def test_role_matches_agree_with_a_relation_scan():
 
 
 def test_find_paths_on_a_corpus_built_without_merge_corpus():
-    # a CorpusGraph built directly builds its index on first use
+    # a CorpusGraph built directly builds its own index
     rng = np.random.default_rng(2718)
     paths = 0
     for trial in range(40):

@@ -2,7 +2,9 @@
 as a tuple of Relations only when asked."""
 
 import json
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from causalkg.graphs import (
     Relation,
     Span,
     assemble_columns,
+    assemble_graph,
     graph_from_dict,
     graph_to_dict,
     graph_to_json,
@@ -122,27 +125,74 @@ def test_bulk_path_checks_the_lemma_count():
         bulk((0, 1, 0, 0.5), lemmas=["x", "y"])
 
 
-@pytest.mark.parametrize("confidence, writes", [
-    (np.float64(0.25), True), (1, True), ([0.5], False), (np.int64(1), False),
+@pytest.mark.parametrize("confidence, error", [
+    (np.float64(0.25), None), (1, None), ([0.5], TypeError), (np.int64(1), None),
 ])
-def test_hand_built_confidences_are_kept_as_given(confidence, writes):
+def test_hand_built_confidences_are_checked_like_assemble_graph(confidence, error):
     entities = (Entity("e", Span(0, 1), "t", 0.5), Entity("f", Span(1, 2), "t", 0.5))
-    g = KnowledgeGraph(("a", "b"), ("a", "b"), entities, (Relation("e", "f", "q", confidence),))
-    assert g.relations.confidence[0] is confidence
-    if writes:
-        assert graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, ensure_ascii=False) + "\n"
-    else:
-        with pytest.raises(TypeError):
-            graph_to_json(g)
+
+    def by_hand():
+        return KnowledgeGraph(("a", "b"), ("a", "b"), entities, (Relation("e", "f", "q", confidence),))
+
+    def assembled():
+        ents = [(e.id, e.span, e.entity_type, e.confidence) for e in entities]
+        return assemble_graph(["a", "b"], None, ents, relations=[("e", "f", "q", confidence)])
+
+    if error:
+        for build in (by_hand, assembled):
+            with pytest.raises(error):
+                build()
+        return
+    g = by_hand()
+    assert g == assembled() and type(g.relations.confidence[0]) is float
+    assert graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, ensure_ascii=False) + "\n"
 
 
 def test_relations_over_other_entities_are_renumbered():
-    g = bulk((1, 2, 0, 0.5), (2, 0, 1, 0.5))
+    g = bulk((1, 2, 0, 0.5), (2, 1, 1, 0.5))
     fewer = KnowledgeGraph(g.tokens, g.lemmas, g.entities[1:], g.relations, "p")
-    assert fewer.relations.ids == ("b", "c", "a")  # "a" is named, but no entity has it
+    assert fewer.relations.ids == ("b", "c") and fewer.relations.head == [0, 1]
     assert fewer.relations == g.relations
     same = KnowledgeGraph(g.tokens, g.lemmas, g.entities, g.relations, "q")
     assert same.relations is g.relations
+    # a relation that names a dropped entity has no place in the graph
+    touching = bulk((1, 2, 0, 0.5), (2, 0, 1, 0.5))
+    with pytest.raises(DanglingReferenceError, match=re.escape("relation references unknown entity 'a'")):
+        replace(touching, entities=touching.entities[1:])
+
+
+ABC = [("a", Span(0, 1), "factor", 0.9), ("b", Span(1, 2), "factor", 0.8), ("c", Span(2, 3), "factor", 0.7)]
+
+
+@pytest.mark.parametrize("entities, relations, error, message", [
+    (ABC, [("a", "zz", "q+", 0.5)], DanglingReferenceError, "relation references unknown entity 'zz'"),
+    # on such a one-entity graph score raised KeyError, compute_valence
+    # KeyError (with an intent+ edge) or [], and rectify IndexError
+    (ABC[:1], [("a", "zz", "intent+", 0.5)], DanglingReferenceError, "relation references unknown entity 'zz'"),
+    (ABC, [("a", "a", "q+", 0.5)], SelfLoopError, "self-loop on 'a' via 'q+'"),
+    (ABC, [("a", "b", "q+", 0.5), ("a", "b", "q+", 0.25)], GraphError, "duplicate relation ('a', 'b', 'q+')"),
+    (ABC, [("a", "b", "q+", 1.5)], BadConfidenceError, "relation 'q+' confidence 1.5 outside [0, 1]"),
+    (ABC, [("a", "b", "q+", math.nan)], BadConfidenceError, "relation 'q+' confidence nan outside [0, 1]"),
+    (ABC[:2] + [("a", Span(2, 3), "factor", 0.7)], [], GraphError, "duplicate entity id 'a'"),
+    (ABC[1:], [("b", "c", "q+", 0.5), ("c", "a", "q-", 0.5)], DanglingReferenceError,
+     "relation references unknown entity 'a'"),
+])
+def test_hand_built_relations_raise_what_assemble_graph_raises(entities, relations, error, message):
+    sound = assemble_graph(["x", "y", "z"], None, ABC, relations=[("a", "b", "q+", 0.5)])
+    ents = tuple(Entity(*e) for e in entities)
+    rels = tuple(Relation(*r) for r in relations)
+    for build in (
+        lambda: assemble_graph(["x", "y", "z"], None, entities, relations=relations),
+        lambda: KnowledgeGraph(sound.tokens, sound.lemmas, ents, rels),
+        lambda: replace(sound, entities=ents, relations=rels),
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
+
+def test_hand_built_relations_check_the_lemma_count():
+    with pytest.raises(GraphError, match="2 lemmas for 3 tokens"):
+        KnowledgeGraph(("x", "y", "z"), ("x", "y"), tuple(Entity(*e) for e in ABC), ())
 
 
 def test_dense_extraction_json_and_rectify_build_no_relation(monkeypatch):

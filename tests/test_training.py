@@ -342,6 +342,9 @@ NO_NEGATIVES = Negatives((), ())
     ({"attributes": ((3, "causation"),)}, NO_NEGATIVES, DanglingReferenceError, "entity index 3,"),
     ({}, Negatives((), ((0, 1), (-1, 2))), DanglingReferenceError, "pair (-1, 2)"),
     ({}, Negatives((), ((2, 3),)), DanglingReferenceError, "pair (2, 3)"),
+    # a pair that joins an entity to itself used to train as any other
+    ({"relations": ((0, 0, "q+"),)}, NO_NEGATIVES, SelfLoopError, "pair (0, 0) joins an entity to itself"),
+    ({}, Negatives((), ((1, 1),)), SelfLoopError, "pair (1, 1) joins an entity to itself"),
     ({"entities": ((Span(0, 1), "factor"), (Span(2, 9), "factor")), "attributes": (), "relations": ()},
      NO_NEGATIVES, GraphError, "span [2, 9) beyond 5 tokens"),
     ({"entities": ((Span(0, 4), "factor"),), "attributes": (), "relations": ()},

@@ -2,13 +2,16 @@
 gradients, trained parameters and extracted graphs must be bit-identical."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
 from causalkg.encoder import EncoderConfig
+from causalkg.errors import SelfLoopError
 from causalkg.graphs import Span, graph_to_json
 from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract
 from causalkg.schema import load_schema
@@ -82,6 +85,16 @@ def examples_and_negatives(draw):
     return ex, negatives, draw(st.integers(0, 3))
 
 
+def refuse_self_loops(ex, negatives):
+    """Check that a case with a pair from an entity to itself is refused,
+    and return the case without such pairs, which the reference can take."""
+    if any(h == t for h, t, _ in ex.relations) or any(h == t for h, t in negatives.pairs):
+        with pytest.raises(SelfLoopError):
+            _prepare(SCICLAIM, 3, ex, negatives)
+    ex = replace(ex, relations=tuple(r for r in ex.relations if r[0] != r[1]))
+    return ex, Negatives(negatives.spans, tuple(p for p in negatives.pairs if p[0] != p[1]))
+
+
 NO_ENTITIES = (Example(("a", "b"), ("a", "b"), (), (), (), "none"), Negatives((Span(0, 2),), ()), 0)
 NO_PAIRS = (
     Example(("a", "b", "c"), ("a", "b", "c"), ((Span(1, 3), "factor"),), ((0, "causation"),), (), "one"),
@@ -108,6 +121,7 @@ DUPLICATE_SPANS = (
 @example(DUPLICATE_SPANS)
 def test_random_examples_match_reference(case):
     ex, negatives, seed = case
+    ex, negatives = refuse_self_loops(ex, negatives)
     model = Model.initialize(
         SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
         max_span_len=3, width_dim=2, seed=seed,
@@ -141,6 +155,7 @@ PREPARE_MODEL = Model.initialize(SCICLAIM, EncoderConfig(dimension=4), max_span_
 @example(DUPLICATE_SPANS)
 def test_random_examples_prepare_like_reference(case):
     ex, negatives, _ = case
+    ex, negatives = refuse_self_loops(ex, negatives)
     assert_prepared_like_reference(PREPARE_MODEL, ex, negatives)
 
 
