@@ -34,6 +34,7 @@ __all__ = [
     "span_attention",
     "span_representations",
     "between_contexts",
+    "pair_contexts",
     "pair_block",
     "classify_entities",
     "classify_attributes",
@@ -200,6 +201,25 @@ def between_contexts(token_vectors: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     return out
 
 
+def _bounds(spans: Sequence[Span]) -> tuple[np.ndarray, np.ndarray]:
+    """The spans' starts and ends as two index arrays."""
+    return np.array([(s.start, s.end) for s in spans], dtype=np.intp).reshape(-1, 2).T
+
+
+def pair_contexts(
+    token_vectors: np.ndarray, spans: Sequence[Span], heads: np.ndarray, tails: np.ndarray
+) -> np.ndarray:
+    """Row i is the between-context maxpool of the pair (spans[heads[i]],
+    spans[tails[i]]): the tokens after the first span to end and before the
+    last to start, or a zero vector if there are none."""
+    starts, ends = _bounds(spans)
+    return between_contexts(
+        token_vectors,
+        np.minimum(ends[heads], ends[tails]),
+        np.maximum(starts[heads], starts[tails]),
+    )
+
+
 def pair_block(
     token_vectors: np.ndarray,
     spans: Sequence[Span],
@@ -207,24 +227,25 @@ def pair_block(
     width_table: np.ndarray,
     heads: np.ndarray,
     tails: np.ndarray,
+    between: np.ndarray | None = None,
 ) -> np.ndarray:
     """Relation-head inputs of the pairs (spans[heads[i]], spans[tails[i]]),
     as an (m, 1, pair_dim) block; pooled holds one row per span.
 
     Row i is [head ; head width ; between maxpool ; tail ; tail width], each
     part copied from its source, so it equals the pair's row built alone.
+    `between`, if given, holds the pairs' `pair_contexts` rows, which are
+    then not computed again.
     """
-    starts, ends = np.array([(s.start, s.end) for s in spans], dtype=np.intp).reshape(-1, 2).T
+    starts, ends = _bounds(spans)
     span_rows = np.concatenate([pooled, width_table[ends - starts - 1]], axis=1)  # [pooled ; width]
     span_dim = span_rows.shape[1]  # d + d_w
     block = np.empty((len(heads), 1, 2 * span_dim + pooled.shape[1]))
     rows = block[:, 0]
     rows[:, :span_dim] = span_rows[heads]
-    rows[:, span_dim:-span_dim] = between_contexts(
-        token_vectors,
-        np.minimum(ends[heads], ends[tails]),
-        np.maximum(starts[heads], starts[tails]),
-    )
+    if between is None:
+        between = pair_contexts(token_vectors, spans, heads, tails)
+    rows[:, span_dim:-span_dim] = between
     rows[:, -span_dim:] = span_rows[tails]
     return block
 

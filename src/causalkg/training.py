@@ -40,6 +40,7 @@ from .model import (
     classify_relations,
     enumerate_spans,
     pair_block,
+    pair_contexts,
     span_representations,
 )
 from .readers import array, integer, obj, parse_json, real, required, string, strings, within
@@ -193,11 +194,123 @@ def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int)
 
     gold_graph rejects spans past the sentence end, entity indices out of
     range, self-loops and duplicate spans, attributes or relations;
-    `_prepare` then rejects unknown types and spans longer than max_span_len.
+    `_plan` then rejects unknown types and spans longer than max_span_len.
     """
     for ex in dataset:
         within(ex.provenance, gold_graph, ex)
-        _prepare(schema, max_span_len, ex, Negatives((), ()))
+        _plan(schema, max_span_len, ex)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What training reads of one example and no step changes, under one
+    schema and max_span_len: `sample_negatives`' candidates, the gold half
+    of `_prepare`, and the between-context rows of every gold pair.
+
+    `train` builds one per example and hands it to every step; a call
+    given none builds its own.  The arrays are made read-only, as steps
+    share them.
+    """
+
+    span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
+    pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
+    spans: tuple[Span, ...]  # the gold spans, in entity order
+    rows: np.ndarray  # each gold span's row among the distinct spans, gold first
+    widths: np.ndarray  # each gold span's width-table row
+    targets: list[int]  # each gold entity's class
+    attr_labels: np.ndarray  # (k, |Ta|)
+    pairs: list[tuple[int, int]]  # the gold relation pairs, each at its first place
+    pair_labels: np.ndarray  # one row per gold pair
+    between: np.ndarray | None  # row h * k + t: gold pair (h, t)'s between context
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _candidates(example: Example, max_span_len: int):
+    """Every span of up to max_span_len tokens that is not gold, and every
+    ordered pair of distinct gold entities that no relation links."""
+    gold_spans = {span for span, _ in example.entities}
+    spans = tuple(s for s in enumerate_spans(len(example.tokens), max_span_len) if s not in gold_spans)
+    linked = {(h, t) for h, t, _ in example.relations}
+    k = len(example.entities)
+    pairs = tuple((i, j) for i in range(k) for j in range(k) if i != j and (i, j) not in linked)
+    return spans, pairs
+
+
+def _check_pairs(where: str, pairs, k: int) -> None:
+    for h, t in pairs:
+        if not (0 <= h < k and 0 <= t < k and h != t):
+            if h == t:
+                raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
+            raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
+
+
+def _check_spans(where: str, spans, n: int, max_span_len: int) -> None:
+    for span in spans:
+        if span.end > n:
+            raise GraphError(f"{where}: span [{span.start}, {span.end}) beyond {n} tokens")
+        if span.end - span.start > max_span_len:
+            raise GraphError(f"{where}: span [{span.start}, {span.end}) longer than max_span_len {max_span_len}")
+
+
+def _plan(
+    schema: Schema, max_span_len: int, example: Example, token_vectors: np.ndarray | None = None
+) -> _Plan:
+    """Check an example's gold half and build its `_Plan`; the between rows
+    only when given its token vectors.
+
+    An element it cannot index, a relation that joins an entity to itself,
+    a span past the sentence or over max_span_len, or an unknown type raises
+    `check_dataset`'s error.
+    """
+    where = example.provenance
+    spans = tuple(span for span, _ in example.entities)
+    k, n = len(spans), len(example.tokens)
+    for i, _ in example.attributes:
+        if not 0 <= i < k:
+            raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
+    pairs = list(dict.fromkeys((h, t) for h, t, _ in example.relations))
+    _check_pairs(where, pairs, k)
+    index = {span: i for i, span in enumerate(dict.fromkeys(spans))}
+    _check_spans(where, index, n, max_span_len)
+    try:
+        # class 0 is null, so an entity type's class is its code + 1
+        targets = [schema.entity_codes[etype] + 1 for _, etype in example.entities]
+
+        attr_labels = np.zeros((k, len(schema.attribute_types)))
+        for idx, atype in example.attributes:
+            attr_labels[idx, schema.attribute_codes[atype]] = 1.0
+
+        pair_row = {pair: row for row, pair in enumerate(pairs)}
+        pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
+        for h, t, rtype in example.relations:
+            pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
+    except KeyError as key:
+        # the types are read kind by kind, so the first kind that names an unknown one raised
+        kind = next(kind for kind, codes, records in (
+            ("entity", schema.entity_codes, example.entities),
+            ("attribute", schema.attribute_codes, example.attributes),
+            ("relation", schema.relation_codes, example.relations),
+        ) if any(record[-1] not in codes for record in records))
+        raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
+    between = None
+    if token_vectors is not None:
+        heads, tails = np.divmod(np.arange(k * k), k)
+        between = pair_contexts(token_vectors, spans, heads, tails)
+    return _Plan(
+        *_candidates(example, max_span_len),
+        spans=spans,
+        rows=np.array([index[span] for span in spans], dtype=int),
+        widths=np.array([len(span) - 1 for span in spans], dtype=int),
+        targets=targets,
+        attr_labels=attr_labels,
+        pairs=pairs,
+        pair_labels=pair_labels,
+        between=between,
+    )
 
 
 def sample_negatives(
@@ -206,31 +319,33 @@ def sample_negatives(
     neg_relation_count: int,
     max_span_len: int,
     seed: int | np.random.SeedSequence = 0,
+    *,
+    plan: _Plan | None = None,
 ) -> Negatives:
     """Sample non-gold spans and relation-free gold-entity pairs.
 
-    Uniform without replacement, deterministic for a fixed seed.
+    Uniform without replacement, deterministic for a fixed seed.  `train`
+    passes the example's plan, which holds the candidates.
     """
+    if neg_entity_count < 0 or neg_relation_count < 0:
+        raise InputError("negative sample counts must be >= 0")
+    if plan is None:
+        span_candidates, pair_candidates = _candidates(example, max_span_len)
+    else:
+        span_candidates, pair_candidates = plan.span_candidates, plan.pair_candidates
     rng = np.random.default_rng(seed)
-    gold_spans = {span for span, _ in example.entities}
-    candidates = [s for s in enumerate_spans(len(example.tokens), max_span_len) if s not in gold_spans]
-    k = min(neg_entity_count, len(candidates))
-    spans = tuple(candidates[i] for i in rng.choice(len(candidates), size=k, replace=False)) if k else ()
-
-    linked = {(h, t) for h, t, _ in example.relations}
-    pair_candidates = [
-        (i, j)
-        for i in range(len(example.entities))
-        for j in range(len(example.entities))
-        if i != j and (i, j) not in linked
-    ]
-    k = min(neg_relation_count, len(pair_candidates))
-    pairs = (
-        tuple(pair_candidates[i] for i in rng.choice(len(pair_candidates), size=k, replace=False))
-        if k
-        else ()
+    return Negatives(
+        spans=_draw(rng, span_candidates, neg_entity_count),
+        pairs=_draw(rng, pair_candidates, neg_relation_count),
     )
-    return Negatives(spans=spans, pairs=pairs)
+
+
+def _draw(rng: np.random.Generator, candidates: tuple, count: int) -> tuple:
+    """Up to count candidates, uniform without replacement; no draw for none."""
+    k = min(count, len(candidates))
+    if not k:
+        return ()
+    return tuple(map(candidates.__getitem__, rng.choice(len(candidates), size=k, replace=False).tolist()))
 
 
 def entity_loss(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -239,8 +354,10 @@ def entity_loss(probs: np.ndarray, targets: np.ndarray) -> float:
         return 0.0
     if probs.shape[0] != targets.shape[0]:
         raise AlignmentError(f"{probs.shape[0]} predictions vs {targets.shape[0]} targets")
-    picked = np.clip(probs[np.arange(len(targets)), targets], _CLAMP, 1.0 - _CLAMP)
-    return float(-np.log(picked).mean())
+    # np.minimum(np.maximum()) and sum() / size are np.clip's and mean()'s
+    # arithmetic without their Python wrappers
+    log_p = np.log(np.minimum(np.maximum(probs[np.arange(len(targets)), targets], _CLAMP), 1.0 - _CLAMP))
+    return float(-(log_p.sum() / log_p.size))
 
 
 def binary_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -249,8 +366,9 @@ def binary_loss(scores: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     if scores.shape != labels.shape:
         raise AlignmentError(f"score shape {scores.shape} vs label shape {labels.shape}")
-    p = np.clip(scores, _CLAMP, 1.0 - _CLAMP)
-    return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
+    p = np.minimum(np.maximum(scores, _CLAMP), 1.0 - _CLAMP)
+    cells = labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
+    return float(-(cells.sum() / cells.size))
 
 
 def joint_loss(
@@ -269,58 +387,30 @@ def joint_loss(
     )
 
 
-def _prepare(schema: Schema, max_span_len: int, example: Example, negatives: Negatives):
+def _prepare(
+    schema: Schema, max_span_len: int, example: Example, negatives: Negatives, plan: _Plan | None = None
+):
     """Index spans, targets, labels, and pair structure for one example.
 
     Pairs are the gold pairs and then the negative pairs, spans the gold
     and then the negative spans, each kept at its first place.  A pair's
     head and tail are gold spans, so every span a pair needs is listed.
-    An element it cannot index, or a pair that joins an entity to itself,
-    raises `check_dataset`'s error.
+    The gold half comes from the plan, built here if not given; a negative
+    it cannot index, or a pair that joins an entity to itself, raises
+    `check_dataset`'s error.
     """
+    if plan is None:
+        plan = _plan(schema, max_span_len, example)
     where = example.provenance
-    gold_spans = [span for span, _ in example.entities]
-    ent_spans = gold_spans + list(negatives.spans)
-    k, n = len(gold_spans), len(example.tokens)
-    for i, _ in example.attributes:
-        if not 0 <= i < k:
-            raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
-    pairs = dict.fromkeys([(h, t) for h, t, _ in example.relations] + list(negatives.pairs))
-    for h, t in pairs:
-        if not (0 <= h < k and 0 <= t < k and h != t):
-            if h == t:
-                raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
-            raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
+    _check_pairs(where, negatives.pairs, len(plan.spans))
+    _check_spans(where, negatives.spans, len(example.tokens), max_span_len)
+    ent_spans = [*plan.spans, *negatives.spans]
     span_index = {span: i for i, span in enumerate(dict.fromkeys(ent_spans))}
-    for span in span_index:
-        if span.end > n:
-            raise GraphError(f"{where}: span [{span.start}, {span.end}) beyond {n} tokens")
-        if span.end - span.start > max_span_len:
-            raise GraphError(f"{where}: span [{span.start}, {span.end}) longer than max_span_len {max_span_len}")
-    try:
-        # class 0 is null, so an entity type's class is its code + 1
-        ent_targets = np.array(
-            [schema.entity_codes[etype] + 1 for _, etype in example.entities] + [0] * len(negatives.spans),
-            dtype=int,
-        )
-
-        attr_labels = np.zeros((k, len(schema.attribute_types)))
-        for idx, atype in example.attributes:
-            attr_labels[idx, schema.attribute_codes[atype]] = 1.0
-
-        pair_row = {pair: row for row, pair in enumerate(pairs)}
-        pair_labels = np.zeros((len(pair_row), len(schema.relation_types)))
-        for h, t, rtype in example.relations:
-            pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
-    except KeyError as key:
-        # the types are read kind by kind, so the first kind that names an unknown one raised
-        kind = next(kind for kind, codes, records in (
-            ("entity", schema.entity_codes, example.entities),
-            ("attribute", schema.attribute_codes, example.attributes),
-            ("relation", schema.relation_codes, example.relations),
-        ) if any(record[-1] not in codes for record in records))
-        raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
-    return ent_spans, ent_targets, attr_labels, list(pair_row), pair_labels, list(span_index), span_index
+    ent_targets = np.array(plan.targets + [0] * len(negatives.spans), dtype=int)
+    pairs = list(dict.fromkeys([*plan.pairs, *negatives.pairs]))
+    pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
+    pair_labels[: len(plan.pairs)] = plan.pair_labels
+    return ent_spans, ent_targets, plan.attr_labels, pairs, pair_labels, list(span_index), span_index
 
 
 def example_loss(
@@ -328,8 +418,10 @@ def example_loss(
     example: Example,
     negatives: Negatives,
     encoding: TokenEncoding | None = None,
+    *,
+    plan: _Plan | None = None,
 ) -> LossBreakdown:
-    loss, _ = _loss_impl(model, example, negatives, encoding, with_grads=False)
+    loss, _ = _loss_impl(model, example, negatives, encoding, plan, with_grads=False)
     return loss
 
 
@@ -338,19 +430,28 @@ def example_loss_and_grads(
     example: Example,
     negatives: Negatives,
     encoding: TokenEncoding | None = None,
+    *,
+    plan: _Plan | None = None,
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    return _loss_impl(model, example, negatives, encoding, with_grads=True)
+    """The example's loss and each parameter group's gradient.  `train`
+    passes the example's plan, built with the model's schema and
+    max_span_len and the encoding's token vectors."""
+    return _loss_impl(model, example, negatives, encoding, plan, with_grads=True)
 
 
-def _loss_impl(model, example, negatives, encoding, with_grads):
+def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     if encoding is None:
         encoding = encode_tokens(example.tokens, model.encoder)
+    H, n = encoding.token_vectors, len(example.tokens)
+    if len(H) != n:
+        raise AlignmentError(f"{example.provenance}: an encoding of {len(H)} tokens for an example of {n} tokens")
+    if plan is None:
+        plan = _plan(model.schema, model.max_span_len, example, H)
     (
         ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
-    ) = _prepare(model.schema, model.max_span_len, example, negatives)
-    gold_spans = [span for span, _ in example.entities]
+    ) = _prepare(model.schema, model.max_span_len, example, negatives, plan)
+    gold_spans = plan.spans
     d, dw = model.dimension, model.width_dim
-    H = encoding.token_vectors
 
     alphas, reps = span_representations(model, encoding, unique_spans)
     pooled = reps[:, :d]
@@ -359,22 +460,24 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
     ent_reps = reps[ent_rows]
     ent_probs = classify_entities(model, ent_reps)
 
-    attr_rows = np.array([span_index[s] for s in gold_spans], dtype=int)
+    attr_rows = plan.rows
     attr_reps = reps[attr_rows]
     attr_scores = classify_attributes(model, attr_reps)
 
     # each pair's (head, tail) as gold entity indexes, and as unique-span rows
     pair_ends = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
+    heads, tails = pair_ends.T
     pair_rows = attr_rows[pair_ends]
-    pair_reps = pair_block(H, gold_spans, pooled[attr_rows], model.width, pair_ends[:, 0], pair_ends[:, 1])[:, 0]
+    between = plan.between[heads * len(gold_spans) + tails]
+    pair_reps = pair_block(H, gold_spans, pooled[attr_rows], model.width, heads, tails, between)[:, 0]
     rel_scores = classify_relations(model, pair_reps)
 
     loss = joint_loss(ent_probs, ent_targets, rel_scores, pair_labels, attr_scores, attr_labels)
     if not with_grads:
         return loss, None
 
-    grads = {name: np.zeros_like(getattr(model, name)) for name in PARAM_GROUPS}
-    d_reps = np.zeros_like(reps)
+    grads = {name: np.zeros(getattr(model, name).shape) for name in PARAM_GROUPS}
+    d_reps = np.zeros(reps.shape)
 
     if len(ent_rows):
         g = ent_probs.copy()
@@ -395,13 +498,13 @@ def _loss_impl(model, example, negatives, encoding, with_grads):
     # np.add.at adds rows in index order: pairs in pair_order, each head
     # before its tail, then spans in unique_spans order.  Changing that order
     # changes the rounding of the trained parameters.
-    d_pooled = np.zeros_like(pooled)
+    d_pooled = np.zeros(pooled.shape)
     if rel_scores.size:
         g = (rel_scores - pair_labels) / rel_scores.size
         grads["rel_w"] += g.T @ pair_reps
         grads["rel_b"] += g.sum(axis=0)
         dr = g @ model.rel_w
-        pair_widths = np.array([len(span) - 1 for span in gold_spans], dtype=int)[pair_ends]
+        pair_widths = plan.widths[pair_ends]
         np.add.at(d_pooled, pair_rows, np.stack([dr[:, :d], dr[:, 2 * d + dw : 3 * d + dw]], axis=1))
         np.add.at(grads["width"], pair_widths, np.stack([dr[:, d : d + dw], dr[:, 3 * d + dw :]], axis=1))
 
@@ -438,11 +541,13 @@ def grad_check(
     which sits at the finite-difference noise floor when the two agree.
     """
     if not (1e-6 <= epsilon <= 1e-3):
-        raise ValueError("epsilon must lie in [1e-6, 1e-3]")
+        raise InputError("epsilon must lie in [1e-6, 1e-3]")
     if negatives is None:
         negatives = sample_negatives(example, 20, 10, model.max_span_len, seed=0)
     encoding = encode_tokens(example.tokens, model.encoder)
     _, grads = example_loss_and_grads(model, example, negatives, encoding)
+    # that call checked the example and its encoding; the probes share one plan
+    plan = _plan(model.schema, model.max_span_len, example, encoding.token_vectors)
 
     errors: dict[str, float] = {}
     probe = model.copy()
@@ -455,9 +560,9 @@ def grad_check(
         for i in range(flat.size):
             value = flat[i]
             flat[i] = value + epsilon
-            hi = example_loss(probe, example, negatives, encoding).total
+            hi = example_loss(probe, example, negatives, encoding, plan=plan).total
             flat[i] = value - epsilon
-            lo = example_loss(probe, example, negatives, encoding).total
+            lo = example_loss(probe, example, negatives, encoding, plan=plan).total
             flat[i] = value
             numeric[i] = (hi - lo) / (2.0 * epsilon)
         # attn_b is softmax-shift-invariant, so both gradients can be ~0;
@@ -481,7 +586,8 @@ def train(
 
     Negatives are resampled each epoch from a seed derived from
     (config.seed, epoch, example index); example order is reshuffled each
-    epoch from the same master seed.
+    epoch from the same master seed.  Each example's invariants (its
+    `_Plan`) are computed once, before the first epoch.
     """
     if not dataset:
         raise InputError("dataset is empty")
@@ -498,6 +604,7 @@ def train(
         seed=config.seed,
     )
     encodings = [encode_tokens(ex.tokens, encoder_config) for ex in dataset]
+    plans = [_plan(schema, config.max_span_len, ex, enc.token_vectors) for ex, enc in zip(dataset, encodings)]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
 
     for epoch in range(config.epochs):
@@ -514,8 +621,9 @@ def train(
                     config.neg_relation_count,
                     config.max_span_len,
                     seed=np.random.SeedSequence([config.seed, epoch, int(idx)]),
+                    plan=plans[idx],
                 )
-                loss, grads = example_loss_and_grads(model, ex, negatives, encodings[idx])
+                loss, grads = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plans[idx])
                 epoch_loss += loss.total
                 if batch_grads is None:
                     batch_grads = grads

@@ -72,3 +72,19 @@ def test_traced_extract_scores_one_pair_block_and_assembles_columns():
     assert metrics["model.relation_yield"] == len(graph.relations) / (k * (k - 1) * len(sciclaim.relation_types))
     assert metrics["graphs.elements_assembled"] == k + attributes + len(graph.relations) > 0
     assert metrics["graphs.assemble_s"] > 0 and metrics["model.errors"] == 0
+
+
+def test_traced_training_times_every_step():
+    # the training.* metrics come from the wrapped sample_negatives and
+    # example_loss_and_grads; a train that stopped calling those names once
+    # a step would leave them at 0 unnoticed
+    training_module = importlib.import_module("causalkg.training")
+    config = training_module.TrainConfig(epochs=3, neg_entity_count=50, neg_relation_count=20)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        training_module.train(synth.build_corpus()[:2], load_schema("sciclaim"), config,
+                              encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1))
+    metrics = tracer.layer_metrics(0.0)
+    assert metrics["training.steps"] == 6
+    assert metrics["training.negatives_s"] > 0 and metrics["training.loss_grad_s"] > 0
+    assert metrics["training.errors"] == 0

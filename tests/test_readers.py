@@ -221,7 +221,6 @@ def test_loaders_raise_nothing_but_causalkg_errors():
 ALLOWED_BUILTIN_RAISES = {
     ("graphs.py", "attribute_confidence", "KeyError"),
     ("graphs.py", "_scalar", "TypeError"),
-    ("training.py", "grad_check", "ValueError"),
 }
 
 

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from causalkg.encoder import EncoderConfig
+from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import (
     AlignmentError,
+    CausalKgError,
     DanglingReferenceError,
     GraphError,
+    InputError,
     SchemaMismatchError,
     SelfLoopError,
 )
@@ -133,6 +135,13 @@ def test_sample_negatives_zero_counts():
     assert neg.spans == () and neg.pairs == ()
 
 
+@pytest.mark.parametrize("counts", [(-1, 2), (2, -1)])
+def test_sample_negatives_rejects_a_negative_count(counts):
+    # a negative span count used to reach numpy's "negative dimensions are not allowed"
+    with pytest.raises(InputError, match="^negative sample counts must be >= 0$"):
+        sample_negatives(build_corpus()[0], *counts, 10, seed=0)
+
+
 def test_sample_negatives_contract():
     ex = tiny_example()
     neg = sample_negatives(ex, 5, 3, max_span_len=3, seed=2)
@@ -216,8 +225,9 @@ def test_grad_check_single_token_span():
 
 
 def test_grad_check_epsilon_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         grad_check(tiny_model(), tiny_example(), epsilon=1e-2)
+    assert isinstance(raised.value, CausalKgError)
 
 
 def test_train_config_validation():
@@ -365,6 +375,21 @@ def test_loss_entry_points_reject_what_check_dataset_rejects(entry, changes, neg
             grad_check(tiny_model(), example, negatives=negatives)
         else:
             getattr(training, entry)(tiny_model(), example, negatives)
+
+
+@pytest.mark.parametrize("encoded", [6, 1])
+@pytest.mark.parametrize("entry", ["example_loss", "example_loss_and_grads", "grad_check"])
+def test_loss_entry_points_reject_a_misaligned_encoding(monkeypatch, entry, encoded):
+    # a longer encoding used to give a loss, a 1-token one numpy's bare ValueError
+    example = build_corpus()[0]
+    model = tiny_model()
+    encoding = encode_tokens(example.tokens[:1] * encoded, model.encoder)
+    with pytest.raises(AlignmentError, match=f"^up0: an encoding of {encoded} tokens for an example of 3 tokens$"):
+        if entry == "grad_check":
+            monkeypatch.setattr(training, "encode_tokens", lambda tokens, config: encoding)
+            grad_check(model, example)
+        else:
+            getattr(training, entry)(model, example, NO_NEGATIVES, encoding)
 
 
 def test_example_loss_finite_and_positive():

@@ -1,5 +1,6 @@
 """Training and extraction against the per-pair reference loops: losses,
-gradients, trained parameters and extracted graphs must be bit-identical."""
+gradients, trained parameters and extracted graphs must be bit-identical,
+with and without the per-example plan that `train` builds once."""
 
 import importlib
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
-from causalkg.encoder import EncoderConfig
+from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import SelfLoopError
 from causalkg.graphs import Span, graph_to_json
 from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract
@@ -19,6 +20,7 @@ from causalkg.training import (
     Example,
     Negatives,
     TrainConfig,
+    _plan,
     _prepare,
     example_loss,
     example_loss_and_grads,
@@ -36,14 +38,25 @@ SCICLAIM = load_schema("sciclaim")
 CRITERION_3_ENCODER = EncoderConfig(dimension=64, seed=0, context_window=1)
 
 
-def assert_matches_reference(model, ex, negatives):
-    loss, grads = example_loss_and_grads(model, ex, negatives)
+def training_plan(model, ex):
+    """The encoding and plan `train` would build for ex."""
+    encoding = encode_tokens(ex.tokens, model.encoder)
+    return encoding, _plan(model.schema, model.max_span_len, ex, encoding.token_vectors)
+
+
+def assert_matches_reference(model, ex, negatives, planned=None):
+    """Losses and gradients equal the reference's, both when the call
+    builds its own plan and when given planned, an (encoding, plan) pair
+    (by default `training_plan`'s)."""
     ref_loss, ref_grads = reference_loss_and_grads(model, ex, negatives)
-    assert loss == ref_loss
-    assert example_loss(model, ex, negatives) == ref_loss
-    assert set(grads) == set(PARAM_GROUPS)
-    for name in PARAM_GROUPS:
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    encoding, plan = planned or training_plan(model, ex)
+    for kwargs in ({}, {"encoding": encoding, "plan": plan}):
+        loss, grads = example_loss_and_grads(model, ex, negatives, **kwargs)
+        assert loss == ref_loss
+        assert example_loss(model, ex, negatives, **kwargs) == ref_loss
+        assert set(grads) == set(PARAM_GROUPS)
+        for name in PARAM_GROUPS:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 def parameter_bytes(model):
@@ -58,8 +71,9 @@ def test_criterion_3_corpus_matches_reference():
     for i, ex in enumerate(dataset):
         negatives = sample_negatives(ex, 50, 20, untrained.max_span_len, seed=i)
         assert negatives.spans and negatives.pairs
-        assert_matches_reference(untrained, ex, negatives)
-        assert_matches_reference(trained, ex, negatives)
+        planned = training_plan(untrained, ex)  # one plan serves both models, as in train
+        assert_matches_reference(untrained, ex, negatives, planned)
+        assert_matches_reference(trained, ex, negatives, planned)
 
 
 @st.composite
@@ -127,6 +141,16 @@ def test_random_examples_match_reference(case):
         max_span_len=3, width_dim=2, seed=seed,
     )
     assert_matches_reference(model, ex, negatives)
+
+
+def test_sample_negatives_draws_alike_with_the_plan():
+    examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], DUPLICATE_SPANS[0]]
+    for ex in examples:
+        plan = _plan(SCICLAIM, 10, ex)
+        for seed in range(50):
+            for counts in ((50, 20), (2, 1)):
+                negatives = sample_negatives(ex, *counts, 10, seed=seed)
+                assert sample_negatives(ex, *counts, 10, seed=seed, plan=plan) == negatives
 
 
 def assert_prepared_like_reference(model, ex, negatives):
