@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
+from itertools import compress, islice
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -45,6 +47,8 @@ __all__ = [
     "lemma_link_id",
     "assemble_graph",
     "assemble_columns",
+    "subgraph",
+    "with_senses",
     "merge_corpus",
     "graph_to_dict",
     "graph_from_dict",
@@ -136,12 +140,16 @@ def lemma_link_id(a: str, b: str) -> str:
 
 @dataclass(frozen=True, order=True)
 class Span:
-    """Half-open token span [start, end); length is end - start."""
+    """Half-open token span [start, end); length is end - start.  A numpy
+    integer bound is stored as an int; a bool, float or str raises."""
 
     start: int
     end: int
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.end) is not int:
+            object.__setattr__(self, "start", _bound(self.start))
+            object.__setattr__(self, "end", _bound(self.end))
         if self.start < 0 or self.end <= self.start:
             raise GraphError(f"invalid span [{self.start}, {self.end})")
 
@@ -279,6 +287,18 @@ class Relations(Sequence):
 FEW_RELATIONS = 64
 
 
+def _bound(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise GraphError(f"span bound {value!r} is not an integer")
+    return int(value)
+
+
+def _text(value, kind: str) -> str:
+    if not isinstance(value, str):
+        raise GraphError(f"{kind} {value!r} is not a string")
+    return value
+
+
 def _confidence(value, kind: str, name) -> float:
     """The confidence as a float in [0, 1]; the error names the element.
 
@@ -291,16 +311,20 @@ def _confidence(value, kind: str, name) -> float:
     return value
 
 
+# What the builder passes to mark a graph it made; `replace` does not carry it.
+_BUILT = object()
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """One sentence's graph: tokens, lemmas, entities, relations.
 
-    `Relations` columns over exactly the graph's entity ids, in order, are
-    kept as they are.  Any other relations, an iterable of `Relation`s or
-    columns over other ids, pass `assemble_graph`'s relation check into
-    new columns, and a fault raises its error: a self-loop, an unknown
-    endpoint, a repeated (head, tail, type), a confidence outside [0, 1],
-    a repeated entity id or a lemma count unlike the token count.
+    One rule: a graph that `_GraphBuilder` made (`assemble_graph`,
+    `assemble_columns`, `graph_from_dict`) is trusted, and so are the two
+    derived from one here, `subgraph` and `with_senses`.  Any other
+    construction, `dataclasses.replace` included, is `assemble_graph` over
+    the graph's fields, and raises its errors.  The relations may then be
+    `Relation`s or `Relations` columns over any entity ids.
     """
 
     tokens: tuple[str, ...]
@@ -308,19 +332,27 @@ class KnowledgeGraph:
     entities: tuple[Entity, ...]
     relations: Relations
     provenance: str = ""
+    _made_by: InitVar[object] = None
 
-    def __post_init__(self) -> None:
-        ids = tuple(e.id for e in self.entities)
-        if isinstance(self.relations, Relations) and self.relations.ids == ids:
+    def __post_init__(self, _made_by) -> None:
+        if _made_by is _BUILT:
             return
+        entities, relations = self.entities, self.relations
         builder = _GraphBuilder(self.tokens, self.lemmas)
-        for i, ent_id in enumerate(ids):
-            if ent_id in builder.index:
-                raise GraphError(f"duplicate entity id {ent_id!r}")
-            builder.index[ent_id] = i
-        for r in self.relations:
-            builder.relation(r.head, r.tail, r.relation_type, r.confidence)
-        object.__setattr__(self, "relations", builder.columns())
+        builder.entities_of(
+            ((e.id, e.span, e.entity_type, e.confidence) for e in entities),
+            ((e.id, t, c) for e in entities for t, c in e.attributes),
+            ((e.id, s, c) for e in entities for s, c in e.senses),
+        )
+        if isinstance(relations, Relations):
+            builder.relation_table(relations.types)
+            builder.relation_rows(relations.ids, relations.head, relations.tail, relations.code, relations.confidence)
+        else:
+            for r in relations:
+                builder.relation(r.head, r.tail, r.relation_type, r.confidence)
+        checked = builder.graph(self.provenance)
+        for f in fields(self):
+            object.__setattr__(self, f.name, getattr(checked, f.name))
 
     def entity_by_id(self) -> dict[str, Entity]:
         return {e.id: e for e in self.entities}
@@ -360,18 +392,20 @@ class KnowledgeGraph:
 class _GraphBuilder:
     """Checks a graph's invariants as its elements are added, and builds each
     entity once and the relation columns.  `assemble_graph`,
-    `assemble_columns` and `graph_from_dict` all go through it.
+    `assemble_columns`, `graph_from_dict` and every other construction of
+    a `KnowledgeGraph` go through it.
 
-    The invariants: lemmas match the tokens one to one; entity ids are
-    unique; a span lies inside the sentence, and no two entities share one;
-    an entity holds each attribute type at most once; a sense id is a string
-    with a finite confidence; every other confidence lies in [0, 1]; a
-    relation joins two distinct known entities, at most once per type.
+    The invariants: tokens, lemmas, ids, types and the provenance are
+    strings; lemmas match the tokens one to one; entity ids are unique; a
+    span lies inside the sentence, and no two entities share one; an entity
+    holds each attribute type at most once; a sense confidence is finite,
+    and every other lies in [0, 1]; a relation joins two distinct known
+    entities, at most once per type.
     """
 
-    def __init__(self, tokens: tuple[str, ...], lemmas: tuple[str, ...] | None) -> None:
-        if lemmas is None:
-            lemmas = tuple(t.lower() for t in tokens)
+    def __init__(self, tokens: Sequence[str], lemmas: Sequence[str] | None) -> None:
+        tokens = tuple([_text(t, "token") for t in tokens])
+        lemmas = tuple(t.lower() for t in tokens) if lemmas is None else tuple([_text(l, "lemma") for l in lemmas])
         if len(lemmas) != len(tokens):
             raise GraphError(f"{len(lemmas)} lemmas for {len(tokens)} tokens")
         self.tokens = tokens
@@ -389,6 +423,7 @@ class _GraphBuilder:
     @staticmethod
     def attribute(pairs: list[tuple[str, float]], ent_id: str, attr_type: str, conf) -> None:
         """Append (attr_type, confidence) to the entity's attribute pairs."""
+        _text(attr_type, "attribute type")
         for t, _ in pairs:
             if t == attr_type:
                 raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
@@ -413,8 +448,9 @@ class _GraphBuilder:
         attributes: tuple[tuple[str, float], ...],
         senses: tuple[tuple[str, float], ...],
     ) -> None:
-        if ent_id in self.index:
+        if _text(ent_id, "entity id") in self.index:
             raise GraphError(f"duplicate entity id {ent_id!r}")
+        _text(ent_type, "entity type")
         start, end = span.start, span.end
         if end > len(self.tokens):
             raise GraphError(f"span [{start}, {end}) beyond {len(self.tokens)} tokens")
@@ -439,14 +475,13 @@ class _GraphBuilder:
         # attributes and senses are grouped first, so each entity is built once
         attr_map: dict[str, list[tuple[str, float]]] = {}
         for ent_id, attr_type, conf in attributes:
-            self.attribute(attr_map.setdefault(ent_id, []), ent_id, str(attr_type), conf)
+            self.attribute(attr_map.setdefault(ent_id, []), ent_id, attr_type, conf)
         sense_map: dict[str, list[tuple[str, float]]] = {}
         for ent_id, sense, conf in senses:
             self.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
         for ent_id, span, ent_type, conf in entities:
-            ent_id = str(ent_id)
             self.entity(
-                ent_id, span, str(ent_type), conf,
+                ent_id, span, ent_type, conf,
                 tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
             )
         for ent_id in attr_map:
@@ -461,7 +496,9 @@ class _GraphBuilder:
         if h is None or t is None:
             missing = head if h is None else tail
             raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
-        c = self.types.setdefault(rel_type, len(self.types))
+        c = self.types.get(rel_type)
+        if c is None:
+            c = self.types[_text(rel_type, "relation type")] = len(self.types)
         key = (h, t, c)
         if key in self.relation_keys:
             raise GraphError(f"duplicate relation {(head, tail, rel_type)}")
@@ -471,39 +508,45 @@ class _GraphBuilder:
         self.code.append(c)
         self.confidence.append(_confidence(conf, "relation", rel_type))
 
-    def relation_columns(self, types: tuple[str, ...], head, tail, code, confidence) -> None:
-        """Set the relations from integer arrays head, tail (entity indexes)
-        and code (indexes into `types`, which names each type once) and a
-        float array confidence.
-
-        Many rows are checked as arrays.  A few rows, which cost less so,
-        or many that the arrays show a fault in, go row by row through
-        `relation`, which raises the first faulty row's error.
-        """
-        k, m = len(self.entities), len(code)
-        self.types = dict(zip(types, range(len(types))))
+    def relation_table(self, types: Sequence[str]) -> None:
+        """Number the relation types as given; each is a string, named once."""
+        self.types = dict(zip([_text(t, "relation type") for t in types], range(len(types))))
         if len(self.types) < len(types):
             twice = next(t for i, t in enumerate(types) if t in types[:i])
             raise GraphError(f"relation type {twice!r} is named more than once")
-        lists = head.tolist(), tail.tolist(), code.tolist(), confidence.tolist()
-        if m > FEW_RELATIONS and _valid_columns(head, tail, code, confidence, k, len(types)):
-            self.head, self.tail, self.code, self.confidence = lists
-            return
-        ids = tuple(self.index)
-        for h, t, c, conf in zip(*lists):
+
+    def relation_rows(self, ids: Sequence[str], head, tail, code, confidence) -> None:
+        """Add row j of the columns, from ids[head[j]] to ids[tail[j]] with the
+        type numbered code[j], through `relation`'s check."""
+        types, k = tuple(self.types), len(ids)
+        if not len(head) == len(tail) == len(code) == len(confidence):
+            raise GraphError("relation columns differ in length")
+        for h, t, c, conf in zip(head, tail, code, confidence):
             for end in (h, t):
-                if not 0 <= end < k:
-                    raise DanglingReferenceError(f"relation references unknown entity index {end}")
-            if not 0 <= c < len(types):
-                raise GraphError(f"relation type code {c} outside the {len(types)} relation types")
+                if type(end) is not int or not 0 <= end < k:
+                    raise DanglingReferenceError(f"relation references unknown entity index {end!r}")
+            if type(c) is not int or not 0 <= c < len(types):
+                raise GraphError(f"relation type code {c!r} outside the {len(types)} relation types")
             self.relation(ids[h], ids[t], types[c], conf)
 
-    def columns(self) -> Relations:
-        """The relations added so far, as columns over the entity ids."""
-        return Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
+    def relation_columns(self, types: Sequence[str], head, tail, code, confidence) -> None:
+        """`relation_rows` over the entities and `types` for integer arrays
+        head, tail and code and a float array confidence.  Many rows are
+        checked as arrays; a few, which cost less so, or many that the
+        arrays show a fault in go row by row, so the first faulty row raises.
+        """
+        self.relation_table(types)
+        lists = head.tolist(), tail.tolist(), code.tolist(), confidence.tolist()
+        if len(code) > FEW_RELATIONS and _valid_columns(head, tail, code, confidence, len(self.entities), len(types)):
+            self.head, self.tail, self.code, self.confidence = lists
+            return
+        self.relation_rows(tuple(self.index), *lists)
 
     def graph(self, provenance: str) -> KnowledgeGraph:
-        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), self.columns(), provenance)
+        relations = Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
+        return KnowledgeGraph(
+            self.tokens, self.lemmas, tuple(self.entities), relations, _text(provenance, "provenance"), _BUILT
+        )
 
 
 def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
@@ -520,12 +563,6 @@ def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
         # min and max are NaN if any confidence is
         and confidence.min() >= 0.0
         and confidence.max() <= 1.0
-    )
-
-
-def _builder(tokens: Sequence[str], lemmas: Sequence[str] | None) -> _GraphBuilder:
-    return _GraphBuilder(
-        tuple(str(t) for t in tokens), None if lemmas is None else tuple(str(l) for l in lemmas)
     )
 
 
@@ -547,15 +584,15 @@ def assemble_graph(
     order; a sense confidence is any finite number.
 
     Lemmas default to lowercased tokens when absent.  Entity ids, all
-    types, tokens, lemmas and the provenance are converted with str();
-    `graph_from_dict` accepts only strings there.
+    types, sense ids, tokens, lemmas and the provenance are strings, and
+    span bounds ints; any other value raises GraphError.
     """
-    builder = _builder(tokens, lemmas)
+    builder = _GraphBuilder(tokens, lemmas)
     builder.entities_of(entities, attributes, senses)
     add_relation = builder.relation
     for head, tail, rel_type, conf in relations:
-        add_relation(head, tail, str(rel_type), conf)
-    return builder.graph(str(provenance))
+        add_relation(head, tail, rel_type, conf)
+    return builder.graph(provenance)
 
 
 def assemble_columns(
@@ -581,10 +618,48 @@ def assemble_columns(
     [0, 1].  A failure raises the error `assemble_graph` would; a type
     named twice in relation_types raises GraphError.
     """
-    builder = _builder(tokens, lemmas)
+    builder = _GraphBuilder(tokens, lemmas)
     builder.entities_of(entities, attributes, ())
-    builder.relation_columns(tuple(map(str, relation_types)), head, tail, code, confidence)
-    return builder.graph(str(provenance))
+    builder.relation_columns(relation_types, head, tail, code, confidence)
+    return builder.graph(provenance)
+
+
+def subgraph(graph: KnowledgeGraph, entity_kept, attribute_kept, relation_kept) -> KnowledgeGraph:
+    """The graph with only its kept elements: a flag per entity, per
+    attribute in entity order and per relation row.  An attribute or
+    relation goes with its entity, so nothing needs checking again."""
+    entities, new_index, attribute_flags = [], [], iter(attribute_kept)
+    for e, keep in zip(graph.entities, entity_kept, strict=True):
+        flags = list(islice(attribute_flags, len(e.attributes)))
+        new_index.append(len(entities) if keep else -1)
+        if keep:
+            if not all(flags):
+                e = Entity(e.id, e.span, e.entity_type, e.confidence, tuple(compress(e.attributes, flags)), e.senses)
+            entities.append(e)
+    rels = graph.relations
+    head, tail = rels.head, rels.tail
+    rows = [
+        j for j in compress(range(len(rels)), relation_kept) if new_index[head[j]] >= 0 and new_index[tail[j]] >= 0
+    ]
+    relations = Relations(
+        tuple(e.id for e in entities), rels.types,
+        [new_index[head[j]] for j in rows], [new_index[tail[j]] for j in rows],
+        [rels.code[j] for j in rows], [rels.confidence[j] for j in rows],
+    )
+    return KnowledgeGraph(graph.tokens, graph.lemmas, tuple(entities), relations, graph.provenance, _BUILT)
+
+
+def with_senses(graph: KnowledgeGraph, senses: Iterable[Iterable[tuple[str, float]]]) -> KnowledgeGraph:
+    """The graph with senses[i], ranked (sense id, confidence) pairs, as
+    entity i's senses.  Only they are checked, as `assemble_graph` checks
+    senses; the rest, relation columns included, is kept as it is."""
+    entities = []
+    for e, pairs in zip(graph.entities, senses, strict=True):
+        checked: list[tuple[str, float]] = []
+        for sense, conf in pairs:
+            _GraphBuilder.sense(checked, e.id, sense, conf)
+        entities.append(Entity(e.id, e.span, e.entity_type, e.confidence, e.attributes, tuple(checked)))
+    return KnowledgeGraph(graph.tokens, graph.lemmas, tuple(entities), graph.relations, graph.provenance, _BUILT)
 
 
 class CorpusIndex:
@@ -840,14 +915,6 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _numbers(values: list) -> Iterable[str]:
-    """`_scalar` of each value; a list of finite floats is formatted by C alone."""
-    # a sum of floats is finite only if every term is
-    if set(map(type, values)) <= {float} and math.isfinite(sum(values)):
-        return map(float.__repr__, values)
-    return map(_scalar, values)
-
-
 def _array(items: list[str], pad: str) -> str:
     """A JSON list of rendered items whose brackets sit at indent `pad`."""
     if not items:
@@ -883,20 +950,20 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     trailing newline.  The text equals `json.dumps(graph_to_dict(graph),
     indent=2, ensure_ascii=False) + "\n"` byte for byte.  `extras` appends
     new top-level keys after "provenance", each a list of flat records of
-    JSON scalars.  A string field that holds no str, or a number field that
-    holds no JSON scalar (a numpy integer span bound, say), raises
-    TypeError.
+    JSON scalars; a value there that the stdlib refuses raises TypeError.
+    A graph holds only strings, ints and finite floats (see
+    `KnowledgeGraph`), which str() writes as the stdlib does.
     """
     quote = encode_basestring
     entities = [
         _ENTITY % (
             quote(e.id),
-            _scalar(e.span.start),
-            _scalar(e.span.end),
+            e.span.start,
+            e.span.end,
             quote(e.entity_type),
-            _scalar(e.confidence),
-            _array([_ATTRIBUTE % (quote(t), _scalar(c)) for t, c in e.attributes], "      "),
-            _array([_SENSE % (quote(s), _scalar(c)) for s, c in e.senses], "      "),
+            e.confidence,
+            _array([_ATTRIBUTE % (quote(t), c) for t, c in e.attributes], "      "),
+            _array([_SENSE % (quote(s), c) for s, c in e.senses], "      "),
         )
         for e in graph.entities
     ]
@@ -906,7 +973,7 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     relations = [
         f'{{\n      "head": {ids[h]},\n      "tail": {ids[t]},'
         f'\n      "type": {types[c]},\n      "confidence": {conf}\n    }}'
-        for h, t, c, conf in zip(rels.head, rels.tail, rels.code, _numbers(rels.confidence))
+        for h, t, c, conf in zip(rels.head, rels.tail, rels.code, rels.confidence)
     ]
     parts = [
         '{\n  "tokens": ' + _array([quote(t) for t in graph.tokens], "  "),

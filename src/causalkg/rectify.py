@@ -35,13 +35,12 @@ break exact confidence ties and for the records logged.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from itertools import compress, groupby, repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import KnowledgeGraph, Relations, element_id, relation_ids
+from .graphs import KnowledgeGraph, element_id, relation_ids, subgraph
 from .schema import VIOLATION_KINDS, ElementTable, Schema
 from .schema import scan_constraints as check_constraints  # the name bench/tracing.py wraps
 
@@ -173,25 +172,6 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
         (cascade > 0).tolist(),
     )))
 
-    kept = removed_at == n
-    attribute_kept = (~own[m:first_entity] & kept[owner]).tolist()
-    kept_entities = []
-    start = 0
-    for e, keep in zip(entities, kept.tolist()):
-        flags = attribute_kept[start : start + len(e.attributes)]
-        start += len(e.attributes)
-        if keep:
-            if not all(flags):
-                e = replace(e, attributes=tuple(compress(e.attributes, flags)))
-            kept_entities.append(e)
-    relation_kept = (gone_at[:m] == n) & ~own[:m]
-    new_index = np.cumsum(kept) - 1
-    kept_relations = Relations(
-        tuple(e.id for e in kept_entities),
-        relations.types,
-        new_index[head[relation_kept]].tolist(),
-        new_index[tail[relation_kept]].tolist(),
-        list(compress(relations.code, relation_kept.tolist())),
-        list(compress(relations.confidence, relation_kept.tolist())),
-    )
-    return replace(graph, entities=tuple(kept_entities), relations=kept_relations), log
+    # an element stays unless it was removed or went with its entity
+    entity_kept, relation_kept = removed_at == n, (gone_at[:m] == n) & ~own[:m]
+    return subgraph(graph, entity_kept.tolist(), (~own[m:first_entity]).tolist(), relation_kept.tolist()), log

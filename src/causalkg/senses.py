@@ -22,7 +22,7 @@ from .errors import (
     InventoryError,
     ZeroVectorError,
 )
-from .graphs import Entity, KnowledgeGraph
+from .graphs import Entity, KnowledgeGraph, with_senses
 
 __all__ = [
     "SenseRecord",
@@ -193,15 +193,15 @@ def link_senses(
     """
     if threshold != threshold:
         raise InputError(f"sense threshold must be a number, got {threshold!r}")
-    entities = []
+    senses = []
     for e in graph.entities:
         node_lemmas = graph.entity_lemmas(e)
         if node_lemmas and node_lemmas <= inventory.skip_lemmas:
-            entities.append(replace(e, senses=()))
+            senses.append(())
             continue
         vec = node_vector(e, encoding.token_vectors)
-        entities.append(replace(e, senses=tuple(inventory.senses_above(vec, threshold))))
-    return replace(graph, entities=tuple(entities))
+        senses.append(inventory.senses_above(vec, threshold))
+    return with_senses(graph, senses)
 
 
 def lca_similarity(a: str, b: str, inventory: SenseInventory) -> float:

@@ -327,6 +327,9 @@ def sample_negatives(
     Uniform without replacement, deterministic for a fixed seed.  `train`
     passes the example's plan, which holds the candidates.
     """
+    integer(neg_entity_count, "neg_entity_count", InputError)
+    integer(neg_relation_count, "neg_relation_count", InputError)
+    integer(max_span_len, "max_span_len", InputError)
     if neg_entity_count < 0 or neg_relation_count < 0:
         raise InputError("negative sample counts must be >= 0")
     if plan is None:

@@ -1,10 +1,11 @@
 """graph_to_json against the stdlib indenting encoder kept as the oracle:
 the text must be identical byte for byte, and wherever the stdlib raises
-TypeError graph_to_json must raise it too."""
+TypeError graph_to_json must raise it too.  A graph holds only values the
+two write alike; an odd value can reach the writer only in `extras`."""
 
 import json
 import math
-from dataclasses import replace
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import synth
 from causalkg.encoder import EncoderConfig, encode_tokens
+from causalkg.errors import BadConfidenceError, GraphError
 from causalkg.graphs import (
     Entity,
     KnowledgeGraph,
@@ -111,9 +113,7 @@ def test_empty_graph_and_empty_extras():
     assert_identical(empty, {"notes": [{}], "more": [{"a": None, "b": True, "c": 3, "\u00e9": "\u2028\ud800"}]})
 
 
-# Two entities under relation columns built by hand: a graph keeps columns
-# over its own entity ids as they are, so their values reach the writer
-# unchecked.
+# Two entities, and relation columns of rows e->f built by hand.
 E_F = (Entity("e", Span(0, 1), "t", 0.5), Entity("f", Span(1, 2), "t", 0.5))
 
 
@@ -122,49 +122,69 @@ def e_to_f(types, code, confidence):
     return Relations(("e", "f"), types, [0] * len(code), [1] * len(code), code, confidence)
 
 
-def test_numbers_outside_the_library_value_range():
-    # hand-built graphs reach the number formats no assembled graph holds
-    e = Entity("e", Span(False, True), "t", math.nan,
-               attributes=(("a", math.inf),), senses=(("s", -math.inf), ("r", 1)))
-    g = KnowledgeGraph(
-        tokens=("x", "y"), lemmas=("x", "y"), entities=(e, E_F[1]),
-        relations=e_to_f(("q",), [0] * 5, [np.float64(0.25), 1, math.nan, -0.0, None]),
-    )
-    text = graph_to_json(g)
-    assert text == oracle(g)
-    assert '"start": false' in text and '"confidence": NaN' in text and "-Infinity" in text
-    for bad in (math.inf, -math.inf, math.nan):
-        # plain floats only, so that a non-finite one is the sole odd value
-        floats = replace(g, relations=e_to_f(("q", "r"), [0, 1], [0.5, bad]))
-        assert graph_to_json(floats) == oracle(floats)
+def by_hand(e=E_F[0], relations=(), tokens=("x", "y")):
+    return KnowledgeGraph(tokens, tokens, (e, E_F[1]), relations)
+
+
+# Each value the stdlib would write as no assembled graph holds it (false,
+# NaN, Infinity, a list or a number for a string) or refuse with TypeError
+# (a frozenset): a graph holding it cannot be built.
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Span(False, True), GraphError, "span bound False is not an integer"),
+    (lambda: by_hand(Entity("e", Span(0, 1), "t", math.nan)), BadConfidenceError, "entity 'e' confidence nan"),
+    (lambda: by_hand(Entity("e", Span(0, 1), "t", 0.5, attributes=(("a", math.inf),))), BadConfidenceError,
+     "attribute 'a' confidence inf"),
+    (lambda: by_hand(Entity("e", Span(0, 1), "t", 0.5, senses=(("s", -math.inf),))), GraphError,
+     "sense 's' on 'e' has confidence -inf"),
+    (lambda: by_hand(relations=e_to_f(("q", "r"), [0, 1], [0.5, math.inf])), BadConfidenceError,
+     "relation 'r' confidence inf"),
+    (lambda: by_hand(relations=e_to_f(("q", "r"), [0, 1], [0.5, -math.inf])), BadConfidenceError,
+     "relation 'r' confidence -inf"),
+    (lambda: by_hand(relations=e_to_f(("q", "r"), [0, 1], [0.5, math.nan])), BadConfidenceError,
+     "relation 'r' confidence nan"),
+    (lambda: by_hand(relations=e_to_f(("q",), [0], [None])), TypeError, "float()"),
+    (lambda: by_hand(relations=e_to_f(("q",), [0], [[0.5]])), TypeError, "float()"),
+    (lambda: by_hand(Entity(5, Span(0, 1), "t", 0.5)), GraphError, "entity id 5 is not a string"),
+    (lambda: by_hand(Entity(frozenset(), Span(0, 1), "t", 0.5)), GraphError, "entity id frozenset() is not a string"),
+    (lambda: by_hand(tokens=(None, "y")), GraphError, "token None is not a string"),
+])
+def test_construction_refuses_values_no_assembled_graph_holds(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize("make", [
     lambda: assemble_graph(["a", "b"], None, [("e", Span(np.int64(0), np.int64(1)), "t", 1.0)]),
     lambda: assemble_graph(["a", "b"], None, [("e", Span(0, np.int64(2)), "t", 1.0)]),
-    lambda: KnowledgeGraph(("a",), ("a",), (Entity("e", Span(0, 1), "t", 0.5, senses=(("s", np.int32(1)),)),), ()),
-    lambda: KnowledgeGraph(("a", "b"), ("a", "b"), E_F, e_to_f(("q",), [0, 0], [0.5, np.int64(1)])),
-    lambda: KnowledgeGraph(("a",), ("a",), (Entity(frozenset(), Span(0, 1), "t", 0.5),), ()),
+    lambda: by_hand(Entity("e", Span(0, 1), "t", 1, senses=(("s", np.int32(1)), ("r", 1)))),
+    lambda: by_hand(relations=e_to_f(("q", "r", "s", "u"), [0, 1, 2, 3], [np.float64(0.25), 1, np.int64(1), -0.0])),
 ])
-def test_type_error_wherever_the_stdlib_raises_it(make):
+def test_numpy_and_int_numbers_are_stored_as_python_numbers(make):
+    # these raised TypeError in graph_to_json or reached it as ints
     graph = make()
-    with pytest.raises(TypeError):
-        oracle(graph)
-    with pytest.raises(TypeError):
-        graph_to_json(graph)
+    numbers = list(graph.relations.confidence)
+    for e in graph.entities:
+        numbers += [e.confidence, *(c for _, c in e.attributes + e.senses)]
+        assert type(e.span.start) is int and type(e.span.end) is int
+    assert {type(x) for x in numbers} == {float}
+    assert_identical(graph)
 
 
-@pytest.mark.parametrize("graph", [
-    KnowledgeGraph(("a",), ("a",), (Entity(5, Span(0, 1), "t", 0.5),), ()),
-    KnowledgeGraph((None,), ("a",), (), ()),
-    KnowledgeGraph(("a", "b"), ("a", "b"), E_F, e_to_f(("q",), [0], [[0.5]])),
-])
-def test_type_error_on_fields_no_assembled_graph_holds(graph):
-    # the stdlib would write these; the fixed layout takes only a str where
-    # graph_to_dict puts a string and only a scalar where it puts a number
-    oracle(graph)
+def test_extras_are_written_as_the_stdlib_writes_them():
+    g = by_hand()
+    assert_identical(g, {"x": [{"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "t": True, "f": False,
+                                "none": None, "int": 7, "np": np.float64(0.25)}]})
+    text = graph_to_json(g, {"x": [{"nan": math.nan, "inf": -math.inf}]})
+    assert '"nan": NaN' in text and '"inf": -Infinity' in text
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.int32(1), frozenset(), object()])
+def test_type_error_wherever_the_stdlib_raises_it(value):
+    g, extras = by_hand(), {"x": [{"v": value}]}
     with pytest.raises(TypeError):
-        graph_to_json(graph)
+        oracle(g, extras)
+    with pytest.raises(TypeError):
+        graph_to_json(g, extras)
 
 
 TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",

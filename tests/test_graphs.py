@@ -43,6 +43,19 @@ def test_span_validation():
         Span(-1, 2)
 
 
+@pytest.mark.parametrize("start, end", [(0.5, 2), (0, 2.0), (False, True), (0, True), ("0", 1), (np.bool_(0), 1)])
+def test_span_bounds_are_integers(start, end):
+    with pytest.raises(GraphError, match="span bound .* is not an integer"):
+        Span(start, end)
+
+
+def test_numpy_span_bounds_are_stored_as_ints():
+    span = Span(np.int64(1), np.int32(3))
+    assert (type(span.start), type(span.end)) == (int, int) and span == Span(1, 3) and hash(span) == hash(Span(1, 3))
+    with pytest.raises(GraphError, match=re.escape("invalid span [3, 1)")):
+        Span(np.int64(3), np.uint8(1))
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoopError):
         assemble_graph(

@@ -401,11 +401,11 @@ def test_type_codes_are_numbered_only_in_schema_py():
 # -- graphs and relation columns are built where they are checked -------------
 
 # each constructor and the files that may call it: graphs.py checks what it
-# builds, and rectify.py keeps a subset of a checked graph's columns
+# builds, and derives the subgraphs rectify keeps
 CONSTRUCTORS = {
     "KnowledgeGraph": {"graphs.py"},
     "CorpusGraph": {"graphs.py"},
-    "Relations": {"graphs.py", "rectify.py"},
+    "Relations": {"graphs.py"},
 }
 
 
@@ -440,7 +440,7 @@ def test_the_scan_sees_constructions():
         "graphs.CorpusGraph(gs)", "Relations(ids, types, h, t, c, f)",
     )
     assert sorted(construction_faults(source, "cli.py")) == sorted([setattr_call, graph, corpus, columns])
-    assert sorted(construction_faults(source, "rectify.py")) == sorted([setattr_call, graph, corpus])
+    assert sorted(construction_faults(source, "rectify.py")) == sorted([setattr_call, graph, corpus, columns])
     assert construction_faults(source, "graphs.py") == [setattr_call]
 
 

@@ -8,21 +8,33 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synth
 from causalkg.encoder import EncoderConfig, encode_tokens
-from causalkg.errors import BadConfidenceError, DanglingReferenceError, GraphError, SelfLoopError
+from causalkg.errors import (
+    BadConfidenceError,
+    DanglingReferenceError,
+    DuplicateSpanTypeError,
+    GraphError,
+    SelfLoopError,
+)
 from causalkg.graphs import (
     Entity,
     KnowledgeGraph,
     Relation,
+    Relations,
     Span,
+    _GraphBuilder,
     assemble_columns,
     assemble_graph,
     graph_from_dict,
     graph_to_dict,
     graph_to_json,
     merge_corpus,
+    subgraph,
+    with_senses,
 )
 from causalkg.dot import emit_dot
 from causalkg.evaluation import score
@@ -153,8 +165,9 @@ def test_relations_over_other_entities_are_renumbered():
     fewer = KnowledgeGraph(g.tokens, g.lemmas, g.entities[1:], g.relations, "p")
     assert fewer.relations.ids == ("b", "c") and fewer.relations.head == [0, 1]
     assert fewer.relations == g.relations
+    # columns over the graph's own ids are checked too, into equal columns
     same = KnowledgeGraph(g.tokens, g.lemmas, g.entities, g.relations, "q")
-    assert same.relations is g.relations
+    assert same.relations == g.relations and same.relations.types == g.relations.types
     # a relation that names a dropped entity has no place in the graph
     touching = bulk((1, 2, 0, 0.5), (2, 0, 1, 0.5))
     with pytest.raises(DanglingReferenceError, match=re.escape("relation references unknown entity 'a'")):
@@ -164,6 +177,12 @@ def test_relations_over_other_entities_are_renumbered():
 ABC = [("a", Span(0, 1), "factor", 0.9), ("b", Span(1, 2), "factor", 0.8), ("c", Span(2, 3), "factor", 0.7)]
 
 
+def with_b(*fields):
+    """ABC with entity b's fields after its id: (span, type, confidence[, attributes[, senses]])."""
+    return [ABC[0], ("b", *fields), ABC[2]]
+
+
+# Entities are (id, span, type, confidence[, attributes[, senses]]) tuples.
 @pytest.mark.parametrize("entities, relations, error, message", [
     (ABC, [("a", "zz", "q+", 0.5)], DanglingReferenceError, "relation references unknown entity 'zz'"),
     # on such a one-entity graph score raised KeyError, compute_valence
@@ -176,13 +195,35 @@ ABC = [("a", Span(0, 1), "factor", 0.9), ("b", Span(1, 2), "factor", 0.8), ("c",
     (ABC[:2] + [("a", Span(2, 3), "factor", 0.7)], [], GraphError, "duplicate entity id 'a'"),
     (ABC[1:], [("b", "c", "q+", 0.5), ("c", "a", "q-", 0.5)], DanglingReferenceError,
      "relation references unknown entity 'a'"),
+    # a replace of entities kept relation columns over the same ids and
+    # skipped every check; rectify then removed nothing from such a graph
+    # and score counted the entity as a true positive
+    (with_b(Span(5, 9), "factor", 7.0), [("a", "b", "q+", 0.5)], GraphError, "span [5, 9) beyond 3 tokens"),
+    (with_b(Span(1, 4), "factor", 0.8), [], GraphError, "span [1, 4) beyond 3 tokens"),
+    (with_b(Span(1, 2), "factor", 7), [], BadConfidenceError, "entity 'b' confidence 7.0 outside [0, 1]"),
+    (with_b(Span(1, 2), "factor", math.nan), [], BadConfidenceError, "entity 'b' confidence nan outside [0, 1]"),
+    (with_b(Span(1, 2), "factor", 0.8, (("sign+", 7.0),)), [], BadConfidenceError,
+     "attribute 'sign+' confidence 7.0 outside [0, 1]"),
+    (with_b(Span(1, 2), "factor", 0.8, (("sign+", math.nan),)), [], BadConfidenceError,
+     "attribute 'sign+' confidence nan outside [0, 1]"),
+    (with_b(Span(1, 2), "factor", 0.8, (("sign+", 0.5), ("sign+", 0.25))), [], GraphError,
+     "duplicate attribute 'sign+' on 'b'"),
+    (with_b(Span(1, 2), "factor", 0.8, (), (("s.n.01", math.nan),)), [], GraphError,
+     "sense 's.n.01' on 'b' has confidence nan"),
+    (with_b(Span(0, 1), "factor", 0.8), [], DuplicateSpanTypeError, "entities 'a' and 'b' share span [0, 1)"),
+    ([(5, Span(0, 1), "factor", 0.9)] + ABC[1:], [], GraphError, "entity id 5 is not a string"),
+    (with_b(Span(1, 2), None, 0.8), [], GraphError, "entity type None is not a string"),
+    (with_b(Span(1, 2), "factor", 0.8, ((1, 0.5),)), [], GraphError, "attribute type 1 is not a string"),
+    (ABC, [("a", "b", None, 0.5)], GraphError, "relation type None is not a string"),
 ])
 def test_hand_built_relations_raise_what_assemble_graph_raises(entities, relations, error, message):
     sound = assemble_graph(["x", "y", "z"], None, ABC, relations=[("a", "b", "q+", 0.5)])
     ents = tuple(Entity(*e) for e in entities)
     rels = tuple(Relation(*r) for r in relations)
+    attributes = [(e[0], t, c) for e in entities if len(e) > 4 for t, c in e[4]]
+    senses = [(e[0], s, c) for e in entities if len(e) > 5 for s, c in e[5]]
     for build in (
-        lambda: assemble_graph(["x", "y", "z"], None, entities, relations=relations),
+        lambda: assemble_graph(["x", "y", "z"], None, [e[:4] for e in entities], attributes, relations, senses=senses),
         lambda: KnowledgeGraph(sound.tokens, sound.lemmas, ents, rels),
         lambda: replace(sound, entities=ents, relations=rels),
     ):
@@ -193,6 +234,96 @@ def test_hand_built_relations_raise_what_assemble_graph_raises(entities, relatio
 def test_hand_built_relations_check_the_lemma_count():
     with pytest.raises(GraphError, match="2 lemmas for 3 tokens"):
         KnowledgeGraph(("x", "y", "z"), ("x", "y"), tuple(Entity(*e) for e in ABC), ())
+    sound = assemble_graph(["x", "y", "z"], None, ABC, relations=[("a", "b", "q+", 0.5)])
+    with pytest.raises(GraphError, match="1 lemmas for 3 tokens"):
+        replace(sound, lemmas=("a",))
+
+
+E_F = (Entity("e", Span(0, 1), "t", 0.5), Entity("f", Span(1, 2), "t", 0.5))
+
+
+@pytest.mark.parametrize("types, rows, error, message", [
+    # all of these at once built a graph whose relations, rectify and JSON
+    # round trip raised IndexError
+    (("q+", "q+"), [(0, 0, 0, 7.0), (0, 0, 1, math.nan), (5, 1, 0, 0.5)], GraphError,
+     "relation type 'q+' is named more than once"),
+    (("q+", "q-"), [(0, 0, 0, 0.5)], SelfLoopError, "self-loop on 'e' via 'q+'"),
+    (("q+", "q-"), [(5, 1, 0, 0.5)], DanglingReferenceError, "unknown entity index 5"),
+    (("q+", "q-"), [(0, 1, 2, 0.5)], GraphError, "relation type code 2 outside the 2 relation types"),
+    (("q+", "q-"), [(0, 1, 0, 7.0)], BadConfidenceError, "relation 'q+' confidence 7.0 outside [0, 1]"),
+    (("q+", "q-"), [(0, 1, 1, math.nan)], BadConfidenceError, "relation 'q-' confidence nan outside [0, 1]"),
+    (("q+", 5), [(0, 1, 0, 0.5)], GraphError, "relation type 5 is not a string"),
+])
+def test_raw_relation_columns_raise_what_assemble_columns_raises(types, rows, error, message):
+    head, tail, code, conf = (list(c) for c in zip(*rows))
+    for build in (
+        lambda: assemble_columns(["a", "b"], None, [(e.id, e.span, e.entity_type, e.confidence) for e in E_F], [],
+                                 types, *columns(*rows)),
+        lambda: KnowledgeGraph(("a", "b"), ("a", "b"), E_F, Relations(("e", "f"), types, head, tail, code, conf)),
+    ):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
+
+@pytest.mark.parametrize("head, tail, code, confidence, message", [
+    ([0.0], [1], [0], [0.5], "relation references unknown entity index 0.0"),
+    ([0], [1], [True], [0.5], "relation type code True outside the 1 relation types"),
+    ([0, 1], [1], [0], [0.5], "relation columns differ in length"),
+])
+def test_raw_relation_columns_hold_int_indexes_in_columns_of_one_length(head, tail, code, confidence, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        KnowledgeGraph(("a", "b"), ("a", "b"), E_F, Relations(("e", "f"), ("q",), head, tail, code, confidence))
+
+
+# One field of a graph and the values it is set to: each value is sound in
+# some fields and a fault in others.
+FIELD_VALUES = st.sampled_from([
+    None, 5, True, "e0", "zz", "cause", 0.25, 1, 7.0, -0.5, math.nan, math.inf, Span(0, 1), Span(1, 40),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), choice=st.integers(0, 2**16), value=FIELD_VALUES)
+def test_one_field_changed_builds_alike_by_hand_and_by_assemble_graph(seed, choice, value):
+    g = synth.random_sciclaim_graph(np.random.default_rng(seed))
+    # the graph as nested lists: one record per entity and relation
+    doc = {
+        "tokens": list(g.tokens),
+        "lemmas": list(g.lemmas),
+        "entities": [[e.id, e.span, e.entity_type, e.confidence, [list(a) for a in e.attributes],
+                      [["s.n.01", 0.5], ["t.n.01", -2.0]]] for e in g.entities],
+        "relations": [[r.head, r.tail, r.relation_type, r.confidence] for r in g.relations],
+        "provenance": [g.provenance],
+    }
+    # every settable place: a token or lemma, a field of an entity, of one
+    # of its attributes or senses or of a relation, or the provenance
+    places = [(doc[k], i) for k in ("tokens", "lemmas", "provenance") for i in range(len(doc[k]))]
+    for record in doc["entities"] + doc["relations"]:
+        places += [(record, i) for i in range(4)]
+    for record in doc["entities"]:
+        places += [(pair, i) for pair in record[4] + record[5] for i in range(2)]
+    where, i = places[choice % len(places)]
+    where[i] = value
+
+    def by_hand():
+        entities = tuple(Entity(*e[:4], tuple(map(tuple, e[4])), tuple(map(tuple, e[5]))) for e in doc["entities"])
+        relations = tuple(Relation(*r) for r in doc["relations"])
+        return KnowledgeGraph(tuple(doc["tokens"]), tuple(doc["lemmas"]), entities, relations, doc["provenance"][0])
+
+    def assembled():
+        return assemble_graph(
+            doc["tokens"], doc["lemmas"], [e[:4] for e in doc["entities"]],
+            [(e[0], t, c) for e in doc["entities"] for t, c in e[4]], doc["relations"], doc["provenance"][0],
+            senses=[(e[0], s, c) for e in doc["entities"] for s, c in e[5]],
+        )
+
+    outcomes = []
+    for build in (by_hand, assembled):
+        try:
+            outcomes.append(build())
+        except Exception as exc:  # noqa: BLE001 - the two must fail alike, whatever the class
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_dense_extraction_json_and_rectify_build_no_relation(monkeypatch):
@@ -218,6 +349,60 @@ def test_dense_extraction_json_and_rectify_build_no_relation(monkeypatch):
         f'style={"bold" if r.relation_type in SCICLAIM.causal_relation_types else "solid"}];'
         for r in sorted(raw.relations, key=lambda r: r.id)
     ]
+
+
+def test_rectify_and_link_senses_check_no_element_again(monkeypatch):
+    model = Model.initialize(SCICLAIM, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    tokens = tuple(synth.FACTORS[:6])
+    encoding = encode_tokens(tokens, model.encoder)
+    inventory = load_inventory("".join(
+        f"{t}.n.01\t{t}\t-\t" + "\t".join(map(repr, encoding.token_vectors[i].tolist())) + "\n"
+        for i, t in enumerate(tokens)
+    ))
+    raw = extract(tokens, tokens, model, provenance="d")
+
+    def checked(*args):
+        raise AssertionError("an element was checked again")
+
+    monkeypatch.setattr(_GraphBuilder, "entity", checked)
+    monkeypatch.setattr(_GraphBuilder, "relation", checked)
+    fixed, log = rectify(raw, SCICLAIM)
+    linked = link_senses(raw, encoding, inventory, threshold=0.0)
+    linked_fixed = link_senses(fixed, encoding, inventory, threshold=0.0)
+    monkeypatch.undo()
+    assert len(raw.relations) > 2000 and len(log) > len(raw.relations) // 2
+    assert linked.relations is raw.relations and all(e.senses for e in linked.entities)
+    # a full check of each derived graph builds the same graph
+    for g in (fixed, linked, linked_fixed):
+        assert KnowledgeGraph(g.tokens, g.lemmas, g.entities, g.relations, g.provenance) == g
+
+
+def test_subgraph_drops_what_goes_with_a_dropped_entity():
+    g = assemble_graph(
+        ["x", "y", "z"], None, ABC, [("a", "sign+", 0.5), ("b", "sign+", 0.5), ("b", "sign-", 0.5)],
+        [("a", "b", "q+", 0.5), ("b", "c", "q-", 0.25), ("c", "a", "arg0", 0.75)], provenance="p",
+    )
+    # b goes, so its attributes and relations go whatever their flags
+    kept = subgraph(g, [True, False, True], [False, True, True], [True, True, True])
+    want = assemble_graph(["x", "y", "z"], None, ABC[::2], [], [("c", "a", "arg0", 0.75)], provenance="p")
+    assert kept == want and kept.relations.types == g.relations.types
+    with pytest.raises(ValueError):
+        subgraph(g, [True, True], [], [])
+
+
+def test_with_senses_checks_only_the_new_senses():
+    g = bulk((0, 1, 0, 0.5))
+    linked = with_senses(g, [[("s.n.01", 2.5)], [], [("t.n.01", -1.0), ("s.n.01", 0.5)]])
+    assert linked.relations is g.relations and [e.senses for e in linked.entities] == [
+        (("s.n.01", 2.5),), (), (("t.n.01", -1.0), ("s.n.01", 0.5)),
+    ]
+    assert replace(linked, provenance="p") == linked
+    with pytest.raises(GraphError, match=re.escape("sense 's.n.01' on 'b' has confidence inf")):
+        with_senses(g, [[], [("s.n.01", math.inf)], []])
+    with pytest.raises(GraphError, match=re.escape("sense id 5 on 'a' is not a string")):
+        with_senses(g, [[(5, 0.5)], [], []])
+    with pytest.raises(ValueError):
+        with_senses(g, [[], []])
 
 
 def ethno_document(provenance, tokens, relations, negated=()):

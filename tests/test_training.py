@@ -142,6 +142,16 @@ def test_sample_negatives_rejects_a_negative_count(counts):
         sample_negatives(build_corpus()[0], *counts, 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, "3", True])
+@pytest.mark.parametrize("position, name", [(0, "neg_entity_count"), (1, "neg_relation_count"), (2, "max_span_len")])
+def test_sample_negatives_reads_its_counts_as_integers(position, name, bad):
+    # each used to raise a bare TypeError from numpy or range, or to count True as 1
+    args = [2, 2, 10]
+    args[position] = bad
+    with pytest.raises(InputError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        sample_negatives(build_corpus()[0], *args, seed=0)
+
+
 def test_sample_negatives_contract():
     ex = tiny_example()
     neg = sample_negatives(ex, 5, 3, max_span_len=3, seed=2)
