@@ -160,6 +160,21 @@ class Span:
         return range(self.start, self.end)
 
 
+class _Spans(dict):
+    """`_spans[start, end]` is Span(start, end), for bounds already checked.
+    It keeps the first 2**12 spans it builds: a corpus's sentences share a
+    few spans, and looking one up costs a tenth of building it."""
+
+    def __missing__(self, key: tuple[int, int]) -> Span:
+        span = Span(*key)
+        if len(self) < 1 << 12:
+            self[key] = span
+        return span
+
+
+_spans = _Spans()
+
+
 @dataclass(frozen=True)
 class Entity:
     """A typed span node with confidence, attributes, and optional senses."""
@@ -189,6 +204,23 @@ class Entity:
             if t == attr_type:
                 return c
         raise KeyError(attr_type)
+
+
+def _loaded_entity(ent_id, span, ent_type, conf, attributes, senses) -> Entity:
+    """Entity(...) over fields `graph_from_dict` checked, in about half the
+    time: the fields go straight into the instance dict, where __init__ sets
+    each through object.__setattr__.  They go in __init__'s order, so the
+    entities share one key table; the dict costs about 60 bytes an entity,
+    and a field read through it takes a little longer."""
+    entity = object.__new__(Entity)
+    stored = entity.__dict__
+    stored["id"] = ent_id
+    stored["span"] = span
+    stored["entity_type"] = ent_type
+    stored["confidence"] = conf
+    stored["attributes"] = attributes
+    stored["senses"] = senses
+    return entity
 
 
 @dataclass(frozen=True)
@@ -299,13 +331,31 @@ def _text(value, kind: str) -> str:
     return value
 
 
+def _texts(values, kind: str) -> tuple[str, ...]:
+    """A sequence of strings as a tuple; a str is refused, not split into characters."""
+    if isinstance(values, str):
+        raise GraphError(f"{kind}s {values!r} are a string, not a sequence of strings")
+    return tuple([_text(v, kind) for v in values])
+
+
+def _number(value, label: str, error: type[GraphError]) -> float:
+    """A real number as a float: an int, a float or a numpy real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{label} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{label} is an integer of {value.bit_length()} bits, beyond a float") from None
+
+
 def _confidence(value, kind: str, name) -> float:
     """The confidence as a float in [0, 1]; the error names the element.
 
     The message is formatted only on failure, so the caller passes the
     element's kind and name, not a rendered label.
     """
-    value = float(value)
+    if type(value) is not float:
+        value = _number(value, f"{kind} {name!r} confidence", BadConfidenceError)
     if not (0.0 <= value <= 1.0):
         raise BadConfidenceError(f"{kind} {name!r} confidence {value} outside [0, 1]")
     return value
@@ -403,9 +453,14 @@ class _GraphBuilder:
     entities, at most once per type.
     """
 
-    def __init__(self, tokens: Sequence[str], lemmas: Sequence[str] | None) -> None:
-        tokens = tuple([_text(t, "token") for t in tokens])
-        lemmas = tuple(t.lower() for t in tokens) if lemmas is None else tuple([_text(l, "lemma") for l in lemmas])
+    def __init__(self, tokens: Sequence[str], lemmas: Sequence[str] | None, read: bool = False) -> None:
+        """`read`: tokens and lemmas are tuples that `readers.strings` read, so
+        they hold strings only and are not checked again."""
+        if not read:
+            tokens = _texts(tokens, "token")
+            lemmas = None if lemmas is None else _texts(lemmas, "lemma")
+        if lemmas is None:
+            lemmas = tuple(t.lower() for t in tokens)
         if len(lemmas) != len(tokens):
             raise GraphError(f"{len(lemmas)} lemmas for {len(tokens)} tokens")
         self.tokens = tokens
@@ -434,7 +489,8 @@ class _GraphBuilder:
         """Append (sense, confidence) to the entity's ranked sense pairs."""
         if not isinstance(sense, str):
             raise GraphError(f"sense id {sense!r} on {ent_id!r} is not a string")
-        conf = float(conf)
+        if type(conf) is not float:
+            conf = _number(conf, f"sense {sense!r} on {ent_id!r} confidence", GraphError)
         if not math.isfinite(conf):
             raise GraphError(f"sense {sense!r} on {ent_id!r} has confidence {conf}")
         pairs.append((sense, conf))
@@ -451,6 +507,8 @@ class _GraphBuilder:
         if _text(ent_id, "entity id") in self.index:
             raise GraphError(f"duplicate entity id {ent_id!r}")
         _text(ent_type, "entity type")
+        if not isinstance(span, Span):
+            raise GraphError(f"entity {ent_id!r} span {span!r} is not a Span")
         start, end = span.start, span.end
         if end > len(self.tokens):
             raise GraphError(f"span [{start}, {end}) beyond {len(self.tokens)} tokens")
@@ -543,10 +601,10 @@ class _GraphBuilder:
         self.relation_rows(tuple(self.index), *lists)
 
     def graph(self, provenance: str) -> KnowledgeGraph:
+        if type(provenance) is not str:
+            _text(provenance, "provenance")
         relations = Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
-        return KnowledgeGraph(
-            self.tokens, self.lemmas, tuple(self.entities), relations, _text(provenance, "provenance"), _BUILT
-        )
+        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance, _BUILT)
 
 
 def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
@@ -823,35 +881,43 @@ def _check_record(record, label: str, fields: tuple[tuple[Callable, str], ...]) 
 def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     """Inverse of graph_to_dict, revalidating all invariants.
 
-    Each record is read once and each element built once, through the
-    checks `assemble_graph` runs.  Fields are read by `readers`' rules; a
-    GraphError names the offending field, e.g. `entities[0].start` or
-    `tokens[2]`.  A missing or null `lemmas` defaults to the lowercased
-    tokens; other keys are ignored (`rectify` writes its log there).
+    Each record is read, checked and built in one pass, by the checks
+    `assemble_graph` runs and with its errors.  Fields are read by
+    `readers`' rules; a GraphError names the offending field, e.g.
+    `entities[0].start` or `tokens[2]`.  A missing or null `lemmas`
+    defaults to the lowercased tokens; other keys are ignored (`rectify`
+    writes its log there).
     """
     obj(data, "a graph document", GraphError)
     lemmas = data.get("lemmas")
     builder = _GraphBuilder(
         required(data, "tokens", "tokens", _malformed, strings),
         None if lemmas is None else strings(lemmas, "lemmas", _malformed),
+        read=True,
     )
+    # One expression per record tests its JSON types and every invariant
+    # the builder checks, and a record that passes is written straight into
+    # the builder's state.  One that fails goes through _check_record, which
+    # raises if a field is missing or mistyped, then through the builder
+    # method, which raises the invariant's error or accepts the record.  So
+    # each error, and which comes first, is the builder's, and no label is
+    # formatted for a good record.  As there, an entity's fields are read
+    # before its attributes and senses, and its invariants checked after.
+    n, index, spans, entities = len(builder.tokens), builder.index, builder.spans, builder.entities
     add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
-    # Each record is read and type-tested in one expression.  Only a record
-    # that fails the test (an int confidence, say) or lacks a field goes
-    # through _check_record, which raises if a field is at fault, so no
-    # label is formatted for a well-typed record.
     for i, e in enumerate(array(data.get("entities", []), "entities", _malformed)):
         try:
             ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
             attrs, senses = e.get("attributes", []), e.get("senses", [])
-            ok = (
-                isinstance(ent_id, str) and type(start) is int and type(end) is int
-                and isinstance(ent_type, str) and isinstance(conf, float)
-                and isinstance(attrs, list) and isinstance(senses, list)
+            good = (
+                type(ent_id) is str and type(start) is int and type(end) is int and type(ent_type) is str
+                and (type(conf) is float or type(conf) is int) and type(attrs) is list and type(senses) is list
+                and 0 <= start < end <= n and 0.0 <= conf <= 1.0
+                and ent_id not in index and (key := (start, end)) not in spans
             )
         except (KeyError, TypeError):
-            ok = False
-        if not ok:
+            good = False
+        if not good:
             _check_record(e, f"entities[{i}]", _ENTITY_FIELDS)
             array(attrs, f"entities[{i}].attributes", _malformed)
             array(senses, f"entities[{i}].senses", _malformed)
@@ -859,36 +925,62 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
         for j, a in enumerate(attrs):
             try:
                 attr_type, attr_conf = a["type"], a["confidence"]
-                ok = isinstance(attr_type, str) and isinstance(attr_conf, float)
+                if (
+                    type(attr_type) is str and (type(attr_conf) is float or type(attr_conf) is int)
+                    and 0.0 <= attr_conf <= 1.0 and all(t != attr_type for t, _ in attr_pairs)
+                ):
+                    attr_pairs.append((attr_type, float(attr_conf)))
+                    continue
             except (KeyError, TypeError):
-                ok = False
-            if not ok:
-                _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
+                pass
+            _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
             add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
         sense_pairs: list[tuple[str, float]] = []
         for j, s in enumerate(senses):
             try:
                 sense, sense_conf = s["sense"], s["confidence"]
-                ok = isinstance(sense, str) and isinstance(sense_conf, float)
-            except (KeyError, TypeError):
-                ok = False
-            if not ok:
-                _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
+                if (
+                    type(sense) is str and (type(sense_conf) is float or type(sense_conf) is int)
+                    and math.isfinite(sense_conf)
+                ):
+                    sense_pairs.append((sense, float(sense_conf)))
+                    continue
+            except (KeyError, TypeError, OverflowError):
+                pass
+            _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
             add_sense(sense_pairs, ent_id, sense, sense_conf)
-        add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
-    add_relation = builder.relation
+        if good:
+            spans[key] = ent_id
+            index[ent_id] = len(entities)
+            entities.append(
+                _loaded_entity(ent_id, _spans[key], ent_type, float(conf), tuple(attr_pairs), tuple(sense_pairs))
+            )
+        else:
+            add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
+    types, keys, add_relation = builder.types, builder.relation_keys, builder.relation
+    head_col, tail_col, code_col, conf_col = builder.head, builder.tail, builder.code, builder.confidence
     for i, r in enumerate(array(data.get("relations", []), "relations", _malformed)):
         try:
             head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
-            ok = (
-                isinstance(head, str) and isinstance(tail, str)
-                and isinstance(rel_type, str) and isinstance(conf, float)
+            # a new type is numbered last, once all else holds, since no
+            # key of a type not yet numbered can have been seen
+            good = (
+                type(head) is str and type(tail) is str and type(rel_type) is str
+                and (type(conf) is float or type(conf) is int) and 0.0 <= conf <= 1.0
+                and (h := index.get(head)) is not None and (t := index.get(tail)) is not None and h != t
+                and (key := (h, t, types.setdefault(rel_type, len(types)))) not in keys
             )
         except (KeyError, TypeError):
-            ok = False
-        if not ok:
+            good = False
+        if good:
+            keys.add(key)
+            head_col.append(h)
+            tail_col.append(t)
+            code_col.append(key[2])
+            conf_col.append(float(conf))
+        else:
             _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
-        add_relation(head, tail, rel_type, conf)
+            add_relation(head, tail, rel_type, conf)
     return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))
 
 

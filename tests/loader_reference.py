@@ -1,11 +1,17 @@
-"""The two-pass graph loader kept as the test oracle.
+"""Two graph loaders kept as test oracles.
 
-`graph_from_dict` collects entity, attribute, sense and relation tuples from
-the document, then `assemble_graph` walks them again into the graph.  The
-library loader builds each element once through one shared builder;
-`tests/test_loader_oracle.py` requires it to load every document this
-loader loads to the same graph, or to raise GraphError where this loader
-coerces a mistyped string field.
+`graph_from_dict` is the two-pass loader: it collects entity, attribute,
+sense and relation tuples from the document, then `assemble_graph` walks
+them again into the graph.  `tests/test_loader_oracle.py` requires the
+library loader to load every document this loader loads to the same graph,
+or to raise GraphError where this loader coerces a mistyped string field.
+
+`builder_graph_from_dict` is the oracle for error messages: it reads every
+record through `_check_record` where its type test fails, then hands every
+element to the builder method that checks it.  The library loader checks a
+good record in one expression and writes it into the builder itself, so it
+must load what this loader loads, and raise the same error class with the
+same message wherever this loader raises.
 """
 
 import math
@@ -18,7 +24,20 @@ from causalkg.errors import (
     GraphError,
     SelfLoopError,
 )
-from causalkg.graphs import Entity, KnowledgeGraph, Relation, Span
+from causalkg.graphs import (
+    _ATTRIBUTE_FIELDS,
+    _ENTITY_FIELDS,
+    _RELATION_FIELDS,
+    _SENSE_FIELDS,
+    Entity,
+    KnowledgeGraph,
+    Relation,
+    Span,
+    _check_record,
+    _GraphBuilder,
+    _malformed,
+)
+from causalkg.readers import array, obj, required, string, strings
 
 
 def _check_confidence(value: float, what: str) -> float:
@@ -163,3 +182,75 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
+
+
+def builder_graph_from_dict(data: Mapping) -> KnowledgeGraph:
+    """Inverse of graph_to_dict, revalidating all invariants.
+
+    Each record is read once and each element built once, through the
+    checks `assemble_graph` runs.  Fields are read by `readers`' rules; a
+    GraphError names the offending field, e.g. `entities[0].start` or
+    `tokens[2]`.  A missing or null `lemmas` defaults to the lowercased
+    tokens; other keys are ignored (`rectify` writes its log there).
+    """
+    obj(data, "a graph document", GraphError)
+    lemmas = data.get("lemmas")
+    builder = _GraphBuilder(
+        required(data, "tokens", "tokens", _malformed, strings),
+        None if lemmas is None else strings(lemmas, "lemmas", _malformed),
+    )
+    add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
+    # Each record is read and type-tested in one expression.  Only a record
+    # that fails the test (an int confidence, say) or lacks a field goes
+    # through _check_record, which raises if a field is at fault, so no
+    # label is formatted for a well-typed record.
+    for i, e in enumerate(array(data.get("entities", []), "entities", _malformed)):
+        try:
+            ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
+            attrs, senses = e.get("attributes", []), e.get("senses", [])
+            ok = (
+                isinstance(ent_id, str) and type(start) is int and type(end) is int
+                and isinstance(ent_type, str) and isinstance(conf, float)
+                and isinstance(attrs, list) and isinstance(senses, list)
+            )
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            _check_record(e, f"entities[{i}]", _ENTITY_FIELDS)
+            array(attrs, f"entities[{i}].attributes", _malformed)
+            array(senses, f"entities[{i}].senses", _malformed)
+        attr_pairs: list[tuple[str, float]] = []
+        for j, a in enumerate(attrs):
+            try:
+                attr_type, attr_conf = a["type"], a["confidence"]
+                ok = isinstance(attr_type, str) and isinstance(attr_conf, float)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
+            add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
+        sense_pairs: list[tuple[str, float]] = []
+        for j, s in enumerate(senses):
+            try:
+                sense, sense_conf = s["sense"], s["confidence"]
+                ok = isinstance(sense, str) and isinstance(sense_conf, float)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
+            add_sense(sense_pairs, ent_id, sense, sense_conf)
+        add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
+    add_relation = builder.relation
+    for i, r in enumerate(array(data.get("relations", []), "relations", _malformed)):
+        try:
+            head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
+            ok = (
+                isinstance(head, str) and isinstance(tail, str)
+                and isinstance(rel_type, str) and isinstance(conf, float)
+            )
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
+        add_relation(head, tail, rel_type, conf)
+    return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))

@@ -126,6 +126,32 @@ def by_hand(e=E_F[0], relations=(), tokens=("x", "y")):
     return KnowledgeGraph(tokens, tokens, (e, E_F[1]), relations)
 
 
+def with_confidences(value):
+    """Per element kind, a construction whose one confidence of that kind is `value`."""
+    return {
+        "entity": lambda: by_hand(Entity("e", Span(0, 1), "t", value)),
+        "attribute": lambda: by_hand(Entity("e", Span(0, 1), "t", 0.5, attributes=(("a", value),))),
+        "sense": lambda: by_hand(Entity("e", Span(0, 1), "t", 0.5, senses=(("s", value),))),
+        "relation": lambda: by_hand(relations=e_to_f(("q",), [0], [value])),
+        "assembled relation": lambda: assemble_graph(["x", "y"], None, [("e", Span(0, 1), "t", 0.5),
+                                                                       ("f", Span(1, 2), "t", 0.5)],
+                                                     relations=[("e", "f", "q", value)]),
+    }
+
+
+# Confidences that are not real numbers.  Each raised a bare TypeError or
+# ValueError, or loaded as a float ("0.5" and True); an int no float holds
+# raised a bare OverflowError.
+NOT_NUMBERS = [True, False, "0.5", "x", None, [0.5], (0.5,), {}]
+CONFIDENCE_LABELS = {
+    "entity": ("entity 'e' confidence", BadConfidenceError),
+    "attribute": ("attribute 'a' confidence", BadConfidenceError),
+    "sense": ("sense 's' on 'e' confidence", GraphError),
+    "relation": ("relation 'q' confidence", BadConfidenceError),
+    "assembled relation": ("relation 'q' confidence", BadConfidenceError),
+}
+
+
 # Each value the stdlib would write as no assembled graph holds it (false,
 # NaN, Infinity, a list or a number for a string) or refuse with TypeError
 # (a frozenset): a graph holding it cannot be built.
@@ -142,11 +168,21 @@ def by_hand(e=E_F[0], relations=(), tokens=("x", "y")):
      "relation 'r' confidence -inf"),
     (lambda: by_hand(relations=e_to_f(("q", "r"), [0, 1], [0.5, math.nan])), BadConfidenceError,
      "relation 'r' confidence nan"),
-    (lambda: by_hand(relations=e_to_f(("q",), [0], [None])), TypeError, "float()"),
-    (lambda: by_hand(relations=e_to_f(("q",), [0], [[0.5]])), TypeError, "float()"),
+    *((with_confidences(value)[kind], error, f"{label} {value!r} is not a number")
+      for value in NOT_NUMBERS for kind, (label, error) in CONFIDENCE_LABELS.items()),
+    *((with_confidences(10**400)[kind], error, f"{label} is an integer of 1329 bits, beyond a float")
+      for kind, (label, error) in CONFIDENCE_LABELS.items()),
     (lambda: by_hand(Entity(5, Span(0, 1), "t", 0.5)), GraphError, "entity id 5 is not a string"),
     (lambda: by_hand(Entity(frozenset(), Span(0, 1), "t", 0.5)), GraphError, "entity id frozenset() is not a string"),
     (lambda: by_hand(tokens=(None, "y")), GraphError, "token None is not a string"),
+    (lambda: by_hand(Entity("e", (0, 1), "t", 0.5)), GraphError, "entity 'e' span (0, 1) is not a Span"),
+    (lambda: assemble_graph(["x", "y"], None, [("e", (0, 1), "t", 0.5)]), GraphError,
+     "entity 'e' span (0, 1) is not a Span"),
+    (lambda: assemble_graph(["x", "y"], "xy", []), GraphError, "lemmas 'xy' are a string, not a sequence of strings"),
+    (lambda: assemble_graph("xy", None, []), GraphError, "tokens 'xy' are a string, not a sequence of strings"),
+    (lambda: KnowledgeGraph("xy", "xy", (), ()), GraphError, "tokens 'xy' are a string, not a sequence of strings"),
+    (lambda: KnowledgeGraph(("x", "y"), "xy", (), ()), GraphError,
+     "lemmas 'xy' are a string, not a sequence of strings"),
 ])
 def test_construction_refuses_values_no_assembled_graph_holds(make, error, message):
     with pytest.raises(error, match=re.escape(message)):

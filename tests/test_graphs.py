@@ -15,6 +15,7 @@ from causalkg.errors import (
 )
 from causalkg.graphs import (
     CorpusGraph,
+    Entity,
     Span,
     assemble_graph,
     graph_from_dict,
@@ -54,6 +55,15 @@ def test_numpy_span_bounds_are_stored_as_ints():
     assert (type(span.start), type(span.end)) == (int, int) and span == Span(1, 3) and hash(span) == hash(Span(1, 3))
     with pytest.raises(GraphError, match=re.escape("invalid span [3, 1)")):
         Span(np.int64(3), np.uint8(1))
+
+
+def test_loaded_entities_hold_what_a_constructed_entity_holds():
+    # the loader stores an entity's fields itself, skipping Entity's __init__
+    graph = random_sciclaim_graph(np.random.default_rng(3))
+    for e in graph_from_dict(graph_to_dict(graph)).entities:
+        direct = Entity(e.id, e.span, e.entity_type, e.confidence, e.attributes, e.senses)
+        assert list(vars(e).items()) == list(vars(direct).items())
+        assert e == direct and hash(e) == hash(direct) and repr(e) == repr(direct)
 
 
 def test_self_loop_rejected():

@@ -1,20 +1,24 @@
-"""The one-pass graph loader against the two-pass loader kept in
-loader_reference.py: every document the oracle loads must load to the same
-graph, written to the same bytes, unless it holds a mistyped string field
-that the oracle coerced; then, and wherever the oracle fails, the loader
-must raise GraphError and nothing else."""
+"""The one-pass graph loader against the two loaders kept in
+loader_reference.py.  Against the two-pass loader: every document it loads
+must load to the same graph, written to the same bytes, unless it holds a
+mistyped string field that the oracle coerced; then, and wherever the
+oracle fails, the loader must raise GraphError and nothing else.  Against
+the loader that hands every element to a builder method: the same graph
+and bytes, or the same error class with the same message."""
 
 import copy
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loader_reference as reference
 import synth
 from causalkg.errors import GraphError
-from causalkg.graphs import assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
+from causalkg import graphs
+from causalkg.graphs import _GraphBuilder, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.rectify import rectify
 from causalkg.schema import load_schema
 
@@ -169,20 +173,37 @@ def mistyped(doc) -> bool:
     )
 
 
+def outcome(load, doc):
+    """The graph a loader returns, or the class and message of the error it raises."""
+    try:
+        return load(doc)
+    except Exception as exc:  # the two-pass oracle lets OverflowError through
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(doc):
+    """The loader loads the graph the builder-method loader loads, written to
+    the same bytes, or raises the error class and message it raises."""
+    got, want = outcome(graph_from_dict, doc), outcome(reference.builder_graph_from_dict, doc)
+    assert got == want
+    if isinstance(got, graphs.KnowledgeGraph):
+        assert graph_to_json(got) == graph_to_json(want)
+    return got
+
+
 def test_mutated_documents_load_like_the_oracle_or_raise_graph_error():
     outcomes = {"equal": 0, "both reject": 0, "coercion rejected": 0}
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(mutated_documents())
     def check(doc):
-        try:
-            want = reference.graph_from_dict(doc)
-        except Exception:  # the oracle lets OverflowError through
-            want = None
-        try:
-            got = graph_from_dict(doc)
-        except GraphError:
+        got = assert_same_outcome(doc)
+        if not isinstance(got, graphs.KnowledgeGraph):
+            assert issubclass(got[0], GraphError), got
             got = None
+        want = outcome(reference.graph_from_dict, doc)
+        if not isinstance(want, graphs.KnowledgeGraph):
+            want = None
         if got is not None:
             assert want is not None and got == want
             assert graph_to_json(got) == graph_to_json(want)
@@ -195,3 +216,91 @@ def test_mutated_documents_load_like_the_oracle_or_raise_graph_error():
 
     check()
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def end_records(doc):
+    """The first and the last entity, attribute, sense and relation record."""
+    attributes = [a for e in doc["entities"] for a in e["attributes"]]
+    senses = [s for e in doc["entities"] for s in e["senses"]]
+    for records in (doc["entities"], attributes, senses, doc["relations"]):
+        yield from {id(r): r for r in records[:1] + records[-1:]}.values()
+
+
+DELETED = object()
+
+
+def test_one_field_faults_raise_what_the_builder_methods_raise():
+    loaded = raised = 0
+    for doc in BASES:
+        for record in end_records(doc):
+            kept = dict(record)
+            for key in kept:
+                for value in VALUES + [DELETED]:
+                    if value is DELETED:
+                        del record[key]
+                    else:
+                        record[key] = value
+                    try:
+                        got = assert_same_outcome(doc)
+                    finally:
+                        record.clear()
+                        record.update(kept)
+                    if isinstance(got, graphs.KnowledgeGraph):
+                        loaded += 1
+                    else:
+                        raised += 1
+    # the bases are as they were built, key order included, which the
+    # Hypothesis fuzz draws keys in
+    assert json.dumps(BASES) == json.dumps(base_documents())
+    assert loaded > 1500 and raised > 8000, (loaded, raised)
+
+
+class Tripped(Exception):
+    """Raised by a builder method or check that the loader should not call."""
+
+
+def arm_tripwires(monkeypatch):
+    """Make each per-element builder method and check raise Tripped(its name)."""
+    def tripwire(name):
+        def trip(*args):
+            raise Tripped(name)
+        return trip
+
+    for name in ("entity", "attribute", "sense", "relation"):
+        monkeypatch.setattr(_GraphBuilder, name, staticmethod(tripwire(name)))
+    for name in ("_text", "_confidence"):
+        monkeypatch.setattr(graphs, name, tripwire(name))
+
+
+def criterion_4_document():
+    return graph_to_dict(synth.random_sciclaim_graph(np.random.default_rng(404), provenance="a0"))
+
+
+def test_good_records_skip_the_builder_methods(monkeypatch):
+    # the bases hold int sense confidences, which load as floats too
+    docs = BASES + [criterion_4_document()]
+    want = [graph_from_dict(doc) for doc in docs]
+    arm_tripwires(monkeypatch)
+    assert [graph_from_dict(doc) for doc in docs] == want
+
+
+def faulty(edit):
+    doc = copy.deepcopy(BASES[2])
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, method", [
+    (faulty(lambda d: d["entities"][-1].update(end=len(d["tokens"]) + 1)), "entity"),
+    (faulty(lambda d: d["entities"][-1].update(id=d["entities"][0]["id"])), "entity"),
+    (faulty(lambda d: d["entities"][0].update(confidence=1.5)), "entity"),
+    (faulty(lambda d: d["entities"][0]["attributes"].append({"type": "x", "confidence": 2})), "attribute"),
+    (faulty(lambda d: d["entities"][0]["senses"].append({"sense": "x", "confidence": float("inf")})), "sense"),
+    (faulty(lambda d: d["relations"][0].update(tail=d["relations"][0]["head"])), "relation"),
+    (faulty(lambda d: d["relations"].append(d["relations"][0])), "relation"),
+    (faulty(lambda d: d["relations"][0].update(head="nobody")), "relation"),
+])
+def test_a_faulty_record_reaches_its_builder_method(monkeypatch, doc, method):
+    arm_tripwires(monkeypatch)
+    with pytest.raises(Tripped, match=f"^{method}$"):
+        graph_from_dict(doc)

@@ -138,7 +138,7 @@ def test_bulk_path_checks_the_lemma_count():
 
 
 @pytest.mark.parametrize("confidence, error", [
-    (np.float64(0.25), None), (1, None), ([0.5], TypeError), (np.int64(1), None),
+    (np.float64(0.25), None), (1, None), ([0.5], BadConfidenceError), (np.int64(1), None),
 ])
 def test_hand_built_confidences_are_checked_like_assemble_graph(confidence, error):
     entities = (Entity("e", Span(0, 1), "t", 0.5), Entity("f", Span(1, 2), "t", 0.5))
