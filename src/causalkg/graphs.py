@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import compress, islice
@@ -338,6 +338,37 @@ def _texts(values, kind: str) -> tuple[str, ...]:
     return tuple([_text(v, kind) for v in values])
 
 
+def _elements(values, kind: str, cls: type) -> tuple:
+    """The elements of values, each a `cls`, as a tuple.  A str is refused,
+    not split into characters, and so is a value that is not iterable;
+    otherwise GraphError names the first element that is not a `cls`."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise GraphError(f"{kind} list {values!r} is not a sequence of {cls.__name__} objects")
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, cls):
+            raise GraphError(f"{kind} {value!r} is of type {type(value).__name__}, not {cls.__name__}")
+    return values
+
+
+def _records(records: Iterable, kind: str, names: tuple[str, ...]) -> Iterator[tuple]:
+    """Each record as a tuple of one value per name; GraphError names the
+    first record that is not one, or a records value that is not iterable."""
+    if not isinstance(records, Iterable):
+        raise GraphError(f"{kind} list {records!r} is not a sequence of tuples")
+    for record in records:
+        values = record if type(record) is tuple else tuple(record) if isinstance(record, Iterable) else ()
+        if len(values) != len(names):
+            raise GraphError(f"{kind} {record!r} is not a ({', '.join(names)}) tuple")
+        yield values
+
+
+def _index(value) -> bool:
+    """Whether value can index a relation column: an int or a numpy
+    integer, not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+
+
 def _number(value, label: str, error: type[GraphError]) -> float:
     """A real number as a float: an int, a float or a numpy real, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -387,7 +418,10 @@ class KnowledgeGraph:
     def __post_init__(self, _made_by) -> None:
         if _made_by is _BUILT:
             return
-        entities, relations = self.entities, self.relations
+        entities = _elements(self.entities, "entity", Entity)
+        relations = self.relations
+        if not isinstance(relations, Relations):
+            relations = _elements(relations, "relation", Relation)
         builder = _GraphBuilder(self.tokens, self.lemmas)
         builder.entities_of(
             ((e.id, e.span, e.entity_type, e.confidence) for e in entities),
@@ -532,12 +566,12 @@ class _GraphBuilder:
         """Add `assemble_graph`'s entity, attribute and sense tuples."""
         # attributes and senses are grouped first, so each entity is built once
         attr_map: dict[str, list[tuple[str, float]]] = {}
-        for ent_id, attr_type, conf in attributes:
+        for ent_id, attr_type, conf in _records(attributes, "attribute", ("entity id", "type", "confidence")):
             self.attribute(attr_map.setdefault(ent_id, []), ent_id, attr_type, conf)
         sense_map: dict[str, list[tuple[str, float]]] = {}
-        for ent_id, sense, conf in senses:
+        for ent_id, sense, conf in _records(senses, "sense", ("entity id", "sense id", "confidence")):
             self.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
-        for ent_id, span, ent_type, conf in entities:
+        for ent_id, span, ent_type, conf in _records(entities, "entity", ("id", "span", "type", "confidence")):
             self.entity(
                 ent_id, span, ent_type, conf,
                 tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
@@ -581,9 +615,9 @@ class _GraphBuilder:
             raise GraphError("relation columns differ in length")
         for h, t, c, conf in zip(head, tail, code, confidence):
             for end in (h, t):
-                if type(end) is not int or not 0 <= end < k:
+                if not (_index(end) and 0 <= end < k):
                     raise DanglingReferenceError(f"relation references unknown entity index {end!r}")
-            if type(c) is not int or not 0 <= c < len(types):
+            if not (_index(c) and 0 <= c < len(types)):
                 raise GraphError(f"relation type code {c!r} outside the {len(types)} relation types")
             self.relation(ids[h], ids[t], types[c], conf)
 
@@ -643,12 +677,13 @@ def assemble_graph(
 
     Lemmas default to lowercased tokens when absent.  Entity ids, all
     types, sense ids, tokens, lemmas and the provenance are strings, and
-    span bounds ints; any other value raises GraphError.
+    span bounds ints; any other value, or a tuple with too few or too many
+    fields, raises GraphError.
     """
     builder = _GraphBuilder(tokens, lemmas)
     builder.entities_of(entities, attributes, senses)
     add_relation = builder.relation
-    for head, tail, rel_type, conf in relations:
+    for head, tail, rel_type, conf in _records(relations, "relation", ("head id", "tail id", "type", "confidence")):
         add_relation(head, tail, rel_type, conf)
     return builder.graph(provenance)
 

@@ -50,18 +50,18 @@ PARAM_GROUPS = ("attn_w", "attn_b", "width", "ent_w", "ent_b", "attr_w", "attr_b
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=axis, keepdims=True))
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
+    return e
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so
+    exp never overflows.  Both are e = exp(-|z|) <= 1 over 1 + e, with the
+    numerator max(e, z >= 0) being 1 or e; -|z| is taken as min(z, -z),
+    which keeps a NaN's sign, so every bit is the two-branch form's."""
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def check_thresholds(theta_r: float, theta_a: float) -> None:
@@ -227,15 +227,12 @@ def pair_block(
     width_table: np.ndarray,
     heads: np.ndarray,
     tails: np.ndarray,
-    between: np.ndarray | None = None,
 ) -> np.ndarray:
     """Relation-head inputs of the pairs (spans[heads[i]], spans[tails[i]]),
     as an (m, 1, pair_dim) block; pooled holds one row per span.
 
     Row i is [head ; head width ; between maxpool ; tail ; tail width], each
     part copied from its source, so it equals the pair's row built alone.
-    `between`, if given, holds the pairs' `pair_contexts` rows, which are
-    then not computed again.
     """
     starts, ends = _bounds(spans)
     span_rows = np.concatenate([pooled, width_table[ends - starts - 1]], axis=1)  # [pooled ; width]
@@ -243,9 +240,7 @@ def pair_block(
     block = np.empty((len(heads), 1, 2 * span_dim + pooled.shape[1]))
     rows = block[:, 0]
     rows[:, :span_dim] = span_rows[heads]
-    if between is None:
-        between = pair_contexts(token_vectors, spans, heads, tails)
-    rows[:, span_dim:-span_dim] = between
+    rows[:, span_dim:-span_dim] = pair_contexts(token_vectors, spans, heads, tails)
     rows[:, -span_dim:] = span_rows[tails]
     return block
 

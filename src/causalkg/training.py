@@ -15,11 +15,13 @@ embeddings, and the three classifier heads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import (
@@ -39,9 +41,8 @@ from .model import (
     classify_entities,
     classify_relations,
     enumerate_spans,
-    pair_block,
     pair_contexts,
-    span_representations,
+    softmax,
 )
 from .readers import array, integer, obj, parse_json, real, required, string, strings, within
 from .schema import Schema
@@ -205,7 +206,16 @@ def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int)
 class _Plan:
     """What training reads of one example and no step changes, under one
     schema and max_span_len: `sample_negatives`' candidates, the gold half
-    of `_prepare`, and the between-context rows of every gold pair.
+    of `_prepare`, the span table, and, given the token vectors, each gold
+    pair's between-context row and the table's token windows.
+
+    The span table lists every span a step can see: the gold spans and the
+    candidates, which together are every span `enumerate_spans` gives,
+    ordered by width and then by start.  The span of width w at start s is
+    row `offsets[w - 1] + s`, and `span_widths` gives each row's
+    width-table row.  `windows[w - 1]` stacks the token windows of the c
+    spans of width w as a (c, w, d) read-only view of the token vectors,
+    whose every item has the strides of the slice `token_vectors[start:end]`.
 
     `train` builds one per example and hands it to every step; a call
     given none builds its own.  The arrays are made read-only, as steps
@@ -215,18 +225,26 @@ class _Plan:
     span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
     pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
     spans: tuple[Span, ...]  # the gold spans, in entity order
-    rows: np.ndarray  # each gold span's row among the distinct spans, gold first
-    widths: np.ndarray  # each gold span's width-table row
+    rows: np.ndarray  # each gold span's span-table row
     targets: list[int]  # each gold entity's class
     attr_labels: np.ndarray  # (k, |Ta|)
     pairs: list[tuple[int, int]]  # the gold relation pairs, each at its first place
     pair_labels: np.ndarray  # one row per gold pair
+    offsets: list[int]  # the span of width w at start s is row offsets[w - 1] + s
+    span_widths: np.ndarray  # each span-table row's width-table row
+    pair_rows: np.ndarray  # row h * k + t: the span-table rows of gold entities h and t
+    windows: tuple[np.ndarray, ...] | None  # the span table's token windows, one stack per width
     between: np.ndarray | None  # row h * k + t: gold pair (h, t)'s between context
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def width_groups(self):
+        """(w, windows, lo, hi) for each span width w: the width's token
+        windows and its rows lo:hi of the span table."""
+        return zip(range(1, len(self.windows) + 1), self.windows, self.offsets, self.offsets[1:])
 
 
 def _candidates(example: Example, max_span_len: int):
@@ -274,8 +292,7 @@ def _plan(
             raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
     pairs = list(dict.fromkeys((h, t) for h, t, _ in example.relations))
     _check_pairs(where, pairs, k)
-    index = {span: i for i, span in enumerate(dict.fromkeys(spans))}
-    _check_spans(where, index, n, max_span_len)
+    _check_spans(where, spans, n, max_span_len)
     try:
         # class 0 is null, so an entity type's class is its code + 1
         targets = [schema.entity_codes[etype] + 1 for _, etype in example.entities]
@@ -296,19 +313,27 @@ def _plan(
             ("relation", schema.relation_codes, example.relations),
         ) if any(record[-1] not in codes for record in records))
         raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
-    between = None
+    # the span table: spans of width w start at 0 .. n - w, after the shorter ones
+    table_widths = range(1, min(max_span_len, n) + 1)
+    offsets = np.cumsum([0, *(n - w + 1 for w in table_widths)]).tolist()
+    rows = np.array([offsets[len(span) - 1] + span.start for span in spans], dtype=np.intp)
+    heads, tails = np.divmod(np.arange(k * k), k)
+    windows = between = None
     if token_vectors is not None:
-        heads, tails = np.divmod(np.arange(k * k), k)
+        windows = tuple(sliding_window_view(token_vectors, w, axis=0).transpose(0, 2, 1) for w in table_widths)
         between = pair_contexts(token_vectors, spans, heads, tails)
     return _Plan(
         *_candidates(example, max_span_len),
         spans=spans,
-        rows=np.array([index[span] for span in spans], dtype=int),
-        widths=np.array([len(span) - 1 for span in spans], dtype=int),
+        rows=rows,
         targets=targets,
         attr_labels=attr_labels,
         pairs=pairs,
         pair_labels=pair_labels,
+        offsets=offsets,
+        span_widths=np.repeat(np.arange(len(table_widths)), np.diff(offsets)),
+        pair_rows=rows[np.stack([heads, tails], axis=1)],
+        windows=windows,
         between=between,
     )
 
@@ -374,6 +399,19 @@ def binary_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(-(cells.sum() / cells.size))
 
 
+def _binary_loss01(scores: np.ndarray, labels: np.ndarray) -> float:
+    """binary_loss for labels that are all 0 or 1, with one log per cell.
+
+    There the other term of a cell is 0 * log(...) = -0.0, and x + (-0.0)
+    is x, so each cell, and the mean, rounds as in binary_loss.
+    """
+    if scores.size == 0:
+        return 0.0
+    p = np.minimum(np.maximum(scores, _CLAMP), 1.0 - _CLAMP)
+    cells = np.log(np.where(labels, p, 1.0 - p))
+    return float(-(cells.sum() / cells.size))
+
+
 def joint_loss(
     entity_probs: np.ndarray,
     entity_targets: np.ndarray,
@@ -393,27 +431,30 @@ def joint_loss(
 def _prepare(
     schema: Schema, max_span_len: int, example: Example, negatives: Negatives, plan: _Plan | None = None
 ):
-    """Index spans, targets, labels, and pair structure for one example.
+    """Index rows, targets, labels, and pair structure for one step.
 
-    Pairs are the gold pairs and then the negative pairs, spans the gold
-    and then the negative spans, each kept at its first place.  A pair's
-    head and tail are gold spans, so every span a pair needs is listed.
-    The gold half comes from the plan, built here if not given; a negative
-    it cannot index, or a pair that joins an entity to itself, raises
-    `check_dataset`'s error.
+    Returns (ent_rows, ent_targets, attr_labels, pairs, pair_labels,
+    step_rows).  The entity spans are the gold and then the negative spans,
+    given by their span-table rows; step_rows lists each distinct one at its
+    first place, the order in which a step adds its per-span terms.  Pairs
+    are the gold pairs and then the negative pairs, each kept at its first
+    place; a pair's head and tail are gold spans.  The gold half comes from
+    the plan, built here if not given; a negative it cannot index, or a pair
+    that joins an entity to itself, raises `check_dataset`'s error.
     """
     if plan is None:
         plan = _plan(schema, max_span_len, example)
     where = example.provenance
     _check_pairs(where, negatives.pairs, len(plan.spans))
     _check_spans(where, negatives.spans, len(example.tokens), max_span_len)
-    ent_spans = [*plan.spans, *negatives.spans]
-    span_index = {span: i for i, span in enumerate(dict.fromkeys(ent_spans))}
+    offsets = plan.offsets
+    rows = plan.rows.tolist() + [offsets[span.end - span.start - 1] + span.start for span in negatives.spans]
     ent_targets = np.array(plan.targets + [0] * len(negatives.spans), dtype=int)
     pairs = list(dict.fromkeys([*plan.pairs, *negatives.pairs]))
     pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
     pair_labels[: len(plan.pairs)] = plan.pair_labels
-    return ent_spans, ent_targets, plan.attr_labels, pairs, pair_labels, list(span_index), span_index
+    step_rows = np.array(list(dict.fromkeys(rows)), dtype=np.intp)
+    return np.array(rows, dtype=np.intp), ent_targets, plan.attr_labels, pairs, pair_labels, step_rows
 
 
 def example_loss(
@@ -443,6 +484,26 @@ def example_loss_and_grads(
 
 
 def _loss_impl(model, example, negatives, encoding, plan, with_grads):
+    """The example's loss and, with_grads, each parameter group's gradient,
+    computed on the plan's span table.
+
+    Every table span is pooled with one stacked matmul per width.  Each
+    item of a stacked matmul makes the BLAS call that one span's
+    `span_attention` makes, and the softmax reduces each row as it would
+    the span alone, so every value equals the per-span one bit for bit.  The
+    backward pass is stacked the same way.
+
+    Sums that add one term per span or pair keep the order of the per-span
+    loops in tests/training_reference.py; another order changes the
+    rounding of the trained parameters.  Scatters whose rows repeat add
+    in index order, through np.add.at or `_add_rows`: entity rows and then
+    attribute rows; pairs in pair order, each head before its tail; then
+    the step's spans in `_prepare`'s step order.  attn_w's and attn_b's
+    gradients add the spans' terms from zero in step order too.
+
+    The gradient groups are views into one zeroed buffer, back to back in
+    PARAM_GROUPS order; `train` reads it as their `.base`.
+    """
     if encoding is None:
         encoding = encode_tokens(example.tokens, model.encoder)
     H, n = encoding.token_vectors, len(example.tokens)
@@ -450,85 +511,152 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
         raise AlignmentError(f"{example.provenance}: an encoding of {len(H)} tokens for an example of {n} tokens")
     if plan is None:
         plan = _plan(model.schema, model.max_span_len, example, H)
-    (
-        ent_spans, ent_targets, attr_labels, pair_order, pair_labels, unique_spans, span_index
-    ) = _prepare(model.schema, model.max_span_len, example, negatives, plan)
-    gold_spans = plan.spans
-    d, dw = model.dimension, model.width_dim
+    ent_rows, ent_targets, attr_labels, pair_order, pair_labels, step_rows = _prepare(
+        model.schema, model.max_span_len, example, negatives, plan
+    )
+    d, dw, k = model.dimension, model.width_dim, len(plan.spans)
 
-    alphas, reps = span_representations(model, encoding, unique_spans)
-    pooled = reps[:, :d]
-
-    ent_rows = np.array([span_index[s] for s in ent_spans], dtype=int)
+    alpha, reps = _span_table(model, encoding.passage_vector, plan)
     ent_reps = reps[ent_rows]
     ent_probs = classify_entities(model, ent_reps)
-
-    attr_rows = plan.rows
-    attr_reps = reps[attr_rows]
+    attr_reps = ent_reps[:k]  # the gold spans come first
     attr_scores = classify_attributes(model, attr_reps)
 
-    # each pair's (head, tail) as gold entity indexes, and as unique-span rows
-    pair_ends = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
-    heads, tails = pair_ends.T
-    pair_rows = attr_rows[pair_ends]
-    between = plan.between[heads * len(gold_spans) + tails]
-    pair_reps = pair_block(H, gold_spans, pooled[attr_rows], model.width, heads, tails, between)[:, 0]
+    # a pair's row is [head ; head width ; between ; tail ; tail width]
+    pair_ids = np.array([h * k + t for h, t in pair_order], dtype=np.intp)
+    pair_rows = plan.pair_rows[pair_ids]
+    end_reps = reps[pair_rows]
+    pair_reps = np.concatenate([
+        end_reps[:, 0, :d], end_reps[:, 0, 2 * d :], plan.between[pair_ids], end_reps[:, 1, :d], end_reps[:, 1, 2 * d :]
+    ], axis=1)
     rel_scores = classify_relations(model, pair_reps)
 
-    loss = joint_loss(ent_probs, ent_targets, rel_scores, pair_labels, attr_scores, attr_labels)
+    loss = LossBreakdown(
+        entity=entity_loss(ent_probs, ent_targets),
+        relation=_binary_loss01(rel_scores, pair_labels),
+        attribute=_binary_loss01(attr_scores, attr_labels),
+    )
     if not with_grads:
         return loss, None
 
-    grads = {name: np.zeros(getattr(model, name).shape) for name in PARAM_GROUPS}
-    d_reps = np.zeros(reps.shape)
-
+    grads = _group_views(model)
+    # entity-rep gradient terms: the entity rows', then the attribute rows'
+    term_rows, terms = [], []
     if len(ent_rows):
         g = ent_probs.copy()
         g[np.arange(len(ent_targets)), ent_targets] -= 1.0
         g /= len(ent_targets)
         grads["ent_w"] += g.T @ ent_reps
         grads["ent_b"] += g.sum(axis=0)
-        dx = g @ model.ent_w
-        np.add.at(d_reps, ent_rows, dx)
+        term_rows.append(ent_rows)
+        terms.append(g @ model.ent_w)
 
     if attr_scores.size:
         g = (attr_scores - attr_labels) / attr_scores.size
         grads["attr_w"] += g.T @ attr_reps
         grads["attr_b"] += g.sum(axis=0)
-        dx = g @ model.attr_w
-        np.add.at(d_reps, attr_rows, dx)
+        term_rows.append(ent_rows[:k])
+        terms.append(g @ model.attr_w)
+    d_reps = _add_rows(len(reps), np.concatenate(term_rows), np.concatenate(terms)) if terms else np.zeros(reps.shape)
 
-    # np.add.at adds rows in index order: pairs in pair_order, each head
-    # before its tail, then spans in unique_spans order.  Changing that order
-    # changes the rounding of the trained parameters.
-    d_pooled = np.zeros(pooled.shape)
     if rel_scores.size:
         g = (rel_scores - pair_labels) / rel_scores.size
         grads["rel_w"] += g.T @ pair_reps
         grads["rel_b"] += g.sum(axis=0)
         dr = g @ model.rel_w
-        pair_widths = plan.widths[pair_ends]
-        np.add.at(d_pooled, pair_rows, np.stack([dr[:, :d], dr[:, 2 * d + dw : 3 * d + dw]], axis=1))
-        np.add.at(grads["width"], pair_widths, np.stack([dr[:, d : d + dw], dr[:, 3 * d + dw :]], axis=1))
+        # an (m, 2, d + dw) view of dr: each pair's head and tail [pooled ; width] slices
+        ends = np.ndarray((len(dr), 2, d + dw), dr.dtype, dr, 0, (dr.strides[0], (2 * d + dw) * dr.itemsize, dr.itemsize))
+        d_pooled = _add_rows(len(reps), pair_rows, ends[:, :, :d])
+        np.add.at(grads["width"], plan.span_widths[pair_rows], ends[:, :, d:])
+    else:
+        d_pooled = np.zeros((len(reps), d))
 
     # entity-rep gradient: pooled segment and width segment (passage frozen)
     d_pooled += d_reps[:, :d]
-    span_widths = np.array([len(span) - 1 for span in unique_spans], dtype=int)
-    np.add.at(grads["width"], span_widths, d_reps[:, 2 * d :])
+    np.add.at(grads["width"], plan.span_widths[step_rows], d_reps[step_rows, 2 * d :])
 
-    # attention backward per span; attn_b's gradient is summed in a float,
-    # which costs less per span than adding into the 0-d array
-    d_attn_b = 0.0
-    for i, span in enumerate(unique_spans):
-        h = H[span.start : span.end]
-        alpha = alphas[i]
-        d_alpha = h @ d_pooled[i]
-        dz = alpha * (d_alpha - float(alpha @ d_alpha))
-        grads["attn_w"] += h.T @ dz
-        d_attn_b += float(dz.sum())
-    grads["attn_b"] += d_attn_b
+    d_attn_w, d_attn_b = _attention_backward(plan, alpha, d_pooled)
+    np.add.reduce(d_attn_w[step_rows], axis=0, out=grads["attn_w"], initial=0.0)
+    total = 0.0  # attn_b's terms are added one by one, as floats
+    for term in d_attn_b[step_rows].tolist():
+        total += term
+    grads["attn_b"] += total
 
     return loss, grads
+
+
+def _span_table(model: Model, passage: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The attention weights of every span in the plan's span table, one
+    row per span padded with zeros to the widest span, and each span's
+    [pooled ; passage ; width] row.
+
+    The scores are padded with -inf, which the max, the shift and the exp
+    turn into zero weights and nothing else, so those run on the whole
+    table at once; the matmuls and each row's sum run per width over the
+    real cells."""
+    d = model.dimension
+    reps = np.empty((len(plan.span_widths), model.rep_dim))
+    reps[:, d : 2 * d] = passage
+    reps[:, 2 * d :] = model.width[plan.span_widths]
+    alpha = np.full((len(reps), len(plan.windows)), -np.inf)
+    for w, win, lo, hi in plan.width_groups():
+        np.matmul(win, model.attn_w, out=alpha[lo:hi, :w])
+    alpha += model.attn_b
+    alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
+    np.exp(alpha, out=alpha)
+    sums = np.empty((len(reps), 1))
+    for w, _, lo, hi in plan.width_groups():
+        np.add.reduce(alpha[lo:hi, :w], axis=1, keepdims=True, out=sums[lo:hi])
+    alpha /= sums
+    for w, win, lo, hi in plan.width_groups():
+        np.matmul(alpha[lo:hi, None, :w], win, out=reps[lo:hi, None, :d])
+    return alpha, reps
+
+
+def _attention_backward(plan: _Plan, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each span-table row's term of attn_w's gradient and of attn_b's,
+    given `_span_table`'s padded attention weights and the rows'
+    pooled-vector gradients; padded cells stay out of every matmul and sum."""
+    d_alpha = np.zeros(alpha.shape)
+    centre = np.empty((len(alpha), 1))  # each row's alpha . d_alpha
+    for w, win, lo, hi in plan.width_groups():
+        np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha[lo:hi, :w, None])
+        np.matmul(alpha[lo:hi, None, :w], d_alpha[lo:hi, :w, None], out=centre[lo:hi, :, None])
+    dz = alpha * (d_alpha - centre)
+    d_attn_w = np.empty(d_pooled.shape)
+    d_attn_b = np.empty(len(d_pooled))
+    for w, win, lo, hi in plan.width_groups():
+        np.matmul(dz[lo:hi, None, :w], win, out=d_attn_w[lo:hi, None, :])
+        np.add.reduce(dz[lo:hi, :w], axis=1, out=d_attn_b[lo:hi])
+    return d_attn_w, d_attn_b
+
+
+def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An (n_rows, w) array whose row r sums, from zero and in index order,
+    each values[i] with rows[i] == r, as np.add.at into zeros adds; values
+    has the shape rows.shape + (w,).  np.bincount over the flattened cells
+    adds in that order too, at a fraction of np.add.at's cost."""
+    w = values.shape[-1]
+    cells = (rows[..., None] * w + np.arange(w)).ravel()
+    return np.bincount(cells, values.ravel(), n_rows * w).reshape(n_rows, w)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """Each group's (name, start, end, shape) in a buffer that holds groups
+    of these shapes back to back in PARAM_GROUPS order."""
+    ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
+    return tuple(zip(PARAM_GROUPS, ends, ends[1:], shapes))
+
+
+def _group_views(model: Model, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Each parameter group's view into flat, a float buffer that holds the
+    groups back to back in PARAM_GROUPS order, shaped as the model's;
+    flat defaults to a new zeroed buffer."""
+    layout = _layout(tuple(getattr(model, name).shape for name in PARAM_GROUPS))
+    if flat is None:
+        flat = np.zeros(layout[-1][2])
+    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
 
 
 def grad_check(
@@ -606,6 +734,10 @@ def train(
         theta_a=config.theta_a,
         seed=config.seed,
     )
+    # one buffer holds every parameter group, so an update is one operation
+    params = np.concatenate([np.ravel(getattr(model, name)) for name in PARAM_GROUPS])
+    for name, view in _group_views(model, params).items():
+        setattr(model, name, view)
     encodings = [encode_tokens(ex.tokens, encoder_config) for ex in dataset]
     plans = [_plan(schema, config.max_span_len, ex, enc.token_vectors) for ex, enc in zip(dataset, encodings)]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
@@ -628,15 +760,9 @@ def train(
                 )
                 loss, grads = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plans[idx])
                 epoch_loss += loss.total
-                if batch_grads is None:
-                    batch_grads = grads
-                else:
-                    for k in grads:
-                        batch_grads[k] = batch_grads[k] + grads[k]
-            scale = config.learning_rate / len(batch)
-            for name in PARAM_GROUPS:
-                param = getattr(model, name)
-                param -= scale * batch_grads[name]
+                flat = grads[PARAM_GROUPS[0]].base  # the buffer behind every group
+                batch_grads = flat if batch_grads is None else batch_grads + flat
+            params -= (config.learning_rate / len(batch)) * batch_grads
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / len(dataset))
     return model

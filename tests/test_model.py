@@ -22,11 +22,14 @@ from causalkg.model import (
     pair_block,
     save_model,
     sigmoid,
+    softmax,
     span_attention,
     span_representations,
 )
 from causalkg.schema import load_schema, schema_to_dict
 from training_reference import pair_rep
+from training_reference import sigmoid as reference_sigmoid
+from training_reference import softmax as reference_softmax
 
 
 def small_model(seed=0, d=8, width_dim=2, max_span_len=3, schema="sciclaim"):
@@ -209,6 +212,24 @@ def test_classifier_hand_sigmoid():
     scores = classify_attributes(m, rep[None, :])[0]
     assert abs(scores[0] - 1.0 / (1.0 + math.exp(-3.0))) < 1e-12
     assert abs(scores[1] - 1.0 / (1.0 + math.exp(2.0))) < 1e-12
+
+
+SPECIAL = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+                    1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def test_sigmoid_and_softmax_round_as_the_originals():
+    # the heads compute these with fewer numpy calls; each value must stay
+    # the original's bit for bit, sign of zero and NaN included
+    rng = np.random.default_rng(11)
+    z = np.concatenate([SPECIAL, rng.standard_normal(4000) * 10.0 ** rng.integers(-8, 4, 4000)])[:4011]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for batch in (z, z.reshape(-1, 7), z[:10].reshape(2, 5)):
+            got, want = sigmoid(batch), reference_sigmoid(batch)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for axis in range(-batch.ndim, batch.ndim):
+                got, want = softmax(batch, axis=axis), reference_softmax(batch, axis=axis)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_dimension_mismatch_raises():

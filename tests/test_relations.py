@@ -275,6 +275,66 @@ def test_raw_relation_columns_hold_int_indexes_in_columns_of_one_length(head, ta
         KnowledgeGraph(("a", "b"), ("a", "b"), E_F, Relations(("e", "f"), ("q",), head, tail, code, confidence))
 
 
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.uint8, np.intp])
+def test_raw_relation_columns_take_numpy_integer_indexes(integer):
+    head, tail, code = [integer(0)], [integer(1)], [integer(1)]
+    g = KnowledgeGraph(("a", "b"), ("a", "b"), E_F, Relations(("e", "f"), ("q+", "q-"), head, tail, code, [0.5]))
+    want = assemble_graph(["a", "b"], None, [(e.id, e.span, e.entity_type, e.confidence) for e in E_F],
+                          [], [("e", "f", "q-", 0.5)])
+    assert g == want
+    assert list(map(type, (g.relations.head[0], g.relations.tail[0], g.relations.code[0]))) == [int, int, int]
+
+
+@pytest.mark.parametrize("head, tail, code, error, message", [
+    ([np.int64(2)], [1], [0], DanglingReferenceError, "relation references unknown entity index np.int64(2)"),
+    ([0], [np.int8(-1)], [0], DanglingReferenceError, "relation references unknown entity index np.int8(-1)"),
+    ([0], [1], [np.int64(1)], GraphError, "relation type code np.int64(1) outside the 1 relation types"),
+    ([False], [1], [0], DanglingReferenceError, "relation references unknown entity index False"),
+    ([0], [np.True_], [0], DanglingReferenceError, "relation references unknown entity index np.True_"),
+    ([0], [1], [np.float64(0.0)], GraphError, "relation type code np.float64(0.0) outside the 1 relation types"),
+])
+def test_raw_relation_columns_refuse_numpy_values_that_index_nothing(head, tail, code, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        KnowledgeGraph(("a", "b"), ("a", "b"), E_F, Relations(("e", "f"), ("q",), head, tail, code, [0.5]))
+
+
+@pytest.mark.parametrize("entities, relations, message", [
+    ((("e", Span(0, 1), "t", 0.5),) + E_F[1:], (), "entity ('e', Span(start=0, end=1), 't', 0.5) is of type tuple, not Entity"),
+    (E_F, (("e", "f", "q", 0.5),), "relation ('e', 'f', 'q', 0.5) is of type tuple, not Relation"),
+    (E_F, "ef", "relation list 'ef' is not a sequence of Relation objects"),
+    (E_F, None, "relation list None is not a sequence of Relation objects"),
+    ("ef", (), "entity list 'ef' is not a sequence of Entity objects"),
+])
+def test_hand_built_graphs_name_an_element_of_the_wrong_class(entities, relations, message):
+    sound = KnowledgeGraph(("a", "b"), ("a", "b"), E_F, ())
+    for build in (
+        lambda: KnowledgeGraph(("a", "b"), ("a", "b"), entities, relations),
+        lambda: replace(sound, entities=entities, relations=relations),
+    ):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            build()
+
+
+EF_TUPLES = [("e", Span(0, 1), "t", 0.5), ("f", Span(1, 2), "t", 0.5)]
+
+
+@pytest.mark.parametrize("entities, attributes, relations, senses, message", [
+    ([("e", Span(0, 1), "t")], [], [], [], "entity ('e', Span(start=0, end=1), 't') is not a (id, span, type, confidence) tuple"),
+    ([("e", Span(0, 1), "t", 0.5, ())], [], [], [], "entity ('e', Span(start=0, end=1), 't', 0.5, ()) is not a (id, span, type, confidence) tuple"),
+    ([5], [], [], [], "entity 5 is not a (id, span, type, confidence) tuple"),
+    (None, [], [], [], "entity list None is not a sequence of tuples"),
+    (EF_TUPLES, [("e", "sign+")], [], [], "attribute ('e', 'sign+') is not a (entity id, type, confidence) tuple"),
+    (EF_TUPLES, [("e", "sign+", 0.5, 0.5)], [], [], "attribute ('e', 'sign+', 0.5, 0.5) is not a (entity id, type, confidence) tuple"),
+    (EF_TUPLES, [], [("e", "f", "q+")], [], "relation ('e', 'f', 'q+') is not a (head id, tail id, type, confidence) tuple"),
+    (EF_TUPLES, [], [("e", "f", "q+", 0.5, 1)], [], "relation ('e', 'f', 'q+', 0.5, 1) is not a (head id, tail id, type, confidence) tuple"),
+    (EF_TUPLES, [], 7, [], "relation list 7 is not a sequence of tuples"),
+    (EF_TUPLES, [], [], [("e", "s.n.01")], "sense ('e', 's.n.01') is not a (entity id, sense id, confidence) tuple"),
+])
+def test_assemble_graph_names_a_tuple_of_the_wrong_length(entities, attributes, relations, senses, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        assemble_graph(["a", "b"], None, entities, attributes, relations, senses=senses)
+
+
 # One field of a graph and the values it is set to: each value is sound in
 # some fields and a fault in others.
 FIELD_VALUES = st.sampled_from([

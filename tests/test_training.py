@@ -18,7 +18,7 @@ from causalkg.errors import (
 )
 from causalkg import training
 from causalkg.graphs import Span
-from causalkg.model import Model
+from causalkg.model import Model, load_model, save_model
 from causalkg.schema import load_schema
 from causalkg.training import (
     PARAM_GROUPS,
@@ -296,6 +296,82 @@ def test_train_deterministic_per_seed():
         assert np.array_equal(
             np.atleast_1d(getattr(m1, name)), np.atleast_1d(getattr(m2, name))
         )
+
+
+def test_trained_model_shares_no_buffer_with_its_copies(tmp_path):
+    # train keeps the parameter groups as views of one buffer; a copy or a
+    # reloaded model must own its own arrays
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    cfg = TrainConfig(epochs=2, max_span_len=3, seed=5, neg_entity_count=4, neg_relation_count=2)
+    model = train(build_corpus()[:3], SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    before = {name: getattr(model, name).tobytes() for name in PARAM_GROUPS}
+    for other in (model.copy(), load_model(path)):
+        for name in PARAM_GROUPS:
+            assert not any(np.shares_memory(getattr(model, name), getattr(other, o)) for o in PARAM_GROUPS), name
+            getattr(other, name)[...] += 1.0
+        assert {name: getattr(model, name).tobytes() for name in PARAM_GROUPS} == before
+    # the groups are views of one buffer that overlap nowhere
+    for i, name in enumerate(PARAM_GROUPS):
+        assert not any(np.shares_memory(getattr(model, name), getattr(model, o)) for o in PARAM_GROUPS[i + 1 :])
+
+
+def test_train_calls_negatives_and_gradients_through_the_module(monkeypatch):
+    # bench/tracing.py sees training only through these module attributes
+    counts = {"sample_negatives": 0, "example_loss_and_grads": 0}
+    dataset = build_corpus()[:3]
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    cfg = TrainConfig(epochs=2, max_span_len=3, seed=5, neg_entity_count=4, neg_relation_count=2)
+    unpatched = train(dataset, SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+
+    def counting(name):
+        original = getattr(training, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(training, name, counting(name))
+    model = train(dataset, SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+    assert counts == {name: cfg.epochs * len(dataset) for name in counts}
+    for name in PARAM_GROUPS:
+        assert getattr(model, name).tobytes() == getattr(unpatched, name).tobytes()
+
+
+def test_attention_bias_terms_add_in_step_order(monkeypatch):
+    # attn_b's gradient adds one term per span, from zero and in the order
+    # the step first uses the spans, as the per-span loop did; the true
+    # terms are rounding noise, so made-up ones show the order
+    ex = tiny_example()
+    negatives = Negatives(spans=(Span(3, 5), Span(0, 2), Span(4, 5), Span(2, 3)), pairs=())
+    real_backward = training._attention_backward
+    made_up = {}
+
+    def backward(plan, alpha, d_pooled):
+        d_attn_w, d_attn_b = real_backward(plan, alpha, d_pooled)
+        # rows 0 and 8 are the first and the fourth span the step uses
+        d_attn_b = np.ones(len(d_attn_b))
+        d_attn_b[[0, 8]] = 1e16, -1e16
+        made_up["terms"] = d_attn_b
+        return d_attn_w, d_attn_b
+
+    monkeypatch.setattr(training, "_attention_backward", backward)
+    model = tiny_model()
+    _, grads = training.example_loss_and_grads(model, ex, negatives)
+    offsets = [0, 5, 9, 12]  # rows of the 1-, 2- and 3-token spans of 5 tokens
+    spans = [span for span, _ in ex.entities] + list(negatives.spans)
+    total = 0.0
+    for span in dict.fromkeys(spans):
+        total += made_up["terms"][offsets[len(span) - 1] + span.start]
+    assert grads["attn_b"] == total
+    in_table_order = 0.0
+    for row in sorted(offsets[len(span) - 1] + span.start for span in dict.fromkeys(spans)):
+        in_table_order += made_up["terms"][row]
+    assert total != in_table_order  # the order shows
 
 
 def test_train_loss_non_increasing_small_lr():

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
-from causalkg.encoder import EncoderConfig, encode_tokens
+from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
 from causalkg.errors import SelfLoopError
 from causalkg.graphs import Span, graph_to_json
-from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract
+from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract, span_attention
 from causalkg.schema import load_schema
 from causalkg.training import (
     Example,
@@ -22,6 +22,7 @@ from causalkg.training import (
     TrainConfig,
     _plan,
     _prepare,
+    _span_table,
     example_loss,
     example_loss_and_grads,
     sample_negatives,
@@ -143,6 +144,130 @@ def test_random_examples_match_reference(case):
     assert_matches_reference(model, ex, negatives)
 
 
+@st.composite
+def wide_examples_and_negatives(draw):
+    """Sentences of 1-12 tokens and max_span_len 1-10, with the cases whose
+    sums must keep their order: a gold span named twice, negatives equal to
+    gold spans or to each other, and fewer negatives than candidates, so
+    the step's span table holds spans the step never uses."""
+    n, max_span_len = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    candidates = enumerate_spans(n, max_span_len)
+    spans = draw(st.lists(st.sampled_from(candidates), max_size=5))
+    if spans and draw(st.booleans()):
+        spans.append(draw(st.sampled_from(spans)))
+    k = len(spans)
+    entities = tuple((span, draw(st.sampled_from(SCICLAIM.entity_types))) for span in spans)
+    indices = st.integers(0, k - 1) if k else st.nothing()
+    attributes = draw(st.lists(
+        st.tuples(indices, st.sampled_from(SCICLAIM.attribute_types)), max_size=4 if k else 0
+    ))
+    distinct = st.tuples(indices, indices).filter(lambda p: p[0] != p[1]) if k > 1 else st.nothing()
+    relations = draw(st.lists(
+        st.tuples(distinct, st.sampled_from(SCICLAIM.relation_types)).map(lambda r: (*r[0], r[1])),
+        max_size=5 if k > 1 else 0,
+    ))
+    negatives = Negatives(
+        spans=tuple(draw(st.lists(st.sampled_from(candidates + spans), max_size=len(candidates) // 2 + 1))),
+        pairs=tuple(draw(st.lists(distinct, max_size=4 if k > 1 else 0))),
+    )
+    tokens = tuple(f"w{draw(st.integers(0, 30))}" for _ in range(n))
+    ex = Example(tokens, tokens, entities, tuple(attributes), tuple(relations), "w")
+    return ex, negatives, max_span_len, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(wide_examples_and_negatives())
+def test_wide_random_examples_match_reference(case):
+    ex, negatives, max_span_len, seed = case
+    model = Model.initialize(
+        SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
+        max_span_len=max_span_len, width_dim=2, seed=seed,
+    )
+    assert_matches_reference(model, ex, negatives)
+
+
+def test_an_empty_sentence_matches_reference():
+    # the encoders refuse no tokens, but a caller may pass its own encoding;
+    # the step's span table then has no rows
+    model = Model.initialize(SCICLAIM, EncoderConfig(dimension=8), max_span_len=3, width_dim=2)
+    ex, negatives = Example((), (), (), (), (), "empty"), Negatives((), ())
+    encoding = TokenEncoding(passage_vector=np.zeros(8), token_vectors=np.zeros((0, 8)))
+    loss, grads = example_loss_and_grads(model, ex, negatives, encoding)
+    ref_loss, ref_grads = reference_loss_and_grads(model, ex, negatives, encoding)
+    assert loss == ref_loss == example_loss(model, ex, negatives, encoding)
+    for name in PARAM_GROUPS:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@st.composite
+def trainable_datasets(draw):
+    """Datasets that check_dataset accepts, of 1-3 sentences of 1-12 tokens
+    under one max_span_len of 1-10, and training settings that draw fewer
+    negative spans than there are candidates."""
+    max_span_len = draw(st.integers(1, 10))
+    dataset = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        spans = draw(st.lists(st.sampled_from(enumerate_spans(n, max_span_len)), min_size=1, max_size=4, unique=True))
+        k = len(spans)
+        entities = tuple((span, draw(st.sampled_from(SCICLAIM.entity_types))) for span in spans)
+        attributes = draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.sampled_from(SCICLAIM.attribute_types)), max_size=3, unique=True
+        ))
+        relations = draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.sampled_from(SCICLAIM.relation_types))
+            .filter(lambda r: r[0] != r[1]),
+            max_size=4 if k > 1 else 0, unique=True,
+        ))
+        tokens = tuple(f"w{draw(st.integers(0, 30))}" for _ in range(n))
+        dataset.append(Example(tokens, tokens, entities, tuple(attributes), tuple(relations), f"t{i}"))
+    config = TrainConfig(
+        epochs=2, learning_rate=2.5, batch_size=draw(st.sampled_from((1, 4))), seed=draw(st.integers(0, 3)),
+        neg_entity_count=draw(st.integers(0, 3)), neg_relation_count=draw(st.integers(0, 3)),
+        max_span_len=max_span_len,
+    )
+    return dataset, config
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trainable_datasets())
+def test_random_training_matches_reference(case):
+    dataset, config = case
+    encoder = EncoderConfig(dimension=8, seed=config.seed, context_window=1)
+    model = train(dataset, SCICLAIM, config, encoder_config=encoder, width_dim=2)
+    ref = reference_train(dataset, SCICLAIM, config, encoder, width_dim=2)
+    for name in PARAM_GROUPS:
+        assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+    assert parameter_bytes(model) == parameter_bytes(ref)
+
+
+SPAN_TABLE_BROKEN = (
+    "numpy's matmul dispatch changed: a stacked (c, w, d) token-window matmul no longer makes "
+    "each span's own BLAS call, so training's span table no longer pools like span_attention"
+)
+
+
+def test_span_table_pools_each_span_as_span_attention():
+    # _span_table pools every span of a width with one stacked matmul; the
+    # trained parameters stay bit-identical only while each stacked item
+    # gives what span_attention gives for that span alone
+    rng = np.random.default_rng(19)
+    for d in (2, 8, 64, 150):
+        for n in (1, 2, 5, 9, 12):
+            max_span_len = int(rng.integers(1, 11))
+            model = Model.initialize(SCICLAIM, EncoderConfig(dimension=d), max_span_len=max_span_len, seed=int(rng.integers(99)))
+            model.attn_w = 3.0 * rng.standard_normal(d)
+            H = rng.standard_normal((n, d))
+            ex = Example(("w",) * n, ("w",) * n, (), (), (), "p")
+            alpha, reps = _span_table(model, H.mean(axis=0), _plan(SCICLAIM, max_span_len, ex, H))
+            table = sorted(enumerate_spans(n, max_span_len), key=lambda s: (len(s), s.start))
+            for row, span in enumerate(table):
+                want_alpha, want_pooled = span_attention(H, span, model.attn_w, model.attn_b)
+                assert np.array_equal(reps[row, :d], want_pooled), SPAN_TABLE_BROKEN
+                assert np.array_equal(alpha[row, : len(span)], want_alpha), SPAN_TABLE_BROKEN
+                assert not alpha[row, len(span) :].any()
+
+
 def test_sample_negatives_draws_alike_with_the_plan():
     examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], DUPLICATE_SPANS[0]]
     for ex in examples:
@@ -154,17 +279,21 @@ def test_sample_negatives_draws_alike_with_the_plan():
 
 
 def assert_prepared_like_reference(model, ex, negatives):
-    """_prepare's seven values equal the reference's: arrays by dtype, shape
-    and bytes, the rest by value and, for the span index, by order."""
-    got = _prepare(model.schema, model.max_span_len, ex, negatives)
-    want = reference_prepare(model, ex, negatives)
-    assert len(got) == len(want) == 7
-    for a, b in zip(got, want):
+    """_prepare's six values equal the reference's seven: arrays by dtype,
+    shape and bytes, the rest by value, and the entity and step rows as the
+    reference's entity spans and distinct spans, in order, through the
+    span table (every span, by width and then by start)."""
+    ent_rows, *labels, step_rows = _prepare(model.schema, model.max_span_len, ex, negatives)
+    ent_spans, *want, unique_spans, span_index = reference_prepare(model, ex, negatives)
+    table = sorted(enumerate_spans(len(ex.tokens), model.max_span_len), key=lambda s: (len(s), s.start))
+    for rows, spans in ((ent_rows, ent_spans), (step_rows, unique_spans)):
+        assert rows.dtype == np.intp
+        assert [table[r] for r in rows] == spans
+    assert list(span_index) == unique_spans
+    for a, b in zip(labels, want, strict=True):
         assert type(a) is type(b)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        elif isinstance(b, dict):
-            assert list(a.items()) == list(b.items())
         else:
             assert a == b
 

@@ -3,8 +3,9 @@ for the tests: `reference_prepare`, which builds its own type tables per
 example and lists each pair's head and tail spans again; the original
 per-span and per-pair loops that assembled span, entity and pair
 representations by hand, the per-pair `pair_rep` and `between_context`
-that built one relation-head row at a time, and the gradient step written
-out group by group.
+that built one relation-head row at a time, the gradient step written
+out group by group, and the original masked `sigmoid` and out-of-place
+`softmax`.
 
 causalkg.training and causalkg.model must reproduce these bit for bit: the
 same prepared examples, losses, gradients, trained parameters and
@@ -21,11 +22,24 @@ from causalkg.model import (
     classify_entities,
     classify_relations,
     enumerate_spans,
-    sigmoid,
-    softmax,
     span_attention,
 )
 from causalkg.training import Example, Negatives, joint_loss, sample_negatives
+
+
+def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = z - z.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def between_context(token_vectors: np.ndarray, a: Span, b: Span) -> np.ndarray:
