@@ -1,6 +1,10 @@
 """Span-classification model: span enumeration, attention pooling, and the
 entity / attribute / relation classifier heads, plus decoding into a graph.
 
+Extraction and training share one span forward: a `SpanTable` lists every
+span of a sentence by width, `table_reps` pools the whole table with one
+stacked matmul per width, and `pair_rows` lays out the relation head's rows.
+
 The model is a set of numpy parameter arrays over a frozen token encoder:
 
 * attention scorer (w, b) that pools each candidate span's token vectors,
@@ -13,14 +17,16 @@ The model is a set of numpy parameter arrays over a frozen token encoder:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
-from .errors import DimensionMismatchError, InputError
+from .errors import DimensionMismatchError, GraphError, InputError
 from .graphs import KnowledgeGraph, Span
 from .graphs import assemble_columns as assemble_graph  # the name bench/tracing.py wraps
 from .readers import integer, load_json, obj, real, required, within, write_text
@@ -176,6 +182,75 @@ def span_attention(
     return alpha, alpha @ h
 
 
+@dataclass(frozen=True)
+class SpanTable:
+    """Every span of 1..max_len of n tokens, by width and then by start: the
+    span of width w at start s is row offsets[w - 1] + s, and widths[row] its
+    width-table row.  Built over token vectors, groups holds (w, windows, lo,
+    hi) for each width w: its rows lo:hi and their token windows, a (c, w, d)
+    read-only view whose every item has the strides of its token slice."""
+
+    n: int
+    max_len: int
+    offsets: tuple[int, ...]
+    widths: np.ndarray
+    groups: tuple[tuple[int, np.ndarray, int, int], ...] | None = None
+
+    def rows(self, spans: Sequence[Span], where: str) -> np.ndarray:
+        """The spans' rows; a span past the n tokens or over max_len tokens
+        raises GraphError naming it, after where."""
+        for span in spans:  # a few dozen spans: Python's scalar work is faster than numpy's calls
+            if span.end > self.n or span.end - span.start > self.max_len:
+                why = f"beyond {self.n} tokens" if span.end > self.n else f"longer than max_span_len {self.max_len}"
+                raise GraphError(f"{where}: span [{span.start}, {span.end}) {why}")
+        return np.array([self.offsets[span.end - span.start - 1] + span.start for span in spans], dtype=np.intp)
+
+
+def _windows(H: np.ndarray, w: int) -> np.ndarray:
+    shape, strides = (len(H) - w + 1, w, H.shape[1]), (H.strides[0], *H.strides)
+    if H.flags.forc:  # the constructor takes a contiguous buffer only, at an eighth of as_strided's cost
+        return np.ndarray(shape, H.dtype, memoryview(H).toreadonly(), 0, strides)
+    return as_strided(H, shape, strides, writeable=False)
+
+
+def span_table(n: int, max_len: int, token_vectors: np.ndarray | None = None) -> SpanTable:
+    """The SpanTable of n tokens, with the windows of their token vectors when given."""
+    counts = list(range(n, n - min(n, max_len), -1))  # n - w + 1 spans of width w
+    offsets = tuple(itertools.accumulate(counts, initial=0))
+    groups = None if token_vectors is None else tuple(
+        (w, _windows(token_vectors, w), offsets[w - 1], offsets[w]) for w in range(1, len(offsets))
+    )
+    widths = np.repeat(np.arange(len(counts)), counts)
+    widths.flags.writeable = False  # training steps share it
+    return SpanTable(n, max_len, offsets, widths, groups)
+
+
+def table_reps(model: Model, table: SpanTable, passage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every table span's attention weights, padded with zeros to the widest
+    span, and its [pooled ; passage ; width] row.  Each item of a width's
+    stacked matmul makes the BLAS call of that span's `span_attention`, so
+    both equal its results bit for bit.  The -inf padding of the scores turns
+    into zero weights through the max, the shift and the exp, which run on
+    the whole table; the matmuls and each row's sum run per width."""
+    d = model.dimension
+    reps = np.empty((len(table.widths), model.rep_dim))
+    reps[:, d : 2 * d] = passage
+    reps[:, 2 * d :] = model.width[table.widths]
+    alpha = np.full((len(reps), len(table.groups)), -np.inf)
+    for w, win, lo, hi in table.groups:
+        np.matmul(win, model.attn_w, out=alpha[lo:hi, :w])
+    alpha += model.attn_b
+    alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
+    np.exp(alpha, out=alpha)
+    sums = np.empty((len(reps), 1))
+    for w, _, lo, hi in table.groups:
+        np.add.reduce(alpha[lo:hi, :w], axis=1, keepdims=True, out=sums[lo:hi])
+    alpha /= sums
+    for w, win, lo, hi in table.groups:
+        np.matmul(alpha[lo:hi, None, :w], win, out=reps[lo:hi, None, :d])
+    return alpha, reps
+
+
 def between_contexts(token_vectors: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Row i is the maxpool of token_vectors[lo[i]:hi[i]], or a zero vector
     where hi[i] <= lo[i] (spans that are adjacent or overlap).
@@ -220,29 +295,29 @@ def pair_contexts(
     )
 
 
-def pair_block(
-    token_vectors: np.ndarray,
-    spans: Sequence[Span],
-    pooled: np.ndarray,
-    width_table: np.ndarray,
-    heads: np.ndarray,
-    tails: np.ndarray,
-) -> np.ndarray:
-    """Relation-head inputs of the pairs (spans[heads[i]], spans[tails[i]]),
-    as an (m, 1, pair_dim) block; pooled holds one row per span.
+def pair_rows(reps: np.ndarray, heads: np.ndarray, tails: np.ndarray, between: np.ndarray) -> np.ndarray:
+    """Relation-head inputs of the span-rep pairs (reps[heads[i]],
+    reps[tails[i]]), given their between-context rows: row i is [head ; head
+    width ; between[i] ; tail ; tail width], copied part by part."""
+    d = between.shape[1]
+    ends = np.concatenate([reps[:, :d], reps[:, 2 * d :]], axis=1)  # each span's [pooled ; width]
+    e = ends.shape[1]
+    rows = np.empty((len(heads), 2 * e + d))
+    # one gather at a time: the allocator reuses a large temporary freed
+    # before the next is made, where ones alive together fault in new pages
+    rows[:, :e] = ends[heads]
+    rows[:, e:-e] = between
+    rows[:, -e:] = ends[tails]
+    return rows
 
-    Row i is [head ; head width ; between maxpool ; tail ; tail width], each
-    part copied from its source, so it equals the pair's row built alone.
-    """
-    starts, ends = _bounds(spans)
-    span_rows = np.concatenate([pooled, width_table[ends - starts - 1]], axis=1)  # [pooled ; width]
-    span_dim = span_rows.shape[1]  # d + d_w
-    block = np.empty((len(heads), 1, 2 * span_dim + pooled.shape[1]))
-    rows = block[:, 0]
-    rows[:, :span_dim] = span_rows[heads]
-    rows[:, span_dim:-span_dim] = pair_contexts(token_vectors, spans, heads, tails)
-    rows[:, -span_dim:] = span_rows[tails]
-    return block
+
+def pair_block(
+    token_vectors: np.ndarray, spans: Sequence[Span], reps: np.ndarray, heads: np.ndarray, tails: np.ndarray
+) -> np.ndarray:
+    """`pair_rows` of the pairs (spans[heads[i]], spans[tails[i]]), whose
+    reps are given, as an (m, 1, pair_dim) block."""
+    rows = pair_rows(reps, heads, tails, pair_contexts(token_vectors, spans, heads, tails))
+    return rows.reshape(len(rows), 1, rows.shape[1])  # C-contiguous: each item has a row's strides
 
 
 pair_rep = pair_block  # the name bench/tracing.py wraps; extract calls it by this name
@@ -272,19 +347,16 @@ def classify_relations(model: Model, reps: np.ndarray) -> np.ndarray:
 def span_representations(
     model: Model, encoding: TokenEncoding, spans: Sequence[Span]
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Attention weights per span plus the stacked entity reps (same order).
-
-    Row i of reps is [pooled ; passage ; width], so reps[:, :d] holds the
-    pooled span vectors.
-    """
-    alphas = []
-    pooled = np.empty((len(spans), model.dimension))
-    for i, span in enumerate(spans):
-        alpha, pooled[i] = span_attention(encoding.token_vectors, span, model.attn_w, model.attn_b)
-        alphas.append(alpha)
-    passage = np.broadcast_to(encoding.passage_vector, pooled.shape)
-    widths = model.width[[len(span) - 1 for span in spans]]
-    return alphas, np.concatenate([pooled, passage, widths], axis=1)
+    """Attention weights per span plus the stacked entity reps (same order),
+    gathered from the `table_reps` of the encoding.  Row i of reps is
+    [pooled ; passage ; width].  A span past the encoding or over
+    max_span_len raises GraphError naming it."""
+    H = encoding.token_vectors
+    table = span_table(len(H), model.max_span_len, H)
+    rows = table.rows(spans, "span_representations")
+    alpha, reps = table_reps(model, table, encoding.passage_vector)
+    weights = list(itertools.chain.from_iterable(alpha[lo:hi, :w] for w, _, lo, hi in table.groups))
+    return list(map(weights.__getitem__, rows.tolist())), reps[rows]
 
 
 def extract(
@@ -320,9 +392,10 @@ def extract(
             kept.append(row)
 
     attributes = []
+    kept_reps = reps[kept]
     if kept:
         attribute_types = model.schema.attribute_types
-        for (ent_id, _, _, _), scores in zip(entities, classify_attributes(model, reps[kept]).tolist()):
+        for (ent_id, _, _, _), scores in zip(entities, classify_attributes(model, kept_reps).tolist()):
             for attr, score in zip(attribute_types, scores):
                 if score >= model.theta_a:
                     attributes.append((ent_id, attr, score))
@@ -339,8 +412,7 @@ def extract(
     if k > 1:
         head, tail = np.divmod(np.arange(k * (k - 1)), k - 1)
         tail += tail >= head
-        pooled = reps[kept, : model.dimension]
-        block = pair_rep(encoding.token_vectors, [spans[i] for i in kept], pooled, model.width, head, tail)
+        block = pair_rep(encoding.token_vectors, [spans[i] for i in kept], kept_reps, head, tail)
         scores = classify_relations(model, block)[:, 0]
     # row-major order: by pair, then by relation type
     rows, code = np.nonzero(scores >= model.theta_r)

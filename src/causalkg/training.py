@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import (
@@ -37,12 +36,15 @@ from .graphs import KnowledgeGraph, Span, assemble_graph
 from .model import (
     PARAM_GROUPS,
     Model,
+    SpanTable,
     classify_attributes,
     classify_entities,
     classify_relations,
     enumerate_spans,
     pair_contexts,
-    softmax,
+    pair_rows,
+    span_table,
+    table_reps,
 )
 from .readers import array, integer, obj, parse_json, real, required, string, strings, within
 from .schema import Schema
@@ -190,37 +192,30 @@ def gold_graph(example: Example) -> KnowledgeGraph:
     )
 
 
-def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int) -> None:
-    """Raise a CausalKgError for the first example that cannot be trained on.
+def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int) -> list[_Plan]:
+    """Raise a CausalKgError for the first example that cannot be trained on,
+    or return each example's `_plan`.
 
     gold_graph rejects spans past the sentence end, entity indices out of
     range, self-loops and duplicate spans, attributes or relations;
     `_plan` then rejects unknown types and spans longer than max_span_len.
     """
+    plans = []
     for ex in dataset:
         within(ex.provenance, gold_graph, ex)
-        _plan(schema, max_span_len, ex)
+        plans.append(_plan(schema, max_span_len, ex))
+    return plans
 
 
 @dataclass(frozen=True)
 class _Plan:
     """What training reads of one example and no step changes, under one
-    schema and max_span_len: `sample_negatives`' candidates, the gold half
-    of `_prepare`, the span table, and, given the token vectors, each gold
-    pair's between-context row and the table's token windows.
-
-    The span table lists every span a step can see: the gold spans and the
-    candidates, which together are every span `enumerate_spans` gives,
-    ordered by width and then by start.  The span of width w at start s is
-    row `offsets[w - 1] + s`, and `span_widths` gives each row's
-    width-table row.  `windows[w - 1]` stacks the token windows of the c
-    spans of width w as a (c, w, d) read-only view of the token vectors,
-    whose every item has the strides of the slice `token_vectors[start:end]`.
-
-    `train` builds one per example and hands it to every step; a call
-    given none builds its own.  The arrays are made read-only, as steps
-    share them.
-    """
+    schema and max_span_len: `sample_negatives`' candidates, the gold half of
+    `_prepare`, the span table, which holds every span a step can see (the
+    gold spans and the candidates), and, once `over` the token vectors, the
+    table's windows and each gold pair's between-context row.  `train` builds
+    one per example and hands it to every step; a call given none builds its
+    own.  The arrays are made read-only, as steps share them."""
 
     span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
     pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
@@ -230,21 +225,19 @@ class _Plan:
     attr_labels: np.ndarray  # (k, |Ta|)
     pairs: list[tuple[int, int]]  # the gold relation pairs, each at its first place
     pair_labels: np.ndarray  # one row per gold pair
-    offsets: list[int]  # the span of width w at start s is row offsets[w - 1] + s
-    span_widths: np.ndarray  # each span-table row's width-table row
-    pair_rows: np.ndarray  # row h * k + t: the span-table rows of gold entities h and t
-    windows: tuple[np.ndarray, ...] | None  # the span table's token windows, one stack per width
-    between: np.ndarray | None  # row h * k + t: gold pair (h, t)'s between context
+    table: SpanTable
+    between: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s between context
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def width_groups(self):
-        """(w, windows, lo, hi) for each span width w: the width's token
-        windows and its rows lo:hi of the span table."""
-        return zip(range(1, len(self.windows) + 1), self.windows, self.offsets, self.offsets[1:])
+    def over(self, token_vectors: np.ndarray) -> "_Plan":
+        """This plan completed with the example's token vectors."""
+        heads, tails = np.divmod(np.arange(len(self.spans) ** 2), len(self.spans))
+        table = span_table(self.table.n, self.table.max_len, token_vectors)
+        return replace(self, table=table, between=pair_contexts(token_vectors, self.spans, heads, tails))
 
 
 def _candidates(example: Example, max_span_len: int):
@@ -266,24 +259,11 @@ def _check_pairs(where: str, pairs, k: int) -> None:
             raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
 
 
-def _check_spans(where: str, spans, n: int, max_span_len: int) -> None:
-    for span in spans:
-        if span.end > n:
-            raise GraphError(f"{where}: span [{span.start}, {span.end}) beyond {n} tokens")
-        if span.end - span.start > max_span_len:
-            raise GraphError(f"{where}: span [{span.start}, {span.end}) longer than max_span_len {max_span_len}")
-
-
-def _plan(
-    schema: Schema, max_span_len: int, example: Example, token_vectors: np.ndarray | None = None
-) -> _Plan:
-    """Check an example's gold half and build its `_Plan`; the between rows
-    only when given its token vectors.
-
-    An element it cannot index, a relation that joins an entity to itself,
-    a span past the sentence or over max_span_len, or an unknown type raises
-    `check_dataset`'s error.
-    """
+def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
+    """Check an example's gold half and build its `_Plan`, not yet `over`
+    its token vectors.  An element it cannot index, a relation that joins an
+    entity to itself, a span past the sentence or over max_span_len, or an
+    unknown type raises `check_dataset`'s error."""
     where = example.provenance
     spans = tuple(span for span, _ in example.entities)
     k, n = len(spans), len(example.tokens)
@@ -292,7 +272,8 @@ def _plan(
             raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
     pairs = list(dict.fromkeys((h, t) for h, t, _ in example.relations))
     _check_pairs(where, pairs, k)
-    _check_spans(where, spans, n, max_span_len)
+    table = span_table(n, max_span_len)
+    rows = table.rows(spans, where)
     try:
         # class 0 is null, so an entity type's class is its code + 1
         targets = [schema.entity_codes[etype] + 1 for _, etype in example.entities]
@@ -313,15 +294,6 @@ def _plan(
             ("relation", schema.relation_codes, example.relations),
         ) if any(record[-1] not in codes for record in records))
         raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
-    # the span table: spans of width w start at 0 .. n - w, after the shorter ones
-    table_widths = range(1, min(max_span_len, n) + 1)
-    offsets = np.cumsum([0, *(n - w + 1 for w in table_widths)]).tolist()
-    rows = np.array([offsets[len(span) - 1] + span.start for span in spans], dtype=np.intp)
-    heads, tails = np.divmod(np.arange(k * k), k)
-    windows = between = None
-    if token_vectors is not None:
-        windows = tuple(sliding_window_view(token_vectors, w, axis=0).transpose(0, 2, 1) for w in table_widths)
-        between = pair_contexts(token_vectors, spans, heads, tails)
     return _Plan(
         *_candidates(example, max_span_len),
         spans=spans,
@@ -330,11 +302,7 @@ def _plan(
         attr_labels=attr_labels,
         pairs=pairs,
         pair_labels=pair_labels,
-        offsets=offsets,
-        span_widths=np.repeat(np.arange(len(table_widths)), np.diff(offsets)),
-        pair_rows=rows[np.stack([heads, tails], axis=1)],
-        windows=windows,
-        between=between,
+        table=table,
     )
 
 
@@ -446,15 +414,13 @@ def _prepare(
         plan = _plan(schema, max_span_len, example)
     where = example.provenance
     _check_pairs(where, negatives.pairs, len(plan.spans))
-    _check_spans(where, negatives.spans, len(example.tokens), max_span_len)
-    offsets = plan.offsets
-    rows = plan.rows.tolist() + [offsets[span.end - span.start - 1] + span.start for span in negatives.spans]
+    rows = np.concatenate([plan.rows, plan.table.rows(negatives.spans, where)])
     ent_targets = np.array(plan.targets + [0] * len(negatives.spans), dtype=int)
     pairs = list(dict.fromkeys([*plan.pairs, *negatives.pairs]))
     pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
     pair_labels[: len(plan.pairs)] = plan.pair_labels
-    step_rows = np.array(list(dict.fromkeys(rows)), dtype=np.intp)
-    return np.array(rows, dtype=np.intp), ent_targets, plan.attr_labels, pairs, pair_labels, step_rows
+    step_rows = np.array(list(dict.fromkeys(rows.tolist())), dtype=np.intp)
+    return rows, ent_targets, plan.attr_labels, pairs, pair_labels, step_rows
 
 
 def example_loss(
@@ -485,13 +451,8 @@ def example_loss_and_grads(
 
 def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     """The example's loss and, with_grads, each parameter group's gradient,
-    computed on the plan's span table.
-
-    Every table span is pooled with one stacked matmul per width.  Each
-    item of a stacked matmul makes the BLAS call that one span's
-    `span_attention` makes, and the softmax reduces each row as it would
-    the span alone, so every value equals the per-span one bit for bit.  The
-    backward pass is stacked the same way.
+    from the `table_reps` of the plan's span table; the attention backward
+    pass is stacked by width the same way, and as exact.
 
     Sums that add one term per span or pair keep the order of the per-span
     loops in tests/training_reference.py; another order changes the
@@ -510,25 +471,21 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     if len(H) != n:
         raise AlignmentError(f"{example.provenance}: an encoding of {len(H)} tokens for an example of {n} tokens")
     if plan is None:
-        plan = _plan(model.schema, model.max_span_len, example, H)
+        plan = _plan(model.schema, model.max_span_len, example).over(H)
     ent_rows, ent_targets, attr_labels, pair_order, pair_labels, step_rows = _prepare(
         model.schema, model.max_span_len, example, negatives, plan
     )
     d, dw, k = model.dimension, model.width_dim, len(plan.spans)
 
-    alpha, reps = _span_table(model, encoding.passage_vector, plan)
+    alpha, reps = table_reps(model, plan.table, encoding.passage_vector)
     ent_reps = reps[ent_rows]
     ent_probs = classify_entities(model, ent_reps)
     attr_reps = ent_reps[:k]  # the gold spans come first
     attr_scores = classify_attributes(model, attr_reps)
 
-    # a pair's row is [head ; head width ; between ; tail ; tail width]
-    pair_ids = np.array([h * k + t for h, t in pair_order], dtype=np.intp)
-    pair_rows = plan.pair_rows[pair_ids]
-    end_reps = reps[pair_rows]
-    pair_reps = np.concatenate([
-        end_reps[:, 0, :d], end_reps[:, 0, 2 * d :], plan.between[pair_ids], end_reps[:, 1, :d], end_reps[:, 1, 2 * d :]
-    ], axis=1)
+    pairs = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
+    ends = plan.rows[pairs]  # each pair's head and tail span-table rows
+    pair_reps = pair_rows(reps, ends[:, 0], ends[:, 1], plan.between[pairs[:, 0] * k + pairs[:, 1]])
     rel_scores = classify_relations(model, pair_reps)
 
     loss = LossBreakdown(
@@ -565,17 +522,17 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
         grads["rel_b"] += g.sum(axis=0)
         dr = g @ model.rel_w
         # an (m, 2, d + dw) view of dr: each pair's head and tail [pooled ; width] slices
-        ends = np.ndarray((len(dr), 2, d + dw), dr.dtype, dr, 0, (dr.strides[0], (2 * d + dw) * dr.itemsize, dr.itemsize))
-        d_pooled = _add_rows(len(reps), pair_rows, ends[:, :, :d])
-        np.add.at(grads["width"], plan.span_widths[pair_rows], ends[:, :, d:])
+        d_ends = np.ndarray((len(dr), 2, d + dw), dr.dtype, dr, 0, (dr.strides[0], (2 * d + dw) * dr.itemsize, dr.itemsize))
+        d_pooled = _add_rows(len(reps), ends, d_ends[:, :, :d])
+        np.add.at(grads["width"], plan.table.widths[ends], d_ends[:, :, d:])
     else:
         d_pooled = np.zeros((len(reps), d))
 
     # entity-rep gradient: pooled segment and width segment (passage frozen)
     d_pooled += d_reps[:, :d]
-    np.add.at(grads["width"], plan.span_widths[step_rows], d_reps[step_rows, 2 * d :])
+    np.add.at(grads["width"], plan.table.widths[step_rows], d_reps[step_rows, 2 * d :])
 
-    d_attn_w, d_attn_b = _attention_backward(plan, alpha, d_pooled)
+    d_attn_w, d_attn_b = _attention_backward(plan.table, alpha, d_pooled)
     np.add.reduce(d_attn_w[step_rows], axis=0, out=grads["attn_w"], initial=0.0)
     total = 0.0  # attn_b's terms are added one by one, as floats
     for term in d_attn_b[step_rows].tolist():
@@ -585,47 +542,18 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     return loss, grads
 
 
-def _span_table(model: Model, passage: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """The attention weights of every span in the plan's span table, one
-    row per span padded with zeros to the widest span, and each span's
-    [pooled ; passage ; width] row.
-
-    The scores are padded with -inf, which the max, the shift and the exp
-    turn into zero weights and nothing else, so those run on the whole
-    table at once; the matmuls and each row's sum run per width over the
-    real cells."""
-    d = model.dimension
-    reps = np.empty((len(plan.span_widths), model.rep_dim))
-    reps[:, d : 2 * d] = passage
-    reps[:, 2 * d :] = model.width[plan.span_widths]
-    alpha = np.full((len(reps), len(plan.windows)), -np.inf)
-    for w, win, lo, hi in plan.width_groups():
-        np.matmul(win, model.attn_w, out=alpha[lo:hi, :w])
-    alpha += model.attn_b
-    alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
-    np.exp(alpha, out=alpha)
-    sums = np.empty((len(reps), 1))
-    for w, _, lo, hi in plan.width_groups():
-        np.add.reduce(alpha[lo:hi, :w], axis=1, keepdims=True, out=sums[lo:hi])
-    alpha /= sums
-    for w, win, lo, hi in plan.width_groups():
-        np.matmul(alpha[lo:hi, None, :w], win, out=reps[lo:hi, None, :d])
-    return alpha, reps
-
-
-def _attention_backward(plan: _Plan, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each span-table row's term of attn_w's gradient and of attn_b's,
-    given `_span_table`'s padded attention weights and the rows'
-    pooled-vector gradients; padded cells stay out of every matmul and sum."""
+def _attention_backward(table: SpanTable, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each span-table row's term of attn_w's gradient and of attn_b's, given
+    `table_reps`' padded weights and the rows' pooled-vector gradients."""
     d_alpha = np.zeros(alpha.shape)
     centre = np.empty((len(alpha), 1))  # each row's alpha . d_alpha
-    for w, win, lo, hi in plan.width_groups():
+    for w, win, lo, hi in table.groups:
         np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha[lo:hi, :w, None])
         np.matmul(alpha[lo:hi, None, :w], d_alpha[lo:hi, :w, None], out=centre[lo:hi, :, None])
     dz = alpha * (d_alpha - centre)
     d_attn_w = np.empty(d_pooled.shape)
     d_attn_b = np.empty(len(d_pooled))
-    for w, win, lo, hi in plan.width_groups():
+    for w, win, lo, hi in table.groups:
         np.matmul(dz[lo:hi, None, :w], win, out=d_attn_w[lo:hi, None, :])
         np.add.reduce(dz[lo:hi, :w], axis=1, out=d_attn_b[lo:hi])
     return d_attn_w, d_attn_b
@@ -678,7 +606,7 @@ def grad_check(
     encoding = encode_tokens(example.tokens, model.encoder)
     _, grads = example_loss_and_grads(model, example, negatives, encoding)
     # that call checked the example and its encoding; the probes share one plan
-    plan = _plan(model.schema, model.max_span_len, example, encoding.token_vectors)
+    plan = _plan(model.schema, model.max_span_len, example).over(encoding.token_vectors)
 
     errors: dict[str, float] = {}
     probe = model.copy()
@@ -722,7 +650,7 @@ def train(
     """
     if not dataset:
         raise InputError("dataset is empty")
-    check_dataset(dataset, schema, config.max_span_len)
+    plans = check_dataset(dataset, schema, config.max_span_len)
     if encoder_config is None:
         encoder_config = EncoderConfig()
     model = Model.initialize(
@@ -739,7 +667,7 @@ def train(
     for name, view in _group_views(model, params).items():
         setattr(model, name, view)
     encodings = [encode_tokens(ex.tokens, encoder_config) for ex in dataset]
-    plans = [_plan(schema, config.max_span_len, ex, enc.token_vectors) for ex, enc in zip(dataset, encodings)]
+    plans = [plan.over(enc.token_vectors) for plan, enc in zip(plans, encodings)]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
 
     for epoch in range(config.epochs):

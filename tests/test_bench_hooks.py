@@ -8,7 +8,7 @@ from pathlib import Path
 
 import synth
 from causalkg.encoder import EncoderConfig
-from causalkg.model import Model, extract
+from causalkg.model import Model, enumerate_spans, extract
 from causalkg.schema import check_constraints, load_schema
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -72,6 +72,20 @@ def test_traced_extract_scores_one_pair_block_and_assembles_columns():
     assert metrics["model.relation_yield"] == len(graph.relations) / (k * (k - 1) * len(sciclaim.relation_types))
     assert metrics["graphs.elements_assembled"] == k + attributes + len(graph.relations) > 0
     assert metrics["graphs.assemble_s"] > 0 and metrics["model.errors"] == 0
+
+
+def test_traced_extract_pools_every_span_through_span_representations():
+    # model.span_pool_s and model.spans_enumerated come from the wrapped
+    # span_representations; an extract that pooled its spans another way
+    # would leave both at 0 unnoticed
+    model = Model.initialize(load_schema("sciclaim"), EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
+    tokens = tuple(synth.FACTORS[:5])
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        importlib.import_module("causalkg.model").extract(tokens, tokens, model)
+    metrics = tracer.layer_metrics(0.0)
+    assert metrics["model.span_pool_s"] > 0
+    assert metrics["model.spans_enumerated"] == len(enumerate_spans(len(tokens), model.max_span_len))
 
 
 def test_traced_training_times_every_step():

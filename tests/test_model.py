@@ -1,13 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalkg.encoder import EncoderConfig, encode_tokens
-from causalkg.errors import DimensionMismatchError
+from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
+from causalkg.errors import CausalKgError, DimensionMismatchError
 from causalkg.graphs import Span
 from causalkg.model import (
     PARAM_GROUPS,
@@ -100,21 +101,55 @@ def test_attention_normalized_over_random_spans():
         assert abs(alpha.sum() - 1.0) < 1e-9
 
 
-def test_span_representations_layout():
-    m = small_model(seed=4)
-    encoding = encode_tokens(["a", "b", "c", "d"], m.encoder)
-    spans = enumerate_spans(4, m.max_span_len)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n=st.integers(1, 40),
+    max_span_len=st.integers(1, 10),
+    d=st.sampled_from((2, 8, 64)),
+    layout=st.sampled_from(("C", "F", "strided")),
+    seed=st.integers(0, 2**16),
+)
+def test_span_representations_layout(data, n, max_span_len, d, layout, seed):
+    # the span table pools every span of the sentence once and gathers the
+    # asked-for spans, in any order and with repeats, from it; token vectors
+    # that are not C-contiguous are pooled through windows of their own strides
+    everything = enumerate_spans(n, max_span_len)
+    spans = data.draw(st.one_of(
+        st.permutations(everything), st.lists(st.sampled_from(everything), max_size=2 * len(everything))
+    ))
+    rng = np.random.default_rng(seed)
+    H = {
+        "C": lambda: rng.standard_normal((n, d)),
+        "F": lambda: np.asfortranarray(rng.standard_normal((n, d))),
+        "strided": lambda: rng.standard_normal((2 * n, d))[::2],
+    }[layout]()
+    m = small_model(seed=seed % 97, d=d, max_span_len=max_span_len)
+    m.attn_w = 3.0 * rng.standard_normal(d)
+    encoding = TokenEncoding(H.mean(axis=0), H)
     alphas, reps = span_representations(m, encoding, spans)
-    d = m.dimension
-    assert reps.shape == (len(spans), 2 * d + m.width_dim)
+    assert len(alphas) == len(spans) and reps.shape == (len(spans), m.rep_dim)
     for i, span in enumerate(spans):
-        alpha, pooled = span_attention(encoding.token_vectors, span, m.attn_w, m.attn_b)
-        assert np.array_equal(alphas[i], alpha)
-        assert np.array_equal(reps[i, :d], pooled)
-        assert np.array_equal(reps[i, d : 2 * d], encoding.passage_vector)
-        assert np.array_equal(reps[i, 2 * d :], m.width[len(span) - 1])
+        alpha, pooled = span_attention(H, span, m.attn_w, m.attn_b)
+        assert alphas[i].tobytes() == alpha.tobytes()
+        assert reps[i, :d].tobytes() == pooled.tobytes()
+        assert reps[i, d:].tobytes() == np.concatenate([encoding.passage_vector, m.width[len(span) - 1]]).tobytes()
     alphas, reps = span_representations(m, encoding, [])
     assert alphas == [] and reps.shape == (0, m.rep_dim)
+
+
+@pytest.mark.parametrize("max_span_len, span, message", [
+    # each of these used to pool a clipped window, or to fail with a bare
+    # ValueError or IndexError
+    (10, Span(2, 5), "span [2, 5) beyond 3 tokens"),
+    (10, Span(5, 9), "span [5, 9) beyond 3 tokens"),
+    (2, Span(0, 3), "span [0, 3) longer than max_span_len 2"),
+])
+def test_span_representations_refuse_a_span_they_cannot_pool(max_span_len, span, message):
+    m = small_model(max_span_len=max_span_len)
+    encoding = encode_tokens(["a", "b", "c"], m.encoder)
+    with pytest.raises(CausalKgError, match=re.escape(message)):
+        span_representations(m, encoding, [Span(0, 1), span])
 
 
 def test_between_context():
@@ -138,7 +173,8 @@ def test_pair_rep_layout():
     H = np.arange(8.0).reshape(4, 2)
     widths = np.array([[7.0], [8.0]])
     spans = [Span(0, 1), Span(3, 4), Span(1, 3)]
-    block = pair_block(H, spans, H[[0, 3, 1]], widths, np.array([0, 2]), np.array([1, 0]))
+    reps = np.column_stack([H[[0, 3, 1]], np.full((3, 2), -1.0), widths[[0, 0, 1]]])  # [pooled ; passage ; width]
+    block = pair_block(H, spans, reps, np.array([0, 2]), np.array([1, 0]))
     assert block.shape == (2, 1, 8)  # (pairs, 1, 3d + 2 d_w)
     rep = block[0, 0]
     assert np.array_equal(rep[:2], H[0])
@@ -167,10 +203,12 @@ def test_pair_block_rows_are_the_per_pair_rows(data, n, max_span_len, d, seed):
     H = rng.standard_normal((n, d))
     pooled = rng.standard_normal((len(spans), d))
     widths = rng.standard_normal((max_span_len, 3))
+    passage = rng.standard_normal((len(spans), d))  # not part of a pair row
+    reps = np.concatenate([pooled, passage, widths[[len(span) - 1 for span in spans]]], axis=1)
     pairs = [(h, t) for h in range(len(spans)) for t in range(len(spans)) if h != t]
     heads = np.array([h for h, _ in pairs], dtype=np.intp)
     tails = np.array([t for _, t in pairs], dtype=np.intp)
-    block = pair_block(H, spans, pooled, widths, heads, tails)
+    block = pair_block(H, spans, reps, heads, tails)
     assert block.shape == (len(pairs), 1, 3 * d + 6)
     expected = [pair_rep(H, spans[h], pooled[h], spans[t], pooled[t], widths) for h, t in pairs]
     assert block.tobytes() == np.array(expected).reshape(block.shape).tobytes()

@@ -417,11 +417,26 @@ def corpus_example(**changes):
     (corpus_example(relations=((0, 0, "q+"),)), SelfLoopError, "self-loop"),
     (corpus_example(entities=((Span(0, 3), "factor"),), attributes=(), relations=()), GraphError, "max_span_len 2"),
 ])
-def test_train_rejects_invalid_gold_data(example, error, message):
+def test_train_rejects_invalid_gold_data(monkeypatch, example, error, message):
+    # the whole dataset is checked before any example is encoded
+    encoded = []
+    monkeypatch.setattr(training, "encode_tokens", lambda tokens, config: encoded.append(tokens))
     config = TrainConfig(epochs=1, max_span_len=2)
     with pytest.raises(error, match=f"^up0: .*{message}"):
         train([build_corpus()[1], example], SCICLAIM, config,
               encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1))
+    assert encoded == []
+
+
+def test_train_plans_each_example_once(monkeypatch):
+    # check_dataset's plans are the ones train completes with the token vectors
+    planned = []
+    plan = training._plan
+    monkeypatch.setattr(training, "_plan", lambda *args: planned.append(args[2]) or plan(*args))
+    dataset = build_corpus()[:3]
+    cfg = TrainConfig(epochs=2, max_span_len=3, seed=5, neg_entity_count=4, neg_relation_count=2)
+    train(dataset, SCICLAIM, cfg, encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1), width_dim=2)
+    assert planned == dataset
 
 
 NO_NEGATIVES = Negatives((), ())

@@ -14,7 +14,16 @@ import synth
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
 from causalkg.errors import SelfLoopError
 from causalkg.graphs import Span, graph_to_json
-from causalkg.model import PARAM_GROUPS, Model, classify_relations, enumerate_spans, extract, span_attention
+from causalkg.model import (
+    PARAM_GROUPS,
+    Model,
+    classify_relations,
+    enumerate_spans,
+    extract,
+    span_attention,
+    span_table,
+    table_reps,
+)
 from causalkg.schema import load_schema
 from causalkg.training import (
     Example,
@@ -22,7 +31,6 @@ from causalkg.training import (
     TrainConfig,
     _plan,
     _prepare,
-    _span_table,
     example_loss,
     example_loss_and_grads,
     sample_negatives,
@@ -42,7 +50,7 @@ CRITERION_3_ENCODER = EncoderConfig(dimension=64, seed=0, context_window=1)
 def training_plan(model, ex):
     """The encoding and plan `train` would build for ex."""
     encoding = encode_tokens(ex.tokens, model.encoder)
-    return encoding, _plan(model.schema, model.max_span_len, ex, encoding.token_vectors)
+    return encoding, _plan(model.schema, model.max_span_len, ex).over(encoding.token_vectors)
 
 
 def assert_matches_reference(model, ex, negatives, planned=None):
@@ -248,9 +256,10 @@ SPAN_TABLE_BROKEN = (
 
 
 def test_span_table_pools_each_span_as_span_attention():
-    # _span_table pools every span of a width with one stacked matmul; the
-    # trained parameters stay bit-identical only while each stacked item
-    # gives what span_attention gives for that span alone
+    # table_reps pools every span of a width with one stacked matmul; the
+    # trained parameters and the extracted graphs stay bit-identical only
+    # while each stacked item gives what span_attention gives for that span
+    # alone
     rng = np.random.default_rng(19)
     for d in (2, 8, 64, 150):
         for n in (1, 2, 5, 9, 12):
@@ -258,8 +267,7 @@ def test_span_table_pools_each_span_as_span_attention():
             model = Model.initialize(SCICLAIM, EncoderConfig(dimension=d), max_span_len=max_span_len, seed=int(rng.integers(99)))
             model.attn_w = 3.0 * rng.standard_normal(d)
             H = rng.standard_normal((n, d))
-            ex = Example(("w",) * n, ("w",) * n, (), (), (), "p")
-            alpha, reps = _span_table(model, H.mean(axis=0), _plan(SCICLAIM, max_span_len, ex, H))
+            alpha, reps = table_reps(model, span_table(n, max_span_len, H), H.mean(axis=0))
             table = sorted(enumerate_spans(n, max_span_len), key=lambda s: (len(s), s.start))
             for row, span in enumerate(table):
                 want_alpha, want_pooled = span_attention(H, span, model.attn_w, model.attn_b)
