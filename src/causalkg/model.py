@@ -5,7 +5,8 @@ Extraction and training share one span forward: a `SpanTable` lists every
 span of a sentence by width, `table_reps` pools the whole table with one
 stacked matmul per width, and `pair_rows` lays out the relation head's rows.
 
-The model is a set of numpy parameter arrays over a frozen token encoder:
+The model's parameters are one `Params`, a float64 buffer that holds nine
+named groups back to back, over a frozen token encoder:
 
 * attention scorer (w, b) that pools each candidate span's token vectors,
 * a width-embedding table indexed by span length,
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ from .schema import Schema, schema_from_dict, schema_to_dict
 
 __all__ = [
     "PARAM_GROUPS",
+    "Params",
     "Model",
     "check_thresholds",
     "enumerate_spans",
@@ -71,37 +74,57 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def check_thresholds(theta_r: float, theta_a: float) -> None:
-    """Raise InputError unless both decision thresholds lie in (0, 1)."""
-    if not (0.0 < theta_r < 1.0 and 0.0 < theta_a < 1.0):
+    """Raise InputError unless both decision thresholds are numbers in (0, 1)."""
+    r, a = real(theta_r, "theta_r", InputError), real(theta_a, "theta_a", InputError)
+    if not (0.0 < r < 1.0 and 0.0 < a < 1.0):
         raise InputError(
             f"thresholds must lie in (0, 1), got relation {theta_r} and attribute {theta_a}"
         )
+
+
+class Params(dict):
+    """The parameter groups by name, in PARAM_GROUPS order: views of one
+    float64 buffer, `flat` (zeroed if not given), that holds them back to back.
+    A group changes in place.  `Params(p.shapes)` is p's zeroed twin."""
+
+    def __init__(self, shapes: Sequence[tuple[int, ...]], flat: np.ndarray | None = None):
+        self.shapes = tuple(shapes)
+        ends = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        views = (self.flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], self.shapes))
+        super().__init__(zip(PARAM_GROUPS, views))
+
+    def copy(self) -> "Params":
+        """This layout over a copy of flat."""
+        return Params(self.shapes, self.flat.copy())
+
+
+def _group(name: str) -> property:
+    """Model.<name>: that group's view in the model's params; assigning to it copies into the view."""
+
+    def assign(model: "Model", value) -> None:
+        model.params[name][...] = value
+
+    return property(lambda model: model.params[name], assign)
 
 
 @dataclass
 class Model:
     """Parameter set for one schema + encoder configuration.
 
-    Entity classes are [null] + schema.entity_types, in that order.
-    The PARAM_GROUPS fields are float64 arrays (attn_b is 0-d), treated as
-    immutable during inference.
+    Entity classes are [null] + schema.entity_types, in that order.  The
+    parameters, treated as immutable during inference, are `params`; each
+    PARAM_GROUPS name reads and writes its group (attn_b is 0-d).
     """
 
     schema: Schema
     encoder: EncoderConfig
+    params: Params
     max_span_len: int = 10
     width_dim: int = 8
     theta_r: float = 0.4
     theta_a: float = 0.5
-    attn_w: np.ndarray = field(default=None)  # (d,)
-    attn_b: np.ndarray = field(default=None)  # ()
-    width: np.ndarray = field(default=None)  # (max_span_len, width_dim)
-    ent_w: np.ndarray = field(default=None)  # (|Te|+1, 2d + dw)
-    ent_b: np.ndarray = field(default=None)
-    attr_w: np.ndarray = field(default=None)  # (|Ta|, 2d + dw)
-    attr_b: np.ndarray = field(default=None)
-    rel_w: np.ndarray = field(default=None)  # (|Tr|, 3d + 2dw)
-    rel_b: np.ndarray = field(default=None)
+    attn_w, attn_b, width, ent_w, ent_b, attr_w, attr_b, rel_w, rel_b = map(_group, PARAM_GROUPS)
 
     @property
     def dimension(self) -> int:
@@ -130,32 +153,32 @@ class Model:
         seed: int = 0,
     ) -> "Model":
         """Seeded init: zero biases, uniform(+/- 1/sqrt(fan_in)) weights,
-        whose fan_in is the length of a weight's last axis."""
-        shapes = _shapes(schema, encoder.dimension, max_span_len, width_dim)
+        whose fan_in is the length of a weight's last axis.  A size or seed
+        that is not an integer, or a negative seed, raises InputError."""
+        params = Params(_shapes(schema, encoder.dimension, max_span_len, width_dim))
         check_thresholds(theta_r, theta_a)
+        if integer(seed, "seed", InputError) < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
-
-        def uniform(shape):
-            bound = 1.0 / np.sqrt(shape[-1])
-            return rng.uniform(-bound, bound, size=shape)
-
-        # the weights are drawn in PARAM_GROUPS order
-        params = {name: np.zeros(s) if name.endswith("_b") else uniform(s) for name, s in shapes.items()}
-        return Model(schema, encoder, max_span_len, width_dim, theta_r, theta_a, **params)
+        for name, group in params.items():  # the weights are drawn in PARAM_GROUPS order
+            if not name.endswith("_b"):
+                bound = 1.0 / np.sqrt(group.shape[-1])
+                group[...] = rng.uniform(-bound, bound, size=group.shape)
+        return Model(schema, encoder, params, max_span_len, width_dim, theta_r, theta_a)
 
     def copy(self) -> "Model":
-        return replace(self, **{name: getattr(self, name).copy() for name in PARAM_GROUPS})
+        return replace(self, params=self.params.copy())
 
 
-def _shapes(schema: Schema, d: int, max_span_len: int, width_dim: int) -> dict[str, tuple[int, ...]]:
-    """Each parameter group's shape, in PARAM_GROUPS order, without building it."""
-    if max_span_len < 1 or width_dim < 1:
+def _shapes(schema: Schema, d: int, max_span_len: int, width_dim: int) -> list[tuple[int, ...]]:
+    """Each parameter group's shape, in PARAM_GROUPS order.  A size that is
+    not an integer >= 1 raises InputError."""
+    if integer(max_span_len, "max_span_len", InputError) < 1 or integer(width_dim, "width_dim", InputError) < 1:
         raise InputError(f"max_span_len and width_dim must be >= 1, got {max_span_len} and {width_dim}")
     rep, pair = 2 * d + width_dim, 3 * d + 2 * width_dim
     ents, attrs = len(schema.entity_types) + 1, len(schema.attribute_types)
     rels = len(schema.relation_types)
-    shapes = [(d,), (), (max_span_len, width_dim), (ents, rep), (ents,), (attrs, rep), (attrs,)]
-    return dict(zip(PARAM_GROUPS, shapes + [(rels, pair), (rels,)]))
+    return [(d,), (), (max_span_len, width_dim), (ents, rep), (ents,), (attrs, rep), (attrs,), (rels, pair), (rels,)]
 
 
 def enumerate_spans(n: int, max_len: int) -> list[Span]:
@@ -433,7 +456,7 @@ def save_model(model: Model, path: str) -> None:
         "theta_r": model.theta_r,
         "theta_a": model.theta_a,
         # a 0-d group (attn_b) is written as a plain number
-        "parameters": {name: getattr(model, name).tolist() for name in PARAM_GROUPS},
+        "parameters": {name: group.tolist() for name, group in model.params.items()},
     }
     write_text(path, json.dumps(doc) + "\n")
 
@@ -467,19 +490,20 @@ def _model_from_dict(doc) -> Model:
     max_span_len, width_dim = field("max_span_len", integer), field("width_dim", integer)
     theta_r, theta_a = field("theta_r", real), field("theta_a", real)
     check_thresholds(theta_r, theta_a)
-    params = {}
-    for name, shape in _shapes(schema, encoder.dimension, max_span_len, width_dim).items():
+    params = Params(_shapes(schema, encoder.dimension, max_span_len, width_dim))
+    for name, group in params.items():
         # one np.array call per group; dtype=object keeps each JSON value as
         # it is, so a bool, a string or a ragged row shows in the types
         value = np.array(required(groups, name, f"model parameter {name!r}", InputError), dtype=object)
         if not set(map(type, value.ravel())) <= {int, float}:
             raise InputError(f"model parameter {name!r} must hold JSON numbers only")
-        if value.shape != shape:
-            raise InputError(f"model parameter {name!r} has shape {value.shape}, expected {shape}")
+        # a group of no rows, for a schema with no attribute or relation types, is written as []
+        if value.shape != group.shape and not (value.shape == (0,) and group.size == 0):
+            raise InputError(f"model parameter {name!r} has shape {value.shape}, expected {group.shape}")
         try:
-            params[name] = value = value.astype(float)
+            group[...] = value.reshape(group.shape)
         except OverflowError:
             raise InputError(f"model parameter {name!r} holds a number a float cannot hold") from None
-        if not np.all(np.isfinite(value)):
+        if not np.all(np.isfinite(group)):
             raise InputError(f"model parameter {name!r} has non-finite values")
-    return Model(schema, encoder, max_span_len, width_dim, theta_r, theta_a, **params)
+    return Model(schema, encoder, params, max_span_len, width_dim, theta_r, theta_a)

@@ -15,7 +15,6 @@ embeddings, and the three classifier heads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -33,9 +32,10 @@ from .errors import (
     SelfLoopError,
 )
 from .graphs import KnowledgeGraph, Span, assemble_graph
+from .model import PARAM_GROUPS  # noqa: F401 -- bench/workloads.py imports it from here
 from .model import (
-    PARAM_GROUPS,
     Model,
+    Params,
     SpanTable,
     classify_attributes,
     classify_entities,
@@ -442,10 +442,10 @@ def example_loss_and_grads(
     encoding: TokenEncoding | None = None,
     *,
     plan: _Plan | None = None,
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """The example's loss and each parameter group's gradient.  `train`
-    passes the example's plan, built with the model's schema and
-    max_span_len and the encoding's token vectors."""
+) -> tuple[LossBreakdown, Params]:
+    """The example's loss and its gradient, a `Params` of the model's
+    layout.  `train` passes the example's plan, built with the model's
+    schema and max_span_len and the encoding's token vectors."""
     return _loss_impl(model, example, negatives, encoding, plan, with_grads=True)
 
 
@@ -461,9 +461,6 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     attribute rows; pairs in pair order, each head before its tail; then
     the step's spans in `_prepare`'s step order.  attn_w's and attn_b's
     gradients add the spans' terms from zero in step order too.
-
-    The gradient groups are views into one zeroed buffer, back to back in
-    PARAM_GROUPS order; `train` reads it as their `.base`.
     """
     if encoding is None:
         encoding = encode_tokens(example.tokens, model.encoder)
@@ -496,7 +493,7 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     if not with_grads:
         return loss, None
 
-    grads = _group_views(model)
+    grads = Params(model.params.shapes)
     # entity-rep gradient terms: the entity rows', then the attribute rows'
     term_rows, terms = [], []
     if len(ent_rows):
@@ -569,24 +566,6 @@ def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(cells, values.ravel(), n_rows * w).reshape(n_rows, w)
 
 
-@functools.lru_cache(maxsize=16)
-def _layout(shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-    """Each group's (name, start, end, shape) in a buffer that holds groups
-    of these shapes back to back in PARAM_GROUPS order."""
-    ends = np.cumsum([0, *map(math.prod, shapes)]).tolist()
-    return tuple(zip(PARAM_GROUPS, ends, ends[1:], shapes))
-
-
-def _group_views(model: Model, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Each parameter group's view into flat, a float buffer that holds the
-    groups back to back in PARAM_GROUPS order, shaped as the model's;
-    flat defaults to a new zeroed buffer."""
-    layout = _layout(tuple(getattr(model, name).shape for name in PARAM_GROUPS))
-    if flat is None:
-        flat = np.zeros(layout[-1][2])
-    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
-
-
 def grad_check(
     model: Model,
     example: Example,
@@ -610,11 +589,11 @@ def grad_check(
 
     errors: dict[str, float] = {}
     probe = model.copy()
-    for name in PARAM_GROUPS:
-        analytic = np.ravel(grads[name])
+    for name, group in probe.params.items():
+        analytic = grads[name].ravel()
         if not np.all(np.isfinite(analytic)):
             raise NonFiniteGradientError(f"non-finite analytic gradient in {name}")
-        flat = getattr(probe, name).reshape(-1)  # a view: bumps edit the probe in place
+        flat = group.reshape(-1)  # a view: bumps edit the probe in place
         numeric = np.empty_like(flat)
         for i in range(flat.size):
             value = flat[i]
@@ -662,10 +641,6 @@ def train(
         theta_a=config.theta_a,
         seed=config.seed,
     )
-    # one buffer holds every parameter group, so an update is one operation
-    params = np.concatenate([np.ravel(getattr(model, name)) for name in PARAM_GROUPS])
-    for name, view in _group_views(model, params).items():
-        setattr(model, name, view)
     encodings = [encode_tokens(ex.tokens, encoder_config) for ex in dataset]
     plans = [plan.over(enc.token_vectors) for plan, enc in zip(plans, encodings)]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
@@ -688,9 +663,9 @@ def train(
                 )
                 loss, grads = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plans[idx])
                 epoch_loss += loss.total
-                flat = grads[PARAM_GROUPS[0]].base  # the buffer behind every group
-                batch_grads = flat if batch_grads is None else batch_grads + flat
-            params -= (config.learning_rate / len(batch)) * batch_grads
+                batch_grads = grads.flat if batch_grads is None else batch_grads + grads.flat
+            # one buffer holds every parameter group, so an update is one operation
+            model.params.flat -= (config.learning_rate / len(batch)) * batch_grads
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / len(dataset))
     return model

@@ -1,17 +1,19 @@
-"""The traced benchmark run wraps library attributes by name; each must
-still exist, so that renaming or dropping one fails here rather than only
-in a traced run."""
+"""The traced benchmark run wraps library attributes by name, and the
+workloads import library names; each must still exist, so that renaming or
+dropping one fails here rather than only in a benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import synth
 from causalkg.encoder import EncoderConfig
-from causalkg.model import Model, enumerate_spans, extract
+from causalkg.model import Model, enumerate_spans, extract, load_model, save_model
 from causalkg.schema import check_constraints, load_schema
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -19,6 +21,31 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # for its `import inputs`
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_fingerprint_reads_the_one_parameter_buffer(monkeypatch, tmp_path):
+    # bench/workloads.py imports its names from the library and fingerprints
+    # a model by its parameter groups in PARAM_GROUPS order, which are the
+    # bytes of the one buffer, kept by a save and reload
+    workloads = load_workloads(monkeypatch)
+    training_module = importlib.import_module("causalkg.training")
+    config = training_module.TrainConfig(epochs=2, max_span_len=3, neg_entity_count=4, neg_relation_count=2)
+    model = training_module.train(synth.build_corpus()[:2], load_schema("sciclaim"), config,
+                                  encoder_config=EncoderConfig(dimension=8, seed=0, context_window=1), width_dim=2)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    fingerprint = workloads._model_fingerprint(model)
+    assert fingerprint == model.params.flat.tobytes().hex()
+    assert workloads._model_fingerprint(load_model(path)) == fingerprint
 
 
 def test_every_wrapped_attribute_exists():

@@ -544,6 +544,38 @@ def test_train_and_senses_share_one_config_file(workdir):
     assert linked["entities"][0]["senses"]
 
 
+@pytest.mark.parametrize("source", ["--seed", "config"])
+def test_train_rejects_a_negative_seed_with_exit_2(workdir, capsys, source):
+    # from --seed or from the config's "train" object; numpy's seeding used
+    # to refuse it with a traceback and exit 1
+    if source == "--seed":
+        code = main([
+            "train", "--data", str(workdir / "data.json"), "--schema", "sciclaim",
+            "--config", str(workdir / "config.json"), "--seed", "-1", "--out", str(workdir / "model.json"),
+        ])
+    else:
+        rewrite(workdir / "config.json", (("train", "seed"), -1))
+        code = run_train(workdir)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "causalkg: error: seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (workdir / "model.json").exists()
+
+
+def test_senses_takes_a_negative_seed(workdir):
+    # senses uses the seed only to hash the encoder's vectors
+    assert run_senses(workdir, workdir / "config.json") == 0
+    default = (workdir / "linked.json").read_bytes()
+    (workdir / "linked.json").unlink()
+    assert main([
+        "senses", "--input", str(workdir / "graph.json"), "--inventory", str(workdir / "inventory.tsv"),
+        "--threshold", "-1.0", "--config", str(workdir / "config.json"), "--seed", "-1",
+        "--out", str(workdir / "linked.json"),
+    ]) == 0
+    assert json.loads((workdir / "linked.json").read_text())["entities"][0]["senses"]
+    assert (workdir / "linked.json").read_bytes() != default
+
+
 def test_senses_rejects_a_nan_threshold_with_exit_2(workdir, capsys):
     # a NaN threshold used to exit 0 with no sense attached to any node
     assert run_senses(workdir, workdir / "config.json", threshold="nan") == 2

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
-from causalkg.errors import CausalKgError, DimensionMismatchError
+from causalkg.errors import CausalKgError, DimensionMismatchError, InputError
 from causalkg.graphs import Span
 from causalkg.model import (
     PARAM_GROUPS,
@@ -27,7 +29,7 @@ from causalkg.model import (
     span_attention,
     span_representations,
 )
-from causalkg.schema import load_schema, schema_to_dict
+from causalkg.schema import load_schema, schema_from_dict, schema_to_dict
 from training_reference import pair_rep
 from training_reference import sigmoid as reference_sigmoid
 from training_reference import softmax as reference_softmax
@@ -356,6 +358,11 @@ def test_copy_owns_every_parameter_group():
         assert np.array_equal(getattr(m, name), before[name]), name
         assert np.array_equal(getattr(c, name), before[name] + 1.0), name
     assert np.shape(c.attn_b) == ()
+    # the edits through the groups reached all of the copy's own buffer,
+    # which holds the groups back to back in PARAM_GROUPS order
+    assert c.params.shapes == m.params.shapes and not np.shares_memory(c.params.flat, m.params.flat)
+    assert c.params.flat.tobytes() == (m.params.flat + 1.0).tobytes()
+    assert c.params.flat.tobytes() == b"".join(getattr(c, name).tobytes() for name in PARAM_GROUPS)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -365,6 +372,37 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert np.shape(back.attn_b) == ()
     save_model(back, str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    types=st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)),
+    d=st.integers(2, 12),
+    max_span_len=st.integers(1, 10),
+    width_dim=st.integers(1, 6),
+    data=st.data(),
+)
+def test_save_load_save_keeps_every_layout(types, d, max_span_len, width_dim, data):
+    # any schema's sizes, with no attribute or relation types too, and any
+    # finite values: reloading fills a buffer of the same layout and bytes
+    entities, attributes, relations = types
+    schema = schema_from_dict({
+        "name": "sized",
+        "entity_types": [f"e{i}" for i in range(entities)],
+        "attribute_types": [f"a{i}" for i in range(attributes)],
+        "relation_types": [f"r{i}" for i in range(relations)],
+    })
+    m = Model.initialize(schema, EncoderConfig(dimension=d, seed=0, context_window=1), max_span_len, width_dim)
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    m.params.flat[:] = np.resize(values, m.params.flat.size)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save_model(m, str(first))
+        back = load_model(str(first))
+        save_model(back, str(second))
+        assert first.read_bytes() == second.read_bytes()
+    assert back.params.shapes == m.params.shapes
+    assert back.params.flat.tobytes() == m.params.flat.tobytes()
 
 
 def test_loads_the_float_attn_b_format(tmp_path):
@@ -468,6 +506,14 @@ def test_initialize_validates():
         Model.initialize(schema, EncoderConfig(dimension=8), theta_r=1.5)
     with pytest.raises(ValueError):
         Model.initialize(schema, EncoderConfig(dimension=8), width_dim=0)
+    # a size, seed or threshold of the wrong type is an InputError too, as
+    # is a numpy integer, which the model file could not hold
+    for name, value in [
+        ("width_dim", 2.5), ("width_dim", np.int64(2)), ("max_span_len", "3"), ("max_span_len", True),
+        ("theta_r", "0.4"), ("theta_a", None), ("seed", 1.5), ("seed", -1), ("seed", np.int64(1)),
+    ]:
+        with pytest.raises(InputError, match=name):
+            Model.initialize(schema, EncoderConfig(dimension=8), **{name: value})
 
 
 STACKED_GEMV_BROKEN = (

@@ -18,7 +18,7 @@ from causalkg.errors import (
 )
 from causalkg import training
 from causalkg.graphs import Span
-from causalkg.model import Model, load_model, save_model
+from causalkg.model import Model, Params, load_model, save_model
 from causalkg.schema import load_schema
 from causalkg.training import (
     PARAM_GROUPS,
@@ -315,6 +315,46 @@ def test_trained_model_shares_no_buffer_with_its_copies(tmp_path):
     # the groups are views of one buffer that overlap nowhere
     for i, name in enumerate(PARAM_GROUPS):
         assert not any(np.shares_memory(getattr(model, name), getattr(model, o)) for o in PARAM_GROUPS[i + 1 :])
+    # every way to get a model gives it that one layout
+    initialized = Model.initialize(SCICLAIM, enc, max_span_len=3, width_dim=2, seed=5)
+    for other in (model, model.copy(), load_model(path), initialized):
+        assert_tiles_flat(other.params)
+        assert all(getattr(other, name) is other.params[name] for name in PARAM_GROUPS)
+        assert other.params.shapes == initialized.params.shapes
+
+
+def assert_tiles_flat(params):
+    """Each group is a view of params.flat, back to back in PARAM_GROUPS order."""
+    flat = params.flat
+    assert isinstance(params, Params) and list(params) == list(PARAM_GROUPS)
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    start = 0
+    for name, group in params.items():
+        assert group.base is (flat if flat.base is None else flat.base), name
+        assert group.flags.c_contiguous and group.ctypes.data == flat.ctypes.data + start * flat.itemsize, name
+        start += group.size
+    assert start == flat.size
+
+
+def test_gradients_have_the_model_layout():
+    model, ex = tiny_model(), tiny_example()
+    negatives = sample_negatives(ex, 4, 2, model.max_span_len, seed=1)
+    _, grads = training.example_loss_and_grads(model, ex, negatives)
+    assert_tiles_flat(grads)
+    assert grads.shapes == model.params.shapes
+    assert not np.shares_memory(grads.flat, model.params.flat)
+    assert np.any(grads.flat)
+
+
+@pytest.mark.parametrize("width_dim, seed, message", [
+    (2.5, 0, "width_dim must be an integer"),
+    (np.int64(2), 0, "width_dim must be an integer"),  # trained, the model file could not hold it
+    (2, -1, "seed must be >= 0"),
+])
+def test_train_reads_width_dim_and_seed_as_integers(width_dim, seed, message):
+    cfg = TrainConfig(epochs=1, max_span_len=3, seed=seed, neg_entity_count=4, neg_relation_count=2)
+    with pytest.raises(InputError, match=message):
+        train([tiny_example()], SCICLAIM, cfg, EncoderConfig(dimension=8, seed=0, context_window=1), width_dim)
 
 
 def test_train_calls_negatives_and_gradients_through_the_module(monkeypatch):
