@@ -87,20 +87,31 @@ def base_vector(token: str, seed: int, dimension: int) -> np.ndarray:
 
     The token and seed are hashed (SHA-256) into the state of a PCG64
     generator, which then draws a standard-normal vector that is normalized.
+    The caller owns the array it gets.
     """
+    return _base_vector(token, seed, dimension).copy()
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _base_vector(token: str, seed: int, dimension: int) -> np.ndarray:
+    """`base_vector`'s draw, read-only, as the cache hands it to every caller
+    of the same (token, seed, dimension).  typed keeps a seed of True apart
+    from 1: the two hash to different vectors."""
     digest = hashlib.sha256(f"{seed}\x00{token}".encode("utf-8")).digest()
     rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "big")))
     v = rng.standard_normal(dimension)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:  # unreachable for a Gaussian draw, kept for safety
         raise EncoderError(f"degenerate base vector for {token!r}")
-    return v / norm
+    v /= norm
+    v.flags.writeable = False
+    return v
 
 
 def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
     n = len(tokens)
     d = config.dimension
-    base = np.stack([base_vector(t, config.seed, d) for t in tokens])
+    base = np.stack([_base_vector(t, config.seed, d) for t in tokens])  # stack copies the cached vectors
     window = config.context_window
     if window == 0:
         contextual = base.copy()

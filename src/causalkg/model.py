@@ -3,7 +3,8 @@ entity / attribute / relation classifier heads, plus decoding into a graph.
 
 Extraction and training share one span forward: a `SpanTable` lists every
 span of a sentence by width, `table_reps` pools the whole table with one
-stacked matmul per width, and `pair_rows` lays out the relation head's rows.
+stacked matmul per width (into a `TableWork`, which a training step reuses),
+and `pair_rows` lays out the relation head's rows.
 
 The model's parameters are one `Params`, a float64 buffer that holds nine
 named groups back to back, over a frozen token encoder:
@@ -98,6 +99,16 @@ class Params(dict):
         """This layout over a copy of flat."""
         return Params(self.shapes, self.flat.copy())
 
+    def __reduce__(self):
+        # pickle and deepcopy build the layout afresh and copy flat into it,
+        # so the groups stay views of a buffer of its own: a dict's own
+        # reduce restores each group as an array apart, and an unpickled
+        # flat may hold its data in a bytes object
+        return Params, (self.shapes,), self.flat
+
+    def __setstate__(self, flat: np.ndarray) -> None:
+        self.flat[...] = flat
+
 
 def _group(name: str) -> property:
     """Model.<name>: that group's view in the model's params; assigning to it copies into the view."""
@@ -125,6 +136,17 @@ class Model:
     theta_r: float = 0.4
     theta_a: float = 0.5
     attn_w, attn_b, width, ent_w, ent_b, attr_w, attr_b, rel_w, rel_b = map(_group, PARAM_GROUPS)
+
+    def __post_init__(self) -> None:
+        """Raise InputError unless params has the layout that the schema and
+        sizes give, so that a replace of a size fails here and not in numpy."""
+        want = tuple(_shapes(self.schema, self.dimension, self.max_span_len, self.width_dim))
+        have = getattr(self.params, "shapes", None)
+        if have != want:
+            raise InputError(
+                f"parameters of shapes {have} do not fit schema {self.schema.name!r}, dimension {self.dimension},"
+                f" max_span_len {self.max_span_len} and width_dim {self.width_dim}, which give shapes {want}"
+            )
 
     @property
     def dimension(self) -> int:
@@ -248,29 +270,58 @@ def span_table(n: int, max_len: int, token_vectors: np.ndarray | None = None) ->
     return SpanTable(n, max_len, offsets, widths, groups)
 
 
-def table_reps(model: Model, table: SpanTable, passage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class TableWork:
+    """The arrays `table_reps` writes its weights into for one SpanTable
+    built over token vectors, made once with each width's views into them:
+    (windows, lo, hi, scores, sums, weights)."""
+
+    def __init__(self, table: SpanTable):
+        rows = len(table.widths)
+        self.alpha = np.empty((rows, len(table.groups)))
+        self.sums = np.empty((rows, 1))
+        self.groups = tuple(
+            (win, lo, hi, self.alpha[lo:hi, :w], self.sums[lo:hi], self.alpha[lo:hi, None, :w])
+            for w, win, lo, hi in table.groups
+        )
+
+
+def table_reps(
+    model: Model, table: SpanTable, passage: np.ndarray, work: TableWork | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Every table span's attention weights, padded with zeros to the widest
     span, and its [pooled ; passage ; width] row.  Each item of a width's
     stacked matmul makes the BLAS call of that span's `span_attention`, so
     both equal its results bit for bit.  The -inf padding of the scores turns
     into zero weights through the max, the shift and the exp, which run on
-    the whole table; the matmuls and each row's sum run per width."""
-    d = model.dimension
+    the whole table, as do the row sums below 8 widths; the matmuls, and
+    wider tables' row sums, run per width.  The weights are work's alpha,
+    which the next call given work overwrites; a call given none makes its
+    own."""
+    if work is None:
+        work = TableWork(table)
+    params, d = model.params, model.dimension
     reps = np.empty((len(table.widths), model.rep_dim))
     reps[:, d : 2 * d] = passage
-    reps[:, 2 * d :] = model.width[table.widths]
-    alpha = np.full((len(reps), len(table.groups)), -np.inf)
-    for w, win, lo, hi in table.groups:
-        np.matmul(win, model.attn_w, out=alpha[lo:hi, :w])
-    alpha += model.attn_b
+    reps[:, 2 * d :] = params["width"].take(table.widths, axis=0)
+    alpha = work.alpha
+    alpha.fill(-np.inf)
+    attn_w = params["attn_w"]
+    for win, _, _, scores, _, _ in work.groups:
+        np.matmul(win, attn_w, out=scores)
+    alpha += params["attn_b"]
     alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
     np.exp(alpha, out=alpha)
-    sums = np.empty((len(reps), 1))
-    for w, _, lo, hi in table.groups:
-        np.add.reduce(alpha[lo:hi, :w], axis=1, keepdims=True, out=sums[lo:hi])
-    alpha /= sums
-    for w, win, lo, hi in table.groups:
-        np.matmul(alpha[lo:hi, None, :w], win, out=reps[lo:hi, None, :d])
+    if len(work.groups) < 8:
+        # numpy adds fewer than 8 values one by one, from zero, so a row's
+        # zero padding leaves its sum as the span's own; from 8 values on it
+        # adds in blocks of 8, which the padding would regroup
+        np.add.reduce(alpha, axis=1, keepdims=True, out=work.sums)
+    else:
+        for _, _, _, scores, sums, _ in work.groups:
+            np.add.reduce(scores, axis=1, keepdims=True, out=sums)
+    alpha /= work.sums
+    for win, lo, hi, _, _, weights in work.groups:
+        np.matmul(weights, win, out=reps[lo:hi, None, :d])
     return alpha, reps
 
 
@@ -328,9 +379,9 @@ def pair_rows(reps: np.ndarray, heads: np.ndarray, tails: np.ndarray, between: n
     rows = np.empty((len(heads), 2 * e + d))
     # one gather at a time: the allocator reuses a large temporary freed
     # before the next is made, where ones alive together fault in new pages
-    rows[:, :e] = ends[heads]
+    rows[:, :e] = ends.take(heads, axis=0)
     rows[:, e:-e] = between
-    rows[:, -e:] = ends[tails]
+    rows[:, -e:] = ends.take(tails, axis=0)
     return rows
 
 

@@ -15,6 +15,7 @@ embeddings, and the three classifier heads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -37,6 +38,7 @@ from .model import (
     Model,
     Params,
     SpanTable,
+    TableWork,
     classify_attributes,
     classify_entities,
     classify_relations,
@@ -212,10 +214,13 @@ class _Plan:
     """What training reads of one example and no step changes, under one
     schema and max_span_len: `sample_negatives`' candidates, the gold half of
     `_prepare`, the span table, which holds every span a step can see (the
-    gold spans and the candidates), and, once `over` the token vectors, the
-    table's windows and each gold pair's between-context row.  `train` builds
-    one per example and hands it to every step; a call given none builds its
-    own.  The arrays are made read-only, as steps share them."""
+    gold spans and the candidates), with each such span's row, and, once
+    `over` the token vectors, the table's windows, each gold pair's
+    between-context row and span-table rows, and the arrays that a step's
+    span pooling and attention backward pass write.  `train` builds one per
+    example and hands it to every step; a call given none builds its own.
+    The arrays a step only reads are made read-only; the ones it writes
+    serve one step at a time."""
 
     span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
     pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
@@ -224,9 +229,13 @@ class _Plan:
     targets: list[int]  # each gold entity's class
     attr_labels: np.ndarray  # (k, |Ta|)
     pairs: list[tuple[int, int]]  # the gold relation pairs, each at its first place
-    pair_labels: np.ndarray  # one row per gold pair
+    pair_labels: np.ndarray  # one row per gold pair, then zero rows: k(k - 1) rows, one per ordered pair
     table: SpanTable
+    row_of: dict[Span, int]  # every span of the table (the gold spans and the candidates) and its row
     between: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s between context
+    ends: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s head and tail span-table rows
+    pool: TableWork | None = None
+    backward: _BackwardWork | None = None
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -237,7 +246,10 @@ class _Plan:
         """This plan completed with the example's token vectors."""
         heads, tails = np.divmod(np.arange(len(self.spans) ** 2), len(self.spans))
         table = span_table(self.table.n, self.table.max_len, token_vectors)
-        return replace(self, table=table, between=pair_contexts(token_vectors, self.spans, heads, tails))
+        between = pair_contexts(token_vectors, self.spans, heads, tails)
+        ends = np.stack([self.rows[heads], self.rows[tails]], axis=1)
+        backward = _BackwardWork(table, token_vectors.shape[1])
+        return replace(self, table=table, between=between, ends=ends, pool=TableWork(table), backward=backward)
 
 
 def _candidates(example: Example, max_span_len: int):
@@ -274,6 +286,7 @@ def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
     _check_pairs(where, pairs, k)
     table = span_table(n, max_span_len)
     rows = table.rows(spans, where)
+    span_candidates, pair_candidates = _candidates(example, max_span_len)
     try:
         # class 0 is null, so an entity type's class is its code + 1
         targets = [schema.entity_codes[etype] + 1 for _, etype in example.entities]
@@ -283,7 +296,7 @@ def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
             attr_labels[idx, schema.attribute_codes[atype]] = 1.0
 
         pair_row = {pair: row for row, pair in enumerate(pairs)}
-        pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
+        pair_labels = np.zeros((k * (k - 1), len(schema.relation_types)))
         for h, t, rtype in example.relations:
             pair_labels[pair_row[h, t], schema.relation_codes[rtype]] = 1.0
     except KeyError as key:
@@ -294,8 +307,12 @@ def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
             ("relation", schema.relation_codes, example.relations),
         ) if any(record[-1] not in codes for record in records))
         raise SchemaMismatchError(f"{where}: {kind} type {key.args[0]!r} not in schema {schema.name!r}") from None
+    # every span of the table, keyed by the objects that sample_negatives
+    # draws, so that a step's lookup finds its key by identity
+    every = (*spans, *span_candidates)
     return _Plan(
-        *_candidates(example, max_span_len),
+        span_candidates,
+        pair_candidates,
         spans=spans,
         rows=rows,
         targets=targets,
@@ -303,6 +320,7 @@ def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
         pairs=pairs,
         pair_labels=pair_labels,
         table=table,
+        row_of=dict(zip(every, table.rows(every, where).tolist())),
     )
 
 
@@ -350,10 +368,15 @@ def entity_loss(probs: np.ndarray, targets: np.ndarray) -> float:
         return 0.0
     if probs.shape[0] != targets.shape[0]:
         raise AlignmentError(f"{probs.shape[0]} predictions vs {targets.shape[0]} targets")
-    # np.minimum(np.maximum()) and sum() / size are np.clip's and mean()'s
-    # arithmetic without their Python wrappers
-    log_p = np.log(np.minimum(np.maximum(probs[np.arange(len(targets)), targets], _CLAMP), 1.0 - _CLAMP))
-    return float(-(log_p.sum() / log_p.size))
+    return _mean_nll(probs[np.arange(len(targets)), targets])
+
+
+def _mean_nll(picked: np.ndarray) -> float:
+    """-mean(log(picked)), each probability clamped away from 0 and 1.
+    np.minimum(np.maximum()) and np.add.reduce / size are np.clip's and
+    mean()'s arithmetic without their Python wrappers."""
+    log_p = np.log(np.minimum(np.maximum(picked, _CLAMP), 1.0 - _CLAMP))
+    return float(-(np.add.reduce(log_p, axis=None) / log_p.size))
 
 
 def binary_loss(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -377,7 +400,7 @@ def _binary_loss01(scores: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     p = np.minimum(np.maximum(scores, _CLAMP), 1.0 - _CLAMP)
     cells = np.log(np.where(labels, p, 1.0 - p))
-    return float(-(cells.sum() / cells.size))
+    return float(-(np.add.reduce(cells, axis=None) / cells.size))
 
 
 def joint_loss(
@@ -404,23 +427,28 @@ def _prepare(
     Returns (ent_rows, ent_targets, attr_labels, pairs, pair_labels,
     step_rows).  The entity spans are the gold and then the negative spans,
     given by their span-table rows; step_rows lists each distinct one at its
-    first place, the order in which a step adds its per-span terms.  Pairs
-    are the gold pairs and then the negative pairs, each kept at its first
-    place; a pair's head and tail are gold spans.  The gold half comes from
-    the plan, built here if not given; a negative it cannot index, or a pair
-    that joins an entity to itself, raises `check_dataset`'s error.
+    first place, the order in which a step adds its per-span terms, and is
+    ent_rows itself when no row repeats.  Pairs are the gold pairs and then
+    the negative pairs, each kept at its first place; a pair's head and tail
+    are gold spans.  The gold half comes from the plan, built here if not
+    given; a negative it cannot index, or a pair that joins an entity to
+    itself, raises `check_dataset`'s error.
     """
     if plan is None:
         plan = _plan(schema, max_span_len, example)
     where = example.provenance
     _check_pairs(where, negatives.pairs, len(plan.spans))
-    rows = np.concatenate([plan.rows, plan.table.rows(negatives.spans, where)])
-    ent_targets = np.array(plan.targets + [0] * len(negatives.spans), dtype=int)
+    try:
+        negative_rows = list(map(plan.row_of.__getitem__, negatives.spans))
+    except KeyError:  # a span outside the table, which SpanTable.rows refuses naming it
+        negative_rows = plan.table.rows(negatives.spans, where).tolist()
+    listed = plan.rows.tolist() + negative_rows
+    rows = np.array(listed, dtype=np.intp)
+    ent_targets = np.array(plan.targets + [0] * len(negative_rows), dtype=int)
     pairs = list(dict.fromkeys([*plan.pairs, *negatives.pairs]))
-    pair_labels = np.zeros((len(pairs), len(schema.relation_types)))
-    pair_labels[: len(plan.pairs)] = plan.pair_labels
-    step_rows = np.array(list(dict.fromkeys(rows.tolist())), dtype=np.intp)
-    return rows, ent_targets, plan.attr_labels, pairs, pair_labels, step_rows
+    distinct = dict.fromkeys(listed)
+    step_rows = rows if len(distinct) == len(listed) else np.array(list(distinct), dtype=np.intp)
+    return rows, ent_targets, plan.attr_labels, pairs, plan.pair_labels[: len(pairs)], step_rows
 
 
 def example_loss(
@@ -431,7 +459,7 @@ def example_loss(
     *,
     plan: _Plan | None = None,
 ) -> LossBreakdown:
-    loss, _ = _loss_impl(model, example, negatives, encoding, plan, with_grads=False)
+    loss, _ = _loss_impl(model, example, negatives, encoding, plan, None)
     return loss
 
 
@@ -442,25 +470,41 @@ def example_loss_and_grads(
     encoding: TokenEncoding | None = None,
     *,
     plan: _Plan | None = None,
+    out: Params | None = None,
 ) -> tuple[LossBreakdown, Params]:
     """The example's loss and its gradient, a `Params` of the model's
-    layout.  `train` passes the example's plan, built with the model's
-    schema and max_span_len and the encoding's token vectors."""
-    return _loss_impl(model, example, negatives, encoding, plan, with_grads=True)
+    layout: out, when given, which the call overwrites (and so does the
+    next call given the same out), or else a fresh one.  An out of another
+    layout, or the model's own params, raises InputError before any work.  `train` passes the example's
+    plan, built with the model's schema and max_span_len and the encoding's
+    token vectors, and one out for every step."""
+    if out is None:
+        out = Params(model.params.shapes)
+    elif not isinstance(out, Params) or out.shapes != model.params.shapes:
+        got = getattr(out, "shapes", type(out).__name__)
+        raise InputError(f"out must be a Params of shapes {model.params.shapes}, got {got}")
+    elif out.flat is model.params.flat:
+        raise InputError("out must not be the model's own params, which the gradient would overwrite")
+    return _loss_impl(model, example, negatives, encoding, plan, out)
 
 
-def _loss_impl(model, example, negatives, encoding, plan, with_grads):
-    """The example's loss and, with_grads, each parameter group's gradient,
-    from the `table_reps` of the plan's span table; the attention backward
-    pass is stacked by width the same way, and as exact.
+def _loss_impl(model, example, negatives, encoding, plan, grads):
+    """The example's loss and, given grads, a `Params` of the model's
+    layout, its gradient, written over whatever grads held and returned in
+    it.  The loss comes from the `table_reps` of the plan's span table, and
+    the attention backward pass is stacked by width the same way, and as
+    exact.
 
     Sums that add one term per span or pair keep the order of the per-span
     loops in tests/training_reference.py; another order changes the
-    rounding of the trained parameters.  Scatters whose rows repeat add
-    in index order, through np.add.at or `_add_rows`: entity rows and then
-    attribute rows; pairs in pair order, each head before its tail; then
-    the step's spans in `_prepare`'s step order.  attn_w's and attn_b's
-    gradients add the spans' terms from zero in step order too.
+    rounding of the trained parameters.  A span's rep gradient adds its
+    entity rows' terms and then its attribute rows'; a span's pooled
+    gradient adds its pairs' terms in pair order, each head before its
+    tail, and then its rep gradient's; the width table's gradient adds the
+    pairs' terms and then the step's spans' in `_prepare`'s step order,
+    and so do attn_w's and attn_b's.  Each sum starts from zero, and each
+    group's gradient is added into zeros, as into a fresh Params; where
+    rows repeat, `_add_rows` adds in index order.
     """
     if encoding is None:
         encoding = encode_tokens(example.tokens, model.encoder)
@@ -472,88 +516,142 @@ def _loss_impl(model, example, negatives, encoding, plan, with_grads):
     ent_rows, ent_targets, attr_labels, pair_order, pair_labels, step_rows = _prepare(
         model.schema, model.max_span_len, example, negatives, plan
     )
-    d, dw, k = model.dimension, model.width_dim, len(plan.spans)
+    params, d, dw, k = model.params, model.dimension, model.width_dim, len(plan.spans)
 
-    alpha, reps = table_reps(model, plan.table, encoding.passage_vector)
-    ent_reps = reps[ent_rows]
+    alpha, reps = table_reps(model, plan.table, encoding.passage_vector, plan.pool)
+    ent_reps = reps.take(ent_rows, axis=0)
     ent_probs = classify_entities(model, ent_reps)
     attr_reps = ent_reps[:k]  # the gold spans come first
     attr_scores = classify_attributes(model, attr_reps)
 
-    pairs = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
-    ends = plan.rows[pairs]  # each pair's head and tail span-table rows
-    pair_reps = pair_rows(reps, ends[:, 0], ends[:, 1], plan.between[pairs[:, 0] * k + pairs[:, 1]])
+    # each pair's row of plan.ends and plan.between
+    gold_pairs = np.array([h * k + t for h, t in pair_order], dtype=np.intp)
+    ends = plan.ends.take(gold_pairs, axis=0)  # each pair's head and tail span-table rows
+    pair_reps = pair_rows(reps, ends[:, 0], ends[:, 1], plan.between.take(gold_pairs, axis=0))
     rel_scores = classify_relations(model, pair_reps)
 
+    ent_index = np.arange(len(ent_targets))
+    picked = ent_probs[ent_index, ent_targets]
     loss = LossBreakdown(
-        entity=entity_loss(ent_probs, ent_targets),
+        entity=_mean_nll(picked) if len(picked) else 0.0,
         relation=_binary_loss01(rel_scores, pair_labels),
         attribute=_binary_loss01(attr_scores, attr_labels),
     )
-    if not with_grads:
+    if grads is None:
         return loss, None
 
-    grads = Params(model.params.shapes)
-    # entity-rep gradient terms: the entity rows', then the attribute rows'
-    term_rows, terms = [], []
-    if len(ent_rows):
-        g = ent_probs.copy()
-        g[np.arange(len(ent_targets)), ent_targets] -= 1.0
-        g /= len(ent_targets)
-        grads["ent_w"] += g.T @ ent_reps
-        grads["ent_b"] += g.sum(axis=0)
-        term_rows.append(ent_rows)
-        terms.append(g @ model.ent_w)
-
+    grads.flat.fill(0.0)
+    if not len(ent_rows):
+        return loss, grads  # no span and so no pair: every gradient is zero
+    # each head's scores become its gradient in place, now that the loss is taken
+    g = ent_probs
+    g[ent_index, ent_targets] = picked - 1.0
+    g /= len(ent_targets)
+    grads["ent_w"] += g.T @ ent_reps
+    np.add.reduce(g, axis=0, out=grads["ent_b"], initial=0.0)
+    terms = [g @ params["ent_w"]]  # each entity row's term of its span's rep gradient
     if attr_scores.size:
-        g = (attr_scores - attr_labels) / attr_scores.size
+        g = attr_scores
+        g -= attr_labels
+        g /= g.size
         grads["attr_w"] += g.T @ attr_reps
-        grads["attr_b"] += g.sum(axis=0)
-        term_rows.append(ent_rows[:k])
-        terms.append(g @ model.attr_w)
-    d_reps = _add_rows(len(reps), np.concatenate(term_rows), np.concatenate(terms)) if terms else np.zeros(reps.shape)
+        np.add.reduce(g, axis=0, out=grads["attr_b"], initial=0.0)
+        terms.append(g @ params["attr_w"])  # each gold row's second term
 
+    # d_steps[i]: the rep gradient of the i-th span in step order, its entity
+    # rows' terms and then its attribute rows', added from zero
+    if step_rows is ent_rows:
+        # no row repeats: a span's sum is its entity term, and a gold span's
+        # is that plus its attribute term.  (0 + e) + a differs from e + a at
+        # most in the sign of a zero, which every later sum, each from zero,
+        # ignores.
+        d_steps = terms[0]
+        if len(terms) > 1:
+            d_steps[:k] += terms[1]
+    else:
+        place = {row: i for i, row in enumerate(step_rows.tolist())}
+        at = [place[row] for row in ent_rows.tolist()]
+        if len(terms) > 1:
+            at += at[:k]
+        d_steps = _add_rows(len(step_rows), np.array(at, dtype=np.intp), np.concatenate(terms))
+
+    # the width terms: the pairs' heads' and tails', then the step's spans'
+    widths = plan.table.widths
+    width_rows, width_terms = [widths.take(step_rows)], [d_steps[:, 2 * d :]]
     if rel_scores.size:
-        g = (rel_scores - pair_labels) / rel_scores.size
+        g = rel_scores
+        g -= pair_labels
+        g /= g.size
         grads["rel_w"] += g.T @ pair_reps
-        grads["rel_b"] += g.sum(axis=0)
-        dr = g @ model.rel_w
+        np.add.reduce(g, axis=0, out=grads["rel_b"], initial=0.0)
+        dr = g @ params["rel_w"]
         # an (m, 2, d + dw) view of dr: each pair's head and tail [pooled ; width] slices
         d_ends = np.ndarray((len(dr), 2, d + dw), dr.dtype, dr, 0, (dr.strides[0], (2 * d + dw) * dr.itemsize, dr.itemsize))
         d_pooled = _add_rows(len(reps), ends, d_ends[:, :, :d])
-        np.add.at(grads["width"], plan.table.widths[ends], d_ends[:, :, d:])
+        width_rows.insert(0, widths.take(ends).ravel())
+        width_terms.insert(0, d_ends[:, :, d:].reshape(-1, dw))
     else:
         d_pooled = np.zeros((len(reps), d))
+    grads["width"][...] = _add_rows(len(grads["width"]), np.concatenate(width_rows), np.concatenate(width_terms))
 
-    # entity-rep gradient: pooled segment and width segment (passage frozen)
-    d_pooled += d_reps[:, :d]
-    np.add.at(grads["width"], plan.table.widths[step_rows], d_reps[step_rows, 2 * d :])
-
-    d_attn_w, d_attn_b = _attention_backward(plan.table, alpha, d_pooled)
-    np.add.reduce(d_attn_w[step_rows], axis=0, out=grads["attn_w"], initial=0.0)
+    # a step span's pooled gradient: its pair terms, then its rep term's
+    # pooled segment (the passage segment is frozen).  The rows are
+    # distinct, and take costs half of fancy indexing.
+    pooled = d_pooled.take(step_rows, axis=0)
+    pooled += d_steps[:, :d]
+    d_pooled[step_rows] = pooled
+    d_attn_w, d_attn_b = _attention_backward(plan.backward, alpha, d_pooled)
+    np.add.reduce(d_attn_w.take(step_rows, axis=0), axis=0, out=grads["attn_w"], initial=0.0)
     total = 0.0  # attn_b's terms are added one by one, as floats
-    for term in d_attn_b[step_rows].tolist():
+    for term in d_attn_b.take(step_rows).tolist():
         total += term
     grads["attn_b"] += total
 
     return loss, grads
 
 
-def _attention_backward(table: SpanTable, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _BackwardWork:
+    """The arrays `_attention_backward` writes over one span table, made
+    once, with each width's views into them for its two passes; the steps
+    of a plan share them."""
+
+    def __init__(self, table: SpanTable, d: int):
+        rows = len(table.widths)
+        self.dz = dz = np.zeros((rows, len(table.groups)))  # d_alpha, then dz; no step reads past a row's width
+        self.centre = centre = np.empty((rows, 1))  # each row's alpha . d_alpha
+        self.d_attn_w = d_attn_w = np.empty((rows, d))
+        self.d_attn_b = d_attn_b = np.empty(rows)
+        # (w, windows, lo, hi, d_alpha, centre) and (windows, dz as rows, dz, d_attn_w, d_attn_b)
+        self.first = tuple(
+            (w, win, lo, hi, dz[lo:hi, :w, None], centre[lo:hi, :, None]) for w, win, lo, hi in table.groups
+        )
+        self.second = tuple(
+            (win, dz[lo:hi, None, :w], dz[lo:hi, :w], d_attn_w[lo:hi, None, :], d_attn_b[lo:hi])
+            for w, win, lo, hi in table.groups
+        )
+
+
+def _attention_backward(work: _BackwardWork, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each span-table row's term of attn_w's gradient and of attn_b's, given
-    `table_reps`' padded weights and the rows' pooled-vector gradients."""
-    d_alpha = np.zeros(alpha.shape)
-    centre = np.empty((len(alpha), 1))  # each row's alpha . d_alpha
-    for w, win, lo, hi in table.groups:
-        np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha[lo:hi, :w, None])
-        np.matmul(alpha[lo:hi, None, :w], d_alpha[lo:hi, :w, None], out=centre[lo:hi, :, None])
-    dz = alpha * (d_alpha - centre)
-    d_attn_w = np.empty(d_pooled.shape)
-    d_attn_b = np.empty(len(d_pooled))
-    for w, win, lo, hi in table.groups:
-        np.matmul(dz[lo:hi, None, :w], win, out=d_attn_w[lo:hi, None, :])
-        np.add.reduce(dz[lo:hi, :w], axis=1, out=d_attn_b[lo:hi])
-    return d_attn_w, d_attn_b
+    `table_reps`' padded weights and the rows' pooled-vector gradients,
+    written into work's arrays, which the next call overwrites."""
+    for w, win, lo, hi, d_alpha, centre in work.first:
+        np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha)
+        np.matmul(alpha[lo:hi, None, :w], d_alpha, out=centre)
+    work.dz -= work.centre
+    work.dz *= alpha  # alpha * (d_alpha - centre); the padding's weights are 0
+    for win, dz_rows, dz, d_attn_w, d_attn_b in work.second:
+        np.matmul(dz_rows, win, out=d_attn_w)
+        np.add.reduce(dz, axis=1, out=d_attn_b)
+    return work.d_attn_w, work.d_attn_b
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(w: int) -> np.ndarray:
+    """np.arange(w), read-only, as `_add_rows` shares it between calls."""
+    columns = np.arange(w)
+    columns.flags.writeable = False
+    return columns
 
 
 def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -562,7 +660,7 @@ def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     has the shape rows.shape + (w,).  np.bincount over the flattened cells
     adds in that order too, at a fraction of np.add.at's cost."""
     w = values.shape[-1]
-    cells = (rows[..., None] * w + np.arange(w)).ravel()
+    cells = (rows[..., None] * w + _columns(w)).ravel()
     return np.bincount(cells, values.ravel(), n_rows * w).reshape(n_rows, w)
 
 
@@ -625,7 +723,8 @@ def train(
     Negatives are resampled each epoch from a seed derived from
     (config.seed, epoch, example index); example order is reshuffled each
     epoch from the same master seed.  Each example's invariants (its
-    `_Plan`) are computed once, before the first epoch.
+    `_Plan`) are computed once, before the first epoch, and so is the one
+    gradient `Params` that every step writes into.
     """
     if not dataset:
         raise InputError("dataset is empty")
@@ -645,27 +744,35 @@ def train(
     plans = [plan.over(enc.token_vectors) for plan, enc in zip(plans, encodings)]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
 
+    grads = Params(model.params.shapes)  # each step writes its gradient over the last one's
+    # a batch of one updates with its step's gradient; a larger one sums its
+    # steps' gradients, in batch order, into a buffer of its own
+    batch_sum = grads.flat if config.batch_size == 1 else np.empty(grads.flat.shape)
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(dataset))
+        order = shuffle_rng.permutation(len(dataset)).tolist()
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_grads = None
-            for idx in batch:
-                ex = dataset[idx]
+            for i, idx in enumerate(batch):
+                ex, plan = dataset[idx], plans[idx]
                 negatives = sample_negatives(
                     ex,
                     config.neg_entity_count,
                     config.neg_relation_count,
                     config.max_span_len,
-                    seed=np.random.SeedSequence([config.seed, epoch, int(idx)]),
-                    plan=plans[idx],
+                    seed=np.random.SeedSequence([config.seed, epoch, idx]),
+                    plan=plan,
                 )
-                loss, grads = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plans[idx])
+                loss, _ = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plan, out=grads)
                 epoch_loss += loss.total
-                batch_grads = grads.flat if batch_grads is None else batch_grads + grads.flat
+                if batch_sum is not grads.flat:
+                    if i:
+                        batch_sum += grads.flat
+                    else:
+                        batch_sum[...] = grads.flat
             # one buffer holds every parameter group, so an update is one operation
-            model.params.flat -= (config.learning_rate / len(batch)) * batch_grads
+            batch_sum *= config.learning_rate / len(batch)
+            model.params.flat -= batch_sum
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss / len(dataset))
     return model

@@ -88,6 +88,25 @@ def test_base_vector_matches_reference_oracle():
     assert np.allclose(got, CAT_SEED7_D8, atol=1e-15)
 
 
+def test_base_vectors_come_from_the_cache_bit_for_bit_and_owned_by_the_caller():
+    tokens = [f"w{i}" for i in range(40)] + ["cat", "cat"]
+    for seed, dimension in ((7, 8), (0, 64), (True, 8)):
+        for token in tokens:
+            first = base_vector(token, seed, dimension)
+            assert first.tobytes() == reference_base_vector(token, seed, dimension).tobytes()
+            first[:] = 99.0  # the caller owns what it gets
+            again = base_vector(token, seed, dimension)
+            assert again.tobytes() == reference_base_vector(token, seed, dimension).tobytes()
+    # a seed of True hashes as "True", not as 1
+    assert base_vector("cat", True, 8).tobytes() != base_vector("cat", 1, 8).tobytes()
+    cfg = EncoderConfig(dimension=8, seed=7, context_window=0)
+    encoded = encode_tokens(["cat", "dog"], cfg)
+    encoded.token_vectors[:] = 99.0
+    assert encode_tokens(["cat", "dog"], cfg).token_vectors.tobytes() == np.stack(
+        [reference_base_vector(t, 7, 8) for t in ("cat", "dog")]
+    ).tobytes()
+
+
 def test_window_zero_is_unit_base_vectors():
     cfg = EncoderConfig(dimension=16, seed=0, context_window=0)
     enc = encode_tokens(["alpha", "beta"], cfg)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,14 @@ def test_initialize_validates():
     ]:
         with pytest.raises(InputError, match=name):
             Model.initialize(schema, EncoderConfig(dimension=8), **{name: value})
+    # a size that disagrees with the parameters is refused with both layouts;
+    # extract used to fail with a bare IndexError or matmul's ValueError
+    model = Model.initialize(schema, EncoderConfig(dimension=8), max_span_len=3, width_dim=1)
+    for name, value in [("max_span_len", 5), ("width_dim", 2)]:
+        wanted = Model.initialize(schema, EncoderConfig(dimension=8), **{"max_span_len": 3, "width_dim": 1, name: value})
+        with pytest.raises(InputError, match=re.escape(str(model.params.shapes))) as exc:
+            replace(model, **{name: value})
+        assert str(wanted.params.shapes) in str(exc.value)
 
 
 STACKED_GEMV_BROKEN = (

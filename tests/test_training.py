@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -344,6 +346,61 @@ def test_gradients_have_the_model_layout():
     assert grads.shapes == model.params.shapes
     assert not np.shares_memory(grads.flat, model.params.flat)
     assert np.any(grads.flat)
+
+
+def test_deepcopy_and_pickle_keep_the_one_buffer():
+    # a dict's own reduce restored each group as an array of its own, so a
+    # write to the copy's flat no longer reached its groups
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    cfg = TrainConfig(epochs=2, max_span_len=3, seed=5, neg_entity_count=4, neg_relation_count=2)
+    model = train(build_corpus()[:3], SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+    before = model.params.flat.tobytes()
+    for other in (
+        copy.deepcopy(model),
+        pickle.loads(pickle.dumps(model)),
+        pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)),
+    ):
+        assert_tiles_flat(other.params)
+        assert other.params.shapes == model.params.shapes
+        assert other.params.flat.tobytes() == before
+        assert not any(np.shares_memory(other.params.flat, group) for group in model.params.values())
+        other.params.flat[:] = 7.0
+        assert all(np.all(getattr(other, name) == 7.0) for name in PARAM_GROUPS)
+        assert model.params.flat.tobytes() == before
+
+
+def test_train_builds_one_gradient_buffer_for_all_epochs(monkeypatch):
+    # each step writes its gradient into the one Params that train makes
+    built = []
+
+    class Counted(Params):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(training, "Params", Counted)
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    for epochs, batch_size in ((1, 1), (4, 1), (1, 2), (4, 2)):
+        built.clear()
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, max_span_len=3,
+                          neg_entity_count=4, neg_relation_count=2)
+        model = train(build_corpus()[:3], SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+        assert built == [model.params.shapes], (epochs, batch_size)
+
+
+def test_gradients_into_an_out_of_another_layout_are_refused_before_any_work(monkeypatch):
+    model, ex = tiny_model(), tiny_example()
+    negatives = sample_negatives(ex, 4, 2, model.max_span_len, seed=1)
+    encoded = []
+    monkeypatch.setattr(training, "encode_tokens", lambda tokens, config: encoded.append(tokens))
+    other = Model.initialize(SCICLAIM, EncoderConfig(dimension=8), max_span_len=2, width_dim=2).params
+    for out in (other, dict(model.params), model.params.flat.copy(), model.params):
+        kept = out.flat.tobytes() if isinstance(out, Params) else None
+        with pytest.raises(InputError, match="^out must"):
+            training.example_loss_and_grads(model, ex, negatives, out=out)
+        if kept is not None:
+            assert out.flat.tobytes() == kept
+    assert encoded == []
 
 
 @pytest.mark.parametrize("width_dim, seed, message", [

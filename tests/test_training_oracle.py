@@ -17,6 +17,7 @@ from causalkg.graphs import Span, graph_to_json
 from causalkg.model import (
     PARAM_GROUPS,
     Model,
+    Params,
     classify_relations,
     enumerate_spans,
     extract,
@@ -83,6 +84,31 @@ def test_criterion_3_corpus_matches_reference():
         planned = training_plan(untrained, ex)  # one plan serves both models, as in train
         assert_matches_reference(untrained, ex, negatives, planned)
         assert_matches_reference(trained, ex, negatives, planned)
+
+
+def assert_out_matches_a_fresh_gradient(model, ex, negatives, planned, out):
+    """example_loss_and_grads given out returns out, holding bit for bit the
+    gradient that a call without out returns, whatever out held before."""
+    encoding, plan = planned
+    for kwargs in ({}, {"encoding": encoding, "plan": plan}):
+        loss, fresh = example_loss_and_grads(model, ex, negatives, **kwargs)
+        out.flat[:] = np.nan  # a step before left its gradient: every group must be written over
+        into_loss, into = example_loss_and_grads(model, ex, negatives, **kwargs, out=out)
+        assert into is out and into_loss == loss
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_gradients_into_out_match_fresh_ones_on_the_criterion_3_corpus():
+    dataset = synth.build_corpus()
+    untrained = Model.initialize(SCICLAIM, CRITERION_3_ENCODER, seed=0)
+    trained = train(dataset, SCICLAIM, TrainConfig(epochs=5, learning_rate=2.5, seed=0),
+                    encoder_config=CRITERION_3_ENCODER)
+    out = Params(untrained.params.shapes)  # one buffer for every call, as in train
+    for i, ex in enumerate(dataset):
+        negatives = sample_negatives(ex, 50, 20, untrained.max_span_len, seed=i)
+        planned = training_plan(untrained, ex)
+        assert_out_matches_a_fresh_gradient(untrained, ex, negatives, planned, out)
+        assert_out_matches_a_fresh_gradient(trained, ex, negatives, planned, out)
 
 
 @st.composite
@@ -207,6 +233,17 @@ def test_an_empty_sentence_matches_reference():
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(wide_examples_and_negatives())
+def test_random_gradients_into_out_match_fresh_ones(case):
+    ex, negatives, max_span_len, seed = case
+    model = Model.initialize(
+        SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
+        max_span_len=max_span_len, width_dim=2, seed=seed,
+    )
+    assert_out_matches_a_fresh_gradient(model, ex, negatives, training_plan(model, ex), Params(model.params.shapes))
+
+
 @st.composite
 def trainable_datasets(draw):
     """Datasets that check_dataset accepts, of 1-3 sentences of 1-12 tokens
@@ -276,6 +313,26 @@ def test_span_table_pools_each_span_as_span_attention():
                 assert not alpha[row, len(span) :].any()
 
 
+SHORT_SUM_BROKEN = (
+    "numpy's add.reduce changed: a row of fewer than 8 values no longer sums one by one, so zero "
+    "padding changes its sum, and table_reps' one row-sum call no longer normalizes like span_attention"
+)
+
+
+def test_rows_of_fewer_than_8_values_sum_alike_with_zero_padding():
+    # table_reps sums every row of a table narrower than 8 spans in one call
+    # over the zero-padded weights, where span_attention sums the span's own
+    rng = np.random.default_rng(23)
+    for width in range(1, 8):
+        values = rng.random((300, width)) * 10.0 ** rng.integers(-3, 4, (300, width))
+        lengths = rng.integers(1, width + 1, 300)
+        values[np.arange(width) >= lengths[:, None]] = 0.0
+        padded = np.add.reduce(values, axis=1, keepdims=True)
+        for row, n in enumerate(lengths):
+            own = np.add.reduce(values[row, :n], axis=-1, keepdims=True)
+            assert padded[row].tobytes() == own.tobytes(), SHORT_SUM_BROKEN
+
+
 def test_sample_negatives_draws_alike_with_the_plan():
     examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], DUPLICATE_SPANS[0]]
     for ex in examples:
@@ -333,6 +390,18 @@ def test_criterion_3_corpus_prepares_like_reference():
 def test_train_parameters_match_reference_update():
     dataset = synth.build_corpus()[::3]
     for batch_size in (1, 4):
+        config = TrainConfig(epochs=4, learning_rate=2.5, batch_size=batch_size, seed=3,
+                             neg_entity_count=50, neg_relation_count=20)
+        model = train(dataset, SCICLAIM, config, encoder_config=CRITERION_3_ENCODER)
+        ref = reference_train(dataset, SCICLAIM, config, CRITERION_3_ENCODER)
+        assert parameter_bytes(model) == parameter_bytes(ref)
+
+
+def test_train_batches_of_two_and_three_match_reference():
+    # a batch sums its steps' gradients in a buffer of its own, as every step
+    # writes into the one gradient buffer; ten examples end in a short batch
+    dataset = synth.build_corpus()[::3]
+    for batch_size in (2, 3):
         config = TrainConfig(epochs=4, learning_rate=2.5, batch_size=batch_size, seed=3,
                              neg_entity_count=50, neg_relation_count=20)
         model = train(dataset, SCICLAIM, config, encoder_config=CRITERION_3_ENCODER)
