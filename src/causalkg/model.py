@@ -293,8 +293,8 @@ def table_reps(
     stacked matmul makes the BLAS call of that span's `span_attention`, so
     both equal its results bit for bit.  The -inf padding of the scores turns
     into zero weights through the max, the shift and the exp, which run on
-    the whole table, as do the row sums below 8 widths; the matmuls, and
-    wider tables' row sums, run per width.  The weights are work's alpha,
+    the whole table; the matmuls and the row sums run per width, so each
+    sum adds the span's own weights.  The weights are work's alpha,
     which the next call given work overwrites; a call given none makes its
     own."""
     if work is None:
@@ -311,14 +311,8 @@ def table_reps(
     alpha += params["attn_b"]
     alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
     np.exp(alpha, out=alpha)
-    if len(work.groups) < 8:
-        # numpy adds fewer than 8 values one by one, from zero, so a row's
-        # zero padding leaves its sum as the span's own; from 8 values on it
-        # adds in blocks of 8, which the padding would regroup
-        np.add.reduce(alpha, axis=1, keepdims=True, out=work.sums)
-    else:
-        for _, _, _, scores, sums, _ in work.groups:
-            np.add.reduce(scores, axis=1, keepdims=True, out=sums)
+    for _, _, _, scores, sums, _ in work.groups:
+        np.add.reduce(scores, axis=1, keepdims=True, out=sums)
     alpha /= work.sums
     for win, lo, hi, _, _, weights in work.groups:
         np.matmul(weights, win, out=reps[lo:hi, None, :d])

@@ -15,7 +15,6 @@ embeddings, and the three classifier heads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -646,21 +645,13 @@ def _attention_backward(work: _BackwardWork, alpha: np.ndarray, d_pooled: np.nda
     return work.d_attn_w, work.d_attn_b
 
 
-@functools.lru_cache(maxsize=64)
-def _columns(w: int) -> np.ndarray:
-    """np.arange(w), read-only, as `_add_rows` shares it between calls."""
-    columns = np.arange(w)
-    columns.flags.writeable = False
-    return columns
-
-
 def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """An (n_rows, w) array whose row r sums, from zero and in index order,
     each values[i] with rows[i] == r, as np.add.at into zeros adds; values
     has the shape rows.shape + (w,).  np.bincount over the flattened cells
     adds in that order too, at a fraction of np.add.at's cost."""
     w = values.shape[-1]
-    cells = (rows[..., None] * w + _columns(w)).ravel()
+    cells = (rows[..., None] * w + np.arange(w)).ravel()
     return np.bincount(cells, values.ravel(), n_rows * w).reshape(n_rows, w)
 
 

@@ -313,26 +313,6 @@ def test_span_table_pools_each_span_as_span_attention():
                 assert not alpha[row, len(span) :].any()
 
 
-SHORT_SUM_BROKEN = (
-    "numpy's add.reduce changed: a row of fewer than 8 values no longer sums one by one, so zero "
-    "padding changes its sum, and table_reps' one row-sum call no longer normalizes like span_attention"
-)
-
-
-def test_rows_of_fewer_than_8_values_sum_alike_with_zero_padding():
-    # table_reps sums every row of a table narrower than 8 spans in one call
-    # over the zero-padded weights, where span_attention sums the span's own
-    rng = np.random.default_rng(23)
-    for width in range(1, 8):
-        values = rng.random((300, width)) * 10.0 ** rng.integers(-3, 4, (300, width))
-        lengths = rng.integers(1, width + 1, 300)
-        values[np.arange(width) >= lengths[:, None]] = 0.0
-        padded = np.add.reduce(values, axis=1, keepdims=True)
-        for row, n in enumerate(lengths):
-            own = np.add.reduce(values[row, :n], axis=-1, keepdims=True)
-            assert padded[row].tobytes() == own.tobytes(), SHORT_SUM_BROKEN
-
-
 def test_sample_negatives_draws_alike_with_the_plan():
     examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], DUPLICATE_SPANS[0]]
     for ex in examples:
