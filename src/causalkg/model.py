@@ -413,18 +413,21 @@ def classify_relations(model: Model, reps: np.ndarray) -> np.ndarray:
 
 
 def span_representations(
-    model: Model, encoding: TokenEncoding, spans: Sequence[Span]
-) -> tuple[list[np.ndarray], np.ndarray]:
+    model: Model, encoding: TokenEncoding, spans: Sequence[Span], weights: bool = True
+) -> tuple[list[np.ndarray] | None, np.ndarray]:
     """Attention weights per span plus the stacked entity reps (same order),
     gathered from the `table_reps` of the encoding.  Row i of reps is
-    [pooled ; passage ; width].  A span past the encoding or over
+    [pooled ; passage ; width].  With weights=False the weights are None
+    and no view of them is made.  A span past the encoding or over
     max_span_len raises GraphError naming it."""
     H = encoding.token_vectors
     table = span_table(len(H), model.max_span_len, H)
     rows = table.rows(spans, "span_representations")
     alpha, reps = table_reps(model, table, encoding.passage_vector)
-    weights = list(itertools.chain.from_iterable(alpha[lo:hi, :w] for w, _, lo, hi in table.groups))
-    return list(map(weights.__getitem__, rows.tolist())), reps[rows]
+    if not weights:
+        return None, reps.take(rows, axis=0)
+    views = list(itertools.chain.from_iterable(alpha[lo:hi, :w] for w, _, lo, hi in table.groups))
+    return list(map(views.__getitem__, rows.tolist())), reps.take(rows, axis=0)
 
 
 def extract(
@@ -447,7 +450,7 @@ def extract(
         )
     encoding = encode_tokens(tokens, model.encoder)
     spans = enumerate_spans(len(tokens), model.max_span_len)
-    _, reps = span_representations(model, encoding, spans)
+    _, reps = span_representations(model, encoding, spans, weights=False)
     probs = classify_entities(model, reps)
     classes = probs.argmax(axis=1)
 

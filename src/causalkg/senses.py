@@ -5,6 +5,10 @@ A sense inventory is a forest of sense records, each with a lemma, an
 optional gloss, an optional parent, and a unit vector.  A node's vector is
 the unit-normalized mean of its constituent token vectors; its confidence
 for a sense is the dot product with that sense's vector.
+
+An inventory is fixed once built, so it memoizes what it ranked: a
+context-free encoder gives a recurring mention the same vector every time,
+and scoring it again against every sense would repeat the same gemv.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .graphs import Entity, KnowledgeGraph, with_senses
+from .readers import real
 
 __all__ = [
     "SenseRecord",
@@ -33,6 +38,20 @@ __all__ = [
     "link_senses",
     "lca_similarity",
 ]
+
+# An inventory keeps the ranked senses of the first 2**10 distinct (vector
+# dtype, vector bytes, threshold) keys it scores, while they hold fewer than
+# 2**14 (sense id, score) pairs in all: about 1.5 MB of pairs, and keys of
+# 2**10 vectors' bytes (0.5 MB at dimension 64).
+_MEMO_KEYS = 1 << 10
+_MEMO_PAIRS = 1 << 14
+
+
+def _threshold(value) -> float:
+    threshold = real(value, "sense threshold", InputError)
+    if threshold != threshold:
+        raise InputError(f"sense threshold must be a number, got {threshold!r}")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,8 @@ class SenseInventory:
         ids = sorted(self.records)
         self._matrix = np.stack([self.records[s].vector for s in ids]) if ids else None
         self._ids = ids
+        self._memo: dict[tuple[np.dtype, bytes, float], tuple[tuple[str, float], ...]] = {}
+        self._memo_pairs = 0
 
     def _check_forest(self) -> None:
         for start in self.records:
@@ -107,17 +128,32 @@ class SenseInventory:
 
     def senses_above(self, vector: np.ndarray, threshold: float) -> list[tuple[str, float]]:
         """(sense_id, dot product) for each sense scoring strictly above the
-        threshold, sorted by descending score then sense id."""
+        threshold, sorted by descending score then sense id, as a new list.
+        The vector must be a real 1-D vector of the inventory's dimension
+        (else DimensionMismatchError) and the threshold a number (else
+        InputError).  A (vector, threshold) seen before is answered from
+        the memo with the pairs its first call ranked."""
+        threshold = _threshold(threshold)
         if self._matrix is None:
             return []
-        if vector.shape[0] != self._matrix.shape[1]:
+        vector = np.asarray(vector)
+        if vector.dtype.kind not in "biuf":
+            raise InputError(f"node vector must hold real numbers, got dtype {vector.dtype}")
+        if vector.shape != self._matrix.shape[1:]:
             raise DimensionMismatchError(
-                f"node vector dim {vector.shape[0]} vs inventory dim {self._matrix.shape[1]}"
+                f"node vector of shape {vector.shape} vs inventory dim {self._matrix.shape[1]}"
             )
-        scores = self._matrix @ vector
-        kept = [(self._ids[i], float(scores[i])) for i in np.flatnonzero(scores > threshold)]
-        kept.sort(key=lambda sc: (-sc[1], sc[0]))
-        return kept
+        key = (vector.dtype, vector.tobytes(), threshold)
+        ranked = self._memo.get(key)
+        if ranked is None:
+            scores = self._matrix @ vector
+            kept = [(self._ids[i], float(scores[i])) for i in np.flatnonzero(scores > threshold)]
+            kept.sort(key=lambda sc: (-sc[1], sc[0]))
+            if len(self._memo) < _MEMO_KEYS and self._memo_pairs + len(kept) < _MEMO_PAIRS:
+                self._memo[key] = tuple(kept)
+                self._memo_pairs += len(kept)
+            return kept
+        return list(ranked)
 
 
 def load_inventory(
@@ -189,10 +225,10 @@ def link_senses(
     A node is skipped (empty assignment) when all of its lemmas appear in
     the inventory's skip list.  Reported senses are those with dot-product
     confidence strictly above the threshold, sorted by descending
-    confidence then sense id.  A NaN threshold raises InputError.
+    confidence then sense id.  A threshold that is not a number (NaN, a
+    string, a bool) raises InputError.
     """
-    if threshold != threshold:
-        raise InputError(f"sense threshold must be a number, got {threshold!r}")
+    threshold = _threshold(threshold)
     senses = []
     for e in graph.entities:
         node_lemmas = graph.entity_lemmas(e)

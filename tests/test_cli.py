@@ -238,6 +238,59 @@ def test_senses_file_encoder_over_a_graph_directory(tmp_path):
     assert any(e["senses"] for doc in got for e in doc["entities"])
 
 
+def test_senses_over_graphs_that_repeat_a_mention_match_fresh_inventories(tmp_path):
+    # one inventory links every graph of the command, and it remembers the
+    # senses of node vectors it has ranked; a file encoder gives a recurring
+    # mention the same vector in every graph, so later graphs are linked
+    # from that memory and must read byte for byte as if linked afresh
+    vocab = ["rain", "causes", "floods", "heat", "dries", "soil"]
+    vectors = np.random.default_rng(5).standard_normal((len(vocab), 4))
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(t + " " + " ".join(map(repr, v.tolist())) + "\n" for t, v in zip(vocab, vectors)))
+    encoder = EncoderConfig(kind="file", dimension=4, embedding_path=str(emb))
+    save_model(Model.initialize(load_schema("sciclaim"), encoder), str(tmp_path / "model.json"))
+    inventory_text = "".join(
+        f"{t}.n.0{k}\t{t}\t-\t" + "\t".join(map(repr, (v + shift).tolist())) + "\n"
+        for t, v in zip(vocab, vectors) for k, shift in enumerate((0.2, -0.4))
+    )
+    (tmp_path / "inventory.tsv").write_text(inventory_text)
+    sentences = [["rain", "causes", "floods"], ["heat", "causes", "floods"], ["rain", "causes", "floods"],
+                 ["soil", "dries", "floods"]]
+    graphs = [
+        graph_from_dict({
+            "tokens": tokens,
+            "entities": [
+                {"id": "a", "start": 0, "end": 1, "type": "factor", "confidence": 1.0},
+                {"id": "b", "start": 1, "end": 3, "type": "factor", "confidence": 1.0},
+                {"id": "c", "start": 2, "end": 3, "type": "factor", "confidence": 1.0},
+            ],
+            "relations": [],
+            "provenance": f"s{i}",
+        })
+        for i, tokens in enumerate(sentences)
+    ]
+    in_dir = tmp_path / "graphs"
+    in_dir.mkdir()
+    names = [f"g{i}.json" for i in range(len(graphs))]
+    for name, g in zip(names, graphs):
+        (in_dir / name).write_text(graph_to_json(g))
+    (in_dir / "manifest.json").write_text(json.dumps({"graphs": names}))
+
+    assert main([
+        "senses", "--input", str(in_dir), "--inventory", str(tmp_path / "inventory.tsv"),
+        "--model", str(tmp_path / "model.json"), "--threshold", "0.1", "--out", str(tmp_path / "linked"),
+    ]) == 0
+    manifest = json.loads((tmp_path / "linked" / "manifest.json").read_text())
+    got = [(tmp_path / "linked" / name).read_bytes() for name in manifest["graphs"]]
+    linked = [link_senses(g, encode_tokens(g.tokens, encoder), load_inventory(inventory_text), threshold=0.1)
+              for g in graphs]
+    assert got == [graph_to_json(g).encode("utf-8") for g in linked]
+    # "floods" and "causes floods" recur, and they are linked to senses
+    floods = [g.entities[2].senses for g in linked]
+    assert floods[0] and floods.count(floods[0]) == len(floods)
+    assert linked[0].entities[1].senses and linked[0].entities[1].senses == linked[2].entities[1].senses
+
+
 def test_valence_query_senses_smoke(tmp_path, capsys):
     graph = {
         "tokens": ["woman", "pray", "safety"],

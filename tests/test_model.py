@@ -132,6 +132,8 @@ def test_span_representations_layout(data, n, max_span_len, d, layout, seed):
     encoding = TokenEncoding(H.mean(axis=0), H)
     alphas, reps = span_representations(m, encoding, spans)
     assert len(alphas) == len(spans) and reps.shape == (len(spans), m.rep_dim)
+    no_weights, same_reps = span_representations(m, encoding, spans, weights=False)
+    assert no_weights is None and same_reps.tobytes() == reps.tobytes()
     for i, span in enumerate(spans):
         alpha, pooled = span_attention(H, span, m.attn_w, m.attn_b)
         assert alphas[i].tobytes() == alpha.tobytes()

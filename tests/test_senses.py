@@ -1,10 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalkg.encoder import TokenEncoding
-from causalkg.errors import CausalKgError, DisjointTreesError, InputError, InventoryError, ZeroVectorError
+from causalkg.errors import (
+    CausalKgError,
+    DimensionMismatchError,
+    DisjointTreesError,
+    InputError,
+    InventoryError,
+    ZeroVectorError,
+)
 from causalkg.graphs import Span, assemble_graph
 from causalkg.senses import (
     SenseInventory,
@@ -240,9 +249,81 @@ def test_link_senses_matches_reference_selection(case):
         [(f"e{i}", span, "element", 1.0) for i, span in enumerate(spans)],
     )
     linked = link_senses(graph, encoding_for(token_vectors), inventory, threshold=threshold)
-    for entity in linked.entities:
+    # the second pass through the same inventory reads its memo
+    again = link_senses(graph, encoding_for(token_vectors), inventory, threshold=threshold)
+    for entity, repeated in zip(linked.entities, again.entities, strict=True):
         if graph.entity_lemmas(entity) <= inventory.skip_lemmas:
             assert entity.senses == ()
         else:
             vector = node_vector(entity, token_vectors)
             assert entity.senses == reference_senses(inventory, vector, threshold)
+        assert repeated.senses == entity.senses
+
+
+def two_sense_inventory():
+    return SenseInventory([
+        SenseRecord("x", "w", None, unit([1.0, 0.0])),
+        SenseRecord("y", "w", None, unit([1.0, 1.0])),
+    ])
+
+
+@pytest.mark.parametrize("vector, error, message", [
+    # each of these used to raise a bare TypeError or IndexError
+    (np.ones((2, 3)), DimensionMismatchError, "node vector of shape (2, 3) vs inventory dim 2"),
+    (np.array(1.0), DimensionMismatchError, "node vector of shape () vs inventory dim 2"),
+    (np.ones(3), DimensionMismatchError, "node vector of shape (3,) vs inventory dim 2"),
+    (np.array([1.0, 0.0], dtype=object), InputError, "node vector must hold real numbers, got dtype object"),
+    (np.array([1.0, 0.0], dtype=complex), InputError, "node vector must hold real numbers, got dtype complex128"),
+])
+def test_senses_above_rejects_a_malformed_vector(vector, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        two_sense_inventory().senses_above(vector, 0.5)
+
+
+@pytest.mark.parametrize("threshold, shown", [
+    # "0.5" used to raise numpy's UFuncTypeError; True was read as 1
+    ("0.5", "'0.5'"), (True, "True"), (None, "None"), (float("nan"), "nan"),
+])
+def test_sense_threshold_must_be_a_number(threshold, shown):
+    message = f"sense threshold must be a number, got {shown}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        two_sense_inventory().senses_above(unit([1.0, 0.0]), threshold)
+    with pytest.raises(InputError, match=re.escape(message)):
+        link_senses(one_node_graph(1), encoding_for([[1.0, 0.0]]), two_sense_inventory(), threshold=threshold)
+
+
+def test_senses_above_returns_a_list_of_its_own():
+    inv = two_sense_inventory()
+    first = inv.senses_above(unit([1.0, 0.2]), 0.5)
+    expected = list(reference_senses(inv, unit([1.0, 0.2]), 0.5))
+    assert first == expected and len(first) == 2
+    first.pop()
+    first[0] = ("z", 9.0)
+    assert inv.senses_above(unit([1.0, 0.2]), 0.5) == expected
+    assert inv.senses_above(unit([1.0, 0.2]), 0.5) is not inv.senses_above(unit([1.0, 0.2]), 0.5)
+
+
+def test_senses_above_keys_its_memo_by_dtype_and_threshold():
+    inv = two_sense_inventory()
+    ints, floats = np.array([1, 0]), np.array([5e-324, 0.0])
+    assert ints.tobytes() == floats.tobytes()
+    assert [s for s, _ in inv.senses_above(ints, 0.5)] == ["x", "y"]
+    assert inv.senses_above(floats, 0.5) == []
+    assert [s for s, _ in inv.senses_above(ints, 0.8)] == ["x"]
+    assert inv.senses_above(ints, 1) == []  # scores must exceed it
+
+
+def test_senses_above_memo_keeps_its_first_keys():
+    rng = np.random.default_rng(11)
+    inv = SenseInventory([SenseRecord(f"s{i}", "w", None, unit(rng.standard_normal(8))) for i in range(6)])
+    vectors = [unit(rng.standard_normal(8)) for _ in range(1100)]
+    for _ in range(2):
+        for vector in vectors:
+            assert inv.senses_above(vector, 0.3) == list(reference_senses(inv, vector, 0.3))
+    assert len(inv._memo) == 1 << 10
+    assert {key[1] for key in inv._memo} == {vector.tobytes() for vector in vectors[: 1 << 10]}
+    # every sense scores above -2, so the pair budget, not the key cap, stops this one
+    everything = SenseInventory([SenseRecord(f"s{i}", "w", None, unit(rng.standard_normal(8))) for i in range(64)])
+    for vector in vectors[:300]:
+        assert everything.senses_above(vector, -2.0) == list(reference_senses(everything, vector, -2.0))
+    assert len(everything._memo) == 255 and sum(map(len, everything._memo.values())) == 255 * 64
