@@ -1019,29 +1019,6 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))
 
 
-def _scalar(value) -> str:
-    """A JSON scalar as `json.dumps(..., ensure_ascii=False)` writes it."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _array(items: list[str], pad: str) -> str:
     """A JSON list of rendered items whose brackets sit at indent `pad`."""
     if not items:
@@ -1061,14 +1038,6 @@ _ATTRIBUTE = '{\n          "type": %s,\n          "confidence": %s\n        }'
 _SENSE = '{\n          "sense": %s,\n          "confidence": %s\n        }'
 
 
-def _record(record: Mapping) -> str:
-    """A flat object of JSON scalars as an item of a top-level list."""
-    if not record:
-        return "{}"
-    fields = ",\n".join(f"      {encode_basestring(k)}: {_scalar(v)}" for k, v in record.items())
-    return "{\n" + fields + "\n    }"
-
-
 def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]] | None = None) -> str:
     """The interchange text of `graph_to_dict(graph)`, built in one pass.
 
@@ -1077,7 +1046,7 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     trailing newline.  The text equals `json.dumps(graph_to_dict(graph),
     indent=2, ensure_ascii=False) + "\n"` byte for byte.  `extras` appends
     new top-level keys after "provenance", each a list of flat records of
-    JSON scalars; a value there that the stdlib refuses raises TypeError.
+    JSON scalars, which `json.dumps` writes (a value it refuses raises TypeError).
     A graph holds only strings, ints and finite floats (see
     `KnowledgeGraph`), which str() writes as the stdlib does.
     """
@@ -1110,7 +1079,9 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
         '"provenance": ' + quote(graph.provenance),
     ]
     for key, records in (extras or {}).items():
-        parts.append(quote(key) + ": " + _array([_record(rec) for rec in records], "  "))
+        # at depth 1 every line after the first sits two spaces deeper than json.dumps puts it
+        text = json.dumps(records, indent=2, ensure_ascii=False)
+        parts.append(quote(key) + ": " + text.replace("\n", "\n  "))
     return ",\n  ".join(parts) + "\n}\n"
 
 

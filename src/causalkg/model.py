@@ -2,9 +2,10 @@
 entity / attribute / relation classifier heads, plus decoding into a graph.
 
 Extraction and training share one span forward: a `SpanTable` lists every
-span of a sentence by width, `table_reps` pools the whole table with one
-stacked matmul per width (into a `TableWork`, which a training step reuses),
-and `pair_rows` lays out the relation head's rows.
+span of a sentence by width and owns the arrays of its pooling passes,
+`table_reps` pools the whole table with one stacked matmul per width,
+`table_backward` is its exact backward, which only training calls, and
+`pair_rows` lays out the relation head's rows.
 
 The model's parameters are one `Params`, a float64 buffer that holds nine
 named groups back to back, over a frozen token encoder:
@@ -23,6 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +141,7 @@ class Model:
 
     def __post_init__(self) -> None:
         """Raise InputError unless params has the layout that the schema and
-        sizes give, so that a replace of a size fails here and not in numpy."""
+        sizes give and the thresholds lie in (0, 1): a bad replace fails here."""
         want = tuple(_shapes(self.schema, self.dimension, self.max_span_len, self.width_dim))
         have = getattr(self.params, "shapes", None)
         if have != want:
@@ -147,6 +149,7 @@ class Model:
                 f"parameters of shapes {have} do not fit schema {self.schema.name!r}, dimension {self.dimension},"
                 f" max_span_len {self.max_span_len} and width_dim {self.width_dim}, which give shapes {want}"
             )
+        check_thresholds(self.theta_r, self.theta_a)
 
     @property
     def dimension(self) -> int:
@@ -178,7 +181,6 @@ class Model:
         whose fan_in is the length of a weight's last axis.  A size or seed
         that is not an integer, or a negative seed, raises InputError."""
         params = Params(_shapes(schema, encoder.dimension, max_span_len, width_dim))
-        check_thresholds(theta_r, theta_a)
         if integer(seed, "seed", InputError) < 0:
             raise InputError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
@@ -204,8 +206,10 @@ def _shapes(schema: Schema, d: int, max_span_len: int, width_dim: int) -> list[t
 
 
 def enumerate_spans(n: int, max_len: int) -> list[Span]:
-    """All spans of length 1..max_len over n tokens, in (start, length) order."""
-    if max_len < 1:
+    """All spans of length 1..max_len over n tokens, in (start, length) order;
+    an n or max_len that is not an integer, or a max_len < 1, raises InputError."""
+    integer(n, "n", InputError)
+    if integer(max_len, "max_len", InputError) < 1:
         raise InputError("max_len must be >= 1")
     return [
         Span(start, start + length)
@@ -231,15 +235,22 @@ def span_attention(
 class SpanTable:
     """Every span of 1..max_len of n tokens, by width and then by start: the
     span of width w at start s is row offsets[w - 1] + s, and widths[row] its
-    width-table row.  Built over token vectors, groups holds (w, windows, lo,
-    hi) for each width w: its rows lo:hi and their token windows, a (c, w, d)
-    read-only view whose every item has the strides of its token slice."""
+    width-table row.  Built over token vectors, the table owns the arrays
+    that `table_reps` and its exact backward `table_backward` write, which
+    each call overwrites: alpha, the rows' weights padded to the widest span,
+    and sums, their sums, with groups holding (w, windows, lo, hi, scores,
+    sums, weights) for each width w: rows lo:hi, their token windows (a (c,
+    w, d) read-only view whose every item has the strides of its token
+    slice) and their views into alpha and sums; and the backward arrays,
+    made on the first backward call."""
 
     n: int
     max_len: int
     offsets: tuple[int, ...]
     widths: np.ndarray
-    groups: tuple[tuple[int, np.ndarray, int, int], ...] | None = None
+    groups: tuple[tuple, ...] | None = None
+    alpha: np.ndarray | None = None
+    sums: np.ndarray | None = None
 
     def rows(self, spans: Sequence[Span], where: str) -> np.ndarray:
         """The spans' rows; a span past the n tokens or over max_len tokens
@@ -250,6 +261,20 @@ class SpanTable:
                 raise GraphError(f"{where}: span [{span.start}, {span.end}) {why}")
         return np.array([self.offsets[span.end - span.start - 1] + span.start for span in spans], dtype=np.intp)
 
+    @cached_property
+    def backward_arrays(self) -> tuple:
+        """`table_backward`'s arrays (dz, centre, d_attn_w, d_attn_b), then
+        each width's views for its two passes."""
+        rows, d = len(self.widths), self.groups[0][1].shape[2] if self.groups else 0
+        dz = np.zeros(self.alpha.shape)  # d_alpha, then dz; no call reads past a row's width
+        centre, d_attn_w, d_attn_b = np.empty((rows, 1)), np.empty((rows, d)), np.empty(rows)  # centre: alpha . d_alpha
+        # (windows, lo, hi, weights, d_alpha, centre) and (windows, dz as rows, dz, d_attn_w, d_attn_b)
+        first = tuple((win, lo, hi, weights, dz[lo:hi, :w, None], centre[lo:hi, :, None])
+                      for w, win, lo, hi, _, _, weights in self.groups)
+        second = tuple((win, dz[lo:hi, None, :w], dz[lo:hi, :w], d_attn_w[lo:hi, None, :], d_attn_b[lo:hi])
+                       for w, win, lo, hi, _, _, _ in self.groups)
+        return dz, centre, d_attn_w, d_attn_b, first, second
+
 
 def _windows(H: np.ndarray, w: int) -> np.ndarray:
     shape, strides = (len(H) - w + 1, w, H.shape[1]), (H.strides[0], *H.strides)
@@ -259,64 +284,66 @@ def _windows(H: np.ndarray, w: int) -> np.ndarray:
 
 
 def span_table(n: int, max_len: int, token_vectors: np.ndarray | None = None) -> SpanTable:
-    """The SpanTable of n tokens, with the windows of their token vectors when given."""
+    """The SpanTable of n tokens, with the windows of their token vectors and
+    the forward arrays when given."""
     counts = list(range(n, n - min(n, max_len), -1))  # n - w + 1 spans of width w
     offsets = tuple(itertools.accumulate(counts, initial=0))
-    groups = None if token_vectors is None else tuple(
-        (w, _windows(token_vectors, w), offsets[w - 1], offsets[w]) for w in range(1, len(offsets))
-    )
     widths = np.repeat(np.arange(len(counts)), counts)
     widths.flags.writeable = False  # training steps share it
-    return SpanTable(n, max_len, offsets, widths, groups)
+    if token_vectors is None:
+        return SpanTable(n, max_len, offsets, widths)
+    alpha, sums = np.empty((len(widths), len(counts))), np.empty((len(widths), 1))
+    groups = tuple(
+        (w, _windows(token_vectors, w), lo, hi, alpha[lo:hi, :w], sums[lo:hi], alpha[lo:hi, None, :w])
+        for w, lo, hi in zip(range(1, len(offsets)), offsets, offsets[1:])
+    )
+    return SpanTable(n, max_len, offsets, widths, groups, alpha, sums)
 
 
-class TableWork:
-    """The arrays `table_reps` writes its weights into for one SpanTable
-    built over token vectors, made once with each width's views into them:
-    (windows, lo, hi, scores, sums, weights)."""
-
-    def __init__(self, table: SpanTable):
-        rows = len(table.widths)
-        self.alpha = np.empty((rows, len(table.groups)))
-        self.sums = np.empty((rows, 1))
-        self.groups = tuple(
-            (win, lo, hi, self.alpha[lo:hi, :w], self.sums[lo:hi], self.alpha[lo:hi, None, :w])
-            for w, win, lo, hi in table.groups
-        )
-
-
-def table_reps(
-    model: Model, table: SpanTable, passage: np.ndarray, work: TableWork | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def table_reps(model: Model, table: SpanTable, passage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every table span's attention weights, padded with zeros to the widest
     span, and its [pooled ; passage ; width] row.  Each item of a width's
     stacked matmul makes the BLAS call of that span's `span_attention`, so
     both equal its results bit for bit.  The -inf padding of the scores turns
     into zero weights through the max, the shift and the exp, which run on
     the whole table; the matmuls and the row sums run per width, so each
-    sum adds the span's own weights.  The weights are work's alpha,
-    which the next call given work overwrites; a call given none makes its
-    own."""
-    if work is None:
-        work = TableWork(table)
+    sum adds the span's own weights.  The weights are the table's alpha,
+    which the next call over the table overwrites."""
     params, d = model.params, model.dimension
     reps = np.empty((len(table.widths), model.rep_dim))
     reps[:, d : 2 * d] = passage
     reps[:, 2 * d :] = params["width"].take(table.widths, axis=0)
-    alpha = work.alpha
+    alpha = table.alpha
     alpha.fill(-np.inf)
     attn_w = params["attn_w"]
-    for win, _, _, scores, _, _ in work.groups:
+    for _, win, _, _, scores, _, _ in table.groups:
         np.matmul(win, attn_w, out=scores)
     alpha += params["attn_b"]
     alpha -= np.maximum.reduce(alpha, axis=1, keepdims=True, initial=-np.inf)
     np.exp(alpha, out=alpha)
-    for _, _, _, scores, sums, _ in work.groups:
+    for _, _, _, _, scores, sums, _ in table.groups:
         np.add.reduce(scores, axis=1, keepdims=True, out=sums)
-    alpha /= work.sums
-    for win, lo, hi, _, _, weights in work.groups:
+    alpha /= table.sums
+    for _, win, lo, hi, _, _, weights in table.groups:
         np.matmul(weights, win, out=reps[lo:hi, None, :d])
     return alpha, reps
+
+
+def table_backward(table: SpanTable, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each table row's term of attn_w's gradient and of attn_b's, given the
+    rows' pooled-vector gradients and the weights of the last `table_reps`
+    over the table: its exact backward, stacked by width the same way.  The
+    terms are the table's backward arrays, which the next call overwrites."""
+    dz, centre, d_attn_w, d_attn_b, first, second = table.backward_arrays
+    for win, lo, hi, weights, d_alpha, centre_rows in first:
+        np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha)
+        np.matmul(weights, d_alpha, out=centre_rows)
+    dz -= centre
+    dz *= table.alpha  # alpha * (d_alpha - centre); the padding's weights are 0
+    for win, dz_rows, dz_w, d_attn_w_rows, d_attn_b_rows in second:
+        np.matmul(dz_rows, win, out=d_attn_w_rows)
+        np.add.reduce(dz_w, axis=1, out=d_attn_b_rows)
+    return d_attn_w, d_attn_b
 
 
 def between_contexts(token_vectors: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -413,21 +440,18 @@ def classify_relations(model: Model, reps: np.ndarray) -> np.ndarray:
 
 
 def span_representations(
-    model: Model, encoding: TokenEncoding, spans: Sequence[Span], weights: bool = True
-) -> tuple[list[np.ndarray] | None, np.ndarray]:
-    """Attention weights per span plus the stacked entity reps (same order),
-    gathered from the `table_reps` of the encoding.  Row i of reps is
-    [pooled ; passage ; width].  With weights=False the weights are None
-    and no view of them is made.  A span past the encoding or over
-    max_span_len raises GraphError naming it."""
+    model: Model, encoding: TokenEncoding, spans: Sequence[Span]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The spans' attention weights and their stacked entity reps, in the
+    order given, gathered from the `table_reps` of the encoding.  Row i of
+    the weights holds span i's and then zeros up to the widest span of the
+    table; row i of reps is [pooled ; passage ; width].  A span past the
+    encoding or over max_span_len raises GraphError naming it."""
     H = encoding.token_vectors
     table = span_table(len(H), model.max_span_len, H)
     rows = table.rows(spans, "span_representations")
     alpha, reps = table_reps(model, table, encoding.passage_vector)
-    if not weights:
-        return None, reps.take(rows, axis=0)
-    views = list(itertools.chain.from_iterable(alpha[lo:hi, :w] for w, _, lo, hi in table.groups))
-    return list(map(views.__getitem__, rows.tolist())), reps.take(rows, axis=0)
+    return alpha.take(rows, axis=0), reps.take(rows, axis=0)
 
 
 def extract(
@@ -450,7 +474,7 @@ def extract(
         )
     encoding = encode_tokens(tokens, model.encoder)
     spans = enumerate_spans(len(tokens), model.max_span_len)
-    _, reps = span_representations(model, encoding, spans, weights=False)
+    _, reps = span_representations(model, encoding, spans)
     probs = classify_entities(model, reps)
     classes = probs.argmax(axis=1)
 
@@ -537,7 +561,6 @@ def _model_from_dict(doc) -> Model:
     schema, encoder = schema_from_dict(field("schema")), EncoderConfig.from_dict(field("encoder"))
     max_span_len, width_dim = field("max_span_len", integer), field("width_dim", integer)
     theta_r, theta_a = field("theta_r", real), field("theta_a", real)
-    check_thresholds(theta_r, theta_a)
     params = Params(_shapes(schema, encoder.dimension, max_span_len, width_dim))
     for name, group in params.items():
         # one np.array call per group; dtype=object keeps each JSON value as

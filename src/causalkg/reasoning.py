@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, QueryError, SchemaMismatchError
 from .graphs import CorpusGraph, Entity, KnowledgeGraph, edge_ids, lemma_link_id, node_id, node_prefix
-from .readers import array, obj, required, string, strings
+from .readers import array, integer, obj, required, string, strings
 from .schema import Schema
 
 __all__ = [
@@ -228,9 +228,10 @@ def find_paths(
 
     A node matching both patterns yields a single-node path.  Paths never
     repeat a node.  Output order is deterministic: paths sorted
-    lexicographically by their id sequences.
+    lexicographically by their id sequences.  A max_len that is not an
+    integer >= 1 raises InputError.
     """
-    if max_len < 1:
+    if integer(max_len, "max_len", InputError) < 1:
         raise InputError("max_len must be >= 1")
     index = corpus.index
     nodes, node_lemmas = index.nodes, index.lemmas

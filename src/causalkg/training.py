@@ -37,7 +37,6 @@ from .model import (
     Model,
     Params,
     SpanTable,
-    TableWork,
     classify_attributes,
     classify_entities,
     classify_relations,
@@ -45,6 +44,7 @@ from .model import (
     pair_contexts,
     pair_rows,
     span_table,
+    table_backward,
     table_reps,
 )
 from .readers import array, integer, obj, parse_json, real, required, string, strings, within
@@ -214,12 +214,10 @@ class _Plan:
     schema and max_span_len: `sample_negatives`' candidates, the gold half of
     `_prepare`, the span table, which holds every span a step can see (the
     gold spans and the candidates), with each such span's row, and, once
-    `over` the token vectors, the table's windows, each gold pair's
-    between-context row and span-table rows, and the arrays that a step's
-    span pooling and attention backward pass write.  `train` builds one per
-    example and hands it to every step; a call given none builds its own.
-    The arrays a step only reads are made read-only; the ones it writes
-    serve one step at a time."""
+    `over` the token vectors, the table built over them (whose arrays serve
+    one step at a time) and each gold pair's between-context row and
+    span-table rows.  `train` builds one per example and hands it to every
+    step; a call given none builds its own.  Its own arrays are read-only."""
 
     span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
     pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
@@ -233,8 +231,6 @@ class _Plan:
     row_of: dict[Span, int]  # every span of the table (the gold spans and the candidates) and its row
     between: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s between context
     ends: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s head and tail span-table rows
-    pool: TableWork | None = None
-    backward: _BackwardWork | None = None
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -247,8 +243,7 @@ class _Plan:
         table = span_table(self.table.n, self.table.max_len, token_vectors)
         between = pair_contexts(token_vectors, self.spans, heads, tails)
         ends = np.stack([self.rows[heads], self.rows[tails]], axis=1)
-        backward = _BackwardWork(table, token_vectors.shape[1])
-        return replace(self, table=table, between=between, ends=ends, pool=TableWork(table), backward=backward)
+        return replace(self, table=table, between=between, ends=ends)
 
 
 def _candidates(example: Example, max_span_len: int):
@@ -334,14 +329,16 @@ def sample_negatives(
 ) -> Negatives:
     """Sample non-gold spans and relation-free gold-entity pairs.
 
-    Uniform without replacement, deterministic for a fixed seed.  `train`
-    passes the example's plan, which holds the candidates.
+    Uniform without replacement, deterministic for a fixed seed (an int >= 0
+    or a SeedSequence).  `train` passes the example's plan, which holds the candidates.
     """
     integer(neg_entity_count, "neg_entity_count", InputError)
     integer(neg_relation_count, "neg_relation_count", InputError)
     integer(max_span_len, "max_span_len", InputError)
     if neg_entity_count < 0 or neg_relation_count < 0:
         raise InputError("negative sample counts must be >= 0")
+    if not isinstance(seed, np.random.SeedSequence) and integer(seed, "seed", InputError) < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if plan is None:
         span_candidates, pair_candidates = _candidates(example, max_span_len)
     else:
@@ -491,8 +488,7 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     """The example's loss and, given grads, a `Params` of the model's
     layout, its gradient, written over whatever grads held and returned in
     it.  The loss comes from the `table_reps` of the plan's span table, and
-    the attention backward pass is stacked by width the same way, and as
-    exact.
+    the attention gradient from its `table_backward`.
 
     Sums that add one term per span or pair keep the order of the per-span
     loops in tests/training_reference.py; another order changes the
@@ -517,7 +513,7 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     )
     params, d, dw, k = model.params, model.dimension, model.width_dim, len(plan.spans)
 
-    alpha, reps = table_reps(model, plan.table, encoding.passage_vector, plan.pool)
+    _, reps = table_reps(model, plan.table, encoding.passage_vector)
     ent_reps = reps.take(ent_rows, axis=0)
     ent_probs = classify_entities(model, ent_reps)
     attr_reps = ent_reps[:k]  # the gold spans come first
@@ -599,7 +595,7 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     pooled = d_pooled.take(step_rows, axis=0)
     pooled += d_steps[:, :d]
     d_pooled[step_rows] = pooled
-    d_attn_w, d_attn_b = _attention_backward(plan.backward, alpha, d_pooled)
+    d_attn_w, d_attn_b = table_backward(plan.table, d_pooled)
     np.add.reduce(d_attn_w.take(step_rows, axis=0), axis=0, out=grads["attn_w"], initial=0.0)
     total = 0.0  # attn_b's terms are added one by one, as floats
     for term in d_attn_b.take(step_rows).tolist():
@@ -607,42 +603,6 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     grads["attn_b"] += total
 
     return loss, grads
-
-
-class _BackwardWork:
-    """The arrays `_attention_backward` writes over one span table, made
-    once, with each width's views into them for its two passes; the steps
-    of a plan share them."""
-
-    def __init__(self, table: SpanTable, d: int):
-        rows = len(table.widths)
-        self.dz = dz = np.zeros((rows, len(table.groups)))  # d_alpha, then dz; no step reads past a row's width
-        self.centre = centre = np.empty((rows, 1))  # each row's alpha . d_alpha
-        self.d_attn_w = d_attn_w = np.empty((rows, d))
-        self.d_attn_b = d_attn_b = np.empty(rows)
-        # (w, windows, lo, hi, d_alpha, centre) and (windows, dz as rows, dz, d_attn_w, d_attn_b)
-        self.first = tuple(
-            (w, win, lo, hi, dz[lo:hi, :w, None], centre[lo:hi, :, None]) for w, win, lo, hi in table.groups
-        )
-        self.second = tuple(
-            (win, dz[lo:hi, None, :w], dz[lo:hi, :w], d_attn_w[lo:hi, None, :], d_attn_b[lo:hi])
-            for w, win, lo, hi in table.groups
-        )
-
-
-def _attention_backward(work: _BackwardWork, alpha: np.ndarray, d_pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each span-table row's term of attn_w's gradient and of attn_b's, given
-    `table_reps`' padded weights and the rows' pooled-vector gradients,
-    written into work's arrays, which the next call overwrites."""
-    for w, win, lo, hi, d_alpha, centre in work.first:
-        np.matmul(win, d_pooled[lo:hi, :, None], out=d_alpha)
-        np.matmul(alpha[lo:hi, None, :w], d_alpha, out=centre)
-    work.dz -= work.centre
-    work.dz *= alpha  # alpha * (d_alpha - centre); the padding's weights are 0
-    for win, dz_rows, dz, d_attn_w, d_attn_b in work.second:
-        np.matmul(dz_rows, win, out=d_attn_w)
-        np.add.reduce(dz, axis=1, out=d_attn_b)
-    return work.d_attn_w, work.d_attn_b
 
 
 def _add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -667,7 +627,7 @@ def grad_check(
     per-group error is ||analytic - numeric|| / (||analytic|| + ||numeric||),
     which sits at the finite-difference noise floor when the two agree.
     """
-    if not (1e-6 <= epsilon <= 1e-3):
+    if not (1e-6 <= real(epsilon, "epsilon", InputError) <= 1e-3):
         raise InputError("epsilon must lie in [1e-6, 1e-3]")
     if negatives is None:
         negatives = sample_negatives(example, 20, 10, model.max_span_len, seed=0)

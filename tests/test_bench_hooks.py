@@ -115,6 +115,20 @@ def test_traced_extract_pools_every_span_through_span_representations():
     assert metrics["model.spans_enumerated"] == len(enumerate_spans(len(tokens), model.max_span_len))
 
 
+def test_workload_span_check_unpacks_span_representations(monkeypatch):
+    # bench/workloads.keeps_every_span unpacks span_representations' pair of
+    # weights and reps; a change to that pair fails here, not only in a
+    # benchmark run
+    workloads = load_workloads(monkeypatch)
+    tokens = tuple(synth.FACTORS[:5])
+    encoder, kept = EncoderConfig(dimension=64, seed=0, context_window=1), []
+    for seed in (3, 0):
+        model = Model.initialize(load_schema("sciclaim"), encoder, seed=seed)
+        kept.append(workloads.keeps_every_span(model, tokens))
+        assert kept[-1] == (len(extract(tokens, tokens, model).entities) == len(enumerate_spans(5, model.max_span_len)))
+    assert kept == [True, False]
+
+
 def test_traced_training_times_every_step():
     # the training.* metrics come from the wrapped sample_negatives and
     # example_loss_and_grads; a train that stopped calling those names once

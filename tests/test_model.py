@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalkg import model as model_module
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
 from causalkg.errors import CausalKgError, DimensionMismatchError, InputError
 from causalkg.graphs import Span
@@ -55,6 +56,13 @@ def test_enumerate_spans_counts():
     ]
     with pytest.raises(ValueError):
         enumerate_spans(3, 0)
+    # each used to raise a bare TypeError from range, or to count True as 1
+    for n, max_len, message in [
+        (4, 2.5, "max_len must be an integer, got 2.5"), (4, True, "max_len must be an integer, got True"),
+        (2.5, 4, "n must be an integer, got 2.5"), ("3", 2, "n must be an integer, got '3'"),
+    ]:
+        with pytest.raises(InputError, match=re.escape(message)):
+            enumerate_spans(n, max_len)
 
 
 def test_attention_single_token():
@@ -131,16 +139,36 @@ def test_span_representations_layout(data, n, max_span_len, d, layout, seed):
     m.attn_w = 3.0 * rng.standard_normal(d)
     encoding = TokenEncoding(H.mean(axis=0), H)
     alphas, reps = span_representations(m, encoding, spans)
-    assert len(alphas) == len(spans) and reps.shape == (len(spans), m.rep_dim)
-    no_weights, same_reps = span_representations(m, encoding, spans, weights=False)
-    assert no_weights is None and same_reps.tobytes() == reps.tobytes()
+    widest = min(n, max_span_len)
+    assert alphas.shape == (len(spans), widest) and reps.shape == (len(spans), m.rep_dim)
     for i, span in enumerate(spans):
         alpha, pooled = span_attention(H, span, m.attn_w, m.attn_b)
-        assert alphas[i].tobytes() == alpha.tobytes()
+        # each row holds the span's weights and then zeros up to the widest span
+        assert alphas[i, : len(span)].tobytes() == alpha.tobytes()
+        assert alphas[i, len(span) :].tobytes() == np.zeros(widest - len(span)).tobytes()
         assert reps[i, :d].tobytes() == pooled.tobytes()
         assert reps[i, d:].tobytes() == np.concatenate([encoding.passage_vector, m.width[len(span) - 1]]).tobytes()
     alphas, reps = span_representations(m, encoding, [])
-    assert alphas == [] and reps.shape == (0, m.rep_dim)
+    assert alphas.shape == (0, widest) and reps.shape == (0, m.rep_dim)
+
+
+def test_extraction_never_builds_the_backward_arrays(monkeypatch):
+    # the span table makes the arrays of its backward pass on the first
+    # backward call, which only training makes
+    tables = []
+    real_span_table = model_module.span_table
+
+    def span_table(*args):
+        tables.append(real_span_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(model_module, "span_table", span_table)
+    m = small_model(seed=4, max_span_len=3)
+    tokens = ["smoking", "causes", "cancer", "in", "mice"]
+    span_representations(m, encode_tokens(tokens, m.encoder), enumerate_spans(5, 3))
+    extract(tokens, None, m)
+    assert len(tables) == 2 and tables[0].alpha is not None
+    assert all("backward_arrays" not in vars(table) for table in tables)
 
 
 @pytest.mark.parametrize("max_span_len, span, message", [
@@ -525,6 +553,15 @@ def test_initialize_validates():
         with pytest.raises(InputError, match=re.escape(str(model.params.shapes))) as exc:
             replace(model, **{name: value})
         assert str(wanted.params.shapes) in str(exc.value)
+    # a threshold is checked where the shapes are: a string one used to
+    # construct and then fail in extract with numpy's UFuncTypeError, and
+    # one outside (0, 1) to extract nothing
+    for name, value, message in [
+        ("theta_r", "0.4", "theta_r must be a number, got '0.4'"), ("theta_a", True, "theta_a must be a number"),
+        ("theta_r", 2.0, "thresholds must lie in (0, 1)"), ("theta_a", float("nan"), "thresholds must lie in (0, 1)"),
+    ]:
+        with pytest.raises(InputError, match=re.escape(message)):
+            replace(model, **{name: value})
 
 
 STACKED_GEMV_BROKEN = (

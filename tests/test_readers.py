@@ -220,7 +220,6 @@ def test_loaders_raise_nothing_but_causalkg_errors():
 # (module, function, exception): misuse of the library, not bad input
 ALLOWED_BUILTIN_RAISES = {
     ("graphs.py", "attribute_confidence", "KeyError"),
-    ("graphs.py", "_scalar", "TypeError"),
 }
 
 

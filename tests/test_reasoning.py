@@ -1,10 +1,12 @@
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalkg.errors import QueryError, SchemaMismatchError
+from causalkg.errors import InputError, QueryError, SchemaMismatchError
 from causalkg.graphs import CorpusGraph, Span, assemble_graph, merge_corpus
 from causalkg.reasoning import (
     NORM,
@@ -266,6 +268,31 @@ def test_single_node_path_when_both_patterns_match():
         max_len=1,
     )
     assert ("s1/baby",) in result.paths
+
+
+def chain_corpus():
+    # a -> b -> c -> d -> e, one sentence
+    tokens = list("abcde")
+    return merge_corpus([assemble_graph(
+        tokens, None, [(t, Span(i, i + 1), "element", 1.0) for i, t in enumerate(tokens)],
+        relations=[(h, t, "q+", 1.0) for h, t in zip(tokens, tokens[1:])], provenance="c",
+    )])
+
+
+@pytest.mark.parametrize("max_len, message", [
+    (0, "max_len must be >= 1"),
+    # 1.5 used to bound nothing, so the walk enumerated every simple path,
+    # and True ran as 1
+    (1.5, "max_len must be an integer, got 1.5"),
+    (True, "max_len must be an integer, got True"),
+])
+def test_find_paths_reads_max_len_as_an_integer_of_at_least_one(max_len, message):
+    corpus = chain_corpus()
+    anything = NodePattern(lemma_any_of=frozenset("abcde"))
+    with pytest.raises(InputError, match=re.escape(message)):
+        find_paths(corpus, NodePattern(lemma_any_of=frozenset("a")), anything, max_len=max_len)
+    result = find_paths(corpus, NodePattern(lemma_any_of=frozenset("a")), anything, max_len=1)
+    assert {len(path) // 2 for path in result.paths} == {0, 1}
 
 
 def oracle_paths(corpus, start, end, max_len):

@@ -145,13 +145,25 @@ def test_sample_negatives_rejects_a_negative_count(counts):
 
 
 @pytest.mark.parametrize("bad", [2.5, "3", True])
-@pytest.mark.parametrize("position, name", [(0, "neg_entity_count"), (1, "neg_relation_count"), (2, "max_span_len")])
+@pytest.mark.parametrize("position, name", [
+    (0, "neg_entity_count"), (1, "neg_relation_count"), (2, "max_span_len"), (3, "seed"),
+])
 def test_sample_negatives_reads_its_counts_as_integers(position, name, bad):
     # each used to raise a bare TypeError from numpy or range, or to count True as 1
-    args = [2, 2, 10]
+    args = [2, 2, 10, 0]
     args[position] = bad
     with pytest.raises(InputError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
-        sample_negatives(build_corpus()[0], *args, seed=0)
+        sample_negatives(build_corpus()[0], *args[:3], seed=args[3])
+
+
+def test_sample_negatives_refuses_a_negative_seed():
+    # it used to reach numpy's bare ValueError; a SeedSequence, which train
+    # hands over, passes as before
+    with pytest.raises(InputError, match="^seed must be >= 0, got -1$"):
+        sample_negatives(build_corpus()[0], 2, 1, 3, seed=-1)
+    ex = build_corpus()[0]
+    sequence = sample_negatives(ex, 2, 1, 3, seed=np.random.SeedSequence([5, 0, 1]))
+    assert sequence == sample_negatives(ex, 2, 1, 3, seed=np.random.SeedSequence([5, 0, 1]))
 
 
 def test_sample_negatives_contract():
@@ -240,6 +252,10 @@ def test_grad_check_epsilon_bounds():
     with pytest.raises(ValueError) as raised:
         grad_check(tiny_model(), tiny_example(), epsilon=1e-2)
     assert isinstance(raised.value, CausalKgError)
+    # a non-number used to raise a bare TypeError from the comparison
+    for epsilon in ("x", None, True):
+        with pytest.raises(InputError, match=re.escape(f"epsilon must be a number, got {epsilon!r}")):
+            grad_check(tiny_model(), tiny_example(), epsilon=epsilon)
 
 
 def test_train_config_validation():
@@ -445,18 +461,18 @@ def test_attention_bias_terms_add_in_step_order(monkeypatch):
     # terms are rounding noise, so made-up ones show the order
     ex = tiny_example()
     negatives = Negatives(spans=(Span(3, 5), Span(0, 2), Span(4, 5), Span(2, 3)), pairs=())
-    real_backward = training._attention_backward
+    real_backward = training.table_backward
     made_up = {}
 
-    def backward(plan, alpha, d_pooled):
-        d_attn_w, d_attn_b = real_backward(plan, alpha, d_pooled)
+    def backward(table, d_pooled):
+        d_attn_w, d_attn_b = real_backward(table, d_pooled)
         # rows 0 and 8 are the first and the fourth span the step uses
         d_attn_b = np.ones(len(d_attn_b))
         d_attn_b[[0, 8]] = 1e16, -1e16
         made_up["terms"] = d_attn_b
         return d_attn_w, d_attn_b
 
-    monkeypatch.setattr(training, "_attention_backward", backward)
+    monkeypatch.setattr(training, "table_backward", backward)
     model = tiny_model()
     _, grads = training.example_loss_and_grads(model, ex, negatives)
     offsets = [0, 5, 9, 12]  # rows of the 1-, 2- and 3-token spans of 5 tokens
@@ -469,6 +485,35 @@ def test_attention_bias_terms_add_in_step_order(monkeypatch):
     for row in sorted(offsets[len(span) - 1] + span.start for span in dict.fromkeys(spans)):
         in_table_order += made_up["terms"][row]
     assert total != in_table_order  # the order shows
+
+
+def test_a_plan_table_owns_its_pooling_arrays_across_steps(monkeypatch):
+    # the plan's span table holds the forward arrays from the start and makes
+    # the backward ones on its first backward call; every later step writes
+    # into the same arrays and gets the gradient a fresh plan gives
+    model, ex = tiny_model(seed=2), tiny_example()
+    negatives = sample_negatives(ex, 6, 2, model.max_span_len, seed=3)
+    encoding = encode_tokens(ex.tokens, model.encoder)
+    plan = training._plan(model.schema, model.max_span_len, ex).over(encoding.token_vectors)
+    table = plan.table
+    weights = []
+    real_table_reps = training.table_reps
+
+    def table_reps(*args):
+        alpha, reps = real_table_reps(*args)
+        weights.append(alpha)
+        return alpha, reps
+
+    monkeypatch.setattr(training, "table_reps", table_reps)
+    assert "backward_arrays" not in vars(table)
+    _, fresh = training.example_loss_and_grads(model, ex, negatives, encoding)
+    backward = []
+    for _ in range(2):
+        _, grads = training.example_loss_and_grads(model, ex, negatives, encoding, plan=plan)
+        assert grads.flat.tobytes() == fresh.flat.tobytes()
+        assert plan.table is table and weights[-1] is table.alpha
+        backward.append(vars(table)["backward_arrays"])
+    assert backward[0] is backward[1]
 
 
 def test_train_loss_non_increasing_small_lr():
