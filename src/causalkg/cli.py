@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .dot import emit_dot
 from .encoder import EncoderConfig, encode_tokens
-from .errors import CausalKgError, GraphError, InputError, QueryError
+from .errors import CausalKgError, DuplicateProvenanceError, GraphError, InputError, QueryError
 from .evaluation import score
 from .graphs import (
     KnowledgeGraph,
@@ -110,16 +110,17 @@ def _load_graphs(path: str) -> list[KnowledgeGraph]:
     return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths]
 
 
-def _write_graphs(out: str, graphs: list[KnowledgeGraph], extras: dict | None = None, one_file=False):
-    """The graphs as files of directory `out` with a manifest, or a lone graph as file `out` if `one_file`."""
-    extras = extras or {}
+def _write_graphs(out: str, graphs: list[KnowledgeGraph], extras: list[dict] | None = None, one_file=False):
+    """The graphs as files of directory `out` with a manifest, or a lone graph as file `out` if `one_file`;
+    extras[i] holds the keys that `graph_to_json` adds to graph i's file."""
+    extras = extras or [None] * len(graphs)
     if one_file and len(graphs) == 1:
-        write_text(out, graph_to_json(graphs[0], extras.get(graphs[0].provenance)))
+        write_text(out, graph_to_json(graphs[0], extras[0]))
         return
     _makedirs(out)
     names = [f"graph_{i:04d}.json" for i in range(len(graphs))]
-    for name, g in zip(names, graphs):
-        write_text(os.path.join(out, name), graph_to_json(g, extras.get(g.provenance)))
+    for name, g, extra in zip(names, graphs, extras, strict=True):
+        write_text(os.path.join(out, name), graph_to_json(g, extra))
     manifest = {"graphs": names, "provenance": [g.provenance for g in graphs]}
     _dump_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -164,11 +165,11 @@ def _cmd_extract(args) -> None:
 def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs = _load_graphs(args.input)
-    rectified, extras = [], {}
+    rectified, extras = [], []
     for g in graphs:
         fixed, log = rectify(g, schema)
         rectified.append(fixed)
-        extras[fixed.provenance] = {"rectification": [rec.to_dict() for rec in log]}
+        extras.append({"rectification": [rec.to_dict() for rec in log]})
     _write_graphs(args.out, rectified, extras, one_file=not args.out_dir)
 
 
@@ -187,8 +188,12 @@ def _cmd_senses(args) -> None:
 
 def _cmd_valence(args) -> None:
     schema = _load_schema_arg(args.schema) if args.schema else None
-    graphs = _load_graphs(args.input)
-    _dump_json(args.out, {g.provenance: [a.to_dict() for a in compute_valence(g, schema)] for g in graphs})
+    assertions = {}
+    for g in _load_graphs(args.input):
+        if g.provenance in assertions:
+            raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
+        assertions[g.provenance] = [a.to_dict() for a in compute_valence(g, schema)]
+    _dump_json(args.out, assertions)
 
 
 def _query(doc, max_len: int) -> tuple[NodePattern, NodePattern, int]:

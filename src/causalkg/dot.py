@@ -7,7 +7,7 @@ edges carry the relation type, with causal relation types rendered bold.
 from __future__ import annotations
 
 from .graphs import KnowledgeGraph, relation_ids
-from .schema import Schema
+from .schema import Schema, check_relation_types
 
 __all__ = ["emit_dot"]
 
@@ -17,7 +17,9 @@ def _escape(text: str) -> str:
 
 
 def emit_dot(graph: KnowledgeGraph, schema: Schema) -> str:
-    """Render the graph as a DOT digraph; deterministic element order."""
+    """Render the graph as a DOT digraph; deterministic element order.  A
+    relation type the schema does not name raises SchemaMismatchError."""
+    check_relation_types(graph, schema)
     lines = ["digraph {", "  node [shape=box];"]
     for e in sorted(graph.entities, key=lambda e: e.id):
         label = _escape(graph.span_text(e.span))

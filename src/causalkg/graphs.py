@@ -161,9 +161,10 @@ class Span:
 
 
 class _Spans(dict):
-    """`_spans[start, end]` is Span(start, end), for bounds already checked.
-    It keeps the first 2**12 spans it builds: a corpus's sentences share a
-    few spans, and looking one up costs a tenth of building it."""
+    """`_spans[start, end]` is Span(start, end) for int bounds, and raises
+    as it does.  It keeps the first 2**12 spans it builds: a corpus's
+    sentences share a few spans, and looking one up costs a tenth of
+    building it."""
 
     def __missing__(self, key: tuple[int, int]) -> Span:
         span = Span(*key)
@@ -206,12 +207,12 @@ class Entity:
         raise KeyError(attr_type)
 
 
-def _loaded_entity(ent_id, span, ent_type, conf, attributes, senses) -> Entity:
-    """Entity(...) over fields `graph_from_dict` checked, in about half the
-    time: the fields go straight into the instance dict, where __init__ sets
-    each through object.__setattr__.  They go in __init__'s order, so the
-    entities share one key table; the dict costs about 60 bytes an entity,
-    and a field read through it takes a little longer."""
+def _new_entity(ent_id, span, ent_type, conf, attributes, senses) -> Entity:
+    """Entity(...) over fields `_GraphBuilder.entity` checked, in about half
+    the time: the fields go straight into the instance dict, where __init__
+    sets each through object.__setattr__.  They go in __init__'s order, so
+    the entities share one key table; the dict costs about 60 bytes an
+    entity, and a field read through it takes a little longer."""
     entity = object.__new__(Entity)
     stored = entity.__dict__
     stored["id"] = ent_id
@@ -512,11 +513,14 @@ class _GraphBuilder:
     @staticmethod
     def attribute(pairs: list[tuple[str, float]], ent_id: str, attr_type: str, conf) -> None:
         """Append (attr_type, confidence) to the entity's attribute pairs."""
-        _text(attr_type, "attribute type")
+        if type(attr_type) is not str:
+            _text(attr_type, "attribute type")
         for t, _ in pairs:
             if t == attr_type:
                 raise GraphError(f"duplicate attribute {attr_type!r} on {ent_id!r}")
-        pairs.append((attr_type, _confidence(conf, "attribute", attr_type)))
+        if not (type(conf) is float and 0.0 <= conf <= 1.0):
+            conf = _confidence(conf, "attribute", attr_type)
+        pairs.append((attr_type, conf))
 
     @staticmethod
     def sense(pairs: list[tuple[str, float]], ent_id: str, sense, conf) -> None:
@@ -538,9 +542,12 @@ class _GraphBuilder:
         attributes: tuple[tuple[str, float], ...],
         senses: tuple[tuple[str, float], ...],
     ) -> None:
-        if _text(ent_id, "entity id") in self.index:
+        if type(ent_id) is not str:
+            _text(ent_id, "entity id")
+        if ent_id in self.index:
             raise GraphError(f"duplicate entity id {ent_id!r}")
-        _text(ent_type, "entity type")
+        if type(ent_type) is not str:
+            _text(ent_type, "entity type")
         if not isinstance(span, Span):
             raise GraphError(f"entity {ent_id!r} span {span!r} is not a Span")
         start, end = span.start, span.end
@@ -551,11 +558,11 @@ class _GraphBuilder:
             raise DuplicateSpanTypeError(
                 f"entities {self.spans[key]!r} and {ent_id!r} share span [{start}, {end})"
             )
+        if not (type(conf) is float and 0.0 <= conf <= 1.0):
+            conf = _confidence(conf, "entity", ent_id)
         self.spans[key] = ent_id
         self.index[ent_id] = len(self.entities)
-        self.entities.append(
-            Entity(ent_id, span, ent_type, _confidence(conf, "entity", ent_id), attributes, senses)
-        )
+        self.entities.append(_new_entity(ent_id, span, ent_type, conf, attributes, senses))
 
     def entities_of(
         self,
@@ -594,11 +601,13 @@ class _GraphBuilder:
         key = (h, t, c)
         if key in self.relation_keys:
             raise GraphError(f"duplicate relation {(head, tail, rel_type)}")
+        if not (type(conf) is float and 0.0 <= conf <= 1.0):
+            conf = _confidence(conf, "relation", rel_type)
         self.relation_keys.add(key)
         self.head.append(h)
         self.tail.append(t)
         self.code.append(c)
-        self.confidence.append(_confidence(conf, "relation", rel_type))
+        self.confidence.append(conf)
 
     def relation_table(self, types: Sequence[str]) -> None:
         """Number the relation types as given; each is a string, named once."""
@@ -930,15 +939,13 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
         None if lemmas is None else strings(lemmas, "lemmas", _malformed),
         read=True,
     )
-    # One expression per record tests its JSON types and every invariant
-    # the builder checks, and a record that passes is written straight into
-    # the builder's state.  One that fails goes through _check_record, which
-    # raises if a field is missing or mistyped, then through the builder
-    # method, which raises the invariant's error or accepts the record.  So
-    # each error, and which comes first, is the builder's, and no label is
-    # formatted for a good record.  As there, an entity's fields are read
-    # before its attributes and senses, and its invariants checked after.
-    n, index, spans, entities = len(builder.tokens), builder.index, builder.spans, builder.entities
+    # Each record's JSON types are tested in one expression.  Only a record
+    # that fails the test (an int confidence, say) or lacks a field goes
+    # through _check_record, which raises if a field is at fault, so no
+    # label is formatted for a well-typed record.  Every record then goes
+    # to the builder method that checks its invariants.  An entity's fields
+    # are read before its attributes and senses, and its invariants checked
+    # after them.
     add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
     for i, e in enumerate(array(data.get("entities", []), "entities", _malformed)):
         try:
@@ -946,9 +953,7 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
             attrs, senses = e.get("attributes", []), e.get("senses", [])
             good = (
                 type(ent_id) is str and type(start) is int and type(end) is int and type(ent_type) is str
-                and (type(conf) is float or type(conf) is int) and type(attrs) is list and type(senses) is list
-                and 0 <= start < end <= n and 0.0 <= conf <= 1.0
-                and ent_id not in index and (key := (start, end)) not in spans
+                and type(conf) is float and type(attrs) is list and type(senses) is list
             )
         except (KeyError, TypeError):
             good = False
@@ -960,62 +965,34 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
         for j, a in enumerate(attrs):
             try:
                 attr_type, attr_conf = a["type"], a["confidence"]
-                if (
-                    type(attr_type) is str and (type(attr_conf) is float or type(attr_conf) is int)
-                    and 0.0 <= attr_conf <= 1.0 and all(t != attr_type for t, _ in attr_pairs)
-                ):
-                    attr_pairs.append((attr_type, float(attr_conf)))
-                    continue
+                good = type(attr_type) is str and type(attr_conf) is float
             except (KeyError, TypeError):
-                pass
-            _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
+                good = False
+            if not good:
+                _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
             add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
         sense_pairs: list[tuple[str, float]] = []
         for j, s in enumerate(senses):
             try:
                 sense, sense_conf = s["sense"], s["confidence"]
-                if (
-                    type(sense) is str and (type(sense_conf) is float or type(sense_conf) is int)
-                    and math.isfinite(sense_conf)
-                ):
-                    sense_pairs.append((sense, float(sense_conf)))
-                    continue
-            except (KeyError, TypeError, OverflowError):
-                pass
-            _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
+                good = type(sense) is str and type(sense_conf) is float
+            except (KeyError, TypeError):
+                good = False
+            if not good:
+                _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
             add_sense(sense_pairs, ent_id, sense, sense_conf)
-        if good:
-            spans[key] = ent_id
-            index[ent_id] = len(entities)
-            entities.append(
-                _loaded_entity(ent_id, _spans[key], ent_type, float(conf), tuple(attr_pairs), tuple(sense_pairs))
-            )
-        else:
-            add_entity(ent_id, Span(start, end), ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
-    types, keys, add_relation = builder.types, builder.relation_keys, builder.relation
-    head_col, tail_col, code_col, conf_col = builder.head, builder.tail, builder.code, builder.confidence
+        # the bounds are ints here: _spans would take (1.0, 2) for (1, 2)
+        add_entity(ent_id, _spans[start, end], ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
+    add_relation = builder.relation
     for i, r in enumerate(array(data.get("relations", []), "relations", _malformed)):
         try:
             head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
-            # a new type is numbered last, once all else holds, since no
-            # key of a type not yet numbered can have been seen
-            good = (
-                type(head) is str and type(tail) is str and type(rel_type) is str
-                and (type(conf) is float or type(conf) is int) and 0.0 <= conf <= 1.0
-                and (h := index.get(head)) is not None and (t := index.get(tail)) is not None and h != t
-                and (key := (h, t, types.setdefault(rel_type, len(types)))) not in keys
-            )
+            good = type(head) is str and type(tail) is str and type(rel_type) is str and type(conf) is float
         except (KeyError, TypeError):
             good = False
-        if good:
-            keys.add(key)
-            head_col.append(h)
-            tail_col.append(t)
-            code_col.append(key[2])
-            conf_col.append(float(conf))
-        else:
+        if not good:
             _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
-            add_relation(head, tail, rel_type, conf)
+        add_relation(head, tail, rel_type, conf)
     return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import InputError, QueryError, SchemaMismatchError
+from .errors import InputError, QueryError
 from .graphs import CorpusGraph, Entity, KnowledgeGraph, edge_ids, lemma_link_id, node_id, node_prefix
 from .readers import array, integer, obj, required, string, strings
-from .schema import Schema
+from .schema import Schema, check_relation_types
 
 __all__ = [
     "NORM",
@@ -66,10 +66,7 @@ def compute_valence(graph: KnowledgeGraph, schema: Schema | None = None) -> list
     visited at most once per source, so cyclic graphs terminate.
     """
     if schema is not None:
-        types, known = graph.relations.types, schema.relation_codes
-        for c in graph.relations.code:
-            if types[c] not in known:
-                raise SchemaMismatchError(f"relation type {types[c]!r} not in schema {schema.name!r}")
+        check_relation_types(graph, schema)
 
     sources = sorted(
         (

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
+from .errors import SchemaError, SchemaMismatchError, SchemaParseError, UnknownTypeError, UnknownTypeReferenceError
 from .graphs import FEW_RELATIONS, ElementKey, KnowledgeGraph, element_id
 from .readers import array, obj, parse_json, required, string, strings
 
@@ -26,6 +26,7 @@ __all__ = [
     "load_schema",
     "schema_from_dict",
     "check_constraints",
+    "check_relation_types",
     "scan_constraints",
     "ElementTable",
     "VIOLATION_KINDS",
@@ -239,19 +240,28 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def _check_known_types(graph: KnowledgeGraph, schema: Schema) -> None:
-    ents, attrs, rels = schema.entity_codes, schema.attribute_codes, schema.relation_codes
+    ents, attrs = schema.entity_codes, schema.attribute_codes
     for e in graph.entities:
         if e.entity_type not in ents:
             raise UnknownTypeError(f"entity type {e.entity_type!r} not in schema {schema.name!r}")
         for t, _ in e.attributes:
             if t not in attrs:
                 raise UnknownTypeError(f"attribute type {t!r} not in schema {schema.name!r}")
-    relations = graph.relations
-    unknown = {c for c, t in enumerate(relations.types) if t not in rels}
+    check_relation_types(graph, schema, UnknownTypeError)
+
+
+def check_relation_types(
+    graph: KnowledgeGraph, schema: Schema, error: type[SchemaError] = SchemaMismatchError
+) -> None:
+    """Raise `error` naming the type of the first relation, in graph order,
+    whose type the schema does not name.  `compute_valence` and `emit_dot`
+    raise SchemaMismatchError; `scan_constraints` raises UnknownTypeError."""
+    relations, known = graph.relations, schema.relation_codes
+    unknown = {c for c, t in enumerate(relations.types) if t not in known}
     if unknown:
         for c in relations.code:
             if c in unknown:
-                raise UnknownTypeError(f"relation type {relations.types[c]!r} not in schema {schema.name!r}")
+                raise error(f"relation type {relations.types[c]!r} not in schema {schema.name!r}")
 
 
 # Violation kinds, coded by their place in this tuple: the order of their

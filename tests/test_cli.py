@@ -11,10 +11,11 @@ from causalkg.cli import build_parser, main
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.model import Model, save_model
+from causalkg.rectify import rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
 
-from synth import build_corpus, separator_id_graphs, unknown_type_graphs
+from synth import build_corpus, random_sciclaim_graph, separator_id_graphs, unknown_type_graphs
 
 
 def example_to_dict(ex):
@@ -388,6 +389,49 @@ def test_rectify_unknown_type_exits_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err == f"causalkg: error: {kind} type 'martian' not in schema 'sciclaim'\n"
     assert not out_path.exists()
+
+
+def test_rectify_logs_each_graph_that_shares_a_provenance(tmp_path):
+    rng = np.random.default_rng(7)
+    graphs = [random_sciclaim_graph(rng, provenance="same") for _ in range(2)]
+    fixed = [rectify(g, load_schema("sciclaim")) for g in graphs]
+    assert fixed[0][1] != fixed[1][1]
+    corpus, out = tmp_path / "corpus", tmp_path / "fixed"
+    corpus.mkdir()
+    for i, g in enumerate(graphs):
+        (corpus / f"g{i}.json").write_text(graph_to_json(g))
+    (corpus / "manifest.json").write_text(json.dumps({"graphs": ["g0.json", "g1.json"]}))
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(out), "--out-dir"]) == 0
+    for i, (graph, log) in enumerate(fixed):
+        doc = json.loads((out / f"graph_{i:04d}.json").read_text())
+        assert doc["rectification"] == [rec.to_dict() for rec in log]
+        assert graph_from_dict(doc) == graph
+
+
+@pytest.mark.parametrize("command", ["query", "valence"])
+def test_a_repeated_provenance_exits_2_naming_it(tmp_path, capsys, command):
+    corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0"), ("s0", "e1")])
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
+    args = ["--query", str(query)] if command == "query" else []
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(corpus), "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err == "causalkg: error: duplicate provenance 's0'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["valence", "dot"])
+def test_a_relation_type_outside_the_schema_exits_2(tmp_path, capsys, command):
+    graph = assemble_graph(
+        ["a", "b"], None,
+        [("a", Span(0, 1), "element", 1.0), ("b", Span(1, 2), "element", 1.0)],
+        relations=[("a", "b", "arg0", 1.0)],
+    )
+    graph_path, out = tmp_path / "graph.json", tmp_path / "out"
+    graph_path.write_text(graph_to_json(graph))
+    assert main([command, "--input", str(graph_path), "--schema", "ethno", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "causalkg: error: relation type 'arg0' not in schema 'ethno'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [

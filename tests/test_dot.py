@@ -1,5 +1,11 @@
+import re
+
+import pytest
+
 from causalkg.dot import emit_dot
+from causalkg.errors import SchemaMismatchError
 from causalkg.graphs import Span, assemble_graph
+from causalkg.reasoning import compute_valence
 from causalkg.schema import load_schema
 
 SCICLAIM = load_schema("sciclaim")
@@ -95,3 +101,15 @@ def test_deterministic_ordering():
     assert emit_dot(g, SCICLAIM) == emit_dot(g, SCICLAIM)
     lines = emit_dot(g, SCICLAIM).splitlines()
     assert lines.index('  "a" [label="a"];') < lines.index('  "z" [label="b"];')
+
+
+def test_a_relation_type_outside_the_schema_raises_as_valence_does():
+    g = assemble_graph(
+        ["a", "b"], None,
+        [("a", Span(0, 1), "element", 1.0), ("b", Span(1, 2), "element", 1.0)],
+        relations=[("a", "b", "arg0", 1.0)],
+    )
+    for render in (emit_dot, compute_valence):
+        with pytest.raises(SchemaMismatchError, match=re.escape("relation type 'arg0' not in schema 'ethno'")):
+            render(g, ETHNO)
+    assert '"a" -> "b" [label="arg0", style=solid];' in emit_dot(g, SCICLAIM)

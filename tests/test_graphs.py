@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -23,6 +24,9 @@ from causalkg.graphs import (
     graph_to_dict,
     graph_to_json,
     merge_corpus,
+    _confidence,
+    _number,
+    _text,
 )
 
 from synth import random_hub_corpus, random_sciclaim_graph
@@ -58,9 +62,9 @@ def test_numpy_span_bounds_are_stored_as_ints():
 
 
 def test_loaded_entities_hold_what_a_constructed_entity_holds():
-    # the loader stores an entity's fields itself, skipping Entity's __init__
+    # the builder stores an entity's fields itself, skipping Entity's __init__
     graph = random_sciclaim_graph(np.random.default_rng(3))
-    for e in graph_from_dict(graph_to_dict(graph)).entities:
+    for e in graph.entities + graph_from_dict(graph_to_dict(graph)).entities:
         direct = Entity(e.id, e.span, e.entity_type, e.confidence, e.attributes, e.senses)
         assert list(vars(e).items()) == list(vars(direct).items())
         assert e == direct and hash(e) == hash(direct) and repr(e) == repr(direct)
@@ -452,3 +456,88 @@ def test_incoming_index_matches_a_relation_scan():
             assert rows == tuple(j for j, t in enumerate(rels.tail) if rels.ids[t] == e.id)
             assert tuple(rels[j] for j in rows) == tuple(r for r in rels if r.tail == e.id)
         assert g.incoming("no such id") == ()
+
+
+# -- the builder's fast path gives what its checks give ----------------------
+
+CONFIDENCES = [
+    0.0, -0.0, 0.5, 1.0, 1, np.float64(0.5), np.float32(0.5), True,
+    float("nan"), float("inf"), float("-inf"), 1.5, -0.1, 10**400, "0.5", None,
+]
+
+
+class Text(str):
+    pass
+
+
+def outcome(call, *args):
+    """What the call returns, as its type and repr, or its error's class and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def sense_confidence(value):
+    """The builder's rule for a sense confidence: a number, then a finite one."""
+    value = _number(value, "sense 's' on 'e' confidence", GraphError)
+    if not math.isfinite(value):
+        raise GraphError(f"sense 's' on 'e' has confidence {value}")
+    return value
+
+
+def built_confidence(kind, conf):
+    """The stored confidence of one element of this kind given `conf`."""
+    graph = assemble_graph(
+        ["a", "b"], None,
+        [("e", Span(0, 1), "T", conf if kind == "entity" else 1.0), ("f", Span(1, 2), "T", 1.0)],
+        attributes=[("e", "x", conf)] if kind == "attribute" else [],
+        relations=[("e", "f", "r", conf)] if kind == "relation" else [],
+        senses=[("e", "s", conf)] if kind == "sense" else [],
+    )
+    e = graph.entities[0]
+    return {
+        "entity": lambda: e.confidence,
+        "attribute": lambda: e.attributes[0][1],
+        "sense": lambda: e.senses[0][1],
+        "relation": lambda: graph.relations.confidence[0],
+    }[kind]()
+
+
+CONFIDENCE_CHECKS = {
+    "entity": lambda c: _confidence(c, "entity", "e"),
+    "attribute": lambda c: _confidence(c, "attribute", "x"),
+    "relation": lambda c: _confidence(c, "relation", "r"),
+    "sense": sense_confidence,
+}
+
+
+@pytest.mark.parametrize("conf", CONFIDENCES, ids=repr)
+@pytest.mark.parametrize("kind", list(CONFIDENCE_CHECKS))
+def test_builder_confidences_are_what_the_checks_give(kind, conf):
+    assert outcome(built_confidence, kind, conf) == outcome(CONFIDENCE_CHECKS[kind], conf)
+
+
+def built_text(kind, value):
+    """The stored id or type of one element of this kind given `value`."""
+    graph = assemble_graph(
+        ["a", "b"], None,
+        [(value if kind == "entity id" else "e", Span(0, 1), value if kind == "entity type" else "T", 1.0),
+         ("f", Span(1, 2), "T", 1.0)],
+        attributes=[("f", value, 1.0)] if kind == "attribute type" else [],
+        relations=[("f", "e", value, 1.0)] if kind == "relation type" else [],
+    )
+    e, f = graph.entities
+    return {
+        "entity id": lambda: e.id,
+        "entity type": lambda: e.entity_type,
+        "attribute type": lambda: f.attributes[0][0],
+        "relation type": lambda: graph.relations.types[0],
+    }[kind]()
+
+
+@pytest.mark.parametrize("value", ["e", Text("e"), 7, None], ids=repr)
+@pytest.mark.parametrize("kind", ["entity id", "entity type", "attribute type", "relation type"])
+def test_builder_ids_and_types_are_what_the_check_gives(kind, value):
+    assert outcome(built_text, kind, value) == outcome(_text, value, kind)

@@ -450,3 +450,79 @@ def test_graphs_are_built_only_in_graphs_py():
         if (calls := construction_faults(path.read_text(encoding="utf-8"), path.name))
     }
     assert found == {}, "build graphs and columns in graphs.py, and set only self's fields"
+
+
+# -- only the builder reads and writes its state -------------------------------
+
+
+def builder_state(source: str) -> set[str]:
+    """The attributes that `_GraphBuilder.__init__` sets on self."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "_GraphBuilder":
+            init = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+            return {
+                t.attr for t in ast.walk(init)
+                if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store) and getattr(t.value, "id", None) == "self"
+            }
+    return set()
+
+
+def builder_state_uses(source: str, state: set[str]) -> list[str]:
+    """Outside class _GraphBuilder, the reads and writes of an attribute in
+    `state` through a name bound to `_GraphBuilder(...)`, as source text."""
+    def outside(node):
+        if not (isinstance(node, ast.ClassDef) and node.name == "_GraphBuilder"):
+            yield node
+            for child in ast.iter_child_nodes(node):
+                yield from outside(child)
+
+    nodes = list(outside(ast.parse(source)))
+    builders = {
+        target.id
+        for node in nodes
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None)) == "_GraphBuilder"
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    return [
+        ast.get_source_segment(source, node)
+        for node in nodes
+        if isinstance(node, ast.Attribute) and node.attr in state and getattr(node.value, "id", None) in builders
+    ]
+
+
+def test_the_scan_sees_builder_state_uses():
+    source = (
+        "class _GraphBuilder:\n"
+        "    def __init__(self, tokens):\n"
+        "        self.tokens = tokens\n"
+        "        self.index: dict = {}\n"
+        "    def entity(self, ent_id):\n"
+        "        self.index[ent_id] = len(self.index)\n"
+        "def load(doc):\n"
+        "    builder = _GraphBuilder(doc)\n"
+        "    n = len(builder.tokens)\n"
+        "    builder.index['e'] = n\n"
+        "    b: object = graphs._GraphBuilder(doc)\n"
+        "    b.tokens = ()\n"
+        # a method, another name's attribute and the class's own code are no state uses
+        "    builder.entity('e')\n"
+        "    other.index = {}\n"
+        "    return builder.graph()\n"
+    )
+    state = builder_state(source)
+    assert state == {"tokens", "index"}
+    assert builder_state_uses(source, state) == ["builder.tokens", "builder.index", "b.tokens"]
+
+
+def test_only_the_builder_reads_and_writes_its_state():
+    state = builder_state((SRC / "graphs.py").read_text(encoding="utf-8"))
+    assert {"index", "spans", "entities", "types", "relation_keys", "head", "confidence"} <= state
+    found = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := builder_state_uses(path.read_text(encoding="utf-8"), state))
+    }
+    assert found == {}, "hand each element to the _GraphBuilder method that checks it"
