@@ -27,7 +27,7 @@ from .graphs import (
     graph_to_json,
     merge_corpus,
 )
-from .model import check_thresholds, extract, load_model, save_model
+from .model import extract, load_model, save_model
 from .readers import (
     array,
     cannot,
@@ -89,7 +89,10 @@ def _config(doc, seed: int | None) -> tuple[TrainConfig, EncoderConfig, int]:
     encoder = EncoderConfig.from_dict(doc.get("encoder", {}))
     if seed is not None:
         train_cfg, encoder = replace(train_cfg, seed=seed), replace(encoder, seed=seed)
-    return train_cfg, encoder, integer(doc.get("width_dim", 8), "config 'width_dim'", InputError)
+    width_dim = integer(doc.get("width_dim", 8), "config 'width_dim'", InputError)
+    if width_dim < 1:
+        raise InputError(f"config 'width_dim' must be >= 1, got {width_dim}")
+    return train_cfg, encoder, width_dim
 
 
 def _load_config(args) -> tuple[TrainConfig, EncoderConfig, int]:
@@ -149,12 +152,8 @@ def _sentences(doc) -> list[tuple[tuple[str, ...], tuple[str, ...] | None, str]]
 
 
 def _cmd_extract(args) -> None:
-    model = load_model(args.model)
-    if args.threshold_relation is not None:
-        model.theta_r = args.threshold_relation
-    if args.threshold_attribute is not None:
-        model.theta_a = args.threshold_attribute
-    check_thresholds(model.theta_r, model.theta_a)
+    overrides = {"theta_r": args.threshold_relation, "theta_a": args.threshold_attribute}
+    model = replace(load_model(args.model), **{name: value for name, value in overrides.items() if value is not None})
     sentences = within(args.input, _sentences, load_json(args.input))
     graphs = [
         extract(tokens, lemmas, model, provenance=provenance) for tokens, lemmas, provenance in sentences

@@ -333,10 +333,14 @@ def _text(value, kind: str) -> str:
 
 
 def _texts(values, kind: str) -> tuple[str, ...]:
-    """A sequence of strings as a tuple; a str is refused, not split into characters."""
+    """A sequence of strings as a tuple; a str is refused, not split into
+    characters, and so is a value that is not iterable."""
     if isinstance(values, str):
         raise GraphError(f"{kind}s {values!r} are a string, not a sequence of strings")
-    return tuple([_text(v, kind) for v in values])
+    try:
+        return tuple([_text(v, kind) for v in values])
+    except TypeError:
+        raise GraphError(f"{kind}s {values!r} are not a sequence of strings") from None
 
 
 def _elements(values, kind: str, cls: type) -> tuple:
@@ -362,6 +366,15 @@ def _records(records: Iterable, kind: str, names: tuple[str, ...]) -> Iterator[t
         if len(values) != len(names):
             raise GraphError(f"{kind} {record!r} is not a ({', '.join(names)}) tuple")
         yield values
+
+
+def _pairs(groups: dict, ent_id, kind: str) -> list:
+    """groups[ent_id], a new empty list if absent.  An id that cannot be
+    hashed names no entity, and raises what an unknown id raises."""
+    try:
+        return groups.setdefault(ent_id, [])
+    except TypeError:
+        raise DanglingReferenceError(f"{kind} on unknown entity {ent_id!r}") from None
 
 
 def _index(value) -> bool:
@@ -426,12 +439,13 @@ class KnowledgeGraph:
         builder = _GraphBuilder(self.tokens, self.lemmas)
         builder.entities_of(
             ((e.id, e.span, e.entity_type, e.confidence) for e in entities),
-            ((e.id, t, c) for e in entities for t, c in e.attributes),
-            ((e.id, s, c) for e in entities for s, c in e.senses),
+            ((e.id, t, c) for e in entities for t, c in _records(e.attributes, "attribute", ("type", "confidence"))),
+            ((e.id, s, c) for e in entities for s, c in _records(e.senses, "sense", ("sense id", "confidence"))),
         )
         if isinstance(relations, Relations):
             builder.relation_table(relations.types)
-            builder.relation_rows(relations.ids, relations.head, relations.tail, relations.code, relations.confidence)
+            ids = _texts(relations.ids, "entity id")
+            builder.relation_rows(ids, relations.head, relations.tail, relations.code, relations.confidence)
         else:
             for r in relations:
                 builder.relation(r.head, r.tail, r.relation_type, r.confidence)
@@ -574,11 +588,13 @@ class _GraphBuilder:
         # attributes and senses are grouped first, so each entity is built once
         attr_map: dict[str, list[tuple[str, float]]] = {}
         for ent_id, attr_type, conf in _records(attributes, "attribute", ("entity id", "type", "confidence")):
-            self.attribute(attr_map.setdefault(ent_id, []), ent_id, attr_type, conf)
+            self.attribute(_pairs(attr_map, ent_id, "attribute"), ent_id, attr_type, conf)
         sense_map: dict[str, list[tuple[str, float]]] = {}
         for ent_id, sense, conf in _records(senses, "sense", ("entity id", "sense id", "confidence")):
-            self.sense(sense_map.setdefault(ent_id, []), ent_id, sense, conf)
+            self.sense(_pairs(sense_map, ent_id, "sense"), ent_id, sense, conf)
         for ent_id, span, ent_type, conf in _records(entities, "entity", ("id", "span", "type", "confidence")):
+            if type(ent_id) is not str:  # refused before it keys the maps, which an unhashable id breaks
+                _text(ent_id, "entity id")
             self.entity(
                 ent_id, span, ent_type, conf,
                 tuple(attr_map.pop(ent_id, ())), tuple(sense_map.pop(ent_id, ())),
@@ -589,13 +605,19 @@ class _GraphBuilder:
             raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
 
     def relation(self, head: str, tail: str, rel_type: str, conf) -> None:
-        if head == tail:
-            raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
-        h, t = self.index.get(head), self.index.get(tail)
+        try:
+            if head == tail:
+                raise SelfLoopError(f"self-loop on {head!r} via {rel_type!r}")
+            h, t, c = self.index.get(head), self.index.get(tail), self.types.get(rel_type)
+        except (TypeError, ValueError):
+            # ids and types are strings, so a value that cannot be hashed, or
+            # that == cannot compare (a numpy scalar with a list), names none
+            h = self.index.get(head) if isinstance(head, str) else None
+            t = self.index.get(tail) if isinstance(tail, str) else None
+            c = None
         if h is None or t is None:
             missing = head if h is None else tail
             raise DanglingReferenceError(f"relation references unknown entity {missing!r}")
-        c = self.types.get(rel_type)
         if c is None:
             c = self.types[_text(rel_type, "relation type")] = len(self.types)
         key = (h, t, c)
@@ -611,7 +633,8 @@ class _GraphBuilder:
 
     def relation_table(self, types: Sequence[str]) -> None:
         """Number the relation types as given; each is a string, named once."""
-        self.types = dict(zip([_text(t, "relation type") for t in types], range(len(types))))
+        types = _texts(types, "relation type")
+        self.types = dict(zip(types, range(len(types))))
         if len(self.types) < len(types):
             twice = next(t for i, t in enumerate(types) if t in types[:i])
             raise GraphError(f"relation type {twice!r} is named more than once")
@@ -620,9 +643,14 @@ class _GraphBuilder:
         """Add row j of the columns, from ids[head[j]] to ids[tail[j]] with the
         type numbered code[j], through `relation`'s check."""
         types, k = tuple(self.types), len(ids)
-        if not len(head) == len(tail) == len(code) == len(confidence):
+        try:
+            same = len(head) == len(tail) == len(code) == len(confidence)
+            rows = zip(head, tail, code, confidence)
+        except TypeError:
+            raise GraphError("relation columns must be sequences") from None
+        if not same:
             raise GraphError("relation columns differ in length")
-        for h, t, c, conf in zip(head, tail, code, confidence):
+        for h, t, c, conf in rows:
             for end in (h, t):
                 if not (_index(end) and 0 <= end < k):
                     raise DanglingReferenceError(f"relation references unknown entity index {end!r}")

@@ -113,21 +113,17 @@ class Params(dict):
 
 
 def _group(name: str) -> property:
-    """Model.<name>: that group's view in the model's params; assigning to it copies into the view."""
-
-    def assign(model: "Model", value) -> None:
-        model.params[name][...] = value
-
-    return property(lambda model: model.params[name], assign)
+    """Model.<name>: that group's view in the model's params, read-only as an attribute."""
+    return property(lambda model: model.params[name])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Parameter set for one schema + encoder configuration.
 
-    Entity classes are [null] + schema.entity_types, in that order.  The
-    parameters, treated as immutable during inference, are `params`; each
-    PARAM_GROUPS name reads and writes its group (attn_b is 0-d).
+    Entity classes are [null] + schema.entity_types, in that order.  A field
+    changes only through `dataclasses.replace`, which `__post_init__` checks;
+    each PARAM_GROUPS name reads its group's view in `params` (attn_b is 0-d).
     """
 
     schema: Schema

@@ -37,6 +37,7 @@ from .model import (
     Model,
     Params,
     SpanTable,
+    check_thresholds,
     classify_attributes,
     classify_entities,
     classify_relations,
@@ -90,6 +91,9 @@ class TrainConfig:
             raise InputError("epochs must be >= 0 and batch_size >= 1")
         if self.neg_entity_count < 0 or self.neg_relation_count < 0:
             raise InputError("negative sample counts must be >= 0")
+        if self.max_span_len < 1:
+            raise InputError(f"train config 'max_span_len' must be >= 1, got {self.max_span_len}")
+        check_thresholds(self.theta_r, self.theta_a)
         if not 0 < self.learning_rate < math.inf:
             raise InputError("learning rate must be > 0 and finite")
 

@@ -8,10 +8,11 @@ or to raise GraphError where this loader coerces a mistyped string field.
 
 `builder_graph_from_dict` is the oracle for error messages: it reads every
 record through `_check_record` where its type test fails, then hands every
-element to the builder method that checks it.  The library loader checks a
-good record in one expression and writes it into the builder itself, so it
-must load what this loader loads, and raise the same error class with the
-same message wherever this loader raises.
+element to the builder method that checks it.  The library loader tests a
+record's JSON types in one expression and reads only a record that fails
+the test through `_check_record`, before it hands the record to the same
+builder method, so it must load what this loader loads, and raise the same
+error class with the same message wherever this loader raises.
 """
 
 import math

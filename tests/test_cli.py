@@ -565,6 +565,10 @@ def test_train_span_longer_than_max_span_len_exits_2(workdir, capsys):
     ((("train", "epochs"), "2"), "'epochs' must be an integer"),
     ((("train", "batch_size"), 1.5), "'batch_size' must be an integer"),
     ((("train", "learning_rat"), 5), "unknown train config field(s): learning_rat"),
+    # the model settings are checked as the config is read, before the dataset
+    ((("train", "theta_r"), 2.0), "config.json: thresholds must lie in (0, 1), got relation 2.0"),
+    ((("train", "max_span_len"), 0), "config.json: train config 'max_span_len' must be >= 1, got 0"),
+    ((("width_dim",), 0), "config.json: config 'width_dim' must be >= 1, got 0"),
 ])
 def test_train_invalid_config_exits_2(workdir, capsys, change, message):
     rewrite(workdir / "config.json", change)
@@ -814,6 +818,11 @@ def senses_with_gloss(workdir):
             "--out", str(workdir / "linked.json")]
 
 
+def rectify_args(workdir, out):
+    (workdir / "graph.json").write_text(json.dumps({"tokens": ["rain"], "entities": []}))
+    return ["rectify", "--schema", "sciclaim", "--input", str(workdir / "graph.json"), "--out", str(out)]
+
+
 def query_args(workdir, change, *flags):
     corpus = write_query_corpus(workdir, [("s0", "e0")])
     query = workdir / "query.json"
@@ -858,6 +867,11 @@ MALFORMED_INPUTS = {
     "dataset tokens missing": (
         lambda w: dataset_edit(w, lambda d: d[0].pop("tokens") and None), "data.json", "'tokens' is missing"),
     "gloss line without a tab": (senses_with_gloss, "gloss.tsv", "gloss line 2"),
+    "extract --out under a regular file": (
+        lambda w: [*extract_args(w)[:-1], str(w / "sentences.json" / "graphs")],
+        os.path.join("sentences.json", "graphs"), "cannot create directory"),
+    "rectify --out in a missing directory": (
+        lambda w: rectify_args(w, w / "missing" / "x.json"), os.path.join("missing", "x.json"), "cannot write"),
     "query max_len 0": (lambda w: query_args(w, {"max_len": 0}), "query.json", "query 'max_len' must be >= 1"),
     "query --max-len 0": (lambda w: query_args(w, {}, "--max-len", "0"), "query.json", "--max-len must be >= 1"),
     "missing embedding file": (

@@ -164,6 +164,13 @@ def test_embedding_file_errors(tmp_path):
         load_embedding_file(str(path), dimension=3)
 
 
+def test_embedding_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("\ncat 1.0 2.0\n   \ndog 0.0 1.0\n\n")
+    table = load_embedding_file(str(path), dimension=2)
+    assert list(table) == ["cat", "dog"] and np.array_equal(table["dog"], [0.0, 1.0])
+
+
 def file_config(path, dimension=2):
     return EncoderConfig(kind="file", dimension=dimension, embedding_path=str(path))
 

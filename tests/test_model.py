@@ -136,7 +136,7 @@ def test_span_representations_layout(data, n, max_span_len, d, layout, seed):
         "strided": lambda: rng.standard_normal((2 * n, d))[::2],
     }[layout]()
     m = small_model(seed=seed % 97, d=d, max_span_len=max_span_len)
-    m.attn_w = 3.0 * rng.standard_normal(d)
+    m.attn_w[...] = 3.0 * rng.standard_normal(d)
     encoding = TokenEncoding(H.mean(axis=0), H)
     alphas, reps = span_representations(m, encoding, spans)
     widest = min(n, max_span_len)
@@ -351,8 +351,7 @@ def test_threshold_monotonicity():
     tokens = ["p", "q", "r"]
 
     def decode(theta_r, theta_a):
-        mm = m.copy()
-        mm.theta_r, mm.theta_a = theta_r, theta_a
+        mm = replace(m.copy(), theta_r=theta_r, theta_a=theta_a)
         g = extract(tokens, None, mm)
         rels = {(r.head, r.tail, r.relation_type) for r in g.relations}
         attrs = {(e.id, t) for e in g.entities for t, _ in e.attributes}

@@ -7,8 +7,10 @@ import copy
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import causalkg
 from causalkg.encoder import EncoderConfig
 from causalkg.errors import CausalKgError, GraphError, InputError, InventoryError, QueryError
-from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict
+from causalkg.graphs import Entity, Relation, Relations, Span, assemble_graph, graph_from_dict, graph_to_dict
 from causalkg.model import Model, load_model, save_model
 from causalkg.readers import array, integer, obj, parse_json, real, required, string, strings, within
 from causalkg.reasoning import NodePattern
@@ -213,6 +215,132 @@ def test_loaders_raise_nothing_but_causalkg_errors():
 
     check()
     assert min(outcomes.values()) >= 50, outcomes
+
+
+# -- no builtin exception escapes an in-process graph construction -------------
+
+# a value of any kind a caller might pass: the ids, types, spans and
+# confidences a graph takes, and values that are unhashable, not iterable or
+# compare to a list as an array
+ANY = st.sampled_from([
+    "e0", "e1", "q+", "", 0, 1, -1, 0.5, 1.5, float("nan"), True, None, [], ["e0"], [1, 2], {}, {"a": 1},
+    np.float64(0.5), np.int64(1), Span(0, 1), Span(1, 2),
+])
+# each slot of a record holds a value of its own kind half the time, so that
+# some graphs are built
+SLOTS = {
+    "id": st.sampled_from(["e0", "e1"]) | ANY,
+    "span": st.sampled_from([Span(0, 1), Span(1, 2)]) | ANY,
+    "type": st.sampled_from(["t", "q+"]) | ANY,
+    "confidence": st.sampled_from([0.5, 0.9]) | ANY,
+}
+TOKENS = st.lists(st.sampled_from(["a", "b"]), max_size=3) | ANY
+
+
+def records(*slots: str):
+    """A list of tuples with those slots, or any value in its place."""
+    return st.lists(st.tuples(*map(SLOTS.get, slots)) | ANY, max_size=3) | ANY
+
+
+GRAPH_ARGS = {
+    "tokens": ["a", "b", "c"], "lemmas": None,
+    "entities": [("e0", Span(0, 1), "t", 0.5), ("e1", Span(1, 2), "t", 0.5)],
+    "attributes": [("e0", "a", 0.5)], "relations": [("e0", "e1", "q+", 0.5)], "provenance": "", "senses": [],
+}
+ARG_VALUES = {
+    "tokens": TOKENS,
+    "lemmas": TOKENS,
+    "entities": records("id", "span", "type", "confidence"),
+    "attributes": records("id", "type", "confidence"),
+    "relations": records("id", "id", "type", "confidence"),
+    "provenance": ANY,
+    "senses": records("id", "type", "confidence"),
+}
+FIELD_VALUES = {
+    "tokens": TOKENS,
+    "lemmas": TOKENS,
+    "entities": st.lists(st.builds(
+        Entity, *map(SLOTS.get, ("id", "span", "type", "confidence")),
+        records("type", "confidence"), records("type", "confidence"),
+    ), max_size=3) | ANY,
+    "relations": (
+        st.lists(st.builds(Relation, *map(SLOTS.get, ("id", "id", "type", "confidence"))), max_size=3)
+        | st.builds(Relations, *[st.lists(ANY, max_size=3) | ANY] * 6) | ANY
+    ),
+    "provenance": ANY,
+}
+
+
+GRAPH = assemble_graph(**GRAPH_ARGS)
+CONSTRUCTIONS = {
+    # a valid call with one argument drawn anew
+    "assemble_graph": (lambda name, value: assemble_graph(**{**GRAPH_ARGS, name: value}), ARG_VALUES),
+    # a valid graph with one field drawn anew
+    "replace": (lambda name, value: replace(GRAPH, **{name: value}), FIELD_VALUES),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_graph_constructions_raise_nothing_but_graph_errors(construction):
+    build, values = CONSTRUCTIONS[construction]
+    outcomes = {"built": 0, "rejected": 0}
+
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(values)).flatmap(lambda name: st.tuples(st.just(name), values[name])))
+    def check(change):
+        try:
+            build(*change)
+        except GraphError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["built"] += 1
+
+    check()
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+# -- every dataclass is frozen --------------------------------------------------
+
+
+def mutable_dataclasses(source: str) -> list[str]:
+    """The classes, in source order, whose @dataclass decorator does not pass frozen=True."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            frozen = call is not None and any(
+                kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in call.keywords
+            )
+            if name == "dataclass" and not frozen:
+                found.append(node.name)
+    return found
+
+
+def test_the_scan_sees_mutable_dataclasses():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclasses.dataclass(order=True)\nclass B:\n    x: int\n\n"
+        "@dataclass(frozen=False)\nclass C:\n    x: int\n\n"
+        # frozen ones, and a class with another decorator, are not mutable dataclasses
+        "@dataclass(frozen=True)\nclass D:\n    x: int\n\n"
+        "@dataclasses.dataclass(frozen=True, order=True)\nclass E:\n    x: int\n\n"
+        "@total_ordering\nclass F:\n    pass\n"
+    )
+    assert mutable_dataclasses(source) == ["A", "B", "C"]
+
+
+def test_every_dataclass_is_frozen():
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in mutable_dataclasses(path.read_text(encoding="utf-8"))
+    }
+    assert found == set(), "make the dataclass frozen=True; dataclasses.replace changes a field, through its checks"
 
 
 # -- builtin exceptions are raised only at programmer-error sites -------------

@@ -62,6 +62,12 @@ def test_node_vector_three_token_fixture():
     assert np.allclose(node_vector(g.entities[0], H), mean / np.sqrt(3.0), atol=1e-12)
 
 
+def test_node_vector_span_past_the_token_vectors_rejected():
+    g = one_node_graph(2)
+    with pytest.raises(DimensionMismatchError, match=re.escape("span [0, 2) beyond 1 token vectors")):
+        node_vector(g.entities[0], np.array([[1.0, 0.0]]))
+
+
 def test_node_vector_zero_mean_rejected():
     H = np.array([[1.0, 0.0], [-1.0, 0.0]])
     g = one_node_graph(2)
@@ -86,6 +92,11 @@ def test_inventory_parsing_and_forest():
         load_inventory("a\tx\tmissing\t1.0\t0.0\n")
     with pytest.raises(ZeroVectorError):
         load_inventory("a\tx\t-\t0.0\t0.0\n")
+
+
+def test_inventory_skips_blank_lines():
+    inv = load_inventory("\na\tx\t-\t1.0\t0.0\n  \nb\ty\ta\t0.0\t1.0\n\n")
+    assert sorted(inv.records) == ["a", "b"] and inv.ancestry("b") == ["a", "b"]
 
 
 @pytest.mark.parametrize("text", [
@@ -290,6 +301,10 @@ def test_sense_threshold_must_be_a_number(threshold, shown):
         two_sense_inventory().senses_above(unit([1.0, 0.0]), threshold)
     with pytest.raises(InputError, match=re.escape(message)):
         link_senses(one_node_graph(1), encoding_for([[1.0, 0.0]]), two_sense_inventory(), threshold=threshold)
+
+
+def test_senses_above_on_an_empty_inventory_is_empty():
+    assert SenseInventory([]).senses_above(unit([1.0, 0.0]), 0.5) == []
 
 
 def test_senses_above_returns_a_list_of_its_own():

@@ -290,6 +290,9 @@ def test_train_config_value_checks():
             TrainConfig(learning_rate=rate)
     with pytest.raises(ValueError, match="object"):
         TrainConfig.from_dict([["epochs", 2]])
+    for counts in ({"neg_entity_count": -1}, {"neg_relation_count": -1}):
+        with pytest.raises(InputError, match="negative sample counts must be >= 0"):
+            TrainConfig(**counts)
 
 
 def test_train_zero_epochs_is_initialization():

@@ -302,7 +302,7 @@ def test_span_table_pools_each_span_as_span_attention():
         for n in (1, 2, 5, 9, 12):
             max_span_len = int(rng.integers(1, 11))
             model = Model.initialize(SCICLAIM, EncoderConfig(dimension=d), max_span_len=max_span_len, seed=int(rng.integers(99)))
-            model.attn_w = 3.0 * rng.standard_normal(d)
+            model.attn_w[...] = 3.0 * rng.standard_normal(d)
             H = rng.standard_normal((n, d))
             alpha, reps = table_reps(model, span_table(n, max_span_len, H), H.mean(axis=0))
             table = sorted(enumerate_spans(n, max_span_len), key=lambda s: (len(s), s.start))
@@ -441,7 +441,7 @@ def test_relation_threshold_on_an_observed_score_keeps_the_tie():
     model = Model.initialize(SCICLAIM, EncoderConfig(), seed=3)
     tokens = tuple(synth.FACTORS[:5])
     scores = sorted({r.confidence for r in extract(tokens, None, model).relations})
-    model.theta_r = scores[len(scores) // 2]
+    model = replace(model, theta_r=scores[len(scores) // 2])
     graph = assert_extract_matches_reference(tokens, model)
     assert any(r.confidence == model.theta_r for r in graph.relations)
     assert all(r.confidence >= model.theta_r for r in graph.relations)

@@ -239,7 +239,6 @@ def reference_train(dataset, schema, config, encoder_config, width_dim=8):
         theta_a=config.theta_a,
         seed=config.seed,
     )
-    model.attn_b = float(model.attn_b)  # the original kept attn_b as a float
     encodings = [encode_tokens(ex.tokens, encoder_config) for ex in dataset]
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0FFEE]))
     for epoch in range(config.epochs):
@@ -263,15 +262,15 @@ def reference_train(dataset, schema, config, encoder_config, width_dim=8):
                     for k in grads:
                         batch_grads[k] = batch_grads[k] + grads[k]
             scale = config.learning_rate / len(batch)
-            model.attn_w -= scale * batch_grads["attn_w"]
-            model.attn_b -= scale * batch_grads["attn_b"]
-            model.width -= scale * batch_grads["width"]
-            model.ent_w -= scale * batch_grads["ent_w"]
-            model.ent_b -= scale * batch_grads["ent_b"]
-            model.attr_w -= scale * batch_grads["attr_w"]
-            model.attr_b -= scale * batch_grads["attr_b"]
-            model.rel_w -= scale * batch_grads["rel_w"]
-            model.rel_b -= scale * batch_grads["rel_b"]
+            model.attn_w[...] -= scale * batch_grads["attn_w"]
+            model.attn_b[...] -= scale * batch_grads["attn_b"]
+            model.width[...] -= scale * batch_grads["width"]
+            model.ent_w[...] -= scale * batch_grads["ent_w"]
+            model.ent_b[...] -= scale * batch_grads["ent_b"]
+            model.attr_w[...] -= scale * batch_grads["attr_w"]
+            model.attr_b[...] -= scale * batch_grads["attr_b"]
+            model.rel_w[...] -= scale * batch_grads["rel_w"]
+            model.rel_b[...] -= scale * batch_grads["rel_b"]
     return model
 
 
