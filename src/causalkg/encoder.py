@@ -129,23 +129,27 @@ def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEnco
 
 
 def load_embedding_file(path: str, dimension: int | None = None) -> dict[str, np.ndarray]:
-    """Parse an embedding file into a token -> vector mapping."""
+    """Parse an embedding file into a token -> vector mapping.  A file that
+    cannot be opened or read as UTF-8 raises EncoderError."""
     table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            try:
-                vec = np.array([float(x) for x in values])
-            except ValueError as exc:
-                raise EncoderError(f"{path}:{line_no}: bad float: {exc}") from exc
-            if dimension is not None and vec.shape[0] != dimension:
-                raise DimensionMismatchError(
-                    f"{path}:{line_no}: expected {dimension} floats, got {vec.shape[0]}"
-                )
-            table[token] = vec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token, values = parts[0], parts[1:]
+                try:
+                    vec = np.array([float(x) for x in values])
+                except ValueError as exc:
+                    raise EncoderError(f"{path}:{line_no}: bad float: {exc}") from exc
+                if dimension is not None and vec.shape[0] != dimension:
+                    raise DimensionMismatchError(
+                        f"{path}:{line_no}: expected {dimension} floats, got {vec.shape[0]}"
+                    )
+                table[token] = vec
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cannot("read embedding file", path, exc, EncoderError) from exc
     return table
 
 
@@ -169,11 +173,9 @@ def _encode_file(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
     path = config.embedding_path
     try:
         st = os.stat(path)
-        index, matrix = _load_vocabulary(
-            path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-        )
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise cannot("read embedding file", path, exc, EncoderError) from exc
+    index, matrix = _load_vocabulary(path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
     rows = []
     for t in tokens:
         row = index.get(t)

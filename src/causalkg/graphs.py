@@ -244,14 +244,14 @@ class Relations(Sequence):
     Row j joins entity ids[head[j]] to entity ids[tail[j]] with type
     types[code[j]] and confidence confidence[j].  `ids` holds the graph's
     entity ids in graph order, so head and tail are entity indexes.  head,
-    tail, code and confidence are lists.
+    tail, code and confidence are lists; `arrays()` views them as arrays.
 
     The `Relation`s are built on first iteration, indexing, hashing or
     repr, which behave as on their tuple; `len` never builds them, and ==
     between two column sets compares columns.
     """
 
-    __slots__ = ("ids", "types", "head", "tail", "code", "confidence", "_rows")
+    __slots__ = ("ids", "types", "head", "tail", "code", "confidence", "_rows", "_arrays")
 
     def __init__(
         self,
@@ -265,6 +265,7 @@ class Relations(Sequence):
         self.ids, self.types = ids, types
         self.head, self.tail, self.code, self.confidence = head, tail, code, confidence
         self._rows: tuple[Relation, ...] | None = None
+        self._arrays: tuple[np.ndarray, ...] | None = None
 
     @property
     def rows(self) -> tuple[Relation, ...]:
@@ -278,6 +279,14 @@ class Relations(Sequence):
                 self.confidence,
             ))
         return self._rows
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """head, tail and code as np.intp arrays and confidence as a float64
+        array, all read-only: made once per graph, by the builder when it
+        checked the columns as arrays, else on the first call."""
+        if self._arrays is None:
+            self._arrays = _column_arrays(self.head, self.tail, self.code, self.confidence)
+        return self._arrays
 
     def _values(self) -> tuple[list, list, list, list]:
         ids, types = self.ids, self.types
@@ -313,6 +322,19 @@ class Relations(Sequence):
 
     def __repr__(self) -> str:
         return repr(self.rows)
+
+
+def _column_arrays(head, tail, code, confidence) -> tuple[np.ndarray, ...]:
+    """New read-only arrays of relation columns, lists or arrays: np.intp
+    head, tail and code and float64 confidence."""
+    intp = np.intp
+    columns = (
+        np.array(head, dtype=intp), np.array(tail, dtype=intp),
+        np.array(code, dtype=intp), np.array(confidence, dtype=float),
+    )
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
 
 # Up to this many relations, code that reads relation columns may test them
@@ -522,6 +544,7 @@ class _GraphBuilder:
         self.tail: list[int] = []
         self.code: list[int] = []
         self.confidence: list[float] = []
+        self.arrays: tuple[np.ndarray, ...] | None = None  # the columns, if checked as arrays
         self.relation_keys: set[tuple[int, int, int]] = set()
 
     @staticmethod
@@ -663,24 +686,32 @@ class _GraphBuilder:
         head, tail and code and a float array confidence.  Many rows are
         checked as arrays; a few, which cost less so, or many that the
         arrays show a fault in go row by row, so the first faulty row raises.
+        Many valid rows also keep read-only copies of the arrays, which the
+        graph's `Relations.arrays` returns; the caller's arrays stay its own.
         """
         self.relation_table(types)
-        lists = head.tolist(), tail.tolist(), code.tolist(), confidence.tolist()
         if len(code) > FEW_RELATIONS and _valid_columns(head, tail, code, confidence, len(self.entities), len(types)):
-            self.head, self.tail, self.code, self.confidence = lists
+            # the lists are read from the copies, so they hold ints and
+            # floats as the rows' checks would store them
+            self.arrays = _column_arrays(head, tail, code, confidence)
+            self.head, self.tail, self.code, self.confidence = (column.tolist() for column in self.arrays)
             return
-        self.relation_rows(tuple(self.index), *lists)
+        self.relation_rows(tuple(self.index), head.tolist(), tail.tolist(), code.tolist(), confidence.tolist())
 
     def graph(self, provenance: str) -> KnowledgeGraph:
         if type(provenance) is not str:
             _text(provenance, "provenance")
         relations = Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
+        relations._arrays = self.arrays
         return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance, _BUILT)
 
 
 def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
-    """Whether relation columns hold known, distinct endpoints, known type
-    codes, no (head, tail, code) twice and confidences in [0, 1]."""
+    """Whether relation columns hold integer indexes of known, distinct
+    endpoints and known type codes, no (head, tail, code) twice and
+    confidences in [0, 1]."""
+    if not all(column.dtype.kind in "iu" for column in (head, tail, code)):
+        return False
     keys = (head * k + tail) * types + code
     return bool(
         min(head.min(), tail.min(), code.min()) >= 0
@@ -1071,9 +1102,12 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     rels = graph.relations
     ids = [quote(i) for i in rels.ids]
     types = [quote(t) for t in rels.types]
+    # A relation confidence is written by repr, which json.dumps uses for a
+    # float: the builder stores every confidence as an exact float, so repr
+    # gives str's text, and {conf!r} skips the f-string's __format__ lookup.
     relations = [
         f'{{\n      "head": {ids[h]},\n      "tail": {ids[t]},'
-        f'\n      "type": {types[c]},\n      "confidence": {conf}\n    }}'
+        f'\n      "type": {types[c]},\n      "confidence": {conf!r}\n    }}'
         for h, t, c, conf in zip(rels.head, rels.tail, rels.code, rels.confidence)
     ]
     parts = [

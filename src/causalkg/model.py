@@ -25,14 +25,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import DimensionMismatchError, GraphError, InputError
-from .graphs import KnowledgeGraph, Span
+from .graphs import KnowledgeGraph, Span, _texts
 from .graphs import assemble_columns as assemble_graph  # the name bench/tracing.py wraps
 from .readers import integer, load_json, obj, real, required, within, write_text
 from .schema import Schema, schema_from_dict, schema_to_dict
@@ -85,17 +85,39 @@ def check_thresholds(theta_r: float, theta_a: float) -> None:
         )
 
 
-class Params(dict):
+class Params(Mapping):
     """The parameter groups by name, in PARAM_GROUPS order: views of one
     float64 buffer, `flat` (zeroed if not given), that holds them back to back.
-    A group changes in place.  `Params(p.shapes)` is p's zeroed twin."""
+    A group changes in place.  `Params(p.shapes)` is p's zeroed twin.
+
+    A group that were rebound or removed would leave `flat`, which copy,
+    save and every training step read, so Params has no method that
+    removes a group, and storing one raises InputError unless it stores a
+    group's own view back, as `params[name] += x` does.
+    """
 
     def __init__(self, shapes: Sequence[tuple[int, ...]], flat: np.ndarray | None = None):
         self.shapes = tuple(shapes)
         ends = list(itertools.accumulate(map(math.prod, self.shapes), initial=0))
         self.flat = np.zeros(ends[-1]) if flat is None else flat
         views = (self.flat[lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], self.shapes))
-        super().__init__(zip(PARAM_GROUPS, views))
+        self._groups = dict(zip(PARAM_GROUPS, views))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._groups[name]
+
+    def __iter__(self):
+        return iter(self._groups)
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __setitem__(self, name: str, value) -> None:
+        if name not in self._groups or value is not self._groups[name]:
+            raise InputError(
+                f"cannot rebind or add parameter group {name!r}: each group is a view of"
+                " Params.flat, so write into it in place, params[name][...] = value"
+            )
 
     def copy(self) -> "Params":
         """This layout over a copy of flat."""
@@ -103,9 +125,9 @@ class Params(dict):
 
     def __reduce__(self):
         # pickle and deepcopy build the layout afresh and copy flat into it,
-        # so the groups stay views of a buffer of its own: a dict's own
-        # reduce restores each group as an array apart, and an unpickled
-        # flat may hold its data in a bytes object
+        # so the groups stay views of a buffer of its own: restoring each
+        # group apart would part it from flat, and an unpickled flat may
+        # hold its data in a bytes object
         return Params, (self.shapes,), self.flat
 
     def __setstate__(self, flat: np.ndarray) -> None:
@@ -461,7 +483,11 @@ def extract(
     Spans whose entity argmax is non-null become entities (confidence =
     argmax probability); attributes with score >= theta_a attach to them;
     ordered entity pairs receive every relation scoring >= theta_r.
+    Tokens and lemmas that are not sequences of strings raise GraphError
+    before any is encoded.
     """
+    tokens = _texts(tokens, "token")
+    lemmas = None if lemmas is None else _texts(lemmas, "lemma")
     relation_types = model.schema.relation_types
     if len(tokens) == 0:
         no_rows = np.zeros(0, dtype=np.intp)

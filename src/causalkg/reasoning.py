@@ -215,6 +215,26 @@ def matching_nodes(corpus: CorpusGraph, pattern: NodePattern) -> list[str]:
     return sorted(gid for gid in candidates if pattern.matches(*nodes[gid]))
 
 
+def _walk(path: list[str], on_path: set[str], edges_left: int, neighbours, end_ids: set[str], paths: list) -> None:
+    """Append to paths every path that extends path by at most edges_left
+    edges without revisiting a node and ends in end_ids, depth first.  A
+    module function: a closure that called itself would refer to itself,
+    and through neighbours keep the corpus in a reference cycle."""
+    current = path[-1]
+    if current in end_ids:
+        paths.append(tuple(path))
+    if edges_left == 0:
+        return
+    for edge_id, neighbor in neighbours(current):
+        if neighbor in on_path:
+            continue
+        path.extend((edge_id, neighbor))
+        on_path.add(neighbor)
+        _walk(path, on_path, edges_left - 1, neighbours, end_ids, paths)
+        on_path.remove(neighbor)
+        del path[-2:]
+
+
 def find_paths(
     corpus: CorpusGraph,
     start: NodePattern,
@@ -262,24 +282,8 @@ def find_paths(
     end_ids = set(matching_nodes(corpus, end))
 
     paths: list[tuple[str, ...]] = []
-
-    def walk(path: list[str], on_path: set[str], edges_used: int) -> None:
-        current = path[-1]
-        if current in end_ids:
-            paths.append(tuple(path))
-        if edges_used == max_len:
-            return
-        for edge_id, neighbor in neighbours(current):
-            if neighbor in on_path:
-                continue
-            path.extend((edge_id, neighbor))
-            on_path.add(neighbor)
-            walk(path, on_path, edges_used + 1)
-            on_path.remove(neighbor)
-            del path[-2:]
-
     for sid in start_ids:
-        walk([sid], {sid}, 0)
+        _walk([sid], {sid}, max_len, neighbours, end_ids, paths)
 
     paths.sort()
     sub_nodes: set[str] = set()

@@ -74,8 +74,8 @@ class RemovalRecord(NamedTuple):
 
 def _participant_order(table: ElementTable) -> np.ndarray:
     """Element indexes sorted by (confidence, relation < attribute < entity, id)."""
-    confidences = table.confidences
-    values = np.array(confidences, dtype=float)
+    confidences, m = table.confidences, len(table.relations)
+    values = np.concatenate((table.relations.arrays()[3], np.array(confidences[m:], dtype=float)))
     # a stable sort, and element indexes follow the kind order, so only
     # elements of one kind whose confidences are exactly equal (0.0 and -0.0
     # too) are left to order by id
@@ -113,8 +113,7 @@ def rectify(graph: KnowledgeGraph, schema: Schema) -> tuple[KnowledgeGraph, list
     group_start = np.flatnonzero(np.r_[True, weakest[1:] != weakest[:-1]])
     group_end = np.r_[group_start[1:], len(weakest)]
 
-    head = np.array(relations.head, dtype=np.intp)
-    tail = np.array(relations.tail, dtype=np.intp)
+    head, tail, _, _ = relations.arrays()
     owner = np.array([i for i, _ in table.attributes], dtype=np.intp)
 
     # removed_at[e]: the rank at which entity e is removed, n if it stays.

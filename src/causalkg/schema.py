@@ -370,9 +370,7 @@ def scan_constraints(graph: KnowledgeGraph, schema: Schema) -> np.ndarray:
         return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
     parts = [np.array(rows, dtype=np.intp).reshape(-1, 4)]
-    head = np.array(relations.head, dtype=np.intp)
-    tail = np.array(relations.tail, dtype=np.intp)
-    code = np.array(relations.code, dtype=np.intp)
+    head, tail, code, _ = relations.arrays()
     if relations.types != schema.relation_types:
         # each relation's type by its schema code; _check_known_types has
         # passed, so a type outside the schema is one no relation has

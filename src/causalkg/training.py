@@ -546,14 +546,14 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     g = ent_probs
     g[ent_index, ent_targets] = picked - 1.0
     g /= len(ent_targets)
-    grads["ent_w"] += g.T @ ent_reps
+    grads["ent_w"][...] += g.T @ ent_reps
     np.add.reduce(g, axis=0, out=grads["ent_b"], initial=0.0)
     terms = [g @ params["ent_w"]]  # each entity row's term of its span's rep gradient
     if attr_scores.size:
         g = attr_scores
         g -= attr_labels
         g /= g.size
-        grads["attr_w"] += g.T @ attr_reps
+        grads["attr_w"][...] += g.T @ attr_reps
         np.add.reduce(g, axis=0, out=grads["attr_b"], initial=0.0)
         terms.append(g @ params["attr_w"])  # each gold row's second term
 
@@ -581,7 +581,7 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
         g = rel_scores
         g -= pair_labels
         g /= g.size
-        grads["rel_w"] += g.T @ pair_reps
+        grads["rel_w"][...] += g.T @ pair_reps
         np.add.reduce(g, axis=0, out=grads["rel_b"], initial=0.0)
         dr = g @ params["rel_w"]
         # an (m, 2, d + dw) view of dr: each pair's head and tail [pooled ; width] slices
@@ -604,7 +604,7 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     total = 0.0  # attn_b's terms are added one by one, as floats
     for term in d_attn_b.take(step_rows).tolist():
         total += term
-    grads["attn_b"] += total
+    grads["attn_b"][...] += total
 
     return loss, grads
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_embedding_file_errors(tmp_path):
     path.write_text("cat 1.0 2.0\n")
     with pytest.raises(DimensionMismatchError):
         load_embedding_file(str(path), dimension=3)
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.txt", "No such file or directory"),
+    (".", "Is a directory"),
+    ("latin1.txt", "can't decode byte 0xe9"),
+])
+def test_embedding_file_read_errors_are_encoder_errors(tmp_path, name, reason):
+    (tmp_path / "latin1.txt").write_bytes("caf\xe9 1.0 2.0\n".encode("latin-1"))
+    path = str(tmp_path / name)
+    message = re.escape(f"cannot read embedding file {path}: ") + ".*" + re.escape(reason)
+    with pytest.raises(EncoderError, match=message):
+        load_embedding_file(path)
 
 
 def test_embedding_file_skips_blank_lines(tmp_path):

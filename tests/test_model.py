@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from causalkg import model as model_module
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
-from causalkg.errors import CausalKgError, DimensionMismatchError, InputError
+from causalkg.errors import CausalKgError, DimensionMismatchError, GraphError, InputError
 from causalkg.graphs import Span
 from causalkg.model import (
     PARAM_GROUPS,
@@ -327,6 +327,21 @@ def test_null_biased_model_extracts_nothing():
 def test_extract_empty_sentence():
     g = extract([], None, small_model(), provenance="empty")
     assert g.entities == () and g.provenance == "empty"
+
+
+@pytest.mark.parametrize("tokens, lemmas, message", [
+    (None, None, "tokens None are not a sequence of strings"),
+    ([["a"]], None, "token ['a'] is not a string"),
+    ([5], None, "token 5 is not a string"),
+    (["a", "b"], [["a"], "b"], "lemma ['a'] is not a string"),
+])
+def test_extract_checks_tokens_and_lemmas_before_encoding(tokens, lemmas, message, monkeypatch):
+    def encode(*args):
+        raise AssertionError("encoded before the tokens were checked")
+
+    monkeypatch.setattr(model_module, "encode_tokens", encode)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        extract(tokens, lemmas, small_model())
 
 
 def test_extract_output_is_valid_and_confident():

@@ -468,6 +468,47 @@ def test_relation_types_are_read_as_attributes_only_in_graphs_py():
     assert found == {}, "read a relation's type from the Relations columns: types[code[j]]"
 
 
+# -- relation columns become arrays only through Relations.arrays ------------
+
+COLUMNS = {"head", "tail", "code", "confidence"}
+
+
+def column_conversions(source: str) -> list[str]:
+    """The calls of np.array or np.asarray on an attribute named head,
+    tail, code or confidence, as source text."""
+    return [
+        ast.get_source_segment(source, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr in ("array", "asarray")
+        and getattr(node.func.value, "id", None) == "np"
+        and node.args and isinstance(node.args[0], ast.Attribute) and node.args[0].attr in COLUMNS
+    ]
+
+
+def test_the_scan_sees_column_conversions():
+    source = (
+        "a = np.array(relations.head, dtype=np.intp)\nb = np.asarray(g.relations.confidence)\n"
+        "class Relations:\n    def other(self):\n        return np.asarray(self.tail)\n"
+        # other attributes, names and functions convert no column
+        "c = np.array(table.confidences)\nd = np.array(head)\ne = list(r.head)\nf = np.zeros(r.code)\n"
+    )
+    assert sorted(column_conversions(source)) == [
+        "np.array(relations.head, dtype=np.intp)", "np.asarray(g.relations.confidence)", "np.asarray(self.tail)",
+    ]
+
+
+def test_relation_columns_become_arrays_only_through_relations_arrays():
+    # Relations.arrays and the graph builder both make the view with
+    # graphs._column_arrays, which takes the columns as arguments
+    found = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := column_conversions(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, "read a graph's columns as arrays through Relations.arrays()"
+
+
 # -- type codes are numbered only by the schema -------------------------------
 
 TYPE_LISTS = {"entity_types", "attribute_types", "relation_types"}

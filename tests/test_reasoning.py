@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -228,6 +230,21 @@ def test_eat_to_baby_query():
         assert direct in result.paths
         assert f"{prov}/symptom" in result.subgraph_nodes
     assert list(result.paths) == sorted(result.paths)
+
+
+def test_find_paths_leaves_no_cycle_that_holds_the_corpus():
+    # a recursive closure kept the corpus alive until a full collection
+    corpus = eating_corpus()
+    graph = weakref.ref(corpus.graphs[0])
+    start = NodePattern(lemma_any_of=frozenset({"eat"}))
+    gc.disable()
+    try:
+        result = find_paths(corpus, start, NodePattern(lemma_any_of=frozenset({"baby"})), max_len=3)
+        assert result.paths
+        del corpus, result
+        assert graph() is None
+    finally:
+        gc.enable()
 
 
 def test_pattern_matching():

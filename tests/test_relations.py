@@ -123,6 +123,92 @@ def test_many_rows_are_checked_as_arrays(bad, error, message):
         assemble_columns(["x"] * 10, None, entities, [], TYPES, *columns(*rows, bad))
 
 
+def many(confidences=(0.5,), dtypes=(np.intp, float)):
+    """A 10-entity graph over the 90 rows that join every two entities,
+    each with the next of the confidences in turn, from columns of the dtypes."""
+    entities = [(f"e{i}", Span(i, i + 1), "factor", 0.5) for i in range(10)]
+    rows = [(h, t, (h + t) % 3) for h in range(10) for t in range(10) if h != t]
+    head, tail, code = (np.array(c, dtype=dtypes[0]) for c in zip(*rows))
+    conf = np.resize(np.array(confidences, dtype=dtypes[1]), len(rows))
+    return assemble_columns(["x"] * 10, None, entities, [], TYPES, head, tail, code, conf)
+
+
+def assert_arrays_match_the_lists(relations):
+    arrays = relations.arrays()
+    assert arrays is relations.arrays()  # made once
+    assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * 3 + [np.dtype(np.float64)]
+    assert all(not a.flags.writeable for a in arrays)
+    columns = (relations.head, relations.tail, relations.code, relations.confidence)
+    assert [a.tolist() for a in arrays] == list(columns)
+    assert all(type(i) is int for column in columns[:3] for i in column)
+    assert all(type(c) is float for c in relations.confidence)
+
+
+def test_the_array_view_equals_the_columns_however_the_graph_was_built():
+    few = bulk((0, 1, 0, 0.5), (0, 2, 2, 0.25), (2, 1, 1, 1.0))
+    dense = many((0.25, 0.5, 0.75))
+    assert few.relations._arrays is None  # few rows are checked one by one and build no arrays
+    assert dense.relations._arrays is not None  # many are checked as arrays, which the graph keeps
+    kept = [j % 4 != 0 for j in range(len(dense.relations))]
+    graphs = [
+        few, dense, bulk(),
+        graph_from_dict(graph_to_dict(dense)),
+        subgraph(dense, [i != 3 for i in range(10)], [], kept),
+        replace(dense, provenance="other"),
+        replace(few, entities=few.entities[:2], relations=few.relations[:1]),
+    ]
+    for g in graphs[3:]:
+        assert g.relations._arrays is None  # derived and loaded graphs make arrays only when asked
+    for g in graphs:
+        assert_arrays_match_the_lists(g.relations)
+
+
+def test_the_array_view_is_a_copy_of_the_callers_arrays():
+    entities = [(f"e{i}", Span(i, i + 1), "factor", 0.5) for i in range(10)]
+    rows = [(h, t, 0, 0.5) for h in range(10) for t in range(10) if h != t]
+    head, tail, code, conf = columns(*rows)
+    g = assemble_columns(["x"] * 10, None, entities, [], TYPES, head, tail, code, conf)
+    view = [a.copy() for a in g.relations.arrays()]
+    for array in (head, tail, code, conf):
+        assert array.flags.writeable
+        assert not any(np.shares_memory(array, a) for a in g.relations.arrays())
+        array[:] = 1
+    assert all(np.array_equal(a, b) for a, b in zip(g.relations.arrays(), view))
+    assert_arrays_match_the_lists(g.relations)
+
+
+@pytest.mark.parametrize("dtypes", [(np.int32, np.float32), (np.uint16, np.int64), (np.int64, np.float16)])
+def test_many_rows_of_other_numeric_dtypes_are_stored_as_few_rows_are(dtypes):
+    # the array path stored an int confidence column as ints, where the
+    # row path stores floats
+    g = many((0.0, 1.0) if dtypes[1] == np.int64 else (0.5, 0.25), dtypes)
+    assert g.relations._arrays is not None
+    assert_arrays_match_the_lists(g.relations)
+    assert graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_many_rows_with_float_or_bool_indexes_are_refused_as_few_are(dtype):
+    # the array path stored float entity indexes, which the rows then
+    # could not index with
+    def few():
+        entities = [("a", Span(0, 1), "factor", 0.5), ("b", Span(1, 2), "factor", 0.5)]
+        head, tail, code = (np.array([i], dtype=dtype) for i in (0, 1, 0))
+        return assemble_columns(["x", "y"], None, entities, [], TYPES, head, tail, code, np.array([0.5]))
+
+    for build in (few, lambda: many(dtypes=(dtype, float))):
+        with pytest.raises(DanglingReferenceError, match="relation references unknown entity index"):
+            build()
+
+
+def test_relation_confidences_are_written_as_json_dumps_writes_them():
+    confidences = (5e-324, 1e-05, 0.1 + 0.2, 0.0, 1.0)
+    few = bulk(*[(0, 1 + j % 2, j // 2, c) for j, c in enumerate(confidences)])
+    for g in (few, many(confidences)):
+        assert set(g.relations.confidence) == set(confidences)
+        assert graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("types", [("q+", "q+", "arg0"), ("q+", "arg0", "q+")])
 def test_bulk_path_rejects_a_repeated_type_name(types):
     # a repeated name used to collapse the table: code 1 of ("q+", "q+",

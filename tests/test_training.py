@@ -388,6 +388,40 @@ def test_deepcopy_and_pickle_keep_the_one_buffer():
         assert model.params.flat.tobytes() == before
 
 
+@pytest.mark.parametrize("name, value", [("ent_b", "ones"), ("extra", "ones"), ("ent_b", "ent_w")])
+def test_params_refuse_to_rebind_or_add_a_group(name, value):
+    # a rebound group left flat: model.copy() and every training step lost it
+    model = tiny_model()
+    before = model.params.flat.tobytes()
+    value = np.ones(3) if value == "ones" else model.params[value]
+    with pytest.raises(InputError, match=re.escape(f"cannot rebind or add parameter group {name!r}:")):
+        model.params[name] = value
+    assert_tiles_flat(model.params)
+    assert model.params.flat.tobytes() == before
+    model.params["ent_b"] += 1.0  # adds in place and stores the same view back
+    assert_tiles_flat(model.params)
+    assert np.array_equal(model.copy().ent_b, model.ent_b) and model.params.flat.tobytes() != before
+
+
+def test_params_have_no_way_to_remove_a_group():
+    params = tiny_model().params
+    for method in ("update", "setdefault", "pop", "popitem", "clear", "__ior__", "__delitem__"):
+        assert not hasattr(params, method), method
+    with pytest.raises(AttributeError):
+        del params["ent_b"]
+    assert_tiles_flat(params)
+
+
+def test_train_and_grad_check_never_store_a_group(monkeypatch):
+    stored = []
+    monkeypatch.setattr(Params, "__setitem__", lambda params, name, value: stored.append(name))
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    cfg = TrainConfig(epochs=2, max_span_len=3, seed=5, neg_entity_count=4, neg_relation_count=2)
+    train(build_corpus()[:3], SCICLAIM, cfg, encoder_config=enc, width_dim=2)
+    grad_check(tiny_model(seed=1), tiny_example())
+    assert stored == []
+
+
 def test_train_builds_one_gradient_buffer_for_all_epochs(monkeypatch):
     # each step writes its gradient into the one Params that train makes
     built = []
