@@ -96,8 +96,13 @@ def base_vector(token: str, seed: int, dimension: int) -> np.ndarray:
 def _base_vector(token: str, seed: int, dimension: int) -> np.ndarray:
     """`base_vector`'s draw, read-only, as the cache hands it to every caller
     of the same (token, seed, dimension).  typed keeps a seed of True apart
-    from 1: the two hash to different vectors."""
-    digest = hashlib.sha256(f"{seed}\x00{token}".encode("utf-8")).digest()
+    from 1: the two hash to different vectors.  A token that UTF-8 cannot
+    encode (a lone surrogate) has no bytes to hash and raises EncoderError."""
+    try:
+        key = f"{seed}\x00{token}".encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EncoderError(f"cannot encode token {token!r}: {exc.reason}") from None
+    digest = hashlib.sha256(key).digest()
     rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:16], "big")))
     v = rng.standard_normal(dimension)
     norm = float(np.linalg.norm(v))
@@ -106,6 +111,12 @@ def _base_vector(token: str, seed: int, dimension: int) -> np.ndarray:
     v /= norm
     v.flags.writeable = False
     return v
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=0), bit for bit: for float64 that is the same add.reduce
+    and division by the count, without np.mean's Python wrapper."""
+    return np.add.reduce(x, axis=0) / len(x)
 
 
 def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
@@ -125,7 +136,7 @@ def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEnco
             if norm == 0.0:
                 raise EncoderError(f"degenerate contextual vector at position {i}")
             contextual[i] /= norm
-    return TokenEncoding(passage_vector=contextual.mean(axis=0), token_vectors=contextual)
+    return TokenEncoding(passage_vector=_row_mean(contextual), token_vectors=contextual)
 
 
 def load_embedding_file(path: str, dimension: int | None = None) -> dict[str, np.ndarray]:
@@ -183,7 +194,7 @@ def _encode_file(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
             raise OutOfVocabularyError(f"token {t!r} not in {path}")
         rows.append(row)
     contextual = matrix[rows]  # fancy indexing copies: callers never see the cache
-    return TokenEncoding(passage_vector=contextual.mean(axis=0), token_vectors=contextual)
+    return TokenEncoding(passage_vector=_row_mean(contextual), token_vectors=contextual)
 
 
 def encode_tokens(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:

@@ -58,6 +58,11 @@ __all__ = [
 
 MODEL_FORMAT_VERSION = 1
 
+# The most parameters a model may hold, 16 GiB of float64: orders above any
+# real model, and a cap that refuses a size read from a file or a config
+# before numpy is asked for the buffer.
+MAX_PARAMETERS = 2**31
+
 PARAM_GROUPS = ("attn_w", "attn_b", "width", "ent_w", "ent_b", "attr_w", "attr_b", "rel_w", "rel_b")
 
 
@@ -214,13 +219,21 @@ class Model:
 
 def _shapes(schema: Schema, d: int, max_span_len: int, width_dim: int) -> list[tuple[int, ...]]:
     """Each parameter group's shape, in PARAM_GROUPS order.  A size that is
-    not an integer >= 1 raises InputError."""
+    not an integer >= 1, or sizes that give more than MAX_PARAMETERS
+    parameters, raise InputError, before anything is allocated."""
     if integer(max_span_len, "max_span_len", InputError) < 1 or integer(width_dim, "width_dim", InputError) < 1:
         raise InputError(f"max_span_len and width_dim must be >= 1, got {max_span_len} and {width_dim}")
     rep, pair = 2 * d + width_dim, 3 * d + 2 * width_dim
     ents, attrs = len(schema.entity_types) + 1, len(schema.attribute_types)
     rels = len(schema.relation_types)
-    return [(d,), (), (max_span_len, width_dim), (ents, rep), (ents,), (attrs, rep), (attrs,), (rels, pair), (rels,)]
+    shapes = [(d,), (), (max_span_len, width_dim), (ents, rep), (ents,), (attrs, rep), (attrs,), (rels, pair), (rels,)]
+    total = sum(map(math.prod, shapes))
+    if total > MAX_PARAMETERS:
+        raise InputError(
+            f"dimension {d}, max_span_len {max_span_len} and width_dim {width_dim} give {total} parameters,"
+            f" more than the {MAX_PARAMETERS} a model may hold"
+        )
+    return shapes
 
 
 def enumerate_spans(n: int, max_len: int) -> list[Span]:

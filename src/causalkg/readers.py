@@ -13,6 +13,7 @@ document.  The file helpers raise an InputError naming the file.
 from __future__ import annotations
 
 import json
+import os
 from typing import Callable, Collection, Mapping
 
 from .errors import CausalKgError, InputError
@@ -84,20 +85,48 @@ def within(where: str, load: Callable, *args):
 
 
 def cannot(action: str, path: str, exc: Exception, error: Error = InputError) -> CausalKgError:
-    """The error for an OSError or UnicodeDecodeError that kept `action` from the file."""
+    """The error for an OSError or Unicode error that kept `action` from the file."""
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     return error(f"cannot {action} {path}: {reason}")
 
 
+# The first read's size: a smaller file is one read and the empty read that
+# ends it, with no fstat.
+_FIRST_READ = 1 << 16
+
+
 def read_text(path: str) -> str:
+    """The file's text, as a text-mode read in strict UTF-8 returns it: a BOM
+    is kept, and each "\r\n" and then each lone "\r" becomes "\n".  The
+    bytes come from raw reads and are decoded once, so a decode error names
+    the same position.  A file that fills the first read is larger: fstat
+    sizes one read for the rest, as a buffered read() sizes it.  Reads go on
+    until one returns nothing, so a short read or a file that grows is still
+    read whole."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            chunks = [os.read(fd, _FIRST_READ)]
+            if len(chunks[0]) == _FIRST_READ:
+                chunks.append(os.read(fd, max(os.fstat(fd).st_size - _FIRST_READ, 1)))
+            while chunks[-1]:
+                chunks.append(os.read(fd, _FIRST_READ))
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise cannot("read", path, exc) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def write_text(path: str, text: str) -> None:
+    """Write the text in UTF-8 through a text-mode file.  Text that UTF-8
+    cannot encode (a lone surrogate) is refused before the file is opened,
+    so a file already there is left as it was."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise cannot("write", path, exc) from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

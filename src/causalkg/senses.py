@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .encoder import TokenEncoding
+from .encoder import TokenEncoding, _row_mean
 from .errors import (
     DimensionMismatchError,
     DisjointTreesError,
@@ -207,7 +207,7 @@ def node_vector(entity: Entity, token_vectors: np.ndarray) -> np.ndarray:
             f"span [{entity.span.start}, {entity.span.end}) beyond "
             f"{token_vectors.shape[0]} token vectors"
         )
-    mean = token_vectors[entity.span.start : entity.span.end].mean(axis=0)
+    mean = _row_mean(token_vectors[entity.span.start : entity.span.end])
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         raise ZeroVectorError(f"all-zero mean vector for entity {entity.id!r}")

@@ -10,7 +10,7 @@ import causalkg
 from causalkg.cli import build_parser, main
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
-from causalkg.model import Model, save_model
+from causalkg.model import MAX_PARAMETERS, Model, save_model
 from causalkg.rectify import rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
@@ -888,6 +888,58 @@ def test_malformed_inputs_exit_2_naming_the_file_and_field(workdir, capsys, case
     err = capsys.readouterr().err
     assert err.startswith("causalkg: error: ") and "Traceback" not in err
     assert file_name in err and fragment in err, err
+
+
+def extract_with_model(edit):
+    """The arguments, built in a workdir, of an extract with a small model file edited by `edit`."""
+    return lambda w: extract_args(w, model=small_model_file(w, edit))
+
+
+# Each case: the arguments built in a workdir, for sizes whose parameters
+# no model may hold; numpy is never asked for them
+OVERSIZED = {
+    "model encoder dimension 2**70": extract_with_model(lambda d: d["encoder"].update(dimension=2**70)),
+    "model encoder dimension 2**40": extract_with_model(lambda d: d["encoder"].update(dimension=2**40)),
+    "model max_span_len 2**40": extract_with_model(lambda d: d.update(max_span_len=2**40)),
+    "model width_dim 2**40": extract_with_model(lambda d: d.update(width_dim=2**40)),
+    "train config width_dim 2**40": lambda w: config_change(w, (("width_dim",), 2**40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_sizes_beyond_the_parameter_cap_exit_2(workdir, capsys, case):
+    assert main(OVERSIZED[case](workdir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causalkg: error: ") and "Traceback" not in err
+    assert f"parameters, more than the {MAX_PARAMETERS} a model may hold" in err, err
+
+
+def surrogate_graph_file(workdir):
+    """A graph file whose one entity's token, a JSON escape, holds a lone surrogate."""
+    graph = assemble_graph(["a\ud800b"], None, [("e0", Span(0, 1), "factor", 0.9)])
+    path = workdir / "graph.json"
+    path.write_text(json.dumps(graph_to_dict(graph)))  # ensure_ascii writes the escape
+    return path
+
+
+# Each case: the arguments, given the output file, of a command whose
+# output holds a token that UTF-8 cannot encode
+UNENCODABLE_OUTPUTS = {
+    "rectify": lambda w, out: ["rectify", "--schema", "sciclaim", "--input", str(surrogate_graph_file(w)),
+                               "--out", str(out)],
+    "dot": lambda w, out: ["dot", "--schema", "sciclaim", "--input", str(surrogate_graph_file(w)), "--out", str(out)],
+    "extract": lambda w, out: [*extract_args(w, [{"tokens": ["a", "\ud800"]}])[:-1], str(out)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNENCODABLE_OUTPUTS))
+def test_an_unencodable_token_exits_2_and_leaves_the_output_file(workdir, capsys, command):
+    out = workdir / "out.txt"
+    out.write_bytes(b"an earlier output\n")
+    assert main(UNENCODABLE_OUTPUTS[command](workdir, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causalkg: error: ") and "surrogates not allowed" in err and "Traceback" not in err
+    assert out.read_bytes() == b"an earlier output\n"
 
 
 def test_malformed_model_file_exits_2_from_the_command_line(workdir):

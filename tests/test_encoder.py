@@ -136,7 +136,24 @@ def test_contextual_weighting_hand_computed():
 
 def test_passage_vector_is_mean():
     enc = encode_tokens(["a", "b", "c", "d"], EncoderConfig(dimension=12, seed=2))
-    assert np.allclose(enc.passage_vector, enc.token_vectors.mean(axis=0), atol=1e-12)
+    assert enc.passage_vector.tobytes() == enc.token_vectors.mean(axis=0).tobytes()
+
+
+def test_row_mean_is_mean_bit_for_bit():
+    # the premise of _row_mean: for float64, np.mean is np.add.reduce over
+    # the axis and a true divide by the count
+    rng = np.random.default_rng(0)
+    for n in range(1, 60):
+        x = rng.standard_normal((n, 64)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+        start = int(rng.integers(0, n))
+        for rows in (x, x[start : start + int(rng.integers(1, n + 1))]):
+            assert encoder._row_mean(rows).tobytes() == rows.mean(axis=0).tobytes()
+
+
+def test_a_token_utf8_cannot_encode_raises_encoder_error():
+    # a lone surrogate has no UTF-8 bytes for the hash
+    with pytest.raises(EncoderError, match=r"^cannot encode token 'a\\ud800': surrogates not allowed$"):
+        encode_tokens(["b", "a\ud800"], EncoderConfig(dimension=8))
 
 
 def test_empty_input_rejected():

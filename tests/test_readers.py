@@ -20,7 +20,10 @@ from causalkg.encoder import EncoderConfig
 from causalkg.errors import CausalKgError, GraphError, InputError, InventoryError, QueryError
 from causalkg.graphs import Entity, Relation, Relations, Span, assemble_graph, graph_from_dict, graph_to_dict
 from causalkg.model import Model, load_model, save_model
-from causalkg.readers import array, integer, obj, parse_json, real, required, string, strings, within
+from causalkg import readers
+from causalkg.readers import (
+    array, cannot, integer, obj, parse_json, read_text, real, required, string, strings, within,
+)
 from causalkg.reasoning import NodePattern
 from causalkg.schema import load_schema, schema_from_dict, schema_to_dict
 from causalkg.senses import load_glosses
@@ -85,6 +88,124 @@ def test_load_glosses_names_the_line_without_a_tab():
     assert load_glosses("a.n.01\tan a\n\nb.n.01\ta b\tand more\n") == {"a.n.01": "an a", "b.n.01": "a b\tand more"}
     with pytest.raises(InventoryError, match="^gloss line 2: "):
         load_glosses("a.n.01\tan a\nb.n.01 a b\n")
+
+
+# -- read_text returns what a text-mode read returns ---------------------------
+
+FIRST_READ = readers._FIRST_READ
+
+
+def text_mode_read(path):
+    """The text-mode read that read_text replaces, its errors made as read_text makes them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cannot("read", path, exc) from exc
+
+
+def outcome(read, path):
+    try:
+        return "text", read(path)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def assert_same_read(path) -> str:
+    """Check that read_text(path) and a text-mode read give the same text
+    or the same error; "text" or "error", as they did."""
+    got = outcome(read_text, path)
+    same = got == outcome(text_mode_read, path)  # a bool: pytest would diff long texts line by line
+    assert same, f"read_text and a text-mode read of {path} differ"
+    return got[0]
+
+
+# line ends, a BOM, one- to four-byte characters, and bytes UTF-8 refuses:
+# a stray continuation, a cut-off sequence, an encoded surrogate, 0xff
+PIECES = st.sampled_from([
+    b"\r", b"\n", b"\r\n", b"\r\r\n", b"\xef\xbb\xbf", b"a", b"\x00", "\u00e9".encode(), "\u20ac".encode(),
+    "\U0001f600".encode(), b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xff",
+]) | st.binary(max_size=3)
+
+
+@st.composite
+def file_bytes(draw):
+    """Pieces back to back; half the time after padding that puts them across the first read's end."""
+    body = b"".join(draw(st.lists(PIECES, max_size=24)))
+    if draw(st.booleans()):
+        body = b"x" * (FIRST_READ - draw(st.integers(0, 12))) + body
+    return body
+
+
+def test_read_text_returns_what_a_text_mode_read_returns(tmp_path):
+    path = str(tmp_path / "f.txt")
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(file_bytes())
+    def check(data):
+        Path(path).write_bytes(data)
+        seen.add((assert_same_read(path), len(data) >= FIRST_READ))
+
+    check()
+    assert seen == {(kind, large) for kind in ("text", "error") for large in (False, True)}
+
+
+def test_read_text_translates_a_line_end_split_by_the_first_read(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"a" * (FIRST_READ - 1) + b"\r\n" + "z\u20ac\r\n".encode() * 40_000)
+    assert path.stat().st_size >= 200 * 1024
+    assert assert_same_read(str(path)) == "text"
+    translated = read_text(str(path)) == "a" * (FIRST_READ - 1) + "\n" + "z\u20ac\n" * 40_000
+    assert translated
+
+
+def counting(monkeypatch, name, limit=None):
+    """Count the calls of os.<name>; an os.read of more than `limit` bytes reads `limit`."""
+    calls = []
+    real = getattr(os, name)
+
+    def counted(*args):
+        calls.append(args)
+        if limit is not None:
+            args = (args[0], min(args[1], limit))
+        return real(*args)
+
+    monkeypatch.setattr(os, name, counted)
+    return calls
+
+
+def test_read_text_reads_whole_files_through_short_reads(tmp_path, monkeypatch):
+    small, big = tmp_path / "small.txt", tmp_path / "big.txt"
+    small.write_bytes("\ufeffa\r\nb\u20ac\rc\U0001f600\n".encode())
+    big.write_bytes(b"x" * (FIRST_READ - 3) + "\u20ac\r\n".encode() * 1000)
+    counting(monkeypatch, "read", limit=7)
+    for path in (str(small), str(big)):
+        assert assert_same_read(path) == "text"
+
+
+def test_read_text_reads_a_small_file_in_two_reads_and_sizes_a_large_one_by_fstat(tmp_path, monkeypatch):
+    reads, stats = counting(monkeypatch, "read"), counting(monkeypatch, "fstat")
+    shapes = {}
+    for size in (0, 10, FIRST_READ - 1, FIRST_READ, 5 * FIRST_READ + 3):
+        path = tmp_path / f"{size}.txt"
+        path.write_bytes(b"y" * size)
+        reads.clear(), stats.clear()
+        whole = read_text(str(path)) == "y" * size
+        assert whole
+        shapes[size] = (len(reads), len(stats))
+    # an empty first read ends a file and a short one is followed by the
+    # empty read that ends it; a full one by fstat and one read of the rest,
+    # which is the empty read when nothing is left, and then that empty read
+    assert shapes == {0: (1, 0), 10: (2, 0), FIRST_READ - 1: (2, 0), FIRST_READ: (2, 1), 5 * FIRST_READ + 3: (3, 1)}
+
+
+def test_read_text_names_a_missing_file_and_a_directory(tmp_path):
+    missing, directory = str(tmp_path / "nope.json"), str(tmp_path)
+    for path, reason in ((missing, "No such file or directory"), (directory, "Is a directory")):
+        with pytest.raises(InputError) as exc:
+            read_text(path)
+        assert str(exc.value) == f"cannot read {path}: {reason}" == outcome(text_mode_read, path)[1]
 
 
 # -- no builtin exception escapes a loader -----------------------------------
@@ -695,3 +816,60 @@ def test_only_the_builder_reads_and_writes_its_state():
         if (uses := builder_state_uses(path.read_text(encoding="utf-8"), state))
     }
     assert found == {}, "hand each element to the _GraphBuilder method that checks it"
+
+
+# -- files are opened only by the readers ------------------------------------
+
+# (module, function, callee): read_text's raw descriptor, write_text's
+# text-mode file, and the embedding file, read a line at a time
+ALLOWED_OPENS = {
+    ("readers.py", "read_text", "os.open"),
+    ("readers.py", "write_text", "open"),
+    ("encoder.py", "load_embedding_file", "open"),
+}
+
+
+def open_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, callee as source text) per call of a name or
+    attribute `open`: open, os.open, io.open, path.open and the like."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.functions = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.functions.append(node.name)
+            self.generic_visit(node)
+            self.functions.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            func = node.func
+            if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                found.append((self.functions[-1], ast.get_source_segment(source, func)))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+def test_the_scan_sees_open_calls():
+    source = (
+        "def read_text(path):\n    with open(path, encoding='utf-8') as fh:\n        return fh.read()\n\n"
+        "def f(p):\n    fd = os.open(p, os.O_RDONLY)\n    return io.open(p), Path(p).open()\n\n"
+        # a read through an open file, and a name that merely holds "open", open nothing
+        "def g(fh):\n    return fh.read(), is_open(fh), fh.opened\n"
+    )
+    assert open_calls(source) == [("read_text", "open"), ("f", "os.open"), ("f", "io.open"), ("f", "Path(p).open")]
+
+
+def test_files_are_opened_only_by_the_readers():
+    found = {
+        (path.name, function, callee)
+        for path in sorted(SRC.glob("*.py"))
+        for function, callee in open_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found - ALLOWED_OPENS == set(), "read a file through readers.read_text and write one through write_text"
+    assert found == ALLOWED_OPENS  # a stale allowlist entry hides nothing but should go
