@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -288,14 +289,28 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    The command runs with CPython's cyclic garbage collector paused: a
+    command builds its graphs, frees them by reference counting and leaves
+    cyclic garbage that does not grow with its input, so collection passes
+    would only walk the young graphs.  The collector is switched back on
+    afterwards only if it was on before.  The pause is process-wide, so
+    while a call runs it holds for every thread of the process.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args.func(args)
         return 0
     except CausalKgError as exc:
         print(f"causalkg: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

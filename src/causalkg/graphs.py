@@ -1072,6 +1072,22 @@ _ENTITY = (
 )
 _ATTRIBUTE = '{\n          "type": %s,\n          "confidence": %s\n        }'
 _SENSE = '{\n          "sense": %s,\n          "confidence": %s\n        }'
+# A flat record of extras, written in one call of the C encoder, whose item
+# separator carries the newline and indent of the next field.  json.dumps
+# with an indent runs the pure-Python encoder, whose nested functions leave
+# a reference cycle on every call.
+_RECORD = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
+
+
+def _extras(records) -> str:
+    """A list of flat records as `graph_to_json` writes it after a top-level key."""
+    items = []
+    for record in records:
+        if not isinstance(record, dict) or any(isinstance(v, (list, tuple, dict)) for v in record.values()):
+            raise TypeError(f"an extras record must be a dict of JSON scalars, got {record!r}")
+        text = _RECORD(record)
+        items.append("{\n      " + text[1:-1] + "\n    }" if record else text)
+    return _array(items, "  ")
 
 
 def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]] | None = None) -> str:
@@ -1082,7 +1098,8 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
     trailing newline.  The text equals `json.dumps(graph_to_dict(graph),
     indent=2, ensure_ascii=False) + "\n"` byte for byte.  `extras` appends
     new top-level keys after "provenance", each a list of flat records of
-    JSON scalars, which `json.dumps` writes (a value it refuses raises TypeError).
+    JSON scalars, which `json.dumps` writes: a list, tuple or dict value, and
+    any value `json.dumps` refuses, raises TypeError.
     A graph holds only strings, ints and finite floats (see
     `KnowledgeGraph`), which str() writes as the stdlib does.
     """
@@ -1118,9 +1135,7 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
         '"provenance": ' + quote(graph.provenance),
     ]
     for key, records in (extras or {}).items():
-        # at depth 1 every line after the first sits two spaces deeper than json.dumps puts it
-        text = json.dumps(records, indent=2, ensure_ascii=False)
-        parts.append(quote(key) + ": " + text.replace("\n", "\n  "))
+        parts.append(quote(key) + ": " + _extras(records))
     return ",\n  ".join(parts) + "\n}\n"
 
 

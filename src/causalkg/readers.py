@@ -85,7 +85,7 @@ def within(where: str, load: Callable, *args):
 
 
 def cannot(action: str, path: str, exc: Exception, error: Error = InputError) -> CausalKgError:
-    """The error for an OSError or Unicode error that kept `action` from the file."""
+    """The error for an OSError, Unicode error or unusable path that kept `action` from the file."""
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     return error(f"cannot {action} {path}: {reason}")
 
@@ -114,7 +114,7 @@ def read_text(path: str) -> str:
         finally:
             os.close(fd)
         text = b"".join(chunks).decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL or a lone surrogate, or bytes not UTF-8
         raise cannot("read", path, exc) from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -9,11 +12,12 @@ import pytest
 import causalkg
 from causalkg.cli import build_parser, main
 from causalkg.encoder import EncoderConfig, encode_tokens
-from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
+from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
 from causalkg.rectify import rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
+from causalkg.training import gold_graph
 
 from synth import build_corpus, random_sciclaim_graph, separator_id_graphs, unknown_type_graphs
 
@@ -973,3 +977,137 @@ def test_an_internal_error_is_not_reported_as_bad_input(workdir, monkeypatch):
     query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
     with pytest.raises(KeyError):
         main(["query", "--input", str(corpus), "--query", str(query)])
+
+
+def write_graph_dir(directory, graphs):
+    """`graphs` as the files of a manifest directory."""
+    directory.mkdir()
+    names = [f"g{i}.json" for i in range(len(graphs))]
+    for name, g in zip(names, graphs):
+        (directory / name).write_text(graph_to_json(g))
+    (directory / "manifest.json").write_text(json.dumps({"graphs": names}))
+    return directory
+
+
+def command_inputs(root, n):
+    """Arguments of each of the eight commands over inputs that grow with `n`,
+    written under the new directory `root`."""
+    root.mkdir()
+    examples = build_corpus()[:2 * n]
+    data = root / "data.json"
+    data.write_text(json.dumps([example_to_dict(ex) for ex in examples]))
+    (root / "sentences.json").write_text(json.dumps([{"tokens": list(ex.tokens)} for ex in examples]))
+    (root / "config.json").write_text(json.dumps({
+        "train": {"epochs": 2, "max_span_len": 3, "neg_entity_count": 5, "neg_relation_count": 5, "seed": 0},
+        "encoder": {"dimension": 8, "seed": 0}, "width_dim": 4,
+    }))
+    model = str(small_model_file(root))
+    rng = np.random.default_rng(n)
+    corpus = str(write_graph_dir(root / "corpus", [random_sciclaim_graph(rng, f"g{i}") for i in range(3 * n)]))
+    (root / "inventory.tsv").write_text("".join(
+        f"t{i}.n.01\tt{i}\t-\t" + "\t".join(["0.25"] * 8) + "\n" for i in range(8)))
+    # every graph holds tokens t0, t1, ..., and lemma links join them all, so a long max_len would explode
+    (root / "query.json").write_text(json.dumps(
+        {"start": {"lemma_any_of": ["t0"]}, "end": {"lemma_any_of": ["t1"]}, "max_len": 2}))
+    pred = str(write_graph_dir(root / "pred", [gold_graph(ex) for ex in examples]))
+    out = str(root / "out")
+    return {
+        "train": ["train", "--data", str(data), "--schema", "sciclaim", "--config", str(root / "config.json"),
+                  "--out", out],
+        "extract": ["extract", "--model", model, "--input", str(root / "sentences.json"), "--out", out],
+        "rectify": ["rectify", "--schema", "sciclaim", "--input", corpus, "--out", out, "--out-dir"],
+        "senses": ["senses", "--input", corpus, "--inventory", str(root / "inventory.tsv"), "--model", model,
+                   "--threshold", "-1.0", "--out", out],
+        "valence": ["valence", "--input", corpus, "--out", out],
+        "query": ["query", "--input", corpus, "--query", str(root / "query.json"), "--out", out],
+        "eval": ["eval", "--pred", pred, "--gold", str(data), "--out", out],
+        "dot": ["dot", "--input", corpus, "--schema", "sciclaim", "--out", out],
+    }
+
+
+def cyclic_garbage(argv):
+    """The number of objects in reference cycles that the command left, run
+    with the collector paused so that none is collected while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "rectify", "senses", "valence", "query", "eval", "dot"])
+def test_a_command_leaves_cyclic_garbage_that_does_not_grow_with_its_input(tmp_path, capsys, command):
+    # main pauses the collector, so a command whose cycles grew with its
+    # input would hold memory that grows with it until the command returns
+    small, large = (command_inputs(tmp_path / f"n{n}", n)[command] for n in (1, 4))
+    cyclic_garbage(large)  # warm-up: first calls fill caches
+    assert cyclic_garbage(small) == cyclic_garbage(large)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "internal error"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, collecting, outcome):
+    args = command_inputs(tmp_path / "inputs", 1)["query"]
+    seen = []  # whether the collector ran, as the command saw it
+
+    def merge(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return merge_corpus(*args, **kwargs)
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("causalkg.cli.merge_corpus", merge)
+    if outcome == "exit 2":
+        (tmp_path / "inputs" / "query.json").write_text("[]")
+    elif outcome == "internal error":
+        monkeypatch.setattr("causalkg.cli.find_paths", broken)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if outcome == "internal error":
+            with pytest.raises(KeyError):
+                main(args)
+        else:
+            assert main(args) == (0 if outcome == "exit 0" else 2)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert seen == ([] if outcome == "exit 2" else [False])
+
+
+def test_a_query_over_a_corpus_runs_no_collection(tmp_path):
+    rng = np.random.default_rng(60)
+    corpus = write_graph_dir(tmp_path / "corpus", [random_sciclaim_graph(rng, f"g{i}") for i in range(64)])
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["t0"]}, "end": {"lemma_any_of": ["t1"]}, "max_len": 1}))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert gc.isenabled()
+        assert main(["query", "--input", str(corpus), "--query", str(query), "--out", str(tmp_path / "q.json")]) == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+    assert json.loads((tmp_path / "q.json").read_text())["paths"]
+
+
+@pytest.mark.parametrize("name", ["\ud800.json", "a\x00b.json"])
+def test_a_manifest_naming_a_file_no_path_can_name_exits_2(tmp_path, name):
+    # os.open raises ValueError, not OSError, for a lone surrogate or a NUL.
+    # The message holds the name; sys.stderr writes a lone surrogate escaped,
+    # and so does a StringIO, while capsys's stream would refuse it.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text(json.dumps({"graphs": [name]}))
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main(["dot", "--input", str(corpus), "--schema", "sciclaim", "--out", str(tmp_path / "dot")]) == 2
+    err = stderr.getvalue()
+    assert err.startswith("causalkg: error: cannot read ") and "Traceback" not in err, err

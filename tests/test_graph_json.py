@@ -1,8 +1,11 @@
 """graph_to_json against the stdlib indenting encoder kept as the oracle:
 the text must be identical byte for byte, and wherever the stdlib raises
 TypeError graph_to_json must raise it too.  A graph holds only values the
-two write alike; an odd value can reach the writer only in `extras`."""
+two write alike; an odd value can reach the writer only in `extras`, whose
+records must be flat: a nested value, which the stdlib would indent, raises
+TypeError too."""
 
+import gc
 import json
 import math
 import re
@@ -221,6 +224,37 @@ def test_type_error_wherever_the_stdlib_raises_it(value):
         oracle(g, extras)
     with pytest.raises(TypeError):
         graph_to_json(g, extras)
+
+
+@pytest.mark.parametrize("records", [
+    # a nested value, which the stdlib would indent and graph_to_json does not write
+    [{"ok": 1, "v": []}], [{"v": [1]}], [{"v": ()}], [{"v": {}}], [{"v": {"a": 1}}],
+    # not a list of records
+    {"a": 1}, "ab", [1], [[]], [None],
+])
+def test_extras_that_are_not_lists_of_flat_records_raise_type_error(records):
+    with pytest.raises(TypeError, match="a dict of JSON scalars"):
+        graph_to_json(by_hand(), {"x": records})
+
+
+def test_extras_leave_no_cyclic_garbage():
+    # a command runs with the collector paused, so a writer that left a
+    # reference cycle per graph would hold memory that grows with the corpus
+    g = by_hand(relations=e_to_f(("q",), [0], [0.5]))
+    extras = {
+        "rectification": [{"element": "e->f:q", "kind": "relation", "confidence": 0.5, "violation": "Signature",
+                           "cascade": False}, {}],
+        "notes": [],
+    }
+    graph_to_json(g, extras)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            graph_to_json(g, extras)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\u2029",
