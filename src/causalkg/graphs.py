@@ -828,38 +828,58 @@ class CorpusIndex:
 
     graphs: the graphs it indexes, as given.
     nodes: global id -> (graph, entity), in corpus order.
-    lemmas: global id -> the entity's lemma set.
     by_lemma: lemma -> the global ids of the nodes whose lemma set holds
     it, in corpus order.
+    `typed_buckets()` gives the nodes by entity type and by attribute
+    type, built on its first call and kept.
 
     Raises DuplicateProvenanceError when two graphs share a provenance.
     Global ids are then unique: entity ids are unique within a graph, and
     distinct (provenance, entity id) pairs render to distinct ids.
     """
 
-    __slots__ = ("graphs", "nodes", "lemmas", "by_lemma")
+    __slots__ = ("graphs", "nodes", "by_lemma", "_typed")
 
     def __init__(self, graphs: Sequence[KnowledgeGraph]) -> None:
         nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
-        lemmas: dict[str, frozenset[str]] = {}
         by_lemma: dict[str, list[str]] = {}
         provenances: set[str] = set()
         for g in graphs:
             if g.provenance in provenances:
                 raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
             provenances.add(g.provenance)
-            prefix = node_prefix(g.provenance)
-            entity_lemmas = g.entity_lemmas
+            prefix, lemmas = node_prefix(g.provenance), g.lemmas
             for e in g.entities:
-                gid = node_id(prefix, e.id)
+                gid = prefix + _escaped[e.id]
                 nodes[gid] = (g, e)
-                lemmas[gid] = node_lemmas = entity_lemmas(e)
-                for lemma in node_lemmas:
-                    by_lemma.setdefault(lemma, []).append(gid)
+                start, end = e.span.start, e.span.end
+                if end - start == 1:  # most nodes: one lemma, and no set to build
+                    members = by_lemma.get(lemmas[start])
+                    if members is None:
+                        by_lemma[lemmas[start]] = [gid]
+                    else:
+                        members.append(gid)
+                else:
+                    for lemma in frozenset(lemmas[start:end]):
+                        by_lemma.setdefault(lemma, []).append(gid)
         self.graphs = graphs
         self.nodes = nodes
-        self.lemmas = lemmas
         self.by_lemma = by_lemma
+        self._typed: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
+
+    def typed_buckets(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(by_type, by_attribute): entity type -> the global ids of the
+        nodes of that type, and attribute type -> those of the nodes that
+        carry it, in corpus order.  Built on the first call and kept."""
+        if self._typed is None:
+            by_type: dict[str, list[str]] = {}
+            by_attribute: dict[str, list[str]] = {}
+            for gid, (_, e) in self.nodes.items():
+                by_type.setdefault(e.entity_type, []).append(gid)
+                for attr_type, _ in e.attributes:
+                    by_attribute.setdefault(attr_type, []).append(gid)
+            self._typed = (by_type, by_attribute)
+        return self._typed
 
 
 @dataclass(frozen=True)
@@ -923,14 +943,11 @@ def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> 
     index = CorpusIndex(graphs)
     hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
     if lemma_link:
-        nodes = index.nodes
+        nodes, by_lemma = index.nodes, index.by_lemma
         # members are in corpus order, so a lemma spans two graphs iff its
-        # first and last members lie in different graphs
-        hubs = tuple(
-            (lemma, tuple(sorted(members)))
-            for lemma, members in sorted(index.by_lemma.items())
-            if nodes[members[0]][0] is not nodes[members[-1]][0]
-        )
+        # first and last members lie in different graphs; only those sort
+        linked = [lemma for lemma, members in by_lemma.items() if nodes[members[0]][0] is not nodes[members[-1]][0]]
+        hubs = tuple((lemma, tuple(sorted(by_lemma[lemma]))) for lemma in sorted(linked))
     return CorpusGraph(graphs, hubs, index)
 
 

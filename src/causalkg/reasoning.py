@@ -202,16 +202,26 @@ def matching_nodes(corpus: CorpusGraph, pattern: NodePattern) -> list[str]:
     """The global ids of the corpus nodes the pattern matches, sorted.
 
     A pattern with `lemma_any_of` is tested only against the nodes the
-    corpus index files under one of its lemmas; any other pattern against
-    every node.
+    corpus index files under one of its lemmas.  One without it but with
+    an entity type or required attributes is tested only against the
+    shortest of the index's typed buckets it names: the nodes of its type,
+    or those carrying one of its attributes.  Any other pattern, one of
+    role constraints or an empty `required_attributes` alone, is tested
+    against every node.
     """
     index = corpus.index
     nodes = index.nodes
-    if pattern.lemma_any_of is None:
-        candidates = nodes
-    else:
+    if pattern.lemma_any_of is not None:
         by_lemma = index.by_lemma
         candidates = {gid for lemma in pattern.lemma_any_of for gid in by_lemma.get(lemma, ())}
+    elif pattern.entity_type is not None or pattern.required_attributes:
+        by_type, by_attribute = index.typed_buckets()
+        buckets = [by_attribute.get(attr_type, ()) for attr_type in pattern.required_attributes or ()]
+        if pattern.entity_type is not None:
+            buckets.append(by_type.get(pattern.entity_type, ()))
+        candidates = min(buckets, key=len)
+    else:
+        candidates = nodes
     return sorted(gid for gid in candidates if pattern.matches(*nodes[gid]))
 
 
@@ -251,7 +261,7 @@ def find_paths(
     if integer(max_len, "max_len", InputError) < 1:
         raise InputError("max_len must be >= 1")
     index = corpus.index
-    nodes, node_lemmas = index.nodes, index.lemmas
+    nodes = index.nodes
     hubs = dict(corpus.lemma_hubs)
     adjacency: dict[str, list[tuple[str, str]]] = {}
 
@@ -270,7 +280,7 @@ def find_paths(
             edges = list(zip(edge_ids(prefix, rels, out + back), [node_id(prefix, rels.ids[i]) for i in ends]))
             linked = {
                 other
-                for lemma in node_lemmas[node]
+                for lemma in g.entity_lemmas(e)
                 for other in hubs.get(lemma, ())
                 if nodes[other][0] is not g
             }

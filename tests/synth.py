@@ -165,6 +165,12 @@ def random_hub_corpus(rng: np.random.Generator, n_graphs=4):
     return merge_corpus(graphs, lemma_link=True)
 
 
+def random_sciclaim_corpus(rng: np.random.Generator, n_graphs=6):
+    """Lemma-linked corpus of `random_sciclaim_graph` graphs: six entity
+    types, attributes on about half the nodes, and spans of 1-2 tokens."""
+    return merge_corpus([random_sciclaim_graph(rng, provenance=f"c{i}") for i in range(n_graphs)], lemma_link=True)
+
+
 def separator_id_graphs():
     """Sciclaim graphs whose entity ids contain the "#" and "->" separators
     of the rendered attribute and relation ids, keyed by a test id."""

@@ -29,7 +29,7 @@ from causalkg.graphs import (
     _text,
 )
 
-from synth import random_hub_corpus, random_sciclaim_graph
+from synth import random_ethno_corpus, random_hub_corpus, random_sciclaim_corpus, random_sciclaim_graph
 
 
 def test_empty_inputs_give_empty_graph():
@@ -418,17 +418,20 @@ def test_graph_from_dict_defaults_absent_or_null_lemmas():
 
 def test_corpus_index_matches_a_scan():
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        corpus = random_hub_corpus(rng)
+    for trial in range(60):
+        corpus = (random_hub_corpus, random_ethno_corpus, random_sciclaim_corpus)[trial % 3](rng)
         index = corpus.index
         expected_nodes = {f"{g.provenance}/{e.id}": (g, e) for g in corpus.graphs for e in g.entities}
         assert index.nodes == expected_nodes and list(index.nodes) == list(expected_nodes)
-        by_lemma = {}
+        by_lemma, by_type, by_attribute = {}, {}, {}
         for gid, (g, e) in expected_nodes.items():
-            assert index.lemmas[gid] == g.entity_lemmas(e)
             for lemma in g.entity_lemmas(e):
                 by_lemma.setdefault(lemma, []).append(gid)
+            by_type.setdefault(e.entity_type, []).append(gid)
+            for attr_type in e.attribute_types():
+                by_attribute.setdefault(attr_type, []).append(gid)
         assert index.by_lemma == by_lemma
+        assert index.typed_buckets() == (by_type, by_attribute)
 
 
 def test_corpus_index_stays_out_of_equality_and_repr():

@@ -19,7 +19,7 @@ from causalkg.reasoning import (
 )
 from causalkg.schema import load_schema
 
-from synth import random_ethno_corpus, random_hub_corpus
+from synth import random_ethno_corpus, random_hub_corpus, random_sciclaim_corpus
 
 ETHNO = load_schema("ethno")
 
@@ -493,8 +493,10 @@ def scan_matches(pattern, graph, entity):
 @st.composite
 def role_patterns(draw, lemmas, relation_types, depth=2):
     lemma_any_of = draw(st.none() | st.frozensets(st.sampled_from(lemmas), max_size=3))
-    entity_type = draw(st.none() | st.sampled_from(["element", "qualifier"]))
-    attributes = draw(st.none() | st.just(frozenset()) | st.just(frozenset({"negated"})))
+    # types and attributes of ethno and sciclaim nodes, and a type no node has
+    entity_type = draw(st.none() | st.sampled_from(["element", "qualifier", "unheld"]))
+    attribute_sets = [frozenset(), frozenset({"causation"}), frozenset({"causation", "sign+"})]
+    attributes = draw(st.none() | st.sampled_from(attribute_sets))
     roles = None
     if depth and draw(st.booleans()):
         sub = role_patterns(lemmas, relation_types, depth - 1)
@@ -551,25 +553,63 @@ def test_find_paths_on_a_corpus_built_without_merge_corpus():
 
 
 def test_index_selected_candidates_agree_with_a_scan():
-    lemma_patterns = [0]
+    lemma_patterns, typed_patterns = [0], [0]
+
+    # sciclaim corpora carry attributes, which ethno ones lack
+    corpora = st.sampled_from([random_ethno_corpus, random_hub_corpus, random_sciclaim_corpus])
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
-    def check(seed, hubs, data):
-        rng = np.random.default_rng(seed)
-        corpus = random_hub_corpus(rng) if hubs else random_ethno_corpus(rng)
+    @given(st.integers(0, 2**32 - 1), corpora, st.data())
+    def check(seed, corpus_of, data):
+        corpus = corpus_of(np.random.default_rng(seed))
         # lemmas no node holds too, which select no candidate
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas} | {"unheld"})
         relation_types = sorted({r.relation_type for g in corpus.graphs for r in g.relations} or {"agent"})
         pattern = data.draw(role_patterns(lemmas, relation_types))
         # and one a lemma of some node is sure to select, so the count
         # below does not hang on the patterns drawn
-        held = sorted({lemma for node_lemmas in corpus.index.lemmas.values() for lemma in node_lemmas})
+        held = sorted({lemma for g, e in corpus.index.nodes.values() for lemma in g.entity_lemmas(e)})
         sure = NodePattern(lemma_any_of=frozenset({data.draw(st.sampled_from(held))}))
         for p in (pattern, sure):
             expected = sorted(gid for gid, (g, e) in corpus.index.nodes.items() if scan_matches(p, g, e))
             assert matching_nodes(corpus, p) == expected
             lemma_patterns[0] += p.lemma_any_of is not None and bool(expected)
+            typed_patterns[0] += typed_only(p) and bool(expected)
 
     check()
-    assert lemma_patterns[0] > 20
+    assert lemma_patterns[0] > 20 and typed_patterns[0] > 20
+
+
+def typed_only(pattern):
+    """Whether the pattern names an entity type or an attribute and no lemma:
+    one `matching_nodes` looks up in the index's typed buckets."""
+    return pattern.lemma_any_of is None and (pattern.entity_type is not None or bool(pattern.required_attributes))
+
+
+def test_a_typed_lookup_tests_only_the_nodes_of_its_bucket(monkeypatch):
+    tested = []
+    matches = NodePattern.matches
+    monkeypatch.setattr(NodePattern, "matches", lambda self, g, e: tested.append(e) or matches(self, g, e))
+    corpus = random_sciclaim_corpus(np.random.default_rng(59), n_graphs=12)
+    nodes = corpus.index.nodes
+    qualifiers = [e for _, e in nodes.values() if e.entity_type == "qualifier"]
+    assert 0 < len(qualifiers) < len(nodes) / 3
+    assert len(matching_nodes(corpus, NodePattern(entity_type="qualifier"))) == len(qualifiers)
+    assert tested == qualifiers
+    # later typed lookups read the buckets the first built, each only the
+    # shortest its pattern names, whether a type or an attribute names it
+    buckets = by_type, by_attribute = corpus.index.typed_buckets()
+    types = sorted(by_type, key=lambda t: len(by_type[t]))
+    attrs = sorted(by_attribute, key=lambda a: len(by_attribute[a]))
+    assert len(by_type[types[0]]) < len(by_attribute[attrs[-1]])
+    assert len(by_attribute[attrs[0]]) < len(by_type[types[-1]])
+    for entity_type, attributes, bucket in [
+        (types[0], {attrs[-1]}, by_type[types[0]]),
+        (types[-1], {attrs[0], attrs[-1]}, by_attribute[attrs[0]]),
+    ]:
+        pattern = NodePattern(entity_type=entity_type, required_attributes=frozenset(attributes))
+        tested.clear()
+        expected = sorted(gid for gid, (g, e) in nodes.items() if scan_matches(pattern, g, e))
+        assert matching_nodes(corpus, pattern) == expected
+        assert tested == [nodes[gid][1] for gid in bucket]
+    assert corpus.index.typed_buckets() is buckets
