@@ -826,7 +826,6 @@ def with_senses(graph: KnowledgeGraph, senses: Iterable[Iterable[tuple[str, floa
 class CorpusIndex:
     """Lookups over a corpus's nodes, built in one pass over its entities.
 
-    graphs: the graphs it indexes, as given.
     nodes: global id -> (graph, entity), in corpus order.
     by_lemma: lemma -> the global ids of the nodes whose lemma set holds
     it, in corpus order.
@@ -838,7 +837,7 @@ class CorpusIndex:
     distinct (provenance, entity id) pairs render to distinct ids.
     """
 
-    __slots__ = ("graphs", "nodes", "by_lemma", "_typed")
+    __slots__ = ("nodes", "by_lemma", "_typed")
 
     def __init__(self, graphs: Sequence[KnowledgeGraph]) -> None:
         nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
@@ -862,7 +861,6 @@ class CorpusIndex:
                 else:
                     for lemma in frozenset(lemmas[start:end]):
                         by_lemma.setdefault(lemma, []).append(gid)
-        self.graphs = graphs
         self.nodes = nodes
         self.by_lemma = by_lemma
         self._typed: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
@@ -884,32 +882,45 @@ class CorpusIndex:
 
 @dataclass(frozen=True)
 class CorpusGraph:
-    """Disjoint union of sentence graphs with optional cross-sentence links.
+    """Disjoint union of sentence graphs, optionally lemma-linked.
 
     Nodes are addressed by global ids, "<provenance>/<entity_id>" with each
-    part escaped (see `node_id`); provenances must be unique.  Lemma links
-    are undirected pseudo-edges between same-lemma entities of distinct
-    sentence graphs.  They are stored as lemma_hubs: one (lemma, sorted
-    global ids) entry per lemma that entities of at least two distinct
-    graphs share, so storage grows with the members, not with the pairs.
-    Two nodes are linked iff some hub holds both and they belong to
-    different graphs; `find_paths` expands a node's hubs only when it
-    reaches the node.
+    part escaped (see `node_id`): entity "c" of graph "a/b" and entity
+    "b/c" of graph "a" are distinct nodes, "a\\/b/c" and "a/b\\/c".
+    A lemma link is an undirected pseudo-edge that joins two entities of
+    distinct graphs iff they share at least one lemma (exact string
+    equality over each span's lemma set).  With lemma_link, the links are
+    stored as lemma_hubs: one (lemma, sorted global ids) entry per lemma
+    that entities of at least two distinct graphs share, so storage grows
+    with the members, not with the pairs.  Two nodes are linked iff some
+    hub holds both and they belong to different graphs; `find_paths`
+    expands a node's hubs only when it reaches the node.
 
-    `index` is the corpus's `CorpusIndex`, built with the corpus, so a
-    duplicate provenance raises here; `merge_corpus` passes the one its
-    pass over the entities builds.  An index over other graphs, which
-    `replace` with new graphs hands over, is rebuilt.  It takes no part in
-    `==`, hashing or `repr`.
+    Only graphs and lemma_link are given; every construction, `replace`
+    included, derives the rest from them.  `index`, the corpus's
+    `CorpusIndex`, takes no part in `==`, hashing or `repr`.  Raises
+    GraphError when graphs is not a sequence of `KnowledgeGraph`s, and
+    DuplicateProvenanceError when two of them share a provenance.
     """
 
     graphs: tuple[KnowledgeGraph, ...]
-    lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    index: CorpusIndex | None = field(default=None, compare=False, repr=False)
+    lemma_link: bool = False
+    lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = field(init=False)
+    index: CorpusIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.index is None or self.index.graphs is not self.graphs:
-            object.__setattr__(self, "index", CorpusIndex(self.graphs))
+        graphs = _elements(self.graphs, "graph", KnowledgeGraph)
+        index = CorpusIndex(graphs)
+        hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
+        if self.lemma_link:
+            nodes, by_lemma = index.nodes, index.by_lemma
+            # members are in corpus order, so a lemma spans two graphs iff its
+            # first and last members lie in different graphs; only those sort
+            linked = [lemma for lemma, members in by_lemma.items() if nodes[members[0]][0] is not nodes[members[-1]][0]]
+            hubs = tuple((lemma, tuple(sorted(by_lemma[lemma]))) for lemma in sorted(linked))
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "lemma_hubs", hubs)
+        object.__setattr__(self, "index", index)
 
     @property
     def lemma_links(self) -> frozenset[tuple[str, str]]:
@@ -929,26 +940,8 @@ class CorpusGraph:
 
 
 def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> CorpusGraph:
-    """Disjoint union of sentence graphs, optionally lemma-linked.
-
-    A lemma link joins two entities of distinct graphs iff they share at
-    least one lemma (exact string equality over each span's lemma set).
-    The links are stored as hubs (see `CorpusGraph`), read off the corpus
-    index that one pass over the entities builds.  Raises
-    DuplicateProvenanceError when two graphs share a provenance.  Entity
-    "c" of graph "a/b" and entity "b/c" of graph "a" are distinct nodes,
-    "a\\/b/c" and "a/b\\/c".
-    """
-    graphs = tuple(graphs)
-    index = CorpusIndex(graphs)
-    hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    if lemma_link:
-        nodes, by_lemma = index.nodes, index.by_lemma
-        # members are in corpus order, so a lemma spans two graphs iff its
-        # first and last members lie in different graphs; only those sort
-        linked = [lemma for lemma, members in by_lemma.items() if nodes[members[0]][0] is not nodes[members[-1]][0]]
-        hubs = tuple((lemma, tuple(sorted(by_lemma[lemma]))) for lemma in sorted(linked))
-    return CorpusGraph(graphs, hubs, index)
+    """The corpus of graphs, lemma-linked if lemma_link; see `CorpusGraph`."""
+    return CorpusGraph(graphs, lemma_link)
 
 
 def graph_to_dict(graph: KnowledgeGraph) -> dict:

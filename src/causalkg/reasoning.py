@@ -114,7 +114,9 @@ class NodePattern:
     All present fields must hold: any node lemma in lemma_any_of, the
     entity type equal, every required attribute present, and for each role
     constraint an outgoing edge of that relation type whose target matches
-    the sub-pattern.  At least one field must be present.
+    the sub-pattern.  At least one field must be present; QueryError names
+    a field that is not of its type: a set or frozenset of strings, a
+    string, or a tuple of (relation type, NodePattern) pairs.
     """
 
     lemma_any_of: frozenset[str] | None = None
@@ -123,13 +125,19 @@ class NodePattern:
     role_constraints: tuple[tuple[str, "NodePattern"], ...] | None = None
 
     def __post_init__(self) -> None:
-        if (
-            self.lemma_any_of is None
-            and self.entity_type is None
-            and self.required_attributes is None
-            and self.role_constraints is None
-        ):
+        lemmas, entity_type, attributes, roles = (getattr(self, key) for key in _PATTERN_KEYS)
+        if lemmas is None and entity_type is None and attributes is None and roles is None:
             raise QueryError("NodePattern must constrain at least one field")
+        for name, value in (("lemma_any_of", lemmas), ("required_attributes", attributes)):
+            if not (value is None or isinstance(value, (set, frozenset)) and all(isinstance(v, str) for v in value)):
+                raise QueryError(f"pattern field {name!r} {value!r} is not a set of strings")
+        if not (entity_type is None or isinstance(entity_type, str)):
+            raise QueryError(f"pattern field 'entity_type' {entity_type!r} is not a string")
+        if not (roles is None or isinstance(roles, tuple) and all(
+            isinstance(rc, tuple) and len(rc) == 2 and isinstance(rc[0], str) and isinstance(rc[1], NodePattern)
+            for rc in roles
+        )):
+            raise QueryError(f"pattern field 'role_constraints' {roles!r} is not a tuple of (str, NodePattern) pairs")
 
     @staticmethod
     def from_dict(data: Mapping) -> "NodePattern":

@@ -106,12 +106,6 @@ class SenseInventory:
                 seen.add(cur)
                 cur = self.records[cur].parent
 
-    @property
-    def dimension(self) -> int:
-        if self._matrix is None:
-            raise InventoryError("empty inventory has no dimension")
-        return self._matrix.shape[1]
-
     def ancestry(self, sense_id: str) -> list[str]:
         """Path from root to the sense, inclusive."""
         chain = []

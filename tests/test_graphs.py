@@ -437,16 +437,67 @@ def test_corpus_index_matches_a_scan():
 def test_corpus_index_stays_out_of_equality_and_repr():
     rng = np.random.default_rng(43)
     corpus = random_hub_corpus(rng)
-    direct = CorpusGraph(corpus.graphs, corpus.lemma_hubs)
+    direct = CorpusGraph(corpus.graphs, lemma_link=True)
     assert direct.index is not corpus.index  # built with the corpus
     assert direct == corpus and hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
     assert "index" not in repr(corpus)
     assert direct.index.nodes == corpus.index.nodes
     assert direct.index is direct.index
-    # a copy with other graphs builds its own index; one with the same keeps it
+    # a copy with other graphs or another lemma_link derives its own index and hubs
     fewer = replace(corpus, graphs=corpus.graphs[:1])
     assert set(fewer.index.nodes) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
-    assert replace(corpus, lemma_hubs=()).index is corpus.index
+    assert replace(corpus, lemma_link=False).lemma_hubs == ()
+
+
+def test_a_corpus_derives_its_hubs_from_its_graphs():
+    rng = np.random.default_rng(53)
+    for trial in range(30):
+        corpus = (random_hub_corpus, random_ethno_corpus, random_sciclaim_corpus)[trial % 3](rng)
+        graphs = corpus.graphs
+        direct = CorpusGraph(graphs, True)
+        assert direct == merge_corpus(graphs, True) == corpus
+        assert hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
+        nodes = corpus.index.nodes
+        for _, members in corpus.lemma_hubs:
+            assert set(members) <= nodes.keys()
+            assert len({nodes[m][0].provenance for m in members}) >= 2
+        k = int(rng.integers(0, len(graphs)))
+        fewer = replace(corpus, graphs=graphs[:k])
+        assert fewer == merge_corpus(graphs[:k], True)
+        assert all(set(members) <= fewer.index.nodes.keys() for _, members in fewer.lemma_hubs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: CorpusGraph(5),
+        lambda g: CorpusGraph("ab"),
+        lambda g: CorpusGraph((g, "x")),
+        lambda g: merge_corpus([g, 3]),
+    ],
+    ids=["int", "str", "str member", "int member"],
+)
+def test_a_corpus_of_other_than_graphs_is_refused(build):
+    g = assemble_graph(["a"], None, [], provenance="x")
+    with pytest.raises(GraphError):
+        build(g)
+
+
+def test_hubs_and_an_index_cannot_be_handed_in(monkeypatch):
+    g1 = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="p1")
+    g2 = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="p2")
+    corpus = merge_corpus([g1, g2], lemma_link=True)
+    assert corpus.lemma_hubs == (("baby", ("p1/e0", "p2/e0")),)
+    built = []
+    monkeypatch.setattr(CorpusGraph, "__post_init__", lambda self: built.append(self))
+    for name, value in (("lemma_hubs", (("a", ("p1/e0", "nope/e9")),)), ("index", corpus.index)):
+        with pytest.raises(TypeError):
+            CorpusGraph(corpus.graphs, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            replace(corpus, **{name: value})
+    with pytest.raises(TypeError):
+        CorpusGraph(corpus.graphs, True, corpus.lemma_hubs)
+    assert built == []  # refused before any corpus exists
 
 
 def test_incoming_index_matches_a_relation_scan():

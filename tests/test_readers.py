@@ -696,6 +696,7 @@ def test_type_codes_are_numbered_only_in_schema_py():
 CONSTRUCTORS = {
     "KnowledgeGraph": {"graphs.py"},
     "CorpusGraph": {"graphs.py"},
+    "CorpusIndex": {"graphs.py"},
     "Relations": {"graphs.py"},
 }
 

@@ -1,6 +1,7 @@
 import gc
 import re
 import weakref
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -444,6 +445,18 @@ def test_pattern_from_dict_rejects_malformed_documents(doc):
         NodePattern.from_dict(doc)
 
 
+@pytest.mark.parametrize("fields", [
+    {"lemma_any_of": "a"},
+    {"entity_type": 5},
+    {"required_attributes": frozenset({"causation", 3})},
+    {"role_constraints": (("q+", "x"),)},
+])
+def test_node_pattern_refuses_a_field_of_another_type(fields):
+    (name,) = fields
+    with pytest.raises(QueryError, match=name):
+        NodePattern(**fields)
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
     lambda children: st.lists(children, max_size=4)
@@ -541,13 +554,32 @@ def test_find_paths_on_a_corpus_built_without_merge_corpus():
     paths = 0
     for trial in range(40):
         corpus = random_hub_corpus(rng, n_graphs=int(rng.integers(3, 7))) if trial % 2 else random_ethno_corpus(rng)
-        direct = CorpusGraph(corpus.graphs, corpus.lemma_hubs)
+        direct = CorpusGraph(corpus.graphs, lemma_link=True)
         lemmas = sorted({lemma for g in corpus.graphs for lemma in g.lemmas})
         start = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
         end = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
         max_len = int(rng.integers(1, 5))
         result = find_paths(direct, start, end, max_len=max_len)
         assert result == find_paths(corpus, start, end, max_len=max_len)
+        paths += len(result.paths)
+    assert paths
+
+
+def test_find_paths_on_a_corpus_replaced_with_fewer_graphs():
+    # the copy derives its hubs from the graphs it keeps, so none names a dropped node
+    rng = np.random.default_rng(43)
+    paths = 0
+    for trial in range(30):
+        corpus = (random_hub_corpus, random_ethno_corpus, random_sciclaim_corpus)[trial % 3](rng)
+        k = 1 if trial == 0 else int(rng.integers(1, len(corpus.graphs) + 1))
+        fewer = replace(corpus, graphs=corpus.graphs[:k])
+        fresh = merge_corpus(corpus.graphs[:k], lemma_link=True)
+        assert fewer.lemma_links == fresh.lemma_links
+        lemmas = sorted({lemma for g in fewer.graphs for lemma in g.lemmas})
+        start = NodePattern(lemma_any_of=frozenset(lemmas))
+        end = NodePattern(lemma_any_of=frozenset({lemmas[rng.integers(len(lemmas))]}))
+        result = find_paths(fewer, start, end, max_len=2)
+        assert result == find_paths(fresh, start, end, max_len=2)
         paths += len(result.paths)
     assert paths
 
