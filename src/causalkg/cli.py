@@ -43,7 +43,7 @@ from .readers import (
     write_text,
 )
 from .reasoning import NodePattern, compute_valence, find_paths
-from .rectify import rectify
+from .rectify import RemovalRecord, rectify
 from .schema import Schema, load_schema
 from .senses import link_senses, load_glosses, load_inventory
 from .training import TrainConfig, gold_graph, load_dataset, train
@@ -114,17 +114,19 @@ def _load_graphs(path: str) -> list[KnowledgeGraph]:
     return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths]
 
 
-def _write_graphs(out: str, graphs: list[KnowledgeGraph], extras: list[dict] | None = None, one_file=False):
+def _write_graphs(
+    out: str, graphs: list[KnowledgeGraph], logs: list[list[RemovalRecord]] | None = None, one_file=False
+):
     """The graphs as files of directory `out` with a manifest, or a lone graph as file `out` if `one_file`;
-    extras[i] holds the keys that `graph_to_json` adds to graph i's file."""
-    extras = extras or [None] * len(graphs)
+    logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file."""
+    logs = logs or [None] * len(graphs)
     if one_file and len(graphs) == 1:
-        write_text(out, graph_to_json(graphs[0], extras[0]))
+        write_text(out, graph_to_json(graphs[0], logs[0]))
         return
     _makedirs(out)
     names = [f"graph_{i:04d}.json" for i in range(len(graphs))]
-    for name, g, extra in zip(names, graphs, extras, strict=True):
-        write_text(os.path.join(out, name), graph_to_json(g, extra))
+    for name, g, log in zip(names, graphs, logs, strict=True):
+        write_text(os.path.join(out, name), graph_to_json(g, log))
     manifest = {"graphs": names, "provenance": [g.provenance for g in graphs]}
     _dump_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -164,13 +166,8 @@ def _cmd_extract(args) -> None:
 
 def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
-    graphs = _load_graphs(args.input)
-    rectified, extras = [], []
-    for g in graphs:
-        fixed, log = rectify(g, schema)
-        rectified.append(fixed)
-        extras.append({"rectification": [rec.to_dict() for rec in log]})
-    _write_graphs(args.out, rectified, extras, one_file=not args.out_dir)
+    results = [rectify(g, schema) for g in _load_graphs(args.input)]
+    _write_graphs(args.out, [fixed for fixed, _ in results], [log for _, log in results], one_file=not args.out_dir)
 
 
 def _cmd_senses(args) -> None:

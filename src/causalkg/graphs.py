@@ -16,6 +16,7 @@ from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from itertools import compress, islice
 from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .errors import (
     SelfLoopError,
 )
 from .readers import array, integer, obj, real, required, string, strings
+
+if TYPE_CHECKING:
+    from .rectify import RemovalRecord  # rectify imports this module
 
 __all__ = [
     "Span",
@@ -199,12 +203,6 @@ class Entity:
 
     def has_attribute(self, attr_type: str) -> bool:
         return any(t == attr_type for t, _ in self.attributes)
-
-    def attribute_confidence(self, attr_type: str) -> float:
-        for t, c in self.attributes:
-            if t == attr_type:
-                return c
-        raise KeyError(attr_type)
 
 
 def _new_entity(ent_id, span, ent_type, conf, attributes, senses) -> Entity:
@@ -1073,43 +1071,26 @@ def _array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-# Entity, attribute and sense records at their fixed depths.  Relations,
-# which outnumber them by far, are written by an f-string in graph_to_json:
-# it formats about a fifth faster than %.
+# Entity, attribute and sense records at their fixed depths.  Relations and
+# log records, which outnumber them by far, are written by f-strings in
+# graph_to_json: they format about a fifth faster than %.
 _ENTITY = (
     '{\n      "id": %s,\n      "start": %s,\n      "end": %s,\n      "type": %s,'
     '\n      "confidence": %s,\n      "attributes": %s,\n      "senses": %s\n    }'
 )
 _ATTRIBUTE = '{\n          "type": %s,\n          "confidence": %s\n        }'
 _SENSE = '{\n          "sense": %s,\n          "confidence": %s\n        }'
-# A flat record of extras, written in one call of the C encoder, whose item
-# separator carries the newline and indent of the next field.  json.dumps
-# with an indent runs the pure-Python encoder, whose nested functions leave
-# a reference cycle on every call.
-_RECORD = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
 
 
-def _extras(records) -> str:
-    """A list of flat records as `graph_to_json` writes it after a top-level key."""
-    items = []
-    for record in records:
-        if not isinstance(record, dict) or any(isinstance(v, (list, tuple, dict)) for v in record.values()):
-            raise TypeError(f"an extras record must be a dict of JSON scalars, got {record!r}")
-        text = _RECORD(record)
-        items.append("{\n      " + text[1:-1] + "\n    }" if record else text)
-    return _array(items, "  ")
-
-
-def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]] | None = None) -> str:
+def graph_to_json(graph: KnowledgeGraph, log: Sequence[RemovalRecord] | None = None) -> str:
     """The interchange text of `graph_to_dict(graph)`, built in one pass.
 
     The layout is fixed: the key order of `graph_to_dict`, a 2-space
     indent, strings as unescaped UTF-8, `[]` for an empty list and a
     trailing newline.  The text equals `json.dumps(graph_to_dict(graph),
-    indent=2, ensure_ascii=False) + "\n"` byte for byte.  `extras` appends
-    new top-level keys after "provenance", each a list of flat records of
-    JSON scalars, which `json.dumps` writes: a list, tuple or dict value, and
-    any value `json.dumps` refuses, raises TypeError.
+    indent=2, ensure_ascii=False) + "\n"` byte for byte.  A `log` of
+    `rectify`'s removals is appended after "provenance" as the key
+    "rectification", a list of `RemovalRecord.to_dict()` records.
     A graph holds only strings, ints and finite floats (see
     `KnowledgeGraph`), which str() writes as the stdlib does.
     """
@@ -1144,8 +1125,14 @@ def graph_to_json(graph: KnowledgeGraph, extras: Mapping[str, Sequence[Mapping]]
         '"relations": ' + _array(relations, "  "),
         '"provenance": ' + quote(graph.provenance),
     ]
-    for key, records in (extras or {}).items():
-        parts.append(quote(key) + ": " + _extras(records))
+    if log is not None:
+        # a record's confidence is one of the graph's floats, written by repr as above
+        records = [
+            f'{{\n      "element": {quote(e)},\n      "kind": {quote(k)},\n      "confidence": {conf!r},'
+            f'\n      "violation": {quote(v)},\n      "cascade": {"true" if cascade else "false"}\n    }}'
+            for e, k, conf, v, cascade in log
+        ]
+        parts.append('"rectification": ' + _array(records, "  "))
     return ",\n  ".join(parts) + "\n}\n"
 
 

@@ -219,7 +219,7 @@ def _remove(
             if e.id == ent_id:
                 kept = tuple(p for p in e.attributes if p[0] != attr)
                 log.append(
-                    RemovalRecord(element_id, "attribute", e.attribute_confidence(attr), violation_kind)
+                    RemovalRecord(element_id, "attribute", dict(e.attributes)[attr], violation_kind)
                 )
                 e = replace(e, attributes=kept)
             entities.append(e)

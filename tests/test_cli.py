@@ -14,7 +14,7 @@ from causalkg.cli import build_parser, main
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
-from causalkg.rectify import rectify
+from causalkg.rectify import RemovalRecord, rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
 from causalkg.training import gold_graph
@@ -412,6 +412,16 @@ def test_rectify_logs_each_graph_that_shares_a_provenance(tmp_path):
         assert graph_from_dict(doc) == graph
 
 
+@pytest.mark.parametrize("flags", [["--out-dir"], []])
+def test_rectify_of_an_empty_manifest_writes_an_empty_manifest(tmp_path, flags):
+    corpus, out = tmp_path / "corpus", tmp_path / "fixed"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text(json.dumps({"graphs": []}))
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(out), *flags]) == 0
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text()) == {"graphs": [], "provenance": []}
+
+
 @pytest.mark.parametrize("command", ["query", "valence"])
 def test_a_repeated_provenance_exits_2_naming_it(tmp_path, capsys, command):
     corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0"), ("s0", "e1")])
@@ -717,12 +727,15 @@ def graph_files(out):
     return [out / name for name in json.loads((out / "manifest.json").read_text())["graphs"]]
 
 
-def assert_interchange_layout(path, extra_keys=()):
+def assert_interchange_layout(path, rectified=False):
     text = path.read_text(encoding="utf-8")
     doc = json.loads(text)
     assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    extras = {key: doc.pop(key) for key in extra_keys}
-    assert text == graph_to_json(graph_from_dict(doc), extras or None)
+    log = None
+    if rectified:
+        log = [RemovalRecord(r["element"], r["kind"], r["confidence"], r["violation"], r["cascade"])
+               for r in doc.pop("rectification")]
+    assert text == graph_to_json(graph_from_dict(doc), log)
     return doc
 
 
@@ -749,7 +762,7 @@ def test_graph_writing_commands_keep_the_interchange_layout(workdir):
     removed = 0
     for path in graph_files(fixed_dir) + graph_files(single):
         assert list(json.loads(path.read_text()))[-1] == "rectification"
-        assert_interchange_layout(path, ["rectification"])
+        assert_interchange_layout(path, rectified=True)
         removed += len(json.loads(path.read_text())["rectification"])
     assert removed
 

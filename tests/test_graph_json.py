@@ -1,9 +1,8 @@
 """graph_to_json against the stdlib indenting encoder kept as the oracle:
-the text must be identical byte for byte, and wherever the stdlib raises
-TypeError graph_to_json must raise it too.  A graph holds only values the
-two write alike; an odd value can reach the writer only in `extras`, whose
-records must be flat: a nested value, which the stdlib would indent, raises
-TypeError too."""
+the text of a graph, and of a graph with `rectify`'s log appended as
+"rectification", must be identical byte for byte.  A graph holds only
+values the two write alike, and a log holds `RemovalRecord`s, whose dict
+form the oracle writes."""
 
 import gc
 import json
@@ -29,7 +28,7 @@ from causalkg.graphs import (
     graph_to_json,
 )
 from causalkg.model import Model, extract
-from causalkg.rectify import rectify
+from causalkg.rectify import RemovalRecord, rectify
 from causalkg.schema import load_schema
 from causalkg.senses import link_senses, load_inventory
 from causalkg.training import TrainConfig, train
@@ -37,14 +36,15 @@ from causalkg.training import TrainConfig, train
 SCICLAIM = load_schema("sciclaim")
 
 
-def oracle(graph, extras=None):
+def oracle(graph, log=None):
     doc = graph_to_dict(graph)
-    doc.update(extras or {})
+    if log is not None:
+        doc["rectification"] = [rec.to_dict() for rec in log]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def assert_identical(graph, extras=None):
-    assert graph_to_json(graph, extras) == oracle(graph, extras)
+def assert_identical(graph, log=None):
+    assert graph_to_json(graph, log) == oracle(graph, log)
 
 
 def inventory_for(encoder, vocabulary, rng):
@@ -77,7 +77,7 @@ def test_dense_extraction_raw_and_rectified_linked():
     for raw, linked, log, linked_raw in dense_linked_graphs():
         assert_identical(raw)
         assert_identical(linked)
-        assert_identical(linked, {"rectification": [rec.to_dict() for rec in log]})
+        assert_identical(linked, log)
         assert_identical(linked_raw)
         relations += len(raw.relations)
         senses += sum(len(e.senses) for e in linked_raw.entities)
@@ -105,15 +105,14 @@ def test_criterion_4_graphs():
         g = synth.random_sciclaim_graph(rng, provenance=f"a{i}")
         fixed, log = rectify(g, SCICLAIM)
         assert_identical(g)
-        assert_identical(fixed, {"rectification": [rec.to_dict() for rec in log]})
+        assert_identical(fixed, log)
 
 
 def test_empty_graph_and_empty_extras():
     empty = assemble_graph([], None, [])
     assert graph_to_json(empty) == oracle(empty)
     assert '"tokens": []' in graph_to_json(empty)
-    assert_identical(empty, {"rectification": []})
-    assert_identical(empty, {"notes": [{}], "more": [{"a": None, "b": True, "c": 3, "\u00e9": "\u2028\ud800"}]})
+    assert_identical(empty, [])
 
 
 # Two entities, and relation columns of rows e->f built by hand.
@@ -209,49 +208,18 @@ def test_numpy_and_int_numbers_are_stored_as_python_numbers(make):
     assert_identical(graph)
 
 
-def test_extras_are_written_as_the_stdlib_writes_them():
-    g = by_hand()
-    assert_identical(g, {"x": [{"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "t": True, "f": False,
-                                "none": None, "int": 7, "np": np.float64(0.25)}]})
-    text = graph_to_json(g, {"x": [{"nan": math.nan, "inf": -math.inf}]})
-    assert '"nan": NaN' in text and '"inf": -Infinity' in text
-
-
-@pytest.mark.parametrize("value", [np.int64(1), np.int32(1), frozenset(), object()])
-def test_type_error_wherever_the_stdlib_raises_it(value):
-    g, extras = by_hand(), {"x": [{"v": value}]}
-    with pytest.raises(TypeError):
-        oracle(g, extras)
-    with pytest.raises(TypeError):
-        graph_to_json(g, extras)
-
-
-@pytest.mark.parametrize("records", [
-    # a nested value, which the stdlib would indent and graph_to_json does not write
-    [{"ok": 1, "v": []}], [{"v": [1]}], [{"v": ()}], [{"v": {}}], [{"v": {"a": 1}}],
-    # not a list of records
-    {"a": 1}, "ab", [1], [[]], [None],
-])
-def test_extras_that_are_not_lists_of_flat_records_raise_type_error(records):
-    with pytest.raises(TypeError, match="a dict of JSON scalars"):
-        graph_to_json(by_hand(), {"x": records})
-
-
 def test_extras_leave_no_cyclic_garbage():
     # a command runs with the collector paused, so a writer that left a
     # reference cycle per graph would hold memory that grows with the corpus
     g = by_hand(relations=e_to_f(("q",), [0], [0.5]))
-    extras = {
-        "rectification": [{"element": "e->f:q", "kind": "relation", "confidence": 0.5, "violation": "Signature",
-                           "cascade": False}, {}],
-        "notes": [],
-    }
-    graph_to_json(g, extras)
+    log = [RemovalRecord("e->f:q", "relation", 0.5, "RelationSignature"),
+           RemovalRecord("e#a", "attribute", 0.25, "AttributeDomain", cascade=True)]
+    graph_to_json(g, log)
     gc.collect()
     gc.disable()
     try:
         for _ in range(20):
-            graph_to_json(g, extras)
+            graph_to_json(g, log)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -309,3 +277,27 @@ def test_random_graphs_match_the_stdlib_and_round_trip():
     assert {'"', "\\", "\x00", "\x1f", "\u2028", "\ud800", "\U0001f600"} <= chars
     assert numbers == {"-0.0", "5e-324", "1e-07", "1e+16"}
     assert parts == {"relation", "sense"}
+
+
+# any finite float, as for a sense: the writer takes a record's confidence as it is
+RECORD = st.builds(RemovalRecord, TEXT, TEXT, SENSE_CONFIDENCE, TEXT, st.booleans())
+
+
+def test_random_logs_match_the_stdlib():
+    chars, numbers, cascades = set(), set(), set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(graphs(), st.lists(RECORD, max_size=4))
+    def check(graph, log):
+        text = graph_to_json(graph, log)
+        assert text == oracle(graph, log)
+        # what the drawn logs hold, to check below that they reach the hard cases
+        strings = [s for rec in log for s in (rec.element_id, rec.kind, rec.violation_kind)]
+        chars.update(c for c in TRICKY if any(c in s for s in strings))
+        numbers.update({"-0.0", "5e-324", "1e-07", "1e+16"} & {repr(rec.confidence) for rec in log})
+        cascades.update(rec.cascade for rec in log)
+
+    check()
+    assert {'"', "\\", "\x00", "\x1f", "\u2028", "\ud800", "\U0001f600"} <= chars
+    assert numbers == {"-0.0", "5e-324", "1e-07", "1e+16"}
+    assert cascades == {False, True}

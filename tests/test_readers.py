@@ -464,15 +464,7 @@ def test_every_dataclass_is_frozen():
     assert found == set(), "make the dataclass frozen=True; dataclasses.replace changes a field, through its checks"
 
 
-# -- builtin exceptions are raised only at programmer-error sites -------------
-
-# (module, function, exception): misuse of the library, not bad input
-ALLOWED_BUILTIN_RAISES = {
-    ("graphs.py", "attribute_confidence", "KeyError"),
-    # extras come from the caller's code (rectify's log), never from a file
-    ("graphs.py", "_extras", "TypeError"),
-}
-
+# -- the library raises no builtin exception ----------------------------------
 
 def builtin_raises(source: str) -> list[tuple[str, str]]:
     """(enclosing function, exception name) per `raise` of a builtin exception class."""
@@ -510,11 +502,10 @@ def test_library_raises_builtin_exceptions_only_at_programmer_error_sites():
         for path in sorted(SRC.glob("*.py"))
         for function, name in builtin_raises(path.read_text(encoding="utf-8"))
     }
-    assert found - ALLOWED_BUILTIN_RAISES == set(), (
+    assert found == set(), (
         "a loader or check raises a builtin exception, which causalkg.cli.main does not catch; "
         "raise a CausalKgError subclass (InputError for a bad value) instead"
     )
-    assert found == ALLOWED_BUILTIN_RAISES  # a stale allowlist entry hides nothing but should go
 
 
 # -- string ids are formatted only by the codec in graphs.py -----------------
