@@ -412,6 +412,25 @@ def test_rectify_logs_each_graph_that_shares_a_provenance(tmp_path):
         assert graph_from_dict(doc) == graph
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("flags", [["--out-dir"], []])
+def test_rectify_writes_each_graph_with_its_own_log(tmp_path, n, flags):
+    # every layout rectify writes: one file for a lone graph without --out-dir, else a manifest
+    rng = np.random.default_rng(11)
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(n)]
+    fixed = [rectify(g, load_schema("sciclaim")) for g in graphs]
+    assert all(log for _, log in fixed) and len({tuple(log) for _, log in fixed}) == n
+    corpus, out = tmp_path / "corpus", tmp_path / "fixed"
+    corpus.mkdir()
+    for i, g in enumerate(graphs):
+        (corpus / f"g{i}.json").write_text(graph_to_json(g))
+    (corpus / "manifest.json").write_text(json.dumps({"graphs": [f"g{i}.json" for i in range(n)]}))
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(out), *flags]) == 0
+    paths = graph_files(out)
+    assert out.is_file() == (n == 1 and not flags)
+    assert [p.read_text(encoding="utf-8") for p in paths] == [graph_to_json(g, log) for g, log in fixed]
+
+
 @pytest.mark.parametrize("flags", [["--out-dir"], []])
 def test_rectify_of_an_empty_manifest_writes_an_empty_manifest(tmp_path, flags):
     corpus, out = tmp_path / "corpus", tmp_path / "fixed"

@@ -301,3 +301,20 @@ def test_random_logs_match_the_stdlib():
     assert {'"', "\\", "\x00", "\x1f", "\u2028", "\ud800", "\U0001f600"} <= chars
     assert numbers == {"-0.0", "5e-324", "1e-07", "1e+16"}
     assert cascades == {False, True}
+
+
+@pytest.mark.parametrize("field", ["element_id", "kind", "violation_kind"])
+def test_each_string_of_a_record_is_escaped_as_the_stdlib_escapes_it(field):
+    # every tricky character in one field and plain text in the others, so
+    # a field written unquoted, or by another escaper, shows on its own
+    rec = RemovalRecord("e", "entity", 0.5, "EntityType")._replace(**{field: "".join(TRICKY)})
+    assert_identical(by_hand(), [rec])
+    assert json.loads(graph_to_json(by_hand(), [rec]))["rectification"] == [rec.to_dict()]
+
+
+@pytest.mark.parametrize("confidence", EDGE_FLOATS + [1e16, -1e16, 1.7976931348623157e308])
+def test_a_record_confidence_is_written_as_the_stdlib_writes_it(confidence):
+    log = [RemovalRecord("e", "entity", confidence, "EntityType", cascade) for cascade in (False, True)]
+    assert_identical(by_hand(), log)
+    read = json.loads(graph_to_json(by_hand(), log))["rectification"]
+    assert [(repr(r["confidence"]), r["cascade"]) for r in read] == [(repr(confidence), False), (repr(confidence), True)]
