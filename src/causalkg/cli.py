@@ -100,27 +100,27 @@ def _load_config(args) -> tuple[TrainConfig, EncoderConfig, int]:
     return within(args.config, _config, load_json(args.config) if args.config else {}, args.seed)
 
 
-def _load_graphs(path: str) -> list[KnowledgeGraph]:
-    """A graph file, a manifest file, or a directory with manifest.json."""
+def _load_graphs(path: str) -> tuple[list[KnowledgeGraph], bool]:
+    """A graph file's graph and True, or the graphs of a manifest file or a directory with manifest.json and False."""
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
     data = load_json(path)
     if not (isinstance(data, dict) and "graphs" in data):
-        return [within(path, graph_from_dict, data)]
+        return [within(path, graph_from_dict, data)], True
     # a manifest; the "provenance" list the writers add beside "graphs" is not read
     names = within(path, strings, data["graphs"], '"graphs"', GraphError, "a list of file names")
     base = os.path.dirname(path)
     paths = [os.path.join(base, name) for name in names]
-    return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths]
+    return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths], False
 
 
 def _write_graphs(
     out: str, graphs: list[KnowledgeGraph], logs: list[list[RemovalRecord]] | None = None, one_file=False
 ):
-    """The graphs as files of directory `out` with a manifest, or a lone graph as file `out` if `one_file`;
-    logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file."""
+    """The graphs as files of directory `out` with a manifest, or the graph of a graph file as file `out` if
+    `one_file`; logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file."""
     logs = logs or [None] * len(graphs)
-    if one_file and len(graphs) == 1:
+    if one_file:
         write_text(out, graph_to_json(graphs[0], logs[0]))
         return
     _makedirs(out)
@@ -166,8 +166,9 @@ def _cmd_extract(args) -> None:
 
 def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
-    results = [rectify(g, schema) for g in _load_graphs(args.input)]
-    _write_graphs(args.out, [fixed for fixed, _ in results], [log for _, log in results], one_file=not args.out_dir)
+    graphs, one_file = _load_graphs(args.input)
+    results = [rectify(g, schema) for g in graphs]
+    _write_graphs(args.out, [fixed for fixed, _ in results], [log for _, log in results], one_file and not args.out_dir)
 
 
 def _cmd_senses(args) -> None:
@@ -175,18 +176,18 @@ def _cmd_senses(args) -> None:
     skip = [l.strip() for l in read_text(args.skip).splitlines() if l.strip()] if args.skip else ()
     inventory = within(args.inventory, load_inventory, read_text(args.inventory), glosses, skip)
     encoder = load_model(args.model).encoder if args.model else _load_config(args)[1]
-    graphs = _load_graphs(args.input)
+    graphs, one_file = _load_graphs(args.input)
     linked = [
         link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=args.threshold)
         for g in graphs
     ]
-    _write_graphs(args.out, linked, one_file=True)
+    _write_graphs(args.out, linked, one_file=one_file)
 
 
 def _cmd_valence(args) -> None:
     schema = _load_schema_arg(args.schema) if args.schema else None
     assertions = {}
-    for g in _load_graphs(args.input):
+    for g in _load_graphs(args.input)[0]:
         if g.provenance in assertions:
             raise DuplicateProvenanceError(f"duplicate provenance {g.provenance!r}")
         assertions[g.provenance] = [a.to_dict() for a in compute_valence(g, schema)]
@@ -207,14 +208,13 @@ def _query(doc, max_len: int) -> tuple[NodePattern, NodePattern, int]:
 
 def _cmd_query(args) -> None:
     start, end, max_len = within(args.query, _query, load_json(args.query), args.max_len)
-    graphs = _load_graphs(args.input)
-    corpus = merge_corpus(graphs, lemma_link=not args.no_lemma_link)
+    corpus = merge_corpus(_load_graphs(args.input)[0], lemma_link=not args.no_lemma_link)
     result = find_paths(corpus, start, end, max_len=max_len)
     _dump_json(args.out, result.to_dict())
 
 
 def _cmd_eval(args) -> None:
-    predicted = _load_graphs(args.pred)
+    predicted, _ = _load_graphs(args.pred)
     gold = [gold_graph(ex) for ex in within(args.gold, load_dataset, read_text(args.gold))]
     report = score(predicted, gold)
     sys.stdout.write(report.render_text())
@@ -224,13 +224,13 @@ def _cmd_eval(args) -> None:
 
 def _cmd_dot(args) -> None:
     schema = _load_schema_arg(args.schema)
-    graphs = _load_graphs(args.input)
-    if len(graphs) == 1:
+    graphs, one_file = _load_graphs(args.input)
+    if one_file:
         write_text(args.out, emit_dot(graphs[0], schema))
-    else:
-        _makedirs(args.out)
-        for i, g in enumerate(graphs):
-            write_text(os.path.join(args.out, f"graph_{i:04d}.dot"), emit_dot(g, schema))
+        return
+    _makedirs(args.out)
+    for i, g in enumerate(graphs):
+        write_text(os.path.join(args.out, f"graph_{i:04d}.dot"), emit_dot(g, schema))
 
 
 _REQUIRED, _OPTIONAL = {"required": True}, {"default": None}
@@ -249,7 +249,7 @@ _COMMANDS = (
     )),
     ("rectify", _cmd_rectify, "prune schema violations from graphs", (
         ("--schema", _REQUIRED), ("--input", _REQUIRED), ("--out", _REQUIRED),
-        ("--out-dir", {"action": "store_true", "help": "treat --out as a directory"}),
+        ("--out-dir", {"action": "store_true", "help": "write --out as a directory even for a lone graph file"}),
     )),
     ("senses", _cmd_senses, "link graph nodes to word senses", (
         ("--input", _REQUIRED), ("--inventory", _REQUIRED), ("--gloss", _OPTIONAL), ("--skip", _OPTIONAL),

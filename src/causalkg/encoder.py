@@ -35,6 +35,11 @@ from .readers import cannot, integer, obj, string
 
 __all__ = ["EncoderConfig", "TokenEncoding", "encode_tokens", "load_embedding_file"]
 
+# The largest vector an encoder may produce, 512 KiB of float64: far above
+# any real encoder's, and a cap that refuses a size read from a config or a
+# model file before a vector of it is drawn or read.
+MAX_DIMENSION = 2**16
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -52,8 +57,8 @@ class EncoderConfig:
             string(self.embedding_path, "encoder config 'embedding_path'", InputError)
         if self.kind not in ("synthetic", "file"):
             raise EncoderError(f"unknown encoder kind {self.kind!r}")
-        if self.dimension < 2:
-            raise EncoderError(f"dimension must be >= 2, got {self.dimension}")
+        if not 2 <= self.dimension <= MAX_DIMENSION:
+            raise EncoderError(f"dimension must be >= 2 and <= {MAX_DIMENSION}, got {self.dimension}")
         if self.context_window < 0:
             raise EncoderError("context_window must be >= 0")
         if self.kind == "file" and not self.embedding_path:
@@ -141,7 +146,8 @@ def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEnco
 
 def load_embedding_file(path: str, dimension: int | None = None) -> dict[str, np.ndarray]:
     """Parse an embedding file into a token -> vector mapping.  A file that
-    cannot be opened or read as UTF-8 raises EncoderError."""
+    cannot be opened or read as UTF-8, or a path that cannot name a file,
+    raises EncoderError."""
     table: dict[str, np.ndarray] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -159,7 +165,7 @@ def load_embedding_file(path: str, dimension: int | None = None) -> dict[str, np
                         f"{path}:{line_no}: expected {dimension} floats, got {vec.shape[0]}"
                     )
                 table[token] = vec
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL or a lone surrogate, or bytes not UTF-8
         raise cannot("read embedding file", path, exc, EncoderError) from exc
     return table
 
@@ -184,7 +190,7 @@ def _encode_file(tokens: Sequence[str], config: EncoderConfig) -> TokenEncoding:
     path = config.embedding_path
     try:
         st = os.stat(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL or a lone surrogate
         raise cannot("read embedding file", path, exc, EncoderError) from exc
     index, matrix = _load_vocabulary(path, config.dimension, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
     rows = []

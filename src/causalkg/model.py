@@ -553,7 +553,11 @@ def extract(
 
 
 def save_model(model: Model, path: str) -> None:
-    """Persist the model as a versioned JSON container."""
+    """Persist the model as a versioned JSON container.  A parameter group
+    that is not finite, which `load_model` would refuse, raises InputError
+    naming the file before it is opened."""
+    for name, group in model.params.items():
+        within(f"cannot save model {path!r}", _check_finite, name, group)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "schema": schema_to_dict(model.schema),
@@ -584,6 +588,11 @@ def load_model(path: str) -> Model:
     return within(f"malformed model file {path!r}", _model_from_dict, load_json(path))
 
 
+def _check_finite(name: str, group: np.ndarray) -> None:
+    if not np.all(np.isfinite(group)):
+        raise InputError(f"model parameter {name!r} has non-finite values")
+
+
 def _model_from_dict(doc) -> Model:
     obj(doc, "document", InputError, _MODEL_KEYS, expected="a JSON object")
 
@@ -596,20 +605,24 @@ def _model_from_dict(doc) -> Model:
     schema, encoder = schema_from_dict(field("schema")), EncoderConfig.from_dict(field("encoder"))
     max_span_len, width_dim = field("max_span_len", integer), field("width_dim", integer)
     theta_r, theta_a = field("theta_r", real), field("theta_a", real)
-    params = Params(_shapes(schema, encoder.dimension, max_span_len, width_dim))
-    for name, group in params.items():
+    shapes = _shapes(schema, encoder.dimension, max_span_len, width_dim)
+    # each group is checked against the rows the file holds, and only then
+    # is the buffer that the sizes give allocated
+    values = []
+    for name, shape in zip(PARAM_GROUPS, shapes):
         # one np.array call per group; dtype=object keeps each JSON value as
         # it is, so a bool, a string or a ragged row shows in the types
         value = np.array(required(groups, name, f"model parameter {name!r}", InputError), dtype=object)
         if not set(map(type, value.ravel())) <= {int, float}:
             raise InputError(f"model parameter {name!r} must hold JSON numbers only")
         # a group of no rows, for a schema with no attribute or relation types, is written as []
-        if value.shape != group.shape and not (value.shape == (0,) and group.size == 0):
-            raise InputError(f"model parameter {name!r} has shape {value.shape}, expected {group.shape}")
+        if value.shape != shape and not (value.shape == (0,) and math.prod(shape) == 0):
+            raise InputError(f"model parameter {name!r} has shape {value.shape}, expected {shape}")
         try:
-            group[...] = value.reshape(group.shape)
+            value = value.astype(np.float64)
         except OverflowError:
             raise InputError(f"model parameter {name!r} holds a number a float cannot hold") from None
-        if not np.all(np.isfinite(group)):
-            raise InputError(f"model parameter {name!r} has non-finite values")
+        _check_finite(name, value)
+        values.append(value.ravel())
+    params = Params(shapes, np.concatenate(values))
     return Model(schema, encoder, params, max_span_len, width_dim, theta_r, theta_a)

@@ -70,6 +70,10 @@ __all__ = [
 
 _CLAMP = 1e-12
 
+# The most epochs a config may ask for: far above any real run, and a cap
+# that refuses a count no run could finish.
+MAX_EPOCHS = 100_000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -89,6 +93,8 @@ class TrainConfig:
             read(getattr(self, f.name), f"train config {f.name!r}", InputError)
         if self.epochs < 0 or self.batch_size < 1:
             raise InputError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs > MAX_EPOCHS:
+            raise InputError(f"train config 'epochs' must be <= {MAX_EPOCHS}, got {self.epochs}")
         if self.neg_entity_count < 0 or self.neg_relation_count < 0:
             raise InputError("negative sample counts must be >= 0")
         if self.max_span_len < 1:

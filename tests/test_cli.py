@@ -11,6 +11,7 @@ import pytest
 
 import causalkg
 from causalkg.cli import build_parser, main
+from causalkg.dot import emit_dot
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
@@ -412,10 +413,11 @@ def test_rectify_logs_each_graph_that_shares_a_provenance(tmp_path):
         assert graph_from_dict(doc) == graph
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n, source", [(1, "g0.json"), (1, ""), (2, "")])
 @pytest.mark.parametrize("flags", [["--out-dir"], []])
-def test_rectify_writes_each_graph_with_its_own_log(tmp_path, n, flags):
-    # every layout rectify writes: one file for a lone graph without --out-dir, else a manifest
+def test_rectify_writes_each_graph_with_its_own_log(tmp_path, n, source, flags):
+    # every layout rectify writes: one file for a lone graph file without
+    # --out-dir, else a manifest, for one graph too
     rng = np.random.default_rng(11)
     graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(n)]
     fixed = [rectify(g, load_schema("sciclaim")) for g in graphs]
@@ -425,9 +427,9 @@ def test_rectify_writes_each_graph_with_its_own_log(tmp_path, n, flags):
     for i, g in enumerate(graphs):
         (corpus / f"g{i}.json").write_text(graph_to_json(g))
     (corpus / "manifest.json").write_text(json.dumps({"graphs": [f"g{i}.json" for i in range(n)]}))
-    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(out), *flags]) == 0
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus / source), "--out", str(out), *flags]) == 0
     paths = graph_files(out)
-    assert out.is_file() == (n == 1 and not flags)
+    assert out.is_file() == (source != "" and not flags)
     assert [p.read_text(encoding="utf-8") for p in paths] == [graph_to_json(g, log) for g, log in fixed]
 
 
@@ -439,6 +441,66 @@ def test_rectify_of_an_empty_manifest_writes_an_empty_manifest(tmp_path, flags):
     assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(out), *flags]) == 0
     assert os.listdir(out) == ["manifest.json"]
     assert json.loads((out / "manifest.json").read_text()) == {"graphs": [], "provenance": []}
+
+
+# Each input shape: the graphs it holds, the path under the corpus directory
+# that names it, and whether a graph-writing command writes --out as one file
+INPUT_SHAPES = {
+    "lone graph file": (1, "g0.json", True),
+    "one-graph manifest directory": (1, "", False),
+    "two-graph manifest file": (2, "manifest.json", False),
+}
+
+
+def layout_case(tmp_path, command, shape):
+    """The arguments of `command` over an input of `shape`, the output path,
+    and each of its graphs' text as the library writes it."""
+    n, source, _ = INPUT_SHAPES[shape]
+    rng = np.random.default_rng(13)
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(n)]
+    corpus, out, schema = write_graph_dir(tmp_path / "corpus", graphs), tmp_path / "out", load_schema("sciclaim")
+    args = ["--input", str(corpus / source), "--out", str(out)]
+    if command == "rectify":
+        return ["rectify", "--schema", "sciclaim", *args], out, [graph_to_json(*rectify(g, schema)) for g in graphs]
+    if command == "dot":
+        return ["dot", "--schema", "sciclaim", *args], out, [emit_dot(g, schema) for g in graphs]
+    inventory = "".join(f"t{i}.n.01\tt{i}\t-\t" + "\t".join([str(0.1 * (i + 1))] * 8) + "\n" for i in range(8))
+    (tmp_path / "inventory.tsv").write_text(inventory)
+    encoder, senses = EncoderConfig(dimension=8), load_inventory(inventory)
+    linked = [link_senses(g, encode_tokens(g.tokens, encoder), senses, threshold=-1.0) for g in graphs]
+    return (["senses", "--inventory", str(tmp_path / "inventory.tsv"), "--threshold", "-1.0",
+             "--config", str(make_encoder_config(tmp_path, 8)), *args], out, [graph_to_json(g) for g in linked])
+
+
+@pytest.mark.parametrize("shape", sorted(INPUT_SHAPES))
+@pytest.mark.parametrize("command", ["rectify", "senses", "dot"])
+def test_the_input_shape_not_the_graph_count_picks_file_or_directory(tmp_path, command, shape):
+    # a lone graph file gives the file --out, and a manifest, by its file or
+    # its directory, gives the directory --out, whatever its graph count
+    args, out, texts = layout_case(tmp_path, command, shape)
+    assert main(args) == 0
+    if INPUT_SHAPES[shape][2]:
+        assert out.is_file() and [out.read_text(encoding="utf-8")] == texts
+    elif command == "dot":  # one graph_NNNN.dot per graph, and no manifest
+        assert sorted(os.listdir(out)) == [f"graph_{i:04d}.dot" for i in range(len(texts))]
+        assert [(out / f"graph_{i:04d}.dot").read_text(encoding="utf-8") for i in range(len(texts))] == texts
+    else:
+        assert [p.read_text(encoding="utf-8") for p in graph_files(out)] == texts
+        assert len(os.listdir(out)) == len(texts) + 1
+
+
+def test_the_readme_quick_start_runs_over_a_one_graph_directory(workdir, monkeypatch):
+    # README's extract, rectify and senses lines, as written there, over one sentence
+    assert run_train(workdir) == 0
+    sentences = json.loads((workdir / "sentences.json").read_text())[:1]
+    (workdir / "sentences.json").write_text(json.dumps(sentences))
+    (workdir / "senses.tsv").write_text("t0.n.01\tt0\t-\t" + "\t".join(["0.25"] * 64) + "\n")
+    monkeypatch.chdir(workdir)
+    assert main("extract --model model.json --input sentences.json --out graphs/".split()) == 0
+    assert main("rectify --schema sciclaim --input graphs/ --out fixed/ --out-dir".split()) == 0
+    assert main("senses  --input graphs/ --inventory senses.tsv --out linked/".split()) == 0
+    for out in ("graphs", "fixed", "linked"):
+        assert json.loads((workdir / out / "manifest.json").read_text())["graphs"] == ["graph_0000.json"]
 
 
 @pytest.mark.parametrize("command", ["query", "valence"])
@@ -572,6 +634,7 @@ def rewrite(path, *changes):
             target = target[key]
         target[keys[-1]] = value
     path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.mark.parametrize("change, message", [
@@ -934,8 +997,6 @@ def extract_with_model(edit):
 # Each case: the arguments built in a workdir, for sizes whose parameters
 # no model may hold; numpy is never asked for them
 OVERSIZED = {
-    "model encoder dimension 2**70": extract_with_model(lambda d: d["encoder"].update(dimension=2**70)),
-    "model encoder dimension 2**40": extract_with_model(lambda d: d["encoder"].update(dimension=2**40)),
     "model max_span_len 2**40": extract_with_model(lambda d: d.update(max_span_len=2**40)),
     "model width_dim 2**40": extract_with_model(lambda d: d.update(width_dim=2**40)),
     "train config width_dim 2**40": lambda w: config_change(w, (("width_dim",), 2**40)),
@@ -948,6 +1009,52 @@ def test_sizes_beyond_the_parameter_cap_exit_2(workdir, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("causalkg: error: ") and "Traceback" not in err
     assert f"parameters, more than the {MAX_PARAMETERS} a model may hold" in err, err
+
+
+# Each case: the exit status, run in a workdir, of a command whose encoder
+# has the given dimension; no vector of it is drawn or read
+OVERSIZED_DIMENSIONS = {
+    "model file": lambda w, d: main(extract_with_model(lambda doc: doc["encoder"].update(dimension=d))(w)),
+    "train config": lambda w, d: main(config_change(w, (("encoder", "dimension"), d))),
+    "senses config": lambda w, d: run_senses(w, rewrite(w / "config.json", (("encoder", "dimension"), d))),
+}
+
+
+@pytest.mark.parametrize("dimension", [2**70, 2**40])
+@pytest.mark.parametrize("case", sorted(OVERSIZED_DIMENSIONS))
+def test_an_encoder_dimension_beyond_its_cap_exits_2(workdir, capsys, case, dimension):
+    # senses used to exit 1 with numpy's ValueError or an 8 TiB MemoryError
+    assert OVERSIZED_DIMENSIONS[case](workdir, dimension) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causalkg: error: ") and "Traceback" not in err
+    cap = causalkg.encoder.MAX_DIMENSION
+    assert f"dimension must be >= 2 and <= {cap}, got {dimension}" in err, err
+
+
+@pytest.mark.parametrize("path, reason", [("a\x00b", "embedded null byte"), ("\ud800", "surrogates not allowed")])
+def test_an_embedding_path_no_file_can_have_exits_2(workdir, path, reason):
+    # os.stat and open raised a bare ValueError or UnicodeEncodeError, a
+    # traceback and exit 1.  The message holds the path, which capsys's
+    # stream would refuse for a lone surrogate, as a StringIO does not.
+    encoder = {"kind": "file", "dimension": 4, "embedding_path": path}
+    config = rewrite(workdir / "config.json", (("encoder",), encoder))
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert run_senses(workdir, config) == 2
+    err = stderr.getvalue()
+    assert err.startswith("causalkg: error: cannot read embedding file ") and reason in err, err
+    assert "Traceback" not in err and not (workdir / "linked.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_train_that_diverges_exits_2_and_writes_no_model(workdir, capsys):
+    # a learning rate of 1e308 leaves parameters that are not finite, which
+    # load_model refuses; train used to write them as NaN and exit 0
+    rewrite(workdir / "config.json", (("train", "epochs"), 2), (("train", "learning_rate"), 1e308),
+            (("encoder", "dimension"), 8))
+    assert run_train(workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("causalkg: error: cannot save model ") and "has non-finite values" in err, err
+    assert not (workdir / "model.json").exists()
 
 
 def surrogate_graph_file(workdir):

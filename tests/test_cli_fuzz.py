@@ -48,6 +48,8 @@ def _documents(workdir: Path) -> dict[str, object]:
         "sentences.json": [{"tokens": list(ex.tokens), "lemmas": list(ex.lemmas), "provenance": ex.provenance}
                            for ex in examples],
         "gold.json": [example_to_dict(ex) for ex in examples],
+        "config.json": {"train": {"epochs": 2, "max_span_len": 3, "neg_entity_count": 5, "neg_relation_count": 5},
+                        "encoder": {"dimension": 8, "seed": 0}, "width_dim": 4},
     }
     for folder, corpus in (("corpus", graphs), ("pred", [gold_graph(ex) for ex in examples])):
         names = [f"g{i}.json" for i in range(len(corpus))]
@@ -82,9 +84,18 @@ def _replaced(doc, path, value):
     return doc
 
 
+# A sense inventory of the corpus's tokens t0, t1, ..., read by senses and never fuzzed.
+INVENTORY = "".join(f"t{i}.n.01\tt{i}\t-\t" + "\t".join([str(0.1 * (i + 1))] * 8) + "\n" for i in range(12))
+
 # Each command: its arguments, given the input and output directories, and the documents it reads.
 _CORPUS = [f"corpus/{name}" for name in ("manifest.json", "g0.json", "g1.json", "g2.json")]
 COMMANDS = {
+    "train": (lambda i, o: ["train", "--data", f"{i}/gold.json", "--schema", f"{i}/schema.json",
+                            "--config", f"{i}/config.json", "--out", f"{o}/model.json"],
+              ["config.json", "gold.json", "schema.json"]),
+    "senses": (lambda i, o: ["senses", "--input", f"{i}/corpus", "--inventory", f"{i}/inventory.tsv",
+                             "--config", f"{i}/config.json", "--threshold", "-1.0", "--out", f"{o}/linked"],
+               ["config.json", *_CORPUS]),
     "rectify": (lambda i, o: ["rectify", "--schema", f"{i}/schema.json", "--input", f"{i}/corpus",
                               "--out", f"{o}/rectified", "--out-dir"], ["schema.json", *_CORPUS]),
     "valence": (lambda i, o: ["valence", "--input", f"{i}/corpus", "--schema", f"{i}/schema.json",
@@ -112,9 +123,11 @@ def test_every_command_exits_0_or_2_on_one_odd_field(tmp_path):
     exits = Counter()
     run = tmp_path / "run"
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    # about 67 cases a command
+    @settings(max_examples=540, deadline=None, derandomize=True, database=None)
     @given(cases)
     @example(("dot", ("corpus/manifest.json", ("graphs", 0)), "\ud800"))  # os.open raised ValueError
+    @example(("senses", ("config.json", ("encoder", "dimension")), 2**70))  # numpy raised ValueError
     def check(case):
         command, (name, path), value = case
         shutil.rmtree(run, ignore_errors=True)
@@ -126,6 +139,7 @@ def test_every_command_exits_0_or_2_on_one_odd_field(tmp_path):
             if doc_name == name:
                 doc = _replaced(doc, path, value)
             (inputs / doc_name).write_text(json.dumps(doc))
+        (inputs / "inventory.tsv").write_text(INVENTORY)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(COMMANDS[command][0](inputs, out))

@@ -42,6 +42,11 @@ def test_config_validation():
         EncoderConfig(kind="bert")
     with pytest.raises(EncoderError):
         EncoderConfig(dimension=1)
+    # numpy refused a 2**70 draw with a bare ValueError and a 2**40 one for its 8 TiB
+    for dimension in (2**70, 2**40):
+        with pytest.raises(EncoderError, match=f"dimension must be >= 2 and <= {encoder.MAX_DIMENSION}, got"):
+            EncoderConfig(dimension=dimension)
+    assert EncoderConfig(dimension=encoder.MAX_DIMENSION).dimension == encoder.MAX_DIMENSION
     with pytest.raises(EncoderError):
         EncoderConfig(context_window=-1)
     with pytest.raises(EncoderError):
@@ -186,6 +191,8 @@ def test_embedding_file_errors(tmp_path):
     ("missing.txt", "No such file or directory"),
     (".", "Is a directory"),
     ("latin1.txt", "can't decode byte 0xe9"),
+    ("a\x00b.txt", "embedded null byte"),  # open raised a bare ValueError
+    ("\ud800.txt", "surrogates not allowed"),  # and a bare UnicodeEncodeError
 ])
 def test_embedding_file_read_errors_are_encoder_errors(tmp_path, name, reason):
     (tmp_path / "latin1.txt").write_bytes("caf\xe9 1.0 2.0\n".encode("latin-1"))

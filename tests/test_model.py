@@ -529,6 +529,36 @@ def test_load_rejects_shapes_that_disagree_with_stored_dimensions(tmp_path):
         load_model(str(path))
 
 
+def test_load_checks_each_group_against_its_rows_before_allocating(tmp_path, monkeypatch):
+    # max_span_len 2**20 gives 2**20 width rows, under MAX_PARAMETERS, and
+    # the file holds 10: it is refused before the buffer of the sizes is
+    # allocated, with the message that comparing row by row gave
+    path, doc = saved_model_doc(tmp_path)
+    width_dim = doc["width_dim"]
+    doc["max_span_len"] = 2**20
+    doc["parameters"]["width"] = [[0.0] * width_dim] * 10
+    path.write_text(json.dumps(doc))
+
+    def params(*args):
+        raise AssertionError("Params was built before each group's rows were checked")
+
+    monkeypatch.setattr(model_module, "Params", params)
+    message = f"model parameter 'width' has shape (10, {width_dim}), expected ({2**20}, {width_dim})"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_save_refuses_a_model_that_load_would_refuse(tmp_path, value):
+    m = small_model(seed=5)
+    m.rel_w[1, 2] = value
+    path = tmp_path / "model.json"
+    with pytest.raises(InputError, match=re.escape(f"cannot save model {str(path)!r}: model parameter 'rel_w'"
+                                                   " has non-finite values")):
+        save_model(m, str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.update(theta_r=[0.4]),
     lambda doc: doc.update(width_dim=[2]),

@@ -293,6 +293,11 @@ def test_train_config_value_checks():
     for counts in ({"neg_entity_count": -1}, {"neg_relation_count": -1}):
         with pytest.raises(InputError, match="negative sample counts must be >= 0"):
             TrainConfig(**counts)
+    # a run of 2**70 epochs, which used to be taken, never ends
+    assert TrainConfig(epochs=training.MAX_EPOCHS).epochs == training.MAX_EPOCHS
+    for epochs in (training.MAX_EPOCHS + 1, 2**70):
+        with pytest.raises(InputError, match=f"'epochs' must be <= {training.MAX_EPOCHS}, got {epochs}$"):
+            TrainConfig.from_dict({"epochs": epochs})
 
 
 def test_train_zero_epochs_is_initialization():
