@@ -25,6 +25,7 @@ from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import (
     AlignmentError,
     DanglingReferenceError,
+    DuplicateSpanTypeError,
     GraphError,
     InputError,
     NonFiniteGradientError,
@@ -205,17 +206,9 @@ def gold_graph(example: Example) -> KnowledgeGraph:
 
 def check_dataset(dataset: Sequence[Example], schema: Schema, max_span_len: int) -> list[_Plan]:
     """Raise a CausalKgError for the first example that cannot be trained on,
-    or return each example's `_plan`.
-
-    gold_graph rejects spans past the sentence end, entity indices out of
-    range, self-loops and duplicate spans, attributes or relations;
-    `_plan` then rejects unknown types and spans longer than max_span_len.
+    or return each example's `_plan`, which makes every check of an example.
     """
-    plans = []
-    for ex in dataset:
-        within(ex.provenance, gold_graph, ex)
-        plans.append(_plan(schema, max_span_len, ex))
-    return plans
+    return [_plan(schema, max_span_len, ex) for ex in dataset]
 
 
 @dataclass(frozen=True)
@@ -267,27 +260,18 @@ def _candidates(example: Example, max_span_len: int):
     return spans, pairs
 
 
-def _check_pairs(where: str, pairs, k: int) -> None:
-    for h, t in pairs:
-        if not (0 <= h < k and 0 <= t < k and h != t):
-            if h == t:
-                raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
-            raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
-
-
 def _plan(schema: Schema, max_span_len: int, example: Example) -> _Plan:
-    """Check an example's gold half and build its `_Plan`, not yet `over`
-    its token vectors.  An element it cannot index, a relation that joins an
-    entity to itself, a span past the sentence or over max_span_len, or an
-    unknown type raises `check_dataset`'s error."""
+    """Check an example and build its `_Plan`, not yet `over` its token
+    vectors.  `gold_graph`'s checks come first, each error with the
+    provenance before its message: lemmas of another count than the tokens,
+    a span past the sentence, a span, attribute or relation named twice, an
+    index outside the entities, a relation that joins an entity to itself.
+    Then a span over max_span_len or an unknown type raises."""
     where = example.provenance
+    within(where, gold_graph, example)
     spans = tuple(span for span, _ in example.entities)
     k, n = len(spans), len(example.tokens)
-    for i, _ in example.attributes:
-        if not 0 <= i < k:
-            raise DanglingReferenceError(f"{where}: attribute on entity index {i}, outside {k} entities")
     pairs = list(dict.fromkeys((h, t) for h, t, _ in example.relations))
-    _check_pairs(where, pairs, k)
     table = span_table(n, max_span_len)
     rows = table.rows(spans, where)
     span_candidates, pair_candidates = _candidates(example, max_span_len)
@@ -425,36 +409,34 @@ def joint_loss(
     )
 
 
-def _prepare(
-    schema: Schema, max_span_len: int, example: Example, negatives: Negatives, plan: _Plan | None = None
-):
-    """Index rows, targets, labels, and pair structure for one step.
-
-    Returns (ent_rows, ent_targets, attr_labels, pairs, pair_labels,
-    step_rows).  The entity spans are the gold and then the negative spans,
-    given by their span-table rows; step_rows lists each distinct one at its
-    first place, the order in which a step adds its per-span terms, and is
-    ent_rows itself when no row repeats.  Pairs are the gold pairs and then
-    the negative pairs, each kept at its first place; a pair's head and tail
-    are gold spans.  The gold half comes from the plan, built here if not
-    given; a negative it cannot index, or a pair that joins an entity to
-    itself, raises `check_dataset`'s error.
-    """
-    if plan is None:
-        plan = _plan(schema, max_span_len, example)
-    where = example.provenance
-    _check_pairs(where, negatives.pairs, len(plan.spans))
+def _prepare(example: Example, negatives: Negatives, plan: _Plan):
+    """One step's entity rows (the gold, then the negative spans' span-table
+    rows), their targets and its pairs (the gold, then the negative pairs);
+    its labels are the plan's.  The negatives must be ones `sample_negatives`
+    could draw: a span or pair that names no row or entity, or a pair that
+    joins an entity to itself, raises `check_dataset`'s error; a span equal
+    to a gold or an earlier negative span, DuplicateSpanTypeError; a pair
+    equal to a gold relation pair or an earlier negative, GraphError.  So
+    no entity row repeats."""
+    where, k = example.provenance, len(plan.spans)
+    for h, t in negatives.pairs:
+        if not (0 <= h < k and 0 <= t < k and h != t):
+            if h == t:
+                raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
+            raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
     try:
         negative_rows = list(map(plan.row_of.__getitem__, negatives.spans))
     except KeyError:  # a span outside the table, which SpanTable.rows refuses naming it
         negative_rows = plan.table.rows(negatives.spans, where).tolist()
     listed = plan.rows.tolist() + negative_rows
-    rows = np.array(listed, dtype=np.intp)
-    ent_targets = np.array(plan.targets + [0] * len(negative_rows), dtype=int)
-    pairs = list(dict.fromkeys([*plan.pairs, *negatives.pairs]))
-    distinct = dict.fromkeys(listed)
-    step_rows = rows if len(distinct) == len(listed) else np.array(list(distinct), dtype=np.intp)
-    return rows, ent_targets, plan.attr_labels, pairs, plan.pair_labels[: len(pairs)], step_rows
+    if len(set(listed)) < len(listed):
+        s = next(s for i, s in enumerate(negatives.spans) if s in plan.spans or s in negatives.spans[:i])
+        raise DuplicateSpanTypeError(f"{where}: negative span [{s.start}, {s.end}) repeats a gold or earlier span")
+    pairs = plan.pairs + list(negatives.pairs)
+    if len(set(pairs)) < len(pairs):
+        h, t = next(p for i, p in enumerate(negatives.pairs) if p in plan.pairs or p in negatives.pairs[:i])
+        raise GraphError(f"{where}: negative pair ({h}, {t}) repeats a gold relation pair or earlier pair")
+    return np.array(listed, dtype=np.intp), np.array(plan.targets + [0] * len(negative_rows), dtype=int), pairs
 
 
 def example_loss(
@@ -503,13 +485,14 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     Sums that add one term per span or pair keep the order of the per-span
     loops in tests/training_reference.py; another order changes the
     rounding of the trained parameters.  A span's rep gradient adds its
-    entity rows' terms and then its attribute rows'; a span's pooled
+    entity row's term and then its attribute row's; a span's pooled
     gradient adds its pairs' terms in pair order, each head before its
     tail, and then its rep gradient's; the width table's gradient adds the
-    pairs' terms and then the step's spans' in `_prepare`'s step order,
-    and so do attn_w's and attn_b's.  Each sum starts from zero, and each
-    group's gradient is added into zeros, as into a fresh Params; where
-    rows repeat, `_add_rows` adds in index order.
+    pairs' terms and then the entity rows', in entity order, and so do
+    attn_w's and attn_b's.  Each sum starts from zero, and each group's
+    gradient is added into zeros, as into a fresh Params.  `_prepare`
+    refuses a span named twice, so the entity rows are distinct; the pairs'
+    rows repeat, and `_add_rows` adds them in index order.
     """
     if encoding is None:
         encoding = encode_tokens(example.tokens, model.encoder)
@@ -518,9 +501,8 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
         raise AlignmentError(f"{example.provenance}: an encoding of {len(H)} tokens for an example of {n} tokens")
     if plan is None:
         plan = _plan(model.schema, model.max_span_len, example).over(H)
-    ent_rows, ent_targets, attr_labels, pair_order, pair_labels, step_rows = _prepare(
-        model.schema, model.max_span_len, example, negatives, plan
-    )
+    ent_rows, ent_targets, pair_order = _prepare(example, negatives, plan)
+    attr_labels, pair_labels = plan.attr_labels, plan.pair_labels[: len(pair_order)]
     params, d, dw, k = model.params, model.dimension, model.width_dim, len(plan.spans)
 
     _, reps = table_reps(model, plan.table, encoding.passage_vector)
@@ -554,35 +536,22 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     g /= len(ent_targets)
     grads["ent_w"][...] += g.T @ ent_reps
     np.add.reduce(g, axis=0, out=grads["ent_b"], initial=0.0)
-    terms = [g @ params["ent_w"]]  # each entity row's term of its span's rep gradient
+    # each entity row's rep gradient: its entity term, and a gold row's
+    # attribute term after it.  (0 + e) + a, the per-span loop's sum, differs
+    # from e + a at most in the sign of a zero, which every later sum, each
+    # from zero, ignores.
+    d_reps = g @ params["ent_w"]
     if attr_scores.size:
         g = attr_scores
         g -= attr_labels
         g /= g.size
         grads["attr_w"][...] += g.T @ attr_reps
         np.add.reduce(g, axis=0, out=grads["attr_b"], initial=0.0)
-        terms.append(g @ params["attr_w"])  # each gold row's second term
+        d_reps[:k] += g @ params["attr_w"]
 
-    # d_steps[i]: the rep gradient of the i-th span in step order, its entity
-    # rows' terms and then its attribute rows', added from zero
-    if step_rows is ent_rows:
-        # no row repeats: a span's sum is its entity term, and a gold span's
-        # is that plus its attribute term.  (0 + e) + a differs from e + a at
-        # most in the sign of a zero, which every later sum, each from zero,
-        # ignores.
-        d_steps = terms[0]
-        if len(terms) > 1:
-            d_steps[:k] += terms[1]
-    else:
-        place = {row: i for i, row in enumerate(step_rows.tolist())}
-        at = [place[row] for row in ent_rows.tolist()]
-        if len(terms) > 1:
-            at += at[:k]
-        d_steps = _add_rows(len(step_rows), np.array(at, dtype=np.intp), np.concatenate(terms))
-
-    # the width terms: the pairs' heads' and tails', then the step's spans'
+    # the width terms: the pairs' heads' and tails', then the entity rows'
     widths = plan.table.widths
-    width_rows, width_terms = [widths.take(step_rows)], [d_steps[:, 2 * d :]]
+    width_rows, width_terms = [widths.take(ent_rows)], [d_reps[:, 2 * d :]]
     if rel_scores.size:
         g = rel_scores
         g -= pair_labels
@@ -599,16 +568,16 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
         d_pooled = np.zeros((len(reps), d))
     grads["width"][...] = _add_rows(len(grads["width"]), np.concatenate(width_rows), np.concatenate(width_terms))
 
-    # a step span's pooled gradient: its pair terms, then its rep term's
+    # an entity row's pooled gradient: its pair terms, then its rep term's
     # pooled segment (the passage segment is frozen).  The rows are
     # distinct, and take costs half of fancy indexing.
-    pooled = d_pooled.take(step_rows, axis=0)
-    pooled += d_steps[:, :d]
-    d_pooled[step_rows] = pooled
+    pooled = d_pooled.take(ent_rows, axis=0)
+    pooled += d_reps[:, :d]
+    d_pooled[ent_rows] = pooled
     d_attn_w, d_attn_b = table_backward(plan.table, d_pooled)
-    np.add.reduce(d_attn_w.take(step_rows, axis=0), axis=0, out=grads["attn_w"], initial=0.0)
+    np.add.reduce(d_attn_w.take(ent_rows, axis=0), axis=0, out=grads["attn_w"], initial=0.0)
     total = 0.0  # attn_b's terms are added one by one, as floats
-    for term in d_attn_b.take(step_rows).tolist():
+    for term in d_attn_b.take(ent_rows).tolist():
         total += term
     grads["attn_b"][...] += total
 
@@ -685,7 +654,8 @@ def train(
     (config.seed, epoch, example index); example order is reshuffled each
     epoch from the same master seed.  Each example's invariants (its
     `_Plan`) are computed once, before the first epoch, and so is the one
-    gradient `Params` that every step writes into.
+    gradient `Params` that every step writes into.  An epoch that leaves a
+    parameter not finite raises NonFiniteGradientError before on_epoch sees it.
     """
     if not dataset:
         raise InputError("dataset is empty")
@@ -709,31 +679,35 @@ def train(
     # a batch of one updates with its step's gradient; a larger one sums its
     # steps' gradients, in batch order, into a buffer of its own
     batch_sum = grads.flat if config.batch_size == 1 else np.empty(grads.flat.shape)
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(dataset)).tolist()
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            for i, idx in enumerate(batch):
-                ex, plan = dataset[idx], plans[idx]
-                negatives = sample_negatives(
-                    ex,
-                    config.neg_entity_count,
-                    config.neg_relation_count,
-                    config.max_span_len,
-                    seed=np.random.SeedSequence([config.seed, epoch, idx]),
-                    plan=plan,
-                )
-                loss, _ = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plan, out=grads)
-                epoch_loss += loss.total
-                if batch_sum is not grads.flat:
-                    if i:
-                        batch_sum += grads.flat
-                    else:
-                        batch_sum[...] = grads.flat
-            # one buffer holds every parameter group, so an update is one operation
-            batch_sum *= config.learning_rate / len(batch)
-            model.params.flat -= batch_sum
-        if on_epoch is not None:
-            on_epoch(epoch, epoch_loss / len(dataset))
+    # a diverging run overflows; the check after each epoch stops it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(dataset)).tolist()
+            epoch_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                for i, idx in enumerate(batch):
+                    ex, plan = dataset[idx], plans[idx]
+                    negatives = sample_negatives(
+                        ex,
+                        config.neg_entity_count,
+                        config.neg_relation_count,
+                        config.max_span_len,
+                        seed=np.random.SeedSequence([config.seed, epoch, idx]),
+                        plan=plan,
+                    )
+                    loss, _ = example_loss_and_grads(model, ex, negatives, encodings[idx], plan=plan, out=grads)
+                    epoch_loss += loss.total
+                    if batch_sum is not grads.flat:
+                        if i:
+                            batch_sum += grads.flat
+                        else:
+                            batch_sum[...] = grads.flat
+                # one buffer holds every parameter group, so an update is one operation
+                batch_sum *= config.learning_rate / len(batch)
+                model.params.flat -= batch_sum
+            if not np.isfinite(model.params.flat).all():
+                raise NonFiniteGradientError(f"training diverged in epoch {epoch + 1}: a parameter is not finite")
+            if on_epoch is not None:
+                on_epoch(epoch, epoch_loss / len(dataset))
     return model

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,10 @@ from causalkg.errors import (
     AlignmentError,
     CausalKgError,
     DanglingReferenceError,
+    DuplicateSpanTypeError,
     GraphError,
     InputError,
+    NonFiniteGradientError,
     SchemaMismatchError,
     SelfLoopError,
 )
@@ -502,7 +505,7 @@ def test_attention_bias_terms_add_in_step_order(monkeypatch):
     # the step first uses the spans, as the per-span loop did; the true
     # terms are rounding noise, so made-up ones show the order
     ex = tiny_example()
-    negatives = Negatives(spans=(Span(3, 5), Span(0, 2), Span(4, 5), Span(2, 3)), pairs=())
+    negatives = Negatives(spans=(Span(3, 5), Span(0, 2), Span(4, 5)), pairs=())
     real_backward = training.table_backward
     made_up = {}
 
@@ -520,11 +523,11 @@ def test_attention_bias_terms_add_in_step_order(monkeypatch):
     offsets = [0, 5, 9, 12]  # rows of the 1-, 2- and 3-token spans of 5 tokens
     spans = [span for span, _ in ex.entities] + list(negatives.spans)
     total = 0.0
-    for span in dict.fromkeys(spans):
+    for span in spans:
         total += made_up["terms"][offsets[len(span) - 1] + span.start]
     assert grads["attn_b"] == total
     in_table_order = 0.0
-    for row in sorted(offsets[len(span) - 1] + span.start for span in dict.fromkeys(spans)):
+    for row in sorted(offsets[len(span) - 1] + span.start for span in spans):
         in_table_order += made_up["terms"][row]
     assert total != in_table_order  # the order shows
 
@@ -572,6 +575,20 @@ def test_train_loss_non_increasing_small_lr():
         trajectories.append(losses)
     mean = np.mean(trajectories, axis=0)
     assert np.all(np.diff(mean) <= 1e-12)
+
+
+def test_train_that_diverges_stops_before_reporting_the_epoch():
+    # a learning rate of 1e308 leaves no parameter finite after the first
+    # epoch; train used to run all 50 epochs on NaN, and numpy warned
+    reported = []
+    cfg = TrainConfig(epochs=50, learning_rate=1e308, max_span_len=3, neg_entity_count=4, neg_relation_count=2)
+    enc = EncoderConfig(dimension=8, seed=0, context_window=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteGradientError, match=r"^training diverged in epoch 1: a parameter is not finite$"):
+            train(build_corpus()[:3], SCICLAIM, cfg, encoder_config=enc, width_dim=2,
+                  on_epoch=lambda *args: reported.append(args))
+    assert reported == []
 
 
 def test_train_rejects_schema_mismatch():
@@ -630,16 +647,35 @@ NO_NEGATIVES = Negatives((), ())
     # each of these used to return a finite loss on a wrapped-around or
     # clipped row, or to fail with a bare IndexError or KeyError
     ({"relations": ((0, -1, "arg0"),)}, NO_NEGATIVES, DanglingReferenceError,
-     "pair (0, -1) names an entity index outside 3 entities"),
-    ({"relations": ((0, 5, "arg0"),)}, NO_NEGATIVES, DanglingReferenceError, "pair (0, 5)"),
+     "relation references unknown entity 'e-1'"),
+    ({"relations": ((0, 5, "arg0"),)}, NO_NEGATIVES, DanglingReferenceError, "unknown entity 'e5'"),
     ({"attributes": ((-1, "causation"),)}, NO_NEGATIVES, DanglingReferenceError,
-     "attribute on entity index -1, outside 3 entities"),
-    ({"attributes": ((3, "causation"),)}, NO_NEGATIVES, DanglingReferenceError, "entity index 3,"),
+     "attribute on unknown entity 'e-1'"),
+    ({"attributes": ((3, "causation"),)}, NO_NEGATIVES, DanglingReferenceError, "unknown entity 'e3'"),
     ({}, Negatives((), ((0, 1), (-1, 2))), DanglingReferenceError, "pair (-1, 2)"),
     ({}, Negatives((), ((2, 3),)), DanglingReferenceError, "pair (2, 3)"),
     # a pair that joins an entity to itself used to train as any other
-    ({"relations": ((0, 0, "q+"),)}, NO_NEGATIVES, SelfLoopError, "pair (0, 0) joins an entity to itself"),
+    ({"relations": ((0, 0, "q+"),)}, NO_NEGATIVES, SelfLoopError, "self-loop on 'e0' via 'q+'"),
     ({}, Negatives((), ((1, 1),)), SelfLoopError, "pair (1, 1) joins an entity to itself"),
+    # each of these used to return a loss that train, which refuses them,
+    # never computes
+    ({"entities": ((Span(0, 1), "factor"), (Span(1, 2), "association"), (Span(0, 1), "factor"))},
+     NO_NEGATIVES, DuplicateSpanTypeError, "entities 'e0' and 'e2' share span [0, 1)"),
+    ({"attributes": ((1, "causation"), (1, "causation"))}, NO_NEGATIVES, GraphError,
+     "duplicate attribute 'causation' on 'e1'"),
+    ({"relations": ((1, 0, "arg0"), (1, 2, "arg1"), (1, 0, "arg0"))}, NO_NEGATIVES, GraphError,
+     "duplicate relation ('e1', 'e0', 'arg0')"),
+    ({"lemmas": ("smoking", "cause")}, NO_NEGATIVES, GraphError, "2 lemmas for 5 tokens"),
+    # a negative that sample_negatives could not draw: its entity row, or
+    # its pair, would repeat
+    ({}, Negatives((Span(3, 4), Span(1, 2)), ()), DuplicateSpanTypeError,
+     "negative span [1, 2) repeats a gold or earlier span"),
+    ({}, Negatives((Span(3, 4), Span(0, 2), Span(3, 4)), ()), DuplicateSpanTypeError,
+     "negative span [3, 4) repeats a gold or earlier span"),
+    ({}, Negatives((), ((0, 1), (1, 2))), GraphError,
+     "negative pair (1, 2) repeats a gold relation pair or earlier pair"),
+    ({}, Negatives((), ((0, 1), (2, 0), (0, 1))), GraphError,
+     "negative pair (0, 1) repeats a gold relation pair or earlier pair"),
     ({"entities": ((Span(0, 1), "factor"), (Span(2, 9), "factor")), "attributes": (), "relations": ()},
      NO_NEGATIVES, GraphError, "span [2, 9) beyond 5 tokens"),
     ({"entities": ((Span(0, 4), "factor"),), "attributes": (), "relations": ()},
@@ -655,11 +691,16 @@ NO_NEGATIVES = Negatives((), ())
 @pytest.mark.parametrize("entry", ["example_loss", "example_loss_and_grads", "grad_check"])
 def test_loss_entry_points_reject_what_check_dataset_rejects(entry, changes, negatives, error, message):
     example = replace(tiny_example(), **changes)
-    with pytest.raises(error, match="^tiny: .*" + re.escape(message)):
+    with pytest.raises(error, match="^tiny: .*" + re.escape(message)) as refused:
         if entry == "grad_check":
             grad_check(tiny_model(), example, negatives=negatives)
         else:
             getattr(training, entry)(tiny_model(), example, negatives)
+    assert type(refused.value) is error
+    if negatives == NO_NEGATIVES:  # the example's own fault, which train refuses alike
+        with pytest.raises(error) as checked:
+            training.check_dataset([example], SCICLAIM, 3)
+        assert str(checked.value) == str(refused.value)
 
 
 @pytest.mark.parametrize("encoded", [6, 1])

@@ -1,6 +1,8 @@
 """Training and extraction against the per-pair reference loops: losses,
 gradients, trained parameters and extracted graphs must be bit-identical,
-with and without the per-example plan that `train` builds once."""
+with and without the per-example plan that `train` builds once.  A step
+takes only what `train` could feed it, and refuses what `check_dataset`
+refuses."""
 
 import importlib
 from dataclasses import replace
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import synth
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
-from causalkg.errors import SelfLoopError
+from causalkg.errors import CausalKgError, GraphError
 from causalkg.graphs import Span, graph_to_json
 from causalkg.model import (
     PARAM_GROUPS,
@@ -32,8 +34,10 @@ from causalkg.training import (
     TrainConfig,
     _plan,
     _prepare,
+    check_dataset,
     example_loss,
     example_loss_and_grads,
+    grad_check,
     sample_negatives,
     train,
 )
@@ -134,14 +138,30 @@ def examples_and_negatives(draw):
     return ex, negatives, draw(st.integers(0, 3))
 
 
-def refuse_self_loops(ex, negatives):
-    """Check that a case with a pair from an entity to itself is refused,
-    and return the case without such pairs, which the reference can take."""
-    if any(h == t for h, t, _ in ex.relations) or any(h == t for h, t in negatives.pairs):
-        with pytest.raises(SelfLoopError):
-            _prepare(SCICLAIM, 3, ex, negatives)
-    ex = replace(ex, relations=tuple(r for r in ex.relations if r[0] != r[1]))
-    return ex, Negatives(negatives.spans, tuple(p for p in negatives.pairs if p[0] != p[1]))
+def accepted(ex, negatives, max_span_len=3):
+    """Check that a case `train` could not step on is refused, and return it
+    reduced to one it could, which the reference can take: a gold span named
+    again names its first entity, and a repeated attribute or relation, a
+    pair from an entity to itself, and a negative span or pair equal to a
+    gold one or to an earlier negative go."""
+    spans = [span for span, _ in ex.entities]
+    kept = [i for i, span in enumerate(spans) if spans.index(span) == i]
+    to = [kept.index(spans.index(span)) for span in spans]
+    relations = tuple(dict.fromkeys((to[h], to[t], r) for h, t, r in ex.relations if to[h] != to[t]))
+    reduced = replace(
+        ex, entities=tuple(ex.entities[i] for i in kept),
+        attributes=tuple(dict.fromkeys((to[i], a) for i, a in ex.attributes)), relations=relations,
+    )
+    drawn = [(to[h], to[t]) for h, t in negatives.pairs]
+    linked = [(h, t) for h, t, _ in relations]
+    reduced_negatives = Negatives(
+        tuple(s for i, s in enumerate(negatives.spans) if s not in spans and s not in negatives.spans[:i]),
+        tuple(p for i, p in enumerate(drawn) if p[0] != p[1] and p not in linked and p not in drawn[:i]),
+    )
+    if (reduced, reduced_negatives) != (ex, negatives):
+        with pytest.raises(GraphError, match="share span|duplicate|self-loop|joins an entity to itself|repeats"):
+            _prepare(ex, negatives, _plan(SCICLAIM, max_span_len, ex))
+    return reduced, reduced_negatives
 
 
 NO_ENTITIES = (Example(("a", "b"), ("a", "b"), (), (), (), "none"), Negatives((Span(0, 2),), ()), 0)
@@ -170,7 +190,7 @@ DUPLICATE_SPANS = (
 @example(DUPLICATE_SPANS)
 def test_random_examples_match_reference(case):
     ex, negatives, seed = case
-    ex, negatives = refuse_self_loops(ex, negatives)
+    ex, negatives = accepted(ex, negatives)
     model = Model.initialize(
         SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
         max_span_len=3, width_dim=2, seed=seed,
@@ -180,10 +200,10 @@ def test_random_examples_match_reference(case):
 
 @st.composite
 def wide_examples_and_negatives(draw):
-    """Sentences of 1-12 tokens and max_span_len 1-10, with the cases whose
-    sums must keep their order: a gold span named twice, negatives equal to
-    gold spans or to each other, and fewer negatives than candidates, so
-    the step's span table holds spans the step never uses."""
+    """Sentences of 1-12 tokens and max_span_len 1-10, with cases that a
+    step refuses (a gold span named twice, negatives equal to gold spans or
+    to each other), and fewer negatives than candidates, so the step's span
+    table holds spans the step never uses."""
     n, max_span_len = draw(st.integers(1, 12)), draw(st.integers(1, 10))
     candidates = enumerate_spans(n, max_span_len)
     spans = draw(st.lists(st.sampled_from(candidates), max_size=5))
@@ -213,6 +233,7 @@ def wide_examples_and_negatives(draw):
 @given(wide_examples_and_negatives())
 def test_wide_random_examples_match_reference(case):
     ex, negatives, max_span_len, seed = case
+    ex, negatives = accepted(ex, negatives, max_span_len)
     model = Model.initialize(
         SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
         max_span_len=max_span_len, width_dim=2, seed=seed,
@@ -237,6 +258,7 @@ def test_an_empty_sentence_matches_reference():
 @given(wide_examples_and_negatives())
 def test_random_gradients_into_out_match_fresh_ones(case):
     ex, negatives, max_span_len, seed = case
+    ex, negatives = accepted(ex, negatives, max_span_len)
     model = Model.initialize(
         SCICLAIM, EncoderConfig(dimension=8, seed=seed, context_window=1),
         max_span_len=max_span_len, width_dim=2, seed=seed,
@@ -286,6 +308,104 @@ def test_random_training_matches_reference(case):
     assert parameter_bytes(model) == parameter_bytes(ref)
 
 
+# each fault of an example that check_dataset refuses
+FAULTS = (
+    "gold span named twice", "attribute named twice", "relation named twice", "lemmas of another count",
+    "index past the entities", "negative index", "self-loop", "unknown type", "span over max_span_len",
+)
+
+
+@st.composite
+def examples_with_faults(draw):
+    """Examples of 3-6 tokens and 2-4 entities under max_span_len 2, each
+    with up to three FAULTS, each put in at a drawn place."""
+    n = draw(st.integers(3, 6))
+    spans = draw(st.lists(st.sampled_from(enumerate_spans(n, 2)), min_size=2, max_size=4, unique=True))
+    index = st.integers(0, len(spans) - 1)
+    entity_types, attribute_types, relation_types = (
+        st.sampled_from(SCICLAIM.entity_types), st.sampled_from(SCICLAIM.attribute_types),
+        st.sampled_from(SCICLAIM.relation_types),
+    )
+    entities = [(span, draw(entity_types)) for span in spans]
+    attributes = draw(st.lists(st.tuples(index, attribute_types), min_size=1, max_size=3, unique=True))
+    relations = draw(st.lists(
+        st.tuples(index, index, relation_types).filter(lambda r: r[0] != r[1]), min_size=1, max_size=4, unique=True
+    ))
+    tokens = lemmas = tuple(f"w{i}" for i in range(n))
+
+    def put(records, record):
+        records.insert(draw(st.integers(0, len(records))), record)
+
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        if fault == "gold span named twice":
+            put(entities, (draw(st.sampled_from(spans)), draw(entity_types)))
+        elif fault == "attribute named twice":
+            put(attributes, draw(st.sampled_from(attributes)))
+        elif fault == "relation named twice":
+            put(relations, draw(st.sampled_from(relations)))
+        elif fault == "lemmas of another count":
+            lemmas = draw(st.sampled_from((tokens[:-1], tokens + ("x",))))
+        elif fault in ("index past the entities", "negative index"):
+            bad, i = (9 if fault == "index past the entities" else -1), draw(index)
+            put(*draw(st.sampled_from((
+                (attributes, (bad, draw(attribute_types))),
+                (relations, (bad, i, draw(relation_types))),
+                (relations, (i, bad, draw(relation_types))),
+            ))))
+        elif fault == "self-loop":
+            i = draw(index)
+            put(relations, (i, i, draw(relation_types)))
+        elif fault == "unknown type":
+            records = draw(st.sampled_from((entities, attributes, relations)))
+            i = draw(st.integers(0, len(records) - 1))
+            records[i] = (*records[i][:-1], "martian")
+        else:
+            put(entities, (Span(n - 3, n), draw(entity_types)))
+    return Example(tokens, lemmas, tuple(entities), tuple(attributes), tuple(relations), "f")
+
+
+def outcome(call, *args, **kwargs):
+    """None for a call that returns, else the class and message of its error."""
+    try:
+        call(*args, **kwargs)
+    except CausalKgError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+ONE_CHECK_MODEL = Model.initialize(SCICLAIM, EncoderConfig(dimension=2), max_span_len=2, width_dim=1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(examples_with_faults())
+@example(DUPLICATE_SPANS[0])
+def test_the_entry_points_refuse_what_check_dataset_refuses(ex):
+    # the entry points used to check only what _plan checked, and so gave a
+    # loss for a gold span, attribute or relation named twice, or for
+    # lemmas of another count than the tokens
+    model = ONE_CHECK_MODEL
+    checked = outcome(check_dataset, [ex], SCICLAIM, model.max_span_len)
+    negatives = sample_negatives(ex, 4, 2, model.max_span_len, seed=0)
+    for entry in (example_loss, example_loss_and_grads):
+        assert outcome(entry, model, ex, negatives) == checked
+    assert outcome(grad_check, model, ex, negatives=negatives) == checked
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trainable_datasets(), st.integers(0, 2**32 - 1), st.integers(0, 80), st.integers(0, 15))
+def test_sample_negatives_never_draws_what_a_step_refuses(case, seed, neg_entity_count, neg_relation_count):
+    # up to 80 spans and 15 pairs: up to every candidate, which the
+    # sentences' at most 75 spans and 12 ordered pairs give
+    dataset, config = case
+    for ex in dataset:
+        plan = _plan(SCICLAIM, config.max_span_len, ex)
+        for kwargs in ({}, {"plan": plan}):
+            counts = (neg_entity_count, neg_relation_count, config.max_span_len)
+            negatives = sample_negatives(ex, *counts, seed=seed, **kwargs)
+            ent_rows, _, pairs = _prepare(ex, negatives, plan)  # which raises for a draw it refuses
+            assert len(set(ent_rows.tolist())) == len(ent_rows) and len(set(pairs)) == len(pairs)
+
+
 SPAN_TABLE_BROKEN = (
     "numpy's matmul dispatch changed: a stacked (c, w, d) token-window matmul no longer makes "
     "each span's own BLAS call, so training's span table no longer pools like span_attention"
@@ -314,7 +434,7 @@ def test_span_table_pools_each_span_as_span_attention():
 
 
 def test_sample_negatives_draws_alike_with_the_plan():
-    examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], DUPLICATE_SPANS[0]]
+    examples = synth.build_corpus() + [NO_ENTITIES[0], NO_PAIRS[0], accepted(*DUPLICATE_SPANS[:2])[0]]
     for ex in examples:
         plan = _plan(SCICLAIM, 10, ex)
         for seed in range(50):
@@ -324,17 +444,17 @@ def test_sample_negatives_draws_alike_with_the_plan():
 
 
 def assert_prepared_like_reference(model, ex, negatives):
-    """_prepare's six values equal the reference's seven: arrays by dtype,
-    shape and bytes, the rest by value, and the entity and step rows as the
-    reference's entity spans and distinct spans, in order, through the
-    span table (every span, by width and then by start)."""
-    ent_rows, *labels, step_rows = _prepare(model.schema, model.max_span_len, ex, negatives)
+    """_prepare's targets and pairs and the plan's labels equal the
+    reference's: arrays by dtype, shape and bytes, the rest by value; the
+    entity rows are the reference's entity spans through the span table
+    (every span, by width and then by start), which are its distinct spans."""
+    plan = _plan(model.schema, model.max_span_len, ex)
+    ent_rows, ent_targets, pairs = _prepare(ex, negatives, plan)
     ent_spans, *want, unique_spans, span_index = reference_prepare(model, ex, negatives)
     table = sorted(enumerate_spans(len(ex.tokens), model.max_span_len), key=lambda s: (len(s), s.start))
-    for rows, spans in ((ent_rows, ent_spans), (step_rows, unique_spans)):
-        assert rows.dtype == np.intp
-        assert [table[r] for r in rows] == spans
-    assert list(span_index) == unique_spans
+    assert ent_rows.dtype == np.intp
+    assert [table[r] for r in ent_rows] == ent_spans == unique_spans == list(span_index)
+    labels = (ent_targets, plan.attr_labels, pairs, plan.pair_labels[: len(pairs)])
     for a, b in zip(labels, want, strict=True):
         assert type(a) is type(b)
         if isinstance(b, np.ndarray):
@@ -353,7 +473,7 @@ PREPARE_MODEL = Model.initialize(SCICLAIM, EncoderConfig(dimension=4), max_span_
 @example(DUPLICATE_SPANS)
 def test_random_examples_prepare_like_reference(case):
     ex, negatives, _ = case
-    ex, negatives = refuse_self_loops(ex, negatives)
+    ex, negatives = accepted(ex, negatives)
     assert_prepared_like_reference(PREPARE_MODEL, ex, negatives)
 
 
