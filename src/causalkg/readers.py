@@ -16,6 +16,8 @@ import json
 import os
 from typing import Callable, Collection, Mapping
 
+import orjson
+
 from .errors import CausalKgError, InputError
 
 Error = Callable[[str], CausalKgError]
@@ -134,7 +136,39 @@ def write_text(path: str, text: str) -> None:
         raise cannot("write", path, exc) from exc
 
 
+# parse_json tests both of its rules in one translate: digits to "0", "{" to "[".
+_MARKS = bytes.maketrans(b"123456789{", b"000000000[")
+_LONG_DIGITS = b"0" * 19
+_FEW_CONTAINERS = 512
+
+
 def parse_json(text: str, where: str, error: Error = InputError):
+    """json.loads(text); a failure raises `error` naming `where`.
+
+    orjson parses the text where two rules make its value the stdlib's:
+    - No run of 19 or more ASCII digits.  orjson turns an integer outside
+      [-2**63, 2**64) into a float, and every such literal has at least 19
+      digits; a number of at most 18 digits it parses as the stdlib does.
+    - Fewer than _FEW_CONTAINERS "[" and "{" bytes, so nothing nests that
+      deep.  orjson 3.8 recurses with no limit and crashes the process on
+      deep nesting; the stdlib raises RecursionError at the interpreter's
+      recursion limit (1000 by default, the caller's frames included).
+      A count of "{" alone turns a large text away before the translate.
+    Wherever orjson refuses the text, the stdlib parses it, so the result
+    is the stdlib's value or names the stdlib's error.  orjson refuses all
+    that the stdlib accepts beyond strict JSON (NaN, Infinity, a number
+    past a float's range such as 1e400, an escaped lone surrogate), a BOM
+    and a raw lone surrogate, whose "surrogatepass" bytes are not UTF-8.
+    Both keep a repeated key's last value at its first place.
+    """
+    raw = text.encode("utf-8", "surrogatepass")
+    if raw.count(b"{") < _FEW_CONTAINERS:
+        marks = raw.translate(_MARKS)
+        if marks.count(b"[") < _FEW_CONTAINERS and _LONG_DIGITS not in marks:
+            try:
+                return orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or an integer too long to convert

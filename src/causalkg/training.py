@@ -413,17 +413,25 @@ def _prepare(example: Example, negatives: Negatives, plan: _Plan):
     """One step's entity rows (the gold, then the negative spans' span-table
     rows), their targets and its pairs (the gold, then the negative pairs);
     its labels are the plan's.  The negatives must be ones `sample_negatives`
-    could draw: a span or pair that names no row or entity, or a pair that
-    joins an entity to itself, raises `check_dataset`'s error; a span equal
-    to a gold or an earlier negative span, DuplicateSpanTypeError; a pair
-    equal to a gold relation pair or an earlier negative, GraphError.  So
-    no entity row repeats."""
+    could draw: a pair that is not a tuple of two ints or a span that is not
+    a `Span` raises GraphError before any row is built; a span or pair that
+    names no row or entity, or a pair that joins an entity to itself,
+    raises `check_dataset`'s error; a span equal to a gold or an earlier
+    negative span, DuplicateSpanTypeError; a pair equal to a gold relation
+    pair or an earlier negative, GraphError.  So no entity row repeats."""
     where, k = example.provenance, len(plan.spans)
-    for h, t in negatives.pairs:
+    for pair in negatives.pairs:
+        # a float or bool index would be cast to a row and score another pair
+        if type(pair) is not tuple or tuple(map(type, pair)) != (int, int):
+            raise GraphError(f"{where}: negative pair {pair!r} is not a tuple of two ints")
+        h, t = pair
         if not (0 <= h < k and 0 <= t < k and h != t):
             if h == t:
                 raise SelfLoopError(f"{where}: pair ({h}, {t}) joins an entity to itself")
             raise DanglingReferenceError(f"{where}: pair ({h}, {t}) names an entity index outside {k} entities")
+    for span in negatives.spans:
+        if not isinstance(span, Span):
+            raise GraphError(f"{where}: negative span {span!r} is not a Span")
     try:
         negative_rows = list(map(plan.row_of.__getitem__, negatives.spans))
     except KeyError:  # a span outside the table, which SpanTable.rows refuses naming it

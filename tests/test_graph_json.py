@@ -22,6 +22,7 @@ from causalkg.graphs import (
     KnowledgeGraph,
     Relations,
     Span,
+    _float_texts,
     assemble_graph,
     graph_from_json,
     graph_to_dict,
@@ -318,3 +319,56 @@ def test_a_record_confidence_is_written_as_the_stdlib_writes_it(confidence):
     assert_identical(by_hand(), log)
     read = json.loads(graph_to_json(by_hand(), log))["rectification"]
     assert [(repr(r["confidence"]), r["cascade"]) for r in read] == [(repr(confidence), False), (repr(confidence), True)]
+
+
+# -- floats are written through one orjson call a column, as repr writes them --
+
+# Where orjson's layout meets repr's and where it leaves it: 1e-4 and its
+# neighbours, the last float below 1e16 and 1e16, and values between 1e-5
+# and 1e-4 or between 1e16 and 1e17, which a range widened to either fails.
+RANGE_EDGES = [
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 1e-5, 5.5e-5,
+    9999999999999998.0, 1e16, math.nextafter(1e16, math.inf), 5.5e16,
+    5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+    *(2.0 ** k for k in range(-13, 54)),
+]
+
+
+@pytest.mark.parametrize("x", RANGE_EDGES + [-x for x in RANGE_EDGES], ids=repr)
+def test_a_float_is_written_as_repr_writes_it(x):
+    # among in-range values, which a column check that only looks at the
+    # ends of the range must not wave through, and in a column of its own
+    assert _float_texts([0.5, x, 0.25, 0.125]) == ["0.5", repr(x), "0.25", "0.125"]
+    assert _float_texts([x, x, x]) == [repr(x)] * 3
+
+
+def test_short_columns_are_written_as_repr_writes_them():
+    assert _float_texts([]) == []
+    assert _float_texts([1e-05, 0.5]) == ["1e-05", "0.5"]
+
+
+def test_random_float_columns_are_written_as_repr_writes_them():
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(RANGE_EDGES) | st.floats(), max_size=8))
+    def check(xs):
+        assert _float_texts(xs) == list(map(repr, xs))
+
+    check()
+
+
+def test_confidences_either_side_of_1e_4_are_written_as_the_stdlib_writes_them():
+    # each column of confidences straddles the lower end of orjson's range
+    low, edge, high = math.nextafter(1e-4, 0.0), 1e-4, 1.5e-4
+    graph = assemble_graph(
+        ["x", "y", "z"], None,
+        [("e", Span(0, 1), "t", low), ("f", Span(1, 2), "t", edge), ("g", Span(2, 3), "t", 0.5)],
+        attributes=[("e", "a", edge), ("f", "a", low), ("g", "a", 5e-324)],
+        relations=[("e", "f", "q", high), ("f", "g", "q", low), ("g", "e", "q", 0.0)],
+        senses=[("e", "s", 1e-5), ("f", "s", high), ("g", "s", 1.0)],
+    )
+    log = [RemovalRecord(e, "entity", c, "EntityType") for e, c in (("e", low), ("f", high), ("g", 1e16))]
+    assert_identical(graph)
+    assert_identical(graph, log)
+    text = graph_to_json(graph, log)
+    assert all(f'"confidence": {x!r}' in text for x in (low, edge, high, 1e-5, 5e-324, 1e16))

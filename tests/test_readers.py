@@ -6,13 +6,14 @@ import builtins
 import copy
 import json
 import os
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import causalkg
@@ -82,6 +83,124 @@ def test_parse_json_turns_every_failure_into_the_loader_error(text):
     # an over-long integer literal raises ValueError, deep nesting RecursionError
     with pytest.raises(GraphError, match="^doc is not valid JSON"):
         parse_json(text, "doc", GraphError)
+
+
+# -- parse_json gives the stdlib's value, or names the stdlib's error --------
+
+def stdlib_parse(text):
+    """parse_json's stdlib path, called at the same stack depth as parse_json."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise GraphError(f"doc is not valid JSON: {exc}") from exc
+
+
+def parsed(parse, text):
+    """repr of the value, which shows int against float, the sign of -0.0
+    and key order, or the error's class and message."""
+    try:
+        return repr(parse(text))
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def number_text(sign, whole, fraction, exponent):
+    return sign + whole + (f".{fraction}" if fraction else "") + (f"e{exponent}" if exponent else "")
+
+
+# Integers of 17 to 22 digits, most near the ends of orjson's integer range.
+BOUNDS = [2**63, -(2**63), 2**64, -(2**64)]
+LONG_INTEGERS = (
+    st.sampled_from(BOUNDS).flatmap(lambda b: st.integers(b - 2**10, b + 2**10))
+    | st.integers(-(10**22) + 1, -(10**16)) | st.integers(10**16, 10**22 - 1)
+).map(str)
+# Number literals with digit runs up to 24 long in the whole part, the
+# fraction and the exponent.
+DIGITS = st.text("0123456789", min_size=1, max_size=24)
+NUMBERS = st.builds(
+    number_text,
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["0"]) | st.builds(lambda a, b: a + b, st.sampled_from("123456789"), st.text("0123456789", max_size=23)),
+    st.none() | DIGITS,
+    st.none() | st.builds(lambda s, d: s + d, st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=5)),
+)
+ODD_LITERALS = st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "-0", "-0.0", "0.0", "5e-324",
+    '"\\ud800"', '"\\udc00"', '"\\ud800\\u0041"', '"\\ud83d\\ude00"', '"\ud800"', '"\\u0000"', '"\x1f"',
+    "true", "false", "null", '"\ufeff"', "01", "1.", ".5", "-", "+1",
+])
+LITERALS = LONG_INTEGERS | NUMBERS | ODD_LITERALS | st.integers().map(str) | st.floats().map(repr)
+KEYS = st.sampled_from(["a", "b", "seed", ""])
+DOCUMENTS = st.deferred(lambda: (
+    LITERALS
+    | st.lists(DOCUMENTS, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]")
+    # repeated keys: the last value wins, at the first key's place
+    | st.lists(st.tuples(KEYS, DOCUMENTS), max_size=4).map(
+        lambda kv: "{" + ", ".join(f'"{k}": {v}' for k, v in kv) + "}")
+))
+# Nesting past 1024, and past any recursion limit (Hypothesis raises it to
+# about 2000 while a test runs), where the stdlib raises RecursionError.
+DEEP = (st.integers(1025, 1100) | st.integers(20_000, 21_000)).flatmap(
+    lambda d: st.sampled_from(["[" * d + "]" * d, '{"a":' * d + "0" + "}" * d]))
+TEXTS = (
+    DOCUMENTS
+    | st.builds(lambda pad, doc: pad + doc + pad, st.sampled_from([" ", "\n", "\r\n\t "]), DOCUMENTS)
+    | DOCUMENTS.map(lambda doc: "\ufeff" + doc)
+    | st.sampled_from(["", " ", "\n\t\r ", "\ufeff"])
+    | DEEP
+    | st.text('[]{}",: 0123456789.eE+-truflasNIn\\', max_size=30)
+)
+
+
+# What the drawn texts must reach, each by a test on the text.
+HARD_CASES = {
+    "an integer past 2**64": lambda text: any(int(run) >= 2**64 for run in re.findall(r"(?<![.\d])\d{20,}(?![.\deE])", text)),
+    "19 digits or more in a float": lambda text: re.search(r"\d{19,}[.eE]|[.eE]-?\d{19,}", text) is not None,
+    "NaN": lambda text: "NaN" in text,
+    "an escaped lone surrogate": lambda text: '"\\ud800"' in text,
+    "a BOM": lambda text: text.startswith("\ufeff"),
+    "a repeated key": lambda text: re.search(r'("\w*"): .*, \1: ', text) is not None,
+    "nesting past 1024": lambda text: text.startswith("[" * 1025) or text.startswith('{"a":' * 1025),
+    "nesting past the recursion limit": lambda text: text.startswith("[" * 20_000) or text.startswith('{"a":' * 20_000),
+    "no text but whitespace": lambda text: not text.strip(" \t\n\r"),
+}
+
+
+def test_parse_json_agrees_with_the_stdlib():
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(TEXTS)
+    # integers past orjson's range, which it would turn into floats
+    @example("18446744073709551616")
+    @example("-9223372036854775809")
+    @example('{"seed": 18446744073709551616}')
+    def check(text):
+        assert parsed(lambda t: parse_json(t, "doc", GraphError), text) == parsed(stdlib_parse, text)
+        reached.update(kind for kind, shows in HARD_CASES.items() if shows(text))
+
+    reached = set()
+    check()
+    assert reached == set(HARD_CASES)
+
+
+@pytest.mark.parametrize("text, parser", [
+    ('{"tokens": ["a"], "confidence": 0.5, "n": 123456789012345678}', "orjson"),
+    ("[" + "{}, " * 509 + "{}]", "orjson"),  # 511 containers
+    ("12345678901234567890", "stdlib"),  # 19 digits or more
+    ('{"x": "9999999999999999999"}', "stdlib"),  # even in a string
+    ("[" + "{}, " * 510 + "{}]", "stdlib"),  # 512 containers or more
+    ('"' + "[" * 512 + '"', "stdlib"),
+    ("NaN", "both"),  # orjson refuses what the stdlib accepts
+    ("\ufeff{}", "both"),
+], ids=lambda value: value if len(value) < 70 else f"{value[:20]}...({len(value)} chars)")
+def test_parse_json_leaves_to_the_stdlib_only_what_orjson_gets_wrong(text, parser, monkeypatch):
+    calls = []
+    for module in (readers.json, readers.orjson):
+        monkeypatch.setattr(module, "loads", lambda t, loads=module.loads, m=module: calls.append(m.__name__) or loads(t))
+    try:
+        parse_json(text, "doc")
+    except InputError:
+        pass
+    assert calls == {"orjson": ["orjson"], "stdlib": ["json"], "both": ["orjson", "json"]}[parser]
 
 
 def test_load_glosses_names_the_line_without_a_tab():

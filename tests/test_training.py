@@ -183,6 +183,14 @@ def test_sample_negatives_contract():
         assert 0 <= h < 3 and 0 <= t < 3  # drawn from gold entities only
 
 
+def test_sample_negatives_draws_only_int_pairs_and_spans():
+    for ex in build_corpus():
+        for seed in range(5):
+            neg = sample_negatives(ex, 6, 6, max_span_len=3, seed=seed)
+            assert neg.pairs and all(type(p) is tuple and tuple(map(type, p)) == (int, int) for p in neg.pairs)
+            assert neg.spans and all(type(s) is Span for s in neg.spans)
+
+
 def test_sample_negatives_deterministic():
     ex = tiny_example()
     a = sample_negatives(ex, 8, 4, max_span_len=3, seed=5)
@@ -676,6 +684,14 @@ NO_NEGATIVES = Negatives((), ())
      "negative pair (1, 2) repeats a gold relation pair or earlier pair"),
     ({}, Negatives((), ((0, 1), (2, 0), (0, 1))), GraphError,
      "negative pair (0, 1) repeats a gold relation pair or earlier pair"),
+    # a negative of another type than sample_negatives draws: a float or a
+    # bool index used to score the pair its cast names, a tuple span to
+    # raise a bare AttributeError and a list pair a bare TypeError
+    ({}, Negatives((), ((0.5, 1),)), GraphError, "negative pair (0.5, 1) is not a tuple of two ints"),
+    ({}, Negatives((), ((0, 1.0),)), GraphError, "negative pair (0, 1.0) is not a tuple of two ints"),
+    ({}, Negatives((), ((True, 0),)), GraphError, "negative pair (True, 0) is not a tuple of two ints"),
+    ({}, Negatives((), ([0, 1],)), GraphError, "negative pair [0, 1] is not a tuple of two ints"),
+    ({}, Negatives(((0, 1),), ()), GraphError, "negative span (0, 1) is not a Span"),
     ({"entities": ((Span(0, 1), "factor"), (Span(2, 9), "factor")), "attributes": (), "relations": ()},
      NO_NEGATIVES, GraphError, "span [2, 9) beyond 5 tokens"),
     ({"entities": ((Span(0, 4), "factor"),), "attributes": (), "relations": ()},
