@@ -107,11 +107,23 @@ def _load_graphs(path: str) -> tuple[list[KnowledgeGraph], bool]:
     data = load_json(path)
     if not (isinstance(data, dict) and "graphs" in data):
         return [within(path, graph_from_dict, data)], True
-    # a manifest; the "provenance" list the writers add beside "graphs" is not read
+    # a manifest; the "provenance" list that the writers put beside "graphs",
+    # when there is one, must name each graph's own, so graph files that
+    # another run wrote over or left behind are refused
     names = within(path, strings, data["graphs"], '"graphs"', GraphError, "a list of file names")
     base = os.path.dirname(path)
     paths = [os.path.join(base, name) for name in names]
-    return [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths], False
+    graphs = [within(graph_path, graph_from_dict, load_json(graph_path)) for graph_path in paths]
+    if "provenance" in data:
+        listed = within(path, strings, data["provenance"], '"provenance"', GraphError)
+        if len(listed) != len(graphs):
+            raise GraphError(f"{path}: lists {len(graphs)} graph files and {len(listed)} provenances")
+        for i, (graph, provenance) in enumerate(zip(graphs, listed)):
+            if graph.provenance != provenance:
+                raise GraphError(
+                    f"{path}: graph {i} ({names[i]}) has provenance {graph.provenance!r}, not {provenance!r}"
+                )
+    return graphs, False
 
 
 def _write_graphs(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -132,15 +133,17 @@ def _encode_synthetic(tokens: Sequence[str], config: EncoderConfig) -> TokenEnco
     if window == 0:
         contextual = base.copy()
     else:
+        # row i sums base[j] / 2**|j - i| over its neighbours j, left to right
+        # from zero: one shifted block per offset, in ascending order
         contextual = np.zeros((n, d))
-        for i in range(n):
-            lo, hi = max(0, i - window), min(n, i + window + 1)
-            for j in range(lo, hi):
-                contextual[i] += base[j] / (2.0 ** abs(j - i))
-            norm = float(np.linalg.norm(contextual[i]))
-            if norm == 0.0:
-                raise EncoderError(f"degenerate contextual vector at position {i}")
-            contextual[i] /= norm
+        reach = min(window, n - 1)
+        for offset in range(-reach, reach + 1):
+            lo, hi = max(0, -offset), n - max(0, offset)  # the rows that have a neighbour at this offset
+            contextual[lo:hi] += base[lo + offset : hi + offset] / (2.0 ** abs(offset))
+        norms = [math.sqrt(row @ row) for row in contextual]  # np.linalg.norm's arithmetic for a 1-D row
+        if 0.0 in norms:
+            raise EncoderError(f"degenerate contextual vector at position {norms.index(0.0)}")
+        contextual /= np.array(norms)[:, None]
     return TokenEncoding(passage_vector=_row_mean(contextual), token_vectors=contextual)
 
 

@@ -4,8 +4,9 @@ entity / attribute / relation classifier heads, plus decoding into a graph.
 Extraction and training share one span forward: a `SpanTable` lists every
 span of a sentence by width and owns the arrays of its pooling passes,
 `table_reps` pools the whole table with one stacked matmul per width,
-`table_backward` is its exact backward, which only training calls, and
-`pair_rows` lays out the relation head's rows.
+and `table_backward` is its exact backward, which only training calls.
+Training lays out the relation head's rows with `pair_rows`; extraction
+scores the head factored, per span and per token gap, with `relation_scores`.
 
 The model's parameters are one `Params`, a float64 buffer that holds nine
 named groups back to back, over a frozen token encoder:
@@ -47,10 +48,10 @@ __all__ = [
     "span_representations",
     "between_contexts",
     "pair_contexts",
-    "pair_block",
     "classify_entities",
     "classify_attributes",
     "classify_relations",
+    "relation_scores",
     "extract",
     "save_model",
     "load_model",
@@ -402,23 +403,20 @@ def between_contexts(token_vectors: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     return out
 
 
-def _bounds(spans: Sequence[Span]) -> tuple[np.ndarray, np.ndarray]:
-    """The spans' starts and ends as two index arrays."""
-    return np.array([(s.start, s.end) for s in spans], dtype=np.intp).reshape(-1, 2).T
+def _pair_gaps(spans: Sequence[Span], heads: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The token gap [lo, hi) of each pair (spans[heads[i]], spans[tails[i]]):
+    after the first span to end and before the last to start, empty where
+    hi <= lo."""
+    starts, ends = np.array([(s.start, s.end) for s in spans], dtype=np.intp).reshape(-1, 2).T
+    return np.minimum(ends[heads], ends[tails]), np.maximum(starts[heads], starts[tails])
 
 
 def pair_contexts(
     token_vectors: np.ndarray, spans: Sequence[Span], heads: np.ndarray, tails: np.ndarray
 ) -> np.ndarray:
     """Row i is the between-context maxpool of the pair (spans[heads[i]],
-    spans[tails[i]]): the tokens after the first span to end and before the
-    last to start, or a zero vector if there are none."""
-    starts, ends = _bounds(spans)
-    return between_contexts(
-        token_vectors,
-        np.minimum(ends[heads], ends[tails]),
-        np.maximum(starts[heads], starts[tails]),
-    )
+    spans[tails[i]]) over its token gap, or a zero vector if that is empty."""
+    return between_contexts(token_vectors, *_pair_gaps(spans, heads, tails))
 
 
 def pair_rows(reps: np.ndarray, heads: np.ndarray, tails: np.ndarray, between: np.ndarray) -> np.ndarray:
@@ -437,16 +435,36 @@ def pair_rows(reps: np.ndarray, heads: np.ndarray, tails: np.ndarray, between: n
     return rows
 
 
-def pair_block(
-    token_vectors: np.ndarray, spans: Sequence[Span], reps: np.ndarray, heads: np.ndarray, tails: np.ndarray
+def relation_scores(
+    model: Model, token_vectors: np.ndarray, spans: Sequence[Span], reps: np.ndarray, heads: np.ndarray,
+    tails: np.ndarray,
 ) -> np.ndarray:
-    """`pair_rows` of the pairs (spans[heads[i]], spans[tails[i]]), whose
-    reps are given, as an (m, 1, pair_dim) block."""
-    rows = pair_rows(reps, heads, tails, pair_contexts(token_vectors, spans, heads, tails))
-    return rows.reshape(len(rows), 1, rows.shape[1])  # C-contiguous: each item has a row's strides
+    """Relation-head scores of the pairs (spans[heads[i]], spans[tails[i]]),
+    whose reps are given, as an (m, relation types) array.  The head is
+    linear before its sigmoid, so a logit is a term of the head's [pooled ;
+    width], one of the pair's token gap and one of the tail's, over `rel_w`'s
+    blocks at `pair_rows`' offsets; each distinct gap is pooled once.  The
+    sums run in another order than a pair row's dot product, so scores agree
+    with `classify_relations` over `pair_rows` to the last few bits only."""
+    n, d = token_vectors.shape
+    ends = np.concatenate([reps[:, :d], reps[:, 2 * d :]], axis=1)  # each span's [pooled ; width]
+    e, w = ends.shape[1], model.rel_w
+    # a slot per (lo, hi): the used slots are the distinct gaps, numbered in
+    # slot order with no sort, and each pair reads its gap's number back
+    gap = np.ravel_multi_index(_pair_gaps(spans, heads, tails), (n + 1, n + 1))
+    slots = np.zeros((n + 1) ** 2, dtype=np.intp)
+    slots[gap] = 1
+    distinct = np.flatnonzero(slots)
+    slots[distinct] = np.arange(len(distinct))
+    between = between_contexts(token_vectors, *np.unravel_index(distinct, (n + 1, n + 1)))
+    logits = (ends @ w[:, :e].T).take(heads, axis=0)
+    logits += (between @ w[:, e : e + d].T).take(slots[gap], axis=0)
+    logits += (ends @ w[:, e + d :].T).take(tails, axis=0)
+    logits += model.rel_b
+    return sigmoid(logits)
 
 
-pair_rep = pair_block  # the name bench/tracing.py wraps; extract calls it by this name
+pair_rep = relation_scores  # the name bench/tracing.py wraps; extract calls it by this name
 
 
 def classify_entities(model: Model, reps: np.ndarray) -> np.ndarray:
@@ -530,20 +548,14 @@ def extract(
                 if score >= model.theta_a:
                     attributes.append((ent_id, attr, score))
 
-    # All k(k-1) ordered pairs, by head and then by tail, as one (m, 1,
-    # pair_dim) stack.  matmul runs one gemv per stacked row, the call a
-    # single 1-D pair row makes, so the scores are bit-identical to scoring
-    # pair by pair; one 2-D gemm over all pairs sums in another order and
-    # changes the extract-trained seed-7 digest.  A lone entity has no pairs
-    # and makes no call.
+    # all k(k-1) ordered pairs, by head and then by tail; a lone entity has none
     k = len(kept)
     head = tail = np.zeros(0, dtype=np.intp)
     scores = np.zeros((0, len(relation_types)))
     if k > 1:
         head, tail = np.divmod(np.arange(k * (k - 1)), k - 1)
         tail += tail >= head
-        block = pair_rep(encoding.token_vectors, [spans[i] for i in kept], kept_reps, head, tail)
-        scores = classify_relations(model, block)[:, 0]
+        scores = pair_rep(model, encoding.token_vectors, [spans[i] for i in kept], kept_reps, head, tail)
     # row-major order: by pair, then by relation type
     rows, code = np.nonzero(scores >= model.theta_r)
     return assemble_graph(

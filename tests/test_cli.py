@@ -433,6 +433,68 @@ def test_rectify_writes_each_graph_with_its_own_log(tmp_path, n, source, flags):
     assert [p.read_text(encoding="utf-8") for p in paths] == [graph_to_json(g, log) for g, log in fixed]
 
 
+def write_graph_corpus(corpus, graphs, provenance=None):
+    """The graphs as g0.json... with a manifest, which lists `provenance` if given."""
+    corpus.mkdir()
+    names = [f"g{i}.json" for i in range(len(graphs))]
+    for name, graph in zip(names, graphs):
+        (corpus / name).write_text(json.dumps(graph_to_dict(graph)))
+    manifest = {"graphs": names} if provenance is None else {"graphs": names, "provenance": provenance}
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    return corpus
+
+
+def test_a_rectify_that_fails_midway_leaves_no_mixture_that_loads(tmp_path, capsys):
+    # the second run writes graph_0000.json and then cannot write graph 1,
+    # whose token UTF-8 cannot encode; the first run's manifest still names
+    # graph_0001 and graph_0002, and lists old0 as graph 0's provenance
+    rng = np.random.default_rng(5)
+    old = [random_sciclaim_graph(rng, provenance=f"old{i}") for i in range(3)]
+    new = [random_sciclaim_graph(rng, provenance=f"new{i}") for i in range(3)]
+    in_old = write_graph_corpus(tmp_path / "in_old", old)
+    in_bad = write_graph_corpus(tmp_path / "in_bad", new)
+    bad = graph_to_dict(new[1])
+    bad["tokens"][0] = "\ud800"
+    (in_bad / "g1.json").write_text(json.dumps(bad))  # the token JSON-escaped, as "\\ud800"
+    out = tmp_path / "out"
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(in_old), "--out", str(out)]) == 0
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(in_bad), "--out", str(out)]) == 2
+    assert "surrogates not allowed" in capsys.readouterr().err
+    assert json.loads((out / "graph_0000.json").read_text())["provenance"] == "new0"
+    assert main(["valence", "--schema", "sciclaim", "--input", str(out)]) == 2
+    manifest = out / "manifest.json"
+    assert capsys.readouterr().err == (
+        f"causalkg: error: {manifest}: graph 0 (graph_0000.json) has provenance 'new0', not 'old0'\n"
+    )
+
+
+@pytest.mark.parametrize("provenance, message", [
+    (["p0", "p1", "p2"], "graph 1 (g1.json) has provenance 'p2', not 'p1'"),
+    (["p0"], "lists 3 graph files and 1 provenances"),
+    (["p0", "p1", "p2", "p3"], "lists 3 graph files and 4 provenances"),
+    ("p0", '"provenance" must be a list of strings'),
+    (["p0", 1, "p2"], '"provenance"[1] must be a string, got 1'),
+])
+def test_a_manifest_provenance_list_must_name_each_graphs_own(tmp_path, capsys, provenance, message):
+    rng = np.random.default_rng(3)
+    graphs = [random_sciclaim_graph(rng, provenance=p) for p in ("p0", "p2", "p2")]
+    corpus = write_graph_corpus(tmp_path / "corpus", graphs, provenance)
+    assert main(["valence", "--schema", "sciclaim", "--input", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"causalkg: error: {corpus / 'manifest.json'}: ") and message in err
+
+
+def test_a_manifest_with_or_without_its_provenance_list_loads_the_same(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(3)]
+    outputs = []
+    for name, provenance in (("bare", None), ("listed", ["p0", "p1", "p2"])):
+        corpus = write_graph_corpus(tmp_path / name, graphs, provenance)
+        assert main(["valence", "--schema", "sciclaim", "--input", str(corpus)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "p2" in outputs[0]
+
+
 @pytest.mark.parametrize("flags", [["--out-dir"], []])
 def test_rectify_of_an_empty_manifest_writes_an_empty_manifest(tmp_path, flags):
     corpus, out = tmp_path / "corpus", tmp_path / "fixed"

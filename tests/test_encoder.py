@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkg import encoder
 from causalkg.encoder import (
@@ -137,6 +139,61 @@ def test_contextual_weighting_hand_computed():
     mid /= np.linalg.norm(mid)
     assert np.allclose(enc.token_vectors[1], mid, atol=1e-12)
     assert np.allclose(enc.passage_vector, enc.token_vectors.mean(axis=0), atol=1e-12)
+
+
+def reference_context_sums(base, window):
+    """The synthetic encoder's per-row loop: row i adds base[j] / 2**|j - i|
+    for its neighbours j left to right, then divides by its np.linalg.norm;
+    a zero row raises at its position."""
+    n, d = base.shape
+    contextual = np.zeros((n, d))
+    for i in range(n):
+        lo, hi = max(0, i - window), min(n, i + window + 1)
+        for j in range(lo, hi):
+            contextual[i] += base[j] / (2.0 ** abs(j - i))
+        norm = float(np.linalg.norm(contextual[i]))
+        if norm == 0.0:
+            raise EncoderError(f"degenerate contextual vector at position {i}")
+        contextual[i] /= norm
+    return contextual
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 14),
+    window=st.integers(1, 5),
+    dimension=st.sampled_from((2, 3, 8, 64, 100)),
+    seed=st.integers(0, 2**16),
+    vocabulary=st.integers(1, 12),
+)
+def test_context_sums_match_the_row_loop_bit_for_bit(n, window, dimension, seed, vocabulary):
+    # windows past the sentence and repeated tokens included
+    tokens = [f"t{(seed + 3 * i) % vocabulary}" for i in range(n)]
+    config = EncoderConfig(dimension=dimension, seed=seed, context_window=window)
+    base = np.stack([base_vector(t, seed, dimension) for t in tokens])
+    want = reference_context_sums(base, window)
+    got = encode_tokens(tokens, config)
+    assert got.token_vectors.tobytes() == want.tobytes()
+    assert got.passage_vector.tobytes() == want.mean(axis=0).tobytes()
+
+
+def test_a_zero_context_sum_raises_at_its_position(monkeypatch):
+    # base vectors a Gaussian draw cannot give: rows 1 and 3 of a window-1
+    # sum are 0.5 - 1 + 0.5 = 0, and the error names the first
+    rows = {"p": np.array([1.0, 0.0]), "m": np.array([-1.0, 0.0])}
+    monkeypatch.setattr(encoder, "_base_vector", lambda token, seed, dimension: rows[token])
+    tokens = ["p", "m", "p", "m", "p"]
+    with pytest.raises(EncoderError, match=r"^degenerate contextual vector at position 1$"):
+        reference_context_sums(np.stack([rows[t] for t in tokens]), 1)
+    with pytest.raises(EncoderError, match=r"^degenerate contextual vector at position 1$"):
+        encode_tokens(tokens, EncoderConfig(dimension=2, seed=0, context_window=1))
+
+
+def test_window_zero_keeps_the_base_vectors_bit_for_bit():
+    tokens = [f"t{i % 5}" for i in range(9)]
+    for dimension in (2, 8, 64):
+        enc = encode_tokens(tokens, EncoderConfig(dimension=dimension, seed=3, context_window=0))
+        assert enc.token_vectors.tobytes() == np.stack([base_vector(t, 3, dimension) for t in tokens]).tobytes()
 
 
 def test_passage_vector_is_mean():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synth
 from causalkg import model as model_module
 from causalkg.encoder import EncoderConfig, TokenEncoding, encode_tokens
 from causalkg.errors import CausalKgError, DimensionMismatchError, GraphError, InputError
@@ -24,7 +26,9 @@ from causalkg.model import (
     enumerate_spans,
     extract,
     load_model,
-    pair_block,
+    pair_contexts,
+    pair_rows,
+    relation_scores,
     save_model,
     sigmoid,
     softmax,
@@ -32,7 +36,8 @@ from causalkg.model import (
     span_representations,
 )
 from causalkg.schema import load_schema, schema_from_dict, schema_to_dict
-from training_reference import pair_rep
+from causalkg.training import TrainConfig, train
+from training_reference import RELATION_BOUND, pair_rep
 from training_reference import sigmoid as reference_sigmoid
 from training_reference import softmax as reference_softmax
 
@@ -207,16 +212,17 @@ def test_pair_rep_layout():
     widths = np.array([[7.0], [8.0]])
     spans = [Span(0, 1), Span(3, 4), Span(1, 3)]
     reps = np.column_stack([H[[0, 3, 1]], np.full((3, 2), -1.0), widths[[0, 0, 1]]])  # [pooled ; passage ; width]
-    block = pair_block(H, spans, reps, np.array([0, 2]), np.array([1, 0]))
-    assert block.shape == (2, 1, 8)  # (pairs, 1, 3d + 2 d_w)
-    rep = block[0, 0]
+    heads, tails = np.array([0, 2]), np.array([1, 0])
+    block = pair_rows(reps, heads, tails, pair_contexts(H, spans, heads, tails))
+    assert block.shape == (2, 8)  # (pairs, 3d + 2 d_w)
+    rep = block[0]
     assert np.array_equal(rep[:2], H[0])
     assert rep[2] == 7.0
     assert np.array_equal(rep[3:5], np.maximum(H[1], H[2]))
     assert np.array_equal(rep[5:7], H[3])
     assert rep[7] == 7.0
     # [1, 3) after [0, 1): adjacent, so a zero between-context, width 2
-    assert np.array_equal(block[1, 0], [2.0, 3.0, 8.0, 0.0, 0.0, 0.0, 1.0, 7.0])
+    assert np.array_equal(block[1], [2.0, 3.0, 8.0, 0.0, 0.0, 0.0, 1.0, 7.0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -227,9 +233,10 @@ def test_pair_rep_layout():
     d=st.sampled_from((4, 16, 64)),
     seed=st.integers(0, 2**16),
 )
-def test_pair_block_rows_are_the_per_pair_rows(data, n, max_span_len, d, seed):
+def test_pair_rows_are_the_per_pair_rows(data, n, max_span_len, d, seed):
     # spans drawn freely over the sentence are nested, adjacent, overlapping,
-    # repeated or apart; every ordered pair of them is one block row
+    # repeated or apart; every ordered pair of them is one row, as training
+    # builds its pair rows
     starts = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
     spans = [Span(s, min(n, s + data.draw(st.integers(1, max_span_len)))) for s in starts]
     rng = np.random.default_rng(seed)
@@ -241,10 +248,66 @@ def test_pair_block_rows_are_the_per_pair_rows(data, n, max_span_len, d, seed):
     pairs = [(h, t) for h in range(len(spans)) for t in range(len(spans)) if h != t]
     heads = np.array([h for h, _ in pairs], dtype=np.intp)
     tails = np.array([t for _, t in pairs], dtype=np.intp)
-    block = pair_block(H, spans, reps, heads, tails)
-    assert block.shape == (len(pairs), 1, 3 * d + 6)
+    block = pair_rows(reps, heads, tails, pair_contexts(H, spans, heads, tails))
+    assert block.shape == (len(pairs), 3 * d + 6)
     expected = [pair_rep(H, spans[h], pooled[h], spans[t], pooled[t], widths) for h, t in pairs]
     assert block.tobytes() == np.array(expected).reshape(block.shape).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def trained_model(seed):
+    """A model after a few epochs on part of the synthetic corpus."""
+    config = TrainConfig(epochs=3, learning_rate=2.5, seed=seed, neg_entity_count=20, neg_relation_count=10)
+    encoder = EncoderConfig(dimension=16, seed=seed, context_window=1)
+    return train(synth.build_corpus()[seed : seed + 4], load_schema("sciclaim"), config, encoder_config=encoder)
+
+
+def per_pair_scores(model, H, spans, reps, heads, tails):
+    """classify_relations over one per-pair row at a time, as the reference extraction scores."""
+    d, types = model.dimension, len(model.schema.relation_types)
+    rows = [pair_rep(H, spans[h], reps[h, :d], spans[t], reps[t, :d], model.width) for h, t in zip(heads, tails)]
+    return np.array([classify_relations(model, row) for row in rows]).reshape(len(rows), types)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    trained=st.sampled_from((None, 0, 1)),
+    d=st.sampled_from((4, 16)),
+    seed=st.integers(0, 2**16),
+)
+@example(data=None, n=1, trained=None, d=4, seed=0)  # one token: one span, no pair
+@example(data=None, n=5, trained=None, d=4, seed=1)  # gaps (1, 4) and (2, 0) would share slot lo*(n-1)+hi
+@example(data=None, n=40, trained=0, d=16, seed=2)
+def test_relation_scores_match_the_per_pair_rows(data, n, trained, d, seed):
+    # any set of spans, nested, overlapping, adjacent or apart, in any order,
+    # k = 0, 1, 2 and more; every ordered pair by head and then by tail, as
+    # extract orders them.  Token column 0 is -(i + 1) and column 1 is i + 1,
+    # so the maxpool of tokens [lo, hi) is (-(lo + 1), hi) there: every
+    # distinct gap has its own between-context, and a pair that read another
+    # gap's row through the slot table would score differently.
+    if trained is None:
+        max_span_len = n if data is None else data.draw(st.integers(1, n))
+        model = small_model(seed=seed, d=d, max_span_len=max_span_len)
+    else:
+        model = trained_model(trained)
+    tokens = [synth.FACTORS[(seed + 7 * i) % len(synth.FACTORS)] for i in range(n)]
+    encoding = encode_tokens(tokens, model.encoder)
+    H = encoding.token_vectors.copy()
+    H[:, 0], H[:, 1] = -np.arange(1.0, n + 1), np.arange(1.0, n + 1)
+    every = enumerate_spans(n, model.max_span_len)
+    if data is None:
+        spans = every if n < 40 else every[::6]
+    else:
+        spans = data.draw(st.lists(st.sampled_from(every), unique=True, max_size=len(every)))
+    _, reps = span_representations(model, TokenEncoding(encoding.passage_vector, H), spans)
+    k = len(spans)
+    heads, tails = np.divmod(np.arange(k * (k - 1)), max(k - 1, 1))
+    tails += tails >= heads
+    scores = relation_scores(model, H, spans, reps, heads, tails)
+    assert scores.shape == (k * (k - 1), len(model.schema.relation_types))
+    np.testing.assert_allclose(scores, per_pair_scores(model, H, spans, reps, heads, tails), rtol=0, atol=RELATION_BOUND)
 
 
 def test_zero_weights_give_uniform_and_half():
@@ -606,37 +669,3 @@ def test_initialize_validates():
     ]:
         with pytest.raises(InputError, match=re.escape(message)):
             replace(model, **{name: value})
-
-
-STACKED_GEMV_BROKEN = (
-    "numpy's matmul dispatch changed: a (n, 1, k) stack no longer scores each row "
-    "bit for bit like a 1-D row, so extract's stacked pair scoring is no longer "
-    "byte-identical to scoring pair by pair"
-)
-
-
-def test_stacked_rows_score_like_single_rows():
-    # extract scores each head's pairs as one (k-1, 1, pair_dim) stack; its
-    # graphs and the bench digests stay byte-identical only while matmul runs
-    # one gemv per stacked row, exactly as for a single 1-D row
-    default = Model.initialize(load_schema("sciclaim"), EncoderConfig())
-    rng = np.random.default_rng(2024)
-    shapes = [(1, default.pair_dim, 7), (2, default.pair_dim, 7), (300, default.pair_dim, 7)]
-    shapes += [tuple(int(x) for x in rng.integers(1, [400, 300, 12])) for _ in range(30)]
-    for n, k, t in shapes:
-        B = rng.standard_normal((n, k))
-        W = rng.standard_normal((t, k))
-        stacked = (np.ascontiguousarray(B[:, None, :]) @ W.T)[:, 0]
-        single = np.array([B[i] @ W.T for i in range(n)])
-        assert np.array_equal(stacked, single), f"{STACKED_GEMV_BROKEN} (shape {(n, k, t)})"
-        z = 4 * rng.standard_normal((n, t))
-        assert np.array_equal(
-            sigmoid(z), np.array([sigmoid(row) for row in z])
-        ), f"{STACKED_GEMV_BROKEN}: sigmoid of a batch differs from sigmoid of its rows"
-
-    m = small_model(seed=3, d=16, width_dim=4)
-    block = rng.standard_normal((9, 1, m.pair_dim))
-    scores = classify_relations(m, block)
-    assert scores.shape == (9, 1, len(m.schema.relation_types))
-    for i in range(9):
-        assert np.array_equal(scores[i, 0], classify_relations(m, block[i, 0])), STACKED_GEMV_BROKEN

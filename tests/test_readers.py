@@ -182,6 +182,48 @@ def test_parse_json_agrees_with_the_stdlib():
     assert reached == set(HARD_CASES)
 
 
+def previous_parse_json(text, where, error):
+    """parse_json as it was when it counted "{" on the UTF-8 bytes."""
+    raw = text.encode("utf-8", "surrogatepass")
+    if raw.count(b"{") < readers._FEW_CONTAINERS:
+        marks = raw.translate(readers._MARKS)
+        if marks.count(b"[") < readers._FEW_CONTAINERS and readers._LONG_DIGITS not in marks:
+            try:
+                return readers.orjson.loads(raw)
+            except readers.orjson.JSONDecodeError:
+                pass
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where} is not valid JSON: {exc}") from exc
+
+
+# String contents with non-ASCII code points, raw and escaped lone
+# surrogates, and braces and brackets that count toward the limits.
+FILLERS = st.lists(
+    st.sampled_from(["a", "\\u00e9", "\\ud800", "\\\\", "é", "☃", "\U0001f600", "\ud800", "\udfff", "{", "["]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    objects=st.integers(0, 600) | st.integers(500, 520),
+    quoted=st.integers(0, 40),
+    filler=FILLERS,
+    cut=st.booleans(),
+)
+def test_parse_json_counts_braces_on_the_text_as_on_its_bytes(objects, quoted, filler, cut):
+    # up to 600 "{", about the 512 that send a text to the stdlib, among
+    # characters of two to four UTF-8 bytes and lone surrogates; a cut text
+    # is not JSON
+    text = "[" + "".join(f'{{"{filler}": {i}}}, ' for i in range(objects)) + '"' + "{" * quoted + filler + '"]'
+    text = text[: len(text) // 2] if cut else text
+    assert parsed(lambda t: parse_json(t, "doc", GraphError), text) == parsed(
+        lambda t: previous_parse_json(t, "doc", GraphError), text
+    )
+
+
 @pytest.mark.parametrize("text, parser", [
     ('{"tokens": ["a"], "confidence": 0.5, "n": 123456789012345678}', "orjson"),
     ("[" + "{}, " * 509 + "{}]", "orjson"),  # 511 containers

@@ -9,7 +9,11 @@ out group by group, and the original masked `sigmoid` and out-of-place
 
 causalkg.training and causalkg.model must reproduce these bit for bit: the
 same prepared examples, losses, gradients, trained parameters and
-extracted graphs.
+extracted graphs, but for extraction's relation confidences.  `extract`
+sums each pair's logit from per-span and per-gap terms, in another order
+than one pair row's dot product, so its confidences agree with
+`reference_extract`'s within RELATION_BOUND, and a relation whose score
+lies within that bound of theta_r may be kept by one and not the other.
 """
 
 import numpy as np
@@ -25,6 +29,8 @@ from causalkg.model import (
     span_attention,
 )
 from causalkg.training import Example, Negatives, joint_loss, sample_negatives
+
+RELATION_BOUND = 1e-12  # absolute, on a relation confidence
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
