@@ -130,17 +130,28 @@ def _write_graphs(
     out: str, graphs: list[KnowledgeGraph], logs: list[list[RemovalRecord]] | None = None, one_file=False
 ):
     """The graphs as files of directory `out` with a manifest, or the graph of a graph file as file `out` if
-    `one_file`; logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file."""
+    `one_file`; logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file.
+
+    Each file is written whole or not at all (`write_text`).  The manifest that a directory may hold from
+    an earlier run goes before the first graph file is written, and the new one is written last, so a run
+    that fails midway leaves a directory that no command loads, not old and new graphs under one manifest."""
     logs = logs or [None] * len(graphs)
     if one_file:
         write_text(out, graph_to_json(graphs[0], logs[0]))
         return
     _makedirs(out)
+    manifest_path = os.path.join(out, "manifest.json")
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise cannot("remove", manifest_path, exc) from exc
     names = [f"graph_{i:04d}.json" for i in range(len(graphs))]
     for name, g, log in zip(names, graphs, logs, strict=True):
         write_text(os.path.join(out, name), graph_to_json(g, log))
     manifest = {"graphs": names, "provenance": [g.provenance for g in graphs]}
-    _dump_json(os.path.join(out, "manifest.json"), manifest)
+    _dump_json(manifest_path, manifest)
 
 
 def _cmd_train(args) -> None:

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import compress, islice
 from json.encoder import encode_basestring
@@ -427,19 +427,15 @@ def _confidence(value, kind: str, name) -> float:
     return value
 
 
-# What the builder passes to mark a graph it made; `replace` does not carry it.
-_BUILT = object()
-
-
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """One sentence's graph: tokens, lemmas, entities, relations.
 
     One rule: a graph that `_GraphBuilder` made (`assemble_graph`,
     `assemble_columns`, `graph_from_dict`) is trusted, and so are the two
-    derived from one here, `subgraph` and `with_senses`.  Any other
-    construction, `dataclasses.replace` included, is `assemble_graph` over
-    the graph's fields, and raises its errors.  The relations may then be
+    derived from one here, `subgraph` and `with_senses` (`_new_graph`).  Any
+    other construction, `dataclasses.replace` included, is `assemble_graph`
+    over the graph's fields, and raises its errors.  The relations may then be
     `Relation`s or `Relations` columns over any entity ids.
     """
 
@@ -448,11 +444,8 @@ class KnowledgeGraph:
     entities: tuple[Entity, ...]
     relations: Relations
     provenance: str = ""
-    _made_by: InitVar[object] = None
 
-    def __post_init__(self, _made_by) -> None:
-        if _made_by is _BUILT:
-            return
+    def __post_init__(self) -> None:
         entities = _elements(self.entities, "entity", Entity)
         relations = self.relations
         if not isinstance(relations, Relations):
@@ -507,6 +500,13 @@ class KnowledgeGraph:
     def incoming(self, entity_id: str) -> tuple[int, ...]:
         """The rows of the relations ending at the entity, in graph order."""
         return self._adjacency[1].get(entity_id, ())
+
+
+def _new_graph(tokens, lemmas, entities, relations, provenance) -> KnowledgeGraph:
+    """KnowledgeGraph(...) over checked fields, built with no check as `_new_entity` builds an `Entity`."""
+    graph = object.__new__(KnowledgeGraph)
+    graph.__dict__.update(tokens=tokens, lemmas=lemmas, entities=entities, relations=relations, provenance=provenance)
+    return graph
 
 
 class _GraphBuilder:
@@ -626,6 +626,65 @@ class _GraphBuilder:
         for ent_id in sense_map:
             raise DanglingReferenceError(f"sense on unknown entity {ent_id!r}")
 
+    def entity_records(self, records: list) -> None:
+        """Add a graph document's entity records, with their attributes and
+        senses.  This loop and `relation_records` know the JSON record keys,
+        as no other method does: the saving is the per-record method call.
+        A record of exact JSON types that keeps every invariant is tested in
+        one expression against the builder's state and stored only once all
+        of it has passed.  Any other goes through `_entity_record`, which
+        raises the error of its first fault or stores a coerced value."""
+        n, index, spans, entities, inf = len(self.tokens), self.index, self.spans, self.entities, math.inf
+        for i, e in enumerate(records):
+            try:
+                ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
+                attrs, senses = e.get("attributes", []), e.get("senses", [])
+                good = (
+                    type(ent_id) is str and type(start) is int and type(end) is int and type(ent_type) is str
+                    and type(conf) is float and type(attrs) is list and type(senses) is list
+                    and 0 <= start < end <= n and 0.0 <= conf <= 1.0
+                    and ent_id not in index and (key := (start, end)) not in spans
+                )
+                attr_pairs = sense_pairs = ()
+                if good and attrs:
+                    pairs = {}
+                    for a in attrs:
+                        t, c = a["type"], a["confidence"]
+                        if not (type(t) is str and type(c) is float and 0.0 <= c <= 1.0 and t not in pairs):
+                            good = False
+                            break
+                        pairs[t] = c
+                    attr_pairs = tuple(pairs.items())
+                if good and senses:
+                    sense_pairs = tuple([(s["sense"], s["confidence"]) for s in senses])
+                    good = all(type(s) is str and type(c) is float and -inf < c < inf for s, c in sense_pairs)
+            except (KeyError, TypeError):
+                good = False
+            if good:
+                spans[key] = ent_id
+                index[ent_id] = len(entities)
+                entities.append(_new_entity(ent_id, _spans[key], ent_type, conf, attr_pairs, sense_pairs))
+            else:
+                self._entity_record(i, e)
+
+    def _entity_record(self, i: int, e) -> None:
+        """Add entity record i through `_check_record` and the `attribute`, `sense` and `entity`
+        checks: its fields are read before its attributes and senses, its invariants checked after."""
+        label = f"entities[{i}]"
+        _check_record(e, label, _ENTITY_FIELDS)
+        attrs = array(e.get("attributes", []), f"{label}.attributes", _malformed)
+        senses = array(e.get("senses", []), f"{label}.senses", _malformed)
+        ent_id, attr_pairs, sense_pairs = e["id"], [], []
+        for j, a in enumerate(attrs):
+            _check_record(a, f"{label}.attributes[{j}]", _ATTRIBUTE_FIELDS)
+            self.attribute(attr_pairs, ent_id, a["type"], a["confidence"])
+        for j, s in enumerate(senses):
+            _check_record(s, f"{label}.senses[{j}]", _SENSE_FIELDS)
+            self.sense(sense_pairs, ent_id, s["sense"], s["confidence"])
+        # the bounds are ints here: _spans would take (1.0, 2) for (1, 2)
+        span = _spans[e["start"], e["end"]]
+        self.entity(ent_id, span, e["type"], e["confidence"], tuple(attr_pairs), tuple(sense_pairs))
+
     def relation(self, head: str, tail: str, rel_type: str, conf) -> None:
         try:
             if head == tail:
@@ -652,6 +711,35 @@ class _GraphBuilder:
         self.tail.append(t)
         self.code.append(c)
         self.confidence.append(conf)
+
+    def relation_records(self, records: list) -> None:
+        """Add a graph document's relation records as `entity_records` adds entities, with a type
+        not seen before numbered as `relation` numbers it; a faulty record goes to `relation`."""
+        index, types, keys = self.index, self.types, self.relation_keys
+        heads, tails, codes, confidences = self.head, self.tail, self.code, self.confidence
+        for i, r in enumerate(records):
+            try:
+                head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
+                good = (
+                    type(head) is str and type(tail) is str and type(rel_type) is str and type(conf) is float
+                    and 0.0 <= conf <= 1.0 and head != tail
+                    and (h := index.get(head)) is not None and (t := index.get(tail)) is not None
+                    and ((c := types.get(rel_type)) is None or (key := (h, t, c)) not in keys)
+                )
+            except (KeyError, TypeError):
+                good = False
+            if good:
+                if c is None:
+                    c = types[rel_type] = len(types)
+                    key = (h, t, c)
+                keys.add(key)
+                heads.append(h)
+                tails.append(t)
+                codes.append(c)
+                confidences.append(conf)
+            else:
+                _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
+                self.relation(r["head"], r["tail"], r["type"], r["confidence"])
 
     def relation_table(self, types: Sequence[str]) -> None:
         """Number the relation types as given; each is a string, named once."""
@@ -702,7 +790,7 @@ class _GraphBuilder:
             _text(provenance, "provenance")
         relations = Relations(tuple(self.index), tuple(self.types), self.head, self.tail, self.code, self.confidence)
         relations._arrays = self.arrays
-        return KnowledgeGraph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance, _BUILT)
+        return _new_graph(self.tokens, self.lemmas, tuple(self.entities), relations, provenance)
 
 
 def _valid_columns(head, tail, code, confidence, k: int, types: int) -> bool:
@@ -806,7 +894,7 @@ def subgraph(graph: KnowledgeGraph, entity_kept, attribute_kept, relation_kept) 
         [new_index[head[j]] for j in rows], [new_index[tail[j]] for j in rows],
         [rels.code[j] for j in rows], [rels.confidence[j] for j in rows],
     )
-    return KnowledgeGraph(graph.tokens, graph.lemmas, tuple(entities), relations, graph.provenance, _BUILT)
+    return _new_graph(graph.tokens, graph.lemmas, tuple(entities), relations, graph.provenance)
 
 
 def with_senses(graph: KnowledgeGraph, senses: Iterable[Iterable[tuple[str, float]]]) -> KnowledgeGraph:
@@ -819,7 +907,7 @@ def with_senses(graph: KnowledgeGraph, senses: Iterable[Iterable[tuple[str, floa
         for sense, conf in pairs:
             _GraphBuilder.sense(checked, e.id, sense, conf)
         entities.append(Entity(e.id, e.span, e.entity_type, e.confidence, e.attributes, tuple(checked)))
-    return KnowledgeGraph(graph.tokens, graph.lemmas, tuple(entities), graph.relations, graph.provenance, _BUILT)
+    return _new_graph(graph.tokens, graph.lemmas, tuple(entities), graph.relations, graph.provenance)
 
 
 class CorpusIndex:
@@ -994,73 +1082,22 @@ def graph_from_dict(data: Mapping) -> KnowledgeGraph:
     """Inverse of graph_to_dict, revalidating all invariants.
 
     Each record is read, checked and built in one pass, by the checks
-    `assemble_graph` runs and with its errors.  Fields are read by
-    `readers`' rules; a GraphError names the offending field, e.g.
-    `entities[0].start` or `tokens[2]`.  A missing or null `lemmas`
-    defaults to the lowercased tokens; other keys are ignored (`rectify`
-    writes its log there).
+    `assemble_graph` runs and with its errors (`_GraphBuilder.entity_records`
+    and `relation_records`).  Fields are read by `readers`' rules; a
+    GraphError names the offending field, e.g. `entities[0].start` or
+    `tokens[2]`.  A missing or null `lemmas` defaults to the lowercased
+    tokens; other keys are ignored (`rectify` writes its log there).
     """
-    obj(data, "a graph document", GraphError)
+    if type(data) is not dict:  # a dict passes obj's Mapping check, which costs more than this test
+        obj(data, "a graph document", GraphError)
     lemmas = data.get("lemmas")
     builder = _GraphBuilder(
         required(data, "tokens", "tokens", _malformed, strings),
         None if lemmas is None else strings(lemmas, "lemmas", _malformed),
         read=True,
     )
-    # Each record's JSON types are tested in one expression.  Only a record
-    # that fails the test (an int confidence, say) or lacks a field goes
-    # through _check_record, which raises if a field is at fault, so no
-    # label is formatted for a well-typed record.  Every record then goes
-    # to the builder method that checks its invariants.  An entity's fields
-    # are read before its attributes and senses, and its invariants checked
-    # after them.
-    add_attribute, add_sense, add_entity = builder.attribute, builder.sense, builder.entity
-    for i, e in enumerate(array(data.get("entities", []), "entities", _malformed)):
-        try:
-            ent_id, start, end, ent_type, conf = e["id"], e["start"], e["end"], e["type"], e["confidence"]
-            attrs, senses = e.get("attributes", []), e.get("senses", [])
-            good = (
-                type(ent_id) is str and type(start) is int and type(end) is int and type(ent_type) is str
-                and type(conf) is float and type(attrs) is list and type(senses) is list
-            )
-        except (KeyError, TypeError):
-            good = False
-        if not good:
-            _check_record(e, f"entities[{i}]", _ENTITY_FIELDS)
-            array(attrs, f"entities[{i}].attributes", _malformed)
-            array(senses, f"entities[{i}].senses", _malformed)
-        attr_pairs: list[tuple[str, float]] = []
-        for j, a in enumerate(attrs):
-            try:
-                attr_type, attr_conf = a["type"], a["confidence"]
-                good = type(attr_type) is str and type(attr_conf) is float
-            except (KeyError, TypeError):
-                good = False
-            if not good:
-                _check_record(a, f"entities[{i}].attributes[{j}]", _ATTRIBUTE_FIELDS)
-            add_attribute(attr_pairs, ent_id, attr_type, attr_conf)
-        sense_pairs: list[tuple[str, float]] = []
-        for j, s in enumerate(senses):
-            try:
-                sense, sense_conf = s["sense"], s["confidence"]
-                good = type(sense) is str and type(sense_conf) is float
-            except (KeyError, TypeError):
-                good = False
-            if not good:
-                _check_record(s, f"entities[{i}].senses[{j}]", _SENSE_FIELDS)
-            add_sense(sense_pairs, ent_id, sense, sense_conf)
-        # the bounds are ints here: _spans would take (1.0, 2) for (1, 2)
-        add_entity(ent_id, _spans[start, end], ent_type, conf, tuple(attr_pairs), tuple(sense_pairs))
-    add_relation = builder.relation
-    for i, r in enumerate(array(data.get("relations", []), "relations", _malformed)):
-        try:
-            head, tail, rel_type, conf = r["head"], r["tail"], r["type"], r["confidence"]
-            good = type(head) is str and type(tail) is str and type(rel_type) is str and type(conf) is float
-        except (KeyError, TypeError):
-            good = False
-        if not good:
-            _check_record(r, f"relations[{i}]", _RELATION_FIELDS)
-        add_relation(head, tail, rel_type, conf)
+    builder.entity_records(array(data.get("entities", []), "entities", _malformed))
+    builder.relation_records(array(data.get("relations", []), "relations", _malformed))
     return builder.graph(string(data.get("provenance", ""), "provenance", _malformed))
 
 

@@ -12,8 +12,10 @@ document.  The file helpers raise an InputError naming the file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 from typing import Callable, Collection, Mapping
 
 import orjson
@@ -70,6 +72,12 @@ def array(value, label: str, error: Error) -> list:
 
 def strings(value, label: str, error: Error, expected: str = "a list of strings") -> tuple[str, ...]:
     """A JSON list of strings as a tuple; the error names the first bad item."""
+    if type(value) is list:
+        try:
+            "".join(value)  # refuses an item that is not a str, as the loop below does
+            return tuple(value)
+        except TypeError:
+            pass
     if not isinstance(value, list):
         raise error(f"{label} must be {expected}, got {value!r}")
     for i, item in enumerate(value):
@@ -122,18 +130,42 @@ def read_text(path: str) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write the text in UTF-8 through a text-mode file.  Text that UTF-8
-    cannot encode (a lone surrogate) is refused before the file is opened,
-    so a file already there is left as it was."""
+    """Write the text in UTF-8 through a text-mode file, whole or not at all.
+
+    Text that UTF-8 cannot encode (a lone surrogate) is refused before any
+    file is opened.  The text goes to a new sibling file with a unique
+    name, created with mode 0o666 under the umask as "w" creates one, and
+    the sibling then replaces `path` in one rename.  A failure on the way
+    removes the sibling, so a file already at `path` is left as it was.
+    A path that is there but is no regular file (a symlink, a directory,
+    a device) is opened with "w" in place, as a rename would replace the
+    link or the node itself.
+    """
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise cannot("write", path, exc) from exc
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except (OSError, ValueError):  # no file there, or a path that open refuses below
+        in_place = False
+    target = path if in_place else f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        fh = open(target, "w" if in_place else "x", encoding="utf-8")
     except OSError as exc:
         raise cannot("write", path, exc) from exc
+    try:
+        with fh:
+            fh.write(text)
+        if not in_place:
+            os.replace(target, path)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        if isinstance(exc, OSError):
+            raise cannot("write", path, exc) from exc
+        raise
 
 
 # parse_json tests both of its rules in one translate: digits to "0", "{" to "[".

@@ -9,10 +9,11 @@ or to raise GraphError where this loader coerces a mistyped string field.
 `builder_graph_from_dict` is the oracle for error messages: it reads every
 record through `_check_record` where its type test fails, then hands every
 element to the builder method that checks it.  The library loader tests a
-record's JSON types in one expression and reads only a record that fails
-the test through `_check_record`, before it hands the record to the same
-builder method, so it must load what this loader loads, and raise the same
-error class with the same message wherever this loader raises.
+record's JSON types and the graph's invariants in one expression, commits
+a record that passes without a method call, and hands only a record that
+fails to `_check_record` and the same builder methods, so it must load
+what this loader loads, and raise the same error class with the same
+message wherever this loader raises.
 """
 
 import math

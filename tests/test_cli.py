@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import causalkg
+from causalkg import cli
 from causalkg.cli import build_parser, main
 from causalkg.dot import emit_dot
 from causalkg.encoder import EncoderConfig, encode_tokens
+from causalkg.errors import InputError
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
+from causalkg.readers import write_text as readers_write_text
 from causalkg.rectify import RemovalRecord, rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
@@ -444,13 +447,27 @@ def write_graph_corpus(corpus, graphs, provenance=None):
     return corpus
 
 
-def test_a_rectify_that_fails_midway_leaves_no_mixture_that_loads(tmp_path, capsys):
-    # the second run writes graph_0000.json and then cannot write graph 1,
-    # whose token UTF-8 cannot encode; the first run's manifest still names
-    # graph_0001 and graph_0002, and lists old0 as graph 0's provenance
+def directory_files(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def assert_first_output_or_no_manifest(out, first, capsys):
+    """`out` holds the first run's files unchanged, or no manifest, and no command loads it."""
+    files = directory_files(out)
+    assert files == first or "manifest.json" not in files
+    assert not any(name.endswith(".tmp") for name in files)
+    capsys.readouterr()
+    assert main(["valence", "--schema", "sciclaim", "--input", str(out)]) == 2
+    assert f"cannot read {out / 'manifest.json'}: No such file or directory" in capsys.readouterr().err
+
+
+def rectify_twice_failing_midway(tmp_path, capsys, old_name, new_name):
+    """A rectify run into `out`, then one that writes graph_0000.json and
+    cannot write graph 1, whose token UTF-8 cannot encode; the first run's
+    manifest named graph_0001 and graph_0002."""
     rng = np.random.default_rng(5)
-    old = [random_sciclaim_graph(rng, provenance=f"old{i}") for i in range(3)]
-    new = [random_sciclaim_graph(rng, provenance=f"new{i}") for i in range(3)]
+    old = [random_sciclaim_graph(rng, provenance=f"{old_name}{i}") for i in range(3)]
+    new = [random_sciclaim_graph(rng, provenance=f"{new_name}{i}") for i in range(3)]
     in_old = write_graph_corpus(tmp_path / "in_old", old)
     in_bad = write_graph_corpus(tmp_path / "in_bad", new)
     bad = graph_to_dict(new[1])
@@ -458,14 +475,48 @@ def test_a_rectify_that_fails_midway_leaves_no_mixture_that_loads(tmp_path, caps
     (in_bad / "g1.json").write_text(json.dumps(bad))  # the token JSON-escaped, as "\\ud800"
     out = tmp_path / "out"
     assert main(["rectify", "--schema", "sciclaim", "--input", str(in_old), "--out", str(out)]) == 0
+    first = directory_files(out)
     assert main(["rectify", "--schema", "sciclaim", "--input", str(in_bad), "--out", str(out)]) == 2
     assert "surrogates not allowed" in capsys.readouterr().err
-    assert json.loads((out / "graph_0000.json").read_text())["provenance"] == "new0"
-    assert main(["valence", "--schema", "sciclaim", "--input", str(out)]) == 2
-    manifest = out / "manifest.json"
-    assert capsys.readouterr().err == (
-        f"causalkg: error: {manifest}: graph 0 (graph_0000.json) has provenance 'new0', not 'old0'\n"
-    )
+    assert json.loads((out / "graph_0000.json").read_text())["provenance"] == f"{new_name}0"
+    return out, first
+
+
+def test_a_rectify_that_fails_midway_leaves_no_mixture_that_loads(tmp_path, capsys):
+    out, first = rectify_twice_failing_midway(tmp_path, capsys, "old", "new")
+    assert_first_output_or_no_manifest(out, first, capsys)
+
+
+def test_a_failed_rectify_over_the_same_provenances_leaves_no_mixture_that_loads(tmp_path, capsys):
+    # new p0 with old p1 and p2 would pass the manifest's provenance check
+    out, first = rectify_twice_failing_midway(tmp_path, capsys, "p", "p")
+    assert_first_output_or_no_manifest(out, first, capsys)
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 3])
+def test_a_write_that_fails_after_some_files_leaves_no_mixture_that_loads(tmp_path, capsys, monkeypatch, fail_at):
+    # both runs name their graphs p0-p2, so only the manifest can tell them
+    # apart; write number fail_at fails (3 is the manifest)
+    rng = np.random.default_rng(6)
+    runs = [[random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(3)] for _ in range(2)]
+    inputs = [write_graph_corpus(tmp_path / f"in{k}", graphs) for k, graphs in enumerate(runs)]
+    out = tmp_path / "out"
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(inputs[0]), "--out", str(out)]) == 0
+    first = directory_files(out)
+    written = []
+
+    def write_text(path, text):
+        if len(written) == fail_at:
+            raise InputError(f"cannot write {path}: No space left on device")
+        written.append(path)
+        readers_write_text(path, text)
+
+    monkeypatch.setattr(cli, "write_text", write_text)
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(inputs[1]), "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(written) == fail_at
+    monkeypatch.undo()
+    assert_first_output_or_no_manifest(out, first, capsys)
 
 
 @pytest.mark.parametrize("provenance, message", [

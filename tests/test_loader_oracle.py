@@ -18,7 +18,7 @@ import loader_reference as reference
 import synth
 from causalkg.errors import GraphError
 from causalkg import graphs
-from causalkg.graphs import _GraphBuilder, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
+from causalkg.graphs import Span, _GraphBuilder, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json
 from causalkg.rectify import rectify
 from causalkg.schema import load_schema
 
@@ -218,6 +218,83 @@ def test_mutated_documents_load_like_the_oracle_or_raise_graph_error():
     assert min(outcomes.values()) >= 10, outcomes
 
 
+# Confidences at the edges of [0, 1], where ints are valid but coerced, and
+# the next float past 1
+EDGE_CONFIDENCES = [0, 1, -0.0, 0.0, 1.0]
+PAST_ONE = 1.0000000000000002
+
+
+@st.composite
+def valid_documents(draw):
+    """Graph documents that load, with multi-token, adjacent and nested
+    spans, attributes, ranked senses and relation types first seen
+    mid-document; one in five instead holds a confidence past 1 or a NaN
+    sense confidence, which must raise as the builder methods raise."""
+    n = draw(st.integers(1, 7))
+    tokens = draw(st.lists(st.sampled_from(["Rain", "rain", "floods", "a", "b"]), min_size=n, max_size=n))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n)).filter(lambda b: b[0] < b[1]),
+        max_size=8, unique=True,
+    ))
+    confidence = st.floats(0.0, 1.0) | st.sampled_from(EDGE_CONFIDENCES)
+    entities = []
+    for k, (start, end) in enumerate(spans):
+        attributes = draw(st.lists(st.sampled_from(["sign+", "sign-", "test"]), max_size=3, unique=True))
+        senses = draw(st.lists(st.sampled_from(["rain.n.01", "rain.v.01", "flood.n.01"]), max_size=2))
+        entities.append({
+            "id": draw(st.sampled_from([f"e{k}", f"e/{k}", f"#{k}"])),
+            "start": start, "end": end, "type": draw(st.sampled_from(["factor", "association"])),
+            "confidence": draw(confidence),
+            "attributes": [{"type": t, "confidence": draw(confidence)} for t in attributes],
+            "senses": [{"sense": s, "confidence": draw(st.floats(-2.0, 2.0) | st.sampled_from([0, 2]))} for s in senses],
+        })
+    ids = list(dict.fromkeys(e["id"] for e in entities))
+    keys = []
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+        keys = draw(st.lists(
+            st.tuples(pairs, st.sampled_from(["arg0", "arg1", "modifier"])).map(lambda k: (*k[0], k[1])),
+            max_size=10, unique=True,
+        ))
+    relations = [{"head": h, "tail": t, "type": r, "confidence": draw(confidence)} for h, t, r in keys]
+    fault = draw(st.sampled_from([None, None, None, None, "past one", "nan sense"]))
+    records = {
+        "past one": entities + [a for e in entities for a in e["attributes"]] + relations,
+        "nan sense": [s for e in entities for s in e["senses"]],
+    }.get(fault)
+    if records:
+        draw(st.sampled_from(records))["confidence"] = PAST_ONE if fault == "past one" else float("nan")
+    doc = {"tokens": tokens, "entities": entities, "relations": relations}
+    lemmas = draw(st.sampled_from(["absent", None, "lower"]))
+    if lemmas != "absent":
+        doc["lemmas"] = lemmas and [t.lower() for t in tokens]
+    doc["provenance"] = draw(st.sampled_from(["", "p0", "a/b"]))
+    # the stdlib writes and parses NaN, as the loader reads it from a file
+    return json.loads(json.dumps(doc))
+
+
+def test_valid_documents_load_like_the_builder_method_loader():
+    outcomes = {"loaded": 0, "raised": 0, "coerced": 0, "new type mid-document": 0}
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(valid_documents())
+    def check(doc):
+        got = assert_same_outcome(doc)
+        if not isinstance(got, graphs.KnowledgeGraph):
+            outcomes["raised"] += 1
+            return
+        outcomes["loaded"] += 1
+        assert got == reference.graph_from_dict(doc)
+        assert graph_from_dict(json.loads(graph_to_json(got))) == got
+        confidences = [r["confidence"] for r in doc["relations"]] + [e["confidence"] for e in doc["entities"]]
+        outcomes["coerced"] += any(type(c) is int for c in confidences)
+        types = [r["type"] for r in doc["relations"]]
+        outcomes["new type mid-document"] += len(set(types[1:]) - {types[0]}) > 0 if types else 0
+
+    check()
+    assert outcomes["loaded"] >= 300 and min(outcomes.values()) >= 20, outcomes
+
+
 def end_records(doc):
     """The first and the last entity, attribute, sense and relation record."""
     attributes = [a for e in doc["entities"] for a in e["attributes"]]
@@ -276,6 +353,8 @@ def arm_tripwires(monkeypatch):
             monkeypatch.setattr(_GraphBuilder, name, staticmethod(tripwire(name, method.__func__)))
         else:
             monkeypatch.setattr(_GraphBuilder, name, tripwire(name, method))
+    # a span's bounds are checked where the Span is built, before `entity`
+    monkeypatch.setattr(Span, "__post_init__", tripwire("span", Span.__post_init__))
 
 
 def faulty(edit):
@@ -293,6 +372,15 @@ def faulty(edit):
     (faulty(lambda d: d["relations"][0].update(tail=d["relations"][0]["head"])), "relation"),
     (faulty(lambda d: d["relations"].append(d["relations"][0])), "relation"),
     (faulty(lambda d: d["relations"][0].update(head="nobody")), "relation"),
+    (faulty(lambda d: d["relations"][-1].update(tail="nobody")), "relation"),
+    (faulty(lambda d: d["entities"][-1].update(start=d["entities"][0]["start"], end=d["entities"][0]["end"])), "entity"),
+    (faulty(lambda d: d["entities"][-1].update(start=d["entities"][-1]["end"])), "span"),
+    (faulty(lambda d: d["entities"][-1]["attributes"].append(dict(d["entities"][-1]["attributes"][0]))), "attribute"),
+    # faults in records that are otherwise regular, unlike entities[0] with its int sense confidence
+    (faulty(lambda d: d["entities"][-1].update(confidence=1.5)), "entity"),
+    (faulty(lambda d: d["entities"][-1]["attributes"][0].update(confidence=-0.5)), "attribute"),
+    (faulty(lambda d: d["entities"][-1]["senses"].append({"sense": "x", "confidence": float("nan")})), "sense"),
+    (faulty(lambda d: d["relations"][-1].update(confidence=1.0000000000000002)), "relation"),
 ])
 def test_a_faulty_record_reaches_its_builder_method(monkeypatch, doc, method):
     arm_tripwires(monkeypatch)

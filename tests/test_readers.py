@@ -4,6 +4,7 @@ library code raises only CausalKgError subclasses on bad input."""
 import ast
 import builtins
 import copy
+import errno
 import json
 import os
 import re
@@ -367,6 +368,53 @@ def test_read_text_names_a_missing_file_and_a_directory(tmp_path):
         with pytest.raises(InputError) as exc:
             read_text(path)
         assert str(exc.value) == f"cannot read {path}: {reason}" == outcome(text_mode_read, path)[1]
+
+
+class ShortWrite:
+    """A file whose write writes the text's first chunk and then fails, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:4])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old contents\n")
+    real_open = builtins.open
+    monkeypatch.setattr(readers, "open", lambda *args, **kwargs: ShortWrite(real_open(*args, **kwargs)), raising=False)
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(path))}: No space left on device$"):
+        readers.write_text(str(path), "new contents\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_text_replaces_a_file_and_writes_through_what_is_not_one(tmp_path):
+    path = tmp_path / "out.json"
+    readers.write_text(str(path), "first\n")
+    readers.write_text(str(path), "second\r\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.read_bytes() == b"second\r\n" and path.stat().st_mode & 0o777 == 0o666 & ~umask
+    # a symlink is written through, not replaced; a directory is refused
+    link = tmp_path / "link.json"
+    link.symlink_to(path)
+    readers.write_text(str(link), "third\n")
+    assert link.is_symlink() and path.read_text() == "third\n"
+    with pytest.raises(InputError, match=f"^cannot write {re.escape(str(tmp_path))}: Is a directory$"):
+        readers.write_text(str(tmp_path), "x")
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "out.json"]
 
 
 # -- no builtin exception escapes a loader -----------------------------------
