@@ -43,7 +43,7 @@ from .readers import (
     write_text,
 )
 from .reasoning import NodePattern, compute_valence, find_paths
-from .rectify import RemovalRecord, rectify
+from .rectify import rectify
 from .schema import Schema, load_schema
 from .senses import link_senses, load_glosses, load_inventory
 from .training import TrainConfig, gold_graph, load_dataset, train
@@ -54,13 +54,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _makedirs(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise cannot("create directory", path, exc) from exc
 
 
 def _dump_json(path: str | None, data) -> None:
@@ -126,32 +119,40 @@ def _load_graphs(path: str) -> tuple[list[KnowledgeGraph], bool]:
     return graphs, False
 
 
-def _write_graphs(
-    out: str, graphs: list[KnowledgeGraph], logs: list[list[RemovalRecord]] | None = None, one_file=False
-):
-    """The graphs as files of directory `out` with a manifest, or the graph of a graph file as file `out` if
-    `one_file`; logs[i], if given, is `rectify`'s log of graph i, which `graph_to_json` appends to its file.
+def _write_graphs(out: str, one_file: bool, suffix: str, texts: list[str], provenances: list[str] | None = None):
+    """The one text as file `out` if `one_file`, else text i as file graph_NNNN.<suffix> of directory `out`,
+    with a manifest.json after them that lists the files and `provenances` if those are given (graph outputs).
 
-    Each file is written whole or not at all (`write_text`).  The manifest that a directory may hold from
-    an earlier run goes before the first graph file is written, and the new one is written last, so a run
-    that fails midway leaves a directory that no command loads, not old and new graphs under one manifest."""
-    logs = logs or [None] * len(graphs)
-    if one_file:
-        write_text(out, graph_to_json(graphs[0], logs[0]))
-        return
-    _makedirs(out)
-    manifest_path = os.path.join(out, "manifest.json")
-    try:
-        os.remove(manifest_path)
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise cannot("remove", manifest_path, exc) from exc
-    names = [f"graph_{i:04d}.json" for i in range(len(graphs))]
-    for name, g, log in zip(names, graphs, logs, strict=True):
-        write_text(os.path.join(out, name), graph_to_json(g, log))
-    manifest = {"graphs": names, "provenance": [g.provenance for g in graphs]}
-    _dump_json(manifest_path, manifest)
+    Every text, the manifest's too, must encode as UTF-8 before the disk is touched, so a run that fails
+    before its first write leaves `out` as it was.  Each file is written whole or not at all (`write_text`).
+    The manifest that a directory may hold from an earlier run goes before the first graph file is written,
+    and the new one is written last, so a run that fails midway leaves a directory that no command loads,
+    not old and new graphs under one manifest."""
+    names = [f"graph_{i:04d}.{suffix}" for i in range(len(texts))]
+    paths = [out] if one_file else [os.path.join(out, name) for name in names]
+    with_manifest = provenances is not None and not one_file
+    if with_manifest:
+        texts = [*texts, json.dumps({"graphs": names, "provenance": provenances}, indent=2, ensure_ascii=False) + "\n"]
+        paths.append(os.path.join(out, "manifest.json"))
+    for path, text in zip(paths, texts, strict=True):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise cannot("write", path, exc) from exc
+    if not one_file:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise cannot("create directory", out, exc) from exc
+    if with_manifest:
+        try:
+            os.remove(paths[-1])
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise cannot("remove", paths[-1], exc) from exc
+    for path, text in zip(paths, texts):
+        write_text(path, text)
 
 
 def _cmd_train(args) -> None:
@@ -181,17 +182,15 @@ def _cmd_extract(args) -> None:
     overrides = {"theta_r": args.threshold_relation, "theta_a": args.threshold_attribute}
     model = replace(load_model(args.model), **{name: value for name, value in overrides.items() if value is not None})
     sentences = within(args.input, _sentences, load_json(args.input))
-    graphs = [
-        extract(tokens, lemmas, model, provenance=provenance) for tokens, lemmas, provenance in sentences
-    ]
-    _write_graphs(args.out, graphs)
+    texts = [graph_to_json(extract(tokens, lemmas, model, provenance=p)) for tokens, lemmas, p in sentences]
+    _write_graphs(args.out, False, "json", texts, [p for _, _, p in sentences])
 
 
 def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs, one_file = _load_graphs(args.input)
-    results = [rectify(g, schema) for g in graphs]
-    _write_graphs(args.out, [fixed for fixed, _ in results], [log for _, log in results], one_file and not args.out_dir)
+    texts = [graph_to_json(*rectify(g, schema)) for g in graphs]
+    _write_graphs(args.out, one_file and not args.out_dir, "json", texts, [g.provenance for g in graphs])
 
 
 def _cmd_senses(args) -> None:
@@ -200,11 +199,11 @@ def _cmd_senses(args) -> None:
     inventory = within(args.inventory, load_inventory, read_text(args.inventory), glosses, skip)
     encoder = load_model(args.model).encoder if args.model else _load_config(args)[1]
     graphs, one_file = _load_graphs(args.input)
-    linked = [
-        link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=args.threshold)
+    texts = [
+        graph_to_json(link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=args.threshold))
         for g in graphs
     ]
-    _write_graphs(args.out, linked, one_file=one_file)
+    _write_graphs(args.out, one_file, "json", texts, [g.provenance for g in graphs])
 
 
 def _cmd_valence(args) -> None:
@@ -248,12 +247,7 @@ def _cmd_eval(args) -> None:
 def _cmd_dot(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs, one_file = _load_graphs(args.input)
-    if one_file:
-        write_text(args.out, emit_dot(graphs[0], schema))
-        return
-    _makedirs(args.out)
-    for i, g in enumerate(graphs):
-        write_text(os.path.join(args.out, f"graph_{i:04d}.dot"), emit_dot(g, schema))
+    _write_graphs(args.out, one_file, "dot", [emit_dot(g, schema) for g in graphs])
 
 
 _REQUIRED, _OPTIONAL = {"required": True}, {"default": None}

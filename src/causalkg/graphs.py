@@ -8,7 +8,6 @@ graphs can be shared freely across workers.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -29,7 +28,7 @@ from .errors import (
     GraphError,
     SelfLoopError,
 )
-from .readers import array, integer, obj, real, required, string, strings
+from .readers import array, integer, obj, parse_json, real, required, string, strings
 
 if TYPE_CHECKING:
     from .rectify import RemovalRecord  # rectify imports this module
@@ -1198,4 +1197,5 @@ def graph_to_json(graph: KnowledgeGraph, log: Sequence[RemovalRecord] | None = N
 
 
 def graph_from_json(text: str) -> KnowledgeGraph:
-    return graph_from_dict(json.loads(text))
+    """The graph of a graph document's text; text that is not JSON raises GraphError."""
+    return graph_from_dict(parse_json(text, "a graph document", GraphError))

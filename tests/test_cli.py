@@ -452,19 +452,20 @@ def directory_files(path):
 
 
 def assert_first_output_or_no_manifest(out, first, capsys):
-    """`out` holds the first run's files unchanged, or no manifest, and no command loads it."""
+    """`out` holds the first run's files unchanged, or no manifest, and then no command loads it."""
     files = directory_files(out)
-    assert files == first or "manifest.json" not in files
     assert not any(name.endswith(".tmp") for name in files)
+    if files == first:
+        return
+    assert "manifest.json" not in files
     capsys.readouterr()
     assert main(["valence", "--schema", "sciclaim", "--input", str(out)]) == 2
     assert f"cannot read {out / 'manifest.json'}: No such file or directory" in capsys.readouterr().err
 
 
 def rectify_twice_failing_midway(tmp_path, capsys, old_name, new_name):
-    """A rectify run into `out`, then one that writes graph_0000.json and
-    cannot write graph 1, whose token UTF-8 cannot encode; the first run's
-    manifest named graph_0001 and graph_0002."""
+    """A rectify run into `out`, then one that cannot write graph 1, whose
+    token UTF-8 cannot encode, and so leaves the first run's files as they were."""
     rng = np.random.default_rng(5)
     old = [random_sciclaim_graph(rng, provenance=f"{old_name}{i}") for i in range(3)]
     new = [random_sciclaim_graph(rng, provenance=f"{new_name}{i}") for i in range(3)]
@@ -478,7 +479,7 @@ def rectify_twice_failing_midway(tmp_path, capsys, old_name, new_name):
     first = directory_files(out)
     assert main(["rectify", "--schema", "sciclaim", "--input", str(in_bad), "--out", str(out)]) == 2
     assert "surrogates not allowed" in capsys.readouterr().err
-    assert json.loads((out / "graph_0000.json").read_text())["provenance"] == f"{new_name}0"
+    assert directory_files(out) == first
     return out, first
 
 
@@ -517,6 +518,61 @@ def test_a_write_that_fails_after_some_files_leaves_no_mixture_that_loads(tmp_pa
     assert len(written) == fail_at
     monkeypatch.undo()
     assert_first_output_or_no_manifest(out, first, capsys)
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_dot_refused_at_its_third_graph_writes_no_file(tmp_path, capsys, earlier):
+    # dot wrote graph_0000.dot and graph_0001.dot before it rendered graph 2
+    rng = np.random.default_rng(8)
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(2)] + [unknown_type_graphs()["relation"]]
+    out = tmp_path / "out"
+    if earlier:
+        earlier_graphs = [random_sciclaim_graph(rng, provenance=f"q{i}") for i in range(3)]
+        earlier_args = ["--input", str(write_graph_corpus(tmp_path / "in0", earlier_graphs)), "--out", str(out)]
+        assert main(["dot", "--schema", "sciclaim", *earlier_args]) == 0
+    before = directory_files(out) if earlier else None
+    args = ["--input", str(write_graph_corpus(tmp_path / "in1", graphs)), "--out", str(out)]
+    assert main(["dot", "--schema", "sciclaim", *args]) == 2
+    assert capsys.readouterr().err == "causalkg: error: relation type 'martian' not in schema 'sciclaim'\n"
+    assert (directory_files(out) == before) if earlier else not out.exists()
+
+
+def failing_at_the_third_graph(tmp_path, command, out):
+    """The arguments of `command` over three sentences or graphs, of which
+    only the third gives an output that UTF-8 cannot encode."""
+    rng = np.random.default_rng(9)
+    if command == "extract":
+        sentences = [{"tokens": ["a", "b"], "provenance": p} for p in ("s0", "s1", "s\ud800")]
+        return [*extract_args(tmp_path, sentences)[:-1], str(out)]
+    bad = assemble_graph(["a", "b"], None, [("e\ud800", Span(0, 1), "factor", 0.9)], provenance="p\ud800")
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(2)] + [bad]
+    args = ["--input", str(write_graph_corpus(tmp_path / "corpus", graphs)), "--out", str(out)]
+    if command != "senses":
+        return [command, "--schema", "sciclaim", *args]
+    inventory = tmp_path / "inventory.tsv"
+    inventory.write_text("a.n.01\ta\t-\t" + "\t".join(["0.25"] * 8) + "\n")
+    return ["senses", "--inventory", str(inventory), "--config", str(make_encoder_config(tmp_path, 8)), *args]
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+@pytest.mark.parametrize("command", ["extract", "rectify", "senses", "dot"])
+def test_a_run_refused_before_its_first_write_leaves_the_output_as_it_was(tmp_path, capsys, command, kind):
+    # the third output is refused before the first file is written, and
+    # before a file --out is found to be no directory
+    out = tmp_path / "out"
+    if kind == "file":
+        out.write_bytes(b"an earlier output\n")
+    else:
+        out.mkdir()
+        for name in ("graph_0000.json", "graph_0000.dot", "manifest.json"):
+            (out / name).write_bytes(b"an earlier " + name.encode() + b"\n")
+    before = out.read_bytes() if kind == "file" else directory_files(out)
+    assert main(failing_at_the_third_graph(tmp_path, command, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"causalkg: error: cannot write {out / 'graph_0002'}."), err
+    assert "surrogates not allowed" in err
+    assert (out.read_bytes() if kind == "file" else directory_files(out)) == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 @pytest.mark.parametrize("provenance, message", [

@@ -286,6 +286,13 @@ def test_graph_from_dict_rejects_bad_senses(sense, confidence):
         graph_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ["{", "[1,"])
+def test_graph_from_json_refuses_text_that_is_not_json_with_a_graph_error(text):
+    # json.loads raised its bare JSONDecodeError, which no CausalKgError handler catches
+    with pytest.raises(GraphError, match="^a graph document is not valid JSON: "):
+        graph_from_json(text)
+
+
 @pytest.mark.parametrize("doc", [[], "graph", 5, None])
 def test_graph_from_dict_rejects_a_non_object(doc):
     with pytest.raises(GraphError, match="must be an object"):
