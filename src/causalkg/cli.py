@@ -32,6 +32,7 @@ from .model import extract, load_model, save_model
 from .readers import (
     array,
     cannot,
+    encode_text,
     integer,
     load_json,
     obj,
@@ -40,7 +41,7 @@ from .readers import (
     string,
     strings,
     within,
-    write_text,
+    write_bytes,
 )
 from .reasoning import NodePattern, compute_valence, find_paths
 from .rectify import rectify
@@ -56,11 +57,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# the layout of the JSON documents that valence, query and eval write, and of manifests
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
 def _dump_json(path: str | None, data) -> None:
     """Write the data as indented JSON to the file, or to stdout without one."""
-    text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    text = _json_text(data)
     if path:
-        write_text(path, text)
+        write_bytes(path, encode_text(path, text))
     else:
         sys.stdout.write(text)
 
@@ -119,40 +125,34 @@ def _load_graphs(path: str) -> tuple[list[KnowledgeGraph], bool]:
     return graphs, False
 
 
-def _write_graphs(out: str, one_file: bool, suffix: str, texts: list[str], provenances: list[str] | None = None):
+def _write_graphs(out: str, one_file: bool, suffix: str, texts: list[str], provenances: list[str]):
     """The one text as file `out` if `one_file`, else text i as file graph_NNNN.<suffix> of directory `out`,
-    with a manifest.json after them that lists the files and `provenances` if those are given (graph outputs).
+    with a manifest.json after them that lists the files and the graphs' `provenances`.
 
-    Every text, the manifest's too, must encode as UTF-8 before the disk is touched, so a run that fails
-    before its first write leaves `out` as it was.  Each file is written whole or not at all (`write_text`).
+    Every text, the manifest's too, is encoded as UTF-8 before the disk is touched, so a run that fails
+    before its first write leaves `out` as it was.  Each file is written whole or not at all (`write_bytes`).
     The manifest that a directory may hold from an earlier run goes before the first graph file is written,
     and the new one is written last, so a run that fails midway leaves a directory that no command loads,
     not old and new graphs under one manifest."""
     names = [f"graph_{i:04d}.{suffix}" for i in range(len(texts))]
     paths = [out] if one_file else [os.path.join(out, name) for name in names]
-    with_manifest = provenances is not None and not one_file
-    if with_manifest:
-        texts = [*texts, json.dumps({"graphs": names, "provenance": provenances}, indent=2, ensure_ascii=False) + "\n"]
+    if not one_file:
+        texts = [*texts, _json_text({"graphs": names, "provenance": provenances})]
         paths.append(os.path.join(out, "manifest.json"))
-    for path, text in zip(paths, texts, strict=True):
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise cannot("write", path, exc) from exc
+    data = [encode_text(path, text) for path, text in zip(paths, texts, strict=True)]
     if not one_file:
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise cannot("create directory", out, exc) from exc
-    if with_manifest:
         try:
             os.remove(paths[-1])
         except FileNotFoundError:
             pass
         except OSError as exc:
             raise cannot("remove", paths[-1], exc) from exc
-    for path, text in zip(paths, texts):
-        write_text(path, text)
+    for path, raw in zip(paths, data):
+        write_bytes(path, raw)
 
 
 def _cmd_train(args) -> None:
@@ -247,7 +247,7 @@ def _cmd_eval(args) -> None:
 def _cmd_dot(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs, one_file = _load_graphs(args.input)
-    _write_graphs(args.out, one_file, "dot", [emit_dot(g, schema) for g in graphs])
+    _write_graphs(args.out, one_file, "dot", [emit_dot(g, schema) for g in graphs], [g.provenance for g in graphs])
 
 
 _REQUIRED, _OPTIONAL = {"required": True}, {"default": None}

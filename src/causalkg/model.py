@@ -35,7 +35,7 @@ from .encoder import EncoderConfig, TokenEncoding, encode_tokens
 from .errors import DimensionMismatchError, GraphError, InputError
 from .graphs import KnowledgeGraph, Span, _texts
 from .graphs import assemble_columns as assemble_graph  # the name bench/tracing.py wraps
-from .readers import integer, load_json, obj, real, required, within, write_text
+from .readers import encode_text, integer, load_json, obj, real, required, within, write_bytes
 from .schema import Schema, schema_from_dict, schema_to_dict
 
 __all__ = [
@@ -581,7 +581,7 @@ def save_model(model: Model, path: str) -> None:
         # a 0-d group (attn_b) is written as a plain number
         "parameters": {name: group.tolist() for name, group in model.params.items()},
     }
-    write_text(path, json.dumps(doc) + "\n")
+    write_bytes(path, encode_text(path, json.dumps(doc) + "\n"))
 
 
 _MODEL_KEYS = (

@@ -129,34 +129,37 @@ def read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def write_text(path: str, text: str) -> None:
-    """Write the text in UTF-8 through a text-mode file, whole or not at all.
-
-    Text that UTF-8 cannot encode (a lone surrogate) is refused before any
-    file is opened.  The text goes to a new sibling file with a unique
-    name, created with mode 0o666 under the umask as "w" creates one, and
-    the sibling then replaces `path` in one rename.  A failure on the way
-    removes the sibling, so a file already at `path` is left as it was.
-    A path that is there but is no regular file (a symlink, a directory,
-    a device) is opened with "w" in place, as a rename would replace the
-    link or the node itself.
-    """
+def encode_text(path: str, text: str) -> bytes:
+    """The output file's text in UTF-8; a lone surrogate raises an InputError naming the file."""
     try:
-        text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise cannot("write", path, exc) from exc
+
+
+def write_bytes(path: str, data: bytes) -> None:
+    """Write the bytes to the file, whole or not at all.
+
+    The bytes go to a new sibling file with a unique name, created with
+    mode 0o666 under the umask as "wb" creates one, and the sibling then
+    replaces `path` in one rename.  A failure on the way removes the
+    sibling, so a file already at `path` is left as it was.  A path that
+    is there but is no regular file (a symlink, a directory, a device) is
+    opened with "wb" in place, as a rename would replace the link or the
+    node itself.
+    """
     try:
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except (OSError, ValueError):  # no file there, or a path that open refuses below
         in_place = False
     target = path if in_place else f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        fh = open(target, "w" if in_place else "x", encoding="utf-8")
+        fh = open(target, "wb" if in_place else "xb")
     except OSError as exc:
         raise cannot("write", path, exc) from exc
     try:
         with fh:
-            fh.write(text)
+            fh.write(data)
         if not in_place:
             os.replace(target, path)
     except BaseException as exc:

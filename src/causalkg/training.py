@@ -218,9 +218,9 @@ class _Plan:
     `_prepare`, the span table, which holds every span a step can see (the
     gold spans and the candidates), with each such span's row, and, once
     `over` the token vectors, the table built over them (whose arrays serve
-    one step at a time) and each gold pair's between-context row and
-    span-table rows.  `train` builds one per example and hands it to every
-    step; a call given none builds its own.  Its own arrays are read-only."""
+    one step at a time) and each gold pair's between-context row.  `train`
+    builds one per example and hands it to every step; a call given none
+    builds its own.  Its own arrays are read-only."""
 
     span_candidates: tuple[Span, ...]  # every enumerable span that is not gold
     pair_candidates: tuple[tuple[int, int], ...]  # ordered gold-entity pairs with no relation
@@ -233,7 +233,6 @@ class _Plan:
     table: SpanTable
     row_of: dict[Span, int]  # every span of the table (the gold spans and the candidates) and its row
     between: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s between context
-    ends: np.ndarray | None = None  # row h * k + t: gold pair (h, t)'s head and tail span-table rows
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -245,8 +244,7 @@ class _Plan:
         heads, tails = np.divmod(np.arange(len(self.spans) ** 2), len(self.spans))
         table = span_table(self.table.n, self.table.max_len, token_vectors)
         between = pair_contexts(token_vectors, self.spans, heads, tails)
-        ends = np.stack([self.rows[heads], self.rows[tails]], axis=1)
-        return replace(self, table=table, between=between, ends=ends)
+        return replace(self, table=table, between=between)
 
 
 def _candidates(example: Example, max_span_len: int):
@@ -519,10 +517,11 @@ def _loss_impl(model, example, negatives, encoding, plan, grads):
     attr_reps = ent_reps[:k]  # the gold spans come first
     attr_scores = classify_attributes(model, attr_reps)
 
-    # each pair's row of plan.ends and plan.between
-    gold_pairs = np.array([h * k + t for h, t in pair_order], dtype=np.intp)
-    ends = plan.ends.take(gold_pairs, axis=0)  # each pair's head and tail span-table rows
-    pair_reps = pair_rows(reps, ends[:, 0], ends[:, 1], plan.between.take(gold_pairs, axis=0))
+    # each pair's (h, t), an (m, 2) index even with no pair, picks its head
+    # and tail span-table rows and its row h * k + t of plan.between
+    pairs = np.array(pair_order, dtype=np.intp).reshape(-1, 2)
+    ends = plan.rows.take(pairs)
+    pair_reps = pair_rows(reps, ends[:, 0], ends[:, 1], plan.between.take(pairs[:, 0] * k + pairs[:, 1], axis=0))
     rel_scores = classify_relations(model, pair_reps)
 
     ent_index = np.arange(len(ent_targets))

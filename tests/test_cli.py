@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import causalkg
-from causalkg import cli
+from causalkg import cli, model
 from causalkg.cli import build_parser, main
 from causalkg.dot import emit_dot
 from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import InputError
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
-from causalkg.readers import write_text as readers_write_text
+from causalkg.readers import encode_text as readers_encode_text, write_bytes as readers_write_bytes
 from causalkg.rectify import RemovalRecord, rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
 from causalkg.senses import link_senses, load_inventory
@@ -87,7 +87,7 @@ def test_train_extract_dot_smoke(workdir):
         "dot", "--input", str(out_dir), "--schema", "sciclaim", "--out", str(dot_dir),
     ]) == 0
     dots = sorted(os.listdir(dot_dir))
-    assert len(dots) == 4
+    assert dots == [f"graph_{i:04d}.dot" for i in range(4)] + ["manifest.json"]
     assert (dot_dir / dots[0]).read_text().startswith("digraph {")
 
 
@@ -506,13 +506,13 @@ def test_a_write_that_fails_after_some_files_leaves_no_mixture_that_loads(tmp_pa
     first = directory_files(out)
     written = []
 
-    def write_text(path, text):
+    def write_bytes(path, data):
         if len(written) == fail_at:
             raise InputError(f"cannot write {path}: No space left on device")
         written.append(path)
-        readers_write_text(path, text)
+        readers_write_bytes(path, data)
 
-    monkeypatch.setattr(cli, "write_text", write_text)
+    monkeypatch.setattr(cli, "write_bytes", write_bytes)
     assert main(["rectify", "--schema", "sciclaim", "--input", str(inputs[1]), "--out", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert len(written) == fail_at
@@ -535,6 +535,45 @@ def test_dot_refused_at_its_third_graph_writes_no_file(tmp_path, capsys, earlier
     assert main(["dot", "--schema", "sciclaim", *args]) == 2
     assert capsys.readouterr().err == "causalkg: error: relation type 'martian' not in schema 'sciclaim'\n"
     assert (directory_files(out) == before) if earlier else not out.exists()
+
+
+def test_each_output_text_is_encoded_once(tmp_path, monkeypatch):
+    # a three-graph directory run encodes its three graphs and then its
+    # manifest, and query --out its one document, each once
+    encoded = []
+
+    def encode_text(path, text):
+        encoded.append(os.path.basename(path))
+        return readers_encode_text(path, text)
+
+    monkeypatch.setattr(cli, "encode_text", encode_text)
+    monkeypatch.setattr(model, "encode_text", encode_text)
+    rng = np.random.default_rng(10)
+    corpus = write_graph_corpus(tmp_path / "in", [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(3)])
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(corpus), "--out", str(tmp_path / "fixed")]) == 0
+    assert encoded == ["graph_0000.json", "graph_0001.json", "graph_0002.json", "manifest.json"]
+    encoded.clear()
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["rain"]}, "end": {"lemma_any_of": ["rain"]}}))
+    corpus = write_query_corpus(tmp_path, [("s0", "e0"), ("s1", "e0")])
+    assert main(["query", "--input", str(corpus), "--query", str(query), "--out", str(tmp_path / "paths.json")]) == 0
+    assert encoded == ["paths.json"]
+
+
+def test_a_dot_directory_lists_its_files_in_a_manifest_that_rectify_refuses(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    graphs = [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(2)]
+    out, fixed = tmp_path / "dot", tmp_path / "fixed"
+    args = ["--input", str(write_graph_corpus(tmp_path / "in", graphs)), "--out", str(out)]
+    assert main(["dot", "--schema", "sciclaim", *args]) == 0
+    names = ["graph_0000.dot", "graph_0001.dot"]
+    assert sorted(os.listdir(out)) == [*names, "manifest.json"]
+    assert json.loads((out / "manifest.json").read_text()) == {"graphs": names, "provenance": ["p0", "p1"]}
+    # the manifest names DOT files, which no graph command reads as graphs
+    assert main(["rectify", "--schema", "sciclaim", "--input", str(out), "--out", str(fixed)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"causalkg: error: {out / 'graph_0000.dot'} is not valid JSON: "), err
+    assert not fixed.exists()
 
 
 def failing_at_the_third_graph(tmp_path, command, out):
@@ -650,8 +689,8 @@ def test_the_input_shape_not_the_graph_count_picks_file_or_directory(tmp_path, c
     assert main(args) == 0
     if INPUT_SHAPES[shape][2]:
         assert out.is_file() and [out.read_text(encoding="utf-8")] == texts
-    elif command == "dot":  # one graph_NNNN.dot per graph, and no manifest
-        assert sorted(os.listdir(out)) == [f"graph_{i:04d}.dot" for i in range(len(texts))]
+    elif command == "dot":  # one graph_NNNN.dot per graph, and a manifest
+        assert sorted(os.listdir(out)) == [f"graph_{i:04d}.dot" for i in range(len(texts))] + ["manifest.json"]
         assert [(out / f"graph_{i:04d}.dot").read_text(encoding="utf-8") for i in range(len(texts))] == texts
     else:
         assert [p.read_text(encoding="utf-8") for p in graph_files(out)] == texts
@@ -770,7 +809,7 @@ def test_successive_calls_in_one_process_share_one_parser(workdir, capsys):
     assert "nope" in capsys.readouterr().err
     assert extract("again") == plain
     assert main(["dot", "--input", str(workdir / "plain"), "--schema", "sciclaim", "--out", str(workdir / "dot")]) == 0
-    assert len(os.listdir(workdir / "dot")) == len(plain)
+    assert len(os.listdir(workdir / "dot")) == len(plain) + 1  # and the manifest
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -394,26 +394,26 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     real_open = builtins.open
     monkeypatch.setattr(readers, "open", lambda *args, **kwargs: ShortWrite(real_open(*args, **kwargs)), raising=False)
     with pytest.raises(InputError, match=f"^cannot write {re.escape(str(path))}: No space left on device$"):
-        readers.write_text(str(path), "new contents\n")
+        readers.write_bytes(str(path), b"new contents\n")
     monkeypatch.undo()
     assert path.read_bytes() == b"old contents\n"
     assert os.listdir(tmp_path) == ["out.json"]
 
 
-def test_write_text_replaces_a_file_and_writes_through_what_is_not_one(tmp_path):
+def test_write_bytes_replaces_a_file_and_writes_through_what_is_not_one(tmp_path):
     path = tmp_path / "out.json"
-    readers.write_text(str(path), "first\n")
-    readers.write_text(str(path), "second\r\n")
+    readers.write_bytes(str(path), b"first\n")
+    readers.write_bytes(str(path), b"second\r\n")
     umask = os.umask(0)
     os.umask(umask)
     assert path.read_bytes() == b"second\r\n" and path.stat().st_mode & 0o777 == 0o666 & ~umask
     # a symlink is written through, not replaced; a directory is refused
     link = tmp_path / "link.json"
     link.symlink_to(path)
-    readers.write_text(str(link), "third\n")
+    readers.write_bytes(str(link), b"third\n")
     assert link.is_symlink() and path.read_text() == "third\n"
     with pytest.raises(InputError, match=f"^cannot write {re.escape(str(tmp_path))}: Is a directory$"):
-        readers.write_text(str(tmp_path), "x")
+        readers.write_bytes(str(tmp_path), b"x")
     assert sorted(os.listdir(tmp_path)) == ["link.json", "out.json"]
 
 
@@ -1023,11 +1023,11 @@ def test_only_the_builder_reads_and_writes_its_state():
 
 # -- files are opened only by the readers ------------------------------------
 
-# (module, function, callee): read_text's raw descriptor, write_text's
-# text-mode file, and the embedding file, read a line at a time
+# (module, function, callee): read_text's raw descriptor, write_bytes'
+# binary file, and the embedding file, read a line at a time
 ALLOWED_OPENS = {
     ("readers.py", "read_text", "os.open"),
-    ("readers.py", "write_text", "open"),
+    ("readers.py", "write_bytes", "open"),
     ("encoder.py", "load_embedding_file", "open"),
 }
 
@@ -1074,5 +1074,5 @@ def test_files_are_opened_only_by_the_readers():
         for path in sorted(SRC.glob("*.py"))
         for function, callee in open_calls(path.read_text(encoding="utf-8"))
     }
-    assert found - ALLOWED_OPENS == set(), "read a file through readers.read_text and write one through write_text"
+    assert found - ALLOWED_OPENS == set(), "read a file through readers.read_text and write one through write_bytes"
     assert found == ALLOWED_OPENS  # a stale allowlist entry hides nothing but should go
