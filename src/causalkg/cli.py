@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
+from typing import Iterable
 
 from .dot import emit_dot
 from .encoder import EncoderConfig, encode_tokens
@@ -125,22 +127,27 @@ def _load_graphs(path: str) -> tuple[list[KnowledgeGraph], bool]:
     return graphs, False
 
 
-def _write_graphs(out: str, one_file: bool, suffix: str, texts: list[str], provenances: list[str]):
+def _write_graphs(out: str, one_file: bool, suffix: str, texts: Iterable[str], provenances: list[str]):
     """The one text as file `out` if `one_file`, else text i as file graph_NNNN.<suffix> of directory `out`,
     with a manifest.json after them that lists the files and the graphs' `provenances`.
 
-    Every text, the manifest's too, is encoded as UTF-8 before the disk is touched, so a run that fails
-    before its first write leaves `out` as it was.  Each file is written whole or not at all (`write_bytes`).
-    The manifest that a directory may hold from an earlier run goes before the first graph file is written,
-    and the new one is written last, so a run that fails midway leaves a directory that no command loads,
-    not old and new graphs under one manifest."""
-    names = [f"graph_{i:04d}.{suffix}" for i in range(len(texts))]
-    paths = [out] if one_file else [os.path.join(out, name) for name in names]
+    Every text, the manifest's too, is encoded as it comes, and so can be freed, before the disk is touched,
+    and a manifest that `out` holds from an earlier run is refused if it lists a file that is no .<suffix>
+    one, as this run would leave that file under no manifest (dot over a graph directory): a refused run
+    leaves `out` as it was.  The old manifest goes before the first file is written, each whole or not at
+    all (`write_bytes`), and the new one last, so a run that fails midway leaves a directory no command loads."""
+    names = [f"graph_{i:04d}.{suffix}" for i in range(len(provenances))]
+    paths = [out] if one_file else [os.path.join(out, name) for name in [*names, "manifest.json"]]
+    manifest = () if one_file else [_json_text({"graphs": names, "provenance": provenances})]
+    data = [encode_text(path, text) for path, text in zip(paths, chain(texts, manifest), strict=True)]
     if not one_file:
-        texts = [*texts, _json_text({"graphs": names, "provenance": provenances})]
-        paths.append(os.path.join(out, "manifest.json"))
-    data = [encode_text(path, text) for path, text in zip(paths, texts, strict=True)]
-    if not one_file:
+        try:  # a manifest that does not load or lists no files is no other run's list
+            listed = load_json(paths[-1])["graphs"] if os.path.isfile(paths[-1]) else ()
+        except (CausalKgError, KeyError, TypeError):
+            listed = ()
+        for name in listed if isinstance(listed, list) else ():
+            if isinstance(name, str) and not name.endswith(f".{suffix}"):
+                raise InputError(f"cannot write {out}: its manifest.json lists {name}, not a .{suffix} file")
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
@@ -182,14 +189,14 @@ def _cmd_extract(args) -> None:
     overrides = {"theta_r": args.threshold_relation, "theta_a": args.threshold_attribute}
     model = replace(load_model(args.model), **{name: value for name, value in overrides.items() if value is not None})
     sentences = within(args.input, _sentences, load_json(args.input))
-    texts = [graph_to_json(extract(tokens, lemmas, model, provenance=p)) for tokens, lemmas, p in sentences]
+    texts = (graph_to_json(extract(tokens, lemmas, model, provenance=p)) for tokens, lemmas, p in sentences)
     _write_graphs(args.out, False, "json", texts, [p for _, _, p in sentences])
 
 
 def _cmd_rectify(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs, one_file = _load_graphs(args.input)
-    texts = [graph_to_json(*rectify(g, schema)) for g in graphs]
+    texts = (graph_to_json(*rectify(g, schema)) for g in graphs)
     _write_graphs(args.out, one_file and not args.out_dir, "json", texts, [g.provenance for g in graphs])
 
 
@@ -199,10 +206,10 @@ def _cmd_senses(args) -> None:
     inventory = within(args.inventory, load_inventory, read_text(args.inventory), glosses, skip)
     encoder = load_model(args.model).encoder if args.model else _load_config(args)[1]
     graphs, one_file = _load_graphs(args.input)
-    texts = [
+    texts = (
         graph_to_json(link_senses(g, encode_tokens(g.tokens, encoder), inventory, threshold=args.threshold))
         for g in graphs
-    ]
+    )
     _write_graphs(args.out, one_file, "json", texts, [g.provenance for g in graphs])
 
 
@@ -247,7 +254,7 @@ def _cmd_eval(args) -> None:
 def _cmd_dot(args) -> None:
     schema = _load_schema_arg(args.schema)
     graphs, one_file = _load_graphs(args.input)
-    _write_graphs(args.out, one_file, "dot", [emit_dot(g, schema) for g in graphs], [g.provenance for g in graphs])
+    _write_graphs(args.out, one_file, "dot", (emit_dot(g, schema) for g in graphs), [g.provenance for g in graphs])
 
 
 _REQUIRED, _OPTIONAL = {"required": True}, {"default": None}

@@ -576,6 +576,22 @@ def test_a_dot_directory_lists_its_files_in_a_manifest_that_rectify_refuses(tmp_
     assert not fixed.exists()
 
 
+def test_a_directory_output_refuses_a_manifest_of_another_kind_of_file(tmp_path, capsys):
+    # replacing it would leave the files it lists under no manifest: dot
+    # over the graph directory it reads, or rectify over a dot directory
+    rng = np.random.default_rng(12)
+    corpus = write_graph_corpus(tmp_path / "in", [random_sciclaim_graph(rng, provenance=f"p{i}") for i in range(2)])
+    dots = tmp_path / "dot"
+    assert main(["dot", "--schema", "sciclaim", "--input", str(corpus), "--out", str(dots)]) == 0
+    for command, out, listed, suffix in (("dot", corpus, "g0.json", "dot"), ("rectify", dots, "graph_0000.dot", "json")):
+        before = directory_files(out)
+        assert main([command, "--schema", "sciclaim", "--input", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"causalkg: error: cannot write {out}: its manifest.json lists {listed}, not a .{suffix} file\n"
+        assert directory_files(out) == before
+    assert main(["valence", "--input", str(corpus)]) == 0
+
+
 def failing_at_the_third_graph(tmp_path, command, out):
     """The arguments of `command` over three sentences or graphs, of which
     only the third gives an output that UTF-8 cannot encode."""
