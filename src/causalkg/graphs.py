@@ -40,7 +40,6 @@ __all__ = [
     "Relations",
     "KnowledgeGraph",
     "CorpusGraph",
-    "CorpusIndex",
     "ElementKey",
     "element_id",
     "relation_id",
@@ -909,23 +908,41 @@ def with_senses(graph: KnowledgeGraph, senses: Iterable[Iterable[tuple[str, floa
     return _new_graph(graph.tokens, graph.lemmas, tuple(entities), graph.relations, graph.provenance)
 
 
-class CorpusIndex:
-    """Lookups over a corpus's nodes, built in one pass over its entities.
+@dataclass(frozen=True)
+class CorpusGraph:
+    """Disjoint union of sentence graphs, optionally lemma-linked.
 
+    Nodes are addressed by global ids, "<provenance>/<entity_id>" with each
+    part escaped (see `node_id`): entity "c" of graph "a/b" and entity
+    "b/c" of graph "a" are distinct nodes, "a\\/b/c" and "a/b\\/c".
+    A lemma link is an undirected pseudo-edge that joins two entities of
+    distinct graphs iff they share at least one lemma (exact string
+    equality over each span's lemma set).  No link is stored: with
+    lemma_link, `find_paths` reads a node's links from by_lemma when it
+    reaches the node, and `lemma_links` lists them all.
+
+    Only graphs and lemma_link are given; every construction, `replace`
+    included, derives the rest from them in one pass over the entities:
     nodes: global id -> (graph, entity), in corpus order.
     by_lemma: lemma -> the global ids of the nodes whose lemma set holds
     it, in corpus order.
     `typed_buckets()` gives the nodes by entity type and by attribute
-    type, built on its first call and kept.
+    type, built on its first call and kept.  None of them takes part in
+    `==`, hashing or `repr`.
 
-    Raises DuplicateProvenanceError when two graphs share a provenance.
+    Raises GraphError when graphs is not a sequence of `KnowledgeGraph`s,
+    and DuplicateProvenanceError when two of them share a provenance.
     Global ids are then unique: entity ids are unique within a graph, and
     distinct (provenance, entity id) pairs render to distinct ids.
     """
 
-    __slots__ = ("nodes", "by_lemma", "_typed")
+    graphs: tuple[KnowledgeGraph, ...]
+    lemma_link: bool = False
+    nodes: dict[str, tuple[KnowledgeGraph, Entity]] = field(init=False, compare=False, repr=False)
+    by_lemma: dict[str, list[str]] = field(init=False, compare=False, repr=False)
 
-    def __init__(self, graphs: Sequence[KnowledgeGraph]) -> None:
+    def __post_init__(self) -> None:
+        graphs = _elements(self.graphs, "graph", KnowledgeGraph)
         nodes: dict[str, tuple[KnowledgeGraph, Entity]] = {}
         by_lemma: dict[str, list[str]] = {}
         provenances: set[str] = set()
@@ -947,82 +964,43 @@ class CorpusIndex:
                 else:
                     for lemma in frozenset(lemmas[start:end]):
                         by_lemma.setdefault(lemma, []).append(gid)
-        self.nodes = nodes
-        self.by_lemma = by_lemma
-        self._typed: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "by_lemma", by_lemma)
+
+    @cached_property
+    def _typed(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        by_type: dict[str, list[str]] = {}
+        by_attribute: dict[str, list[str]] = {}
+        for gid, (_, e) in self.nodes.items():
+            by_type.setdefault(e.entity_type, []).append(gid)
+            for attr_type, _ in e.attributes:
+                by_attribute.setdefault(attr_type, []).append(gid)
+        return by_type, by_attribute
 
     def typed_buckets(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """(by_type, by_attribute): entity type -> the global ids of the
         nodes of that type, and attribute type -> those of the nodes that
         carry it, in corpus order.  Built on the first call and kept."""
-        if self._typed is None:
-            by_type: dict[str, list[str]] = {}
-            by_attribute: dict[str, list[str]] = {}
-            for gid, (_, e) in self.nodes.items():
-                by_type.setdefault(e.entity_type, []).append(gid)
-                for attr_type, _ in e.attributes:
-                    by_attribute.setdefault(attr_type, []).append(gid)
-            self._typed = (by_type, by_attribute)
         return self._typed
-
-
-@dataclass(frozen=True)
-class CorpusGraph:
-    """Disjoint union of sentence graphs, optionally lemma-linked.
-
-    Nodes are addressed by global ids, "<provenance>/<entity_id>" with each
-    part escaped (see `node_id`): entity "c" of graph "a/b" and entity
-    "b/c" of graph "a" are distinct nodes, "a\\/b/c" and "a/b\\/c".
-    A lemma link is an undirected pseudo-edge that joins two entities of
-    distinct graphs iff they share at least one lemma (exact string
-    equality over each span's lemma set).  With lemma_link, the links are
-    stored as lemma_hubs: one (lemma, sorted global ids) entry per lemma
-    that entities of at least two distinct graphs share, so storage grows
-    with the members, not with the pairs.  Two nodes are linked iff some
-    hub holds both and they belong to different graphs; `find_paths`
-    expands a node's hubs only when it reaches the node.
-
-    Only graphs and lemma_link are given; every construction, `replace`
-    included, derives the rest from them.  `index`, the corpus's
-    `CorpusIndex`, takes no part in `==`, hashing or `repr`.  Raises
-    GraphError when graphs is not a sequence of `KnowledgeGraph`s, and
-    DuplicateProvenanceError when two of them share a provenance.
-    """
-
-    graphs: tuple[KnowledgeGraph, ...]
-    lemma_link: bool = False
-    lemma_hubs: tuple[tuple[str, tuple[str, ...]], ...] = field(init=False)
-    index: CorpusIndex = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        graphs = _elements(self.graphs, "graph", KnowledgeGraph)
-        index = CorpusIndex(graphs)
-        hubs: tuple[tuple[str, tuple[str, ...]], ...] = ()
-        if self.lemma_link:
-            nodes, by_lemma = index.nodes, index.by_lemma
-            # members are in corpus order, so a lemma spans two graphs iff its
-            # first and last members lie in different graphs; only those sort
-            linked = [lemma for lemma, members in by_lemma.items() if nodes[members[0]][0] is not nodes[members[-1]][0]]
-            hubs = tuple((lemma, tuple(sorted(by_lemma[lemma]))) for lemma in sorted(linked))
-        object.__setattr__(self, "graphs", graphs)
-        object.__setattr__(self, "lemma_hubs", hubs)
-        object.__setattr__(self, "index", index)
 
     @property
     def lemma_links(self) -> frozenset[tuple[str, str]]:
-        """Every lemma link as a sorted global-id pair.
+        """Every lemma link as a sorted global-id pair; none without lemma_link.
 
-        Expanded from the hubs on each access (quadratic in hub size) and
-        never stored; path queries do not use it.
+        Expanded from by_lemma on each access (quadratic in a lemma's
+        members) and never stored; path queries do not use it.
         """
-        nodes = self.index.nodes
-        links: set[tuple[str, str]] = set()
-        for _, members in self.lemma_hubs:
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if nodes[a][0] is not nodes[b][0]:
-                        links.add((a, b))
-        return frozenset(links)
+        if not self.lemma_link:
+            return frozenset()
+        nodes = self.nodes
+        return frozenset(
+            (a, b) if a < b else (b, a)
+            for members in self.by_lemma.values()
+            for i, a in enumerate(members)
+            for b in members[i + 1 :]
+            if nodes[a][0] is not nodes[b][0]
+        )
 
 
 def merge_corpus(graphs: Sequence[KnowledgeGraph], lemma_link: bool = False) -> CorpusGraph:

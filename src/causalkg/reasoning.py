@@ -210,20 +210,19 @@ def matching_nodes(corpus: CorpusGraph, pattern: NodePattern) -> list[str]:
     """The global ids of the corpus nodes the pattern matches, sorted.
 
     A pattern with `lemma_any_of` is tested only against the nodes the
-    corpus index files under one of its lemmas.  One without it but with
-    an entity type or required attributes is tested only against the
-    shortest of the index's typed buckets it names: the nodes of its type,
+    corpus's `by_lemma` files under one of its lemmas.  One without it but
+    with an entity type or required attributes is tested only against the
+    shortest of the corpus's typed buckets it names: the nodes of its type,
     or those carrying one of its attributes.  Any other pattern, one of
     role constraints or an empty `required_attributes` alone, is tested
     against every node.
     """
-    index = corpus.index
-    nodes = index.nodes
+    nodes = corpus.nodes
     if pattern.lemma_any_of is not None:
-        by_lemma = index.by_lemma
+        by_lemma = corpus.by_lemma
         candidates = {gid for lemma in pattern.lemma_any_of for gid in by_lemma.get(lemma, ())}
     elif pattern.entity_type is not None or pattern.required_attributes:
-        by_type, by_attribute = index.typed_buckets()
+        by_type, by_attribute = corpus.typed_buckets()
         buckets = [by_attribute.get(attr_type, ()) for attr_type in pattern.required_attributes or ()]
         if pattern.entity_type is not None:
             buckets.append(by_type.get(pattern.entity_type, ()))
@@ -231,26 +230,6 @@ def matching_nodes(corpus: CorpusGraph, pattern: NodePattern) -> list[str]:
     else:
         candidates = nodes
     return sorted(gid for gid in candidates if pattern.matches(*nodes[gid]))
-
-
-def _walk(path: list[str], on_path: set[str], edges_left: int, neighbours, end_ids: set[str], paths: list) -> None:
-    """Append to paths every path that extends path by at most edges_left
-    edges without revisiting a node and ends in end_ids, depth first.  A
-    module function: a closure that called itself would refer to itself,
-    and through neighbours keep the corpus in a reference cycle."""
-    current = path[-1]
-    if current in end_ids:
-        paths.append(tuple(path))
-    if edges_left == 0:
-        return
-    for edge_id, neighbor in neighbours(current):
-        if neighbor in on_path:
-            continue
-        path.extend((edge_id, neighbor))
-        on_path.add(neighbor)
-        _walk(path, on_path, edges_left - 1, neighbours, end_ids, paths)
-        on_path.remove(neighbor)
-        del path[-2:]
 
 
 def find_paths(
@@ -263,21 +242,21 @@ def find_paths(
 
     A node matching both patterns yields a single-node path.  Paths never
     repeat a node.  Output order is deterministic: paths sorted
-    lexicographically by their id sequences.  A max_len that is not an
-    integer >= 1 raises InputError.
+    lexicographically by their id sequences.  The walk keeps its own
+    stack, so only max_len bounds a path's length.  A max_len that is not
+    an integer >= 1 raises InputError.
     """
     if integer(max_len, "max_len", InputError) < 1:
         raise InputError("max_len must be >= 1")
-    index = corpus.index
-    nodes = index.nodes
-    hubs = dict(corpus.lemma_hubs)
+    nodes, by_lemma, lemma_link = corpus.nodes, corpus.by_lemma, corpus.lemma_link
     adjacency: dict[str, list[tuple[str, str]]] = {}
 
     def neighbours(node: str) -> list[tuple[str, str]]:
         # a node's edges are built when the search first reaches it: its
         # outgoing relations, its incoming "modifier" relations (traversable
-        # both ways) and the lemma links of its hubs; their order is moot
-        # because paths.sort() below fixes the output order
+        # both ways) and, with lemma links, the nodes of other graphs that
+        # share one of its lemmas; their order is moot because paths.sort()
+        # below fixes the output order
         edges = adjacency.get(node)
         if edges is None:
             g, e = nodes[node]
@@ -286,13 +265,9 @@ def find_paths(
             back = tuple(j for j in g.incoming(e.id) if rels.types[rels.code[j]] == "modifier")
             ends = [rels.tail[j] for j in out] + [rels.head[j] for j in back]
             edges = list(zip(edge_ids(prefix, rels, out + back), [node_id(prefix, rels.ids[i]) for i in ends]))
-            linked = {
-                other
-                for lemma in g.entity_lemmas(e)
-                for other in hubs.get(lemma, ())
-                if nodes[other][0] is not g
-            }
-            edges += [(lemma_link_id(node, other), other) for other in linked]
+            if lemma_link:
+                linked = {o for lemma in g.entity_lemmas(e) for o in by_lemma[lemma] if nodes[o][0] is not g}
+                edges += [(lemma_link_id(node, other), other) for other in linked]
             adjacency[node] = edges
         return edges
 
@@ -301,7 +276,27 @@ def find_paths(
 
     paths: list[tuple[str, ...]] = []
     for sid in start_ids:
-        _walk([sid], {sid}, max_len, neighbours, end_ids, paths)
+        if sid in end_ids:
+            paths.append((sid,))
+        # stack[k] iterates the edges of path[2k], the path's k-th node
+        path, on_path, stack = [sid], {sid}, [iter(neighbours(sid))]
+        while stack:
+            for edge_id, neighbor in stack[-1]:
+                if neighbor in on_path:
+                    continue
+                path += (edge_id, neighbor)
+                if neighbor in end_ids:
+                    paths.append(tuple(path))
+                if len(stack) < max_len:
+                    on_path.add(neighbor)
+                    stack.append(iter(neighbours(neighbor)))
+                    break
+                del path[-2:]
+            else:
+                stack.pop()
+                if stack:
+                    on_path.remove(path[-1])
+                    del path[-2:]
 
     paths.sort()
     sub_nodes: set[str] = set()

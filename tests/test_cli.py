@@ -17,6 +17,7 @@ from causalkg.encoder import EncoderConfig, encode_tokens
 from causalkg.errors import InputError
 from causalkg.graphs import Span, assemble_graph, graph_from_dict, graph_to_dict, graph_to_json, merge_corpus
 from causalkg.model import MAX_PARAMETERS, Model, save_model
+from causalkg.reasoning import NodePattern, find_paths
 from causalkg.readers import encode_text as readers_encode_text, write_bytes as readers_write_bytes
 from causalkg.rectify import RemovalRecord, rectify
 from causalkg.schema import check_constraints, load_schema, schema_to_dict
@@ -782,6 +783,34 @@ def test_query_follows_lemma_links_across_graphs(tmp_path, capsys):
     ]
     assert main(["query", "--input", str(corpus), "--query", str(query), "--no-lemma-link"]) == 0
     assert json.loads(capsys.readouterr().out)["paths"] == [["s0/e0"], ["s1/e0"]]
+
+
+def test_query_returns_a_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    # graph g<i> holds "w<i> w<i+1>" and a -q+-> b, so lemma links chain the
+    # 700 graphs into one path of 1,399 edges; a walk that recursed once per
+    # edge overflowed the stack
+    n = 700
+    graphs = [
+        assemble_graph([f"w{i}", f"w{i + 1}"], None,
+                       [("a", Span(0, 1), "element", 1.0), ("b", Span(1, 2), "element", 1.0)],
+                       relations=[("a", "b", "q+", 1.0)], provenance=f"g{i}")
+        for i in range(n)
+    ]
+    assert 2 * n > sys.getrecursionlimit()
+    expected = ["g0/a"]
+    for i in range(n):
+        expected += [f"g{i}/a->b:q+", f"g{i}/b"]
+        if i + 1 < n:
+            link = sorted([f"g{i}/b", f"g{i + 1}/a"])
+            expected += [f"lemma:{link[0]}~{link[1]}", f"g{i + 1}/a"]
+    start, end = NodePattern(lemma_any_of=frozenset({"w0"})), NodePattern(lemma_any_of=frozenset({f"w{n}"}))
+    result = find_paths(merge_corpus(graphs, lemma_link=True), start, end, max_len=5000)
+    assert result.paths == (tuple(expected),)
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"start": {"lemma_any_of": ["w0"]}, "end": {"lemma_any_of": [f"w{n}"]}, "max_len": 5000}))
+    corpus = write_graph_dir(tmp_path / "corpus", graphs)
+    assert main(["query", "--input", str(corpus), "--query", str(query)]) == 0
+    assert json.loads(capsys.readouterr().out) == result.to_dict()
 
 
 @pytest.mark.parametrize("command", ["query", "valence"])

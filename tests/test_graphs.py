@@ -162,7 +162,7 @@ def test_merge_single_graph_no_links():
     g = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="a")
     corpus = merge_corpus([g], lemma_link=True)
     assert corpus.lemma_links == frozenset()
-    assert set(corpus.index.nodes) == {"a/e0"}
+    assert set(corpus.nodes) == {"a/e0"}
 
 
 def test_merge_links_shared_lemma():
@@ -195,7 +195,7 @@ def test_merge_links_match_brute_force():
         assert corpus.lemma_links == frozenset(expected)
 
 
-def test_hubs_store_each_node_lemma_once():
+def test_by_lemma_files_each_node_lemma_once():
     rng = np.random.default_rng(31)
     for trial in range(40):
         if trial % 2:
@@ -204,11 +204,10 @@ def test_hubs_store_each_node_lemma_once():
         else:
             corpus = random_hub_corpus(rng)
         occurrences = sum(len(g.entity_lemmas(e)) for g in corpus.graphs for e in g.entities)
-        assert sum(len(members) for _, members in corpus.lemma_hubs) <= occurrences
-        nodes = corpus.index.nodes
-        for lemma, members in corpus.lemma_hubs:
-            assert list(members) == sorted(set(members))
-            assert len({nodes[m][0].provenance for m in members}) >= 2
+        assert sum(len(members) for members in corpus.by_lemma.values()) == occurrences
+        nodes = corpus.nodes
+        for lemma, members in corpus.by_lemma.items():
+            assert len(members) == len(set(members))
             assert all(lemma in nodes[m][0].entity_lemmas(nodes[m][1]) for m in members)
 
 
@@ -218,18 +217,18 @@ def test_merge_keeps_slashed_global_ids_apart(lemma_link):
     g1 = assemble_graph(["x"], None, [("c", Span(0, 1), "element", 1.0)], provenance="a/b")
     g2 = assemble_graph(["x"], None, [("b/c", Span(0, 1), "element", 1.0)], provenance="a")
     corpus = merge_corpus([g1, g2], lemma_link=lemma_link)
-    assert corpus.index.nodes == {"a\\/b/c": (g1, g1.entities[0]), "a/b\\/c": (g2, g2.entities[0])}
-    if lemma_link:
-        assert corpus.lemma_hubs == (("x", ("a/b\\/c", "a\\/b/c")),)
+    assert corpus.nodes == {"a\\/b/c": (g1, g1.entities[0]), "a/b\\/c": (g2, g2.entities[0])}
+    assert corpus.by_lemma == {"x": ["a\\/b/c", "a/b\\/c"]}
+    assert corpus.lemma_links == (frozenset({("a/b\\/c", "a\\/b/c")}) if lemma_link else frozenset())
 
 
 def test_merge_without_links_is_plain_union():
     rng = np.random.default_rng(5)
     graphs = [random_sciclaim_graph(rng, provenance=f"u{i}") for i in range(4)]
     corpus = merge_corpus(graphs, lemma_link=False)
-    assert corpus.lemma_hubs == ()
     assert corpus.lemma_links == frozenset()
-    assert len(corpus.index.nodes) == sum(len(g.entities) for g in graphs)
+    assert len(corpus.nodes) == sum(len(g.entities) for g in graphs)
+    assert corpus.by_lemma == merge_corpus(graphs, lemma_link=True).by_lemma
 
 
 def test_merge_duplicate_provenance_rejected():
@@ -423,13 +422,12 @@ def test_graph_from_dict_defaults_absent_or_null_lemmas():
     assert graph_from_dict(doc).lemmas == ("a", "b")
 
 
-def test_corpus_index_matches_a_scan():
+def test_corpus_lookups_match_a_scan():
     rng = np.random.default_rng(41)
     for trial in range(60):
         corpus = (random_hub_corpus, random_ethno_corpus, random_sciclaim_corpus)[trial % 3](rng)
-        index = corpus.index
         expected_nodes = {f"{g.provenance}/{e.id}": (g, e) for g in corpus.graphs for e in g.entities}
-        assert index.nodes == expected_nodes and list(index.nodes) == list(expected_nodes)
+        assert corpus.nodes == expected_nodes and list(corpus.nodes) == list(expected_nodes)
         by_lemma, by_type, by_attribute = {}, {}, {}
         for gid, (g, e) in expected_nodes.items():
             for lemma in g.entity_lemmas(e):
@@ -437,26 +435,26 @@ def test_corpus_index_matches_a_scan():
             by_type.setdefault(e.entity_type, []).append(gid)
             for attr_type in e.attribute_types():
                 by_attribute.setdefault(attr_type, []).append(gid)
-        assert index.by_lemma == by_lemma
-        assert index.typed_buckets() == (by_type, by_attribute)
+        assert corpus.by_lemma == by_lemma
+        assert corpus.typed_buckets() == (by_type, by_attribute)
 
 
-def test_corpus_index_stays_out_of_equality_and_repr():
+def test_corpus_lookups_stay_out_of_equality_and_repr():
     rng = np.random.default_rng(43)
     corpus = random_hub_corpus(rng)
     direct = CorpusGraph(corpus.graphs, lemma_link=True)
-    assert direct.index is not corpus.index  # built with the corpus
+    assert direct.nodes is not corpus.nodes and direct.by_lemma is not corpus.by_lemma  # built with the corpus
     assert direct == corpus and hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
-    assert "index" not in repr(corpus)
-    assert direct.index.nodes == corpus.index.nodes
-    assert direct.index is direct.index
-    # a copy with other graphs or another lemma_link derives its own index and hubs
+    assert repr(corpus) == f"CorpusGraph(graphs={corpus.graphs!r}, lemma_link=True)"
+    assert direct.nodes == corpus.nodes and direct.by_lemma == corpus.by_lemma
+    assert direct.typed_buckets() is direct.typed_buckets()
+    # a copy with other graphs or another lemma_link derives its own lookups and links
     fewer = replace(corpus, graphs=corpus.graphs[:1])
-    assert set(fewer.index.nodes) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
-    assert replace(corpus, lemma_link=False).lemma_hubs == ()
+    assert set(fewer.nodes) == {f"h0/{e.id}" for e in corpus.graphs[0].entities}
+    assert replace(corpus, lemma_link=False).lemma_links == frozenset()
 
 
-def test_a_corpus_derives_its_hubs_from_its_graphs():
+def test_a_corpus_derives_its_lookups_from_its_graphs():
     rng = np.random.default_rng(53)
     for trial in range(30):
         corpus = (random_hub_corpus, random_ethno_corpus, random_sciclaim_corpus)[trial % 3](rng)
@@ -464,14 +462,14 @@ def test_a_corpus_derives_its_hubs_from_its_graphs():
         direct = CorpusGraph(graphs, True)
         assert direct == merge_corpus(graphs, True) == corpus
         assert hash(direct) == hash(corpus) and repr(direct) == repr(corpus)
-        nodes = corpus.index.nodes
-        for _, members in corpus.lemma_hubs:
-            assert set(members) <= nodes.keys()
-            assert len({nodes[m][0].provenance for m in members}) >= 2
+        nodes = corpus.nodes
+        assert all(set(members) <= nodes.keys() for members in corpus.by_lemma.values())
+        assert all(nodes[a][0] is not nodes[b][0] for a, b in corpus.lemma_links)
         k = int(rng.integers(0, len(graphs)))
         fewer = replace(corpus, graphs=graphs[:k])
         assert fewer == merge_corpus(graphs[:k], True)
-        assert all(set(members) <= fewer.index.nodes.keys() for _, members in fewer.lemma_hubs)
+        assert all(set(members) <= fewer.nodes.keys() for members in fewer.by_lemma.values())
+        assert all({a, b} <= fewer.nodes.keys() for a, b in fewer.lemma_links)
 
 
 @pytest.mark.parametrize(
@@ -490,20 +488,20 @@ def test_a_corpus_of_other_than_graphs_is_refused(build):
         build(g)
 
 
-def test_hubs_and_an_index_cannot_be_handed_in(monkeypatch):
+def test_derived_fields_cannot_be_handed_in(monkeypatch):
     g1 = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="p1")
     g2 = assemble_graph(["baby"], None, [("e0", Span(0, 1), "element", 1.0)], provenance="p2")
     corpus = merge_corpus([g1, g2], lemma_link=True)
-    assert corpus.lemma_hubs == (("baby", ("p1/e0", "p2/e0")),)
+    assert corpus.lemma_links == frozenset({("p1/e0", "p2/e0")})
     built = []
     monkeypatch.setattr(CorpusGraph, "__post_init__", lambda self: built.append(self))
-    for name, value in (("lemma_hubs", (("a", ("p1/e0", "nope/e9")),)), ("index", corpus.index)):
+    for name, value in (("nodes", corpus.nodes), ("by_lemma", {"baby": ["p1/e0", "nope/e9"]})):
         with pytest.raises(TypeError):
             CorpusGraph(corpus.graphs, **{name: value})
         with pytest.raises(ValueError, match=name):
             replace(corpus, **{name: value})
     with pytest.raises(TypeError):
-        CorpusGraph(corpus.graphs, True, corpus.lemma_hubs)
+        CorpusGraph(corpus.graphs, True, corpus.nodes)
     assert built == []  # refused before any corpus exists
 
 

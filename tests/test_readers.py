@@ -896,7 +896,6 @@ def test_type_codes_are_numbered_only_in_schema_py():
 CONSTRUCTORS = {
     "KnowledgeGraph": {"graphs.py"},
     "CorpusGraph": {"graphs.py"},
-    "CorpusIndex": {"graphs.py"},
     "Relations": {"graphs.py"},
 }
 
@@ -1076,3 +1075,50 @@ def test_files_are_opened_only_by_the_readers():
     }
     assert found - ALLOWED_OPENS == set(), "read a file through readers.read_text and write one through write_bytes"
     assert found == ALLOWED_OPENS  # a stale allowlist entry hides nothing but should go
+
+
+# -- every Hypothesis test draws the same cases on every run -------------------
+
+TESTS = Path(__file__).parent
+
+
+def random_settings(source: str) -> list[str]:
+    """The `settings(...)` calls in the source, as source text, that do not
+    pass derandomize=True, so their test draws new cases on every run."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "settings":
+            continue
+        if not any(
+            kw.arg == "derandomize" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+            for kw in node.keywords
+        ):
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_scan_sees_random_settings():
+    source = (
+        "@settings(max_examples=300, deadline=None)\ndef a(x): pass\n\n"
+        "@hypothesis.settings(derandomize=False)\ndef b(x): pass\n\n"
+        "def c():\n    @settings(max_examples=5)\n    def check(x): pass\n\n"
+        # derandomized ones, and a name that merely holds "settings", are not random
+        "@settings(max_examples=9, deadline=None, derandomize=True)\ndef d(x): pass\n\n"
+        "s = load_settings(path)\n"
+    )
+    assert random_settings(source) == [
+        "settings(max_examples=300, deadline=None)", "hypothesis.settings(derandomize=False)",
+        "settings(max_examples=5)",
+    ]
+
+
+def test_every_hypothesis_test_is_derandomized():
+    found = {
+        path.name: calls
+        for path in sorted(TESTS.glob("*.py"))
+        if (calls := random_settings(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}, "pass derandomize=True, so every run draws the same cases"

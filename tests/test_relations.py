@@ -428,7 +428,7 @@ FIELD_VALUES = st.sampled_from([
 ])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), choice=st.integers(0, 2**16), value=FIELD_VALUES)
 def test_one_field_changed_builds_alike_by_hand_and_by_assemble_graph(seed, choice, value):
     g = synth.random_sciclaim_graph(np.random.default_rng(seed))
